@@ -15,7 +15,9 @@ Subcommands:
   connection predicate; failures carry a counterexample and replay seed.
 
 Scenario problems are reported on stderr with a ``PARSE_ERROR:`` or
-``INCONSISTENT_SCENARIO:`` prefix and exit code 2.
+``INCONSISTENT_SCENARIO:`` prefix and exit code 2; a morphism that is
+singular at a requested point is an inconsistent scenario.  Every
+``--seed`` must lie in [0, 2**32), the range ``derive_seed`` uses.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .geomech import (
     complete_tangent_lift,
     vertical_lift,
 )
-from .ring import MultiPoly, rat
+from .ring import MultiPoly, SingularMatrixError, rat
 from .scenario import (
     InconsistentScenarioError,
     Scenario,
@@ -62,6 +64,17 @@ def _parse_point(text: str, dim: int, what: str = "point"):
         raise ScenarioParseError(f"bad {what} coordinate: {exc}") from None
 
 
+def _seed(text: str) -> int:
+    """argparse type for --seed: an int in [0, 2**32)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= value < 2**32:
+        raise argparse.ArgumentTypeError(f"seed {value} is outside [0, 2**32)")
+    return value
+
+
 def _fmt_tuple(values) -> str:
     return "(" + ", ".join(str(v) for v in values) + ")"
 
@@ -76,7 +89,7 @@ def _print_matrix(name: str, rows) -> None:
 
 
 def _add_plan_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="sampling seed override")
+    p.add_argument("--seed", type=_seed, default=None, help="sampling seed override")
     p.add_argument("--samples", type=int, default=None, help="tuples per property")
     p.add_argument("--bound", type=int, default=None, help="coordinate magnitude bound")
 
@@ -151,7 +164,12 @@ def _cmd_dualize(args) -> int:
     print(f"left dual: ranks {ld.ranks}; labels {', '.join(ld.labels)}")
     if x is None:
         return 0
-    fm = fiber_right_dual(sc.morphism.at(x))
+    try:
+        fm = fiber_right_dual(sc.morphism.at(x))
+    except SingularMatrixError as exc:
+        raise SingularMatrixError(
+            f"morphism blocks are singular at x = {_fmt_tuple(x)}: {exc}"
+        ) from None
     print(f"dual morphism blocks at x = {_fmt_tuple(x)}:")
     _print_matrix("l", fm.l)
     _print_matrix("c", fm.c)
@@ -242,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=_cmd_check)
 
     p_gen = sub.add_parser("gen", help="print a seeded random scenario")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_seed, default=0)
     p_gen.add_argument("--max-rank", type=int, default=3)
     p_gen.add_argument("--max-degree", type=int, default=2)
     p_gen.add_argument("--symmetric", action="store_true")
@@ -292,7 +310,7 @@ def main(argv=None) -> int:
     except ScenarioParseError as exc:
         print(f"PARSE_ERROR: {exc}", file=sys.stderr)
         return 2
-    except InconsistentScenarioError as exc:
+    except (InconsistentScenarioError, SingularMatrixError) as exc:
         print(f"INCONSISTENT_SCENARIO: {exc}", file=sys.stderr)
         return 2
 

@@ -34,6 +34,7 @@ from .ring import (
     MultiPoly,
     Point,
     PolyMatrix,
+    dot,
     mat_inverse_frac,
     mat_mul_frac,
     mat_transpose_frac,
@@ -453,17 +454,7 @@ class FiberMorphism:
             raise BaseMismatchError("element bundle differs from morphism source")
         if v.x != self.x:
             raise BaseMismatchError("element base point differs from block point")
-        bilinear = tuple(
-            sum(
-                (
-                    self.psi[g][a][b] * v.e[a] * v.f[b]
-                    for a in range(self.source.n_E)
-                    for b in range(self.source.n_F)
-                ),
-                Fraction(0),
-            )
-            for g in range(self.target.n_C)
-        )
+        bilinear = tuple(dot(mat_vec_frac(plane, v.f), v.e) for plane in self.psi)
         core = tuple(
             p + q for p, q in zip(mat_vec_frac(self.c, v.c), bilinear)
         )

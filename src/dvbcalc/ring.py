@@ -14,13 +14,19 @@ the dataclass equality and hash canonical.
 Matrix inversion is never done symbolically.  Linear systems are solved at a
 rational base point by clearing denominators and running fraction-free
 (Bareiss) elimination, so every intermediate value stays an exact integer.
+
+Point evaluation (`MultiPoly.eval`) and the scalar product `dot` follow the
+same idea: each term is formed as an integer numerator and denominator, the
+terms are summed over a running integer pair, and a single `Fraction` is
+reduced once per result instead of once per `+` and `*`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from math import gcd
+from typing import Mapping, Sequence
 
 Exponent = tuple[int, ...]
 Point = tuple[Fraction, ...]
@@ -127,14 +133,6 @@ class MultiPoly:
             return -1
         return sum(self.terms[0][0])
 
-    def degree_in(self, name: str) -> int:
-        if name not in self.vars:
-            raise ValueError(f"unknown variable {name!r}; have {self.vars}")
-        idx = self.vars.index(name)
-        if not self.terms:
-            return -1
-        return max(e[idx] for e, _ in self.terms)
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: MultiPoly) -> MultiPoly:
@@ -199,14 +197,15 @@ class MultiPoly:
                 f"point arity {len(point)} does not match {len(self.vars)} variables"
             )
         pt = [rat(p) for p in point]
-        total = Fraction(0)
+        num, den = 0, 1
         for e, c in self.terms:
-            value = c
+            tn, td = c.numerator, c.denominator
             for base, k in zip(pt, e):
                 if k:
-                    value *= base ** k
-            total += value
-        return total
+                    tn *= base.numerator ** k
+                    td *= base.denominator ** k
+            num, den = _add_ratio(num, den, tn, td)
+        return Fraction(num, den)
 
     def compose(self, images: Sequence[MultiPoly]) -> MultiPoly:
         """Substitute one polynomial per variable; images share a variable list."""
@@ -229,13 +228,6 @@ class MultiPoly:
                     term = term * img
             out = out + term
         return out
-
-    def rename(self, vars: Sequence[str]) -> MultiPoly:
-        """Reinterpret over equally long variable list (positional)."""
-        vt = tuple(vars)
-        if len(vt) != len(self.vars):
-            raise ValueError("renaming must preserve arity")
-        return MultiPoly(vt, self.terms)
 
     def extend(self, vars: Sequence[str]) -> MultiPoly:
         """Embed into a superset variable list (by name)."""
@@ -270,26 +262,28 @@ class MultiPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
+def _add_ratio(num: int, den: int, tn: int, td: int) -> tuple[int, int]:
+    """Unreduced num/den + tn/td over the lcm of the two denominators."""
+    g = gcd(den, td)
+    return num * (td // g) + tn * (den // g), den // g * td
+
+
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     if len(u) != len(v):
         raise ValueError(f"dot of tuples with lengths {len(u)} and {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    num, den = 0, 1
+    for a, b in zip(u, v):
+        if a and b:
+            num, den = _add_ratio(
+                num, den, a.numerator * b.numerator, a.denominator * b.denominator
+            )
+    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------
 # Rational matrices (nested tuples of Fraction)
 
 FracMatrix = tuple[tuple[Fraction, ...], ...]
-
-
-def frac_matrix(rows: Iterable[Iterable[Fraction | int | str]]) -> FracMatrix:
-    return tuple(tuple(rat(x) for x in row) for row in rows)
-
-
-def mat_identity_frac(n: int) -> FracMatrix:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
 
 
 def mat_vec_frac(m: FracMatrix, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -335,7 +329,7 @@ def solve_fraction_free(
         entries = [Fraction(x) for x in row] + [Fraction(b)]
         scale = 1
         for x in entries:
-            scale = scale * x.denominator // _gcd(scale, x.denominator)
+            scale = scale * x.denominator // gcd(scale, x.denominator)
         aug.append([int(x * scale) for x in entries])
 
     prev = 1
@@ -360,12 +354,6 @@ def solve_fraction_free(
             acc -= aug[i][j] * solution[j]
         solution[i] = acc / aug[i][i]
     return tuple(solution)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a) if a else 1
 
 
 def mat_inverse_frac(a: FracMatrix) -> FracMatrix:
@@ -477,17 +465,6 @@ class PolyMatrix:
 
     def eval_at(self, point: Point) -> FracMatrix:
         return tuple(tuple(p.eval(point) for p in row) for row in self.entries)
-
-    def apply_poly(self, vector: Sequence[MultiPoly]) -> tuple[MultiPoly, ...]:
-        if len(vector) != self.cols:
-            raise ValueError("vector length and matrix width differ")
-        out = []
-        for row in self.entries:
-            acc = MultiPoly.zero(self.vars)
-            for p, q in zip(row, vector):
-                acc = acc + p * q
-            out.append(acc)
-        return tuple(out)
 
     def det(self) -> MultiPoly:
         if self.rows != self.cols:

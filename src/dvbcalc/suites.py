@@ -459,15 +459,16 @@ def _axioms_results(sc: Scenario) -> list[PropertyResult]:
         phi = _scenario_morphism(sc)
         for _ in range(samples):
             x = _point(rng, b.chart, bound)
+            fm = phi.at(x)
             shared_e = random_tuple(rng, b.n_E, bound)
             shared_f = random_tuple(rng, b.n_F, bound)
             r = random_rational(rng, bound)
             u = _element(rng, b, bound, x=x, e=shared_e)
             v = _element(rng, b, bound, x=x, e=shared_e)
-            if phi.apply(fiber_add("right", u, v)) != fiber_add(
-                "right", phi.apply(u), phi.apply(v)
-            ) or phi.apply(fiber_scale("right", r, u)) != fiber_scale(
-                "right", r, phi.apply(u)
+            if fm.apply(fiber_add("right", u, v)) != fiber_add(
+                "right", fm.apply(u), fm.apply(v)
+            ) or fm.apply(fiber_scale("right", r, u)) != fiber_scale(
+                "right", r, fm.apply(u)
             ):
                 return False, "morphism breaks the right structure", {
                     "u": _fmt_element(u),
@@ -476,10 +477,10 @@ def _axioms_results(sc: Scenario) -> list[PropertyResult]:
                 }
             p = _element(rng, b, bound, x=x, f=shared_f)
             q = _element(rng, b, bound, x=x, f=shared_f)
-            if phi.apply(fiber_add("left", p, q)) != fiber_add(
-                "left", phi.apply(p), phi.apply(q)
-            ) or phi.apply(fiber_scale("left", r, p)) != fiber_scale(
-                "left", r, phi.apply(p)
+            if fm.apply(fiber_add("left", p, q)) != fiber_add(
+                "left", fm.apply(p), fm.apply(q)
+            ) or fm.apply(fiber_scale("left", r, p)) != fiber_scale(
+                "left", r, fm.apply(p)
             ):
                 return False, "morphism breaks the left structure", {
                     "p": _fmt_element(p),

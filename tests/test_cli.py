@@ -233,3 +233,49 @@ def test_connection_check_failure_replays_identically(tmp_path, capsys):
     _, out2, _ = run_cli(capsys, *args)
     strip = lambda text: [l for l in text.splitlines() if not l.startswith("elapsed")]
     assert strip(out1) == strip(out2)
+
+
+def test_dualize_at_singular_point_exits_2(tmp_path, capsys):
+    # ranks (1, 1, 1) over one coordinate with Phi_r = x1: invertible
+    # except at x1 = 0
+    one = [[[{"coeff": "1", "exps": [0]}]]]
+    obj = {
+        "bundle": {"n": 1, "n_F": 1, "n_C": 1, "n_E": 1},
+        "morphism": {
+            "Phi_l": one,
+            "Phi_c": one,
+            "Phi_r": [[[{"coeff": "1", "exps": [1]}]]],
+            "Psi": [[[[]]]],
+        },
+    }
+    path = tmp_path / "singular_at_0.json"
+    path.write_text(json.dumps(obj))
+    code, out, _ = run_cli(capsys, "dualize", "--scenario", str(path), "--point", "x=2")
+    assert code == 0
+    assert "dual morphism blocks at x = (2):" in out
+    code, out, err = run_cli(capsys, "dualize", "--scenario", str(path), "--point", "x=0")
+    assert code == 2
+    assert err.startswith("INCONSISTENT_SCENARIO:")
+    assert "x = (0)" in err
+    assert "Traceback" not in err
+    assert "dual morphism blocks" not in out
+
+
+@pytest.mark.parametrize("seed", ["-1", "4294967303"])
+def test_out_of_range_seed_is_usage_error(seed, capsys):
+    assert run_cli(capsys, "gen", "--seed", seed)[0] == 2
+    code, out, err = run_cli(
+        capsys, "check", "axioms", "--random", "--seed", seed, "--samples", "2"
+    )
+    assert code == 2
+    assert out == ""
+    assert "outside [0, 2**32)" in err
+    assert run_cli(
+        capsys, "connection", "check", "metric", "--random", "--seed", seed
+    )[0] == 2
+
+
+def test_largest_seed_accepted(capsys):
+    code, out, _ = run_cli(capsys, "gen", "--seed", str(2**32 - 1))
+    assert code == 0
+    json.loads(out)

@@ -231,3 +231,107 @@ def test_inverse_roundtrip(system):
         tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
     )
     assert mat_mul_frac(m, inv) == identity
+
+
+# -- integer kernels of eval and dot against the plain Fraction formula -----
+
+
+def fraction_eval(p, point):
+    pt = [rat(v) for v in point]
+    total = Fraction(0)
+    for exps, coeff in p.terms:
+        term = coeff
+        for base, k in zip(pt, exps):
+            term *= base**k
+        total += term
+    return total
+
+
+def fraction_dot(u, v):
+    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+
+
+# coefficient denominators 6, 10, 15 pairwise share factors
+SHARED = poly({(2, 1): rat("5/6"), (1, 0): rat("-7/10"), (0, 3): rat("4/15"),
+               (0, 0): rat("1/6")})
+
+
+@pytest.mark.parametrize(
+    "point",
+    [
+        (2, -3),
+        ("1/2", "-5/3"),
+        (Fraction(-4, 9), Fraction(3, 4)),
+        (0, "-2/7"),
+        ("3/5", 0),
+        (0, 0),
+        (Fraction(-1), "6/4"),
+    ],
+)
+def test_eval_matches_fraction_formula(point):
+    for p in (SHARED, SHARED * SHARED, -SHARED, MultiPoly.zero(XY), ONE):
+        value = p.eval(point)
+        assert type(value) is Fraction
+        assert value == fraction_eval(p, point)
+
+
+def test_eval_over_no_variables():
+    assert MultiPoly.const((), rat("-3/4")).eval(()) == rat("-3/4")
+    assert MultiPoly.zero(()).eval(()) == 0
+
+
+@pytest.mark.parametrize(
+    "u, v",
+    [
+        ((), ()),
+        ((Fraction(1, 6), Fraction(-3, 10)), (Fraction(5, 4), Fraction(2, 15))),
+        ((0, Fraction(-2, 3), 5), (Fraction(7, 9), 0, Fraction(-1, 5))),
+        ((Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(-1, 3))),
+        ((3, -4), (5, 6)),
+    ],
+)
+def test_dot_matches_fraction_formula(u, v):
+    value = dot(u, v)
+    assert type(value) is Fraction
+    assert value == fraction_dot(u, v)
+
+
+def test_dot_length_mismatch_rejected():
+    with pytest.raises(ValueError):
+        dot((Fraction(1),), ())
+
+
+@given(polys(), points)
+def test_eval_matches_fraction_formula_random(p, point):
+    assert p.eval(point) == fraction_eval(p, point)
+
+
+@given(st.lists(st.tuples(fractions, fractions), max_size=6))
+def test_dot_matches_fraction_formula_random(pairs):
+    u = tuple(a for a, _ in pairs)
+    v = tuple(b for _, b in pairs)
+    assert dot(u, v) == fraction_dot(u, v)
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+@given(polys(), points)
+@settings(max_examples=50)
+def test_eval_agrees_with_sympy(sympy, p, point):
+    x, y = sympy.symbols("x y")
+    expr = sum(
+        (
+            sympy.Rational(c.numerator, c.denominator) * x ** e[0] * y ** e[1]
+            for e, c in p.terms
+        ),
+        sympy.Integer(0),
+    )
+    expected = expr.subs(
+        {x: sympy.Rational(point[0].numerator, point[0].denominator),
+         y: sympy.Rational(point[1].numerator, point[1].denominator)}
+    )
+    value = p.eval(point)
+    assert (value.numerator, value.denominator) == (expected.p, expected.q)

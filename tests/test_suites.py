@@ -213,3 +213,22 @@ def test_metric_check_passes_on_compatible_pair():
     sc = scenario_from_obj(obj)
     report = run_connection_check("metric", sc)
     assert report.passed
+
+
+def test_morphism_axiom_evaluates_each_sample_point_once(monkeypatch):
+    calls = []
+    original = DVBMorphism.at
+
+    def counting_at(self, x):
+        calls.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(DVBMorphism, "at", counting_at)
+    b = DecomposedDVB(Chart.of_dim(2), 2, 1, 2)
+    sc = Scenario(bundle=b, seed=3, samples=9, bound=4)
+    report = run_suite("axioms", sc)
+    assert report.passed
+    assert any(r.prop_id.startswith("axioms.07.") for r in report.results)
+    # axioms.01-06 never evaluate the morphism; axioms.07 draws one point
+    # per sample and evaluates the blocks there exactly once
+    assert len(calls) == sc.samples

@@ -27,15 +27,16 @@ import json
 import random
 import sys
 
-from .core import Chart
 from .duality import fiber_right_dual, right_dual, left_dual
 from .geomech import (
+    _restrict_to_chart,
     complete_cotangent_lift,
     complete_tangent_lift,
     vertical_lift,
 )
-from .ring import MultiPoly, SingularMatrixError, rat
+from .ring import SingularMatrixError, rat
 from .scenario import (
+    _SEED_BOUND,
     InconsistentScenarioError,
     Scenario,
     ScenarioParseError,
@@ -70,7 +71,7 @@ def _seed(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if not 0 <= value < 2**32:
+    if not 0 <= value < _SEED_BOUND:
         raise argparse.ArgumentTypeError(f"seed {value} is outside [0, 2**32)")
     return value
 
@@ -200,19 +201,6 @@ def _cmd_lift_vertical(args) -> int:
     return 0
 
 
-def _restrict_to_chart(poly: MultiPoly, chart: Chart) -> MultiPoly:
-    n = chart.dim
-    data = {}
-    for exps, coeff in poly.terms:
-        if any(exps[n:]):
-            raise InconsistentScenarioError(
-                "complete lifts need a projectable field: base coefficients "
-                "must not involve fiber variables"
-            )
-        data[tuple(exps[:n])] = coeff
-    return MultiPoly.from_dict(chart.names, data)
-
-
 def _cmd_lift_complete(args) -> int:
     sc = load_scenario(args.scenario)
     field = sc.vector_field
@@ -220,7 +208,13 @@ def _cmd_lift_complete(args) -> int:
         rng = random.Random(derive_seed(sc.seed, "gen.vector_field"))
         field = random_vector_field(rng, sc.side_bundle, 2)
     chart = sc.chart
-    base = tuple(_restrict_to_chart(p, chart) for p in field.base)
+    try:
+        base = tuple(_restrict_to_chart(p, chart.names, chart.dim) for p in field.base)
+    except ValueError:
+        raise InconsistentScenarioError(
+            "complete lifts need a projectable field: base coefficients "
+            "must not involve fiber variables"
+        ) from None
     lift = (
         complete_tangent_lift(chart, base)
         if args.kind == "tangent"

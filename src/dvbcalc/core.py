@@ -18,9 +18,12 @@ the identity of the base,
     (f, c, e)  |->  (L(x) f,  C(x) c + Psi(x)(f, e),  R(x) e),
 
 with polynomial matrix blocks and a bilinear polynomial block Psi indexed as
-Psi[core-out][e-in][f-in].  Inverses and duals of a morphism divide by block
-determinants, so they are computed per base point (FiberMorphism) unless the
-blocks are unimodular.
+Psi[core-out][e-in][f-in].  Composition, inverse, right dual and flip are
+written once, as a block algebra on nested tuples over any coefficient ring:
+DVBMorphism runs it on MultiPoly blocks and FiberMorphism on the Fraction
+blocks at one base point.  Inverses and duals divide by block determinants,
+so they use `mat_inverse_frac` per base point, or `unimodular_inverse` when
+the blocks are unimodular.
 """
 
 from __future__ import annotations
@@ -36,10 +39,10 @@ from .ring import (
     PolyMatrix,
     dot,
     mat_inverse_frac,
-    mat_mul_frac,
-    mat_transpose_frac,
+    mat_mul,
     mat_vec_frac,
     rat,
+    transpose,
 )
 
 
@@ -292,6 +295,90 @@ def cotangent_prolongation(vb: VectorBundle) -> DecomposedDVB:
 
 
 # ---------------------------------------------------------------------------
+# Block algebra
+#
+# Composition, inverse, right dual and flip are written once, on blocks
+# (L, C, R, Psi) stored as nested tuples over any coefficient ring with `+`,
+# `*` and unary `-`: Fraction at a point, MultiPoly over the chart.  Widths
+# come from the bundles, because a matrix with no rows stores no width.  With
+# Psi[g] the E x F plane of core row g and T the transpose:
+#
+#   composite outer . inner:  Psi[g]  = sum_d C2[g][d] Psi1[d] + R1^T Psi2[g] L1
+#   inverse:                  Psi[g]  = -sum_d C^-1[g][d] R^-T Psi[d] L^-1
+#   right dual:               Psi'[A] = (Psi[g][a][A])_(g,a) R^-1
+#   flip:                     Psi'[g] = Psi[g]^T
+#
+# Contracting one factor at a time keeps the inverse at O(n^4) coefficient
+# products; exact canonical arithmetic makes every result independent of the
+# summation order.
+
+def _combine(coeffs, planes, acc):
+    """acc + sum_d coeffs[d] * planes[d], entrywise."""
+    for k, plane in zip(coeffs, planes):
+        acc = tuple(
+            tuple(s + k * p for s, p in zip(acc_row, row))
+            for acc_row, row in zip(acc, plane)
+        )
+    return acc
+
+
+def _pull_planes(planes, r, l, source, target, zero):
+    """R^T P L for each E x F plane P over `target`; (l, r) are side blocks
+    of a morphism source -> target."""
+    rt = transpose(r, source.n_E)
+    return tuple(
+        mat_mul(mat_mul(rt, p, target.n_F, zero), l, source.n_F, zero) for p in planes
+    )
+
+
+def _compose_blocks(outer, inner, source, middle, zero):
+    """Blocks of outer . inner, with inner running source -> middle."""
+    l2, c2, r2, psi2 = outer
+    l1, c1, r1, psi1 = inner
+    pulled = _pull_planes(psi2, r1, l1, source, middle, zero)
+    return (
+        mat_mul(l2, l1, source.n_F, zero),
+        mat_mul(c2, c1, source.n_C, zero),
+        mat_mul(r2, r1, source.n_E, zero),
+        tuple(_combine(row, psi1, plane) for row, plane in zip(c2, pulled)),
+    )
+
+
+def _inverse_blocks(psi, inverses, source, target, zero):
+    """Blocks of the inverse of a morphism source -> target, given its Psi
+    and its inverted side and core blocks (L^-1, C^-1, R^-1)."""
+    li, ci, ri = inverses
+    pulled = _pull_planes(psi, ri, li, target, source, zero)
+    empty = tuple((zero,) * target.n_F for _ in range(target.n_E))
+    return (li, ci, ri, tuple(_combine([-k for k in row], pulled, empty) for row in ci))
+
+
+def _right_dual_blocks(blocks, rinv, source, target, zero):
+    """Blocks of the right dual of a morphism source -> target, given R^-1;
+    the dual runs from the dual of target to the dual of source."""
+    l, c, _, psi = blocks
+    return (
+        rinv,
+        transpose(l, source.n_F),
+        transpose(c, source.n_C),
+        tuple(
+            mat_mul(
+                tuple(tuple(plane[a][big_a] for a in range(source.n_E)) for plane in psi),
+                rinv,
+                target.n_E,
+                zero,
+            )
+            for big_a in range(source.n_F)
+        ),
+    )
+
+
+def _flip_blocks(blocks, source):
+    l, c, r, psi = blocks
+    return (r, c, l, tuple(transpose(plane, source.n_F) for plane in psi))
+
+
+# ---------------------------------------------------------------------------
 # Morphisms
 
 PsiBlock = tuple[tuple[tuple[MultiPoly, ...], ...], ...]
@@ -346,6 +433,22 @@ class DVBMorphism:
                     if p.vars != vars:
                         raise ValueError("Psi entries must match the chart")
 
+    @staticmethod
+    def _from_blocks(source, target, blocks) -> DVBMorphism:
+        vars = source.chart.names
+        l, c, r, psi = blocks
+        return DVBMorphism(
+            source,
+            target,
+            PolyMatrix(vars, l),
+            PolyMatrix(vars, c),
+            PolyMatrix(vars, r),
+            psi,
+        )
+
+    def _blocks(self):
+        return (self.phi_l.entries, self.phi_c.entries, self.phi_r.entries, self.psi)
+
     def at(self, x: Point) -> FiberMorphism:
         """Evaluate all blocks at a base point."""
         return FiberMorphism(
@@ -366,20 +469,8 @@ class DVBMorphism:
 
     def flip(self) -> DVBMorphism:
         """The same morphism between the flipped bundles."""
-        n_c, n_e, n_f = self.target.n_C, self.source.n_E, self.source.n_F
-        flipped_psi = tuple(
-            tuple(
-                tuple(self.psi[g][a][b] for a in range(n_e)) for b in range(n_f)
-            )
-            for g in range(n_c)
-        )
-        return DVBMorphism(
-            self.source.flip(),
-            self.target.flip(),
-            self.phi_r,
-            self.phi_c,
-            self.phi_l,
-            flipped_psi,
+        return DVBMorphism._from_blocks(
+            self.source.flip(), self.target.flip(), _flip_blocks(self._blocks(), self.source)
         )
 
 
@@ -396,45 +487,17 @@ def identity_morphism(bundle: DecomposedDVB) -> DVBMorphism:
 
 
 def compose_morphisms(outer: DVBMorphism, inner: DVBMorphism) -> DVBMorphism:
-    """Blockwise composite outer . inner.
-
-    The bilinear block of the composite is C2 Psi1 + Psi2 (L1 x R1).
-    """
+    """Blockwise composite outer . inner."""
     if inner.target != outer.source:
         raise ValueError("composition needs inner target equal to outer source")
-    vars = inner.source.chart.names
-    n_c_out = outer.target.n_C
-    n_e_in = inner.source.n_E
-    n_f_in = inner.source.n_F
-    zero = MultiPoly.zero(vars)
-
-    def psi_entry(g: int, a: int, b: int) -> MultiPoly:
-        acc = zero
-        for d in range(inner.target.n_C):
-            acc = acc + outer.phi_c.entries[g][d] * inner.psi[d][a][b]
-        for ap in range(inner.target.n_E):
-            for bp in range(inner.target.n_F):
-                acc = acc + (
-                    outer.psi[g][ap][bp]
-                    * inner.phi_r.entries[ap][a]
-                    * inner.phi_l.entries[bp][b]
-                )
-        return acc
-
-    return DVBMorphism(
+    blocks = _compose_blocks(
+        outer._blocks(),
+        inner._blocks(),
         inner.source,
-        outer.target,
-        outer.phi_l * inner.phi_l,
-        outer.phi_c * inner.phi_c,
-        outer.phi_r * inner.phi_r,
-        tuple(
-            tuple(
-                tuple(psi_entry(g, a, b) for b in range(n_f_in))
-                for a in range(n_e_in)
-            )
-            for g in range(n_c_out)
-        ),
+        inner.target,
+        MultiPoly.zero(inner.source.chart.names),
     )
+    return DVBMorphism._from_blocks(inner.source, outer.target, blocks)
 
 
 @dataclass(frozen=True)
@@ -448,6 +511,9 @@ class FiberMorphism:
     c: FracMatrix
     r: FracMatrix
     psi: FracPsi
+
+    def _blocks(self):
+        return (self.l, self.c, self.r, self.psi)
 
     def apply(self, v: DVBElement) -> DVBElement:
         if v.bundle != self.source:
@@ -469,75 +535,23 @@ class FiberMorphism:
     def after(self, inner: FiberMorphism) -> FiberMorphism:
         if inner.target != self.source or inner.x != self.x:
             raise ValueError("fiber composition needs matching middle bundle and point")
-
-        def psi_entry(g: int, a: int, b: int) -> Fraction:
-            acc = Fraction(0)
-            for d in range(inner.target.n_C):
-                acc += self.c[g][d] * inner.psi[d][a][b]
-            for ap in range(inner.target.n_E):
-                for bp in range(inner.target.n_F):
-                    acc += self.psi[g][ap][bp] * inner.r[ap][a] * inner.l[bp][b]
-            return acc
-
-        return FiberMorphism(
-            inner.source,
-            self.target,
-            self.x,
-            mat_mul_frac(self.l, inner.l),
-            mat_mul_frac(self.c, inner.c),
-            mat_mul_frac(self.r, inner.r),
-            tuple(
-                tuple(
-                    tuple(psi_entry(g, a, b) for b in range(inner.source.n_F))
-                    for a in range(inner.source.n_E)
-                )
-                for g in range(self.target.n_C)
-            ),
+        blocks = _compose_blocks(
+            self._blocks(), inner._blocks(), inner.source, inner.target, Fraction(0)
         )
+        return FiberMorphism(inner.source, self.target, self.x, *blocks)
 
     def inverse(self) -> FiberMorphism:
         """Pointwise inverse; blocks invert and Psi picks up a minus sign."""
-        li = mat_inverse_frac(self.l)
-        ci = mat_inverse_frac(self.c)
-        ri = mat_inverse_frac(self.r)
-
-        def psi_entry(g: int, a: int, b: int) -> Fraction:
-            acc = Fraction(0)
-            for d in range(self.target.n_C):
-                for ap in range(self.source.n_E):
-                    for bp in range(self.source.n_F):
-                        acc += ci[g][d] * self.psi[d][ap][bp] * ri[ap][a] * li[bp][b]
-            return -acc
-
-        return FiberMorphism(
-            self.target,
-            self.source,
-            self.x,
-            li,
-            ci,
-            ri,
-            tuple(
-                tuple(
-                    tuple(psi_entry(g, a, b) for b in range(self.target.n_F))
-                    for a in range(self.target.n_E)
-                )
-                for g in range(self.source.n_C)
-            ),
-        )
+        inverses = tuple(mat_inverse_frac(m) for m in (self.l, self.c, self.r))
+        blocks = _inverse_blocks(self.psi, inverses, self.source, self.target, Fraction(0))
+        return FiberMorphism(self.target, self.source, self.x, *blocks)
 
     def flip(self) -> FiberMorphism:
-        n_c, n_e, n_f = self.target.n_C, self.source.n_E, self.source.n_F
         return FiberMorphism(
             self.source.flip(),
             self.target.flip(),
             self.x,
-            self.r,
-            self.c,
-            self.l,
-            tuple(
-                tuple(tuple(self.psi[g][a][b] for a in range(n_e)) for b in range(n_f))
-                for g in range(n_c)
-            ),
+            *_flip_blocks(self._blocks(), self.source),
         )
 
 
@@ -570,38 +584,14 @@ def invert_morphism(phi: DVBMorphism) -> PointwiseMorphism:
 
 def invert_morphism_poly(phi: DVBMorphism) -> DVBMorphism:
     """Polynomial inverse, available when every block is unimodular."""
-    li = phi.phi_l.unimodular_inverse()
-    ci = phi.phi_c.unimodular_inverse()
-    ri = phi.phi_r.unimodular_inverse()
-    if li is None or ci is None or ri is None:
+    inverses = tuple(m.unimodular_inverse() for m in (phi.phi_l, phi.phi_c, phi.phi_r))
+    if any(m is None for m in inverses):
         raise ValueError("blocks are not unimodular; use invert_morphism")
-    vars = phi.source.chart.names
-    zero = MultiPoly.zero(vars)
-
-    def psi_entry(g: int, a: int, b: int) -> MultiPoly:
-        acc = zero
-        for d in range(phi.target.n_C):
-            for ap in range(phi.source.n_E):
-                for bp in range(phi.source.n_F):
-                    acc = acc + (
-                        ci.entries[g][d]
-                        * phi.psi[d][ap][bp]
-                        * ri.entries[ap][a]
-                        * li.entries[bp][b]
-                    )
-        return -acc
-
-    return DVBMorphism(
-        phi.target,
+    blocks = _inverse_blocks(
+        phi.psi,
+        tuple(m.entries for m in inverses),
         phi.source,
-        li,
-        ci,
-        ri,
-        tuple(
-            tuple(
-                tuple(psi_entry(g, a, b) for b in range(phi.target.n_F))
-                for a in range(phi.target.n_E)
-            )
-            for g in range(phi.source.n_C)
-        ),
+        phi.target,
+        MultiPoly.zero(phi.source.chart.names),
     )
+    return DVBMorphism._from_blocks(phi.target, phi.source, blocks)

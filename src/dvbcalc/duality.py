@@ -32,17 +32,10 @@ from .core import (
     DVBMorphism,
     FiberMorphism,
     PointwiseMorphism,
+    _right_dual_blocks,
     psi_zero,
 )
-from .ring import (
-    MultiPoly,
-    Point,
-    PolyMatrix,
-    dot,
-    mat_inverse_frac,
-    mat_transpose_frac,
-    rat,
-)
+from .ring import MultiPoly, Point, PolyMatrix, dot, mat_inverse_frac, rat
 
 
 class ProjectionMismatchError(ValueError):
@@ -108,33 +101,13 @@ def pair_l(v: DVBElement, b: DVBElement) -> Fraction:
 def fiber_right_dual(fm: FiberMorphism) -> FiberMorphism:
     """Right dual of one fiber of an isomorphism; reverses the direction.
 
-    Blocks: the new left block is the inverse of the old right block, the new
-    core and right blocks are the transposes of the old left and core blocks,
-    and the bilinear block composes the old one with that inverse.
+    The new left block is the inverse of the old right block, and the new
+    core and right blocks are the transposes of the old left and core blocks.
     """
-    rinv = mat_inverse_frac(fm.r)
-    n_a = fm.source.n_F  # core-out rank of the dual
-    n_g = fm.target.n_C  # e-in rank of the dual
-    n_ap = fm.target.n_E  # f-in rank of the dual
-
-    def psi_entry(big_a: int, g: int, ap: int) -> Fraction:
-        return sum(
-            (fm.psi[g][a][big_a] * rinv[a][ap] for a in range(fm.source.n_E)),
-            Fraction(0),
-        )
-
-    return FiberMorphism(
-        right_dual(fm.target),
-        right_dual(fm.source),
-        fm.x,
-        rinv,
-        mat_transpose_frac(fm.l),
-        mat_transpose_frac(fm.c),
-        tuple(
-            tuple(tuple(psi_entry(big_a, g, ap) for ap in range(n_ap)) for g in range(n_g))
-            for big_a in range(n_a)
-        ),
+    blocks = _right_dual_blocks(
+        fm._blocks(), mat_inverse_frac(fm.r), fm.source, fm.target, Fraction(0)
     )
+    return FiberMorphism(right_dual(fm.target), right_dual(fm.source), fm.x, *blocks)
 
 
 def right_dual_morphism(phi) -> PointwiseMorphism:
@@ -156,29 +129,14 @@ def right_dual_morphism_poly(phi: DVBMorphism) -> DVBMorphism:
     rinv = phi.phi_r.unimodular_inverse()
     if rinv is None:
         raise ValueError("right block is not unimodular; use right_dual_morphism")
-    vars = phi.source.chart.names
-    zero = MultiPoly.zero(vars)
-
-    def psi_entry(big_a: int, g: int, ap: int) -> MultiPoly:
-        acc = zero
-        for a in range(phi.source.n_E):
-            acc = acc + phi.psi[g][a][big_a] * rinv.entries[a][ap]
-        return acc
-
-    return DVBMorphism(
-        right_dual(phi.target),
-        right_dual(phi.source),
-        rinv,
-        phi.phi_l.transpose(),
-        phi.phi_c.transpose(),
-        tuple(
-            tuple(
-                tuple(psi_entry(big_a, g, ap) for ap in range(phi.target.n_E))
-                for g in range(phi.target.n_C)
-            )
-            for big_a in range(phi.source.n_F)
-        ),
+    blocks = _right_dual_blocks(
+        phi._blocks(),
+        rinv.entries,
+        phi.source,
+        phi.target,
+        MultiPoly.zero(phi.source.chart.names),
     )
+    return DVBMorphism._from_blocks(right_dual(phi.target), right_dual(phi.source), blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,10 @@ order (total degree first, then the exponent vector).  Two polynomials are
 mathematically equal exactly when their stored forms are equal, which makes
 the dataclass equality and hash canonical.
 
+Matrices are nested tuples over either coefficient type.  One `mat_mul` and
+one `transpose` serve both; the caller passes the column count, because a
+matrix with no rows stores none.  `PolyMatrix` wraps them for polynomials.
+
 Matrix inversion is never done symbolically.  Linear systems are solved at a
 rational base point by clearing denominators and running fraction-free
 (Bareiss) elimination, so every intermediate value stays an exact integer.
@@ -290,23 +294,24 @@ def mat_vec_frac(m: FracMatrix, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(dot(row, v) for row in m)
 
 
-def mat_mul_frac(a: FracMatrix, b: FracMatrix) -> FracMatrix:
-    if a and b and len(a[0]) != len(b):
+def mat_mul(a, b, cols: int, zero):
+    """Product of nested-tuple matrices over any ring with `+` and `*`.
+
+    `b` has `len(b)` rows and `cols` columns; the width is passed in because
+    a matrix with no rows stores none.  `zero` is the ring's zero.
+    """
+    k = len(b)
+    if any(len(row) != k for row in a) or any(len(row) != cols for row in b):
         raise ValueError("matrix shape mismatch in product")
-    cols = len(b[0]) if b else 0
     return tuple(
-        tuple(
-            sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
-            for j in range(cols)
-        )
-        for i in range(len(a))
+        tuple(sum((row[t] * b[t][j] for t in range(k)), zero) for j in range(cols))
+        for row in a
     )
 
 
-def mat_transpose_frac(a: FracMatrix) -> FracMatrix:
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    return tuple(tuple(a[i][j] for i in range(rows)) for j in range(cols))
+def transpose(a, cols: int):
+    """Transpose of a nested-tuple matrix with `cols` columns."""
+    return tuple(tuple(row[j] for row in a) for j in range(cols))
 
 
 def solve_fraction_free(
@@ -363,7 +368,7 @@ def mat_inverse_frac(a: FracMatrix) -> FracMatrix:
     for j in range(n):
         unit = tuple(Fraction(1 if i == j else 0) for i in range(n))
         cols.append(solve_fraction_free(a, unit))
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    return transpose(cols, n)
 
 
 # ---------------------------------------------------------------------------
@@ -437,21 +442,10 @@ class PolyMatrix:
         )
 
     def __mul__(self, other: PolyMatrix) -> PolyMatrix:
-        if self.cols != other.rows:
-            # a matrix with no rows stores no column count; the product is
-            # still well defined and empty or zero
-            if self.rows == 0 or (self.cols == 0 and other.rows == 0):
-                return PolyMatrix.zero(self.vars, self.rows, other.cols)
-            raise ValueError("matrix shape mismatch in product")
-        z = MultiPoly.zero(self.vars)
-
-        def entry(i: int, j: int) -> MultiPoly:
-            acc = z
-            for k in range(self.cols):
-                acc = acc + self.entries[i][k] * other.entries[k][j]
-            return acc
-
-        return PolyMatrix.build(self.vars, self.rows, other.cols, entry)
+        return PolyMatrix(
+            self.vars,
+            mat_mul(self.entries, other.entries, other.cols, MultiPoly.zero(self.vars)),
+        )
 
     def scale(self, factor: Fraction | int) -> PolyMatrix:
         return PolyMatrix.build(
@@ -459,9 +453,7 @@ class PolyMatrix:
         )
 
     def transpose(self) -> PolyMatrix:
-        return PolyMatrix.build(
-            self.vars, self.cols, self.rows, lambda i, j: self.entries[j][i]
-        )
+        return PolyMatrix(self.vars, transpose(self.entries, self.cols))
 
     def eval_at(self, point: Point) -> FracMatrix:
         return tuple(tuple(p.eval(point) for p in row) for row in self.entries)

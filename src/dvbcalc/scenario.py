@@ -51,9 +51,13 @@ class InconsistentScenarioError(ValueError):
     """The scenario parses but its sections do not fit together."""
 
 
+# Seeds are 32-bit: derive_seed uses only the low 32 bits of the master.
+_SEED_BOUND = 2**32
+
+
 def derive_seed(master: int, tag: str) -> int:
     """Stable sub-seed for one named use of the master seed."""
-    return zlib.crc32(tag.encode("utf-8"), master & 0xFFFFFFFF)
+    return zlib.crc32(tag.encode("utf-8"), master & (_SEED_BOUND - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +273,8 @@ def scenario_from_obj(obj) -> Scenario:
         _check_keys(plan, (), ("seed", "samples", "bound"), "plan")
         if "seed" in plan:
             seed = _need_int(plan["seed"], "plan.seed")
+            if not 0 <= seed < _SEED_BOUND:
+                raise ScenarioParseError(f"plan.seed {seed} is outside [0, 2**32)")
         if "samples" in plan:
             samples = _need_int(plan["samples"], "plan.samples")
             if samples < 1:

@@ -81,7 +81,7 @@ from .geomech import (
     vf_is_bundle_morphism,
     vf_linearity_on_cotangent,
 )
-from .ring import MultiPoly, PolyMatrix
+from .ring import MultiPoly, PolyMatrix, SingularMatrixError
 from .scenario import (
     InconsistentScenarioError,
     Scenario,
@@ -380,6 +380,34 @@ def _from_check(result, pass_detail: str):
     return False, detail, cx
 
 
+def _at_regular_points(count: int, sample, finished):
+    """Run `sample` until it has passed at `count` points.
+
+    `sample` draws its own point and returns a result triple to stop with,
+    or None.  In exact arithmetic a SingularMatrixError is a true singularity
+    of the morphism at the drawn point, not a defect, so that sample is drawn
+    again; after `count` such redraws the property passes vacuously.  Once
+    `count` samples pass, `finished` is the result.
+    """
+    passed = redrawn = 0
+    while passed < count:
+        try:
+            result = sample()
+        except SingularMatrixError:
+            redrawn += 1
+            if redrawn > count:
+                detail = f"only {passed} of {count} points regular after {count} redraws"
+                return True, f"{detail}; vacuous", None
+            continue
+        if result is not None:
+            return result
+        passed += 1
+    if not redrawn:
+        return finished
+    ok, detail, cx = finished
+    return ok, f"{detail} (singular points redrawn: {redrawn})", cx
+
+
 # ---------------------------------------------------------------------------
 # Section materialization: scenario records or seeded stand-ins
 
@@ -607,7 +635,8 @@ def _duality_results(sc: Scenario) -> list[PropertyResult]:
     def adjoint(rng):
         phi = _scenario_morphism(sc)
         dual_target = right_dual(phi.target)
-        for _ in range(samples):
+
+        def sample():
             x = _point(rng, b.chart, bound)
             fm = phi.at(x)
             v = _element(rng, b, bound, x=x)
@@ -626,7 +655,10 @@ def _duality_results(sc: Scenario) -> list[PropertyResult]:
                     "v": _fmt_element(v),
                     "a": _fmt_element(a),
                 }
-        return True, f"pairing against the dual image matches on {samples} samples", None
+
+        return _at_regular_points(samples, sample, (
+            True, f"pairing against the dual image matches on {samples} samples", None
+        ))
 
     results.append(_run_property("duality.05.adjoint-contract", sc.seed, adjoint))
 
@@ -635,7 +667,8 @@ def _duality_results(sc: Scenario) -> list[PropertyResult]:
         other = random_morphism(rng, b, GENERATED_DEGREE)
         composite = compose_morphisms(phi, other)
         points = max(1, min(samples, 10))
-        for _ in range(points):
+
+        def sample():
             x = _point(rng, b.chart, bound)
             lhs = fiber_right_dual(composite.at(x))
             rhs = fiber_right_dual(other.at(x)).after(fiber_right_dual(phi.at(x)))
@@ -643,7 +676,10 @@ def _duality_results(sc: Scenario) -> list[PropertyResult]:
                 return False, "dual of a composite is not the reversed composite", {
                     "x": _fmt(x)
                 }
-        return True, f"dualizing reverses composition at {points} points", None
+
+        return _at_regular_points(points, sample, (
+            True, f"dualizing reverses composition at {points} points", None
+        ))
 
     results.append(_run_property("duality.06.dual-contravariance", sc.seed, contravariance))
 
@@ -807,13 +843,17 @@ def _third_dual_results(sc: Scenario, naive_identification: bool) -> list[Proper
         transport = third_dual_transport(phi)
         inverse = invert_morphism(phi)
         points = max(1, min(samples, 10))
-        for _ in range(points):
+
+        def sample():
             x = _point(rng, b.chart, bound)
             if transport.at(x) != inverse.at(x):
                 return False, "conjugated triple dual differs from the inverse", {
                     "x": _fmt(x)
                 }
-        return True, f"conjugated triple dual equals the inverse at {points} points", None
+
+        return _at_regular_points(points, sample, (
+            True, f"conjugated triple dual equals the inverse at {points} points", None
+        ))
 
     results.append(
         _run_property("third-dual.05.conjugated-transport-inverts", sc.seed, transport_inverts)
@@ -832,7 +872,8 @@ def _third_dual_results(sc: Scenario, naive_identification: bool) -> list[Proper
             naive = naive_third_dual_transport(phi)
             inverse = invert_morphism(phi)
             points = max(1, min(samples, 10))
-            for _ in range(points):
+
+            def sample():
                 x = _point(rng, b.chart, bound)
                 if naive.at(x) != inverse.at(x):
                     return (
@@ -840,9 +881,12 @@ def _third_dual_results(sc: Scenario, naive_identification: bool) -> list[Proper
                         "naive slot identification diverges from the inverse as predicted",
                         None,
                     )
-            return False, "naive identification unexpectedly matched the inverse", {
-                "points": str(points)
-            }
+
+            return _at_regular_points(points, sample, (
+                False, "naive identification unexpectedly matched the inverse", {
+                    "points": str(points)
+                },
+            ))
 
         results.append(
             _run_property("third-dual.06.naive-identification-diverges", sc.seed, naive_diverges)

@@ -279,3 +279,36 @@ def test_largest_seed_accepted(capsys):
     code, out, _ = run_cli(capsys, "gen", "--seed", str(2**32 - 1))
     assert code == 0
     json.loads(out)
+
+
+def test_singular_sample_points_are_redrawn_not_failed(tmp_path, capsys):
+    # Phi_r = x1 and Psi = x1 with coordinate bound 1: about a third of the
+    # sample points hit the singular point x1 = 0
+    def lit(exp):
+        return [[[{"coeff": "1", "exps": [exp]}]]]
+
+    obj = {
+        "bundle": {"n": 1, "n_F": 1, "n_C": 1, "n_E": 1},
+        "morphism": {"Phi_l": lit(0), "Phi_c": lit(0), "Phi_r": lit(1), "Psi": [lit(1)]},
+        "plan": {"bound": 1},
+    }
+    path = tmp_path / "singular_at_0.json"
+    path.write_text(json.dumps(obj))
+    for suite in ("duality", "third-dual"):
+        code, out, _ = run_cli(
+            capsys, "check", suite, "--scenario", str(path), "--samples", "5",
+            "--naive-identification",
+        )
+        assert code == 0
+        assert "[FAIL]" not in out
+        assert "singular points redrawn" in out
+
+
+def test_out_of_range_plan_seed_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "wide_seed.json"
+    obj = {"bundle": {"n": 1, "n_F": 1, "n_C": 1, "n_E": 1}, "plan": {"seed": 4294967303}}
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "check", "axioms", "--scenario", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("PARSE_ERROR:")

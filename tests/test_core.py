@@ -27,6 +27,7 @@ from dvbcalc.core import (
     tangent_prolongation,
 )
 from dvbcalc.ring import MultiPoly, PolyMatrix, rat
+from dvbcalc.scenario import random_morphism, random_poly_matrix, random_poly_vector
 
 CHART = Chart.of_dim(1)
 B = DecomposedDVB(CHART, 1, 1, 1)
@@ -345,3 +346,76 @@ def test_zero_rank_core():
     assert fiber_add("right", u, v).f == (Fraction(4),)
     ident = identity_morphism(degenerate)
     assert ident.apply(u) == u
+
+
+# -- block algebra against element-level application ---------------------------
+#
+# The polynomial and pointwise routes share one block algebra, so they are
+# checked against `apply`, which does not go through it.
+
+
+def random_bundle(rng, chart):
+    return DecomposedDVB(chart, rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3))
+
+
+def random_blocks(rng, source, target):
+    vars = source.chart.names
+    return DVBMorphism(
+        source,
+        target,
+        random_poly_matrix(rng, vars, target.n_F, source.n_F, 1),
+        random_poly_matrix(rng, vars, target.n_C, source.n_C, 1),
+        random_poly_matrix(rng, vars, target.n_E, source.n_E, 1),
+        tuple(
+            tuple(random_poly_vector(rng, vars, source.n_F, 1) for _ in range(source.n_E))
+            for _ in range(target.n_C)
+        ),
+    )
+
+
+def random_element(rng, bundle, x):
+    return bundle.element(
+        x, rand_tuple(rng, bundle.n_F), rand_tuple(rng, bundle.n_C), rand_tuple(rng, bundle.n_E)
+    )
+
+
+def compose_shapes(seed):
+    """(source, middle, target); seed 0 routes through a zero-rank F slot."""
+    if seed == 0:
+        return tuple(DecomposedDVB(CHART, n_f, 1, 1) for n_f in (3, 0, 2))
+    rng = random.Random(seed)
+    chart = Chart.of_dim(rng.randint(0, 2))
+    return tuple(random_bundle(rng, chart) for _ in range(3))
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_compose_after_and_flip_agree_with_apply(seed):
+    source, middle, target = compose_shapes(seed)
+    rng = random.Random(1000 + seed)
+    inner = random_blocks(rng, source, middle)
+    outer = random_blocks(rng, middle, target)
+    composite = compose_morphisms(outer, inner)
+    for _ in range(2):
+        x = rand_tuple(rng, source.chart.dim)
+        v = random_element(rng, source, x)
+        want = outer.at(x).apply(inner.at(x).apply(v))
+        after = outer.at(x).after(inner.at(x))
+        assert composite.at(x).apply(v) == want
+        assert after.apply(v) == want
+        assert flip(composite).apply(flip(v)) == flip(want)
+        assert after.flip().apply(flip(v)) == flip(want)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_inverse_undoes_apply(seed):
+    rng = random.Random(2000 + seed)
+    bundle = random_bundle(rng, Chart.of_dim(rng.randint(0, 2)))
+    phi = random_morphism(rng, bundle, 1)
+    poly_inverse = invert_morphism_poly(phi)
+    for _ in range(2):
+        x = rand_tuple(rng, bundle.chart.dim)
+        v = random_element(rng, bundle, x)
+        fm = phi.at(x)
+        assert fm.inverse().apply(fm.apply(v)) == v
+        assert fm.apply(fm.inverse().apply(v)) == v
+        assert poly_inverse.at(x).apply(fm.apply(v)) == v

@@ -39,6 +39,7 @@ from dvbcalc.duality import (
     verify_R_relation,
 )
 from dvbcalc.ring import MultiPoly, PolyMatrix, dot, rat
+from dvbcalc.scenario import random_poly_matrix, random_poly_vector, random_unimodular_matrix
 
 CHART = Chart.of_dim(1)
 B = DecomposedDVB(CHART, 1, 1, 1)
@@ -476,3 +477,45 @@ def test_naive_identification_agrees_without_bilinear_block():
     )
     x = (rat("1/2"),)
     assert naive_third_dual_transport(phi).at(x) == invert_morphism(phi).at(x)
+
+
+def adjoint_shapes(seed):
+    """(source, target) with equal E ranks; seed 0 has a zero-rank target F."""
+    if seed == 0:
+        return DecomposedDVB(CHART, 3, 1, 1), DecomposedDVB(CHART, 0, 1, 1)
+    rng = random.Random(seed)
+    chart = Chart.of_dim(rng.randint(0, 2))
+    n_e = rng.randint(0, 3)
+    return tuple(
+        DecomposedDVB(chart, rng.randint(0, 3), rng.randint(0, 3), n_e) for _ in range(2)
+    )
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_adjoint_contract_on_mixed_ranks(seed):
+    source, target = adjoint_shapes(seed)
+    rng = random.Random(3000 + seed)
+    vars = source.chart.names
+    phi = DVBMorphism(
+        source,
+        target,
+        random_poly_matrix(rng, vars, target.n_F, source.n_F, 1),
+        random_poly_matrix(rng, vars, target.n_C, source.n_C, 1),
+        random_unimodular_matrix(rng, vars, source.n_E, 1),
+        tuple(
+            tuple(random_poly_vector(rng, vars, source.n_F, 1) for _ in range(source.n_E))
+            for _ in range(target.n_C)
+        ),
+    )
+    for _ in range(2):
+        x = rand_tuple(rng, source.chart.dim)
+        v = source.element(
+            x, rand_tuple(rng, source.n_F), rand_tuple(rng, source.n_C), rand_tuple(rng, source.n_E)
+        )
+        image = phi.apply(v)
+        a = right_dual(target).element(
+            x, image.e, rand_tuple(rng, target.n_F), rand_tuple(rng, target.n_C)
+        )
+        want = pair_r(image, a)
+        assert pair_r(v, fiber_right_dual(phi.at(x)).apply(a)) == want
+        assert pair_r(v, right_dual_morphism_poly(phi).at(x).apply(a)) == want

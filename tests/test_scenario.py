@@ -137,6 +137,19 @@ def test_plan_zero_samples_rejected():
         scenario_from_obj(obj)
 
 
+@pytest.mark.parametrize(
+    "seed, accepted", [(-1, False), (2**32, False), (4294967303, False), (2**32 - 1, True)]
+)
+def test_plan_seed_must_be_32_bit(seed, accepted):
+    obj = minimal_obj()
+    obj["plan"] = {"seed": seed}
+    if accepted:
+        assert scenario_from_obj(obj).seed == seed
+    else:
+        with pytest.raises(ScenarioParseError, match="plan.seed"):
+            scenario_from_obj(obj)
+
+
 def test_missing_file_is_parse_error(tmp_path):
     from dvbcalc.scenario import load_scenario
 

@@ -36,6 +36,7 @@ from .geomech import (
 )
 from .ring import SingularMatrixError, rat
 from .scenario import (
+    _MAX_RANK,
     _SEED_BOUND,
     InconsistentScenarioError,
     Scenario,
@@ -65,15 +66,23 @@ def _parse_point(text: str, dim: int, what: str = "point"):
         raise ScenarioParseError(f"bad {what} coordinate: {exc}") from None
 
 
-def _seed(text: str) -> int:
-    """argparse type for --seed: an int in [0, 2**32)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if not 0 <= value < _SEED_BOUND:
-        raise argparse.ArgumentTypeError(f"seed {value} is outside [0, 2**32)")
-    return value
+def _bounded_int(what: str, low: int, high: int, shown: str):
+    """argparse type for an int in [low, high); `shown` spells the range."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if not low <= value < high:
+            raise argparse.ArgumentTypeError(f"{what} {value} is outside {shown}")
+        return value
+
+    return parse
+
+
+_seed = _bounded_int("seed", 0, _SEED_BOUND, "[0, 2**32)")
+_max_rank = _bounded_int("rank bound", 1, _MAX_RANK + 1, f"[1, {_MAX_RANK}]")
 
 
 def _fmt_tuple(values) -> str:
@@ -101,7 +110,9 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--random", action="store_true", help="generate a scenario from --seed"
     )
-    p.add_argument("--max-rank", type=int, default=3, help="random generation rank bound")
+    p.add_argument(
+        "--max-rank", type=_max_rank, default=3, help="random generation rank bound, 1-8"
+    )
     p.add_argument(
         "--max-degree", type=int, default=2, help="random generation degree bound"
     )
@@ -255,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="print a seeded random scenario")
     p_gen.add_argument("--seed", type=_seed, default=0)
-    p_gen.add_argument("--max-rank", type=int, default=3)
+    p_gen.add_argument("--max-rank", type=_max_rank, default=3)
     p_gen.add_argument("--max-degree", type=int, default=2)
     p_gen.add_argument("--symmetric", action="store_true")
     p_gen.set_defaults(func=_cmd_gen)

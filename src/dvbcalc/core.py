@@ -21,15 +21,19 @@ with polynomial matrix blocks and a bilinear polynomial block Psi indexed as
 Psi[core-out][e-in][f-in].  Composition, inverse, right dual and flip are
 written once, as a block algebra on nested tuples over any coefficient ring:
 DVBMorphism runs it on MultiPoly blocks and FiberMorphism on the Fraction
-blocks at one base point.  Inverses and duals divide by block determinants,
-so they use `mat_inverse_frac` per base point, or `unimodular_inverse` when
-the blocks are unimodular.
+blocks at one base point.  Every product in it is a `ring.mat_mul`, whose
+entries are each summed in one pass; the Psi contraction over the core index
+is one product with the Psi planes flattened to rows.  Inverses and duals
+divide by block determinants, so they use `mat_inverse_frac` per base point,
+or `unimodular_inverse` when the blocks are unimodular.  Only morphisms with
+equal source and target ranks can be inverted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Callable, Sequence
 
 from .ring import (
@@ -312,14 +316,18 @@ def cotangent_prolongation(vb: VectorBundle) -> DecomposedDVB:
 # products; exact canonical arithmetic makes every result independent of the
 # summation order.
 
-def _combine(coeffs, planes, acc):
-    """acc + sum_d coeffs[d] * planes[d], entrywise."""
-    for k, plane in zip(coeffs, planes):
-        acc = tuple(
-            tuple(s + k * p for s, p in zip(acc_row, row))
-            for acc_row, row in zip(acc, plane)
-        )
-    return acc
+def _combine(coeffs, planes, shape, zero):
+    """The planes sum_d coeffs[g][d] planes[d], one per row g of `coeffs`.
+
+    With each (rows x cols) plane flattened to one row this is a single
+    matrix product, so every entry is one sum of products.
+    """
+    rows, cols = shape
+    flat = tuple(tuple(p for row in plane for p in row) for plane in planes)
+    return tuple(
+        tuple(out[i * cols : (i + 1) * cols] for i in range(rows))
+        for out in mat_mul(coeffs, flat, rows * cols, zero)
+    )
 
 
 def _pull_planes(planes, r, l, source, target, zero):
@@ -336,11 +344,15 @@ def _compose_blocks(outer, inner, source, middle, zero):
     l2, c2, r2, psi2 = outer
     l1, c1, r1, psi1 = inner
     pulled = _pull_planes(psi2, r1, l1, source, middle, zero)
+    combined = _combine(c2, psi1, (source.n_E, source.n_F), zero)
     return (
         mat_mul(l2, l1, source.n_F, zero),
         mat_mul(c2, c1, source.n_C, zero),
         mat_mul(r2, r1, source.n_E, zero),
-        tuple(_combine(row, psi1, plane) for row, plane in zip(c2, pulled)),
+        tuple(
+            tuple(tuple(map(add, s_row, p_row)) for s_row, p_row in zip(s_plane, p_plane))
+            for s_plane, p_plane in zip(combined, pulled)
+        ),
     )
 
 
@@ -349,8 +361,8 @@ def _inverse_blocks(psi, inverses, source, target, zero):
     and its inverted side and core blocks (L^-1, C^-1, R^-1)."""
     li, ci, ri = inverses
     pulled = _pull_planes(psi, ri, li, target, source, zero)
-    empty = tuple((zero,) * target.n_F for _ in range(target.n_E))
-    return (li, ci, ri, tuple(_combine([-k for k in row], pulled, empty) for row in ci))
+    minus_ci = tuple(tuple(-k for k in row) for row in ci)
+    return (li, ci, ri, _combine(minus_ci, pulled, (target.n_E, target.n_F), zero))
 
 
 def _right_dual_blocks(blocks, rinv, source, target, zero):
@@ -542,6 +554,7 @@ class FiberMorphism:
 
     def inverse(self) -> FiberMorphism:
         """Pointwise inverse; blocks invert and Psi picks up a minus sign."""
+        _check_square_ranks(self)
         inverses = tuple(mat_inverse_frac(m) for m in (self.l, self.c, self.r))
         blocks = _inverse_blocks(self.psi, inverses, self.source, self.target, Fraction(0))
         return FiberMorphism(self.target, self.source, self.x, *blocks)
@@ -573,10 +586,14 @@ class PointwiseMorphism:
         return self.at(v.x).apply(v)
 
 
-def invert_morphism(phi: DVBMorphism) -> PointwiseMorphism:
-    """Pointwise inverse of an isomorphism; singular points raise on use."""
+def _check_square_ranks(phi) -> None:
     if phi.source.ranks != phi.target.ranks:
         raise ValueError("only square-rank morphisms can be inverted")
+
+
+def invert_morphism(phi: DVBMorphism) -> PointwiseMorphism:
+    """Pointwise inverse of an isomorphism; singular points raise on use."""
+    _check_square_ranks(phi)
     return PointwiseMorphism(
         phi.target, phi.source, lambda x: phi.at(x).inverse()
     )
@@ -584,6 +601,7 @@ def invert_morphism(phi: DVBMorphism) -> PointwiseMorphism:
 
 def invert_morphism_poly(phi: DVBMorphism) -> DVBMorphism:
     """Polynomial inverse, available when every block is unimodular."""
+    _check_square_ranks(phi)
     inverses = tuple(m.unimodular_inverse() for m in (phi.phi_l, phi.phi_c, phi.phi_r))
     if any(m is None for m in inverses):
         raise ValueError("blocks are not unimodular; use invert_morphism")

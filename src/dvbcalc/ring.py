@@ -15,14 +15,25 @@ Matrices are nested tuples over either coefficient type.  One `mat_mul` and
 one `transpose` serve both; the caller passes the column count, because a
 matrix with no rows stores none.  `PolyMatrix` wraps them for polynomials.
 
-Matrix inversion is never done symbolically.  Linear systems are solved at a
-rational base point by clearing denominators and running fraction-free
-(Bareiss) elimination, so every intermediate value stays an exact integer.
+Sums of products are formed in one pass.  On rationals, `dot` forms each
+term as an integer numerator and denominator, sums them over a running
+integer pair, and reduces a single `Fraction` per result; `MultiPoly.eval`
+does the same per term.  On polynomials, `_sum_products` puts every product
+term of a sum a1*b1 + a2*b2 + ... into one exponent -> integer ratio dict and
+makes the result canonical once, instead of once per `+` and `*`.  Every
+entry of `mat_mul` and every polynomial product goes through one of the two.
 
-Point evaluation (`MultiPoly.eval`) and the scalar product `dot` follow the
-same idea: each term is formed as an integer numerator and denominator, the
-terms are summed over a running integer pair, and a single `Fraction` is
-reduced once per result instead of once per `+` and `*`.
+Polynomial determinants come from one minor table, built row by row over
+column bitmasks: level k maps each k-subset S of the columns to the nonzero
+minor det(rows[:k] x S), and each new minor is one sum of products over the
+level before.  A dense n x n determinant thus takes n 2^(n-1) polynomial
+products, not the factorial count of Laplace expansion.  `PolyMatrix.det` is
+the full-mask entry.  `unimodular_inverse` inverts a matrix whose
+determinant is a nonzero constant as its adjugate over that constant, and
+reads each cofactor from the table over the other rows.  Every other inverse
+and linear solve is done at a rational base point, by clearing denominators
+and running fraction-free (Bareiss) elimination, so every intermediate value
+stays an exact integer.
 """
 
 from __future__ import annotations
@@ -30,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import add
 from typing import Mapping, Sequence
 
 Exponent = tuple[int, ...]
@@ -156,12 +168,7 @@ class MultiPoly:
         if isinstance(other, (Fraction, int)):
             return self.scale(other)
         self._check_compatible(other)
-        acc: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                acc[e] = acc.get(e, Fraction(0)) + c1 * c2
-        return MultiPoly(self.vars, _canonical(self.vars, acc))
+        return _sum_products(self.vars, ((self, other),))
 
     def __rmul__(self, other: Fraction | int) -> MultiPoly:
         return self.scale(other)
@@ -272,6 +279,33 @@ def _add_ratio(num: int, den: int, tn: int, td: int) -> tuple[int, int]:
     return num * (td // g) + tn * (den // g), den // g * td
 
 
+def _sum_products(vars: tuple[str, ...], pairs) -> MultiPoly:
+    """The polynomial sum of a * b over (a, b) pairs of polynomials on `vars`.
+
+    Every product term goes into one exponent -> (numerator, denominator)
+    dict of unreduced integers; each coefficient is reduced to a `Fraction`
+    once and the result is sorted once, instead of once per `+` and `*`.
+    """
+    acc: dict[Exponent, tuple[int, int]] = {}
+    get = acc.get
+    for a, b in pairs:
+        if not a.terms or not b.terms:
+            continue
+        right = [(e, c.numerator, c.denominator) for e, c in b.terms]
+        for e1, c1 in a.terms:
+            n1, d1 = c1.numerator, c1.denominator
+            for e2, n2, d2 in right:
+                e = tuple(map(add, e1, e2))
+                prev = get(e)
+                if prev is None:
+                    acc[e] = (n1 * n2, d1 * d2)
+                else:
+                    acc[e] = _add_ratio(prev[0], prev[1], n1 * n2, d1 * d2)
+    terms = [(e, Fraction(num, den)) for e, (num, den) in acc.items() if num]
+    terms.sort(key=_term_key, reverse=True)
+    return MultiPoly(vars, tuple(terms))
+
+
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     if len(u) != len(v):
         raise ValueError(f"dot of tuples with lengths {len(u)} and {len(v)}")
@@ -295,18 +329,23 @@ def mat_vec_frac(m: FracMatrix, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 
 def mat_mul(a, b, cols: int, zero):
-    """Product of nested-tuple matrices over any ring with `+` and `*`.
+    """Product of nested-tuple matrices over `Fraction` or `MultiPoly`.
 
     `b` has `len(b)` rows and `cols` columns; the width is passed in because
-    a matrix with no rows stores none.  `zero` is the ring's zero.
+    a matrix with no rows stores none.  `zero` is the ring's zero.  Each
+    entry is one sum of products: `dot` on rationals, `_sum_products` on
+    polynomials.
     """
     k = len(b)
     if any(len(row) != k for row in a) or any(len(row) != cols for row in b):
         raise ValueError("matrix shape mismatch in product")
-    return tuple(
-        tuple(sum((row[t] * b[t][j] for t in range(k)), zero) for j in range(cols))
-        for row in a
-    )
+    columns = transpose(b, cols)
+    if isinstance(zero, MultiPoly):
+        return tuple(
+            tuple(_sum_products(zero.vars, zip(row, col)) for col in columns)
+            for row in a
+        )
+    return tuple(tuple(dot(row, col) for col in columns) for row in a)
 
 
 def transpose(a, cols: int):
@@ -461,24 +500,8 @@ class PolyMatrix:
     def det(self) -> MultiPoly:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return MultiPoly.const(self.vars, 1)
-        if n == 1:
-            return self.entries[0][0]
-        acc = MultiPoly.zero(self.vars)
-        sign = 1
-        for j in range(n):
-            minor = PolyMatrix(
-                self.vars,
-                tuple(
-                    tuple(row[k] for k in range(n) if k != j)
-                    for row in self.entries[1:]
-                ),
-            )
-            acc = acc + self.entries[0][j].scale(sign) * minor.det()
-            sign = -sign
-        return acc
+        minors = _extend_minors({0: MultiPoly.const(self.vars, 1)}, self.entries, self.vars)
+        return minors.get((1 << self.rows) - 1, MultiPoly.zero(self.vars))
 
     def unimodular_inverse(self) -> PolyMatrix | None:
         """Polynomial inverse when the determinant is a nonzero constant.
@@ -488,30 +511,59 @@ class PolyMatrix:
         """
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        d = self.det()
+        n = self.rows
+        # tables[i] holds the minors of the first i rows: the determinant is
+        # the full-mask entry of tables[n], and the table over the rows other
+        # than i starts from tables[i] and continues below row i.
+        tables = [{0: MultiPoly.const(self.vars, 1)}]
+        for row in self.entries:
+            tables.append(_extend_minors(tables[-1], (row,), self.vars))
+        full = (1 << n) - 1
+        zero = MultiPoly.zero(self.vars)
+        d = tables[n].get(full, zero)
         if d.is_zero or d.total_degree() > 0:
             return None
         scale = 1 / d.coeff((0,) * len(self.vars))
-        n = self.rows
-        if n == 0:
-            return self
+        without_row = [
+            _extend_minors(tables[i], self.entries[i + 1 :], self.vars) for i in range(n)
+        ]
 
-        def cofactor(i: int, j: int) -> MultiPoly:
-            minor = PolyMatrix(
-                self.vars,
-                tuple(
-                    tuple(self.entries[r][k] for k in range(n) if k != j)
-                    for r in range(n)
-                    if r != i
-                ),
-            )
-            sign = 1 if (i + j) % 2 == 0 else -1
-            return minor.det().scale(sign)
+        # inverse[i][j] = (-1)^(i+j) det(rows != j x cols != i) / det
+        def entry(i: int, j: int) -> MultiPoly:
+            minor = without_row[j].get(full ^ (1 << i), zero)
+            return minor.scale(scale if (i + j) % 2 == 0 else -scale)
 
-        # Adjugate transpose gives the inverse once scaled by 1/det.
-        return PolyMatrix.build(
-            self.vars, n, n, lambda i, j: cofactor(j, i).scale(scale)
-        )
+        return PolyMatrix.build(self.vars, n, n, entry)
+
+
+def _extend_minors(minors: dict[int, MultiPoly], rows, vars) -> dict[int, MultiPoly]:
+    """Extend a minor table by more rows of the same matrix.
+
+    The table maps a column bitmask S, with one column per row so far, to
+    the nonzero minor det(rows so far x S).  Expanding a minor over one more
+    row r along that row gives, for a column set T,
+
+        det((rows + r) x T) = sum over j in T of
+                              (-1)^(columns of T above j) r[j] det(rows x (T - j)),
+
+    so each new minor is one sum of products over stored minors.  Zero
+    entries and zero minors are skipped; a dense n x n determinant takes
+    n 2^(n-1) polynomial products, where Laplace expansion takes about e n!.
+    """
+    for row in rows:
+        entries = [(j, p, -p) for j, p in enumerate(row) if p.terms]
+        pairs: dict[int, list[tuple[MultiPoly, MultiPoly]]] = {}
+        for mask, minor in minors.items():
+            for j, p, neg in entries:
+                if not mask >> j & 1:
+                    odd = (mask >> (j + 1)).bit_count() & 1
+                    pairs.setdefault(mask | 1 << j, []).append((neg if odd else p, minor))
+        minors = {}
+        for mask, terms in pairs.items():
+            minor = _sum_products(vars, terms)
+            if minor.terms:
+                minors[mask] = minor
+    return minors
 
 
 def mat_solve_at(

@@ -55,6 +55,12 @@ class InconsistentScenarioError(ValueError):
 _SEED_BOUND = 2**32
 
 
+# Chart dimensions and fiber ranks are at most 8: a polynomial determinant
+# or inverse costs time exponential in the rank, and a dense rank-8 metric
+# already takes about a second to invert.
+_MAX_RANK = 8
+
+
 def derive_seed(master: int, tag: str) -> int:
     """Stable sub-seed for one named use of the master seed."""
     return zlib.crc32(tag.encode("utf-8"), master & (_SEED_BOUND - 1))
@@ -251,8 +257,8 @@ def scenario_from_obj(obj) -> Scenario:
     _check_keys(shape, ("n", "n_F", "n_C", "n_E"), ("labels",), "bundle")
     dims = {key: _need_int(shape[key], f"bundle.{key}") for key in ("n", "n_F", "n_C", "n_E")}
     for key, value in dims.items():
-        if value < 0:
-            raise ScenarioParseError(f"bundle.{key} must be nonnegative")
+        if not 0 <= value <= _MAX_RANK:
+            raise ScenarioParseError(f"bundle.{key} {value} is outside [0, {_MAX_RANK}]")
     labels = ("F", "C", "E")
     if "labels" in shape:
         raw = _need_list(shape["labels"], "bundle.labels")

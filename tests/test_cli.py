@@ -312,3 +312,37 @@ def test_out_of_range_plan_seed_is_parse_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("PARSE_ERROR:")
+
+
+@pytest.mark.parametrize("rank", ["0", "9"])
+def test_out_of_range_max_rank_is_usage_error(rank, capsys):
+    for argv in (
+        ("gen", "--max-rank", rank),
+        ("check", "axioms", "--random", "--max-rank", rank, "--samples", "2"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "outside [1, 8]" in err
+
+
+def test_largest_max_rank_accepted(capsys):
+    # seed 3 draws ranks (3, 8, 1) under the rank bound 8
+    code, out, _ = run_cli(capsys, "gen", "--seed", "3", "--max-rank", "8")
+    assert code == 0
+    assert json.loads(out)["bundle"]["n_C"] == 8
+    code, _, _ = run_cli(
+        capsys, "check", "axioms", "--random", "--seed", "3", "--max-rank", "8",
+        "--samples", "2",
+    )
+    assert code == 0
+
+
+def test_oversized_scenario_rank_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "rank9.json"
+    path.write_text(json.dumps({"bundle": {"n": 1, "n_F": 1, "n_C": 9, "n_E": 1}}))
+    code, out, err = run_cli(capsys, "check", "axioms", "--scenario", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("PARSE_ERROR:")
+    assert "outside [0, 8]" in err

@@ -419,3 +419,33 @@ def test_inverse_undoes_apply(seed):
         assert fm.inverse().apply(fm.apply(v)) == v
         assert fm.apply(fm.inverse().apply(v)) == v
         assert poly_inverse.at(x).apply(fm.apply(v)) == v
+
+
+# Source ranks (2,1,1) -> target ranks (0,1,1): the L block has no rows, so
+# its "inverse" is 0 x 0 and the shape error used to surface only later, in
+# a product.  Every inverting route rejects the ranks up front.
+RANK_MISMATCH_SOURCE = DecomposedDVB(CHART, 2, 1, 1)
+RANK_MISMATCH_TARGET = DecomposedDVB(CHART, 0, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "invert",
+    [
+        invert_morphism,
+        invert_morphism_poly,
+        lambda phi: phi.at((rat(1),)).inverse(),
+    ],
+    ids=["invert_morphism", "invert_morphism_poly", "FiberMorphism.inverse"],
+)
+def test_rank_mismatch_is_not_invertible(invert):
+    vars = CHART.names
+    phi = DVBMorphism(
+        RANK_MISMATCH_SOURCE,
+        RANK_MISMATCH_TARGET,
+        PolyMatrix(vars, ()),
+        PolyMatrix.identity(vars, 1),
+        PolyMatrix.identity(vars, 1),
+        psi_zero(vars, 1, 1, 2),
+    )
+    with pytest.raises(ValueError, match="only square-rank morphisms can be inverted"):
+        invert(phi)

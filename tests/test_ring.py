@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dvbcalc import ring
 from dvbcalc.ring import (
     MultiPoly,
     PolyMatrix,
@@ -335,3 +337,212 @@ def test_eval_agrees_with_sympy(sympy, p, point):
     )
     value = p.eval(point)
     assert (value.numerator, value.denominator) == (expected.p, expected.q)
+
+
+# -- minor-table determinant and inverse, and the sum-of-products kernel ------
+#
+# References: a Laplace expansion written here, and sympy's division-free
+# Berkowitz determinant and adjugate.
+
+
+def laplace_det(rows):
+    if not rows:
+        return ONE
+    total = MultiPoly.zero(XY)
+    for j, entry in enumerate(rows[0]):
+        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
+        term = entry * laplace_det(minor)
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def laplace_inverse(m, det_value):
+    n = m.rows
+    rows = [list(row) for row in m.entries]
+
+    def cofactor(i, j):
+        minor = [row[:j] + row[j + 1 :] for r, row in enumerate(rows) if r != i]
+        value = laplace_det(minor)
+        return value if (i + j) % 2 == 0 else -value
+
+    return PolyMatrix.build(XY, n, n, lambda i, j: cofactor(j, i).scale(1 / det_value))
+
+
+def random_sparse_poly(rng):
+    """Zero about half the time; otherwise one to three short terms."""
+    if rng.random() < 0.5:
+        return MultiPoly.zero(XY)
+    return poly(
+        {
+            (rng.randint(0, 2), rng.randint(0, 1)): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            for _ in range(rng.randint(1, 3))
+        }
+    )
+
+
+def random_sparse_matrix(rng, rows, cols):
+    zero_row = rng.randrange(rows) if rows and rng.random() < 0.2 else None
+    return PolyMatrix.build(
+        XY,
+        rows,
+        cols,
+        lambda i, j: MultiPoly.zero(XY) if i == zero_row else random_sparse_poly(rng),
+    )
+
+
+def random_unimodular(rng, n, scale=1):
+    """scale * (permuted lower x upper unitriangular): constant determinant."""
+
+    def triangular(below):
+        def entry(i, j):
+            if i == j:
+                return ONE
+            return random_sparse_poly(rng) if (i > j) == below else MultiPoly.zero(XY)
+
+        return PolyMatrix.build(XY, n, n, entry)
+
+    product = (triangular(True) * triangular(False)).entries
+    order = list(range(n))
+    rng.shuffle(order)
+    return PolyMatrix(XY, tuple(product[i] for i in order)).scale(scale)
+
+
+def sympy_matrix(sympy, m):
+    x, y = sympy.symbols("x y")
+
+    def entry(p):
+        return sum(
+            (sympy.Rational(c.numerator, c.denominator) * x ** e[0] * y ** e[1] for e, c in p.terms),
+            sympy.Integer(0),
+        )
+
+    return sympy.Matrix(m.rows, m.cols, [entry(p) for row in m.entries for p in row])
+
+
+def from_sympy(sympy, expr):
+    x, y = sympy.symbols("x y")
+    terms = sympy.Poly(sympy.expand(expr), x, y).terms()
+    return poly({e: Fraction(int(c.p), int(c.q)) for e, c in terms})
+
+
+@pytest.mark.parametrize("seed", range(28))
+def test_det_matches_laplace(seed):
+    rng = random.Random(seed)
+    m = random_sparse_matrix(rng, seed % 7, seed % 7)
+    assert m.det() == laplace_det([list(row) for row in m.entries])
+
+
+@pytest.mark.parametrize("seed", range(14))
+def test_det_matches_sympy(sympy, seed):
+    rng = random.Random(100 + seed)
+    n = seed % 7
+    m = random_sparse_matrix(rng, n, n)
+    expected = sympy_matrix(sympy, m).det(method="berkowitz") if n else 1
+    assert m.det() == from_sympy(sympy, expected)
+
+
+def unimodular_case(seed):
+    """A matrix with constant determinant +-scale^n; odd seeds have scale 1."""
+    n = seed % 7
+    scale = Fraction(1) if seed % 2 else Fraction(-3, 2)
+    return random_unimodular(random.Random(200 + seed), n, scale), scale
+
+
+@pytest.mark.parametrize("seed", range(14))
+def test_unimodular_inverse_matches_laplace(seed):
+    m, scale = unimodular_case(seed)
+    n = m.rows
+    d = m.det()
+    # an odd row permutation flips the sign
+    assert d in (MultiPoly.const(XY, scale**n), MultiPoly.const(XY, -(scale**n)))
+    inv = m.unimodular_inverse()
+    assert inv is not None
+    assert m * inv == PolyMatrix.identity(XY, n)
+    assert inv * m == PolyMatrix.identity(XY, n)
+    if n <= 5:
+        assert inv == laplace_inverse(m, d.coeff((0, 0)))
+
+
+@pytest.mark.parametrize("seed", [s for s in range(14) if 0 < s % 7 <= 4])
+def test_unimodular_inverse_matches_sympy(sympy, seed):
+    m, _ = unimodular_case(seed)
+    n = m.rows
+    s = sympy_matrix(sympy, m)
+    expected = s.adjugate(method="berkowitz") / s.det(method="berkowitz")
+    assert m.unimodular_inverse().entries == tuple(
+        tuple(from_sympy(sympy, expected[i, j]) for j in range(n)) for i in range(n)
+    )
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_singular_or_nonconstant_determinant_has_no_inverse(seed):
+    rng = random.Random(300 + seed)
+    n = 1 + seed % 5
+    m = random_unimodular(rng, n).entries
+    if seed % 2:
+        # a zero row: singular
+        rows = m[:-1] + ((MultiPoly.zero(XY),) * n,)
+    else:
+        # the last row times x: determinant +-x, invertible only pointwise
+        rows = m[:-1] + (tuple(p * X for p in m[-1]),)
+    singular = PolyMatrix(XY, rows)
+    assert singular.det() == laplace_det([list(row) for row in rows])
+    assert singular.unimodular_inverse() is None
+
+
+def test_non_square_det_and_inverse_rejected():
+    m = PolyMatrix.build(XY, 2, 3, lambda i, j: X if i == j else ONE)
+    with pytest.raises(ValueError):
+        m.det()
+    with pytest.raises(ValueError):
+        m.unimodular_inverse()
+
+
+def naive_mat_mul(a, b, cols, zero):
+    return tuple(
+        tuple(sum((row[t] * b[t][j] for t in range(len(b))), zero) for j in range(cols))
+        for row in a
+    )
+
+
+@pytest.mark.parametrize("shape", [(r, k, c) for r in (0, 1, 3) for k in (0, 1, 3) for c in (0, 2)])
+def test_mat_mul_matches_naive_sum(shape):
+    rows, inner, cols = shape
+    rng = random.Random(str(shape))
+    a = random_sparse_matrix(rng, rows, inner).entries
+    b = random_sparse_matrix(rng, inner, cols).entries
+    zero = MultiPoly.zero(XY)
+    assert mat_mul(a, b, cols, zero) == naive_mat_mul(a, b, cols, zero)
+    point = (Fraction(1, 2), Fraction(-3))
+    fa = tuple(tuple(p.eval(point) for p in row) for row in a)
+    fb = tuple(tuple(p.eval(point) for p in row) for row in b)
+    product = mat_mul(fa, fb, cols, Fraction(0))
+    assert product == naive_mat_mul(fa, fb, cols, Fraction(0))
+    assert all(type(v) is Fraction for row in product for v in row)
+
+
+def test_mat_mul_shape_mismatch_rejected():
+    with pytest.raises(ValueError):
+        mat_mul(((Fraction(1),),), (), 1, Fraction(0))
+
+
+def test_dense_det_stays_exponential_not_factorial(monkeypatch):
+    """A dense n x n determinant takes at most n 2^(n-1) polynomial products;
+    Laplace expansion would take about e n! (13700 for n = 7)."""
+    n = 7
+    products = []
+    kernel = ring._sum_products
+
+    def counting(vars, pairs):
+        pairs = list(pairs)
+        products.append(len(pairs))
+        return kernel(vars, pairs)
+
+    monkeypatch.setattr(ring, "_sum_products", counting)
+    rng = random.Random(7)
+    m = PolyMatrix.build(
+        XY, n, n, lambda i, j: poly({(1, 0): rng.randint(1, 9), (0, 0): rng.randint(-9, 9)})
+    )
+    d = m.det()
+    assert sum(products) <= n * 2 ** (n - 1)
+    assert d.total_degree() == n

@@ -79,6 +79,19 @@ def test_negative_rank_rejected():
         scenario_from_obj(obj)
 
 
+@pytest.mark.parametrize("key", ["n", "n_F", "n_C", "n_E"])
+def test_dimension_and_ranks_capped_at_8(key):
+    obj = minimal_obj()
+    obj["bundle"][key] = 8
+    sc = scenario_from_obj(obj)
+    assert (sc.bundle.chart.dim,) + sc.bundle.ranks == tuple(
+        obj["bundle"][k] for k in ("n", "n_F", "n_C", "n_E")
+    )
+    obj["bundle"][key] = 9
+    with pytest.raises(ScenarioParseError, match=f"bundle.{key} 9 is outside"):
+        scenario_from_obj(obj)
+
+
 def test_labels_must_be_three_strings():
     obj = minimal_obj()
     obj["bundle"]["labels"] = ["F", "C"]

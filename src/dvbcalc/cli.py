@@ -17,7 +17,8 @@ Subcommands:
 Scenario problems are reported on stderr with a ``PARSE_ERROR:`` or
 ``INCONSISTENT_SCENARIO:`` prefix and exit code 2; a morphism that is
 singular at a requested point is an inconsistent scenario.  Every
-``--seed`` must lie in [0, 2**32), the range ``derive_seed`` uses.
+``--seed`` must lie in [0, 2**32), the range ``derive_seed`` uses;
+``--max-rank`` lies in [1, 8] and ``--max-degree`` in [0, 8].
 """
 
 from __future__ import annotations
@@ -84,6 +85,11 @@ def _bounded_int(what: str, low: int, high: int, shown: str):
 _seed = _bounded_int("seed", 0, _SEED_BOUND, "[0, 2**32)")
 _max_rank = _bounded_int("rank bound", 1, _MAX_RANK + 1, f"[1, {_MAX_RANK}]")
 
+# Random blocks reach degree 2 * max_degree in a metric, and the checks
+# expand products of such blocks; 8 keeps a generated scenario small.
+_MAX_DEGREE = 8
+_max_degree = _bounded_int("degree bound", 0, _MAX_DEGREE + 1, f"[0, {_MAX_DEGREE}]")
+
 
 def _fmt_tuple(values) -> str:
     return "(" + ", ".join(str(v) for v in values) + ")"
@@ -114,7 +120,10 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
         "--max-rank", type=_max_rank, default=3, help="random generation rank bound, 1-8"
     )
     p.add_argument(
-        "--max-degree", type=int, default=2, help="random generation degree bound"
+        "--max-degree",
+        type=_max_degree,
+        default=2,
+        help="random generation degree bound, 0-8",
     )
     p.add_argument(
         "--symmetric",
@@ -267,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="print a seeded random scenario")
     p_gen.add_argument("--seed", type=_seed, default=0)
     p_gen.add_argument("--max-rank", type=_max_rank, default=3)
-    p_gen.add_argument("--max-degree", type=int, default=2)
+    p_gen.add_argument("--max-degree", type=_max_degree, default=2)
     p_gen.add_argument("--symmetric", action="store_true")
     p_gen.set_defaults(func=_cmd_gen)
 

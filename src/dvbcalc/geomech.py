@@ -11,6 +11,11 @@ ones whose associated maps between the tangent shell K(TM, E, E) and the
 cotangent shell K(E*, T*M, E) respect both bundle structures.  Shape
 predicates are decided exactly on polynomial degrees; structure predicates
 are sampled at rational points with a seeded generator and checked exactly.
+One sampled checker, `_respects_both_structures`, decides "respects both
+structures" for maps into a shell (contraction of a bivector) and for
+double-linear functions (momentum and velocity functions); one more,
+`_section_is_bundle_morphism`, decides whether a field or form is a bundle
+morphism into its shell.
 
 Connection conventions: the splitting sends (x | xdot | edot | e) to
 (x | xdot | edot + Gamma(xdot, e) | e) with a plus sign, and the dual
@@ -80,6 +85,25 @@ def _fiber_degrees(poly: MultiPoly, n_base: int) -> set[int]:
     return {sum(exps[n_base:]) for exps, _ in poly.terms}
 
 
+def _of_fiber_degree(polys, n_base: int, degree: int) -> bool:
+    """Every term of every polynomial has e-degree `degree`."""
+    return all(_fiber_degrees(p, n_base) <= {degree} for p in polys)
+
+
+def _fiber_linear(coeffs: Sequence[MultiPoly], vars: tuple[str, ...]) -> MultiPoly:
+    """sum_a coeffs[a] e^a in `vars` = (x..., e...), coefficients over the chart.
+
+    A term of coeffs[a] e^a is a term of coeffs[a] with e^a's exponent appended.
+    """
+    k = len(coeffs)
+    terms = {}
+    for a, p in enumerate(coeffs):
+        unit = tuple(int(b == a) for b in range(k))
+        for exps, coeff in p.terms:
+            terms[exps + unit] = coeff
+    return MultiPoly.from_dict(vars, terms)
+
+
 def _eval_at(poly: MultiPoly, x: Point, e: Sequence[Fraction]) -> Fraction:
     return poly.eval(tuple(x) + tuple(e))
 
@@ -90,6 +114,75 @@ def _rand(rng: random.Random) -> Fraction:
 
 def _rand_tuple(rng: random.Random, n: int) -> tuple[Fraction, ...]:
     return tuple(_rand(rng) for _ in range(n))
+
+
+def _plain_add(side, a, b):
+    return a + b
+
+
+def _plain_scale(side, r, a):
+    return r * a
+
+
+def _respects_both_structures(
+    shell: DecomposedDVB, image, samples: int, seed: int, add=fiber_add, scale=fiber_scale
+) -> bool:
+    """Sampled test that `image` commutes with both structures of `shell`.
+
+    Each sample draws x, e, e2, f, f2, c, c2, r in that order and builds
+    u = (x | f | c | e), v = (x | f2 | c2 | e) sharing e with u, and
+    w = (x | f | c2 | e2) sharing f with u.  The image must turn the right
+    sum and scaling of (u, v) and the left sum and scaling of (u, w) into
+    `add` and `scale` of the images: `fiber_add`/`fiber_scale` for a map
+    into a shell, `_plain_add`/`_plain_scale` for a double-linear function.
+    """
+    rng = random.Random(seed)
+    n_f, n_c, n_e = shell.ranks
+    for _ in range(samples):
+        x = _rand_tuple(rng, shell.chart.dim)
+        e, e2 = _rand_tuple(rng, n_e), _rand_tuple(rng, n_e)
+        f, f2 = _rand_tuple(rng, n_f), _rand_tuple(rng, n_f)
+        c, c2 = _rand_tuple(rng, n_c), _rand_tuple(rng, n_c)
+        r = _rand(rng)
+        u = shell.element(x, f, c, e)
+        at_u = image(u)
+        try:
+            for side, other in (
+                ("right", shell.element(x, f2, c2, e)),
+                ("left", shell.element(x, f, c2, e2)),
+            ):
+                if image(fiber_add(side, u, other)) != add(side, at_u, image(other)):
+                    return False
+                if image(fiber_scale(side, r, u)) != scale(side, r, at_u):
+                    return False
+        except FiberMismatchError:
+            return False
+    return True
+
+
+def _section_is_bundle_morphism(
+    bundle: VectorBundle, image, samples: int, seed: int
+) -> bool:
+    """Sampled test that e -> image(x, e) is a morphism for the left structure.
+
+    The images of two fiber points over one base point must share their
+    left leg, and the image must turn fiber sums and scalings into left
+    sums and scalings of the target shell.
+    """
+    rng = random.Random(seed)
+    n, k = bundle.chart.dim, bundle.rank
+    for _ in range(samples):
+        x = _rand_tuple(rng, n)
+        e1, e2 = _rand_tuple(rng, k), _rand_tuple(rng, k)
+        r = _rand(rng)
+        v1, v2 = image(x, e1), image(x, e2)
+        if v1.f != v2.f:
+            return False
+        if image(x, tuple(a + b for a, b in zip(e1, e2))) != fiber_add("left", v1, v2):
+            return False
+        if image(x, tuple(r * a for a in e1)) != fiber_scale("left", r, v1):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -150,26 +243,14 @@ class LinearVectorField:
     def as_general(self) -> GeneralVectorField:
         vars = total_space_vars(self.bundle)
         base = tuple(p.extend(vars) for p in self.base)
-        evars = [MultiPoly.var(vars, name) for name in fiber_var_names(self.bundle.rank)]
-        vert = []
-        for b in range(self.bundle.rank):
-            acc = MultiPoly.zero(vars)
-            for a in range(self.bundle.rank):
-                acc = acc + self.fiber.entries[b][a].extend(vars) * evars[a]
-            vert.append(acc)
-        return GeneralVectorField(self.bundle, base, tuple(vert))
+        vert = tuple(_fiber_linear(row, vars) for row in self.fiber.entries)
+        return GeneralVectorField(self.bundle, base, vert)
 
 
 def is_degree_zero(field: GeneralVectorField) -> bool:
     """Exact shape test: base e-free, vertical part homogeneous of e-degree 1."""
     n = field.bundle.chart.dim
-    for p in field.base:
-        if _fiber_degrees(p, n) - {0}:
-            return False
-    for p in field.vert:
-        if _fiber_degrees(p, n) - {1}:
-            return False
-    return True
+    return _of_fiber_degree(field.base, n, 0) and _of_fiber_degree(field.vert, n, 1)
 
 
 def vf_evaluation_on_cotangent(field: GeneralVectorField, w: DVBElement) -> Fraction:
@@ -192,26 +273,7 @@ def vf_is_bundle_morphism(
     (base components independent of e) and be additive and homogeneous in e
     with respect to the left structure of the tangent shell.
     """
-    rng = random.Random(seed)
-    n, k = field.bundle.chart.dim, field.bundle.rank
-    for _ in range(samples):
-        x = _rand_tuple(rng, n)
-        e1, e2 = _rand_tuple(rng, k), _rand_tuple(rng, k)
-        r = _rand(rng)
-        v1 = field.tangent_image(x, e1)
-        v2 = field.tangent_image(x, e2)
-        if v1.f != v2.f:
-            return False
-        summed = field.tangent_image(x, tuple(a + b for a, b in zip(e1, e2)))
-        try:
-            if summed != fiber_add("left", v1, v2):
-                return False
-        except FiberMismatchError:
-            return False
-        scaled = field.tangent_image(x, tuple(r * a for a in e1))
-        if scaled != fiber_scale("left", r, v1):
-            return False
-    return True
+    return _section_is_bundle_morphism(field.bundle, field.tangent_image, samples, seed)
 
 
 def vf_linearity_on_cotangent(
@@ -220,37 +282,14 @@ def vf_linearity_on_cotangent(
     """Sampled linearity of the momentum function under both shell structures."""
     if isinstance(field, LinearVectorField):
         field = field.as_general()
-    rng = random.Random(seed)
-    shell = cotangent_prolongation(field.bundle)
-    n, k = field.bundle.chart.dim, field.bundle.rank
-    for _ in range(samples):
-        x = _rand_tuple(rng, n)
-        e, e2 = _rand_tuple(rng, k), _rand_tuple(rng, k)
-        phi, phi2 = _rand_tuple(rng, k), _rand_tuple(rng, k)
-        p, p2 = _rand_tuple(rng, n), _rand_tuple(rng, n)
-        r = _rand(rng)
-        u = shell.element(x, phi, p, e)
-        # right structure: shared fiber point e
-        v = shell.element(x, phi2, p2, e)
-        lhs = vf_evaluation_on_cotangent(field, fiber_add("right", u, v))
-        if lhs != vf_evaluation_on_cotangent(field, u) + vf_evaluation_on_cotangent(
-            field, v
-        ):
-            return False
-        scaled = vf_evaluation_on_cotangent(field, fiber_scale("right", r, u))
-        if scaled != r * vf_evaluation_on_cotangent(field, u):
-            return False
-        # left structure: shared covector leg phi
-        w = shell.element(x, phi, p2, e2)
-        lhs = vf_evaluation_on_cotangent(field, fiber_add("left", u, w))
-        if lhs != vf_evaluation_on_cotangent(field, u) + vf_evaluation_on_cotangent(
-            field, w
-        ):
-            return False
-        scaled = vf_evaluation_on_cotangent(field, fiber_scale("left", r, u))
-        if scaled != r * vf_evaluation_on_cotangent(field, u):
-            return False
-    return True
+    return _respects_both_structures(
+        cotangent_prolongation(field.bundle),
+        lambda w: vf_evaluation_on_cotangent(field, w),
+        samples,
+        seed,
+        _plain_add,
+        _plain_scale,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -305,27 +344,18 @@ class LinearOneForm:
 
     def as_general(self) -> GeneralOneForm:
         vars = total_space_vars(self.bundle)
-        evars = [MultiPoly.var(vars, name) for name in fiber_var_names(self.bundle.rank)]
-        dx = []
-        for i in range(self.bundle.chart.dim):
-            acc = MultiPoly.zero(vars)
-            for a in range(self.bundle.rank):
-                acc = acc + self.theta_ia[i][a].extend(vars) * evars[a]
-            dx.append(acc)
+        dx = tuple(_fiber_linear(row, vars) for row in self.theta_ia)
         de = tuple(p.extend(vars) for p in self.theta_a)
-        return GeneralOneForm(self.bundle, tuple(dx), de)
+        return GeneralOneForm(self.bundle, dx, de)
 
 
 def is_linear_oneform(form: GeneralOneForm) -> bool:
     """Exact shape test: de coefficients e-free, dx coefficients e-degree 1."""
     n = form.bundle.chart.dim
-    for p in form.de_coeffs:
-        if _fiber_degrees(p, n) - {0}:
-            return False
-    for p in form.dx_coeffs:
-        if _fiber_degrees(p, n) - {1}:
-            return False
-    return True
+    return (
+        _of_fiber_degree(form.de_coeffs, n, 0)
+        and _of_fiber_degree(form.dx_coeffs, n, 1)
+    )
 
 
 def oneform_evaluation_on_tangent(form: GeneralOneForm, w: DVBElement) -> Fraction:
@@ -341,63 +371,21 @@ def oneform_is_bundle_morphism(
     form: GeneralOneForm, samples: int = 40, seed: int = 0
 ) -> bool:
     """Sampled test that e -> form(x, e) is a morphism into the cotangent shell."""
-    rng = random.Random(seed)
-    n, k = form.bundle.chart.dim, form.bundle.rank
-    for _ in range(samples):
-        x = _rand_tuple(rng, n)
-        e1, e2 = _rand_tuple(rng, k), _rand_tuple(rng, k)
-        r = _rand(rng)
-        w1 = form.cotangent_image(x, e1)
-        w2 = form.cotangent_image(x, e2)
-        if w1.f != w2.f:
-            return False
-        summed = form.cotangent_image(x, tuple(a + b for a, b in zip(e1, e2)))
-        try:
-            if summed != fiber_add("left", w1, w2):
-                return False
-        except FiberMismatchError:
-            return False
-        scaled = form.cotangent_image(x, tuple(r * a for a in e1))
-        if scaled != fiber_scale("left", r, w1):
-            return False
-    return True
+    return _section_is_bundle_morphism(form.bundle, form.cotangent_image, samples, seed)
 
 
 def oneform_linearity_on_tangent(form, samples: int = 40, seed: int = 0) -> bool:
     """Sampled linearity of the velocity function under both shell structures."""
     if isinstance(form, LinearOneForm):
         form = form.as_general()
-    rng = random.Random(seed)
-    shell = tangent_prolongation(form.bundle)
-    n, k = form.bundle.chart.dim, form.bundle.rank
-    for _ in range(samples):
-        x = _rand_tuple(rng, n)
-        e, e2 = _rand_tuple(rng, k), _rand_tuple(rng, k)
-        xdot, xdot2 = _rand_tuple(rng, n), _rand_tuple(rng, n)
-        edot, edot2 = _rand_tuple(rng, k), _rand_tuple(rng, k)
-        r = _rand(rng)
-        u = shell.element(x, xdot, edot, e)
-        v = shell.element(x, xdot2, edot2, e)
-        if oneform_evaluation_on_tangent(form, fiber_add("right", u, v)) != (
-            oneform_evaluation_on_tangent(form, u)
-            + oneform_evaluation_on_tangent(form, v)
-        ):
-            return False
-        if oneform_evaluation_on_tangent(
-            form, fiber_scale("right", r, u)
-        ) != r * oneform_evaluation_on_tangent(form, u):
-            return False
-        w = shell.element(x, xdot, edot2, e2)
-        if oneform_evaluation_on_tangent(form, fiber_add("left", u, w)) != (
-            oneform_evaluation_on_tangent(form, u)
-            + oneform_evaluation_on_tangent(form, w)
-        ):
-            return False
-        if oneform_evaluation_on_tangent(
-            form, fiber_scale("left", r, u)
-        ) != r * oneform_evaluation_on_tangent(form, u):
-            return False
-    return True
+    return _respects_both_structures(
+        tangent_prolongation(form.bundle),
+        lambda w: oneform_evaluation_on_tangent(form, w),
+        samples,
+        seed,
+        _plain_add,
+        _plain_scale,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -456,26 +444,14 @@ def lambda_sharp(biv: Bivector):
     """
     cot = cotangent_prolongation(biv.bundle)
     tan = tangent_prolongation(biv.bundle)
-    vars = total_space_vars(biv.bundle)
-    n, k = biv.bundle.chart.dim, biv.bundle.rank
-    minus_t = PolyMatrix.build(vars, k, n, lambda a, i: -biv.l_ia.entries[i][a])
+    full = biv.full_matrix()
+    n = biv.bundle.chart.dim
 
     def apply(w: DVBElement) -> DVBElement:
         if w.bundle != cot:
             raise ValueError("argument must live on the cotangent shell")
-        point = tuple(w.x) + tuple(w.e)
-        p, phi = w.c, w.f
-        lij = biv.l_ij.eval_at(point)
-        lia = biv.l_ia.eval_at(point)
-        lab = biv.l_ab.eval_at(point)
-        mia = minus_t.eval_at(point)
-        xdot = tuple(
-            u + v for u, v in zip(mat_vec_frac(lij, p), mat_vec_frac(lia, phi))
-        )
-        edot = tuple(
-            u + v for u, v in zip(mat_vec_frac(mia, p), mat_vec_frac(lab, phi))
-        )
-        return tan.element(w.x, xdot, edot, w.e)
+        out = mat_vec_frac(full.eval_at(tuple(w.x) + tuple(w.e)), w.c + w.f)
+        return tan.element(w.x, out[:n], out[n:], w.e)
 
     return apply
 
@@ -487,49 +463,18 @@ def bivector_linear_shape(biv: Bivector) -> bool:
     fiber-fiber block is homogeneous of e-degree 1.
     """
     n = biv.bundle.chart.dim
-    for row in biv.l_ij.entries:
-        if any(not p.is_zero for p in row):
-            return False
-    for row in biv.l_ia.entries:
-        for p in row:
-            if _fiber_degrees(p, n) - {0}:
-                return False
-    for row in biv.l_ab.entries:
-        for p in row:
-            if _fiber_degrees(p, n) - {1}:
-                return False
-    return True
+    return (
+        all(p.is_zero for row in biv.l_ij.entries for p in row)
+        and _of_fiber_degree((p for row in biv.l_ia.entries for p in row), n, 0)
+        and _of_fiber_degree((p for row in biv.l_ab.entries for p in row), n, 1)
+    )
 
 
 def is_linear_poisson(biv: Bivector, samples: int = 40, seed: int = 0) -> bool:
     """Sampled test that the contraction map respects both shell structures."""
-    rng = random.Random(seed)
-    sharp = lambda_sharp(biv)
-    cot = cotangent_prolongation(biv.bundle)
-    n, k = biv.bundle.chart.dim, biv.bundle.rank
-    for _ in range(samples):
-        x = _rand_tuple(rng, n)
-        e, e2 = _rand_tuple(rng, k), _rand_tuple(rng, k)
-        phi, phi2 = _rand_tuple(rng, k), _rand_tuple(rng, k)
-        p, p2 = _rand_tuple(rng, n), _rand_tuple(rng, n)
-        r = _rand(rng)
-        u = cot.element(x, phi, p, e)
-        v = cot.element(x, phi2, p2, e)
-        try:
-            if sharp(fiber_add("right", u, v)) != fiber_add(
-                "right", sharp(u), sharp(v)
-            ):
-                return False
-            if sharp(fiber_scale("right", r, u)) != fiber_scale("right", r, sharp(u)):
-                return False
-            w = cot.element(x, phi, p2, e2)
-            if sharp(fiber_add("left", u, w)) != fiber_add("left", sharp(u), sharp(w)):
-                return False
-            if sharp(fiber_scale("left", r, u)) != fiber_scale("left", r, sharp(u)):
-                return False
-        except FiberMismatchError:
-            return False
-    return True
+    return _respects_both_structures(
+        cotangent_prolongation(biv.bundle), lambda_sharp(biv), samples, seed
+    )
 
 
 def check_jacobi(biv: Bivector, points: Sequence[Sequence]) -> bool:
@@ -610,13 +555,9 @@ class LinearTwoForm:
         vars = total_space_vars(self.bundle)
         n, k = self.bundle.chart.dim, self.bundle.rank
         comps = {}
-        evars = [MultiPoly.var(vars, name) for name in fiber_var_names(k)]
         for i in range(n):
             for j in range(i + 1, n):
-                acc = MultiPoly.zero(vars)
-                for a in range(k):
-                    acc = acc + self.omega_ija[i][j][a].extend(vars) * evars[a]
-                comps[(i, j)] = acc
+                comps[(i, j)] = _fiber_linear(self.omega_ija[i][j], vars)
         for i in range(n):
             for a in range(k):
                 comps[(i, n + a)] = self.omega_ia[i][a].extend(vars)
@@ -675,6 +616,19 @@ def closedness_via_exterior(form: LinearTwoForm) -> bool:
     return form.as_form().d().is_zero
 
 
+@lru_cache(maxsize=None)
+def _canonical_two_form(names: tuple[str, ...]) -> DifferentialForm:
+    """d theta for the tautological 1-form theta = sum p_i dx^i.
+
+    Variables run (x..., p...), with p1..pn the momenta of the chart names.
+    """
+    pvars = tuple(names) + tuple(f"p{i + 1}" for i in range(len(names)))
+    theta = make_form(
+        pvars, 1, {(i,): MultiPoly.var(pvars, f"p{i + 1}") for i in range(len(names))}
+    )
+    return theta.d()
+
+
 def omega_c_pullback(form: LinearTwoForm) -> LinearTwoForm:
     """Pull the canonical base symplectic form back through the core leg.
 
@@ -685,22 +639,11 @@ def omega_c_pullback(form: LinearTwoForm) -> LinearTwoForm:
     vb = form.bundle
     names = vb.chart.names
     n, k = vb.chart.dim, vb.rank
-    pvars = tuple(names) + tuple(f"p{i + 1}" for i in range(n))
-    theta = DifferentialForm.zero(pvars, 1)
-    for i in range(n):
-        theta = theta + make_form(
-            pvars, 1, {(i,): MultiPoly.var(pvars, f"p{i + 1}")}
-        )
-    omega_base = theta.d()
+    omega_base = _canonical_two_form(names)
 
     source = total_space_vars(vb)
-    evars = [MultiPoly.var(source, name) for name in fiber_var_names(k)]
     images = [MultiPoly.var(source, name) for name in names]
-    for i in range(n):
-        acc = MultiPoly.zero(source)
-        for a in range(k):
-            acc = acc - form.omega_ia[i][a].extend(source) * evars[a]
-        images.append(acc)
+    images += [-_fiber_linear(row, source) for row in form.omega_ia]
     pulled = omega_base.pullback(source, tuple(images))
 
     new_ija = []
@@ -1055,6 +998,14 @@ def metric_identity(conn: LinearConnection, metric: Metric) -> bool:
 
     d_i g_ab = Gamma^c_ia g_cb + Gamma^c_ib g_ac for all indices.
     """
+    return _metric_defect(conn, metric) is None
+
+
+def _metric_defect(conn: LinearConnection, metric: Metric):
+    """First (i, a, b, d_i g_ab, covariant combination) where the identity fails.
+
+    Indices run in the order i, a, b; None when the identity holds.
+    """
     if conn.bundle != metric.bundle:
         raise ValueError("connection and metric live on different bundles")
     names = conn.bundle.chart.names
@@ -1067,13 +1018,28 @@ def metric_identity(conn: LinearConnection, metric: Metric) -> bool:
                 for c in range(k):
                     want = want + conn.gamma[c][i][a] * g[c][b]
                     want = want + conn.gamma[c][i][b] * g[a][c]
-                if g[a][b].partial(names[i]) != want:
-                    return False
-    return True
+                got = g[a][b].partial(names[i])
+                if got != want:
+                    return i, a, b, got, want
+    return None
 
 
 # ---------------------------------------------------------------------------
 # Symmetry of connections on the tangent bundle
+
+def _first_asymmetry(conn: LinearConnection):
+    """First (a, i, b) with Gamma^a_ib != Gamma^a_bi, or None.
+
+    Indices run in the order a, i, b; i and b range over the chart.
+    """
+    n = conn.bundle.chart.dim
+    for a in range(conn.bundle.rank):
+        for i in range(n):
+            for b in range(n):
+                if conn.gamma[a][i][b] != conn.gamma[a][b][i]:
+                    return a, i, b
+    return None
+
 
 def kappa_triple(bundle: DecomposedDVB) -> DVBMorphism:
     """Side-exchange morphism onto the flipped bundle; needs equal side ranks.
@@ -1124,13 +1090,7 @@ def is_symmetric_connection(
     n = vb.chart.dim
     if vb.rank != n:
         raise ValueError("symmetry needs the bundle ranks to match the chart")
-    names = vb.chart.names
-    exact = all(
-        conn.gamma[a][i][b] == conn.gamma[a][b][i]
-        for a in range(vb.rank)
-        for i in range(n)
-        for b in range(n)
-    )
+    exact = _first_asymmetry(conn) is None
 
     split = connection_splitting(conn)
     shell = split.source
@@ -1172,14 +1132,7 @@ def lifted_symplectic_form(names: tuple[str, ...]) -> DifferentialForm:
     Variables run (x..., p..., x..._dot, p..._dot).  Built from the formal
     lift of the tautological 1-form, never written out by hand.
     """
-    n = len(names)
-    base_vars = tuple(names) + tuple(f"p{i + 1}" for i in range(n))
-    theta = DifferentialForm.zero(base_vars, 1)
-    for i in range(n):
-        theta = theta + make_form(
-            base_vars, 1, {(i,): MultiPoly.var(base_vars, f"p{i + 1}")}
-        )
-    return theta.d().tangent_lift()
+    return _canonical_two_form(names).tangent_lift()
 
 
 def horizontal_lagrangian_check(

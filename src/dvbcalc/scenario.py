@@ -7,7 +7,11 @@ optional geometry records living on its right side leg, and a sampling plan
 polynomial literal is a list of terms `{"coeff": "p/q", "exps": [k1, ...]}`
 over the variable list its section declares; coefficients are strings or
 integers, never floats.  Chart coordinates are always x1..xn and fiber
-coordinates e1..ek, so a scenario only declares dimensions.
+coordinates e1..ek, so a scenario only declares dimensions.  The optional
+sections are the rows of one table, `SECTIONS`: each names its record
+type, what the record is built over, and its fields with their shapes and
+variables.  Parsing, serialization, the side-leg checks of `Scenario` and
+the report header all read it.
 
 Two error channels: ScenarioParseError for structural problems (bad JSON,
 malformed literals, ragged grids), InconsistentScenarioError for well formed
@@ -38,6 +42,7 @@ from .geomech import (
     LinearTwoForm,
     LinearVectorField,
     Metric,
+    _fiber_linear,
     total_space_vars,
 )
 from .ring import MultiPoly, PolyMatrix
@@ -64,6 +69,54 @@ _MAX_RANK = 8
 def derive_seed(master: int, tag: str) -> int:
     """Stable sub-seed for one named use of the master seed."""
     return zlib.crc32(tag.encode("utf-8"), master & (_SEED_BOUND - 1))
+
+
+# ---------------------------------------------------------------------------
+# The section table
+
+# One row per optional section: (JSON key and Scenario field, record type,
+# what the record is built over, fields).  "bundle" records are
+# endomorphisms of the scenario bundle, "side" records live on its right
+# side leg, "chart" records on the chart.  A field is (JSON key, record
+# attribute, shape, variables); the shapes are "vector" (a list of
+# polynomials), "rows" (a list of vectors), "matrix" (rows of one length,
+# read as a PolyMatrix) and "grid3" (a list of rows); the variables are
+# "base" (x1..xn) or "shell" (x1..xn, e1..ek of the side leg).  Fields are
+# listed in constructor order and parsed in table order.
+SECTIONS = (
+    ("morphism", DVBMorphism, "bundle", (
+        ("Phi_l", "phi_l", "matrix", "base"),
+        ("Phi_c", "phi_c", "matrix", "base"),
+        ("Phi_r", "phi_r", "matrix", "base"),
+        ("Psi", "psi", "grid3", "base"),
+    )),
+    ("vector_field", GeneralVectorField, "side", (
+        ("base", "base", "vector", "shell"),
+        ("vert", "vert", "vector", "shell"),
+    )),
+    ("one_form", GeneralOneForm, "side", (
+        ("dx", "dx_coeffs", "vector", "shell"),
+        ("de", "de_coeffs", "vector", "shell"),
+    )),
+    ("bivector", Bivector, "side", (
+        ("l_ij", "l_ij", "matrix", "shell"),
+        ("l_ia", "l_ia", "matrix", "shell"),
+        ("l_ab", "l_ab", "matrix", "shell"),
+    )),
+    ("two_form", LinearTwoForm, "side", (
+        ("omega_ija", "omega_ija", "grid3", "base"),
+        ("omega_ia", "omega_ia", "rows", "base"),
+    )),
+    ("metric", Metric, "side", (
+        ("g", "g", "matrix", "base"),
+    )),
+    ("connection", LinearConnection, "side", (
+        ("gamma", "gamma", "grid3", "base"),
+    )),
+    ("core_section", CoreSection, "chart", (
+        ("gamma", "gamma", "vector", "base"),
+    )),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -105,16 +158,12 @@ class Scenario:
                 "morphism must be an endomorphism of the scenario bundle"
             )
         side = self.side_bundle
-        for name in ("vector_field", "one_form", "bivector", "two_form", "metric"):
-            record = getattr(self, name)
-            if record is not None and record.bundle != side:
+        for key, _, over, _ in SECTIONS:
+            record = getattr(self, key)
+            if over == "side" and record is not None and record.bundle != side:
                 raise InconsistentScenarioError(
-                    f"{name} lives on {record.bundle}, expected the side leg {side}"
+                    f"{key} lives on {record.bundle}, expected the side leg {side}"
                 )
-        if self.connection is not None and self.connection.bundle != side:
-            raise InconsistentScenarioError(
-                "connection does not live on the side leg bundle"
-            )
         if self.core_section is not None:
             if self.core_section.chart != self.chart:
                 raise InconsistentScenarioError("core section chart differs")
@@ -202,26 +251,33 @@ def _parse_poly_vector(obj, vars, where: str) -> tuple[MultiPoly, ...]:
     )
 
 
+def _parse_poly_rows(obj, vars, where: str):
+    return tuple(
+        _parse_poly_vector(row, vars, f"{where}[{i}]")
+        for i, row in enumerate(_need_list(obj, where))
+    )
+
+
 def _parse_poly_matrix(obj, vars, where: str) -> PolyMatrix:
-    rows = []
-    widths = set()
-    for i, row in enumerate(_need_list(obj, where)):
-        parsed = _parse_poly_vector(row, vars, f"{where}[{i}]")
-        widths.add(len(parsed))
-        rows.append(parsed)
-    if len(widths) > 1:
+    rows = _parse_poly_rows(obj, vars, where)
+    if len({len(row) for row in rows}) > 1:
         raise ScenarioParseError(f"{where} is ragged")
-    return PolyMatrix(tuple(vars), tuple(rows))
+    return PolyMatrix(tuple(vars), rows)
 
 
 def _parse_poly_grid3(obj, vars, where: str):
     return tuple(
-        tuple(
-            _parse_poly_vector(row, vars, f"{where}[{i}][{j}]")
-            for j, row in enumerate(_need_list(plane, f"{where}[{i}]"))
-        )
+        _parse_poly_rows(plane, vars, f"{where}[{i}]")
         for i, plane in enumerate(_need_list(obj, where))
     )
+
+
+_PARSE_SHAPE = {
+    "vector": _parse_poly_vector,
+    "rows": _parse_poly_rows,
+    "matrix": _parse_poly_matrix,
+    "grid3": _parse_poly_grid3,
+}
 
 
 def _build(section: str, ctor, *args):
@@ -236,22 +292,8 @@ def _build(section: str, ctor, *args):
 
 def scenario_from_obj(obj) -> Scenario:
     top = _need_dict(obj, "scenario")
-    _check_keys(
-        top,
-        ("bundle",),
-        (
-            "plan",
-            "morphism",
-            "vector_field",
-            "one_form",
-            "bivector",
-            "two_form",
-            "metric",
-            "connection",
-            "core_section",
-        ),
-        "scenario",
-    )
+    optional = ("plan",) + tuple(row[0] for row in SECTIONS)
+    _check_keys(top, ("bundle",), optional, "scenario")
 
     shape = _need_dict(top["bundle"], "bundle")
     _check_keys(shape, ("n", "n_F", "n_C", "n_E"), ("labels",), "bundle")
@@ -270,8 +312,6 @@ def scenario_from_obj(obj) -> Scenario:
         "bundle", DecomposedDVB, chart, dims["n_F"], dims["n_C"], dims["n_E"], labels
     )
     side = VectorBundle(chart, bundle.n_E, labels[2])
-    base_vars = chart.names
-    shell_vars = total_space_vars(side)
 
     seed, samples, bound = 0, 100, 7
     if "plan" in top:
@@ -290,100 +330,22 @@ def scenario_from_obj(obj) -> Scenario:
             if bound < 1:
                 raise ScenarioParseError("plan.bound must be positive")
 
+    vars_of = {"base": chart.names, "shell": total_space_vars(side)}
+    over_of = {"bundle": (bundle, bundle), "side": (side,), "chart": (chart,)}
     sections: dict = {}
-
-    if "morphism" in top:
-        sec = _need_dict(top["morphism"], "morphism")
-        _check_keys(sec, ("Phi_l", "Phi_c", "Phi_r", "Psi"), (), "morphism")
-        sections["morphism"] = _build(
-            "morphism",
-            DVBMorphism,
-            bundle,
-            bundle,
-            _parse_poly_matrix(sec["Phi_l"], base_vars, "morphism.Phi_l"),
-            _parse_poly_matrix(sec["Phi_c"], base_vars, "morphism.Phi_c"),
-            _parse_poly_matrix(sec["Phi_r"], base_vars, "morphism.Phi_r"),
-            _parse_poly_grid3(sec["Psi"], base_vars, "morphism.Psi"),
-        )
-
-    if "vector_field" in top:
-        sec = _need_dict(top["vector_field"], "vector_field")
-        _check_keys(sec, ("base", "vert"), (), "vector_field")
-        sections["vector_field"] = _build(
-            "vector_field",
-            GeneralVectorField,
-            side,
-            _parse_poly_vector(sec["base"], shell_vars, "vector_field.base"),
-            _parse_poly_vector(sec["vert"], shell_vars, "vector_field.vert"),
-        )
-
-    if "one_form" in top:
-        sec = _need_dict(top["one_form"], "one_form")
-        _check_keys(sec, ("dx", "de"), (), "one_form")
-        sections["one_form"] = _build(
-            "one_form",
-            GeneralOneForm,
-            side,
-            _parse_poly_vector(sec["dx"], shell_vars, "one_form.dx"),
-            _parse_poly_vector(sec["de"], shell_vars, "one_form.de"),
-        )
-
-    if "bivector" in top:
-        sec = _need_dict(top["bivector"], "bivector")
-        _check_keys(sec, ("l_ij", "l_ia", "l_ab"), (), "bivector")
-        sections["bivector"] = _build(
-            "bivector",
-            Bivector,
-            side,
-            _parse_poly_matrix(sec["l_ij"], shell_vars, "bivector.l_ij"),
-            _parse_poly_matrix(sec["l_ia"], shell_vars, "bivector.l_ia"),
-            _parse_poly_matrix(sec["l_ab"], shell_vars, "bivector.l_ab"),
-        )
-
-    if "two_form" in top:
-        sec = _need_dict(top["two_form"], "two_form")
-        _check_keys(sec, ("omega_ija", "omega_ia"), (), "two_form")
-        ia = _need_list(sec["omega_ia"], "two_form.omega_ia")
-        sections["two_form"] = _build(
-            "two_form",
-            LinearTwoForm,
-            side,
-            _parse_poly_grid3(sec["omega_ija"], base_vars, "two_form.omega_ija"),
-            tuple(
-                _parse_poly_vector(row, base_vars, f"two_form.omega_ia[{i}]")
-                for i, row in enumerate(ia)
-            ),
-        )
-
-    if "metric" in top:
-        sec = _need_dict(top["metric"], "metric")
-        _check_keys(sec, ("g",), (), "metric")
-        metric = _build(
-            "metric", Metric, side, _parse_poly_matrix(sec["g"], base_vars, "metric.g")
-        )
-        if metric.g.det().is_zero:
+    for key, record_type, over, fields in SECTIONS:
+        if key not in top:
+            continue
+        sec = _need_dict(top[key], key)
+        _check_keys(sec, tuple(field[0] for field in fields), (), key)
+        values = [
+            _PARSE_SHAPE[shape](sec[name], vars_of[vars], f"{key}.{name}")
+            for name, _, shape, vars in fields
+        ]
+        record = _build(key, record_type, *over_of[over], *values)
+        if key == "metric" and record.g.det().is_zero:
             raise InconsistentScenarioError("metric: determinant vanishes identically")
-        sections["metric"] = metric
-
-    if "connection" in top:
-        sec = _need_dict(top["connection"], "connection")
-        _check_keys(sec, ("gamma",), (), "connection")
-        sections["connection"] = _build(
-            "connection",
-            LinearConnection,
-            side,
-            _parse_poly_grid3(sec["gamma"], base_vars, "connection.gamma"),
-        )
-
-    if "core_section" in top:
-        sec = _need_dict(top["core_section"], "core_section")
-        _check_keys(sec, ("gamma",), (), "core_section")
-        sections["core_section"] = _build(
-            "core_section",
-            CoreSection,
-            chart,
-            _parse_poly_vector(sec["gamma"], base_vars, "core_section.gamma"),
-        )
+        sections[key] = record
 
     return Scenario(bundle=bundle, seed=seed, samples=samples, bound=bound, **sections)
 
@@ -416,12 +378,24 @@ def _vector_obj(ps) -> list:
     return [_poly_obj(p) for p in ps]
 
 
+def _rows_obj(rows) -> list:
+    return [_vector_obj(row) for row in rows]
+
+
 def _matrix_obj(m: PolyMatrix) -> list:
-    return [_vector_obj(row) for row in m.entries]
+    return _rows_obj(m.entries)
 
 
 def _grid3_obj(grid) -> list:
-    return [[_vector_obj(row) for row in plane] for plane in grid]
+    return [_rows_obj(plane) for plane in grid]
+
+
+_WRITE_SHAPE = {
+    "vector": _vector_obj,
+    "rows": _rows_obj,
+    "matrix": _matrix_obj,
+    "grid3": _grid3_obj,
+}
 
 
 def scenario_to_obj(sc: Scenario) -> dict:
@@ -436,40 +410,13 @@ def scenario_to_obj(sc: Scenario) -> dict:
         },
         "plan": {"seed": sc.seed, "samples": sc.samples, "bound": sc.bound},
     }
-    if sc.morphism is not None:
-        out["morphism"] = {
-            "Phi_l": _matrix_obj(sc.morphism.phi_l),
-            "Phi_c": _matrix_obj(sc.morphism.phi_c),
-            "Phi_r": _matrix_obj(sc.morphism.phi_r),
-            "Psi": _grid3_obj(sc.morphism.psi),
-        }
-    if sc.vector_field is not None:
-        out["vector_field"] = {
-            "base": _vector_obj(sc.vector_field.base),
-            "vert": _vector_obj(sc.vector_field.vert),
-        }
-    if sc.one_form is not None:
-        out["one_form"] = {
-            "dx": _vector_obj(sc.one_form.dx_coeffs),
-            "de": _vector_obj(sc.one_form.de_coeffs),
-        }
-    if sc.bivector is not None:
-        out["bivector"] = {
-            "l_ij": _matrix_obj(sc.bivector.l_ij),
-            "l_ia": _matrix_obj(sc.bivector.l_ia),
-            "l_ab": _matrix_obj(sc.bivector.l_ab),
-        }
-    if sc.two_form is not None:
-        out["two_form"] = {
-            "omega_ija": _grid3_obj(sc.two_form.omega_ija),
-            "omega_ia": [_vector_obj(row) for row in sc.two_form.omega_ia],
-        }
-    if sc.metric is not None:
-        out["metric"] = {"g": _matrix_obj(sc.metric.g)}
-    if sc.connection is not None:
-        out["connection"] = {"gamma": _grid3_obj(sc.connection.gamma)}
-    if sc.core_section is not None:
-        out["core_section"] = {"gamma": _vector_obj(sc.core_section.gamma)}
+    for key, _, _, fields in SECTIONS:
+        record = getattr(sc, key)
+        if record is not None:
+            out[key] = {
+                name: _WRITE_SHAPE[shape](getattr(record, attr))
+                for name, attr, shape, _ in fields
+            }
     return out
 
 
@@ -608,16 +555,13 @@ def random_bivector(rng, vb: VectorBundle, max_degree: int) -> Bivector:
     vars = total_space_vars(vb)
     n, k = vb.chart.dim, vb.rank
     names = vb.chart.names
-    evars = [MultiPoly.var(vars, f"e{a + 1}") for a in range(k)]
 
     def mixed(i: int, a: int) -> MultiPoly:
         return random_poly(rng, names, max_degree).extend(vars)
 
     def fiber_linear(a: int, b: int) -> MultiPoly:
-        acc = MultiPoly.zero(vars)
-        for c in range(k):
-            acc = acc + random_poly(rng, names, max_degree).extend(vars) * evars[c]
-        return acc
+        coeffs = [random_poly(rng, names, max_degree) for _ in range(k)]
+        return _fiber_linear(coeffs, vars)
 
     l_ij = PolyMatrix.zero(vars, n, n)
     l_ia = PolyMatrix.build(vars, n, k, mixed)

@@ -51,6 +51,8 @@ from .duality import (
     R_VARIANTS,
 )
 from .geomech import (
+    _first_asymmetry,
+    _metric_defect,
     Bivector,
     LinearConnection,
     LinearSection,
@@ -83,6 +85,7 @@ from .geomech import (
 )
 from .ring import MultiPoly, PolyMatrix, SingularMatrixError
 from .scenario import (
+    SECTIONS,
     InconsistentScenarioError,
     Scenario,
     derive_seed,
@@ -1284,20 +1287,7 @@ def _partial_matrix(m: PolyMatrix, name: str) -> PolyMatrix:
 
 def _scenario_header(sc: Scenario, suite: str) -> tuple[str, ...]:
     b = sc.bundle
-    present = sorted(
-        name
-        for name in (
-            "morphism",
-            "vector_field",
-            "one_form",
-            "bivector",
-            "two_form",
-            "metric",
-            "connection",
-            "core_section",
-        )
-        if getattr(sc, name) is not None
-    )
+    present = sorted(row[0] for row in SECTIONS if getattr(sc, row[0]) is not None)
     return (
         f"suite: {suite}",
         f"bundle: chart dim {b.chart.dim}; ranks (n_F, n_C, n_E) = {b.ranks}; "
@@ -1351,13 +1341,16 @@ def run_connection_check(kind: str, sc: Scenario) -> Report:
         )
     start = time.monotonic()
 
-    def first_asymmetry():
-        for a in range(side.rank):
-            for i in range(chart.dim):
-                for bq in range(chart.dim):
-                    if conn.gamma[a][i][bq] != conn.gamma[a][bq][i]:
-                        return a, i, bq
-        return None
+    def asymmetry_cx():
+        spot = _first_asymmetry(conn)
+        if spot is None:
+            return None
+        a, i, bq = spot
+        return {
+            "index (a, i, b)": _fmt((a, i, bq)),
+            "gamma[a][i][b]": str(conn.gamma[a][i][bq]),
+            "gamma[a][b][i]": str(conn.gamma[a][bq][i]),
+        }
 
     if kind == "metric":
         prop_id = "connection.metric-compatibility"
@@ -1380,28 +1373,12 @@ def run_connection_check(kind: str, sc: Scenario) -> Report:
                 }
             if exact:
                 return True, "connection preserves the metric", None
-            cx = None
-            names = chart.names
-            for i in range(chart.dim):
-                for a in range(side.rank):
-                    for bq in range(side.rank):
-                        want = MultiPoly.zero(names)
-                        for c in range(side.rank):
-                            want = want + conn.gamma[c][i][a] * metric.g.entries[c][bq]
-                            want = want + conn.gamma[c][i][bq] * metric.g.entries[a][c]
-                        got = metric.g.entries[a][bq].partial(names[i])
-                        if got != want:
-                            cx = {
-                                "index (i, a, b)": _fmt((i, a, bq)),
-                                "metric_derivative": str(got),
-                                "covariant_combination": str(want),
-                            }
-                            break
-                    if cx:
-                        break
-                if cx:
-                    break
-            return False, "connection does not preserve the metric", cx
+            i, a, bq, got, want = _metric_defect(conn, metric)
+            return False, "connection does not preserve the metric", {
+                "index (i, a, b)": _fmt((i, a, bq)),
+                "metric_derivative": str(got),
+                "covariant_combination": str(want),
+            }
 
     elif kind == "symmetric":
         prop_id = "connection.symmetric"
@@ -1410,13 +1387,7 @@ def run_connection_check(kind: str, sc: Scenario) -> Report:
             verdict = is_symmetric_connection(conn, samples=20, seed=rng.randrange(1 << 30))
             if verdict:
                 return True, "connection is symmetric", None
-            spot = first_asymmetry()
-            a, i, bq = spot
-            return False, "connection is not symmetric", {
-                "index (a, i, b)": _fmt((a, i, bq)),
-                "gamma[a][i][b]": str(conn.gamma[a][i][bq]),
-                "gamma[a][b][i]": str(conn.gamma[a][bq][i]),
-            }
+            return False, "connection is not symmetric", asymmetry_cx()
 
     else:
         prop_id = "connection.lagrangian-horizontal"
@@ -1427,15 +1398,7 @@ def run_connection_check(kind: str, sc: Scenario) -> Report:
             )
             if verdict:
                 return True, "horizontal spaces of the dual connection are isotropic", None
-            spot = first_asymmetry()
-            cx = None
-            if spot is not None:
-                a, i, bq = spot
-                cx = {
-                    "index (a, i, b)": _fmt((a, i, bq)),
-                    "gamma[a][i][b]": str(conn.gamma[a][i][bq]),
-                    "gamma[a][b][i]": str(conn.gamma[a][bq][i]),
-                }
+            cx = asymmetry_cx()
             return False, "lifted canonical form does not vanish on horizontal pairs", cx
 
     result = _run_property(prop_id, sc.seed, fn)

@@ -346,3 +346,46 @@ def test_oversized_scenario_rank_is_parse_error(tmp_path, capsys):
     assert out == ""
     assert err.startswith("PARSE_ERROR:")
     assert "outside [0, 8]" in err
+
+
+def _max_term_degree(obj) -> int:
+    """Largest total exponent of any polynomial term inside a JSON section."""
+    if isinstance(obj, dict):
+        if "exps" in obj:
+            return sum(obj["exps"])
+        return max((_max_term_degree(v) for v in obj.values()), default=0)
+    if isinstance(obj, list):
+        return max((_max_term_degree(v) for v in obj), default=0)
+    return 0
+
+
+@pytest.mark.parametrize("degree", ["-1", "9"])
+def test_out_of_range_max_degree_is_usage_error(degree, capsys):
+    for argv in (
+        ("gen", "--max-degree", degree),
+        ("check", "axioms", "--random", "--max-degree", degree, "--samples", "2"),
+        ("connection", "check", "metric", "--random", "--max-degree", degree),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "outside [0, 8]" in err
+
+
+@pytest.mark.parametrize("degree", [0, 8])
+def test_max_degree_bounds_accepted(degree, capsys):
+    code, out, _ = run_cli(capsys, "gen", "--seed", "3", "--max-degree", str(degree))
+    assert code == 0
+    # the morphism blocks are drawn with the degree bound itself
+    assert _max_term_degree(json.loads(out)["morphism"]) <= degree
+    code, _, _ = run_cli(
+        capsys, "check", "axioms", "--random", "--seed", "3",
+        "--max-degree", str(degree), "--samples", "2",
+    )
+    assert code == 0
+    code, _, err = run_cli(
+        capsys, "connection", "check", "metric", "--random", "--seed", "3",
+        "--max-degree", str(degree),
+    )
+    assert code in (0, 1)
+    assert err == ""

@@ -7,10 +7,13 @@ import pytest
 
 from dvbcalc.core import (
     Chart,
+    DecomposedDVB,
     DVBElement,
     VectorBundle,
     compose_morphisms,
     cotangent_prolongation,
+    fiber_add,
+    fiber_scale,
     identity_morphism,
     tangent_prolongation,
 )
@@ -28,6 +31,9 @@ from dvbcalc.geomech import (
     LinearVectorField,
     Metric,
     SingularMetricError,
+    _plain_add,
+    _plain_scale,
+    _respects_both_structures,
     alpha_M,
     bivector_linear_shape,
     check_jacobi,
@@ -84,6 +90,140 @@ def rand_rat(rng):
 
 def rand_tuple(rng, n):
     return tuple(rand_rat(rng) for _ in range(n))
+
+
+# ---------------------------------------------------------------------------
+# the shared "respects both structures" checker
+
+# ranks (n_F, n_C, n_E) = (2, 1, 2): both side legs have room for a map that
+# is homogeneous of degree one without being additive
+SHELL = DecomposedDVB(Chart.of_dim(1), 2, 1, 2)
+
+
+def _cube_ratio(v):
+    # homogeneous of degree one in v, additive only on lines through 0
+    den = v[0] ** 2 + v[1] ** 2
+    return v[0] ** 3 / den if den else Fraction(0)
+
+
+def _small_den(q):
+    # sampled coordinates have denominators at most 7, so their sums have
+    # denominators dividing lcm(1..7) = 420; products can have 49, 9 or 8.
+    # Over Q an additive map is homogeneous, so a map that breaks only a
+    # scaling law must be additive on the sampled sums alone.
+    return 420 % q.denominator == 0
+
+
+def DOUBLE_LINEAR(u):
+    return u.c[0] + u.f[0] * u.e[1] + u.x[0] * u.f[1] * u.e[0]
+
+
+ONE_LAW_BROKEN = {
+    "right add": lambda u: u.c[0] + u.e[0] * _cube_ratio(u.f),
+    "right scale": lambda u: u.c[0] if _small_den(u.f[0]) else Fraction(0),
+    "left add": lambda u: u.c[0] + u.f[0] * _cube_ratio(u.e),
+    "left scale": lambda u: u.c[0] if _small_den(u.e[0]) else Fraction(0),
+}
+
+
+def _broken_laws(image, seed):
+    """The laws `image` breaks on elements drawn like the checker draws them."""
+    rng = random.Random(seed)
+    broken = set()
+    for _ in range(60):
+        x = rand_tuple(rng, 1)
+        f, f2, e, e2 = (rand_tuple(rng, 2) for _ in range(4))
+        c, c2 = rand_tuple(rng, 1), rand_tuple(rng, 1)
+        r = rand_rat(rng)
+        u = SHELL.element(x, f, c, e)
+        for side, other in (
+            ("right", SHELL.element(x, f2, c2, e)),
+            ("left", SHELL.element(x, f, c2, e2)),
+        ):
+            if image(fiber_add(side, u, other)) != image(u) + image(other):
+                broken.add(f"{side} add")
+            if image(fiber_scale(side, r, u)) != r * image(u):
+                broken.add(f"{side} scale")
+    return broken
+
+
+def _function_check(image, seed, samples=40):
+    return _respects_both_structures(SHELL, image, samples, seed, _plain_add, _plain_scale)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_double_linear_function_passes(seed):
+    assert _broken_laws(DOUBLE_LINEAR, seed) == set()
+    assert _function_check(DOUBLE_LINEAR, seed)
+
+
+@pytest.mark.parametrize("law", sorted(ONE_LAW_BROKEN))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_each_law_is_checked_on_its_own(law, seed):
+    image = ONE_LAW_BROKEN[law]
+    assert _broken_laws(image, seed + 100) == {law}
+    assert not _function_check(image, seed)
+
+
+def test_maps_into_a_shell_use_the_shell_structures():
+    def psi_shift(u):
+        # (x | f | c | e) -> (x | f | c + f1 e2 | e) is a morphism of the shell
+        return SHELL.element(u.x, u.f, (u.c[0] + u.f[0] * u.e[1],), u.e)
+
+    def core_offset(u):
+        return SHELL.element(u.x, u.f, (u.c[0] + 1,), u.e)
+
+    assert _respects_both_structures(SHELL, lambda u: u, 20, 0)
+    assert _respects_both_structures(SHELL, psi_shift, 20, 0)
+    assert not _respects_both_structures(SHELL, core_offset, 20, 0)
+    # an image whose left legs disagree cannot be added on the left
+    swap = lambda u: SHELL.element(u.x, u.e, u.c, u.f)
+    assert not _respects_both_structures(SHELL, swap, 20, 0)
+
+
+def test_zero_rank_shells_pass_vacuously():
+    for ranks in ((0, 0, 0), (0, 2, 0), (2, 0, 2)):
+        for dim in (0, 2):
+            shell = DecomposedDVB(Chart.of_dim(dim), *ranks)
+            assert _respects_both_structures(shell, lambda u: u, 5, 0)
+            assert _respects_both_structures(
+                shell, lambda u: sum(u.c, Fraction(0)), 5, 0, _plain_add, _plain_scale
+            )
+
+
+@pytest.mark.parametrize("dim, rank", [(2, 0), (0, 2), (0, 0)])
+def test_sampled_checkers_on_zero_rank_bundles(dim, rank):
+    vb = VectorBundle(Chart.of_dim(dim), rank)
+    names = vb.chart.names
+    field = LinearVectorField(
+        vb,
+        tuple(MultiPoly.var(names, name) for name in names),
+        PolyMatrix.build(names, rank, rank, lambda a, b: MultiPoly.const(names, a + 2 * b)),
+    )
+    form = LinearOneForm(
+        vb,
+        tuple(MultiPoly.const(names, a + 1) for a in range(rank)),
+        tuple(tuple(MultiPoly.const(names, 3) for _ in range(rank)) for _ in names),
+    )
+    vars = total_space_vars(vb)
+    biv = Bivector(
+        vb,
+        PolyMatrix.zero(vars, dim, dim),
+        PolyMatrix.zero(vars, dim, rank),
+        PolyMatrix.zero(vars, rank, rank),
+    )
+    assert vf_is_bundle_morphism(field.as_general(), samples=5)
+    assert vf_linearity_on_cotangent(field, samples=5)
+    assert oneform_is_bundle_morphism(form.as_general(), samples=5)
+    assert oneform_linearity_on_tangent(form, samples=5)
+    assert is_linear_poisson(biv, samples=5)
+    if rank:
+        # a fiber-quadratic vertical component is caught without a chart
+        e1 = MultiPoly.var(vars, "e1")
+        gen = field.as_general()
+        bent = GeneralVectorField(vb, gen.base, (gen.vert[0] + e1 * e1,) + gen.vert[1:])
+        assert not vf_is_bundle_morphism(bent, samples=5)
+        assert not vf_linearity_on_cotangent(bent, samples=5)
 
 
 # ---------------------------------------------------------------------------

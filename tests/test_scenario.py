@@ -1,5 +1,6 @@
 """Scenario parsing, serialization, and seeded generation."""
 
+import dataclasses
 import json
 import random
 
@@ -15,6 +16,7 @@ from dvbcalc.geomech import (
 )
 from dvbcalc.ring import MultiPoly
 from dvbcalc.scenario import (
+    SECTIONS,
     InconsistentScenarioError,
     Scenario,
     ScenarioParseError,
@@ -251,6 +253,91 @@ def test_serialization_is_sorted_json():
     sc = gen_random_scenario(2)
     text = scenario_to_text(sc)
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+# --- the section table -----------------------------------------------------
+
+SECTION_KEYS = [row[0] for row in SECTIONS]
+# depth of the first polynomial literal inside a field of each shape
+SHAPE_DEPTH = {"vector": 1, "rows": 2, "matrix": 2, "grid3": 3}
+
+
+def _full_obj(seed=5):
+    # ranks are at least 1, so every field holds at least one polynomial
+    return json.loads(scenario_to_text(gen_random_scenario(seed)))
+
+
+def _only(obj, keys):
+    return {k: v for k, v in obj.items() if k in ("bundle", "plan") or k in keys}
+
+
+def test_section_table_covers_every_optional_scenario_field():
+    optional = [f.name for f in dataclasses.fields(Scenario) if f.default is None]
+    assert SECTION_KEYS == optional
+
+
+@pytest.mark.parametrize("keys", [[k] for k in SECTION_KEYS] + [SECTION_KEYS])
+@pytest.mark.parametrize("seed", [5, 12])
+def test_each_section_round_trips_byte_identically(keys, seed):
+    text = json.dumps(_only(_full_obj(seed), keys), indent=2, sort_keys=True) + "\n"
+    sc = scenario_from_text(text)
+    assert sorted(k for k in SECTION_KEYS if getattr(sc, k) is not None) == sorted(keys)
+    assert scenario_to_text(sc) == text
+
+
+@pytest.mark.parametrize(
+    "key, name, shape",
+    [(row[0], field[0], field[2]) for row in SECTIONS for field in row[3]],
+)
+def test_malformed_field_names_its_section_and_field(key, name, shape):
+    obj = _only(_full_obj(), [key])
+    spot = obj[key]
+    index = name
+    for _ in range(SHAPE_DEPTH[shape]):
+        spot, index = spot[index], 0
+    spot[index] = "not a polynomial"
+    with pytest.raises(ScenarioParseError) as info:
+        scenario_from_obj(obj)
+    where = f"{key}.{name}" + "[0]" * SHAPE_DEPTH[shape]
+    assert str(info.value) == f"{where} must be a list"
+
+
+@pytest.mark.parametrize("key", SECTION_KEYS)
+def test_unknown_or_missing_section_key_rejected(key):
+    obj = _only(_full_obj(), [key])
+    obj[key]["junk"] = []
+    with pytest.raises(ScenarioParseError, match=rf"^{key} has unknown keys \['junk'\]$"):
+        scenario_from_obj(obj)
+    obj = _only(_full_obj(), [key])
+    first = next(iter(obj[key]))
+    del obj[key][first]
+    with pytest.raises(ScenarioParseError, match=rf"^{key} is missing keys"):
+        scenario_from_obj(obj)
+    obj[key] = []
+    with pytest.raises(ScenarioParseError, match=rf"^{key} must be an object$"):
+        scenario_from_obj(obj)
+
+
+def test_sections_are_checked_in_table_order():
+    # the metric's determinant is checked before the connection is parsed
+    obj = minimal_obj()
+    obj["metric"] = {"g": [[poly_lit("0", [0])]]}
+    obj["connection"] = {"gamma": "malformed"}
+    with pytest.raises(InconsistentScenarioError, match="determinant vanishes"):
+        scenario_from_obj(obj)
+    obj["morphism"] = {"Phi_l": "malformed"}
+    with pytest.raises(ScenarioParseError, match="^morphism is missing keys"):
+        scenario_from_obj(obj)
+
+
+def test_side_records_must_live_on_the_side_leg():
+    sc = gen_random_scenario(4)
+    other = gen_random_scenario(6)
+    assert sc.side_bundle != other.side_bundle
+    for key, _, over, _ in SECTIONS:
+        if over == "side":
+            with pytest.raises(InconsistentScenarioError, match=f"^{key} lives on"):
+                dataclasses.replace(sc, **{key: getattr(other, key)})
 
 
 # --- seeded generation -----------------------------------------------------

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from .duality import fiber_right_dual, right_dual, left_dual
@@ -42,11 +41,8 @@ from .scenario import (
     InconsistentScenarioError,
     Scenario,
     ScenarioParseError,
-    derive_seed,
     gen_random_scenario,
     load_scenario,
-    random_core_section,
-    random_vector_field,
     scenario_to_text,
 )
 from .suites import SUITE_NAMES, run_connection_check, run_suite
@@ -206,10 +202,7 @@ def _cmd_dualize(args) -> int:
 def _cmd_lift_vertical(args) -> int:
     sc = load_scenario(args.scenario)
     b = sc.bundle
-    section = sc.core_section
-    if section is None:
-        rng = random.Random(derive_seed(sc.seed, "gen.core_section"))
-        section = random_core_section(rng, sc.chart, b.n_C, 2)
+    section = sc.section("core_section")
     x = _parse_point(args.point, b.chart.dim)
     outer_len = b.n_E if args.side == "right" else b.n_F
     outer = _parse_point(args.outer, outer_len, what="outer fiber value")
@@ -223,10 +216,7 @@ def _cmd_lift_vertical(args) -> int:
 
 def _cmd_lift_complete(args) -> int:
     sc = load_scenario(args.scenario)
-    field = sc.vector_field
-    if field is None:
-        rng = random.Random(derive_seed(sc.seed, "gen.vector_field"))
-        field = random_vector_field(rng, sc.side_bundle, 2)
+    field = sc.section("vector_field")
     chart = sc.chart
     try:
         base = tuple(_restrict_to_chart(p, chart.names, chart.dim) for p in field.base)

@@ -564,10 +564,3 @@ def _extend_minors(minors: dict[int, MultiPoly], rows, vars) -> dict[int, MultiP
             if minor.terms:
                 minors[mask] = minor
     return minors
-
-
-def mat_solve_at(
-    matrix: PolyMatrix, point: Point, rhs: Sequence[Fraction]
-) -> tuple[Fraction, ...]:
-    """Evaluate a square polynomial matrix at a point and solve exactly."""
-    return solve_fraction_free(matrix.eval_at(point), tuple(rat(x) for x in rhs))

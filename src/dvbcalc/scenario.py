@@ -20,7 +20,10 @@ bivector block that is not antisymmetric).
 
 Random generation is deterministic for a fixed seed and flag set.  Blocks
 that must be invertible are built as identity plus a strictly triangular
-part, so their determinant is exactly one at every point.
+part, so their determinant is exactly one at every point.  One generator
+per section draws both the sections of `gen_random_scenario` and the
+stand-in that `Scenario.section` returns for a section a scenario leaves
+out.
 """
 
 from __future__ import annotations
@@ -64,6 +67,10 @@ _SEED_BOUND = 2**32
 # or inverse costs time exponential in the rank, and a dense rank-8 metric
 # already takes about a second to invert.
 _MAX_RANK = 8
+
+
+# Degree bound of the records drawn for sections a scenario does not carry.
+GENERATED_DEGREE = 2
 
 
 def derive_seed(master: int, tag: str) -> int:
@@ -171,6 +178,19 @@ class Scenario:
                 raise InconsistentScenarioError(
                     "core section length differs from the core rank"
                 )
+
+    def section(self, key: str):
+        """The record of section `key`, or a stand-in when the scenario has none.
+
+        A stand-in is drawn as `dvb gen` draws that section, from a seed
+        derived from the plan seed, at degree bound GENERATED_DEGREE; every
+        call returns an equal record.
+        """
+        record = getattr(self, key)
+        if record is not None:
+            return record
+        rng = random.Random(derive_seed(self.seed, f"gen.{key}"))
+        return _GENERATORS[key](rng, self, GENERATED_DEGREE, False)
 
     def with_plan(self, seed=None, samples=None, bound=None) -> Scenario:
         return replace(
@@ -652,6 +672,25 @@ def random_core_section(rng, chart: Chart, n_c: int, max_degree: int) -> CoreSec
     return CoreSection(chart, random_poly_vector(rng, chart.names, n_c, max_degree))
 
 
+# One generator per SECTIONS key: (rng, scenario, degree bound, symmetric)
+# -> a record over the scenario bundle.  `gen_random_scenario` and the
+# stand-ins of `Scenario.section` both draw through this table.
+_GENERATORS = {
+    "morphism": lambda rng, sc, deg, sym: random_morphism(rng, sc.bundle, deg),
+    "vector_field": lambda rng, sc, deg, sym: random_vector_field(rng, sc.side_bundle, deg),
+    "one_form": lambda rng, sc, deg, sym: random_one_form(rng, sc.side_bundle, deg),
+    "bivector": lambda rng, sc, deg, sym: random_bivector(rng, sc.side_bundle, deg),
+    "two_form": lambda rng, sc, deg, sym: random_two_form(rng, sc.side_bundle, deg),
+    "metric": lambda rng, sc, deg, sym: random_metric(rng, sc.side_bundle, deg),
+    "connection": lambda rng, sc, deg, sym: random_connection(
+        rng, sc.side_bundle, deg, symmetric=sym
+    ),
+    "core_section": lambda rng, sc, deg, sym: random_core_section(
+        rng, sc.chart, sc.bundle.n_C, deg
+    ),
+}
+
+
 def gen_random_scenario(
     seed: int,
     max_rank: int = 3,
@@ -668,26 +707,10 @@ def gen_random_scenario(
     n_f = shape_rng.randint(1, max_rank)
     n_c = shape_rng.randint(1, max_rank)
     n_e = n if symmetric else shape_rng.randint(1, max_rank)
-    chart = Chart.of_dim(n)
-    bundle = DecomposedDVB(chart, n_f, n_c, n_e)
-    side = VectorBundle(chart, n_e, bundle.labels[2])
-
-    def sub(tag: str) -> random.Random:
-        return random.Random(derive_seed(seed, tag))
-
-    return Scenario(
-        bundle=bundle,
-        morphism=random_morphism(sub("morphism"), bundle, max_degree),
-        vector_field=random_vector_field(sub("vector_field"), side, max_degree),
-        one_form=random_one_form(sub("one_form"), side, max_degree),
-        bivector=random_bivector(sub("bivector"), side, max_degree),
-        two_form=random_two_form(sub("two_form"), side, max_degree),
-        metric=random_metric(sub("metric"), side, max_degree),
-        connection=random_connection(
-            sub("connection"), side, max_degree, symmetric=symmetric
-        ),
-        core_section=random_core_section(sub("core_section"), chart, n_c, max_degree),
-        seed=seed,
-        samples=100,
-        bound=7,
-    )
+    bare = Scenario(bundle=DecomposedDVB(Chart.of_dim(n), n_f, n_c, n_e), seed=seed)
+    return replace(bare, **{
+        key: _GENERATORS[key](
+            random.Random(derive_seed(seed, key)), bare, max_degree, symmetric
+        )
+        for key, *_ in SECTIONS
+    })

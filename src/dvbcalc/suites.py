@@ -8,6 +8,13 @@ dual, their defining relation, and the conjugated transport identity;
 `geometry` the fiberwise-linear object characterizations, lifts, sections,
 and connection criteria.  `all` concatenates them.
 
+A property is one row `(prop_id, fn)` of its suite's table.  `fn(sc, s)`
+gets the scenario and a `_Sampler`, which holds the property's
+`random.Random`, the scenario bundle and the coordinate bound, and makes
+every draw; it returns `(passed, detail, counterexample)`.  A property that
+needs a section the scenario leaves out reads the stand-in of
+`Scenario.section`.
+
 Every property draws its samples from a seed derived from the scenario seed
 and the property id, so results are independent of execution order and any
 failure replays from the seed embedded in its report entry.  Report bodies
@@ -85,27 +92,21 @@ from .geomech import (
 )
 from .ring import MultiPoly, PolyMatrix, SingularMatrixError
 from .scenario import (
+    GENERATED_DEGREE,
     SECTIONS,
     InconsistentScenarioError,
     Scenario,
     derive_seed,
-    random_bivector,
     random_connection,
-    random_core_section,
     random_metric,
     random_morphism,
-    random_one_form,
     random_poly_matrix,
     random_poly_vector,
     random_rational,
     random_tuple,
-    random_two_form,
-    random_vector_field,
 )
 
 SUITE_NAMES = ("axioms", "duality", "third-dual", "geometry", "all")
-
-GENERATED_DEGREE = 2  # degree bound for sections a scenario does not carry
 
 
 # ---------------------------------------------------------------------------
@@ -174,20 +175,97 @@ class Report:
 
 
 def _fmt(value) -> str:
+    """A counterexample value as report text."""
     if isinstance(value, tuple):
         return "(" + ", ".join(_fmt(v) for v in value) + ")"
+    if isinstance(value, DVBElement):
+        x, f, c, e = (_fmt(slot) for slot in (value.x, value.f, value.c, value.e))
+        return f"(x={x} | f={f} | c={c} | e={e})"
     return str(value)
 
 
-def _fmt_element(v: DVBElement) -> str:
-    return f"(x={_fmt(v.x)} | f={_fmt(v.f)} | c={_fmt(v.c)} | e={_fmt(v.e)})"
+# ---------------------------------------------------------------------------
+# The sampler
+
+class _Sampler:
+    """The draws of one property: its rng, a bundle and the coordinate bound.
+
+    Every draw comes from the one rng in call order, so a property replays
+    from its seed.
+    """
+
+    __slots__ = ("rng", "bundle", "bound")
+
+    def __init__(self, rng: random.Random, bundle: DecomposedDVB, bound: int):
+        self.rng = rng
+        self.bundle = bundle
+        self.bound = bound
+
+    def over(self, bundle: DecomposedDVB) -> _Sampler:
+        """The same draws over another bundle, such as a dual or a shell."""
+        return _Sampler(self.rng, bundle, self.bound)
+
+    def rational(self) -> Fraction:
+        return random_rational(self.rng, self.bound)
+
+    def rationals(self, n: int) -> tuple[Fraction, ...]:
+        return random_tuple(self.rng, n, self.bound)
+
+    def point(self) -> tuple[Fraction, ...]:
+        return random_tuple(self.rng, self.bundle.chart.dim, self.bound)
+
+    def element(self, x=None, f=None, c=None, e=None) -> DVBElement:
+        """An element of the bundle; the slots not given are drawn in order."""
+        b, rng, bound = self.bundle, self.rng, self.bound
+        if x is None:
+            x = random_tuple(rng, b.chart.dim, bound)
+        return DVBElement(
+            b,
+            x,
+            random_tuple(rng, b.n_F, bound) if f is None else f,
+            random_tuple(rng, b.n_C, bound) if c is None else c,
+            random_tuple(rng, b.n_E, bound) if e is None else e,
+        )
+
+    def seed(self) -> int:
+        """A seed for a sampled criterion that keeps its own rng."""
+        return self.rng.randrange(1 << 30)
+
+    def regular_points(self, count: int, sample, finished):
+        """Run `sample` until it has passed at `count` points.
+
+        `sample` draws its own point, or the seed of a sampled criterion,
+        and returns a result triple to stop with, or None.  In exact
+        arithmetic a SingularMatrixError or SingularMetricError is a true
+        singularity of a scenario record at the drawn point, not a defect,
+        so that sample is drawn again; after `count` such redraws the
+        property passes vacuously.  Once `count` samples pass, `finished`
+        is the result.
+        """
+        passed = redrawn = 0
+        while passed < count:
+            try:
+                result = sample()
+            except (SingularMatrixError, SingularMetricError):
+                redrawn += 1
+                if redrawn > count:
+                    detail = f"only {passed} of {count} points regular after {count} redraws"
+                    return True, f"{detail}; vacuous", None
+                continue
+            if result is not None:
+                return result
+            passed += 1
+        if not redrawn:
+            return finished
+        ok, detail, cx = finished
+        return ok, f"{detail} (singular points redrawn: {redrawn})", cx
 
 
-def _run_property(prop_id: str, master_seed: int, fn) -> PropertyResult:
-    seed = derive_seed(master_seed, prop_id)
-    rng = random.Random(seed)
+def _run_property(prop_id: str, sc: Scenario, fn) -> PropertyResult:
+    """Run one table row; its counterexample values are formatted here."""
+    seed = derive_seed(sc.seed, prop_id)
     try:
-        passed, detail, cx = fn(rng)
+        passed, detail, cx = fn(sc, _Sampler(random.Random(seed), sc.bundle, sc.bound))
     except Exception as exc:  # surface scenario pathologies as failures
         return PropertyResult(
             prop_id,
@@ -196,47 +274,25 @@ def _run_property(prop_id: str, master_seed: int, fn) -> PropertyResult:
             seed,
             {"error": str(exc)},
         )
+    if cx is not None:
+        cx = {key: _fmt(value) for key, value in cx.items()}
     return PropertyResult(prop_id, passed, detail, seed, cx)
 
 
 # ---------------------------------------------------------------------------
-# Shared sampling helpers
+# Sampled law checkers over the sampler's bundle, shared by the axioms suite
+# and the dual-bundle property.  Each returns a result triple.
 
-def _point(rng, chart: Chart, bound: int):
-    return tuple(random_rational(rng, bound) for _ in range(chart.dim))
-
-
-def _element(rng, bundle: DecomposedDVB, bound: int, x=None, f=None, c=None, e=None):
-    if x is None:
-        x = _point(rng, bundle.chart, bound)
-    return DVBElement(
-        bundle,
-        x,
-        random_tuple(rng, bundle.n_F, bound) if f is None else f,
-        random_tuple(rng, bundle.n_C, bound) if c is None else c,
-        random_tuple(rng, bundle.n_E, bound) if e is None else e,
-    )
-
-
-# Sampled law checkers shared by the axioms suite and the dual-bundle
-# property.  Each returns None on success or (detail, counterexample).
-
-def _check_structure_laws(rng, bundle, side: str, samples: int, bound: int):
+def _structure_laws(s: _Sampler, side: str, samples: int):
+    b = s.bundle
+    right = side == "right"
     for _ in range(samples):
-        x = _point(rng, bundle.chart, bound)
-        if side == "right":
-            shared = random_tuple(rng, bundle.n_E, bound)
-            u = _element(rng, bundle, bound, x=x, e=shared)
-            v = _element(rng, bundle, bound, x=x, e=shared)
-            w = _element(rng, bundle, bound, x=x, e=shared)
-            zero = bundle.zero_over_right(x, shared)
-        else:
-            shared = random_tuple(rng, bundle.n_F, bound)
-            u = _element(rng, bundle, bound, x=x, f=shared)
-            v = _element(rng, bundle, bound, x=x, f=shared)
-            w = _element(rng, bundle, bound, x=x, f=shared)
-            zero = bundle.zero_over_left(x, shared)
-        r, s = random_rational(rng, bound), random_rational(rng, bound)
+        x = s.point()
+        shared = s.rationals(b.n_E if right else b.n_F)
+        outer = {"e": shared} if right else {"f": shared}
+        u, v, w = (s.element(x=x, **outer) for _ in range(3))
+        zero = b.zero_over_right(x, shared) if right else b.zero_over_left(x, shared)
+        r, r2 = s.rational(), s.rational()
         laws = (
             fiber_add(side, u, v) == fiber_add(side, v, u),
             fiber_add(side, fiber_add(side, u, v), w)
@@ -245,60 +301,46 @@ def _check_structure_laws(rng, bundle, side: str, samples: int, bound: int):
             fiber_add(side, u, fiber_scale(side, -1, u)) == zero,
             fiber_scale(side, r, fiber_add(side, u, v))
             == fiber_add(side, fiber_scale(side, r, u), fiber_scale(side, r, v)),
-            fiber_scale(side, r + s, u)
-            == fiber_add(side, fiber_scale(side, r, u), fiber_scale(side, s, u)),
-            fiber_scale(side, r, fiber_scale(side, s, u))
-            == fiber_scale(side, r * s, u),
+            fiber_scale(side, r + r2, u)
+            == fiber_add(side, fiber_scale(side, r, u), fiber_scale(side, r2, u)),
+            fiber_scale(side, r, fiber_scale(side, r2, u))
+            == fiber_scale(side, r * r2, u),
             fiber_scale(side, 1, u) == u,
         )
         if not all(laws):
-            return (
-                f"a {side}-structure vector space law fails",
-                {
-                    "u": _fmt_element(u),
-                    "v": _fmt_element(v),
-                    "w": _fmt_element(w),
-                    "r": str(r),
-                    "s": str(s),
-                },
-            )
-    return None
+            return False, f"a {side}-structure vector space law fails", {
+                "u": u, "v": v, "w": w, "r": r, "s": r2
+            }
+    return True, f"vector space laws of the {side} structure on {samples} tuples", None
 
 
-def _check_interchange(rng, bundle, samples: int, bound: int):
+def _interchange(s: _Sampler, samples: int):
+    b = s.bundle
     for _ in range(samples):
-        x = _point(rng, bundle.chart, bound)
-        f1 = random_tuple(rng, bundle.n_F, bound)
-        f2 = random_tuple(rng, bundle.n_F, bound)
-        e1 = random_tuple(rng, bundle.n_E, bound)
-        e2 = random_tuple(rng, bundle.n_E, bound)
-        u = _element(rng, bundle, bound, x=x, f=f1, e=e1)
-        v = _element(rng, bundle, bound, x=x, f=f2, e=e1)
-        w = _element(rng, bundle, bound, x=x, f=f1, e=e2)
-        z = _element(rng, bundle, bound, x=x, f=f2, e=e2)
+        x = s.point()
+        f1, f2 = s.rationals(b.n_F), s.rationals(b.n_F)
+        e1, e2 = s.rationals(b.n_E), s.rationals(b.n_E)
+        u = s.element(x=x, f=f1, e=e1)
+        v = s.element(x=x, f=f2, e=e1)
+        w = s.element(x=x, f=f1, e=e2)
+        z = s.element(x=x, f=f2, e=e2)
         lhs = fiber_add("left", fiber_add("right", u, v), fiber_add("right", w, z))
         rhs = fiber_add("right", fiber_add("left", u, w), fiber_add("left", v, z))
         if lhs != rhs:
-            return (
-                "interchange of the two additions fails",
-                {
-                    "u": _fmt_element(u),
-                    "v": _fmt_element(v),
-                    "w": _fmt_element(w),
-                    "z": _fmt_element(z),
-                },
-            )
-    return None
+            return False, "interchange of the two additions fails", {
+                "u": u, "v": v, "w": w, "z": z
+            }
+    return True, f"the two additions interchange on {samples} quadruples", None
 
 
-def _check_core_agreement(rng, bundle, samples: int, bound: int):
-    zf = (Fraction(0),) * bundle.n_F
-    ze = (Fraction(0),) * bundle.n_E
+def _core_agreement(s: _Sampler, samples: int):
+    zf = (Fraction(0),) * s.bundle.n_F
+    ze = (Fraction(0),) * s.bundle.n_E
     for _ in range(samples):
-        x = _point(rng, bundle.chart, bound)
-        u = _element(rng, bundle, bound, x=x, f=zf, e=ze)
-        v = _element(rng, bundle, bound, x=x, f=zf, e=ze)
-        r = random_rational(rng, bound)
+        x = s.point()
+        u = s.element(x=x, f=zf, e=ze)
+        v = s.element(x=x, f=zf, e=ze)
+        r = s.rational()
         ok = (
             fiber_add("right", u, v) == fiber_add("left", u, v)
             and fiber_scale("right", r, u) == fiber_scale("left", r, u)
@@ -306,974 +348,641 @@ def _check_core_agreement(rng, bundle, samples: int, bound: int):
             and fiber_add("right", u, v).e == ze
         )
         if not ok:
-            return (
-                "core elements see different right and left structures",
-                {"u": _fmt_element(u), "v": _fmt_element(v), "r": str(r)},
-            )
-    return None
+            return False, "core elements see different right and left structures", {
+                "u": u, "v": v, "r": r
+            }
+    return True, "both structures agree on core elements", None
 
 
-def _check_kernel_split(rng, bundle, samples: int, bound: int):
-    ze = (Fraction(0),) * bundle.n_E
-    zf = (Fraction(0),) * bundle.n_F
-    zc = (Fraction(0),) * bundle.n_C
+def _kernel_split(s: _Sampler, samples: int):
+    b = s.bundle
+    ze = (Fraction(0),) * b.n_E
+    zf = (Fraction(0),) * b.n_F
+    zc = (Fraction(0),) * b.n_C
     for _ in range(samples):
-        x = _point(rng, bundle.chart, bound)
-        v = _element(rng, bundle, bound, x=x, e=ze)
+        x = s.point()
+        v = s.element(x=x, e=ze)
         side, core = kernel_split(v)
-        zero = DVBElement(bundle, x, zf, zc, ze)
+        zero = DVBElement(b, x, zf, zc, ze)
         ok = (
             fiber_add("right", side, core) == v
             and kernel_split(side) == (side, zero)
             and kernel_split(core) == (zero, core)
         )
         if not ok:
-            return (
-                "kernel splitting projector laws fail",
-                {"v": _fmt_element(v)},
-            )
+            return False, "kernel splitting projector laws fail", {"v": v}
         # the flip carries the statement to the left kernel
-        w = _element(rng, bundle, bound, x=x, f=zf)
+        w = s.element(x=x, f=zf)
         ls, lc = kernel_split(w.flip())
         if fiber_add("right", ls, lc) != w.flip():
-            return ("left kernel splitting fails through the flip", {"w": _fmt_element(w)})
-        if bundle.n_E > 0:
-            outside = _element(rng, bundle, bound, x=x, e=(Fraction(1),) * bundle.n_E)
+            return False, "left kernel splitting fails through the flip", {"w": w}
+        if b.n_E > 0:
+            outside = s.element(x=x, e=(Fraction(1),) * b.n_E)
             try:
                 kernel_split(outside)
-                return (
-                    "kernel splitting accepted an element outside the kernel",
-                    {"v": _fmt_element(outside)},
-                )
+                return False, "kernel splitting accepted an element outside the kernel", {
+                    "v": outside
+                }
             except NotInKernelError:
                 pass
-    return None
+    return True, "kernel elements split into side and core parts", None
 
 
-def _check_core_difference(rng, bundle, samples: int, bound: int):
+def _core_difference(s: _Sampler, samples: int):
+    b = s.bundle
     for _ in range(samples):
-        x = _point(rng, bundle.chart, bound)
-        f = random_tuple(rng, bundle.n_F, bound)
-        e = random_tuple(rng, bundle.n_E, bound)
-        u = _element(rng, bundle, bound, x=x, f=f, e=e)
-        v = _element(rng, bundle, bound, x=x, f=f, e=e)
+        x = s.point()
+        f = s.rationals(b.n_F)
+        e = s.rationals(b.n_E)
+        u = s.element(x=x, f=f, e=e)
+        v = s.element(x=x, f=f, e=e)
         k = core_difference(u, v)
-        over_e = DVBElement(bundle, x, (Fraction(0),) * bundle.n_F, k, e)
-        over_f = DVBElement(bundle, x, f, k, (Fraction(0),) * bundle.n_E)
+        over_e = DVBElement(b, x, (Fraction(0),) * b.n_F, k, e)
+        over_f = DVBElement(b, x, f, k, (Fraction(0),) * b.n_E)
         if fiber_add("right", v, over_e) != u or fiber_add("left", v, over_f) != u:
-            return (
-                "core difference does not recover the element",
-                {"u": _fmt_element(u), "v": _fmt_element(v), "k": _fmt(k)},
-            )
-        if bundle.n_C > 0:
+            return False, "core difference does not recover the element", {
+                "u": u, "v": v, "k": k
+            }
+        if b.n_C > 0:
             bumped = (k[0] + 1,) + k[1:]
-            wrong = DVBElement(bundle, x, (Fraction(0),) * bundle.n_F, bumped, e)
+            wrong = DVBElement(b, x, (Fraction(0),) * b.n_F, bumped, e)
             if fiber_add("right", v, wrong) == u:
-                return (
-                    "core difference is not unique",
-                    {"u": _fmt_element(u), "v": _fmt_element(v)},
-                )
-    return None
-
-
-def _from_check(result, pass_detail: str):
-    if result is None:
-        return True, pass_detail, None
-    detail, cx = result
-    return False, detail, cx
-
-
-def _at_regular_points(count: int, sample, finished):
-    """Run `sample` until it has passed at `count` points.
-
-    `sample` draws its own point and returns a result triple to stop with,
-    or None.  In exact arithmetic a SingularMatrixError is a true singularity
-    of the morphism at the drawn point, not a defect, so that sample is drawn
-    again; after `count` such redraws the property passes vacuously.  Once
-    `count` samples pass, `finished` is the result.
-    """
-    passed = redrawn = 0
-    while passed < count:
-        try:
-            result = sample()
-        except SingularMatrixError:
-            redrawn += 1
-            if redrawn > count:
-                detail = f"only {passed} of {count} points regular after {count} redraws"
-                return True, f"{detail}; vacuous", None
-            continue
-        if result is not None:
-            return result
-        passed += 1
-    if not redrawn:
-        return finished
-    ok, detail, cx = finished
-    return ok, f"{detail} (singular points redrawn: {redrawn})", cx
-
-
-# ---------------------------------------------------------------------------
-# Section materialization: scenario records or seeded stand-ins
-
-def _scenario_morphism(sc: Scenario) -> DVBMorphism:
-    if sc.morphism is not None:
-        return sc.morphism
-    rng = random.Random(derive_seed(sc.seed, "gen.morphism"))
-    return random_morphism(rng, sc.bundle, GENERATED_DEGREE)
-
-
-def _scenario_record(sc: Scenario, name: str, generator):
-    record = getattr(sc, name)
-    if record is not None:
-        return record
-    rng = random.Random(derive_seed(sc.seed, f"gen.{name}"))
-    return generator(rng)
+                return False, "core difference is not unique", {"u": u, "v": v}
+    return True, "elements sharing both projections differ by a unique core shift", None
 
 
 # ---------------------------------------------------------------------------
 # The axioms suite
 
-def _axioms_results(sc: Scenario) -> list[PropertyResult]:
+def _morphism_respects(sc: Scenario, s: _Sampler):
     b = sc.bundle
-    samples, bound = sc.samples, sc.bound
-    results = [
-        _run_property(
-            "axioms.01.right-structure-laws",
-            sc.seed,
-            lambda rng: _from_check(
-                _check_structure_laws(rng, b, "right", samples, bound),
-                f"vector space laws of the right structure on {samples} tuples",
-            ),
-        ),
-        _run_property(
-            "axioms.02.left-structure-laws",
-            sc.seed,
-            lambda rng: _from_check(
-                _check_structure_laws(rng, b, "left", samples, bound),
-                f"vector space laws of the left structure on {samples} tuples",
-            ),
-        ),
-        _run_property(
-            "axioms.03.interchange-law",
-            sc.seed,
-            lambda rng: _from_check(
-                _check_interchange(rng, b, samples, bound),
-                f"the two additions interchange on {samples} quadruples",
-            ),
-        ),
-        _run_property(
-            "axioms.04.core-structures-agree",
-            sc.seed,
-            lambda rng: _from_check(
-                _check_core_agreement(rng, b, samples, bound),
-                "both structures agree on core elements",
-            ),
-        ),
-        _run_property(
-            "axioms.05.kernel-splitting",
-            sc.seed,
-            lambda rng: _from_check(
-                _check_kernel_split(rng, b, samples, bound),
-                "kernel elements split into side and core parts",
-            ),
-        ),
-        _run_property(
-            "axioms.06.core-difference",
-            sc.seed,
-            lambda rng: _from_check(
-                _check_core_difference(rng, b, samples, bound),
-                "elements sharing both projections differ by a unique core shift",
-            ),
-        ),
-    ]
+    phi = sc.section("morphism")
+    for _ in range(sc.samples):
+        x = s.point()
+        fm = phi.at(x)
+        shared_e = s.rationals(b.n_E)
+        shared_f = s.rationals(b.n_F)
+        r = s.rational()
+        u = s.element(x=x, e=shared_e)
+        v = s.element(x=x, e=shared_e)
+        if fm.apply(fiber_add("right", u, v)) != fiber_add(
+            "right", fm.apply(u), fm.apply(v)
+        ) or fm.apply(fiber_scale("right", r, u)) != fiber_scale(
+            "right", r, fm.apply(u)
+        ):
+            return False, "morphism breaks the right structure", {"u": u, "v": v, "r": r}
+        p = s.element(x=x, f=shared_f)
+        q = s.element(x=x, f=shared_f)
+        if fm.apply(fiber_add("left", p, q)) != fiber_add(
+            "left", fm.apply(p), fm.apply(q)
+        ) or fm.apply(fiber_scale("left", r, p)) != fiber_scale(
+            "left", r, fm.apply(p)
+        ):
+            return False, "morphism breaks the left structure", {"p": p, "q": q, "r": r}
+    return True, f"block morphism respects both structures on {sc.samples} samples", None
 
-    def morphism_respects(rng):
-        phi = _scenario_morphism(sc)
-        for _ in range(samples):
-            x = _point(rng, b.chart, bound)
-            fm = phi.at(x)
-            shared_e = random_tuple(rng, b.n_E, bound)
-            shared_f = random_tuple(rng, b.n_F, bound)
-            r = random_rational(rng, bound)
-            u = _element(rng, b, bound, x=x, e=shared_e)
-            v = _element(rng, b, bound, x=x, e=shared_e)
-            if fm.apply(fiber_add("right", u, v)) != fiber_add(
-                "right", fm.apply(u), fm.apply(v)
-            ) or fm.apply(fiber_scale("right", r, u)) != fiber_scale(
-                "right", r, fm.apply(u)
-            ):
-                return False, "morphism breaks the right structure", {
-                    "u": _fmt_element(u),
-                    "v": _fmt_element(v),
-                    "r": str(r),
-                }
-            p = _element(rng, b, bound, x=x, f=shared_f)
-            q = _element(rng, b, bound, x=x, f=shared_f)
-            if fm.apply(fiber_add("left", p, q)) != fiber_add(
-                "left", fm.apply(p), fm.apply(q)
-            ) or fm.apply(fiber_scale("left", r, p)) != fiber_scale(
-                "left", r, fm.apply(p)
-            ):
-                return False, "morphism breaks the left structure", {
-                    "p": _fmt_element(p),
-                    "q": _fmt_element(q),
-                    "r": str(r),
-                }
-        return True, f"block morphism respects both structures on {samples} samples", None
 
-    results.append(
-        _run_property("axioms.07.morphism-respects-structures", sc.seed, morphism_respects)
-    )
-    return results
+_AXIOMS = (
+    ("axioms.01.right-structure-laws",
+     lambda sc, s: _structure_laws(s, "right", sc.samples)),
+    ("axioms.02.left-structure-laws",
+     lambda sc, s: _structure_laws(s, "left", sc.samples)),
+    ("axioms.03.interchange-law", lambda sc, s: _interchange(s, sc.samples)),
+    ("axioms.04.core-structures-agree", lambda sc, s: _core_agreement(s, sc.samples)),
+    ("axioms.05.kernel-splitting", lambda sc, s: _kernel_split(s, sc.samples)),
+    ("axioms.06.core-difference", lambda sc, s: _core_difference(s, sc.samples)),
+    ("axioms.07.morphism-respects-structures", _morphism_respects),
+)
 
 
 # ---------------------------------------------------------------------------
 # The duality suite
 
-def _duality_results(sc: Scenario) -> list[PropertyResult]:
+def _pairing_bilinear(sc: Scenario, s: _Sampler):
     b = sc.bundle
-    dual = right_dual(b)
-    samples, bound = sc.samples, sc.bound
-    results = []
-
-    def bilinear(rng):
-        for _ in range(samples):
-            x = _point(rng, b.chart, bound)
-            f = random_tuple(rng, b.n_F, bound)
-            q = random_tuple(rng, b.n_C, bound)
-            v = _element(rng, b, bound, x=x, f=f)
-            vp = _element(rng, b, bound, x=x, f=f)
-            a = DVBElement(dual, x, v.e, random_tuple(rng, b.n_F, bound), q)
-            bb = DVBElement(dual, x, vp.e, random_tuple(rng, b.n_F, bound), q)
-            lhs = pair_r(fiber_add("left", v, vp), fiber_add("right", a, bb))
-            if lhs != pair_r(v, a) + pair_r(vp, bb):
-                return False, "pairing is not bi-additive", {
-                    "v": _fmt_element(v),
-                    "v2": _fmt_element(vp),
-                    "a": _fmt_element(a),
-                    "b": _fmt_element(bb),
-                }
-            zero_cov = DVBElement(
-                dual, x, v.e, (Fraction(0),) * b.n_F, (Fraction(0),) * b.n_C
-            )
-            if pair_r(v, zero_cov) != 0:
-                return False, "zero covector pairs to a nonzero value", {
-                    "v": _fmt_element(v)
-                }
-        return True, f"pairing additivity in both slots on {samples} samples", None
-
-    results.append(_run_property("duality.01.pairing-bilinear", sc.seed, bilinear))
-
-    def sign_rules(rng):
-        for _ in range(samples):
-            x = _point(rng, b.chart, bound)
-            v = _element(rng, b, bound, x=x)
-            a = DVBElement(
-                dual,
-                x,
-                v.e,
-                random_tuple(rng, b.n_F, bound),
-                random_tuple(rng, b.n_C, bound),
-            )
-            r = random_rational(rng, bound)
-            base = pair_r(v, a)
-            if pair_r(fiber_scale("right", r, v), a) != r * base or pair_r(
-                v, fiber_scale("left", r, a)
-            ) != r * base:
-                return False, "scalar action does not factor out of the pairing", {
-                    "v": _fmt_element(v),
-                    "a": _fmt_element(a),
-                    "r": str(r),
-                }
-        return True, f"right and left scalings factor out on {samples} samples", None
-
-    results.append(_run_property("duality.02.pairing-sign-rules", sc.seed, sign_rules))
-
-    def kernel_pairings(rng):
-        for _ in range(samples):
-            x = _point(rng, b.chart, bound)
-            v = _element(rng, b, bound, x=x)
-            p = random_tuple(rng, b.n_F, bound)
-            q = random_tuple(rng, b.n_C, bound)
-            # covector with zero core dual slot sees only the F projection
-            a0 = DVBElement(dual, x, v.e, p, (Fraction(0),) * b.n_C)
-            v_shift = DVBElement(v.bundle, x, v.f, random_tuple(rng, b.n_C, bound), v.e)
-            if pair_r(v, a0) != sum(
-                (pi * fi for pi, fi in zip(p, v.f)), Fraction(0)
-            ) or pair_r(v, a0) != pair_r(v_shift, a0):
-                return False, "kernel covector pairing depends on more than F", {
-                    "v": _fmt_element(v),
-                    "a": _fmt_element(a0),
-                }
-            # kernel element with zero F slot sees only the C* dual slot
-            k = DVBElement(b, x, (Fraction(0),) * b.n_F, v.c, v.e)
-            a = DVBElement(dual, x, v.e, p, q)
-            a_shift = DVBElement(dual, x, v.e, random_tuple(rng, b.n_F, bound), q)
-            if pair_r(k, a) != sum(
-                (qi * ci for qi, ci in zip(q, v.c)), Fraction(0)
-            ) or pair_r(k, a) != pair_r(k, a_shift):
-                return False, "kernel element pairing depends on more than C*", {
-                    "k": _fmt_element(k),
-                    "a": _fmt_element(a),
-                }
-        return True, f"kernel pairings reduce to single slots on {samples} samples", None
-
-    results.append(_run_property("duality.03.kernel-pairings", sc.seed, kernel_pairings))
-
-    def dual_axioms(rng):
-        quarter = max(1, samples // 4)
-        for check, label in (
-            (_check_structure_laws(rng, dual, "right", quarter, bound), "right laws"),
-            (_check_structure_laws(rng, dual, "left", quarter, bound), "left laws"),
-            (_check_interchange(rng, dual, quarter, bound), "interchange"),
-            (_check_core_agreement(rng, dual, quarter, bound), "core agreement"),
-            (_check_kernel_split(rng, dual, quarter, bound), "kernel splitting"),
-        ):
-            if check is not None:
-                detail, cx = check
-                return False, f"dual bundle breaks {label}: {detail}", cx
-        return True, "the right dual satisfies the double bundle axioms", None
-
-    results.append(_run_property("duality.04.dual-bundle-axioms", sc.seed, dual_axioms))
-
-    def adjoint(rng):
-        phi = _scenario_morphism(sc)
-        dual_target = right_dual(phi.target)
-
-        def sample():
-            x = _point(rng, b.chart, bound)
-            fm = phi.at(x)
-            v = _element(rng, b, bound, x=x)
-            image = fm.apply(v)
-            a = DVBElement(
-                dual_target,
-                x,
-                image.e,
-                random_tuple(rng, phi.target.n_F, bound),
-                random_tuple(rng, phi.target.n_C, bound),
-            )
-            pulled = fiber_right_dual(fm).apply(a)
-            if pair_r(image, a) != pair_r(v, pulled):
-                return False, "adjoint contract fails", {
-                    "x": _fmt(x),
-                    "v": _fmt_element(v),
-                    "a": _fmt_element(a),
-                }
-
-        return _at_regular_points(samples, sample, (
-            True, f"pairing against the dual image matches on {samples} samples", None
-        ))
-
-    results.append(_run_property("duality.05.adjoint-contract", sc.seed, adjoint))
-
-    def contravariance(rng):
-        phi = _scenario_morphism(sc)
-        other = random_morphism(rng, b, GENERATED_DEGREE)
-        composite = compose_morphisms(phi, other)
-        points = max(1, min(samples, 10))
-
-        def sample():
-            x = _point(rng, b.chart, bound)
-            lhs = fiber_right_dual(composite.at(x))
-            rhs = fiber_right_dual(other.at(x)).after(fiber_right_dual(phi.at(x)))
-            if lhs != rhs:
-                return False, "dual of a composite is not the reversed composite", {
-                    "x": _fmt(x)
-                }
-
-        return _at_regular_points(points, sample, (
-            True, f"dualizing reverses composition at {points} points", None
-        ))
-
-    results.append(_run_property("duality.06.dual-contravariance", sc.seed, contravariance))
-
-    def left_transport(rng):
-        ld = left_dual(b)
-        if ld.ranks != (b.n_C, b.n_E, b.n_F):
-            return False, "left dual ranks are wrong", {"ranks": _fmt(ld.ranks)}
-        if left_dual(right_dual(b)).ranks != b.ranks:
-            return False, "left dual does not undo the right dual on ranks", None
-        for _ in range(samples):
-            x = _point(rng, b.chart, bound)
-            e = random_tuple(rng, b.n_E, bound)
-            phi_slot = random_tuple(rng, b.n_C, bound)
-            v = _element(rng, b, bound, x=x, e=e)
-            vp = _element(rng, b, bound, x=x, e=e)
-            cov = DVBElement(ld, x, phi_slot, random_tuple(rng, b.n_E, bound), v.f)
-            cov2 = DVBElement(ld, x, phi_slot, random_tuple(rng, b.n_E, bound), vp.f)
-            lhs = pair_l(fiber_add("right", v, vp), fiber_add("left", cov, cov2))
-            if lhs != pair_l(v, cov) + pair_l(vp, cov2):
-                return False, "left pairing additivity fails", {
-                    "v": _fmt_element(v),
-                    "v2": _fmt_element(vp),
-                    "b": _fmt_element(cov),
-                    "b2": _fmt_element(cov2),
-                }
-        return True, "left dual shape and pairing follow from the flip transport", None
-
-    results.append(_run_property("duality.07.left-dual-transport", sc.seed, left_transport))
-
-    def scalar_example(rng):
-        chart = Chart.of_dim(0)
-        kb = DecomposedDVB(chart, 1, 1, 1)
-        names = chart.names
-
-        def const(v):
-            return PolyMatrix.constant(names, ((v,),))
-
-        seven = MultiPoly.const(names, 7)
-        phi = DVBMorphism(kb, kb, const(2), const(3), const(5), (((seven,),),))
-        fm = fiber_right_dual(phi.at(()))
-        expected = (
-            fm.l == ((Fraction(1, 5),),)
-            and fm.c == ((Fraction(2),),)
-            and fm.r == ((Fraction(3),),)
-            and fm.psi == (((Fraction(7, 5),),),)
+    d = s.over(right_dual(b))
+    for _ in range(sc.samples):
+        x = s.point()
+        f = s.rationals(b.n_F)
+        q = s.rationals(b.n_C)
+        v = s.element(x=x, f=f)
+        vp = s.element(x=x, f=f)
+        a = d.element(x=x, f=v.e, e=q)
+        bb = d.element(x=x, f=vp.e, e=q)
+        lhs = pair_r(fiber_add("left", v, vp), fiber_add("right", a, bb))
+        if lhs != pair_r(v, a) + pair_r(vp, bb):
+            return False, "pairing is not bi-additive", {"v": v, "v2": vp, "a": a, "b": bb}
+        zero_cov = DVBElement(
+            d.bundle, x, v.e, (Fraction(0),) * b.n_F, (Fraction(0),) * b.n_C
         )
-        if not expected:
-            return False, "scalar dual blocks are wrong", {
-                "l": _fmt(fm.l),
-                "c": _fmt(fm.c),
-                "r": _fmt(fm.r),
-                "psi": _fmt(fm.psi),
-            }
-        # both pairing routes must equal 2 p'f + 3 q'c + 7 q'fe on a grid
-        grid = [Fraction(t) for t in range(-2, 3)]
-        dual_kb = right_dual(kb)
-        for f in grid:
-            for c in grid:
-                for e in grid:
-                    v = DVBElement(kb, (), (f,), (c,), (e,))
-                    image = phi.apply(v)
-                    for p in grid:
-                        for q in grid:
-                            a = DVBElement(dual_kb, (), image.e, (p,), (q,))
-                            want = 2 * p * f + 3 * q * c + 7 * q * f * e
-                            if pair_r(image, a) != want or pair_r(v, fm.apply(a)) != want:
-                                return False, "scalar adjoint identity fails", {
-                                    "f": str(f),
-                                    "c": str(c),
-                                    "e": str(e),
-                                    "p": str(p),
-                                    "q": str(q),
-                                }
-        return True, "scalar morphism (2,3,5,7) dualizes to (1/5, 2, 3, 7/5)", None
+        if pair_r(v, zero_cov) != 0:
+            return False, "zero covector pairs to a nonzero value", {"v": v}
+    return True, f"pairing additivity in both slots on {sc.samples} samples", None
 
-    results.append(_run_property("duality.08.scalar-worked-example", sc.seed, scalar_example))
-    return results
+
+def _pairing_sign_rules(sc: Scenario, s: _Sampler):
+    d = s.over(right_dual(sc.bundle))
+    for _ in range(sc.samples):
+        x = s.point()
+        v = s.element(x=x)
+        a = d.element(x=x, f=v.e)
+        r = s.rational()
+        base = pair_r(v, a)
+        if pair_r(fiber_scale("right", r, v), a) != r * base or pair_r(
+            v, fiber_scale("left", r, a)
+        ) != r * base:
+            return False, "scalar action does not factor out of the pairing", {
+                "v": v, "a": a, "r": r
+            }
+    return True, f"right and left scalings factor out on {sc.samples} samples", None
+
+
+def _kernel_pairings(sc: Scenario, s: _Sampler):
+    b = sc.bundle
+    d = s.over(right_dual(b))
+    for _ in range(sc.samples):
+        x = s.point()
+        v = s.element(x=x)
+        p = s.rationals(b.n_F)
+        q = s.rationals(b.n_C)
+        # covector with zero core dual slot sees only the F projection
+        a0 = DVBElement(d.bundle, x, v.e, p, (Fraction(0),) * b.n_C)
+        v_shift = s.element(x=x, f=v.f, e=v.e)
+        if pair_r(v, a0) != sum(
+            (pi * fi for pi, fi in zip(p, v.f)), Fraction(0)
+        ) or pair_r(v, a0) != pair_r(v_shift, a0):
+            return False, "kernel covector pairing depends on more than F", {"v": v, "a": a0}
+        # kernel element with zero F slot sees only the C* dual slot
+        k = DVBElement(b, x, (Fraction(0),) * b.n_F, v.c, v.e)
+        a = DVBElement(d.bundle, x, v.e, p, q)
+        a_shift = d.element(x=x, f=v.e, e=q)
+        if pair_r(k, a) != sum(
+            (qi * ci for qi, ci in zip(q, v.c)), Fraction(0)
+        ) or pair_r(k, a) != pair_r(k, a_shift):
+            return False, "kernel element pairing depends on more than C*", {"k": k, "a": a}
+    return True, f"kernel pairings reduce to single slots on {sc.samples} samples", None
+
+
+def _dual_bundle_axioms(sc: Scenario, s: _Sampler):
+    d = s.over(right_dual(sc.bundle))
+    quarter = max(1, sc.samples // 4)
+    checks = (
+        ("right laws", _structure_laws(d, "right", quarter)),
+        ("left laws", _structure_laws(d, "left", quarter)),
+        ("interchange", _interchange(d, quarter)),
+        ("core agreement", _core_agreement(d, quarter)),
+        ("kernel splitting", _kernel_split(d, quarter)),
+    )
+    for label, (ok, detail, cx) in checks:
+        if not ok:
+            return False, f"dual bundle breaks {label}: {detail}", cx
+    return True, "the right dual satisfies the double bundle axioms", None
+
+
+def _adjoint_contract(sc: Scenario, s: _Sampler):
+    phi = sc.section("morphism")
+    d = s.over(right_dual(phi.target))
+
+    def sample():
+        x = s.point()
+        fm = phi.at(x)
+        v = s.element(x=x)
+        image = fm.apply(v)
+        a = d.element(x=x, f=image.e)
+        pulled = fiber_right_dual(fm).apply(a)
+        if pair_r(image, a) != pair_r(v, pulled):
+            return False, "adjoint contract fails", {"x": x, "v": v, "a": a}
+
+    return s.regular_points(sc.samples, sample, (
+        True, f"pairing against the dual image matches on {sc.samples} samples", None
+    ))
+
+
+def _dual_contravariance(sc: Scenario, s: _Sampler):
+    phi = sc.section("morphism")
+    other = random_morphism(s.rng, sc.bundle, GENERATED_DEGREE)
+    composite = compose_morphisms(phi, other)
+    points = max(1, min(sc.samples, 10))
+
+    def sample():
+        x = s.point()
+        lhs = fiber_right_dual(composite.at(x))
+        rhs = fiber_right_dual(other.at(x)).after(fiber_right_dual(phi.at(x)))
+        if lhs != rhs:
+            return False, "dual of a composite is not the reversed composite", {"x": x}
+
+    return s.regular_points(points, sample, (
+        True, f"dualizing reverses composition at {points} points", None
+    ))
+
+
+def _left_dual_transport(sc: Scenario, s: _Sampler):
+    b = sc.bundle
+    ld = left_dual(b)
+    if ld.ranks != (b.n_C, b.n_E, b.n_F):
+        return False, "left dual ranks are wrong", {"ranks": ld.ranks}
+    if left_dual(right_dual(b)).ranks != b.ranks:
+        return False, "left dual does not undo the right dual on ranks", None
+    cov_of = s.over(ld)
+    for _ in range(sc.samples):
+        x = s.point()
+        e = s.rationals(b.n_E)
+        phi_slot = s.rationals(b.n_C)
+        v = s.element(x=x, e=e)
+        vp = s.element(x=x, e=e)
+        cov = cov_of.element(x=x, f=phi_slot, e=v.f)
+        cov2 = cov_of.element(x=x, f=phi_slot, e=vp.f)
+        lhs = pair_l(fiber_add("right", v, vp), fiber_add("left", cov, cov2))
+        if lhs != pair_l(v, cov) + pair_l(vp, cov2):
+            return False, "left pairing additivity fails", {
+                "v": v, "v2": vp, "b": cov, "b2": cov2
+            }
+    return True, "left dual shape and pairing follow from the flip transport", None
+
+
+def _scalar_worked_example(sc: Scenario, s: _Sampler):
+    chart = Chart.of_dim(0)
+    kb = DecomposedDVB(chart, 1, 1, 1)
+    names = chart.names
+
+    def const(v):
+        return PolyMatrix.constant(names, ((v,),))
+
+    seven = MultiPoly.const(names, 7)
+    phi = DVBMorphism(kb, kb, const(2), const(3), const(5), (((seven,),),))
+    fm = fiber_right_dual(phi.at(()))
+    expected = (
+        fm.l == ((Fraction(1, 5),),)
+        and fm.c == ((Fraction(2),),)
+        and fm.r == ((Fraction(3),),)
+        and fm.psi == (((Fraction(7, 5),),),)
+    )
+    if not expected:
+        return False, "scalar dual blocks are wrong", {
+            "l": fm.l, "c": fm.c, "r": fm.r, "psi": fm.psi
+        }
+    # both pairing routes must equal 2 p'f + 3 q'c + 7 q'fe on a grid
+    grid = [Fraction(t) for t in range(-2, 3)]
+    dual_kb = right_dual(kb)
+    for f in grid:
+        for c in grid:
+            for e in grid:
+                v = DVBElement(kb, (), (f,), (c,), (e,))
+                image = phi.apply(v)
+                for p in grid:
+                    for q in grid:
+                        a = DVBElement(dual_kb, (), image.e, (p,), (q,))
+                        want = 2 * p * f + 3 * q * c + 7 * q * f * e
+                        if pair_r(image, a) != want or pair_r(v, fm.apply(a)) != want:
+                            return False, "scalar adjoint identity fails", {
+                                "f": f, "c": c, "e": e, "p": p, "q": q
+                            }
+    return True, "scalar morphism (2,3,5,7) dualizes to (1/5, 2, 3, 7/5)", None
+
+
+_DUALITY = (
+    ("duality.01.pairing-bilinear", _pairing_bilinear),
+    ("duality.02.pairing-sign-rules", _pairing_sign_rules),
+    ("duality.03.kernel-pairings", _kernel_pairings),
+    ("duality.04.dual-bundle-axioms", _dual_bundle_axioms),
+    ("duality.05.adjoint-contract", _adjoint_contract),
+    ("duality.06.dual-contravariance", _dual_contravariance),
+    ("duality.07.left-dual-transport", _left_dual_transport),
+    ("duality.08.scalar-worked-example", _scalar_worked_example),
+)
 
 
 # ---------------------------------------------------------------------------
 # The third-dual suite
 
-def _third_dual_results(sc: Scenario, naive_identification: bool) -> list[PropertyResult]:
-    b = sc.bundle
-    samples, bound = sc.samples, sc.bound
-    results = []
-
-    def defining_relation(rng):
-        rounds = max(1, samples // 10)
-        for _ in range(rounds):
-            v = _element(rng, b, bound)
-            phi = canonical_R("R", v)
-            if not verify_R_relation(v, phi, samples=20, seed=rng.randrange(1 << 30)):
-                return False, "canonical image violates the defining relation", {
-                    "v": _fmt_element(v)
-                }
-        return True, f"defining relation holds for {rounds} canonical images", None
-
-    results.append(_run_property("third-dual.01.defining-relation", sc.seed, defining_relation))
-
-    def rejects_perturbation(rng):
-        if b.n_F + b.n_C + b.n_E == 0:
-            return True, "no slot to perturb at these ranks; vacuous", None
-        v = _element(rng, b, bound)
+def _defining_relation(sc: Scenario, s: _Sampler):
+    rounds = max(1, sc.samples // 10)
+    for _ in range(rounds):
+        v = s.element()
         phi = canonical_R("R", v)
-        if b.n_C > 0:
-            bad = DVBElement(phi.bundle, phi.x, phi.f, (phi.c[0] + 1,) + phi.c[1:], phi.e)
-        elif b.n_F > 0:
-            bad = DVBElement(phi.bundle, phi.x, (phi.f[0] + 1,) + phi.f[1:], phi.c, phi.e)
-        else:
-            bad = DVBElement(phi.bundle, phi.x, phi.f, phi.c, (phi.e[0] + 1,) + phi.e[1:])
-        if verify_R_relation(v, bad, samples=60, seed=rng.randrange(1 << 30)):
-            return False, "perturbed candidate still satisfies the relation", {
-                "v": _fmt_element(v),
-                "candidate": _fmt_element(bad),
-            }
-        return True, "a perturbed candidate is rejected by the relation", None
+        if not verify_R_relation(v, phi, samples=20, seed=s.seed()):
+            return False, "canonical image violates the defining relation", {"v": v}
+    return True, f"defining relation holds for {rounds} canonical images", None
 
-    results.append(
-        _run_property("third-dual.02.relation-rejects-perturbation", sc.seed, rejects_perturbation)
-    )
 
-    def variant_identities(rng):
-        rounds = max(1, samples // 10)
-        for _ in range(rounds):
-            v = _element(rng, b, bound)
-            pairs = (
-                ("R+-", fiber_scale("left", -1, v)),
-                ("R-+", fiber_scale("right", -1, v)),
-                ("R=", fiber_scale("left", -1, fiber_scale("right", -1, v))),
-            )
-            for variant, twisted in pairs:
-                if canonical_R(variant, v) != canonical_R("R", twisted):
-                    return False, f"variant {variant} is not a sign twist of the base map", {
-                        "v": _fmt_element(v)
-                    }
-            for variant in R_VARIANTS:
-                if not verify_R_relation(
-                    v, canonical_R(variant, v), samples=12,
-                    seed=rng.randrange(1 << 30), variant=variant,
-                ):
-                    return False, f"variant {variant} violates its signed relation", {
-                        "v": _fmt_element(v)
-                    }
-        return True, f"all sign variants verified on {rounds} elements", None
+def _relation_rejects_perturbation(sc: Scenario, s: _Sampler):
+    b = sc.bundle
+    if b.n_F + b.n_C + b.n_E == 0:
+        return True, "no slot to perturb at these ranks; vacuous", None
+    v = s.element()
+    phi = canonical_R("R", v)
+    if b.n_C > 0:
+        bad = DVBElement(phi.bundle, phi.x, phi.f, (phi.c[0] + 1,) + phi.c[1:], phi.e)
+    elif b.n_F > 0:
+        bad = DVBElement(phi.bundle, phi.x, (phi.f[0] + 1,) + phi.f[1:], phi.c, phi.e)
+    else:
+        bad = DVBElement(phi.bundle, phi.x, phi.f, phi.c, (phi.e[0] + 1,) + phi.e[1:])
+    if verify_R_relation(v, bad, samples=60, seed=s.seed()):
+        return False, "perturbed candidate still satisfies the relation", {
+            "v": v, "candidate": bad
+        }
+    return True, "a perturbed candidate is rejected by the relation", None
 
-    results.append(_run_property("third-dual.03.variant-identities", sc.seed, variant_identities))
 
-    def involutive(rng):
-        ident = identity_morphism(b)
-        for variant in R_VARIANTS:
-            rm = canonical_R_morphism(b, variant)
-            if compose_morphisms(rm, rm) != ident:
-                return False, f"canonical map {variant} is not involutive", None
-        return True, "all four canonical maps square to the identity", None
-
-    results.append(_run_property("third-dual.04.canonical-maps-involutive", sc.seed, involutive))
-
-    def transport_inverts(rng):
-        phi = _scenario_morphism(sc)
-        transport = third_dual_transport(phi)
-        inverse = invert_morphism(phi)
-        points = max(1, min(samples, 10))
-
-        def sample():
-            x = _point(rng, b.chart, bound)
-            if transport.at(x) != inverse.at(x):
-                return False, "conjugated triple dual differs from the inverse", {
-                    "x": _fmt(x)
-                }
-
-        return _at_regular_points(points, sample, (
-            True, f"conjugated triple dual equals the inverse at {points} points", None
-        ))
-
-    results.append(
-        _run_property("third-dual.05.conjugated-transport-inverts", sc.seed, transport_inverts)
-    )
-
-    if naive_identification:
-
-        def naive_diverges(rng):
-            phi = _scenario_morphism(sc)
-            if all(p.is_zero for plane in phi.psi for row in plane for p in row):
-                return (
-                    True,
-                    "bilinear block vanishes, so the naive route coincides; vacuous",
-                    None,
-                )
-            naive = naive_third_dual_transport(phi)
-            inverse = invert_morphism(phi)
-            points = max(1, min(samples, 10))
-
-            def sample():
-                x = _point(rng, b.chart, bound)
-                if naive.at(x) != inverse.at(x):
-                    return (
-                        True,
-                        "naive slot identification diverges from the inverse as predicted",
-                        None,
-                    )
-
-            return _at_regular_points(points, sample, (
-                False, "naive identification unexpectedly matched the inverse", {
-                    "points": str(points)
-                },
-            ))
-
-        results.append(
-            _run_property("third-dual.06.naive-identification-diverges", sc.seed, naive_diverges)
+def _variant_identities(sc: Scenario, s: _Sampler):
+    rounds = max(1, sc.samples // 10)
+    for _ in range(rounds):
+        v = s.element()
+        pairs = (
+            ("R+-", fiber_scale("left", -1, v)),
+            ("R-+", fiber_scale("right", -1, v)),
+            ("R=", fiber_scale("left", -1, fiber_scale("right", -1, v))),
         )
-    return results
+        for variant, twisted in pairs:
+            if canonical_R(variant, v) != canonical_R("R", twisted):
+                return False, f"variant {variant} is not a sign twist of the base map", {
+                    "v": v
+                }
+        for variant in R_VARIANTS:
+            if not verify_R_relation(
+                v, canonical_R(variant, v), samples=12, seed=s.seed(), variant=variant
+            ):
+                return False, f"variant {variant} violates its signed relation", {"v": v}
+    return True, f"all sign variants verified on {rounds} elements", None
+
+
+def _canonical_maps_involutive(sc: Scenario, s: _Sampler):
+    ident = identity_morphism(sc.bundle)
+    for variant in R_VARIANTS:
+        rm = canonical_R_morphism(sc.bundle, variant)
+        if compose_morphisms(rm, rm) != ident:
+            return False, f"canonical map {variant} is not involutive", None
+    return True, "all four canonical maps square to the identity", None
+
+
+def _conjugated_transport_inverts(sc: Scenario, s: _Sampler):
+    phi = sc.section("morphism")
+    transport = third_dual_transport(phi)
+    inverse = invert_morphism(phi)
+    points = max(1, min(sc.samples, 10))
+
+    def sample():
+        x = s.point()
+        if transport.at(x) != inverse.at(x):
+            return False, "conjugated triple dual differs from the inverse", {"x": x}
+
+    return s.regular_points(points, sample, (
+        True, f"conjugated triple dual equals the inverse at {points} points", None
+    ))
+
+
+def _naive_identification_diverges(sc: Scenario, s: _Sampler):
+    phi = sc.section("morphism")
+    if all(p.is_zero for plane in phi.psi for row in plane for p in row):
+        return True, "bilinear block vanishes, so the naive route coincides; vacuous", None
+    naive = naive_third_dual_transport(phi)
+    inverse = invert_morphism(phi)
+    points = max(1, min(sc.samples, 10))
+
+    def sample():
+        x = s.point()
+        if naive.at(x) != inverse.at(x):
+            return (
+                True,
+                "naive slot identification diverges from the inverse as predicted",
+                None,
+            )
+
+    return s.regular_points(points, sample, (
+        False, "naive identification unexpectedly matched the inverse", {"points": points},
+    ))
+
+
+_THIRD_DUAL = (
+    ("third-dual.01.defining-relation", _defining_relation),
+    ("third-dual.02.relation-rejects-perturbation", _relation_rejects_perturbation),
+    ("third-dual.03.variant-identities", _variant_identities),
+    ("third-dual.04.canonical-maps-involutive", _canonical_maps_involutive),
+    ("third-dual.05.conjugated-transport-inverts", _conjugated_transport_inverts),
+)
+
+# The one conditional row: run only under `naive_identification`.
+_NAIVE_IDENTIFICATION = (
+    "third-dual.06.naive-identification-diverges", _naive_identification_diverges
+)
 
 
 # ---------------------------------------------------------------------------
 # The geometry suite
 
-def _geometry_results(sc: Scenario) -> list[PropertyResult]:
-    side = sc.side_bundle
+def _three_channels(key, shape_of, morphism_of, linearity_of, names):
+    """A property: the shape, bundle-morphism and linearity channels agree.
+
+    The channels judge section `key`; `names` is (what disagrees, the
+    counterexample key of the linearity channel, the noun, the quality).
+    """
+    disagree, linearity_key, noun, quality = names
+
+    def channels(sc: Scenario, s: _Sampler):
+        record = sc.section(key)
+        shape = shape_of(record)
+        seed1, seed2 = s.seed(), s.seed()
+        as_morphism = morphism_of(record, samples=sc.samples, seed=seed1)
+        linear = linearity_of(record, samples=sc.samples, seed=seed2)
+        if not (shape == as_morphism == linear):
+            return False, f"{disagree} channels disagree", {
+                "shape": shape, "bundle_morphism": as_morphism, linearity_key: linear
+            }
+        verdict = quality if shape else f"not {quality}"
+        return True, f"three characterizations agree: {noun} is {verdict}", None
+
+    return channels
+
+
+def _bivector_channels(sc: Scenario, s: _Sampler):
+    biv = sc.section("bivector")
+    shape = bivector_linear_shape(biv)
+    sampled = is_linear_poisson(biv, samples=sc.samples, seed=s.seed())
+    if shape != sampled:
+        return False, "linear bivector channels disagree", {
+            "shape": shape, "contraction_morphism": sampled
+        }
+    verdict = "fiberwise linear" if shape else "not fiberwise linear"
+    return True, f"shape and contraction sampling agree: {verdict}", None
+
+
+def _lie_poisson_fixtures(sc: Scenario, s: _Sampler):
+    point_chart = Chart.of_dim(0)
+    vb3 = VectorBundle(point_chart, 3, "g")
+    vars3 = total_space_vars(vb3)
+    e1, e2, e3 = (MultiPoly.var(vars3, f"e{i}") for i in (1, 2, 3))
+    z = MultiPoly.zero(vars3)
+
+    def fiber_bivector(rows):
+        """A bivector over the point chart with only its fiber block."""
+        return Bivector(
+            vb3,
+            PolyMatrix.zero(vars3, 0, 0),
+            PolyMatrix.zero(vars3, 0, 3),
+            PolyMatrix(vars3, tuple(tuple(row) for row in rows)),
+        )
+
+    so3 = fiber_bivector(((z, e3, -e2), (-e3, z, e1), (e2, -e1, z)))
+    pts = [(1, 1, 1), (1, 2, 3), (-1, 2, -5)] + [s.rationals(3) for _ in range(4)]
+    checks = [
+        ("so3 linear shape", bivector_linear_shape(so3)),
+        ("so3 contraction", is_linear_poisson(so3, samples=30, seed=s.seed())),
+        ("so3 jacobi", check_jacobi(so3, pts)),
+    ]
+    broken = fiber_bivector(((z, e3, -e1), (-e3, z, e1), (e1, -e1, z)))
+    checks.append(("broken constants linear", bivector_linear_shape(broken)))
+    checks.append(("broken constants jacobi fails", not check_jacobi(broken, [(1, 1, 1)])))
+    one = MultiPoly.const(vars3, 1)
+    constant = fiber_bivector(((z, one, z), (-one, z, z), (z, z, z)))
+    checks.append(("constant bivector not linear", not bivector_linear_shape(constant)))
+    checks.append(
+        (
+            "constant bivector fails sampling",
+            not is_linear_poisson(constant, samples=30, seed=s.seed()),
+        )
+    )
+    for label, ok in checks:
+        if not ok:
+            return False, f"fixture check failed: {label}", None
+    return True, "structure constant fixtures behave as classified", None
+
+
+def _closedness_channels(sc: Scenario, s: _Sampler):
+    form = sc.section("two_form")
+    exact = is_closed(form)
+    formal = closedness_via_exterior(form)
+    pulled = omega_c_pullback(form)
+    reproduces = pulled == form
+    if not (exact == formal == reproduces):
+        return False, "closedness channels disagree", {
+            "coefficient_identity": exact,
+            "exterior_derivative": formal,
+            "pullback_reproduces": reproduces,
+        }
+    if not is_closed(pulled):
+        return False, "pullback of the base form is not closed", None
+    verdict = "closed" if exact else "not closed"
+    return True, f"three closedness channels agree: {verdict}", None
+
+
+def _flat_map_blocks(sc: Scenario, s: _Sampler):
+    side, chart = sc.side_bundle, sc.chart
+    flat = omega_flat(sc.section("two_form"))
+    minus_ct = PolyMatrix.build(
+        flat.phi_c.vars,
+        side.rank,
+        chart.dim,
+        lambda bq, i: -flat.phi_c.entries[i][bq],
+    )
+    if flat.phi_l != minus_ct:
+        return False, "left block is not the negated transpose of the core block", None
+    if flat.phi_r != PolyMatrix.identity(chart.names, side.rank):
+        return False, "fiber block of the insertion map is not the identity", None
+    return True, "insertion map blocks satisfy the transpose identity", None
+
+
+def _section_orthogonality(sc: Scenario, s: _Sampler):
+    bundle, chart = sc.bundle, sc.chart
+    section = LinearSection(
+        bundle,
+        "left",
+        random_poly_vector(s.rng, chart.names, bundle.n_E, GENERATED_DEGREE),
+        random_poly_matrix(s.rng, chart.names, bundle.n_C, bundle.n_F, GENERATED_DEGREE),
+    )
+    co = dual_linear_section(section)
+    for _ in range(sc.samples):
+        x = s.point()
+        fval = s.rationals(bundle.n_F)
+        qval = s.rationals(bundle.n_C)
+        if pair_r(section.at(x, fval), co.at(x, qval)) != 0:
+            return False, "dual section does not annihilate the section", {
+                "x": x, "f": fval, "q": qval
+            }
+    if bundle.n_C == 0 or bundle.n_F == 0:
+        return True, "orthogonality holds; uniqueness vacuous at these ranks", None
+    bump = PolyMatrix.build(
+        chart.names,
+        bundle.n_F,
+        bundle.n_C,
+        lambda i, j: co.fiber.entries[i][j] + MultiPoly.const(chart.names, 1)
+        if (i, j) == (0, 0)
+        else co.fiber.entries[i][j],
+    )
+    rival = LinearSection(co.bundle, "right", co.base, bump)
+    x = s.point()
+    unit_f = tuple(Fraction(int(t == 0)) for t in range(bundle.n_F))
+    unit_q = tuple(Fraction(int(t == 0)) for t in range(bundle.n_C))
+    if pair_r(section.at(x, unit_f), rival.at(x, unit_q)) == 0:
+        return False, "a differing candidate also annihilates the section", {"x": x}
+    return True, "dual section annihilates; any fiber change breaks it", None
+
+
+def _lift_correspondence(sc: Scenario, s: _Sampler):
     chart = sc.chart
-    samples, bound = sc.samples, sc.bound
-    results = []
-
-    def field_channels(rng):
-        field = _scenario_record(
-            sc, "vector_field", lambda r: random_vector_field(r, side, GENERATED_DEGREE)
+    line = Chart.of_dim(1)
+    x1 = MultiPoly.var(line.names, "x1")
+    fixtures = [(line, (x1 * x1,))]
+    if chart.dim >= 1:
+        fixtures.append(
+            (chart, random_poly_vector(s.rng, chart.names, chart.dim, GENERATED_DEGREE))
         )
-        shape = is_degree_zero(field)
-        seed1, seed2 = rng.randrange(1 << 30), rng.randrange(1 << 30)
-        as_morphism = vf_is_bundle_morphism(field, samples=samples, seed=seed1)
-        linear = vf_linearity_on_cotangent(field, samples=samples, seed=seed2)
-        if not (shape == as_morphism == linear):
-            return False, "degree-zero channels disagree", {
-                "shape": str(shape),
-                "bundle_morphism": str(as_morphism),
-                "momentum_linearity": str(linear),
+    for base_chart, base_field in fixtures:
+        up = complete_tangent_lift(base_chart, base_field)
+        down = complete_cotangent_lift(base_chart, base_field)
+        dual_sect = dual_linear_section(linear_vf_as_section(up))
+        if dual_sect.base != tuple(down.base) or dual_sect.fiber != down.fiber:
+            return False, "dual of the tangent lift is not the cotangent lift", {
+                "chart_dim": base_chart.dim
             }
-        verdict = "degree zero" if shape else "not degree zero"
-        return True, f"three characterizations agree: field is {verdict}", None
+        up_sect = linear_vf_as_section(up)
+        for _ in range(max(1, sc.samples // 10)):
+            x = s.rationals(base_chart.dim)
+            fval = s.rationals(base_chart.dim)
+            qval = s.rationals(base_chart.dim)
+            if pair_r(up_sect.at(x, fval), dual_sect.at(x, qval)) != 0:
+                return False, "lift sections are not orthogonal", {"x": x}
+    return True, "cotangent lift is the dual section of the tangent lift", None
 
-    results.append(_run_property("geometry.01.vector-field-channels", sc.seed, field_channels))
 
-    def oneform_channels(rng):
-        form = _scenario_record(
-            sc, "one_form", lambda r: random_one_form(r, side, GENERATED_DEGREE)
-        )
-        shape = is_linear_oneform(form)
-        seed1, seed2 = rng.randrange(1 << 30), rng.randrange(1 << 30)
-        as_morphism = oneform_is_bundle_morphism(form, samples=samples, seed=seed1)
-        linear = oneform_linearity_on_tangent(form, samples=samples, seed=seed2)
-        if not (shape == as_morphism == linear):
-            return False, "linear one-form channels disagree", {
-                "shape": str(shape),
-                "bundle_morphism": str(as_morphism),
-                "velocity_linearity": str(linear),
-            }
-        verdict = "linear" if shape else "not linear"
-        return True, f"three characterizations agree: form is {verdict}", None
+def _metric_channels(sc: Scenario, s: _Sampler):
+    side, chart = sc.side_bundle, sc.chart
+    conn = sc.section("connection")
+    metric = sc.section("metric")
+    exact = metric_identity(conn, metric)
 
-    results.append(_run_property("geometry.02.one-form-channels", sc.seed, oneform_channels))
-
-    def bivector_channels(rng):
-        biv = _scenario_record(
-            sc, "bivector", lambda r: random_bivector(r, side, GENERATED_DEGREE)
-        )
-        shape = bivector_linear_shape(biv)
-        sampled = is_linear_poisson(biv, samples=samples, seed=rng.randrange(1 << 30))
-        if shape != sampled:
-            return False, "linear bivector channels disagree", {
-                "shape": str(shape),
-                "contraction_morphism": str(sampled),
-            }
-        verdict = "fiberwise linear" if shape else "not fiberwise linear"
-        return True, f"shape and contraction sampling agree: {verdict}", None
-
-    results.append(_run_property("geometry.03.bivector-channels", sc.seed, bivector_channels))
-
-    def lie_poisson(rng):
-        point_chart = Chart.of_dim(0)
-        vb3 = VectorBundle(point_chart, 3, "g")
-        vars3 = total_space_vars(vb3)
-        e1, e2, e3 = (MultiPoly.var(vars3, f"e{i}") for i in (1, 2, 3))
-        z = MultiPoly.zero(vars3)
-
-        def antisym(rows):
-            return PolyMatrix(vars3, tuple(tuple(row) for row in rows))
-
-        so3 = Bivector(
-            vb3,
-            PolyMatrix.zero(vars3, 0, 0),
-            PolyMatrix.zero(vars3, 0, 3),
-            antisym(((z, e3, -e2), (-e3, z, e1), (e2, -e1, z))),
-        )
-        pts = [(1, 1, 1), (1, 2, 3), (-1, 2, -5)] + [
-            random_tuple(rng, 3, bound) for _ in range(4)
-        ]
-        checks = [
-            ("so3 linear shape", bivector_linear_shape(so3)),
-            ("so3 contraction", is_linear_poisson(so3, samples=30, seed=rng.randrange(1 << 30))),
-            ("so3 jacobi", check_jacobi(so3, pts)),
-        ]
-        broken = Bivector(
-            vb3,
-            PolyMatrix.zero(vars3, 0, 0),
-            PolyMatrix.zero(vars3, 0, 3),
-            antisym(((z, e3, -e1), (-e3, z, e1), (e1, -e1, z))),
-        )
-        checks.append(("broken constants linear", bivector_linear_shape(broken)))
-        checks.append(("broken constants jacobi fails", not check_jacobi(broken, [(1, 1, 1)])))
-        one = MultiPoly.const(vars3, 1)
-        constant = Bivector(
-            vb3,
-            PolyMatrix.zero(vars3, 0, 0),
-            PolyMatrix.zero(vars3, 0, 3),
-            antisym(((z, one, z), (-one, z, z), (z, z, z))),
-        )
-        checks.append(("constant bivector not linear", not bivector_linear_shape(constant)))
-        checks.append(
-            (
-                "constant bivector fails sampling",
-                not is_linear_poisson(constant, samples=30, seed=rng.randrange(1 << 30)),
-            )
-        )
-        for label, ok in checks:
-            if not ok:
-                return False, f"fixture check failed: {label}", None
-        return True, "structure constant fixtures behave as classified", None
-
-    results.append(_run_property("geometry.04.lie-poisson-fixtures", sc.seed, lie_poisson))
-
-    def closedness_channels(rng):
-        form = _scenario_record(
-            sc, "two_form", lambda r: random_two_form(r, side, GENERATED_DEGREE)
-        )
-        exact = is_closed(form)
-        formal = closedness_via_exterior(form)
-        pulled = omega_c_pullback(form)
-        reproduces = pulled == form
-        if not (exact == formal == reproduces):
-            return False, "closedness channels disagree", {
-                "coefficient_identity": str(exact),
-                "exterior_derivative": str(formal),
-                "pullback_reproduces": str(reproduces),
-            }
-        if not is_closed(pulled):
-            return False, "pullback of the base form is not closed", None
-        verdict = "closed" if exact else "not closed"
-        return True, f"three closedness channels agree: {verdict}", None
-
-    results.append(
-        _run_property("geometry.05.two-form-closedness-channels", sc.seed, closedness_channels)
-    )
-
-    def flat_blocks(rng):
-        form = _scenario_record(
-            sc, "two_form", lambda r: random_two_form(r, side, GENERATED_DEGREE)
-        )
-        flat = omega_flat(form)
-        minus_ct = PolyMatrix.build(
-            flat.phi_c.vars,
-            side.rank,
-            chart.dim,
-            lambda bq, i: -flat.phi_c.entries[i][bq],
-        )
-        if flat.phi_l != minus_ct:
-            return False, "left block is not the negated transpose of the core block", None
-        if flat.phi_r != PolyMatrix.identity(chart.names, side.rank):
-            return False, "fiber block of the insertion map is not the identity", None
-        return True, "insertion map blocks satisfy the transpose identity", None
-
-    results.append(_run_property("geometry.06.flat-map-block-identity", sc.seed, flat_blocks))
-
-    def section_orthogonality(rng):
-        bundle = sc.bundle
-        section = LinearSection(
-            bundle,
-            "left",
-            random_poly_vector(rng, chart.names, bundle.n_E, GENERATED_DEGREE),
-            random_poly_matrix(rng, chart.names, bundle.n_C, bundle.n_F, GENERATED_DEGREE),
-        )
-        co = dual_linear_section(section)
-        for _ in range(samples):
-            x = _point(rng, chart, bound)
-            fval = random_tuple(rng, bundle.n_F, bound)
-            qval = random_tuple(rng, bundle.n_C, bound)
-            if pair_r(section.at(x, fval), co.at(x, qval)) != 0:
-                return False, "dual section does not annihilate the section", {
-                    "x": _fmt(x),
-                    "f": _fmt(fval),
-                    "q": _fmt(qval),
-                }
-        if bundle.n_C == 0 or bundle.n_F == 0:
-            return True, "orthogonality holds; uniqueness vacuous at these ranks", None
-        bump = PolyMatrix.build(
-            chart.names,
-            bundle.n_F,
-            bundle.n_C,
-            lambda i, j: co.fiber.entries[i][j] + MultiPoly.const(chart.names, 1)
-            if (i, j) == (0, 0)
-            else co.fiber.entries[i][j],
-        )
-        rival = LinearSection(co.bundle, "right", co.base, bump)
-        x = _point(rng, chart, bound)
-        unit_f = tuple(Fraction(int(t == 0)) for t in range(bundle.n_F))
-        unit_q = tuple(Fraction(int(t == 0)) for t in range(bundle.n_C))
-        if pair_r(section.at(x, unit_f), rival.at(x, unit_q)) == 0:
-            return False, "a differing candidate also annihilates the section", {
-                "x": _fmt(x)
-            }
-        return True, "dual section annihilates; any fiber change breaks it", None
-
-    results.append(
-        _run_property("geometry.07.section-duality-orthogonality", sc.seed, section_orthogonality)
-    )
-
-    def lift_correspondence(rng):
-        line = Chart.of_dim(1)
-        x1 = MultiPoly.var(line.names, "x1")
-        fixtures = [(line, (x1 * x1,))]
-        if chart.dim >= 1:
-            fixtures.append(
-                (chart, random_poly_vector(rng, chart.names, chart.dim, GENERATED_DEGREE))
-            )
-        for base_chart, base_field in fixtures:
-            up = complete_tangent_lift(base_chart, base_field)
-            down = complete_cotangent_lift(base_chart, base_field)
-            dual_sect = dual_linear_section(linear_vf_as_section(up))
-            if dual_sect.base != tuple(down.base) or dual_sect.fiber != down.fiber:
-                return False, "dual of the tangent lift is not the cotangent lift", {
-                    "chart_dim": str(base_chart.dim)
-                }
-            up_sect = linear_vf_as_section(up)
-            for _ in range(max(1, samples // 10)):
-                x = _point(rng, base_chart, bound)
-                fval = random_tuple(rng, base_chart.dim, bound)
-                qval = random_tuple(rng, base_chart.dim, bound)
-                if pair_r(up_sect.at(x, fval), dual_sect.at(x, qval)) != 0:
-                    return False, "lift sections are not orthogonal", {"x": _fmt(x)}
-        return True, "cotangent lift is the dual section of the tangent lift", None
-
-    results.append(
-        _run_property("geometry.08.complete-lift-correspondence", sc.seed, lift_correspondence)
-    )
-
-    def metric_channels(rng):
-        conn = _scenario_record(
-            sc, "connection", lambda r: random_connection(r, side, GENERATED_DEGREE)
-        )
-        metric = _scenario_record(
-            sc, "metric", lambda r: random_metric(r, side, GENERATED_DEGREE)
-        )
-        exact = metric_identity(conn, metric)
-        sampled = is_metric_connection(conn, metric, samples=8, seed=rng.randrange(1 << 30))
+    def sample():
+        sampled = is_metric_connection(conn, metric, samples=8, seed=s.seed())
         if exact != sampled:
             return False, "metric compatibility channels disagree", {
-                "coefficient_identity": str(exact),
-                "diagram_sampling": str(sampled),
+                "coefficient_identity": exact, "diagram_sampling": sampled
             }
-        # a compatible pair built from a unimodular square root must pass
-        root_rng = random.Random(rng.randrange(1 << 30))
-        good_metric = random_metric(root_rng, side, 1)
-        ginv = good_metric.g.unimodular_inverse()
-        half = Fraction(1, 2)
-        gamma = tuple(
+
+    verdict = "compatible" if exact else "not compatible"
+    result = s.regular_points(1, sample, (
+        True, f"diagram and coefficient identity agree: {verdict}", None
+    ))
+    if not result[0]:
+        return result
+    # a compatible pair built from a unimodular square root must pass
+    good_metric = random_metric(random.Random(s.seed()), side, 1)
+    ginv = good_metric.g.unimodular_inverse()
+    half = Fraction(1, 2)
+    gamma = tuple(
+        tuple(
             tuple(
-                tuple(
-                    (ginv * _partial_matrix(good_metric.g, chart.names[i])).entries[a][c].scale(half)
-                    for c in range(side.rank)
-                )
-                for i in range(chart.dim)
+                (ginv * _partial_matrix(good_metric.g, chart.names[i])).entries[a][c].scale(half)
+                for c in range(side.rank)
             )
-            for a in range(side.rank)
-        )
-        good_conn = LinearConnection(side, gamma)
-        if not metric_identity(good_conn, good_metric) or not is_metric_connection(
-            good_conn, good_metric, samples=6, seed=rng.randrange(1 << 30)
-        ):
-            return False, "constructed compatible pair fails the criteria", None
-        verdict = "compatible" if exact else "not compatible"
-        return True, f"diagram and coefficient identity agree: {verdict}", None
-
-    results.append(
-        _run_property("geometry.09.metric-compatibility-channels", sc.seed, metric_channels)
-    )
-
-    def symmetry_channels(rng):
-        if side.rank != chart.dim:
-            return True, "side rank differs from the chart dimension; vacuous", None
-        conn = _scenario_record(
-            sc, "connection", lambda r: random_connection(r, side, GENERATED_DEGREE)
-        )
-        exact = all(
-            conn.gamma[a][i][bq] == conn.gamma[a][bq][i]
-            for a in range(side.rank)
             for i in range(chart.dim)
-            for bq in range(chart.dim)
         )
-        diagram = is_symmetric_connection(conn, samples=20, seed=rng.randrange(1 << 30))
-        lagrangian = horizontal_lagrangian_check(conn, samples=5, seed=rng.randrange(1 << 30))
-        if not (exact == diagram == lagrangian):
-            return False, "connection symmetry channels disagree", {
-                "coordinate_symmetry": str(exact),
-                "side_exchange_diagram": str(diagram),
-                "horizontal_isotropy": str(lagrangian),
-            }
-        if chart.dim >= 2:
-            sym_rng = random.Random(rng.randrange(1 << 30))
-            sym = random_connection(sym_rng, side, 1, symmetric=True)
-            if not is_symmetric_connection(sym, samples=10, seed=rng.randrange(1 << 30)):
-                return False, "symmetrized fixture fails the diagram channel", None
-            if not horizontal_lagrangian_check(sym, samples=4, seed=rng.randrange(1 << 30)):
-                return False, "symmetrized fixture fails the isotropy channel", None
-            bumped_grid = [
-                [list(row) for row in plane] for plane in sym.gamma
-            ]
-            bumped_grid[0][0][1] = bumped_grid[0][0][1] + MultiPoly.const(chart.names, 1)
-            bumped = LinearConnection(side, tuple(
-                tuple(tuple(row) for row in plane) for plane in bumped_grid
-            ))
-            if is_symmetric_connection(bumped, samples=10, seed=rng.randrange(1 << 30)):
-                return False, "asymmetric fixture passes the diagram channel", None
-            if horizontal_lagrangian_check(bumped, samples=4, seed=rng.randrange(1 << 30)):
-                return False, "asymmetric fixture passes the isotropy channel", None
-        verdict = "symmetric" if exact else "not symmetric"
-        return True, f"three symmetry channels agree: {verdict}", None
-
-    results.append(
-        _run_property("geometry.10.connection-symmetry-channels", sc.seed, symmetry_channels)
+        for a in range(side.rank)
     )
-
-    def vertical_lifts(rng):
-        bundle = sc.bundle
-        section = _scenario_record(
-            sc,
-            "core_section",
-            lambda r: random_core_section(r, chart, bundle.n_C, GENERATED_DEGREE),
-        )
-        rounds = max(1, samples // 5)
-        for _ in range(rounds):
-            x = _point(rng, chart, bound)
-            e = random_tuple(rng, bundle.n_E, bound)
-            f = random_tuple(rng, bundle.n_F, bound)
-            lifted_r = vertical_lift(bundle, "right", section, x, e)
-            lifted_l = vertical_lift(bundle, "left", section, x, f)
-            want = section.value(x)
-            if lifted_r.c != want or lifted_l.c != want:
-                return False, "vertical lift core slot is wrong", {"x": _fmt(x)}
-            side_part, core_part = kernel_split(lifted_l)
-            if core_part.c != want or fiber_add("right", side_part, core_part) != lifted_l:
-                return False, "left vertical lift does not split in the right kernel", {
-                    "x": _fmt(x)
-                }
-            if lifted_r.flip() != vertical_lift(bundle.flip(), "left", section, x, e):
-                return False, "vertical lifts do not exchange under the flip", {
-                    "x": _fmt(x)
-                }
-        return True, f"vertical lifts land in the kernels on {rounds} samples", None
-
-    results.append(_run_property("geometry.11.vertical-lift-kernel", sc.seed, vertical_lifts))
-
-    def side_exchange_adjoint(rng):
-        if chart.dim == 0:
-            return True, "point chart; vacuous", None
-        exchange = kappa_M(chart)
-        adjoint = alpha_M(chart)
-        shell = exchange.source
-        dual_shell = right_dual(shell)
-        rounds = max(1, samples // 5)
-        for _ in range(rounds):
-            x = _point(rng, chart, bound)
-            v = _element(rng, shell, bound, x=x)
-            image = exchange.apply(v)
-            a = DVBElement(
-                dual_shell,
-                x,
-                image.e,
-                random_tuple(rng, shell.n_F, bound),
-                random_tuple(rng, shell.n_C, bound),
-            )
-            if pair_r(image, a) != pair_r(v, adjoint.at(x).apply(a)):
-                return False, "side exchange adjoint contract fails", {
-                    "x": _fmt(x),
-                    "v": _fmt_element(v),
-                    "a": _fmt_element(a),
-                }
-        return True, f"double tangent exchange is adjoint to its dual on {rounds} samples", None
-
-    results.append(
-        _run_property("geometry.12.side-exchange-adjoint", sc.seed, side_exchange_adjoint)
-    )
-    return results
+    good_conn = LinearConnection(side, gamma)
+    if not metric_identity(good_conn, good_metric) or not is_metric_connection(
+        good_conn, good_metric, samples=6, seed=s.seed()
+    ):
+        return False, "constructed compatible pair fails the criteria", None
+    return result
 
 
 def _partial_matrix(m: PolyMatrix, name: str) -> PolyMatrix:
@@ -1282,8 +991,118 @@ def _partial_matrix(m: PolyMatrix, name: str) -> PolyMatrix:
     )
 
 
+def _symmetry_channels(sc: Scenario, s: _Sampler):
+    side, chart = sc.side_bundle, sc.chart
+    if side.rank != chart.dim:
+        return True, "side rank differs from the chart dimension; vacuous", None
+    conn = sc.section("connection")
+    exact = all(
+        conn.gamma[a][i][bq] == conn.gamma[a][bq][i]
+        for a in range(side.rank)
+        for i in range(chart.dim)
+        for bq in range(chart.dim)
+    )
+    diagram = is_symmetric_connection(conn, samples=20, seed=s.seed())
+    lagrangian = horizontal_lagrangian_check(conn, samples=5, seed=s.seed())
+    if not (exact == diagram == lagrangian):
+        return False, "connection symmetry channels disagree", {
+            "coordinate_symmetry": exact,
+            "side_exchange_diagram": diagram,
+            "horizontal_isotropy": lagrangian,
+        }
+    if chart.dim >= 2:
+        sym = random_connection(random.Random(s.seed()), side, 1, symmetric=True)
+        if not is_symmetric_connection(sym, samples=10, seed=s.seed()):
+            return False, "symmetrized fixture fails the diagram channel", None
+        if not horizontal_lagrangian_check(sym, samples=4, seed=s.seed()):
+            return False, "symmetrized fixture fails the isotropy channel", None
+        bumped_grid = [
+            [list(row) for row in plane] for plane in sym.gamma
+        ]
+        bumped_grid[0][0][1] = bumped_grid[0][0][1] + MultiPoly.const(chart.names, 1)
+        bumped = LinearConnection(side, tuple(
+            tuple(tuple(row) for row in plane) for plane in bumped_grid
+        ))
+        if is_symmetric_connection(bumped, samples=10, seed=s.seed()):
+            return False, "asymmetric fixture passes the diagram channel", None
+        if horizontal_lagrangian_check(bumped, samples=4, seed=s.seed()):
+            return False, "asymmetric fixture passes the isotropy channel", None
+    verdict = "symmetric" if exact else "not symmetric"
+    return True, f"three symmetry channels agree: {verdict}", None
+
+
+def _vertical_lift_kernel(sc: Scenario, s: _Sampler):
+    bundle = sc.bundle
+    section = sc.section("core_section")
+    rounds = max(1, sc.samples // 5)
+    for _ in range(rounds):
+        x = s.point()
+        e = s.rationals(bundle.n_E)
+        f = s.rationals(bundle.n_F)
+        lifted_r = vertical_lift(bundle, "right", section, x, e)
+        lifted_l = vertical_lift(bundle, "left", section, x, f)
+        want = section.value(x)
+        if lifted_r.c != want or lifted_l.c != want:
+            return False, "vertical lift core slot is wrong", {"x": x}
+        side_part, core_part = kernel_split(lifted_l)
+        if core_part.c != want or fiber_add("right", side_part, core_part) != lifted_l:
+            return False, "left vertical lift does not split in the right kernel", {"x": x}
+        if lifted_r.flip() != vertical_lift(bundle.flip(), "left", section, x, e):
+            return False, "vertical lifts do not exchange under the flip", {"x": x}
+    return True, f"vertical lifts land in the kernels on {rounds} samples", None
+
+
+def _side_exchange_adjoint(sc: Scenario, s: _Sampler):
+    if sc.chart.dim == 0:
+        return True, "point chart; vacuous", None
+    exchange = kappa_M(sc.chart)
+    adjoint = alpha_M(sc.chart)
+    on_shell = s.over(exchange.source)
+    on_dual = s.over(right_dual(exchange.source))
+    rounds = max(1, sc.samples // 5)
+    for _ in range(rounds):
+        x = s.point()
+        v = on_shell.element(x=x)
+        image = exchange.apply(v)
+        a = on_dual.element(x=x, f=image.e)
+        if pair_r(image, a) != pair_r(v, adjoint.at(x).apply(a)):
+            return False, "side exchange adjoint contract fails", {"x": x, "v": v, "a": a}
+    return True, f"double tangent exchange is adjoint to its dual on {rounds} samples", None
+
+
+_GEOMETRY = (
+    ("geometry.01.vector-field-channels", _three_channels(
+        "vector_field", is_degree_zero, vf_is_bundle_morphism, vf_linearity_on_cotangent,
+        ("degree-zero", "momentum_linearity", "field", "degree zero"),
+    )),
+    ("geometry.02.one-form-channels", _three_channels(
+        "one_form", is_linear_oneform, oneform_is_bundle_morphism,
+        oneform_linearity_on_tangent,
+        ("linear one-form", "velocity_linearity", "form", "linear"),
+    )),
+    ("geometry.03.bivector-channels", _bivector_channels),
+    ("geometry.04.lie-poisson-fixtures", _lie_poisson_fixtures),
+    ("geometry.05.two-form-closedness-channels", _closedness_channels),
+    ("geometry.06.flat-map-block-identity", _flat_map_blocks),
+    ("geometry.07.section-duality-orthogonality", _section_orthogonality),
+    ("geometry.08.complete-lift-correspondence", _lift_correspondence),
+    ("geometry.09.metric-compatibility-channels", _metric_channels),
+    ("geometry.10.connection-symmetry-channels", _symmetry_channels),
+    ("geometry.11.vertical-lift-kernel", _vertical_lift_kernel),
+    ("geometry.12.side-exchange-adjoint", _side_exchange_adjoint),
+)
+
+
 # ---------------------------------------------------------------------------
 # Suite dispatch
+
+_SUITES = {
+    "axioms": _AXIOMS,
+    "duality": _DUALITY,
+    "third-dual": _THIRD_DUAL,
+    "geometry": _GEOMETRY,
+}
+
 
 def _scenario_header(sc: Scenario, suite: str) -> tuple[str, ...]:
     b = sc.bundle
@@ -1297,29 +1116,87 @@ def _scenario_header(sc: Scenario, suite: str) -> tuple[str, ...]:
     )
 
 
+def _report(suite: str, sc: Scenario, rows) -> Report:
+    """Run the `(prop_id, fn)` rows and assemble their report."""
+    start = time.monotonic()
+    results = sorted(
+        (_run_property(prop_id, sc, fn) for prop_id, fn in rows), key=lambda r: r.prop_id
+    )
+    elapsed = int((time.monotonic() - start) * 1000)
+    return Report(suite, _scenario_header(sc, suite), tuple(results), elapsed)
+
+
 def run_suite(
     name: str, scenario: Scenario, naive_identification: bool = False
 ) -> Report:
     """Execute one named suite (or all of them) and assemble the report."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
-    start = time.monotonic()
-    results: list[PropertyResult] = []
-    if name in ("axioms", "all"):
-        results.extend(_axioms_results(scenario))
-    if name in ("duality", "all"):
-        results.extend(_duality_results(scenario))
-    if name in ("third-dual", "all"):
-        results.extend(_third_dual_results(scenario, naive_identification))
-    if name in ("geometry", "all"):
-        results.extend(_geometry_results(scenario))
-    results.sort(key=lambda r: r.prop_id)
-    elapsed = int((time.monotonic() - start) * 1000)
-    return Report(name, _scenario_header(scenario, name), tuple(results), elapsed)
+    rows = [row for suite, table in _SUITES.items() if name in (suite, "all") for row in table]
+    if naive_identification and name in ("third-dual", "all"):
+        rows.append(_NAIVE_IDENTIFICATION)
+    return _report(name, scenario, rows)
 
 
 # ---------------------------------------------------------------------------
 # Single-predicate connection checks (CLI `connection check ...`)
+
+def _asymmetry_cx(conn: LinearConnection):
+    spot = _first_asymmetry(conn)
+    if spot is None:
+        return None
+    a, i, bq = spot
+    return {
+        "index (a, i, b)": (a, i, bq),
+        "gamma[a][i][b]": conn.gamma[a][i][bq],
+        "gamma[a][b][i]": conn.gamma[a][bq][i],
+    }
+
+
+def _metric_check(sc: Scenario, s: _Sampler):
+    conn = sc.section("connection")
+    metric = sc.section("metric")
+    exact = metric_identity(conn, metric)
+    try:
+        sampled = is_metric_connection(conn, metric, samples=8, seed=s.seed())
+    except SingularMetricError as exc:
+        return False, f"metric singular at a sampled point: {exc}", None
+    if exact != sampled:
+        return False, "diagram and coefficient channels disagree", {
+            "coefficient_identity": exact, "diagram_sampling": sampled
+        }
+    if exact:
+        return True, "connection preserves the metric", None
+    i, a, bq, got, want = _metric_defect(conn, metric)
+    return False, "connection does not preserve the metric", {
+        "index (i, a, b)": (i, a, bq), "metric_derivative": got, "covariant_combination": want
+    }
+
+
+def _symmetric_check(sc: Scenario, s: _Sampler):
+    conn = sc.section("connection")
+    if is_symmetric_connection(conn, samples=20, seed=s.seed()):
+        return True, "connection is symmetric", None
+    return False, "connection is not symmetric", _asymmetry_cx(conn)
+
+
+def _lagrangian_check(sc: Scenario, s: _Sampler):
+    conn = sc.section("connection")
+    if horizontal_lagrangian_check(conn, samples=5, seed=s.seed()):
+        return True, "horizontal spaces of the dual connection are isotropic", None
+    return (
+        False,
+        "lifted canonical form does not vanish on horizontal pairs",
+        _asymmetry_cx(conn),
+    )
+
+
+_CONNECTION_CHECKS = {
+    "metric": ("connection.metric-compatibility", _metric_check),
+    "symmetric": ("connection.symmetric", _symmetric_check),
+    "lagrangian": ("connection.lagrangian-horizontal", _lagrangian_check),
+}
+
 
 def run_connection_check(kind: str, sc: Scenario) -> Report:
     """Evaluate one connection predicate on the scenario as a tiny report.
@@ -1328,84 +1205,10 @@ def run_connection_check(kind: str, sc: Scenario) -> Report:
     implementation defects, these checks ask a genuine question about the
     scenario data and report FAIL with a counterexample when it says no.
     """
-    if kind not in ("metric", "symmetric", "lagrangian"):
+    if kind not in _CONNECTION_CHECKS:
         raise ValueError(f"unknown connection check {kind!r}")
-    side = sc.side_bundle
-    chart = sc.chart
-    conn = _scenario_record(
-        sc, "connection", lambda r: random_connection(r, side, GENERATED_DEGREE)
-    )
-    if kind in ("symmetric", "lagrangian") and side.rank != chart.dim:
+    if kind in ("symmetric", "lagrangian") and sc.side_bundle.rank != sc.chart.dim:
         raise InconsistentScenarioError(
             "connection symmetry checks need the side rank to equal the chart dimension"
         )
-    start = time.monotonic()
-
-    def asymmetry_cx():
-        spot = _first_asymmetry(conn)
-        if spot is None:
-            return None
-        a, i, bq = spot
-        return {
-            "index (a, i, b)": _fmt((a, i, bq)),
-            "gamma[a][i][b]": str(conn.gamma[a][i][bq]),
-            "gamma[a][b][i]": str(conn.gamma[a][bq][i]),
-        }
-
-    if kind == "metric":
-        prop_id = "connection.metric-compatibility"
-
-        def fn(rng):
-            metric = _scenario_record(
-                sc, "metric", lambda r: random_metric(r, side, GENERATED_DEGREE)
-            )
-            exact = metric_identity(conn, metric)
-            try:
-                sampled = is_metric_connection(
-                    conn, metric, samples=8, seed=rng.randrange(1 << 30)
-                )
-            except SingularMetricError as exc:
-                return False, f"metric singular at a sampled point: {exc}", None
-            if exact != sampled:
-                return False, "diagram and coefficient channels disagree", {
-                    "coefficient_identity": str(exact),
-                    "diagram_sampling": str(sampled),
-                }
-            if exact:
-                return True, "connection preserves the metric", None
-            i, a, bq, got, want = _metric_defect(conn, metric)
-            return False, "connection does not preserve the metric", {
-                "index (i, a, b)": _fmt((i, a, bq)),
-                "metric_derivative": str(got),
-                "covariant_combination": str(want),
-            }
-
-    elif kind == "symmetric":
-        prop_id = "connection.symmetric"
-
-        def fn(rng):
-            verdict = is_symmetric_connection(conn, samples=20, seed=rng.randrange(1 << 30))
-            if verdict:
-                return True, "connection is symmetric", None
-            return False, "connection is not symmetric", asymmetry_cx()
-
-    else:
-        prop_id = "connection.lagrangian-horizontal"
-
-        def fn(rng):
-            verdict = horizontal_lagrangian_check(
-                conn, samples=5, seed=rng.randrange(1 << 30)
-            )
-            if verdict:
-                return True, "horizontal spaces of the dual connection are isotropic", None
-            cx = asymmetry_cx()
-            return False, "lifted canonical form does not vanish on horizontal pairs", cx
-
-    result = _run_property(prop_id, sc.seed, fn)
-    elapsed = int((time.monotonic() - start) * 1000)
-    return Report(
-        f"connection:{kind}",
-        _scenario_header(sc, f"connection:{kind}"),
-        (result,),
-        elapsed,
-    )
+    return _report(f"connection:{kind}", sc, [_CONNECTION_CHECKS[kind]])

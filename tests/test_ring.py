@@ -13,7 +13,6 @@ from dvbcalc.ring import (
     dot,
     mat_inverse_frac,
     mat_mul,
-    mat_solve_at,
     rat,
     solve_fraction_free,
 )
@@ -108,31 +107,31 @@ def test_canonical_order_graded_lex():
 
 def test_solve_scalar():
     m = PolyMatrix.constant(("x",), [[2]])
-    assert mat_solve_at(m, (rat(0),), (rat(6),)) == (3,)
+    assert solve_fraction_free(m.eval_at((rat(0),)), (rat(6),)) == (3,)
 
 
 def test_solve_identity():
     m = PolyMatrix.identity(("x",), 2)
-    assert mat_solve_at(m, (rat(1),), (rat("4/3"), rat(-2))) == (rat("4/3"), -2)
+    assert solve_fraction_free(m.eval_at((rat(1),)), (rat("4/3"), rat(-2))) == (rat("4/3"), -2)
 
 
 def test_solve_upper_triangular():
     m = PolyMatrix.constant(("x",), [[1, 1], [0, 2]])
-    assert mat_solve_at(m, (rat(0),), (rat(3), rat(4))) == (1, 2)
+    assert solve_fraction_free(m.eval_at((rat(0),)), (rat(3), rat(4))) == (1, 2)
 
 
 def test_solve_singular_raises():
     m = PolyMatrix.constant(("x",), [[1, 2], [2, 4]])
     with pytest.raises(SingularMatrixError):
-        mat_solve_at(m, (rat(0),), (rat(1), rat(1)))
+        solve_fraction_free(m.eval_at((rat(0),)), (rat(1), rat(1)))
 
 
 def test_solve_polynomial_entries_at_point():
     x = MultiPoly.var(("x",), "x")
     m = PolyMatrix(("x",), ((x, MultiPoly.zero(("x",))), (MultiPoly.zero(("x",)), x)))
-    assert mat_solve_at(m, (rat(2),), (rat(4), rat(6))) == (2, 3)
+    assert solve_fraction_free(m.eval_at((rat(2),)), (rat(4), rat(6))) == (2, 3)
     with pytest.raises(SingularMatrixError):
-        mat_solve_at(m, (rat(0),), (rat(1), rat(1)))
+        solve_fraction_free(m.eval_at((rat(0),)), (rat(1), rat(1)))
 
 
 def test_unimodular_inverse():

@@ -355,6 +355,18 @@ def test_generation_deterministic(seed):
     assert a == b
 
 
+def test_section_returns_the_record_or_a_fixed_stand_in():
+    full = gen_random_scenario(4)
+    bare = Scenario(bundle=full.bundle, seed=9)
+    for key, *_ in SECTIONS:
+        assert full.section(key) is getattr(full, key)
+        stand_in = bare.section(key)
+        assert stand_in == bare.section(key)
+        # a stand-in is a valid section of the scenario it stands in for
+        assert dataclasses.replace(bare, **{key: stand_in}).section(key) is stand_in
+    assert bare.section("metric") != bare.with_plan(seed=10).section("metric")
+
+
 def test_generated_morphism_blocks_are_unimodular():
     for seed in range(6):
         sc = gen_random_scenario(seed)

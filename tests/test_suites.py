@@ -1,6 +1,8 @@
 """Property suites: verdicts, report determinism, and the failure path."""
 
+import hashlib
 import json
+import re
 
 import pytest
 
@@ -10,6 +12,8 @@ from dvbcalc.scenario import (
     InconsistentScenarioError,
     Scenario,
     gen_random_scenario,
+    scenario_from_obj,
+    scenario_to_obj,
 )
 from dvbcalc.suites import run_connection_check, run_suite
 
@@ -32,7 +36,78 @@ def test_all_concatenates_and_sorts():
     ids = [r.prop_id for r in report.results]
     assert ids == sorted(ids)
     assert len(ids) == sum(SUITE_SIZES.values()) + 1  # + naive property
+    assert len(set(ids)) == len(ids)
+    numbers: dict[str, list[int]] = {}
+    for prop_id in ids:
+        suite, number, _ = re.fullmatch(r"([a-z-]+)\.(\d\d)\.([a-z-]+)", prop_id).groups()
+        numbers.setdefault(suite, []).append(int(number))
+    assert sorted(numbers) == sorted(SUITE_SIZES)
+    for suite, seen in numbers.items():
+        assert seen == list(range(1, len(seen) + 1)), suite
     assert report.passed
+
+
+# sha256 of report bodies, recorded before the suites were declared as
+# property tables over one sampler.  The bodies hold every verdict, detail
+# and counterexample, so a changed draw order or wording shows up here.
+GOLDEN_SUITE_BODIES = {
+    "seed 1": "6ae99737c57dd830f02187b3b080a3ef0dfd6dcf8cdec6210a0c8a2dabeb8826",
+    "seed 2": "380459412bdcff81440f1fd9ba5c9de61df1197caddc9698783ef4521d90ab14",
+    "seed 4": "3dc8e8fd6f2dccf652339ba358b194032c3270653cf31e5f8a338daa7d031065",
+    "seed 6 naive": "c20d4e9b0c231203d2e00f370af7e02b837b79c9025b6c8def4be6dc184d6719",
+    "seed 7 naive": "611de6eb40ac3f20a19e8c89a2ca32a051f7d1ba55f0ce29adb27c4de7ecb526",
+    "seed 5 symmetric": "912b057cf9d29b7b27bf1db8d2853b6b5605a4604a539dc479766ac9a3158a2c",
+    "point chart": "78c54c07871208f6c7887301677e19bb9f4d69b134985e5bb6a17cdb37db2c74",
+    "seed 3 bundle only": "b2152748b12e55ef645f9a6b27d123d74d66c145d04c7293776188e6c030ccef",
+}
+
+GOLDEN_CONNECTION_BODIES = {
+    "metric": "ec2e567d803fa5a4464dd0ced8fc48037603ba58f84142db9bd4efeb84a92351",
+    "symmetric": "22a7977967d541c7ac90f81f8ec9d6abb0cb6545b06acb8c1563e573db4d81cc",
+    "lagrangian": "0f5dc51da2c2039dbd27859e1128d89de0332d624bd8e036eca4afb271fc8c92",
+    "metric bundle only": "482ef9c2b41b912f2b145f63eb5cc99adf440489398f07343c1fedf33949dedc",
+    "symmetric bundle only": "15b596a31f414a6e884e0386faca70ae1a12d81ab1984fd561563829cd9b2583",
+    "lagrangian bundle only": "ae2a03687d46391dfb86897e2b050687787966423cee84b20e486199bac327c5",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _bundle_only(seed: int) -> Scenario:
+    """A scenario with no sections: every record is a seeded stand-in."""
+    return Scenario(bundle=gen_random_scenario(seed).bundle, seed=seed, samples=8)
+
+
+def test_report_bodies_match_golden_digests():
+    cases = {
+        "seed 1": (gen_random_scenario(1), False),
+        "seed 2": (gen_random_scenario(2), False),
+        "seed 4": (gen_random_scenario(4), False),
+        "seed 6 naive": (gen_random_scenario(6), True),
+        "seed 7 naive": (gen_random_scenario(7), True),
+        "seed 5 symmetric": (gen_random_scenario(5, max_rank=2, symmetric=True), True),
+        "point chart": (
+            Scenario(bundle=DecomposedDVB(Chart.of_dim(0), 1, 1, 1), seed=5, bound=3),
+            True,
+        ),
+        "seed 3 bundle only": (_bundle_only(3), True),
+    }
+    got = {
+        name: _sha256(run_suite("all", sc.with_plan(samples=8), naive).body())
+        for name, (sc, naive) in cases.items()
+    }
+    assert got == GOLDEN_SUITE_BODIES
+
+
+def test_connection_bodies_match_golden_digests():
+    symmetric = gen_random_scenario(5, max_rank=2, symmetric=True).with_plan(samples=8)
+    got = {}
+    for kind in ("metric", "symmetric", "lagrangian"):
+        got[kind] = _sha256(run_connection_check(kind, symmetric).body())
+        got[f"{kind} bundle only"] = _sha256(run_connection_check(kind, _bundle_only(3)).body())
+    assert got == GOLDEN_CONNECTION_BODIES
 
 
 def test_unknown_suite_rejected():
@@ -125,6 +200,25 @@ def test_suites_run_over_a_point_chart():
     report = run_suite("all", sc, naive_identification=True)
     failed = [(r.prop_id, r.detail) for r in report.results if not r.passed]
     assert report.passed, failed
+
+
+def test_singular_user_metric_is_redrawn_not_failed():
+    # g = [[x1]] vanishes at x1 = 0; under these plan seeds the metric
+    # sampler draws that point, which is a singularity, not a defect
+    obj = scenario_to_obj(gen_random_scenario(3, max_rank=1))
+    obj["metric"]["g"] = [[[{"coeff": "1", "exps": [1]}]]]
+    details = []
+    for seed in (20, 24, 29):
+        obj["plan"] = {"seed": seed, "samples": 5, "bound": 1}
+        report = run_suite("geometry", scenario_from_obj(obj))
+        prop = next(
+            r for r in report.results
+            if r.prop_id == "geometry.09.metric-compatibility-channels"
+        )
+        assert prop.passed, prop.detail
+        details.append(prop.detail)
+    assert details[0].endswith("not compatible (singular points redrawn: 1)")
+    assert details[2] == "only 0 of 1 points regular after 1 redraws; vacuous"
 
 
 # --- connection checks: the legitimate failure path -------------------------

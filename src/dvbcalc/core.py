@@ -26,7 +26,10 @@ entries are each summed in one pass; the Psi contraction over the core index
 is one product with the Psi planes flattened to rows.  Inverses and duals
 divide by block determinants, so they use `mat_inverse_frac` per base point,
 or `unimodular_inverse` when the blocks are unimodular.  Only morphisms with
-equal source and target ranks can be inverted.
+equal source and target ranks can be inverted.  One builder,
+`_signed_identity`, makes every morphism whose blocks are signed identities
+and whose Psi is zero: the identity, the side exchange and the canonical
+maps onto the third dual.
 """
 
 from __future__ import annotations
@@ -69,10 +72,10 @@ class Chart:
     names: tuple[str, ...]
 
     @staticmethod
-    def of_dim(n: int, prefix: str = "x") -> Chart:
+    def of_dim(n: int) -> Chart:
         if n < 0:
             raise ValueError("chart dimension must be nonnegative")
-        return Chart(tuple(f"{prefix}{i + 1}" for i in range(n)))
+        return Chart(tuple(f"x{i + 1}" for i in range(n)))
 
     @property
     def dim(self) -> int:
@@ -486,16 +489,22 @@ class DVBMorphism:
         )
 
 
-def identity_morphism(bundle: DecomposedDVB) -> DVBMorphism:
-    vars = bundle.chart.names
+def _signed_identity(
+    source: DecomposedDVB, target: DecomposedDVB, signs=(1, 1, 1)
+) -> DVBMorphism:
+    """The morphism (f, c, e) -> (s_F f, s_C c, s_E e) between bundles of
+    equal ranks: signed identity blocks, one sign per slot, and zero Psi."""
+    vars = source.chart.names
     return DVBMorphism(
-        bundle,
-        bundle,
-        PolyMatrix.identity(vars, bundle.n_F),
-        PolyMatrix.identity(vars, bundle.n_C),
-        PolyMatrix.identity(vars, bundle.n_E),
-        psi_zero(vars, bundle.n_C, bundle.n_E, bundle.n_F),
+        source,
+        target,
+        *(PolyMatrix.identity(vars, n).scale(s) for n, s in zip(source.ranks, signs)),
+        psi_zero(vars, source.n_C, source.n_E, source.n_F),
     )
+
+
+def identity_morphism(bundle: DecomposedDVB) -> DVBMorphism:
+    return _signed_identity(bundle, bundle)
 
 
 def compose_morphisms(outer: DVBMorphism, inner: DVBMorphism) -> DVBMorphism:

@@ -33,9 +33,9 @@ from .core import (
     FiberMorphism,
     PointwiseMorphism,
     _right_dual_blocks,
-    psi_zero,
+    _signed_identity,
 )
-from .ring import MultiPoly, Point, PolyMatrix, dot, mat_inverse_frac, rat
+from .ring import MultiPoly, Point, dot, mat_inverse_frac, random_tuple, rat
 
 
 class ProjectionMismatchError(ValueError):
@@ -185,20 +185,8 @@ def canonical_R(variant: str, v: DVBElement) -> DVBElement:
 
 def canonical_R_morphism(b: DecomposedDVB, variant: str = "R") -> DVBMorphism:
     """The canonical map as a block morphism with signed identity blocks."""
-    s_f, s_c, s_e = _VARIANT_SIGNS[_normalize_variant(variant)]
-    vars = b.chart.names
-
-    def signed(n: int, s: int) -> PolyMatrix:
-        ident = PolyMatrix.identity(vars, n)
-        return ident if s > 0 else -ident
-
-    return DVBMorphism(
-        b,
-        triple_right_dual(b),
-        signed(b.n_F, s_f),
-        signed(b.n_C, s_c),
-        signed(b.n_E, s_e),
-        psi_zero(vars, b.n_C, b.n_E, b.n_F),
+    return _signed_identity(
+        b, triple_right_dual(b), _VARIANT_SIGNS[_normalize_variant(variant)]
     )
 
 
@@ -238,13 +226,7 @@ def verify_R_relation(
         pool = itertools.product(values, repeat=free)
     else:
         rng = random.Random(seed)
-
-        def draw():
-            return tuple(
-                Fraction(rng.randint(-7, 7), rng.randint(1, 7)) for _ in range(free)
-            )
-
-        pool = (draw() for _ in range(samples))
+        pool = (random_tuple(rng, free) for _ in range(samples))
 
     for slots in pool:
         p = slots[: bundle.n_F]

@@ -7,6 +7,11 @@ operations are exact: exterior derivative, wedge, pullback along polynomial
 maps, the tangent lift onto doubled variables, and evaluation on rational
 vectors.  Degree zero forms are plain polynomials stored under the empty
 index tuple.
+
+`make_form`, `+`, `wedge`, `d` and the tangent lift all produce terms with
+indices in any order and pass them to one collector, `_collect`, which sorts
+each index with its permutation sign and sums the terms per sorted index.
+Evaluation takes the determinant of each minor from `ring.det_frac`.
 """
 
 from __future__ import annotations
@@ -15,9 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .ring import MultiPoly, Point, rat
+from .ring import MultiPoly, Point, det_frac, rat
 
 Index = tuple[int, ...]
+
+# Suffix of the velocity variables of a tangent lift: z becomes (z, z_dot).
+_DOT = "_dot"
 
 
 def _sort_sign(idx: Sequence[int]) -> tuple[Index, int] | None:
@@ -34,6 +42,23 @@ def _sort_sign(idx: Sequence[int]) -> tuple[Index, int] | None:
         if items[i - 1] == items[i]:
             return None
     return tuple(items), sign
+
+
+def _collect(vars: tuple[str, ...], degree: int, terms) -> DifferentialForm:
+    """The form sum of (index, polynomial) terms with indices in any order.
+
+    Each index is sorted with its permutation sign; an index that repeats a
+    position contributes nothing, and terms landing on one sorted index add.
+    """
+    data: dict[Index, MultiPoly] = {}
+    for idx, poly in terms:
+        sorted_sign = _sort_sign(idx)
+        if sorted_sign is None:
+            continue
+        key, sign = sorted_sign
+        term = poly if sign > 0 else -poly
+        data[key] = data[key] + term if key in data else term
+    return DifferentialForm(vars, degree, tuple(data.items()))
 
 
 def _canonical(
@@ -93,10 +118,7 @@ class DifferentialForm:
         self._check_compatible(other)
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degrees")
-        data = dict(self.comps)
-        for idx, poly in other.comps:
-            data[idx] = data.get(idx, MultiPoly.zero(self.vars)) + poly
-        return DifferentialForm(self.vars, self.degree, tuple(data.items()))
+        return _collect(self.vars, self.degree, self.comps + other.comps)
 
     def __neg__(self) -> DifferentialForm:
         return self * Fraction(-1)
@@ -117,34 +139,29 @@ class DifferentialForm:
 
     def wedge(self, other: DifferentialForm) -> DifferentialForm:
         self._check_compatible(other)
-        data: dict[Index, MultiPoly] = {}
-        for left_idx, left in self.comps:
-            for right_idx, right in other.comps:
-                sorted_sign = _sort_sign(left_idx + right_idx)
-                if sorted_sign is None:
-                    continue
-                key, sign = sorted_sign
-                term = left * right
-                if sign < 0:
-                    term = -term
-                data[key] = data.get(key, MultiPoly.zero(self.vars)) + term
-        return DifferentialForm(self.vars, self.degree + other.degree, tuple(data.items()))
+        return _collect(
+            self.vars,
+            self.degree + other.degree,
+            (
+                (left_idx + right_idx, left * right)
+                for left_idx, left in self.comps
+                for right_idx, right in other.comps
+                if set(left_idx).isdisjoint(right_idx)
+            ),
+        )
 
     def d(self) -> DifferentialForm:
         """Exterior derivative."""
-        data: dict[Index, MultiPoly] = {}
-        for idx, poly in self.comps:
-            for u, name in enumerate(self.vars):
-                partial = poly.partial(name)
-                if partial.is_zero:
-                    continue
-                sorted_sign = _sort_sign((u,) + idx)
-                if sorted_sign is None:
-                    continue
-                key, sign = sorted_sign
-                term = partial if sign > 0 else -partial
-                data[key] = data.get(key, MultiPoly.zero(self.vars)) + term
-        return DifferentialForm(self.vars, self.degree + 1, tuple(data.items()))
+        return _collect(
+            self.vars,
+            self.degree + 1,
+            (
+                ((u,) + idx, poly.partial(name))
+                for idx, poly in self.comps
+                for u, name in enumerate(self.vars)
+                if u not in idx
+            ),
+        )
 
     def pullback(
         self, source_vars: Sequence[str], images: Sequence[MultiPoly]
@@ -172,39 +189,29 @@ class DifferentialForm:
             total = total + term
         return total
 
-    def tangent_lift(self, dot_suffix: str = "_dot") -> DifferentialForm:
+    def tangent_lift(self) -> DifferentialForm:
         """Lift to the doubled variable list (z, z_dot).
 
         Coefficients gain the derivative term sum(da/dz_u * z_u_dot) on the
         undotted indices, and each index slot is dotted once in turn.
         """
-        big = self.vars + tuple(name + dot_suffix for name in self.vars)
+        big = self.vars + tuple(name + _DOT for name in self.vars)
         n = len(self.vars)
-        data: dict[Index, MultiPoly] = {}
-
-        def put(idx: Index, poly: MultiPoly) -> None:
-            sorted_sign = _sort_sign(idx)
-            if sorted_sign is None or poly.is_zero:
-                return
-            key, sign = sorted_sign
-            term = poly if sign > 0 else -poly
-            data[key] = data.get(key, MultiPoly.zero(big)) + term
-
+        terms = []
         for idx, poly in self.comps:
             lifted = poly.extend(big)
             dotted_coeff = MultiPoly.zero(big)
-            for u, name in enumerate(self.vars):
+            for name in self.vars:
                 partial = poly.partial(name)
                 if partial.is_zero:
                     continue
                 dotted_coeff = dotted_coeff + partial.extend(big) * MultiPoly.var(
-                    big, self.vars[u] + dot_suffix
+                    big, name + _DOT
                 )
-            put(idx, dotted_coeff)
+            terms.append((idx, dotted_coeff))
             for slot in range(len(idx)):
-                shifted = idx[:slot] + (idx[slot] + n,) + idx[slot + 1 :]
-                put(shifted, lifted)
-        return DifferentialForm(big, self.degree, tuple(data.items()))
+                terms.append((idx[:slot] + (idx[slot] + n,) + idx[slot + 1 :], lifted))
+        return _collect(big, self.degree, terms)
 
     def evaluate(self, point: Point, vectors: Sequence[Sequence[Fraction]]) -> Fraction:
         """Value on rational vectors: sum of components times minors."""
@@ -217,7 +224,7 @@ class DifferentialForm:
         total = Fraction(0)
         for idx, poly in self.comps:
             minor = tuple(tuple(vec[j] for j in idx) for vec in vecs)
-            total += poly.eval(point) * _det(minor)
+            total += poly.eval(point) * det_frac(minor)
         return total
 
     def __str__(self) -> str:
@@ -231,12 +238,8 @@ class DifferentialForm:
 
 
 def _differential(poly: MultiPoly) -> DifferentialForm:
-    data = {}
-    for u, name in enumerate(poly.vars):
-        partial = poly.partial(name)
-        if not partial.is_zero:
-            data[(u,)] = partial
-    return DifferentialForm(poly.vars, 1, tuple(data.items()))
+    terms = (((u,), poly.partial(name)) for u, name in enumerate(poly.vars))
+    return _collect(poly.vars, 1, terms)
 
 
 def d(form: DifferentialForm) -> DifferentialForm:
@@ -248,32 +251,10 @@ def make_form(
 ) -> DifferentialForm:
     """Build a form from components in any index order, antisymmetrizing."""
     vars = tuple(vars)
-    data: dict[Index, MultiPoly] = {}
-    for raw_idx, poly in components.items():
-        sorted_sign = _sort_sign(tuple(raw_idx))
-        if sorted_sign is None:
-            continue
-        key, sign = sorted_sign
+    terms = []
+    for idx, poly in components.items():
         if not isinstance(poly, MultiPoly):
             poly = MultiPoly.const(vars, rat(poly))
-        term = poly if sign > 0 else -poly
-        data[key] = data.get(key, MultiPoly.zero(vars)) + term
-    return DifferentialForm(vars, degree, tuple(data.items()))
+        terms.append((idx, poly))
+    return _collect(vars, degree, terms)
 
-
-def _det(rows: tuple[tuple[Fraction, ...], ...]) -> Fraction:
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return rows[0][0]
-    total = Fraction(0)
-    sign = 1
-    for col in range(n):
-        if rows[0][col] != 0:
-            minor = tuple(
-                tuple(row[c] for c in range(n) if c != col) for row in rows[1:]
-            )
-            total += sign * rows[0][col] * _det(minor)
-        sign = -sign
-    return total

@@ -38,6 +38,7 @@ from .core import (
     DVBMorphism,
     FiberMismatchError,
     VectorBundle,
+    _signed_identity,
     compose_morphisms,
     cotangent_prolongation,
     fiber_add,
@@ -60,6 +61,8 @@ from .ring import (
     PolyMatrix,
     dot,
     mat_vec_frac,
+    random_rational,
+    random_tuple,
     rat,
 )
 
@@ -108,14 +111,6 @@ def _eval_at(poly: MultiPoly, x: Point, e: Sequence[Fraction]) -> Fraction:
     return poly.eval(tuple(x) + tuple(e))
 
 
-def _rand(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-7, 7), rng.randint(1, 7))
-
-
-def _rand_tuple(rng: random.Random, n: int) -> tuple[Fraction, ...]:
-    return tuple(_rand(rng) for _ in range(n))
-
-
 def _plain_add(side, a, b):
     return a + b
 
@@ -139,11 +134,11 @@ def _respects_both_structures(
     rng = random.Random(seed)
     n_f, n_c, n_e = shell.ranks
     for _ in range(samples):
-        x = _rand_tuple(rng, shell.chart.dim)
-        e, e2 = _rand_tuple(rng, n_e), _rand_tuple(rng, n_e)
-        f, f2 = _rand_tuple(rng, n_f), _rand_tuple(rng, n_f)
-        c, c2 = _rand_tuple(rng, n_c), _rand_tuple(rng, n_c)
-        r = _rand(rng)
+        x = random_tuple(rng, shell.chart.dim)
+        e, e2 = random_tuple(rng, n_e), random_tuple(rng, n_e)
+        f, f2 = random_tuple(rng, n_f), random_tuple(rng, n_f)
+        c, c2 = random_tuple(rng, n_c), random_tuple(rng, n_c)
+        r = random_rational(rng)
         u = shell.element(x, f, c, e)
         at_u = image(u)
         try:
@@ -172,9 +167,9 @@ def _section_is_bundle_morphism(
     rng = random.Random(seed)
     n, k = bundle.chart.dim, bundle.rank
     for _ in range(samples):
-        x = _rand_tuple(rng, n)
-        e1, e2 = _rand_tuple(rng, k), _rand_tuple(rng, k)
-        r = _rand(rng)
+        x = random_tuple(rng, n)
+        e1, e2 = random_tuple(rng, k), random_tuple(rng, k)
+        r = random_rational(rng)
         v1, v2 = image(x, e1), image(x, e2)
         if v1.f != v2.f:
             return False
@@ -984,10 +979,10 @@ def is_metric_connection(
     n, k = conn.bundle.chart.dim, conn.bundle.rank
     shell = tangent_prolongation(conn.bundle)
     for _ in range(samples):
-        x = _rand_tuple(rng, n)
+        x = random_tuple(rng, n)
         if det.eval(x) == 0:
             raise SingularMetricError(f"metric is singular at {x}")
-        v = shell.element(x, _rand_tuple(rng, n), _rand_tuple(rng, k), _rand_tuple(rng, k))
+        v = shell.element(x, random_tuple(rng, n), random_tuple(rng, k), random_tuple(rng, k))
         if lhs.apply(v) != rhs.apply(v):
             return False
     return True
@@ -1050,15 +1045,7 @@ def kappa_triple(bundle: DecomposedDVB) -> DVBMorphism:
     """
     if bundle.n_F != bundle.n_E:
         raise ValueError("side exchange needs equal side ranks")
-    names = bundle.chart.names
-    return DVBMorphism(
-        bundle,
-        bundle.flip(),
-        PolyMatrix.identity(names, bundle.n_F),
-        PolyMatrix.identity(names, bundle.n_C),
-        PolyMatrix.identity(names, bundle.n_E),
-        psi_zero(names, bundle.n_C, bundle.n_E, bundle.n_F),
-    )
+    return _signed_identity(bundle, bundle.flip())
 
 
 def kappa_M(chart: Chart) -> DVBMorphism:
@@ -1104,7 +1091,7 @@ def is_symmetric_connection(
 
     sampled = True
     for _ in range(2):
-        x = _rand_tuple(rng, n)
+        x = random_tuple(rng, n)
         for i in range(n):
             for j in range(n):
                 unit_f = tuple(Fraction(int(t == i)) for t in range(n))
@@ -1113,8 +1100,8 @@ def is_symmetric_connection(
                 if not agree_at(v):
                     sampled = False
     for _ in range(samples):
-        x = _rand_tuple(rng, n)
-        v = shell.element(x, _rand_tuple(rng, n), _rand_tuple(rng, n), _rand_tuple(rng, n))
+        x = random_tuple(rng, n)
+        v = shell.element(x, random_tuple(rng, n), random_tuple(rng, n), random_tuple(rng, n))
         if not agree_at(v):
             sampled = False
     if sampled != exact:
@@ -1136,10 +1123,7 @@ def lifted_symplectic_form(names: tuple[str, ...]) -> DifferentialForm:
 
 
 def horizontal_lagrangian_check(
-    conn: LinearConnection,
-    points: Sequence[tuple[Sequence, Sequence]] | None = None,
-    samples: int = 5,
-    seed: int = 0,
+    conn: LinearConnection, samples: int = 5, seed: int = 0
 ) -> bool:
     """Isotropy of the dual connection's horizontal spaces at sampled covectors.
 
@@ -1154,26 +1138,17 @@ def horizontal_lagrangian_check(
     if vb.rank != n:
         raise ValueError("the check needs the bundle ranks to match the chart")
     omega = lifted_symplectic_form(vb.chart.names)
-    if points is None:
-        rng = random.Random(seed)
-        points = [
-            (_rand_tuple(rng, n), tuple(Fraction(rng.randint(1, 7)) for _ in range(n)))
-            for _ in range(samples)
-        ]
+    rng = random.Random(seed)
     zeros = (Fraction(0),) * n
-    for raw_x, raw_p in points:
-        x = vb.chart.point(raw_x)
-        p = tuple(rat(v) for v in raw_p)
+    for _ in range(samples):
+        x = random_tuple(rng, n)
+        p = tuple(Fraction(rng.randint(1, 7)) for _ in range(n))
         spot = x + p + zeros + zeros
         basis = []
         for i in range(n):
             xdot = tuple(Fraction(int(t == i)) for t in range(n))
             pdot = tuple(
-                sum(
-                    (conn.gamma[b][i][a].eval(x) * p[b] for b in range(n)),
-                    Fraction(0),
-                )
-                for a in range(n)
+                dot([conn.gamma[b][i][a].eval(x) for b in range(n)], p) for a in range(n)
             )
             basis.append((xdot, pdot))
         for i in range(n):

@@ -30,17 +30,20 @@ level before.  A dense n x n determinant thus takes n 2^(n-1) polynomial
 products, not the factorial count of Laplace expansion.  `PolyMatrix.det` is
 the full-mask entry.  `unimodular_inverse` inverts a matrix whose
 determinant is a nonzero constant as its adjugate over that constant, and
-reads each cofactor from the table over the other rows.  Every other inverse
-and linear solve is done at a rational base point, by clearing denominators
-and running fraction-free (Bareiss) elimination, so every intermediate value
-stays an exact integer.
+reads each cofactor from the table over the other rows.  Every other
+determinant, inverse and linear solve is done on rationals by one routine,
+`_bareiss`: it clears denominators and runs fraction-free (Bareiss)
+elimination, so every intermediate value stays an exact integer, and it
+returns the determinant and the solutions for all right-hand sides at once.
+`det_frac`, `solve_fraction_free` and `mat_inverse_frac` read it.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import add
 from typing import Mapping, Sequence
 
@@ -61,6 +64,15 @@ def rat(value: int | str | Fraction) -> Fraction:
     if isinstance(value, str):
         return Fraction(value.strip())
     raise TypeError(f"cannot interpret {value!r} as a rational")
+
+
+def random_rational(rng: random.Random, bound: int = 7) -> Fraction:
+    """p/q with p drawn from [-bound, bound], then q from [1, bound]."""
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+
+
+def random_tuple(rng: random.Random, n: int, bound: int = 7) -> tuple[Fraction, ...]:
+    return tuple(random_rational(rng, bound) for _ in range(n))
 
 
 def _term_key(item: tuple[Exponent, Fraction]) -> tuple[int, Exponent]:
@@ -353,61 +365,78 @@ def transpose(a, cols: int):
     return tuple(tuple(row[j] for row in a) for j in range(cols))
 
 
+def _bareiss(matrix: Sequence[Sequence[Fraction]], columns: Sequence[Sequence[Fraction]]):
+    """Fraction-free (Bareiss) elimination of [matrix | columns], matrix square.
+
+    Rows are scaled to integers, so every division is exact and the last
+    pivot is the determinant of the row-swapped integer matrix.  Returns the
+    determinant of `matrix`, with the sign of each row swap, and the solution
+    of matrix x = column for each column, back substituted in integers over
+    that pivot (by Cramer's rule each numerator is an integer).  A singular
+    matrix has determinant 0; with a column to solve for it raises
+    SingularMatrixError.
+    """
+    n = len(matrix)
+    if any(len(row) != n for row in matrix) or any(len(col) != n for col in columns):
+        raise ValueError("solve requires a square matrix and matching rhs")
+    rows: list[list[int]] = []
+    scales = 1
+    for i, row in enumerate(matrix):
+        entries = [Fraction(x) for x in row] + [Fraction(col[i]) for col in columns]
+        scale = lcm(*(x.denominator for x in entries))
+        rows.append([x.numerator * (scale // x.denominator) for x in entries])
+        scales *= scale
+
+    width = n + len(columns)
+    sign, prev = 1, 1
+    for k in range(n):
+        if rows[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if rows[i][k] != 0), None)
+            if pivot is None:
+                if columns:
+                    raise SingularMatrixError("singular matrix in fraction-free solve")
+                return Fraction(0), []
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        top = rows[k]
+        for row in rows[k + 1 :]:
+            lead = row[k]
+            for j in range(k + 1, width):
+                row[j] = (row[j] * top[k] - lead * top[j]) // prev
+        prev = top[k]
+
+    solutions = []
+    for col in range(n, width):
+        y = [0] * n
+        for i in reversed(range(n)):
+            row = rows[i]
+            y[i] = (prev * row[col] - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
+        solutions.append(tuple(Fraction(v, prev) for v in y))
+    return Fraction(sign * prev, scales), solutions
+
+
+def det_frac(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Exact determinant of a square rational matrix."""
+    if any(len(row) != len(matrix) for row in matrix):
+        raise ValueError("determinant of a non-square matrix")
+    return _bareiss(matrix, ())[0]
+
+
 def solve_fraction_free(
     matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 ) -> tuple[Fraction, ...]:
     """Solve a square rational system exactly by fraction-free elimination.
 
-    Rows are scaled to integers first; the elimination then performs only
-    exact integer divisions (Bareiss), and back substitution reintroduces
-    rationals at the end.  Raises SingularMatrixError on a zero pivot chain.
+    Raises SingularMatrixError when the matrix is singular.
     """
-    n = len(matrix)
-    if any(len(row) != n for row in matrix) or len(rhs) != n:
-        raise ValueError("solve requires a square matrix and matching rhs")
-    if n == 0:
-        return ()
-    # Integer augmented matrix: clear denominators row by row.
-    aug: list[list[int]] = []
-    for row, b in zip(matrix, rhs):
-        entries = [Fraction(x) for x in row] + [Fraction(b)]
-        scale = 1
-        for x in entries:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-        aug.append([int(x * scale) for x in entries])
-
-    prev = 1
-    for k in range(n - 1):
-        if aug[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if aug[i][k] != 0), None)
-            if pivot is None:
-                raise SingularMatrixError("singular matrix in fraction-free solve")
-            aug[k], aug[pivot] = aug[pivot], aug[k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n + 1):
-                aug[i][j] = (aug[i][j] * aug[k][k] - aug[i][k] * aug[k][j]) // prev
-            aug[i][k] = 0
-        prev = aug[k][k]
-    if aug[n - 1][n - 1] == 0:
-        raise SingularMatrixError("singular matrix in fraction-free solve")
-
-    solution = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = Fraction(aug[i][n])
-        for j in range(i + 1, n):
-            acc -= aug[i][j] * solution[j]
-        solution[i] = acc / aug[i][i]
-    return tuple(solution)
+    return _bareiss(matrix, (rhs,))[1][0]
 
 
 def mat_inverse_frac(a: FracMatrix) -> FracMatrix:
-    """Exact inverse of a square rational matrix, column by column."""
+    """Exact inverse of a square rational matrix: one elimination of [a | I]."""
     n = len(a)
-    cols = []
-    for j in range(n):
-        unit = tuple(Fraction(1 if i == j else 0) for i in range(n))
-        cols.append(solve_fraction_free(a, unit))
-    return transpose(cols, n)
+    unit = tuple(tuple(Fraction(int(i == j)) for i in range(n)) for j in range(n))
+    return transpose(_bareiss(a, unit)[1], n)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ coordinates e1..ek, so a scenario only declares dimensions.  The optional
 sections are the rows of one table, `SECTIONS`: each names its record
 type, what the record is built over, and its fields with their shapes and
 variables.  Parsing, serialization, the side-leg checks of `Scenario` and
-the report header all read it.
+the report header all read it.  A field shape is read by one recursive
+reader and written by one recursive writer, keyed by how many lists deep
+the shape nests its polynomial literals.
 
 Two error channels: ScenarioParseError for structural problems (bad JSON,
 malformed literals, ragged grids), InconsistentScenarioError for well formed
@@ -48,7 +50,8 @@ from .geomech import (
     _fiber_linear,
     total_space_vars,
 )
-from .ring import MultiPoly, PolyMatrix
+# random_tuple is imported so that it stays importable from here.
+from .ring import MultiPoly, PolyMatrix, random_rational, random_tuple
 
 
 class ScenarioParseError(ValueError):
@@ -265,39 +268,27 @@ def parse_poly(obj, vars: tuple[str, ...], where: str) -> MultiPoly:
     return MultiPoly.from_dict(vars, acc)
 
 
-def _parse_poly_vector(obj, vars, where: str) -> tuple[MultiPoly, ...]:
+# How many lists deep each field shape nests its polynomial literals.
+_DEPTH = {"vector": 1, "rows": 2, "matrix": 2, "grid3": 3}
+
+
+def _parse_nested(obj, vars, where: str, depth: int):
+    """Nested tuples of polynomial literals, `depth` lists deep."""
+    if depth == 0:
+        return parse_poly(obj, vars, where)
     return tuple(
-        parse_poly(p, vars, f"{where}[{i}]") for i, p in enumerate(_need_list(obj, where))
+        _parse_nested(item, vars, f"{where}[{i}]", depth - 1)
+        for i, item in enumerate(_need_list(obj, where))
     )
 
 
-def _parse_poly_rows(obj, vars, where: str):
-    return tuple(
-        _parse_poly_vector(row, vars, f"{where}[{i}]")
-        for i, row in enumerate(_need_list(obj, where))
-    )
-
-
-def _parse_poly_matrix(obj, vars, where: str) -> PolyMatrix:
-    rows = _parse_poly_rows(obj, vars, where)
-    if len({len(row) for row in rows}) > 1:
+def _parse_field(obj, vars, where: str, shape: str):
+    value = _parse_nested(obj, vars, where, _DEPTH[shape])
+    if shape != "matrix":
+        return value
+    if len({len(row) for row in value}) > 1:
         raise ScenarioParseError(f"{where} is ragged")
-    return PolyMatrix(tuple(vars), rows)
-
-
-def _parse_poly_grid3(obj, vars, where: str):
-    return tuple(
-        _parse_poly_rows(plane, vars, f"{where}[{i}]")
-        for i, plane in enumerate(_need_list(obj, where))
-    )
-
-
-_PARSE_SHAPE = {
-    "vector": _parse_poly_vector,
-    "rows": _parse_poly_rows,
-    "matrix": _parse_poly_matrix,
-    "grid3": _parse_poly_grid3,
-}
+    return PolyMatrix(tuple(vars), value)
 
 
 def _build(section: str, ctor, *args):
@@ -359,7 +350,7 @@ def scenario_from_obj(obj) -> Scenario:
         sec = _need_dict(top[key], key)
         _check_keys(sec, tuple(field[0] for field in fields), (), key)
         values = [
-            _PARSE_SHAPE[shape](sec[name], vars_of[vars], f"{key}.{name}")
+            _parse_field(sec[name], vars_of[vars], f"{key}.{name}", shape)
             for name, _, shape, vars in fields
         ]
         record = _build(key, record_type, *over_of[over], *values)
@@ -390,32 +381,11 @@ def load_scenario(path: str) -> Scenario:
 # ---------------------------------------------------------------------------
 # Serialization
 
-def _poly_obj(p: MultiPoly) -> list:
-    return [{"coeff": str(c), "exps": list(e)} for e, c in p.terms]
-
-
-def _vector_obj(ps) -> list:
-    return [_poly_obj(p) for p in ps]
-
-
-def _rows_obj(rows) -> list:
-    return [_vector_obj(row) for row in rows]
-
-
-def _matrix_obj(m: PolyMatrix) -> list:
-    return _rows_obj(m.entries)
-
-
-def _grid3_obj(grid) -> list:
-    return [_rows_obj(plane) for plane in grid]
-
-
-_WRITE_SHAPE = {
-    "vector": _vector_obj,
-    "rows": _rows_obj,
-    "matrix": _matrix_obj,
-    "grid3": _grid3_obj,
-}
+def _nested_obj(value, depth: int) -> list:
+    """JSON lists of polynomial literals, `depth` lists deep."""
+    if depth == 0:
+        return [{"coeff": str(c), "exps": list(e)} for e, c in value.terms]
+    return [_nested_obj(item, depth - 1) for item in value]
 
 
 def scenario_to_obj(sc: Scenario) -> dict:
@@ -433,10 +403,12 @@ def scenario_to_obj(sc: Scenario) -> dict:
     for key, _, _, fields in SECTIONS:
         record = getattr(sc, key)
         if record is not None:
-            out[key] = {
-                name: _WRITE_SHAPE[shape](getattr(record, attr))
-                for name, attr, shape, _ in fields
-            }
+            out[key] = {}
+            for name, attr, shape, _ in fields:
+                value = getattr(record, attr)
+                if shape == "matrix":
+                    value = value.entries
+                out[key][name] = _nested_obj(value, _DEPTH[shape])
     return out
 
 
@@ -446,14 +418,6 @@ def scenario_to_text(sc: Scenario) -> str:
 
 # ---------------------------------------------------------------------------
 # Seeded random generation
-
-def random_rational(rng: random.Random, bound: int = 7) -> Fraction:
-    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-
-
-def random_tuple(rng: random.Random, n: int, bound: int = 7) -> tuple[Fraction, ...]:
-    return tuple(random_rational(rng, bound) for _ in range(n))
-
 
 def random_poly(rng: random.Random, vars, max_degree: int) -> MultiPoly:
     """A short random polynomial of total degree at most max_degree."""

@@ -6,11 +6,13 @@ The criteria exercise the library through its public interface only.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from dvbcalc import (
     Bivector,
@@ -475,12 +477,19 @@ def test_criterion_5(capsys):
 
 # --- criterion 6: CLI determinism and replay ---------------------------------
 
+# The child runs this checkout's dvbcalc whether or not it is installed.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
 def _cli(*argv):
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + path if path else SRC)
     return subprocess.run(
         [sys.executable, "-m", "dvbcalc.cli", *argv],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
 
 

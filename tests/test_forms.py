@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -70,6 +71,55 @@ def test_evaluate_area_form():
     assert form.evaluate((rat(0), rat(0)), ((0, 1), (1, 0))) == -1
     with pytest.raises(ValueError):
         form.evaluate((rat(0), rat(0)), ((1, 0),))
+
+
+def laplace_det(rows):
+    if not rows:
+        return Fraction(1)
+    return sum(
+        (-1) ** j * entry * laplace_det([row[:j] + row[j + 1 :] for row in rows[1:]])
+        for j, entry in enumerate(rows[0])
+    )
+
+
+def test_evaluate_volume_form_on_permuted_basis():
+    # the leading pivot of each minor is zero, so evaluation must swap rows
+    vars = ("w", "x", "y", "z")
+    one = MultiPoly.const(vars, 1)
+    origin = (rat(0),) * 4
+    units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    volume = make_form(vars, 4, {(0, 1, 2, 3): one})
+    assert volume.evaluate(origin, [units[1], units[0], units[2], units[3]]) == -1
+    assert volume.evaluate(origin, [units[1], units[2], units[3], units[0]]) == -1
+    assert volume.evaluate(origin, [units[1], units[0], units[3], units[2]]) == 1
+    three = make_form(vars, 3, {(0, 1, 2): one})
+    assert three.evaluate(origin, [units[1], units[0], units[2]]) == -1
+    assert three.evaluate(origin, [units[2], units[0], units[1]]) == 1
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+def test_evaluate_matches_laplace_minors(degree):
+    vars = ("v", "w", "x", "y", "z")
+    rng = random.Random(degree)
+    for _ in range(5):
+        form = make_form(
+            vars,
+            degree,
+            {idx: rand_poly(rng, vars, 1) for idx in itertools.combinations(range(5), degree)},
+        )
+        point = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in vars)
+        # vector i vanishes on the first i + 1 variables, so a minor over v
+        # starts with a zero pivot, and often meets another one further on
+        vectors = [
+            [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if j > i else 0 for j in range(5)]
+            for i in range(degree - 1)
+        ]
+        vectors.append([Fraction(rng.randint(1, 4)) for _ in range(5)])
+        expected = sum(
+            poly.eval(point) * laplace_det([[vec[j] for j in idx] for vec in vectors])
+            for idx, poly in form.comps
+        )
+        assert form.evaluate(point, vectors) == expected
 
 
 def test_pullback_of_dy_under_square_map():

@@ -10,9 +10,11 @@ from dvbcalc.ring import (
     MultiPoly,
     PolyMatrix,
     SingularMatrixError,
+    det_frac,
     dot,
     mat_inverse_frac,
     mat_mul,
+    random_rational,
     rat,
     solve_fraction_free,
 )
@@ -344,13 +346,15 @@ def test_eval_agrees_with_sympy(sympy, p, point):
 # Berkowitz determinant and adjugate.
 
 
-def laplace_det(rows):
+def laplace_det(rows, one=ONE):
+    """Laplace expansion along the first row, over polynomials or, with
+    one=Fraction(1), over rationals."""
     if not rows:
-        return ONE
-    total = MultiPoly.zero(XY)
+        return one
+    total = one - one
     for j, entry in enumerate(rows[0]):
         minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        term = entry * laplace_det(minor)
+        term = entry * laplace_det(minor, one)
         total = total + term if j % 2 == 0 else total - term
     return total
 
@@ -545,3 +549,108 @@ def test_dense_det_stays_exponential_not_factorial(monkeypatch):
     d = m.det()
     assert sum(products) <= n * 2 ** (n - 1)
     assert d.total_degree() == n
+
+
+# -- rational determinant, solve and inverse: one Bareiss elimination --------
+
+
+def frac_matrix(seed):
+    """Seeds cycle through sizes 0-6 and three kinds: dense random entries
+    (about a quarter zero), a singular matrix whose last row combines the
+    others, and an upper triangular matrix with its rows reversed, so the
+    leading pivot is zero and the elimination must swap rows."""
+    rng = random.Random(400 + seed)
+    n, kind = seed % 7, seed // 7 % 3
+
+    def entry():
+        return Fraction(0) if rng.random() < 0.25 else random_rational(rng)
+
+    if kind == 0:
+        return [[entry() for _ in range(n)] for _ in range(n)]
+    if kind == 1 and n:
+        rows = [[entry() for _ in range(n)] for _ in range(n - 1)]
+        weights = [random_rational(rng) for _ in rows]
+        last = [dot(weights, col) for col in zip(*rows)] if rows else [Fraction(0)]
+        return rows + [last]
+
+    def upper(i, j):
+        if i == j:
+            return Fraction(rng.randint(1, 7))
+        return entry() if j > i else Fraction(0)
+
+    return [[upper(i, j) for j in range(n)] for i in range(n)][::-1]
+
+
+@pytest.mark.parametrize("seed", range(42))
+def test_det_frac_matches_laplace(seed):
+    m = frac_matrix(seed)
+    expected = laplace_det(m, Fraction(1))
+    assert det_frac(m) == expected
+    n, kind = seed % 7, seed // 7 % 3
+    if kind == 1 and n:
+        assert expected == 0
+    if kind == 2:
+        # reversing n rows is a permutation of sign (-1)^(n(n-1)/2)
+        diagonal = Fraction(1)
+        for i in range(n):
+            diagonal *= m[n - 1 - i][i]
+        assert expected == (-1) ** (n * (n - 1) // 2) * diagonal
+
+
+@pytest.mark.parametrize("seed", range(0, 42, 2))
+def test_det_frac_matches_sympy(sympy, seed):
+    m = frac_matrix(seed)
+    n = len(m)
+    entries = [sympy.Rational(x.numerator, x.denominator) for row in m for x in row]
+    s = sympy.Matrix(n, n, entries)
+    expected = s.det(method="berkowitz") if n else 1
+    assert det_frac(m) == Fraction(int(sympy.numer(expected)), int(sympy.denom(expected)))
+
+
+@pytest.mark.parametrize("seed", range(42))
+def test_frac_solve_and_inverse_agree_with_det(seed):
+    m = frac_matrix(seed)
+    n = len(m)
+    if det_frac(m) == 0:
+        with pytest.raises(SingularMatrixError):
+            mat_inverse_frac(m)
+        with pytest.raises(SingularMatrixError):
+            solve_fraction_free(m, [Fraction(1)] * n)
+        return
+    identity = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+    assert mat_mul(m, mat_inverse_frac(m), n, Fraction(0)) == identity
+    b = tuple(Fraction(i + 1, 2) for i in range(n))
+    assert tuple(dot(row, solve_fraction_free(m, b)) for row in m) == b
+
+
+def test_mat_inverse_frac_eliminates_once(monkeypatch):
+    """One elimination of [m | I] for all n columns, not one per column."""
+    m = frac_matrix(5)
+    assert det_frac(m) != 0
+    calls = []
+    kernel = ring._bareiss
+
+    def counting(matrix, columns):
+        calls.append(len(columns))
+        return kernel(matrix, columns)
+
+    monkeypatch.setattr(ring, "_bareiss", counting)
+    mat_inverse_frac(m)
+    assert calls == [5]
+
+
+def test_non_square_rational_input_rejected():
+    wide = ((Fraction(1), Fraction(2), Fraction(3)), (Fraction(4), Fraction(5), Fraction(6)))
+    tall = tuple(zip(*wide))
+    solve_text = "^solve requires a square matrix and matching rhs$"
+    with pytest.raises(ValueError, match=solve_text):
+        solve_fraction_free(wide, (Fraction(1), Fraction(1)))
+    with pytest.raises(ValueError, match=solve_text):
+        solve_fraction_free(tall, (Fraction(1),) * 3)
+    with pytest.raises(ValueError, match=solve_text):
+        solve_fraction_free(((Fraction(1),),), (Fraction(1), Fraction(2)))
+    for m in (wide, tall):
+        with pytest.raises(ValueError, match=solve_text):
+            mat_inverse_frac(m)
+        with pytest.raises(ValueError, match="^determinant of a non-square matrix$"):
+            det_frac(m)

@@ -12,6 +12,21 @@ Scalar action follows the same split: the right action scales (f, c) and
 fixes e, the left action scales (c, e) and fixes f.  The flip exchanges the
 two structures by swapping the outer slots.
 
+The structure maps run on an integer slot kernel, the layout of FLINT's
+`fmpq_mat`: each slot is a tuple of integer numerators over one positive
+denominator, in lowest terms, so equal slots are equal tuples, and a kernel
+element is the tuple (bundle, x, f, c, e) of such slots.  The right and left
+additions, the scalings, kernel splitting, the core difference and
+`FiberMorphism.apply` are each written once on that kernel, with their
+bundle, base point, side and shared-slot checks.  `apply` reads the fiber
+morphism's blocks as integer matrices over one denominator per block, built
+once per `FiberMorphism`.  The public `fiber_add`, `fiber_scale`,
+`kernel_split`, `core_difference` and `FiberMorphism.apply` are adapters
+over the kernel: they convert `DVBElement`s, whose slots stay `Fraction`
+tuples, on the way in and out.  The sampled structure laws of the `axioms`
+suite run on kernel elements directly and build `Fraction`s only for a
+counterexample.
+
 Morphisms between decomposed bundles over the same chart are block maps over
 the identity of the base,
 
@@ -36,7 +51,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from functools import cached_property
+from math import gcd, lcm
+from operator import add, mul
 from typing import Callable, Sequence
 
 from .ring import (
@@ -44,10 +61,8 @@ from .ring import (
     MultiPoly,
     Point,
     PolyMatrix,
-    dot,
     mat_inverse_frac,
     mat_mul,
-    mat_vec_frac,
     rat,
     transpose,
 )
@@ -171,61 +186,152 @@ class DVBElement:
 Side = str  # "right" or "left"
 
 
-def _check_side(side: Side) -> None:
-    if side not in ("right", "left"):
-        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+# ---------------------------------------------------------------------------
+# The integer slot kernel
+#
+# A slot vector is a pair (numerators, denominator) with the gcd of the
+# denominator and all the numerators equal to 1, so a zero vector has
+# denominator 1.  A kernel element is the plain tuple (bundle, x, f, c, e)
+# with x a point of Fractions and f, c, e slot vectors.
+
+_Slots = tuple[tuple[int, ...], int]
 
 
-def _check_same_base(u: DVBElement, v: DVBElement) -> None:
-    if u.bundle != v.bundle:
+def _reduced(nums, den: int) -> _Slots:
+    g = gcd(den, *nums)
+    if g == 1:
+        return tuple(nums), den
+    return tuple([n // g for n in nums]), den // g
+
+
+def _zero_slots(n: int) -> _Slots:
+    return (0,) * n, 1
+
+
+def _slots_of(values: Sequence[Fraction]) -> _Slots:
+    den = lcm(*[a.denominator for a in values])
+    return _reduced([a.numerator * (den // a.denominator) for a in values], den)
+
+
+def _fractions(slots: _Slots) -> tuple[Fraction, ...]:
+    nums, den = slots
+    return tuple([Fraction(n, den) for n in nums])
+
+
+def _random_slots(rng, n: int, bound: int) -> _Slots:
+    """The slot vector of `random_tuple(rng, n, bound)`, drawn from the same
+    randint pairs in the same order."""
+    randint = rng.randint
+    pairs = [(randint(-bound, bound), randint(1, bound)) for _ in range(n)]
+    den = lcm(*[q for _, q in pairs])
+    return _reduced([p * (den // q) for p, q in pairs], den)
+
+
+def _vec_add(a, b) -> _Slots:
+    """The sum of two slot vectors; the inputs need not be in lowest terms."""
+    (an, ad), (bn, bd) = a, b
+    if ad == bd:
+        return _reduced(list(map(add, an, bn)), ad)
+    g = gcd(ad, bd)
+    ma, mb = bd // g, ad // g
+    return _reduced([p * ma + q * mb for p, q in zip(an, bn)], ad * ma)
+
+
+def _vec_scale(r: Fraction | int, a: _Slots) -> _Slots:
+    nums, den = a
+    rn = r.numerator
+    return _reduced([rn * n for n in nums], r.denominator * den)
+
+
+def _is_right(side: Side) -> bool:
+    if side == "right":
+        return True
+    if side == "left":
+        return False
+    raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+
+
+def _same_base(u, v) -> None:
+    if u[0] is not v[0] and u[0] != v[0]:
         raise BaseMismatchError("elements belong to different bundles")
-    if u.x != v.x:
-        raise BaseMismatchError(f"base points differ: {u.x} vs {v.x}")
+    if u[1] != v[1]:
+        raise BaseMismatchError(f"base points differ: {u[1]} vs {v[1]}")
+
+
+def _int_add(side: Side, u, v):
+    """Add in the chosen structure; the opposite side fiber must agree."""
+    right = _is_right(side)
+    _same_base(u, v)
+    b, x, f, c, e = u
+    if right:
+        if e != v[4]:
+            raise FiberMismatchError("right addition needs a shared E point")
+        return b, x, _vec_add(f, v[2]), _vec_add(c, v[3]), e
+    if f != v[2]:
+        raise FiberMismatchError("left addition needs a shared F point")
+    return b, x, f, _vec_add(c, v[3]), _vec_add(e, v[4])
+
+
+def _int_scale(side: Side, r: Fraction | int, v):
+    b, x, f, c, e = v
+    if _is_right(side):
+        return b, x, _vec_scale(r, f), _vec_scale(r, c), e
+    return b, x, f, _vec_scale(r, c), _vec_scale(r, e)
+
+
+def _int_split(v):
+    b, x, f, c, e = v
+    if any(e[0]):
+        raise NotInKernelError("element has a nonzero E projection")
+    return (b, x, f, _zero_slots(b.n_C), e), (b, x, _zero_slots(b.n_F), c, e)
+
+
+def _int_difference(u, v) -> _Slots:
+    _same_base(u, v)
+    if u[2] != v[2] or u[4] != v[4]:
+        raise FiberMismatchError("core difference needs matching F and E slots")
+    return _vec_add(u[3], _vec_scale(-1, v[3]))
+
+
+def _int_flip(v):
+    b, x, f, c, e = v
+    return b.flip(), x, e, c, f
+
+
+def _int_of(v: DVBElement):
+    return v.bundle, v.x, _slots_of(v.f), _slots_of(v.c), _slots_of(v.e)
+
+
+def _element_of(k) -> DVBElement:
+    b, x, f, c, e = k
+    return DVBElement(b, x, _fractions(f), _fractions(c), _fractions(e))
+
+
+def _int_matrix(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Rational matrix rows as integer rows over one common denominator."""
+    den = lcm(*[a.denominator for row in rows for a in row])
+    ints = tuple(tuple([a.numerator * (den // a.denominator) for a in row]) for row in rows)
+    return ints, den
+
+
+def _mat_vec(m, v) -> tuple[list[int], int]:
+    """An integer matrix times a slot vector, not yet in lowest terms."""
+    rows, md = m
+    nums, vd = v
+    return [sum(map(mul, row, nums)) for row in rows], md * vd
+
+
+# ---------------------------------------------------------------------------
+# Structure maps on DVBElement: adapters over the kernel
 
 
 def fiber_add(side: Side, u: DVBElement, v: DVBElement) -> DVBElement:
     """Add in the chosen structure; the opposite side fiber must agree."""
-    _check_side(side)
-    _check_same_base(u, v)
-    if side == "right":
-        if u.e != v.e:
-            raise FiberMismatchError("right addition needs a shared E point")
-        return DVBElement(
-            u.bundle,
-            u.x,
-            tuple(a + b for a, b in zip(u.f, v.f)),
-            tuple(a + b for a, b in zip(u.c, v.c)),
-            u.e,
-        )
-    if u.f != v.f:
-        raise FiberMismatchError("left addition needs a shared F point")
-    return DVBElement(
-        u.bundle,
-        u.x,
-        u.f,
-        tuple(a + b for a, b in zip(u.c, v.c)),
-        tuple(a + b for a, b in zip(u.e, v.e)),
-    )
+    return _element_of(_int_add(side, _int_of(u), _int_of(v)))
 
 
 def fiber_scale(side: Side, r: Fraction | int | str, v: DVBElement) -> DVBElement:
-    _check_side(side)
-    factor = rat(r)
-    if side == "right":
-        return DVBElement(
-            v.bundle,
-            v.x,
-            tuple(factor * a for a in v.f),
-            tuple(factor * a for a in v.c),
-            v.e,
-        )
-    return DVBElement(
-        v.bundle,
-        v.x,
-        v.f,
-        tuple(factor * a for a in v.c),
-        tuple(factor * a for a in v.e),
-    )
+    return _element_of(_int_scale(side, rat(r), _int_of(v)))
 
 
 def fiber_sub(side: Side, u: DVBElement, v: DVBElement) -> DVBElement:
@@ -240,11 +346,8 @@ def kernel_split(v: DVBElement) -> tuple[DVBElement, DVBElement]:
     right sum recombines to the input, and the analogous statement for the
     left kernel is reached through the flip.
     """
-    if any(a != 0 for a in v.e):
-        raise NotInKernelError("element has a nonzero E projection")
-    side_part = v.bundle.zero_over_left(v.x, v.f)
-    core_part = DVBElement(v.bundle, v.x, (Fraction(0),) * v.bundle.n_F, v.c, v.e)
-    return side_part, core_part
+    side_part, core_part = _int_split(_int_of(v))
+    return _element_of(side_part), _element_of(core_part)
 
 
 def core_embed(bundle: DecomposedDVB, x, c) -> DVBElement:
@@ -258,10 +361,7 @@ def core_difference(u: DVBElement, v: DVBElement) -> tuple[Fraction, ...]:
     This is the unique k with u = v +_right (core k over e) and equally
     u = v +_left (core k over f).
     """
-    _check_same_base(u, v)
-    if u.f != v.f or u.e != v.e:
-        raise FiberMismatchError("core difference needs matching F and E slots")
-    return tuple(a - b for a, b in zip(u.c, v.c))
+    return _fractions(_int_difference(_int_of(u), _int_of(v)))
 
 
 def flip(obj):
@@ -272,7 +372,7 @@ def flip(obj):
 def tangent_prolongation(vb: VectorBundle) -> DecomposedDVB:
     """Shell of the tangent of a vector bundle: sides TM and E, core E.
 
-    Slots read (f, c, e) = (base velocity, fiber velocity, fiber point); the
+    _Slots read (f, c, e) = (base velocity, fiber velocity, fiber point); the
     right structure is tangent-vector addition at a fixed fiber point, the
     left structure is the derivative of the addition in E.
     """
@@ -288,7 +388,7 @@ def tangent_prolongation(vb: VectorBundle) -> DecomposedDVB:
 def cotangent_prolongation(vb: VectorBundle) -> DecomposedDVB:
     """Shell of the cotangent of a vector bundle: sides E* and E, core T*M.
 
-    Slots read (f, c, e) = (fiber momentum, base momentum, fiber point); a
+    _Slots read (f, c, e) = (fiber momentum, base momentum, fiber point); a
     covector (x | phi | p | e) pairs with a tangent element (x | xdot | edot
     | e) over the same fiber point as p.xdot + phi.edot.
     """
@@ -536,22 +636,33 @@ class FiberMorphism:
     def _blocks(self):
         return (self.l, self.c, self.r, self.psi)
 
-    def apply(self, v: DVBElement) -> DVBElement:
-        if v.bundle != self.source:
+    @cached_property
+    def _int_blocks(self):
+        """L, C, R and Psi (flattened to n_C x (n_E * n_F)) as integer
+        matrices, each over one denominator; built on first use."""
+        flat_psi = tuple(tuple(p for row in plane for p in row) for plane in self.psi)
+        return tuple(_int_matrix(m) for m in (self.l, self.c, self.r, flat_psi))
+
+    def _int_apply(self, v):
+        """The kernel form of `apply`: (f, c, e) -> (L f, C c + Psi(f, e), R e)."""
+        b, x, f, c, e = v
+        if b is not self.source and b != self.source:
             raise BaseMismatchError("element bundle differs from morphism source")
-        if v.x != self.x:
+        if x != self.x:
             raise BaseMismatchError("element base point differs from block point")
-        bilinear = tuple(dot(mat_vec_frac(plane, v.f), v.e) for plane in self.psi)
-        core = tuple(
-            p + q for p, q in zip(mat_vec_frac(self.c, v.c), bilinear)
-        )
-        return DVBElement(
+        l, cm, r, psi = self._int_blocks
+        (fn, fd), (en, ed) = f, e
+        e_times_f = ([p * q for p in en for q in fn], ed * fd)
+        return (
             self.target,
-            v.x,
-            mat_vec_frac(self.l, v.f),
-            core,
-            mat_vec_frac(self.r, v.e),
+            x,
+            _reduced(*_mat_vec(l, f)),
+            _vec_add(_mat_vec(cm, c), _mat_vec(psi, e_times_f)),
+            _reduced(*_mat_vec(r, e)),
         )
+
+    def apply(self, v: DVBElement) -> DVBElement:
+        return _element_of(self._int_apply(_int_of(v)))
 
     def after(self, inner: FiberMorphism) -> FiberMorphism:
         if inner.target != self.source or inner.x != self.x:

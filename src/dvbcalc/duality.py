@@ -86,7 +86,7 @@ def pair_r(v: DVBElement, a: DVBElement) -> Fraction:
     With v = (x | f | c | e) and a = (x | e | p | q) the value is p.f + q.c.
     """
     _check_pairable(v, a, right_dual(v.bundle), "right")
-    return dot(a.c, v.f) + dot(a.e, v.c)
+    return dot(a.c + a.e, v.f + v.c)
 
 
 def pair_l(v: DVBElement, b: DVBElement) -> Fraction:

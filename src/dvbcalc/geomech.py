@@ -442,10 +442,17 @@ def lambda_sharp(biv: Bivector):
     full = biv.full_matrix()
     n = biv.bundle.chart.dim
 
+    # the matrix at the last point seen: sampled checks apply the map at one
+    # (x, e) several times in a row
+    last = [None, None]
+
     def apply(w: DVBElement) -> DVBElement:
         if w.bundle != cot:
             raise ValueError("argument must live on the cotangent shell")
-        out = mat_vec_frac(full.eval_at(tuple(w.x) + tuple(w.e)), w.c + w.f)
+        point = tuple(w.x) + tuple(w.e)
+        if point != last[0]:
+            last[:] = point, full.eval_at(point)
+        out = mat_vec_frac(last[1], w.c + w.f)
         return tan.element(w.x, out[:n], out[n:], w.e)
 
     return apply

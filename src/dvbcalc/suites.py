@@ -15,6 +15,12 @@ every draw; it returns `(passed, detail, counterexample)`.  A property that
 needs a section the scenario leaves out reads the stand-in of
 `Scenario.section`.
 
+The sampled structure laws (the `axioms` checkers, which the dual-bundle
+property reuses) run on `core`'s integer slot kernel.  The sampler draws
+their slots as kernel slot vectors, from the same `randint` pairs in the
+same order as `random_tuple`, so every draw and replay seed is unchanged;
+`Fraction`s and `DVBElement`s are built only for a counterexample.
+
 Every property draws its samples from a seed derived from the scenario seed
 and the property id, so results are independent of execution order and any
 failure replays from the seed embedded in its report entry.  Report bodies
@@ -28,6 +34,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .core import (
     Chart,
@@ -36,8 +43,16 @@ from .core import (
     DVBMorphism,
     NotInKernelError,
     VectorBundle,
+    _element_of,
+    _fractions,
+    _int_add,
+    _int_difference,
+    _int_flip,
+    _int_scale,
+    _int_split,
+    _random_slots,
+    _zero_slots,
     compose_morphisms,
-    core_difference,
     fiber_add,
     fiber_scale,
     identity_morphism,
@@ -222,6 +237,22 @@ class _Sampler:
             random_tuple(rng, b.n_E, bound) if e is None else e,
         )
 
+    def int_slots(self, n: int):
+        """`rationals(n)` as a kernel slot vector, from the same draws."""
+        return _random_slots(self.rng, n, self.bound)
+
+    def int_element(self, x, f=None, c=None, e=None):
+        """`element(x, ...)` as a kernel element, from the same draws; the
+        slots given are kernel slot vectors."""
+        b, rng, bound = self.bundle, self.rng, self.bound
+        return (
+            b,
+            x,
+            _random_slots(rng, b.n_F, bound) if f is None else f,
+            _random_slots(rng, b.n_C, bound) if c is None else c,
+            _random_slots(rng, b.n_E, bound) if e is None else e,
+        )
+
     def seed(self) -> int:
         """A seed for a sampled criterion that keeps its own rng."""
         return self.rng.randrange(1 << 30)
@@ -281,30 +312,29 @@ def _run_property(prop_id: str, sc: Scenario, fn) -> PropertyResult:
 def _structure_laws(s: _Sampler, side: str, samples: int):
     b = s.bundle
     right = side == "right"
+    add, scale = partial(_int_add, side), partial(_int_scale, side)
+    zero_f, zero_c, zero_e = (_zero_slots(n) for n in b.ranks)
     for _ in range(samples):
         x = s.point()
-        shared = s.rationals(b.n_E if right else b.n_F)
+        shared = s.int_slots(b.n_E if right else b.n_F)
         outer = {"e": shared} if right else {"f": shared}
-        u, v, w = (s.element(x=x, **outer) for _ in range(3))
-        zero = b.zero_over_right(x, shared) if right else b.zero_over_left(x, shared)
+        u, v, w = (s.int_element(x, **outer) for _ in range(3))
+        zero = (b, x, zero_f, zero_c, shared) if right else (b, x, shared, zero_c, zero_e)
         r, r2 = s.rational(), s.rational()
         laws = (
-            fiber_add(side, u, v) == fiber_add(side, v, u),
-            fiber_add(side, fiber_add(side, u, v), w)
-            == fiber_add(side, u, fiber_add(side, v, w)),
-            fiber_add(side, u, zero) == u,
-            fiber_add(side, u, fiber_scale(side, -1, u)) == zero,
-            fiber_scale(side, r, fiber_add(side, u, v))
-            == fiber_add(side, fiber_scale(side, r, u), fiber_scale(side, r, v)),
-            fiber_scale(side, r + r2, u)
-            == fiber_add(side, fiber_scale(side, r, u), fiber_scale(side, r2, u)),
-            fiber_scale(side, r, fiber_scale(side, r2, u))
-            == fiber_scale(side, r * r2, u),
-            fiber_scale(side, 1, u) == u,
+            add(u, v) == add(v, u),
+            add(add(u, v), w) == add(u, add(v, w)),
+            add(u, zero) == u,
+            add(u, scale(-1, u)) == zero,
+            scale(r, add(u, v)) == add(scale(r, u), scale(r, v)),
+            scale(r + r2, u) == add(scale(r, u), scale(r2, u)),
+            scale(r, scale(r2, u)) == scale(r * r2, u),
+            scale(1, u) == u,
         )
         if not all(laws):
             return False, f"a {side}-structure vector space law fails", {
-                "u": u, "v": v, "w": w, "r": r, "s": r2
+                "u": _element_of(u), "v": _element_of(v), "w": _element_of(w),
+                "r": r, "s": r2,
             }
     return True, f"vector space laws of the {side} structure on {samples} tuples", None
 
@@ -313,70 +343,69 @@ def _interchange(s: _Sampler, samples: int):
     b = s.bundle
     for _ in range(samples):
         x = s.point()
-        f1, f2 = s.rationals(b.n_F), s.rationals(b.n_F)
-        e1, e2 = s.rationals(b.n_E), s.rationals(b.n_E)
-        u = s.element(x=x, f=f1, e=e1)
-        v = s.element(x=x, f=f2, e=e1)
-        w = s.element(x=x, f=f1, e=e2)
-        z = s.element(x=x, f=f2, e=e2)
-        lhs = fiber_add("left", fiber_add("right", u, v), fiber_add("right", w, z))
-        rhs = fiber_add("right", fiber_add("left", u, w), fiber_add("left", v, z))
+        f1, f2 = s.int_slots(b.n_F), s.int_slots(b.n_F)
+        e1, e2 = s.int_slots(b.n_E), s.int_slots(b.n_E)
+        u = s.int_element(x, f=f1, e=e1)
+        v = s.int_element(x, f=f2, e=e1)
+        w = s.int_element(x, f=f1, e=e2)
+        z = s.int_element(x, f=f2, e=e2)
+        lhs = _int_add("left", _int_add("right", u, v), _int_add("right", w, z))
+        rhs = _int_add("right", _int_add("left", u, w), _int_add("left", v, z))
         if lhs != rhs:
             return False, "interchange of the two additions fails", {
-                "u": u, "v": v, "w": w, "z": z
+                "u": _element_of(u), "v": _element_of(v), "w": _element_of(w),
+                "z": _element_of(z),
             }
     return True, f"the two additions interchange on {samples} quadruples", None
 
 
 def _core_agreement(s: _Sampler, samples: int):
-    zf = (Fraction(0),) * s.bundle.n_F
-    ze = (Fraction(0),) * s.bundle.n_E
+    zf, ze = _zero_slots(s.bundle.n_F), _zero_slots(s.bundle.n_E)
     for _ in range(samples):
         x = s.point()
-        u = s.element(x=x, f=zf, e=ze)
-        v = s.element(x=x, f=zf, e=ze)
+        u = s.int_element(x, f=zf, e=ze)
+        v = s.int_element(x, f=zf, e=ze)
         r = s.rational()
+        right_sum = _int_add("right", u, v)
         ok = (
-            fiber_add("right", u, v) == fiber_add("left", u, v)
-            and fiber_scale("right", r, u) == fiber_scale("left", r, u)
-            and fiber_add("right", u, v).f == zf
-            and fiber_add("right", u, v).e == ze
+            right_sum == _int_add("left", u, v)
+            and _int_scale("right", r, u) == _int_scale("left", r, u)
+            and right_sum[2] == zf
+            and right_sum[4] == ze
         )
         if not ok:
             return False, "core elements see different right and left structures", {
-                "u": u, "v": v, "r": r
+                "u": _element_of(u), "v": _element_of(v), "r": r
             }
     return True, "both structures agree on core elements", None
 
 
 def _kernel_split(s: _Sampler, samples: int):
     b = s.bundle
-    ze = (Fraction(0),) * b.n_E
-    zf = (Fraction(0),) * b.n_F
-    zc = (Fraction(0),) * b.n_C
+    zf, zc, ze = (_zero_slots(n) for n in b.ranks)
     for _ in range(samples):
         x = s.point()
-        v = s.element(x=x, e=ze)
-        side, core = kernel_split(v)
-        zero = DVBElement(b, x, zf, zc, ze)
+        v = s.int_element(x, e=ze)
+        side, core = _int_split(v)
+        zero = (b, x, zf, zc, ze)
         ok = (
-            fiber_add("right", side, core) == v
-            and kernel_split(side) == (side, zero)
-            and kernel_split(core) == (zero, core)
+            _int_add("right", side, core) == v
+            and _int_split(side) == (side, zero)
+            and _int_split(core) == (zero, core)
         )
         if not ok:
-            return False, "kernel splitting projector laws fail", {"v": v}
+            return False, "kernel splitting projector laws fail", {"v": _element_of(v)}
         # the flip carries the statement to the left kernel
-        w = s.element(x=x, f=zf)
-        ls, lc = kernel_split(w.flip())
-        if fiber_add("right", ls, lc) != w.flip():
-            return False, "left kernel splitting fails through the flip", {"w": w}
+        w = s.int_element(x, f=zf)
+        flipped = _int_flip(w)
+        if _int_add("right", *_int_split(flipped)) != flipped:
+            return False, "left kernel splitting fails through the flip", {"w": _element_of(w)}
         if b.n_E > 0:
-            outside = s.element(x=x, e=(Fraction(1),) * b.n_E)
+            outside = s.int_element(x, e=((1,) * b.n_E, 1))
             try:
-                kernel_split(outside)
+                _int_split(outside)
                 return False, "kernel splitting accepted an element outside the kernel", {
-                    "v": outside
+                    "v": _element_of(outside)
                 }
             except NotInKernelError:
                 pass
@@ -385,24 +414,26 @@ def _kernel_split(s: _Sampler, samples: int):
 
 def _core_difference(s: _Sampler, samples: int):
     b = s.bundle
+    zf, ze = _zero_slots(b.n_F), _zero_slots(b.n_E)
     for _ in range(samples):
         x = s.point()
-        f = s.rationals(b.n_F)
-        e = s.rationals(b.n_E)
-        u = s.element(x=x, f=f, e=e)
-        v = s.element(x=x, f=f, e=e)
-        k = core_difference(u, v)
-        over_e = DVBElement(b, x, (Fraction(0),) * b.n_F, k, e)
-        over_f = DVBElement(b, x, f, k, (Fraction(0),) * b.n_E)
-        if fiber_add("right", v, over_e) != u or fiber_add("left", v, over_f) != u:
+        f = s.int_slots(b.n_F)
+        e = s.int_slots(b.n_E)
+        u = s.int_element(x, f=f, e=e)
+        v = s.int_element(x, f=f, e=e)
+        k = _int_difference(u, v)
+        over_e, over_f = (b, x, zf, k, e), (b, x, f, k, ze)
+        if _int_add("right", v, over_e) != u or _int_add("left", v, over_f) != u:
             return False, "core difference does not recover the element", {
-                "u": u, "v": v, "k": k
+                "u": _element_of(u), "v": _element_of(v), "k": _fractions(k)
             }
         if b.n_C > 0:
-            bumped = (k[0] + 1,) + k[1:]
-            wrong = DVBElement(b, x, (Fraction(0),) * b.n_F, bumped, e)
-            if fiber_add("right", v, wrong) == u:
-                return False, "core difference is not unique", {"u": u, "v": v}
+            nums, den = k
+            bumped = ((nums[0] + den,) + nums[1:], den)
+            if _int_add("right", v, (b, x, zf, bumped, e)) == u:
+                return False, "core difference is not unique", {
+                    "u": _element_of(u), "v": _element_of(v)
+                }
     return True, "elements sharing both projections differ by a unique core shift", None
 
 
@@ -414,26 +445,21 @@ def _morphism_respects(sc: Scenario, s: _Sampler):
     phi = sc.section("morphism")
     for _ in range(sc.samples):
         x = s.point()
-        fm = phi.at(x)
-        shared_e = s.rationals(b.n_E)
-        shared_f = s.rationals(b.n_F)
+        apply = phi.at(x)._int_apply
+        shared_e = s.int_slots(b.n_E)
+        shared_f = s.int_slots(b.n_F)
         r = s.rational()
-        u = s.element(x=x, e=shared_e)
-        v = s.element(x=x, e=shared_e)
-        if fm.apply(fiber_add("right", u, v)) != fiber_add(
-            "right", fm.apply(u), fm.apply(v)
-        ) or fm.apply(fiber_scale("right", r, u)) != fiber_scale(
-            "right", r, fm.apply(u)
-        ):
-            return False, "morphism breaks the right structure", {"u": u, "v": v, "r": r}
-        p = s.element(x=x, f=shared_f)
-        q = s.element(x=x, f=shared_f)
-        if fm.apply(fiber_add("left", p, q)) != fiber_add(
-            "left", fm.apply(p), fm.apply(q)
-        ) or fm.apply(fiber_scale("left", r, p)) != fiber_scale(
-            "left", r, fm.apply(p)
-        ):
-            return False, "morphism breaks the left structure", {"p": p, "q": q, "r": r}
+        sides = (("right", {"e": shared_e}, "uv"), ("left", {"f": shared_f}, "pq"))
+        for side, outer, names in sides:
+            u = s.int_element(x, **outer)
+            v = s.int_element(x, **outer)
+            at_u = apply(u)
+            if apply(_int_add(side, u, v)) != _int_add(side, at_u, apply(v)) or apply(
+                _int_scale(side, r, u)
+            ) != _int_scale(side, r, at_u):
+                return False, f"morphism breaks the {side} structure", {
+                    names[0]: _element_of(u), names[1]: _element_of(v), "r": r
+                }
     return True, f"block morphism respects both structures on {sc.samples} samples", None
 
 
@@ -605,7 +631,8 @@ def _scalar_worked_example(sc: Scenario, s: _Sampler):
 
     seven = MultiPoly.const(names, 7)
     phi = DVBMorphism(kb, kb, const(2), const(3), const(5), (((seven,),),))
-    fm = fiber_right_dual(phi.at(()))
+    at_point = phi.at(())
+    fm = fiber_right_dual(at_point)
     expected = (
         fm.l == ((Fraction(1, 5),),)
         and fm.c == ((Fraction(2),),)
@@ -616,19 +643,26 @@ def _scalar_worked_example(sc: Scenario, s: _Sampler):
         return False, "scalar dual blocks are wrong", {
             "l": fm.l, "c": fm.c, "r": fm.r, "psi": fm.psi
         }
-    # both pairing routes must equal 2 p'f + 3 q'c + 7 q'fe on a grid
-    grid = [Fraction(t) for t in range(-2, 3)]
+    # both pairing routes must equal 2 p'f + 3 q'c + 7 q'fe on a grid; the
+    # covector a and its pullback depend on (e, p, q) only
+    grid = range(-2, 3)
     dual_kb = right_dual(kb)
+    pulled = {}
     for f in grid:
         for c in grid:
             for e in grid:
-                v = DVBElement(kb, (), (f,), (c,), (e,))
-                image = phi.apply(v)
+                v = DVBElement(kb, (), (Fraction(f),), (Fraction(c),), (Fraction(e),))
+                image = at_point.apply(v)
                 for p in grid:
                     for q in grid:
-                        a = DVBElement(dual_kb, (), image.e, (p,), (q,))
+                        if (e, p, q) not in pulled:
+                            a = DVBElement(
+                                dual_kb, (), image.e, (Fraction(p),), (Fraction(q),)
+                            )
+                            pulled[e, p, q] = a, fm.apply(a)
+                        a, a_pulled = pulled[e, p, q]
                         want = 2 * p * f + 3 * q * c + 7 * q * f * e
-                        if pair_r(image, a) != want or pair_r(v, fm.apply(a)) != want:
+                        if pair_r(image, a) != want or pair_r(v, a_pulled) != want:
                             return False, "scalar adjoint identity fails", {
                                 "f": f, "c": c, "e": e, "p": p, "q": q
                             }

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -7,8 +8,10 @@ from dvbcalc.core import (
     BaseMismatchError,
     Chart,
     DecomposedDVB,
+    DVBElement,
     DVBMorphism,
     FiberMismatchError,
+    FiberMorphism,
     NotInKernelError,
     VectorBundle,
     compose_morphisms,
@@ -25,8 +28,16 @@ from dvbcalc.core import (
     kernel_split,
     psi_zero,
     tangent_prolongation,
+    _element_of,
+    _fractions,
+    _int_add,
+    _int_difference,
+    _int_of,
+    _int_scale,
+    _int_split,
+    _random_slots,
 )
-from dvbcalc.ring import MultiPoly, PolyMatrix, rat
+from dvbcalc.ring import MultiPoly, PolyMatrix, random_rational, random_tuple, rat
 from dvbcalc.scenario import random_morphism, random_poly_matrix, random_poly_vector
 
 CHART = Chart.of_dim(1)
@@ -449,3 +460,150 @@ def test_rank_mismatch_is_not_invertible(invert):
     )
     with pytest.raises(ValueError, match="only square-rank morphisms can be inverted"):
         invert(phi)
+
+
+# -- the integer slot kernel ----------------------------------------------------
+#
+# Differential tests of the kernel against the plain Fraction formulas of the
+# two structures and of a block morphism at one point.  Values reach
+# denominators up to 49, slots are zero about a third of the time, and the
+# ranks run over 0-4.
+
+KERNEL_RANKS = [(n_f, n_c, n_e) for n_f in range(5) for n_c in range(5) for n_e in range(5)]
+
+
+def wide_tuple(rng, n):
+    if rng.randrange(3) == 0:
+        return (Fraction(0),) * n
+    return tuple(Fraction(rng.randint(-49, 49), rng.randint(1, 49)) for _ in range(n))
+
+
+def wide_scalar(rng):
+    return rng.choice([Fraction(0), Fraction(-1), wide_tuple(rng, 1)[0]])
+
+
+def plain_add(side, u, v):
+    def add(p, q):
+        return tuple(a + b for a, b in zip(p, q))
+
+    if side == "right":
+        return DVBElement(u.bundle, u.x, add(u.f, v.f), add(u.c, v.c), u.e)
+    return DVBElement(u.bundle, u.x, u.f, add(u.c, v.c), add(u.e, v.e))
+
+
+def plain_scale(side, r, v):
+    def scale(p):
+        return tuple(r * a for a in p)
+
+    if side == "right":
+        return DVBElement(v.bundle, v.x, scale(v.f), scale(v.c), v.e)
+    return DVBElement(v.bundle, v.x, v.f, scale(v.c), scale(v.e))
+
+
+def assert_lowest_terms(k):
+    for nums, den in k[2:]:
+        assert den > 0 and gcd(den, *nums) == 1
+
+
+@pytest.mark.parametrize("ranks", KERNEL_RANKS, ids=str)
+def test_kernel_structure_maps_match_fraction_formulas(ranks):
+    b = DecomposedDVB(Chart.of_dim(2), *ranks)
+    rng = random.Random(f"structure {ranks}")
+    for _ in range(4):
+        x = wide_tuple(rng, 2)
+        f, c, e = (wide_tuple(rng, n) for n in ranks)
+        u = DVBElement(b, x, f, c, e)
+        for side, v in (
+            ("right", DVBElement(b, x, wide_tuple(rng, b.n_F), wide_tuple(rng, b.n_C), e)),
+            ("left", DVBElement(b, x, f, wide_tuple(rng, b.n_C), wide_tuple(rng, b.n_E))),
+        ):
+            k = _int_add(side, _int_of(u), _int_of(v))
+            assert_lowest_terms(k)
+            assert k == _int_of(plain_add(side, u, v))
+            assert _element_of(k) == plain_add(side, u, v) == fiber_add(side, u, v)
+            r = wide_scalar(rng)
+            k = _int_scale(side, r, _int_of(u))
+            assert_lowest_terms(k)
+            assert _element_of(k) == plain_scale(side, r, u) == fiber_scale(side, r, u)
+        # equal projections on both sides: the core difference
+        w = DVBElement(b, x, f, wide_tuple(rng, b.n_C), e)
+        diff = _int_difference(_int_of(u), _int_of(w))
+        assert _fractions(diff) == tuple(p - q for p, q in zip(u.c, w.c))
+        assert core_difference(u, w) == _fractions(diff)
+        # a right-kernel element splits into (x | f | 0 | 0) and (x | 0 | c | 0)
+        kern = DVBElement(b, x, f, c, (Fraction(0),) * b.n_E)
+        side_part, core_part = _int_split(_int_of(kern))
+        assert _element_of(side_part) == b.zero_over_left(x, f)
+        assert _element_of(core_part) == core_embed(b, x, c)
+        assert kernel_split(kern) == (_element_of(side_part), _element_of(core_part))
+        if b.n_E:
+            with pytest.raises(NotInKernelError, match="nonzero E projection"):
+                _int_split(_int_of(DVBElement(b, x, f, c, (Fraction(1),) * b.n_E)))
+
+
+@pytest.mark.parametrize("ranks", KERNEL_RANKS, ids=str)
+def test_kernel_apply_matches_fraction_formula(ranks):
+    n_f, n_c, n_e = ranks
+    b = DecomposedDVB(Chart.of_dim(1), *ranks)
+    rng = random.Random(f"apply {ranks}")
+    x = (Fraction(3, 7),)
+
+    def matrix(rows, cols):
+        return tuple(wide_tuple(rng, cols) for _ in range(rows))
+
+    fm = FiberMorphism(
+        b,
+        b,
+        x,
+        matrix(n_f, n_f),
+        matrix(n_c, n_c),
+        matrix(n_e, n_e),
+        tuple(matrix(n_e, n_f) for _ in range(n_c)),
+    )
+    for _ in range(4):
+        v = DVBElement(b, x, wide_tuple(rng, n_f), wide_tuple(rng, n_c), wide_tuple(rng, n_e))
+
+        def times(m, vec):
+            return tuple(sum((a * q for a, q in zip(row, vec)), Fraction(0)) for row in m)
+
+        bilinear = tuple(
+            sum(
+                (plane[a][i] * v.e[a] * v.f[i] for a in range(n_e) for i in range(n_f)),
+                Fraction(0),
+            )
+            for plane in fm.psi
+        )
+        want = DVBElement(
+            b,
+            x,
+            times(fm.l, v.f),
+            tuple(p + q for p, q in zip(times(fm.c, v.c), bilinear)),
+            times(fm.r, v.e),
+        )
+        k = fm._int_apply(_int_of(v))
+        assert_lowest_terms(k)
+        assert _element_of(k) == want == fm.apply(v)
+
+
+def test_kernel_apply_keeps_base_checks():
+    phi = scalar_morphism(2, 3, 5, 7)
+    fm = phi.at((Fraction(1),))
+    with pytest.raises(BaseMismatchError, match="base point differs from block point"):
+        fm._int_apply(_int_of(B.element((2,), (1,), (1,), (1,))))
+    other = DecomposedDVB(CHART, 1, 1, 1, ("A", "C", "E"))
+    with pytest.raises(BaseMismatchError, match="bundle differs from morphism source"):
+        fm._int_apply(_int_of(other.element((1,), (1,), (1,), (1,))))
+
+
+@pytest.mark.parametrize("bound", [1, 7, 49])
+def test_kernel_draws_equal_random_tuple(bound):
+    for seed in range(200):
+        for n in range(5):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            slots = _random_slots(ours, n, bound)
+            assert _fractions(slots) == random_tuple(theirs, n, bound)
+            assert ours.getstate() == theirs.getstate()
+            assert gcd(slots[1], *slots[0]) == 1
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert _fractions(_random_slots(ours, 1, bound)) == (random_rational(theirs, bound),)
+        assert ours.getstate() == theirs.getstate()

@@ -437,6 +437,24 @@ def test_so3_is_linear_poisson_and_jacobi():
     assert check_jacobi(biv, points)
 
 
+def test_lambda_sharp_evaluates_once_per_consecutive_point(monkeypatch):
+    from dvbcalc.scenario import gen_random_scenario
+
+    points = []
+    original = PolyMatrix.eval_at
+
+    def counting(self, point):
+        points.append(point)
+        return original(self, point)
+
+    monkeypatch.setattr(PolyMatrix, "eval_at", counting)
+    assert is_linear_poisson(gen_random_scenario(11).section("bivector"), samples=40)
+    # each sample applies the map four times at (x, e), then at three points
+    # of the left structure: 4 evaluations a sample instead of 7
+    assert len(points) <= 160
+    assert all(p != q for p, q in zip(points, points[1:]))
+
+
 def test_constant_fiber_block_is_not_linear():
     vb = VectorBundle(Chart.of_dim(0), 2)
     vars = total_space_vars(vb)

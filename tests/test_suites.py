@@ -2,12 +2,15 @@
 
 import hashlib
 import json
+import random
 import re
+import sys
 
 import pytest
 
+from dvbcalc import core
 from dvbcalc.core import Chart, DecomposedDVB, DVBMorphism, psi_zero
-from dvbcalc.ring import PolyMatrix
+from dvbcalc.ring import PolyMatrix, random_rational, random_tuple
 from dvbcalc.scenario import (
     InconsistentScenarioError,
     Scenario,
@@ -15,7 +18,10 @@ from dvbcalc.scenario import (
     scenario_from_obj,
     scenario_to_obj,
 )
-from dvbcalc.suites import run_connection_check, run_suite
+from dvbcalc.suites import _scalar_worked_example, run_connection_check, run_suite
+
+# The public structure maps on DVBElement: boundary adapters over the kernel.
+STRUCTURE_OPS = ("fiber_add", "fiber_scale", "fiber_sub", "kernel_split", "core_difference")
 
 SUITE_SIZES = {"axioms": 7, "duality": 8, "third-dual": 5, "geometry": 12}
 
@@ -326,3 +332,92 @@ def test_morphism_axiom_evaluates_each_sample_point_once(monkeypatch):
     # axioms.01-06 never evaluate the morphism; axioms.07 draws one point
     # per sample and evaluates the blocks there exactly once
     assert len(calls) == sc.samples
+
+
+def _count_calls(monkeypatch, owner_attrs):
+    """Wrap each (owner, name) with a call counter, rebinding every name in
+    a dvbcalc module that refers to the same function."""
+    counts = {}
+    for owner, name in owner_attrs:
+        original = getattr(owner, name)
+        counts[name] = 0
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "dvbcalc" and module is not owner:
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+    return counts
+
+
+def test_axioms_suite_stays_on_the_integer_kernel(monkeypatch):
+    counts = _count_calls(
+        monkeypatch,
+        [(core, name) for name in STRUCTURE_OPS]
+        + [(core.DVBMorphism, "at"), (core.FiberMorphism, "apply")],
+    )
+    sc = Scenario(bundle=DecomposedDVB(Chart.of_dim(2), 2, 3, 2), seed=5, samples=12, bound=7)
+    report = run_suite("axioms", sc)
+    assert report.passed
+    assert {name: counts[name] for name in STRUCTURE_OPS} == dict.fromkeys(STRUCTURE_OPS, 0)
+    assert counts["at"] == sc.samples
+    assert counts["apply"] == 0
+
+
+def _fmt_tuple(values) -> str:
+    return "(" + ", ".join(str(v) for v in values) + ")"
+
+
+def _fmt_element(x, f, c, e) -> str:
+    return f"(x={_fmt_tuple(x)} | f={_fmt_tuple(f)} | c={_fmt_tuple(c)} | e={_fmt_tuple(e)})"
+
+
+def test_broken_kernel_add_fails_axioms_with_element_counterexamples(monkeypatch):
+    original = core._vec_add
+
+    def off_by_one(a, b):
+        nums, _ = a
+        return original(original(a, b), ((1,) * len(nums), 1))
+
+    monkeypatch.setattr(core, "_vec_add", off_by_one)
+    b = DecomposedDVB(Chart.of_dim(2), 2, 1, 2)
+    sc = Scenario(bundle=b, seed=3, samples=9, bound=4)
+    results = {r.prop_id[:9]: r for r in run_suite("axioms", sc).results}
+    right, morphism = results["axioms.01"], results["axioms.07"]
+    assert not right.passed and not morphism.passed
+    # replay the first sample of each with the public Fraction draws
+    rng = random.Random(right.seed)
+    x, shared = random_tuple(rng, 2, 4), random_tuple(rng, b.n_E, 4)
+    u, v, w = (
+        _fmt_element(x, random_tuple(rng, b.n_F, 4), random_tuple(rng, b.n_C, 4), shared)
+        for _ in range(3)
+    )
+    r, s = random_rational(rng, 4), random_rational(rng, 4)
+    assert right.detail == "a right-structure vector space law fails"
+    assert right.counterexample == {"u": u, "v": v, "w": w, "r": str(r), "s": str(s)}
+    rng = random.Random(morphism.seed)
+    x = random_tuple(rng, 2, 4)
+    shared_e = random_tuple(rng, b.n_E, 4)
+    random_tuple(rng, b.n_F, 4)  # the shared F slot of the left check
+    r = random_rational(rng, 4)
+    u, v = (
+        _fmt_element(x, random_tuple(rng, b.n_F, 4), random_tuple(rng, b.n_C, 4), shared_e)
+        for _ in range(2)
+    )
+    assert morphism.detail == "morphism breaks the right structure"
+    assert morphism.counterexample == {"u": u, "v": v, "r": str(r)}
+
+
+def test_scalar_worked_example_evaluates_once_and_pulls_back_once_per_covector(monkeypatch):
+    counts = _count_calls(
+        monkeypatch, [(core.DVBMorphism, "at"), (core.FiberMorphism, "apply")]
+    )
+    passed, detail, _ = _scalar_worked_example(gen_random_scenario(1), None)
+    assert passed, detail
+    # one evaluation at the point; 125 images and 125 pulled-back covectors
+    assert counts == {"at": 1, "apply": 250}

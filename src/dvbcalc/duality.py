@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from .core import (
     BaseMismatchError,
@@ -47,6 +48,9 @@ def dual_label(label: str) -> str:
     return label[:-1] if label.endswith("*") else label + "*"
 
 
+# The pairings and dual morphisms ask for the dual of the same few bundles
+# on every call; a bundle is frozen, so its duals are cached.
+@lru_cache(maxsize=128)
 def right_dual(b: DecomposedDVB) -> DecomposedDVB:
     """Dual along the right structure: sides (E, C*), core F*."""
     return DecomposedDVB(
@@ -58,6 +62,7 @@ def right_dual(b: DecomposedDVB) -> DecomposedDVB:
     )
 
 
+@lru_cache(maxsize=128)
 def left_dual(b: DecomposedDVB) -> DecomposedDVB:
     """Dual along the left structure, computed as flip . right_dual . flip."""
     return right_dual(b.flip()).flip()

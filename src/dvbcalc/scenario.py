@@ -15,10 +15,20 @@ the report header all read it.  A field shape is read by one recursive
 reader and written by one recursive writer, keyed by how many lists deep
 the shape nests its polynomial literals.
 
+The text is written by one recursive emitter, `_emit`, that gives the bytes
+of `json.dumps(obj, indent=2, sort_keys=True)` for the shapes a scenario
+object has (dicts with str keys, lists, str, int, bool, None), strings
+through `json.encoder.encode_basestring_ascii`.  The stdlib encoder runs in
+pure Python whenever it indents, and pays for generality a scenario does not
+need; any other type raises TypeError.
+
 Two error channels: ScenarioParseError for structural problems (bad JSON,
 malformed literals, ragged grids), InconsistentScenarioError for well formed
 data whose ranks or shape constraints do not fit together (for example a
-bivector block that is not antisymmetric).
+bivector block that is not antisymmetric, or a metric or square morphism
+block whose determinant is the zero polynomial; a one-point certificate,
+`_identically_singular`, proves the determinant nonzero without expanding
+it).
 
 Random generation is deterministic for a fixed seed and flag set.  Blocks
 that must be invertible are built as identity plus a strictly triangular
@@ -35,6 +45,7 @@ import random
 import zlib
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .core import Chart, DecomposedDVB, DVBMorphism, VectorBundle
 from .geomech import (
@@ -51,7 +62,7 @@ from .geomech import (
     total_space_vars,
 )
 # random_tuple is imported so that it stays importable from here.
-from .ring import MultiPoly, PolyMatrix, random_rational, random_tuple
+from .ring import MultiPoly, PolyMatrix, det_frac, random_rational, random_tuple
 
 
 class ScenarioParseError(ValueError):
@@ -127,6 +138,26 @@ SECTIONS = (
         ("gamma", "gamma", "vector", "base"),
     )),
 )
+
+# The square fields, by section, whose determinant must not vanish
+# identically: the suites invert them at sample points, and one that is
+# singular everywhere has no regular point to sample.
+_NONSINGULAR = {"morphism": ("Phi_l", "Phi_c", "Phi_r"), "metric": ("g",)}
+
+# The witness point of the determinant certificate: distinct non-integer
+# rationals, x_i the i-th entry, one per chart coordinate (a chart has at
+# most _MAX_RANK of them).
+_WITNESS = (
+    Fraction(3, 7), Fraction(-5, 11), Fraction(7, 13), Fraction(-11, 17),
+    Fraction(13, 19), Fraction(-17, 23), Fraction(19, 29), Fraction(-23, 31),
+)
+
+# The witness values of a degree-d entry have O(d) bits, and their
+# determinant costs about the square of that: 35 ms for a dense rank-8
+# matrix at degree 1024, 5 s for a 2 x 2 one at degree 100000.  Above this
+# degree the symbolic determinant, whose cost does not grow with the
+# exponents, is the cheaper proof.
+_WITNESS_MAX_DEGREE = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -236,35 +267,46 @@ def _check_keys(obj: dict, required: tuple[str, ...], optional: tuple[str, ...],
         raise ScenarioParseError(f"{where} has unknown keys {sorted(unknown)}")
 
 
-def _parse_coeff(raw, where: str) -> Fraction:
-    if isinstance(raw, bool) or not isinstance(raw, (int, str)):
-        raise ScenarioParseError(
-            f"{where}: coefficient must be an integer or a 'p/q' string"
-        )
-    try:
-        return Fraction(raw)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ScenarioParseError(f"{where}: bad coefficient {raw!r}: {exc}") from exc
+def _term_error(where: str, pos: int, detail: str) -> ScenarioParseError:
+    """The error of term `pos` of a literal; only a failing term builds its location."""
+    return ScenarioParseError(f"{where}, term {pos}{detail}")
+
+
+_TERM_KEYS = {"coeff", "exps"}
 
 
 def parse_poly(obj, vars: tuple[str, ...], where: str) -> MultiPoly:
     """One polynomial literal against a declared variable list."""
     acc: dict[tuple[int, ...], Fraction] = {}
     for pos, term in enumerate(_need_list(obj, where)):
-        spot = f"{where}, term {pos}"
-        term = _need_dict(term, spot)
-        _check_keys(term, ("coeff", "exps"), (), spot)
-        coeff = _parse_coeff(term["coeff"], spot)
-        exps = _need_list(term["exps"], f"{spot}, exps")
+        if not isinstance(term, dict):
+            raise _term_error(where, pos, " must be an object")
+        if term.keys() != _TERM_KEYS:
+            # the keys differ, so this raises
+            _check_keys(term, ("coeff", "exps"), (), f"{where}, term {pos}")
+        raw, exps = term["coeff"], term["exps"]
+        if isinstance(raw, bool) or not isinstance(raw, (int, str)):
+            raise _term_error(
+                where, pos, ": coefficient must be an integer or a 'p/q' string"
+            )
+        try:
+            coeff = Fraction(raw)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise _term_error(where, pos, f": bad coefficient {raw!r}: {exc}") from exc
+        if not isinstance(exps, list):
+            raise _term_error(where, pos, ", exps must be a list")
         if len(exps) != len(vars):
-            raise ScenarioParseError(
-                f"{spot}: {len(exps)} exponents for {len(vars)} variables"
+            raise _term_error(
+                where, pos, f": {len(exps)} exponents for {len(vars)} variables"
             )
         for k in exps:
-            if _need_int(k, f"{spot}, exponent") < 0:
-                raise ScenarioParseError(f"{spot}: negative exponent")
+            # bool is an int subclass and must not slip through
+            if not isinstance(k, int) or isinstance(k, bool):
+                raise _term_error(where, pos, ", exponent must be an integer")
+            if k < 0:
+                raise _term_error(where, pos, ": negative exponent")
         key = tuple(exps)
-        acc[key] = acc.get(key, Fraction(0)) + coeff
+        acc[key] = acc[key] + coeff if key in acc else coeff
     return MultiPoly.from_dict(vars, acc)
 
 
@@ -289,6 +331,24 @@ def _parse_field(obj, vars, where: str, shape: str):
     if len({len(row) for row in value}) > 1:
         raise ScenarioParseError(f"{where} is ragged")
     return PolyMatrix(tuple(vars), value)
+
+
+def _identically_singular(m: PolyMatrix) -> bool:
+    """Whether the determinant of a square polynomial matrix is the zero polynomial.
+
+    A nonzero value at one rational point proves that the determinant is not
+    the zero polynomial: this is the Schwartz-Zippel argument used as a
+    one-sided certificate, and it costs one Bareiss elimination of the
+    values at the fixed point _WITNESS.  A nonzero determinant vanishes only
+    on a hypersurface, which may pass through the witness, so a zero value
+    there falls back to the symbolic determinant; so does an entry of degree
+    above _WITNESS_MAX_DEGREE, whose values are too long to be cheap.
+    """
+    if all(
+        p.total_degree() <= _WITNESS_MAX_DEGREE for row in m.entries for p in row
+    ) and det_frac(m.eval_at(_WITNESS[: len(m.vars)])) != 0:
+        return False
+    return m.det().is_zero
 
 
 def _build(section: str, ctor, *args):
@@ -354,8 +414,15 @@ def scenario_from_obj(obj) -> Scenario:
             for name, _, shape, vars in fields
         ]
         record = _build(key, record_type, *over_of[over], *values)
-        if key == "metric" and record.g.det().is_zero:
-            raise InconsistentScenarioError("metric: determinant vanishes identically")
+        for name, attr, _, _ in fields:
+            if name in _NONSINGULAR.get(key, ()) and _identically_singular(
+                getattr(record, attr)
+            ):
+                # a section with one field is named by its key alone
+                block = f"{name} " if len(fields) > 1 else ""
+                raise InconsistentScenarioError(
+                    f"{key}: {block}determinant vanishes identically"
+                )
         sections[key] = record
 
     return Scenario(bundle=bundle, seed=seed, samples=samples, bound=bound, **sections)
@@ -412,8 +479,57 @@ def scenario_to_obj(sc: Scenario) -> dict:
     return out
 
 
+def _emit(obj, pad: str, out: list[str]) -> None:
+    """Append the text json.dumps(obj, indent=2, sort_keys=True) gives.
+
+    Only the shapes of a scenario object are written: dicts with str keys,
+    lists, str, int, bool and None; the most frequent come first.  Any other
+    type raises TypeError.
+    """
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = ",\n" + inner
+        out.append("{\n" + inner)
+        for i, key in enumerate(sorted(obj)):
+            if not isinstance(key, str):
+                raise TypeError(f"a scenario object key is a {type(key).__name__}")
+            if i:
+                out.append(sep)
+            out.append(encode_basestring_ascii(key) + ": ")
+            _emit(obj[key], inner, out)
+        out.append("\n" + pad + "}")
+    elif isinstance(obj, list):
+        if not obj:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = ",\n" + inner
+        out.append("[\n" + inner)
+        for i, item in enumerate(obj):
+            if i:
+                out.append(sep)
+            _emit(item, inner, out)
+        out.append("\n" + pad + "]")
+    elif obj is None:
+        out.append("null")
+    elif obj is True or obj is False:
+        out.append("true" if obj else "false")
+    else:
+        raise TypeError(f"a scenario object holds no {type(obj).__name__}")
+
+
 def scenario_to_text(sc: Scenario) -> str:
-    return json.dumps(scenario_to_obj(sc), indent=2, sort_keys=True) + "\n"
+    out: list[str] = []
+    _emit(scenario_to_obj(sc), "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

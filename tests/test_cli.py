@@ -106,6 +106,27 @@ def test_inconsistent_scenario_channel(tmp_path, capsys):
     assert err.startswith("INCONSISTENT_SCENARIO:")
 
 
+def test_identically_singular_morphism_block_exits_2(tmp_path, capsys):
+    one = [[[{"coeff": "1", "exps": [0]}]]]
+    obj = {
+        "bundle": {"n": 1, "n_F": 1, "n_C": 1, "n_E": 1},
+        "morphism": {
+            "Phi_l": one,
+            "Phi_c": [[[{"coeff": "0", "exps": [0]}]]],
+            "Phi_r": one,
+            "Psi": [[[[]]]],
+        },
+    }
+    path = tmp_path / "singular_block.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "dualize", "--scenario", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "INCONSISTENT_SCENARIO: morphism: Phi_c determinant vanishes identically\n"
+    )
+
+
 def test_dualize_prints_duals(scenario_file, capsys):
     code, out, _ = run_cli(capsys, "dualize", "--scenario", scenario_file)
     assert code == 0

@@ -5,6 +5,8 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dvbcalc.core import Chart, DecomposedDVB
 from dvbcalc.geomech import (
@@ -436,3 +438,211 @@ def test_generation_bounds_validated():
         gen_random_scenario(0, max_rank=0)
     with pytest.raises(ValueError):
         gen_random_scenario(0, max_degree=-1)
+
+
+# --- term-level parse errors -----------------------------------------------
+
+@pytest.mark.parametrize(
+    "term, message",
+    [
+        ("1", "core_section.gamma[0], term 0 must be an object"),
+        ({"coeff": "1"}, "core_section.gamma[0], term 0 is missing keys ['exps']"),
+        (
+            {"coeff": "1", "exps": [0], "sign": 1},
+            "core_section.gamma[0], term 0 has unknown keys ['sign']",
+        ),
+        (
+            {"coeff": True, "exps": [0]},
+            "core_section.gamma[0], term 0: coefficient must be an integer or a 'p/q' string",
+        ),
+        (
+            {"coeff": 1.5, "exps": [0]},
+            "core_section.gamma[0], term 0: coefficient must be an integer or a 'p/q' string",
+        ),
+        (
+            {"coeff": "1/0", "exps": [0]},
+            "core_section.gamma[0], term 0: bad coefficient '1/0': Fraction(1, 0)",
+        ),
+        (
+            {"coeff": "1", "exps": [0, 0]},
+            "core_section.gamma[0], term 0: 2 exponents for 1 variables",
+        ),
+        (
+            {"coeff": "1", "exps": [True]},
+            "core_section.gamma[0], term 0, exponent must be an integer",
+        ),
+        (
+            {"coeff": "1", "exps": ["2"]},
+            "core_section.gamma[0], term 0, exponent must be an integer",
+        ),
+        ({"coeff": "1", "exps": [-1]}, "core_section.gamma[0], term 0: negative exponent"),
+    ],
+)
+def test_term_parse_error_texts(term, message):
+    obj = minimal_obj()
+    obj["core_section"] = {"gamma": [[term]]}
+    with pytest.raises(ScenarioParseError) as info:
+        scenario_from_obj(obj)
+    assert str(info.value) == message
+
+
+def test_term_parse_error_names_the_failing_term():
+    obj = minimal_obj()
+    obj["core_section"] = {"gamma": [poly_lit("1", [0]) + [{"coeff": "1", "exps": "0"}]]}
+    with pytest.raises(ScenarioParseError) as info:
+        scenario_from_obj(obj)
+    assert str(info.value) == "core_section.gamma[0], term 1, exps must be a list"
+
+
+# --- the determinant certificate -------------------------------------------
+
+def _count_minor_tables(monkeypatch):
+    from dvbcalc import ring
+
+    calls = []
+    extend = ring._extend_minors
+
+    def counted(*args):
+        calls.append(1)
+        return extend(*args)
+
+    monkeypatch.setattr(ring, "_extend_minors", counted)
+    return calls
+
+
+def test_metric_singular_at_the_witness_parses_through_the_fallback(monkeypatch):
+    from dvbcalc.scenario import _WITNESS
+
+    calls = _count_minor_tables(monkeypatch)
+    obj = minimal_obj()
+    witness = _WITNESS[0]
+    # x1 - x1(witness): zero at the witness point only
+    obj["metric"] = {
+        "g": [[[{"coeff": "1", "exps": [1]}, {"coeff": str(-witness), "exps": [0]}]]]
+    }
+    det = scenario_from_obj(obj).metric.g.det()
+    assert det.eval((witness,)) == 0 and not det.is_zero
+    assert calls
+
+
+def test_identically_singular_rank_2_metric_text():
+    obj = {"bundle": {"n": 2, "n_F": 1, "n_C": 1, "n_E": 2}}
+    x1 = poly_lit("1", [1, 0])
+    obj["metric"] = {"g": [[x1, x1], [x1, x1]]}
+    with pytest.raises(InconsistentScenarioError) as info:
+        scenario_from_obj(obj)
+    assert str(info.value) == "metric: determinant vanishes identically"
+
+
+def test_high_degree_matrix_is_proved_without_the_witness(monkeypatch):
+    # the witness values of x1^(10^6) have millions of bits; the symbolic
+    # determinant of these monomials takes microseconds
+    from dvbcalc import scenario
+
+    monkeypatch.setattr(scenario, "det_frac", None)
+    obj = {"bundle": {"n": 2, "n_F": 1, "n_C": 1, "n_E": 2}}
+    high, other = poly_lit("1", [10**6, 0]), poly_lit("1", [0, 10**6])
+    obj["metric"] = {"g": [[high, other], [other, high]]}
+    assert scenario_from_obj(obj).metric.g.det().total_degree() == 2 * 10**6
+    obj["metric"] = {"g": [[high, high], [high, high]]}
+    with pytest.raises(InconsistentScenarioError, match="^metric: determinant vanishes"):
+        scenario_from_obj(obj)
+
+
+@pytest.mark.parametrize("max_rank, max_degree", [(3, 2), (8, 8)])
+def test_generated_scenarios_parse_without_a_minor_table(monkeypatch, max_rank, max_degree):
+    texts = [
+        scenario_to_text(gen_random_scenario(seed, max_rank=max_rank, max_degree=max_degree))
+        for seed in range(21)
+    ]
+    calls = _count_minor_tables(monkeypatch)
+    for text in texts:
+        scenario_from_text(text)
+    assert not calls
+
+
+def _unit_morphism_obj():
+    # rank 1 blocks over one chart coordinate
+    one, zero = poly_lit("1", [0]), poly_lit("0", [0])
+    obj = minimal_obj()
+    obj["morphism"] = {
+        "Phi_l": [[one]], "Phi_c": [[one]], "Phi_r": [[one]], "Psi": [[[zero]]],
+    }
+    return obj
+
+
+@pytest.mark.parametrize("block", ["Phi_l", "Phi_c", "Phi_r"])
+def test_identically_singular_morphism_block_rejected(block):
+    obj = _unit_morphism_obj()
+    obj["morphism"][block] = [[poly_lit("0", [0])]]
+    with pytest.raises(InconsistentScenarioError) as info:
+        scenario_from_obj(obj)
+    assert str(info.value) == f"morphism: {block} determinant vanishes identically"
+
+
+def test_morphism_block_singular_only_at_some_points_parses():
+    obj = _unit_morphism_obj()
+    obj["morphism"]["Phi_r"] = [[poly_lit("1", [1])]]
+    assert str(scenario_from_obj(obj).morphism.phi_r.det()) == "x1"
+
+
+def test_rank_2_morphism_block_singular_everywhere_rejected():
+    obj = {"bundle": {"n": 1, "n_F": 2, "n_C": 1, "n_E": 1}}
+    one, zero, x1 = poly_lit("1", [0]), poly_lit("0", [0]), poly_lit("1", [1])
+    obj["morphism"] = {
+        "Phi_l": [[x1, one], [x1, one]],
+        "Phi_c": [[one]],
+        "Phi_r": [[one]],
+        "Psi": [[[zero, zero]]],
+    }
+    with pytest.raises(InconsistentScenarioError, match="^morphism: Phi_l determinant"):
+        scenario_from_obj(obj)
+
+
+# --- the JSON emitter ------------------------------------------------------
+
+def _emitted(obj):
+    from dvbcalc.scenario import _emit
+
+    out = []
+    _emit(obj, "", out)
+    return "".join(out)
+
+
+_json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.text()
+    | st.text(alphabet=st.characters(max_codepoint=0x1F))
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(), kids, max_size=4),
+    max_leaves=24,
+)
+
+
+def _nest(value, path):
+    for in_list, key in path:
+        value = [value] if in_list else {key: value}
+    return value
+
+
+_deep_values = st.builds(
+    _nest, _json_values, st.lists(st.tuples(st.booleans(), st.text()), min_size=6, max_size=9)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_json_values, _deep_values))
+@example({"": [], "é \x00": {}, "\x1f": [-(10**300), 10**300, True, False, None, ""]})
+def test_emitter_matches_json_dumps(obj):
+    assert _emitted(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("obj", [1.5, (1, 2), [0, (1,)], {"a": {"b": [2.0]}}, {1: "a"}])
+def test_emitter_rejects_other_types(obj):
+    with pytest.raises(TypeError):
+        _emitted(obj)

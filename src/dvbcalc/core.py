@@ -19,13 +19,14 @@ element is the tuple (bundle, x, f, c, e) of such slots.  The right and left
 additions, the scalings, kernel splitting, the core difference and
 `FiberMorphism.apply` are each written once on that kernel, with their
 bundle, base point, side and shared-slot checks.  `apply` reads the fiber
-morphism's blocks as integer matrices over one denominator per block, built
-once per `FiberMorphism`.  The public `fiber_add`, `fiber_scale`,
-`kernel_split`, `core_difference` and `FiberMorphism.apply` are adapters
-over the kernel: they convert `DVBElement`s, whose slots stay `Fraction`
-tuples, on the way in and out.  The sampled structure laws of the `axioms`
-suite run on kernel elements directly and build `Fraction`s only for a
-counterexample.
+morphism's blocks as integer matrices over one denominator per block.  Kernel
+slots are drawn from `ring._rational_draws`, the (p, q) pairs of
+`random_tuple`, which follow the stdlib `randint` rule.  The public
+`fiber_add`, `fiber_scale`, `kernel_split`, `core_difference` and
+`FiberMorphism.apply` are adapters over the kernel: they convert
+`DVBElement`s, whose slots stay `Fraction` tuples, on the way in and out.
+The sampled structure laws of the `axioms` suite run on kernel elements
+directly and build `Fraction`s only for a counterexample.
 
 Morphisms between decomposed bundles over the same chart are block maps over
 the identity of the base,
@@ -33,12 +34,22 @@ the identity of the base,
     (f, c, e)  |->  (L(x) f,  C(x) c + Psi(x)(f, e),  R(x) e),
 
 with polynomial matrix blocks and a bilinear polynomial block Psi indexed as
-Psi[core-out][e-in][f-in].  Composition, inverse, right dual and flip are
-written once, as a block algebra on nested tuples over any coefficient ring:
-DVBMorphism runs it on MultiPoly blocks and FiberMorphism on the Fraction
-blocks at one base point.  Every product in it is a `ring.mat_mul`, whose
-entries are each summed in one pass; the Psi contraction over the core index
-is one product with the Psi planes flattened to rows.  Inverses and duals
+Psi[core-out][e-in][f-in].  `DVBMorphism.at` evaluates them through one
+cached integer plan, `_EvalPlan`, built on first use: every entry, Psi
+included, is integer coefficients over one common denominator against the
+distinct monomials of all entries, so each monomial is evaluated once per
+point and each entry is one integer sum.  A morphism with an exponent above
+_SHARED_PLAN_TOP gets one plan per block instead, so that its long values
+stay in the blocks that hold them.  The `FiberMorphism` it
+returns holds those integer matrices, and its `Fraction` blocks are made
+only when one is read.
+
+Composition, inverse, right dual and flip are written once, as a block
+algebra on nested tuples over any coefficient ring: DVBMorphism runs it on
+MultiPoly blocks and FiberMorphism on the Fraction blocks at one base point.
+Every product in it is a `ring.mat_mul`, whose entries are each summed in
+one pass; the Psi contraction over the core index is one product with the
+Psi planes flattened to rows.  Inverses and duals
 divide by block determinants, so they use `mat_inverse_frac` per base point,
 or `unimodular_inverse` when the blocks are unimodular.  Only morphisms with
 equal source and target ranks can be inverted.  One builder,
@@ -52,15 +63,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
-from operator import add, mul
+from math import gcd, lcm, prod
+from operator import add, getitem, mul
 from typing import Callable, Sequence
 
 from .ring import (
+    Exponent,
     FracMatrix,
     MultiPoly,
     Point,
     PolyMatrix,
+    _rational_draws,
     mat_inverse_frac,
     mat_mul,
     rat,
@@ -219,12 +232,11 @@ def _fractions(slots: _Slots) -> tuple[Fraction, ...]:
 
 
 def _random_slots(rng, n: int, bound: int) -> _Slots:
-    """The slot vector of `random_tuple(rng, n, bound)`, drawn from the same
-    randint pairs in the same order."""
-    randint = rng.randint
-    pairs = [(randint(-bound, bound), randint(1, bound)) for _ in range(n)]
-    den = lcm(*[q for _, q in pairs])
-    return _reduced([p * (den // q) for p, q in pairs], den)
+    """The slot vector of `random_tuple(rng, n, bound)`, from the same draws."""
+    draws = _rational_draws(rng, n, bound)
+    qs = draws[1::2]
+    den = lcm(*qs)
+    return _reduced([p * (den // q) for p, q in zip(draws[::2], qs)], den)
 
 
 def _vec_add(a, b) -> _Slots:
@@ -319,6 +331,87 @@ def _mat_vec(m, v) -> tuple[list[int], int]:
     rows, md = m
     nums, vd = v
     return [sum(map(mul, row, nums)) for row in rows], md * vd
+
+
+def _frac_rows(m) -> FracMatrix:
+    """An integer matrix over one denominator as rows of `Fraction`s."""
+    rows, den = m
+    return tuple(tuple([Fraction(n, den) for n in row]) for row in rows)
+
+
+# Up to this exponent the four blocks of a morphism share one plan, whose
+# common denominator scales each block by at most d^16 per coordinate.
+# Above it each block gets its own plan, so one entry of high degree does not
+# lengthen the integers of the other blocks.
+_SHARED_PLAN_TOP = 16
+
+
+class _EvalPlan:
+    """Integer evaluation of polynomial matrices at rational points.
+
+    Every entry of every matrix is held as integer coefficients over one
+    common coefficient denominator D, against the list of the distinct
+    monomials of all entries, with M_i the highest exponent of coordinate i.
+    At x with x_i = n_i/d_i each monomial is
+
+        x^e = prod_i n_i^e_i d_i^(M_i - e_i) / prod_i d_i^M_i,
+
+    so `at` evaluates each distinct monomial once, as that integer
+    numerator, and every entry is one integer sum over the shared
+    denominator D prod_i d_i^M_i: no rational addition and no gcd per entry.
+    The power table of a coordinate holds only the exponents that occur,
+    and a coordinate that does not occur is left out: an entry x1^k costs
+    one table entry, not k + 1.
+    """
+
+    __slots__ = ("monomials", "powers", "den", "matrices")
+
+    def __init__(self, matrices, dim: int):
+        terms = [t for m in matrices for row in m for p in row for t in p.terms]
+        index: dict[Exponent, int] = {}
+        for e, _ in terms:
+            index.setdefault(e, len(index))
+        used = [i for i in range(dim) if any(e[i] for e in index)]
+        self.monomials = tuple(tuple([e[i] for i in used]) for e in index)
+        self.powers = tuple(
+            (i, max(ks), tuple(ks))
+            for i, ks in ((i, {e[i] for e in index}) for i in used)
+        )
+        self.den = den = lcm(*[c.denominator for _, c in terms])
+
+        def entry(p: MultiPoly):
+            return (
+                tuple([index[e] for e, _ in p.terms]),
+                tuple([c.numerator * (den // c.denominator) for _, c in p.terms]),
+            )
+
+        self.matrices = tuple(
+            tuple(tuple([entry(p) for p in row]) for row in m) for m in matrices
+        )
+
+    def top(self) -> int:
+        """The highest exponent of any coordinate."""
+        return max((top for _, top, _ in self.powers), default=0)
+
+    def at(self, point: Point):
+        """Each matrix as integer rows over the one shared denominator."""
+        tables = []
+        den = self.den
+        for i, top, ks in self.powers:
+            n, d = point[i].numerator, point[i].denominator
+            tables.append({k: n**k * d ** (top - k) for k in ks})
+            den *= d**top
+        value = [prod(map(getitem, tables, e)) for e in self.monomials].__getitem__
+        return tuple(
+            (
+                tuple(
+                    tuple([sum(map(mul, coeffs, map(value, idx))) for idx, coeffs in row])
+                    for row in m
+                ),
+                den,
+            )
+            for m in self.matrices
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -564,19 +657,26 @@ class DVBMorphism:
     def _blocks(self):
         return (self.phi_l.entries, self.phi_c.entries, self.phi_r.entries, self.psi)
 
-    def at(self, x: Point) -> FiberMorphism:
-        """Evaluate all blocks at a base point."""
-        return FiberMorphism(
-            self.source,
-            self.target,
-            tuple(rat(v) for v in x),
-            self.phi_l.eval_at(x),
-            self.phi_c.eval_at(x),
-            self.phi_r.eval_at(x),
-            tuple(
-                tuple(tuple(p.eval(x) for p in row) for row in plane)
-                for plane in self.psi
-            ),
+    @cached_property
+    def _plans(self) -> tuple[_EvalPlan, ...]:
+        """The plans of L, C, R and Psi (flattened to n_C x (n_E * n_F)), in
+        the layout of `FiberMorphism._int_blocks`: one shared plan, or one
+        per block above _SHARED_PLAN_TOP; built on first use."""
+        flat_psi = tuple(tuple(p for row in plane for p in row) for plane in self.psi)
+        blocks = (self.phi_l.entries, self.phi_c.entries, self.phi_r.entries, flat_psi)
+        dim = self.source.chart.dim
+        shared = _EvalPlan(blocks, dim)
+        if shared.top() <= _SHARED_PLAN_TOP:
+            return (shared,)
+        return tuple(_EvalPlan((m,), dim) for m in blocks)
+
+    def at(self, x: Sequence[Fraction | int | str]) -> FiberMorphism:
+        """Evaluate all blocks at a base point, through the integer plans."""
+        point = self.source.chart.point(x)
+        return FiberMorphism._of_ints(
+            self.source, self.target, point, tuple(
+                m for plan in self._plans for m in plan.at(point)
+            )
         )
 
     def apply(self, v: DVBElement) -> DVBElement:
@@ -621,17 +721,80 @@ def compose_morphisms(outer: DVBMorphism, inner: DVBMorphism) -> DVBMorphism:
     return DVBMorphism._from_blocks(inner.source, outer.target, blocks)
 
 
-@dataclass(frozen=True)
 class FiberMorphism:
-    """Morphism blocks evaluated at one base point: exact rational data."""
+    """Morphism blocks evaluated at one base point: exact rational data.
+
+    The blocks are held in one of two forms, and the other is derived on
+    first use.  `FiberMorphism(source, target, x, l, c, r, psi)` takes
+    `Fraction` blocks, and `_int_blocks` is built from them when `apply`
+    first needs it.  `DVBMorphism.at` hands over the integer matrices of
+    its plan as `_int_blocks`, and the `Fraction` blocks `l`, `c`, `r` and
+    `psi` are made only when one is read.  Equality and hashing compare the
+    `Fraction` blocks.  Instances are immutable.
+    """
 
     source: DecomposedDVB
     target: DecomposedDVB
     x: Point
-    l: FracMatrix
-    c: FracMatrix
-    r: FracMatrix
-    psi: FracPsi
+
+    def __init__(
+        self,
+        source: DecomposedDVB,
+        target: DecomposedDVB,
+        x: Point,
+        l: FracMatrix,
+        c: FracMatrix,
+        r: FracMatrix,
+        psi: FracPsi,
+    ):
+        vars(self).update(source=source, target=target, x=x, l=l, c=c, r=r, psi=psi)
+
+    @staticmethod
+    def _of_ints(source, target, x, int_blocks) -> FiberMorphism:
+        fm = object.__new__(FiberMorphism)
+        vars(fm).update(source=source, target=target, x=x, _int_blocks=int_blocks)
+        return fm
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a FiberMorphism")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a FiberMorphism")
+
+    @cached_property
+    def l(self) -> FracMatrix:
+        return _frac_rows(self._int_blocks[0])
+
+    @cached_property
+    def c(self) -> FracMatrix:
+        return _frac_rows(self._int_blocks[1])
+
+    @cached_property
+    def r(self) -> FracMatrix:
+        return _frac_rows(self._int_blocks[2])
+
+    @cached_property
+    def psi(self) -> FracPsi:
+        n_f = self.source.n_F
+        return tuple(
+            tuple(row[a * n_f : (a + 1) * n_f] for a in range(self.source.n_E))
+            for row in _frac_rows(self._int_blocks[3])
+        )
+
+    def _key(self):
+        return (self.source, self.target, self.x, *self._blocks())
+
+    def __eq__(self, other):
+        if other.__class__ is not FiberMorphism:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = zip(("source", "target", "x", "l", "c", "r", "psi"), self._key())
+        return f"FiberMorphism({', '.join(f'{k}={v!r}' for k, v in fields)})"
 
     def _blocks(self):
         return (self.l, self.c, self.r, self.psi)

@@ -59,6 +59,8 @@ from .ring import (
     MultiPoly,
     Point,
     PolyMatrix,
+    _draw,
+    _span,
     dot,
     mat_vec_frac,
     random_rational,
@@ -925,8 +927,9 @@ class Metric:
             raise ValueError("metric depends on the chart only")
         if (self.g.rows, self.g.cols) != (self.bundle.rank, self.bundle.rank):
             raise ValueError("metric must be rank x rank")
-        diff = self.g + (-self.g.transpose())
-        if any(not p.is_zero for row in diff.entries for p in row):
+        # canonical polynomials are equal exactly when their stored forms are
+        g = self.g.entries
+        if any(g[i][j] != g[j][i] for i in range(len(g)) for j in range(i)):
             raise ValueError("metric must be symmetric")
 
 
@@ -1149,7 +1152,7 @@ def horizontal_lagrangian_check(
     zeros = (Fraction(0),) * n
     for _ in range(samples):
         x = random_tuple(rng, n)
-        p = tuple(Fraction(rng.randint(1, 7)) for _ in range(n))
+        p = tuple(map(Fraction, _draw(rng, (_span(1, 7),) * n)))
         spot = x + p + zeros + zeros
         basis = []
         for i in range(n):

@@ -36,6 +36,12 @@ determinant, inverse and linear solve is done on rationals by one routine,
 elimination, so every intermediate value stays an exact integer, and it
 returns the determinant and the solutions for all right-hand sides at once.
 `det_frac`, `solve_fraction_free` and `mat_inverse_frac` read it.
+
+Every random integer the library draws comes from one routine, `_draw`,
+which reads `rng.getrandbits` with the stdlib's own rejection rule, so it
+gives the values and leaves the rng state of `randint`/`randrange`.
+`random_rational`, `random_tuple` and the kernel slots of `core` read its
+batched (p, q) pair form, `_rational_draws`.
 """
 
 from __future__ import annotations
@@ -66,13 +72,51 @@ def rat(value: int | str | Fraction) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
+def _span(lo: int, hi: int) -> tuple[int, int, int]:
+    """The draw span of [lo, hi]: its lower end, width and width in bits."""
+    width = hi - lo + 1
+    return lo, width, width.bit_length()
+
+
+def _draw(rng: random.Random, spans) -> list[int]:
+    """One integer per `_span` in `spans`, drawn in order.
+
+    This is the stdlib's own rule for `randrange`: take k = width.bit_length()
+    bits from `rng.getrandbits`, redraw while the value is at least the
+    width, then add the lower end.  So the values, and the state of `rng`
+    afterwards, are exactly those of `rng.randint(lo, hi)` for each span in
+    turn, without its four Python frames per integer.
+    """
+    getrandbits = rng.getrandbits
+    out = []
+    append = out.append
+    for lo, width, k in spans:
+        r = getrandbits(k)
+        while r >= width:
+            r = getrandbits(k)
+        append(lo + r)
+    return out
+
+
+def _randint(rng: random.Random, lo: int, hi: int) -> int:
+    """`rng.randint(lo, hi)`, through `_draw`."""
+    return _draw(rng, (_span(lo, hi),))[0]
+
+
+def _rational_draws(rng: random.Random, n: int, bound: int) -> list[int]:
+    """The flat list p1, q1, ..., pn, qn of n pairs, each p drawn from
+    [-bound, bound] and then q from [1, bound]."""
+    return _draw(rng, (_span(-bound, bound), _span(1, bound)) * n)
+
+
 def random_rational(rng: random.Random, bound: int = 7) -> Fraction:
     """p/q with p drawn from [-bound, bound], then q from [1, bound]."""
-    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+    return Fraction(*_rational_draws(rng, 1, bound))
 
 
 def random_tuple(rng: random.Random, n: int, bound: int = 7) -> tuple[Fraction, ...]:
-    return tuple(random_rational(rng, bound) for _ in range(n))
+    draws = _rational_draws(rng, n, bound)
+    return tuple(map(Fraction, draws[::2], draws[1::2]))
 
 
 def _term_key(item: tuple[Exponent, Fraction]) -> tuple[int, Exponent]:

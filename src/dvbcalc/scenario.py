@@ -62,7 +62,16 @@ from .geomech import (
     total_space_vars,
 )
 # random_tuple is imported so that it stays importable from here.
-from .ring import MultiPoly, PolyMatrix, det_frac, random_rational, random_tuple
+from .ring import (
+    MultiPoly,
+    PolyMatrix,
+    _draw,
+    _randint,
+    _span,
+    det_frac,
+    random_rational,
+    random_tuple,
+)
 
 
 class ScenarioParseError(ValueError):
@@ -539,11 +548,12 @@ def random_poly(rng: random.Random, vars, max_degree: int) -> MultiPoly:
     """A short random polynomial of total degree at most max_degree."""
     vt = tuple(vars)
     acc: dict[tuple[int, ...], Fraction] = {}
-    for _ in range(rng.randint(1, 2)):
+    for _ in range(_randint(rng, 1, 2)):
         exps = [0] * len(vt)
         if vt:
-            for _ in range(rng.randint(0, max_degree)):
-                exps[rng.randrange(len(vt))] += 1
+            degree = _randint(rng, 0, max_degree)
+            for i in _draw(rng, (_span(0, len(vt) - 1),) * degree):
+                exps[i] += 1
         key = tuple(exps)
         acc[key] = acc.get(key, Fraction(0)) + random_rational(rng)
     return MultiPoly.from_dict(vt, acc)
@@ -567,7 +577,7 @@ def random_poly_matrix(rng, vars, rows: int, cols: int, max_degree: int) -> Poly
 def random_unimodular_matrix(rng, vars, n: int, max_degree: int) -> PolyMatrix:
     """Identity plus a strictly triangular part; determinant one everywhere."""
     vt = tuple(vars)
-    upper = rng.randint(0, 1) == 1
+    upper = _randint(rng, 0, 1) == 1
     one = MultiPoly.const(vt, 1)
     zero = MultiPoly.zero(vt)
 
@@ -609,7 +619,7 @@ def random_vector_field(rng, vb: VectorBundle, max_degree: int) -> GeneralVector
         random_poly_vector(rng, names, vb.chart.dim, max_degree),
         random_poly_matrix(rng, names, vb.rank, vb.rank, max_degree),
     ).as_general()
-    if vb.rank == 0 or rng.randint(0, 1) == 0:
+    if vb.rank == 0 or _randint(rng, 0, 1) == 0:
         return linear
     vars = total_space_vars(vb)
     e1sq = MultiPoly.var(vars, "e1") * MultiPoly.var(vars, "e1")
@@ -627,7 +637,7 @@ def random_one_form(rng, vb: VectorBundle, max_degree: int) -> GeneralOneForm:
             for _ in range(vb.chart.dim)
         ),
     ).as_general()
-    if vb.rank == 0 or rng.randint(0, 1) == 0:
+    if vb.rank == 0 or _randint(rng, 0, 1) == 0:
         return linear
     vars = total_space_vars(vb)
     e1 = MultiPoly.var(vars, "e1")
@@ -666,7 +676,7 @@ def random_bivector(rng, vb: VectorBundle, max_degree: int) -> Bivector:
     l_ij = PolyMatrix.zero(vars, n, n)
     l_ia = PolyMatrix.build(vars, n, k, mixed)
     l_ab = _antisym_from_upper(vars, k, fiber_linear)
-    if k == 0 or rng.randint(0, 1) == 0:
+    if k == 0 or _randint(rng, 0, 1) == 0:
         return Bivector(vb, l_ij, l_ia, l_ab)
     # break linearity with a constant term in the fiber block
     if k >= 2:
@@ -691,7 +701,7 @@ def random_two_form(rng, vb: VectorBundle, max_degree: int) -> LinearTwoForm:
     omega_ia = tuple(
         random_poly_vector(rng, names, k, max_degree) for _ in range(n)
     )
-    if rng.randint(0, 1) == 0:
+    if _randint(rng, 0, 1) == 0:
         grid = tuple(
             tuple(
                 tuple(
@@ -783,10 +793,10 @@ def gen_random_scenario(
     if max_degree < 0:
         raise ValueError("degree bound must be nonnegative")
     shape_rng = random.Random(derive_seed(seed, "shape"))
-    n = shape_rng.randint(1, min(3, max_rank))
-    n_f = shape_rng.randint(1, max_rank)
-    n_c = shape_rng.randint(1, max_rank)
-    n_e = n if symmetric else shape_rng.randint(1, max_rank)
+    n = _randint(shape_rng, 1, min(3, max_rank))
+    n_f = _randint(shape_rng, 1, max_rank)
+    n_c = _randint(shape_rng, 1, max_rank)
+    n_e = n if symmetric else _randint(shape_rng, 1, max_rank)
     bare = Scenario(bundle=DecomposedDVB(Chart.of_dim(n), n_f, n_c, n_e), seed=seed)
     return replace(bare, **{
         key: _GENERATORS[key](

@@ -17,9 +17,12 @@ needs a section the scenario leaves out reads the stand-in of
 
 The sampled structure laws (the `axioms` checkers, which the dual-bundle
 property reuses) run on `core`'s integer slot kernel.  The sampler draws
-their slots as kernel slot vectors, from the same `randint` pairs in the
-same order as `random_tuple`, so every draw and replay seed is unchanged;
-`Fraction`s and `DVBElement`s are built only for a counterexample.
+their slots as kernel slot vectors, from the same (p, q) pairs of
+`ring._rational_draws` in the same order as `random_tuple`.  Every draw
+goes through `ring._draw`, which keeps the stdlib `randint` rule, so every
+value and replay seed is unchanged; `Fraction`s and `DVBElement`s are built
+only for a counterexample.  A morphism is evaluated at a sample point once,
+through its integer plan (see `core`).
 
 Every property draws its samples from a seed derived from the scenario seed
 and the property id, so results are independent of execution order and any
@@ -105,7 +108,14 @@ from .geomech import (
     vf_is_bundle_morphism,
     vf_linearity_on_cotangent,
 )
-from .ring import MultiPoly, PolyMatrix, SingularMatrixError, random_rational, random_tuple
+from .ring import (
+    MultiPoly,
+    PolyMatrix,
+    SingularMatrixError,
+    _randint,
+    random_rational,
+    random_tuple,
+)
 from .scenario import (
     GENERATED_DEGREE,
     SECTIONS,
@@ -255,7 +265,7 @@ class _Sampler:
 
     def seed(self) -> int:
         """A seed for a sampled criterion that keeps its own rng."""
-        return self.rng.randrange(1 << 30)
+        return _randint(self.rng, 0, (1 << 30) - 1)
 
     def regular_points(self, count: int, sample, finished):
         """Run `sample` until it has passed at `count` points.

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dvbcalc.core import (
     BaseMismatchError,
@@ -36,6 +38,7 @@ from dvbcalc.core import (
     _int_scale,
     _int_split,
     _random_slots,
+    _SHARED_PLAN_TOP,
 )
 from dvbcalc.ring import MultiPoly, PolyMatrix, random_rational, random_tuple, rat
 from dvbcalc.scenario import random_morphism, random_poly_matrix, random_poly_vector
@@ -607,3 +610,119 @@ def test_kernel_draws_equal_random_tuple(bound):
         ours, theirs = random.Random(seed), random.Random(seed)
         assert _fractions(_random_slots(ours, 1, bound)) == (random_rational(theirs, bound),)
         assert ours.getstate() == theirs.getstate()
+
+
+# ---------------------------------------------------------------------------
+# The integer evaluation plan behind DVBMorphism.at
+#
+# The reference evaluates every block entry on its own with MultiPoly.eval.
+
+coefficients = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+# exponents above _SHARED_PLAN_TOP give each block its own plan
+exponents = st.integers(0, 8) | st.just(_SHARED_PLAN_TOP + 3)
+coordinates = st.one_of(
+    st.fractions(min_value=-9, max_value=9, max_denominator=9),
+    st.fractions(max_denominator=10**12).filter(lambda q: abs(q) < 10**4),
+)
+
+
+@st.composite
+def plan_polys(draw, vars):
+    data = {}
+    for _ in range(draw(st.integers(0, 3))):  # zero polynomials included
+        exps = tuple(draw(exponents) for _ in vars)
+        data[exps] = draw(coefficients)
+    return MultiPoly.from_dict(vars, data)
+
+
+@st.composite
+def morphisms_and_points(draw):
+    chart = Chart.of_dim(draw(st.integers(0, 3)))
+    source = DecomposedDVB(chart, *(draw(st.integers(0, 3)) for _ in range(3)))
+    target = DecomposedDVB(chart, *(draw(st.integers(0, 3)) for _ in range(3)))
+    vars = chart.names
+
+    def matrix(rows, cols):
+        return PolyMatrix(
+            vars, tuple(tuple(draw(plan_polys(vars)) for _ in range(cols)) for _ in range(rows))
+        )
+
+    phi = DVBMorphism(
+        source,
+        target,
+        matrix(target.n_F, source.n_F),
+        matrix(target.n_C, source.n_C),
+        matrix(target.n_E, source.n_E),
+        tuple(matrix(source.n_E, source.n_F).entries for _ in range(target.n_C)),
+    )
+    points = draw(st.lists(st.tuples(*(coordinates for _ in vars)), min_size=1, max_size=3))
+    return phi, points
+
+
+def reference_blocks(phi, x):
+    def values(rows):
+        return tuple(tuple(p.eval(x) for p in row) for row in rows)
+
+    return (
+        values(phi.phi_l.entries),
+        values(phi.phi_c.entries),
+        values(phi.phi_r.entries),
+        tuple(values(plane) for plane in phi.psi),
+    )
+
+
+@given(morphisms_and_points(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_at_matches_per_entry_eval(case, rng):
+    phi, points = case
+    for x in points:
+        fm = phi.at(x)
+        want = reference_blocks(phi, x)
+        assert (fm.x, (fm.l, fm.c, fm.r, fm.psi)) == (x, want)
+        reference = FiberMorphism(phi.source, phi.target, x, *want)
+        assert fm == reference and hash(fm) == hash(reference)
+        b = phi.source
+        for _ in range(2):
+            v = DVBElement(b, x, wide_tuple(rng, b.n_F), wide_tuple(rng, b.n_C), wide_tuple(rng, b.n_E))
+            k = phi.at(x)._int_apply(_int_of(v))
+            assert_lowest_terms(k)
+            assert _element_of(k) == reference.apply(v)
+
+
+def test_at_builds_fraction_blocks_only_when_read():
+    phi = random_morphism(random.Random(4), B222, 2)
+    x = (Fraction(2, 3), Fraction(-5, 7))
+    fm = phi.at(x)
+    lazy = ("l", "c", "r", "psi")
+    assert not any(name in vars(fm) for name in lazy)
+    v = _int_of(B222.element(x, (1, 2), (3, 4), (5, 6)))
+    fm._int_apply(v)
+    assert not any(name in vars(fm) for name in lazy)
+    want = reference_blocks(phi, x)
+    assert fm.psi == want[3]
+    assert [name for name in lazy if name in vars(fm)] == ["psi"]
+    assert (fm.l, fm.c, fm.r) == want[:3]
+
+
+def test_fiber_morphism_is_immutable():
+    fm = scalar_morphism(2, 3, 5, 7).at((1,))
+    built = FiberMorphism(fm.source, fm.target, fm.x, fm.l, fm.c, fm.r, fm.psi)
+    for m in (fm, built):
+        with pytest.raises(AttributeError, match="^cannot assign to field 'l'"):
+            m.l = ((Fraction(1),),)
+        for name in ("l", "x", "_int_blocks"):
+            with pytest.raises(AttributeError, match=f"^cannot delete field {name!r}"):
+                delattr(m, name)
+        assert m.l == ((Fraction(2),),) and m._int_blocks[0] == (((2,),), 1)
+
+
+@pytest.mark.parametrize("ranks", [(0, 0, 0), (1, 2, 1)])
+def test_at_checks_point_arity_for_every_rank(ranks):
+    phi = identity_morphism(DecomposedDVB(Chart.of_dim(2), *ranks))
+    with pytest.raises(ValueError, match="^point arity 3 vs chart dim 2$"):
+        phi.at((1, 2, 3))
+    with pytest.raises(ValueError, match="^point arity 1 vs chart dim 2$"):
+        phi.at((1,))
+    with pytest.raises(TypeError, match="cannot interpret 0.5 as a rational"):
+        phi.at((0.5, 1))
+    assert phi.at(("1/2", 3)).x == (Fraction(1, 2), Fraction(3))

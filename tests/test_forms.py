@@ -179,3 +179,44 @@ def test_lifted_canonical_two_form():
     assert lifted.coeff((1, 2)) == one  # dp^dx_dot
     assert lifted.coeff((0, 3)) == -one  # dx^dp_dot with the lifted sign
     assert lifted == d(theta.tangent_lift())
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+@pytest.mark.parametrize("degree", range(3))
+def test_d_matches_sympy_partials(sympy, degree):
+    """(d w)_I = sum over positions p of (-1)^p d/dx_(I_p) w_(I without I_p),
+    with the partial derivatives taken by sympy."""
+    symbols = sympy.symbols(XYZ)
+
+    def to_sympy(p):
+        return sum(
+            (
+                sympy.Rational(c.numerator, c.denominator)
+                * sympy.prod([s**k for s, k in zip(symbols, e)])
+                for e, c in p.terms
+            ),
+            sympy.Integer(0),
+        )
+
+    def from_sympy(expr):
+        terms = sympy.Poly(sympy.expand(expr), *symbols).terms()
+        return poly(XYZ, {e: Fraction(int(c.p), int(c.q)) for e, c in terms})
+
+    rng = random.Random(40 + degree)
+    for _ in range(8):
+        indices = itertools.combinations(range(3), degree)
+        form = make_form(XYZ, degree, {idx: rand_poly(rng, XYZ) for idx in indices})
+        derivative = form.d()
+        for idx in itertools.combinations(range(3), degree + 1):
+            expected = sum(
+                (
+                    (-1) ** pos * sympy.diff(to_sympy(form.coeff(idx[:pos] + idx[pos + 1 :])), symbols[u])
+                    for pos, u in enumerate(idx)
+                ),
+                sympy.Integer(0),
+            )
+            assert derivative.coeff(idx) == from_sympy(expected)

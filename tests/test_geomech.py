@@ -876,6 +876,16 @@ def test_metric_validation_rejects_asymmetric_matrix():
         Metric(VectorBundle(CHART1, 2), PolyMatrix(names, ((z, one), (z, z))))
 
 
+def test_metric_rejects_one_asymmetric_entry_by_name():
+    names = CHART2.names
+    x1 = MultiPoly.var(names, "x1")
+    one = MultiPoly.const(names, 1)
+    g = PolyMatrix(names, ((one, x1), (x1 + one, one)))
+    with pytest.raises(ValueError, match="^metric must be symmetric$"):
+        Metric(VectorBundle(CHART2, 2), g)
+    assert Metric(VectorBundle(CHART2, 2), PolyMatrix(names, ((one, x1), (x1, one))))
+
+
 def test_tangent_metric_morphism_action():
     names = CHART1.names
     metric = Metric(VB11, PolyMatrix(names, ((MultiPoly.var(names, "x1"),),)))

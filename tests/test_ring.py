@@ -299,6 +299,23 @@ def test_dot_matches_fraction_formula(u, v):
     assert value == fraction_dot(u, v)
 
 
+def test_draws_match_stdlib_randint_and_state():
+    """`_draw` keeps the stdlib's rejection rule: the same values as
+    `randint`/`randrange`, and the same rng state afterwards."""
+    for seed in range(200):
+        for b in range(1, 65):  # includes 1, every 2^k and every 2^k - 1
+            ours, theirs = random.Random(seed), random.Random(seed)
+            want = []
+            for _ in range(3):
+                want += [theirs.randint(-b, b), theirs.randint(1, b)]
+            assert ring._rational_draws(ours, 3, b) == want
+            assert ring._randint(ours, -b, 2 * b) == theirs.randint(-b, 2 * b)
+            assert ring._randint(ours, 0, b - 1) == theirs.randrange(b)
+            assert ring._randint(ours, 0, (1 << 30) - 1) == theirs.randrange(1 << 30)
+            assert random_rational(ours, b) == Fraction(theirs.randint(-b, b), theirs.randint(1, b))
+            assert ours.random() == theirs.random()
+
+
 def test_dot_length_mismatch_rejected():
     with pytest.raises(ValueError):
         dot((Fraction(1),), ())
@@ -410,16 +427,16 @@ def random_unimodular(rng, n, scale=1):
     return PolyMatrix(XY, tuple(product[i] for i in order)).scale(scale)
 
 
-def sympy_matrix(sympy, m):
+def sympy_poly(sympy, p):
     x, y = sympy.symbols("x y")
+    return sum(
+        (sympy.Rational(c.numerator, c.denominator) * x ** e[0] * y ** e[1] for e, c in p.terms),
+        sympy.Integer(0),
+    )
 
-    def entry(p):
-        return sum(
-            (sympy.Rational(c.numerator, c.denominator) * x ** e[0] * y ** e[1] for e, c in p.terms),
-            sympy.Integer(0),
-        )
 
-    return sympy.Matrix(m.rows, m.cols, [entry(p) for row in m.entries for p in row])
+def sympy_matrix(sympy, m):
+    return sympy.Matrix(m.rows, m.cols, [sympy_poly(sympy, p) for row in m.entries for p in row])
 
 
 def from_sympy(sympy, expr):
@@ -475,6 +492,32 @@ def test_unimodular_inverse_matches_sympy(sympy, seed):
     assert m.unimodular_inverse().entries == tuple(
         tuple(from_sympy(sympy, expected[i, j]) for j in range(n)) for i in range(n)
     )
+
+
+@given(polys(), polys())
+@settings(max_examples=40, deadline=None)
+def test_mul_matches_sympy(sympy, p, q):
+    assert p * q == from_sympy(sympy, sympy_poly(sympy, p) * sympy_poly(sympy, q))
+
+
+@given(polys())
+@settings(max_examples=40, deadline=None)
+def test_partial_matches_sympy(sympy, p):
+    expr = sympy_poly(sympy, p)
+    for name in XY:
+        assert p.partial(name) == from_sympy(sympy, sympy.diff(expr, sympy.Symbol(name)))
+
+
+small_polys = polys(max_terms=3, max_degree=2)
+
+
+@given(small_polys, small_polys, small_polys)
+@settings(max_examples=30, deadline=None)
+def test_compose_matches_sympy(sympy, p, img_x, img_y):
+    x, y = sympy.symbols("x y")
+    images = {x: sympy_poly(sympy, img_x), y: sympy_poly(sympy, img_y)}
+    expected = sympy_poly(sympy, p).subs(images, simultaneous=True)
+    assert p.compose((img_x, img_y)) == from_sympy(sympy, expected)
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import random
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -569,6 +571,24 @@ def _unit_morphism_obj():
         "Phi_l": [[one]], "Phi_c": [[one]], "Phi_r": [[one]], "Psi": [[[zero]]],
     }
     return obj
+
+
+def test_high_degree_morphism_entry_evaluates_in_its_own_block():
+    # x1^100000 has 280k-bit values at a bound-7 point: the plan computes
+    # only the powers that occur, and the other blocks keep short integers
+    obj = _unit_morphism_obj()
+    obj["morphism"]["Phi_c"] = [[poly_lit("1", [10**5])]]
+    sc = scenario_from_obj(obj)
+    phi = sc.morphism
+    start = time.perf_counter()
+    for x in ((Fraction(-6, 7),), (Fraction(5, 3),), (Fraction(7),)):
+        fm = phi.at(x)
+        (l, l_den), (c, c_den), (r, r_den), (psi, psi_den) = fm._int_blocks
+        assert (l, l_den, r, r_den, psi, psi_den) == ((((1,),), 1) * 2 + (((0,),), 1))
+        assert Fraction(c[0][0], c_den) == x[0] ** 10**5
+        v = sc.bundle.element(x, (1,), (2,), (3,))
+        assert fm.apply(v).c == (2 * x[0] ** 10**5,)
+    assert time.perf_counter() - start < 5
 
 
 @pytest.mark.parametrize("block", ["Phi_l", "Phi_c", "Phi_r"])

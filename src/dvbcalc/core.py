@@ -12,21 +12,20 @@ Scalar action follows the same split: the right action scales (f, c) and
 fixes e, the left action scales (c, e) and fixes f.  The flip exchanges the
 two structures by swapping the outer slots.
 
-The structure maps run on an integer slot kernel, the layout of FLINT's
+An element holds its slots in the integer slot kernel, the layout of FLINT's
 `fmpq_mat`: each slot is a tuple of integer numerators over one positive
-denominator, in lowest terms, so equal slots are equal tuples, and a kernel
-element is the tuple (bundle, x, f, c, e) of such slots.  The right and left
-additions, the scalings, kernel splitting, the core difference and
-`FiberMorphism.apply` are each written once on that kernel, with their
-bundle, base point, side and shared-slot checks.  `apply` reads the fiber
-morphism's blocks as integer matrices over one denominator per block.  Kernel
-slots are drawn from `ring._rational_draws`, the (p, q) pairs of
-`random_tuple`, which follow the stdlib `randint` rule.  The public
-`fiber_add`, `fiber_scale`, `kernel_split`, `core_difference` and
-`FiberMorphism.apply` are adapters over the kernel: they convert
-`DVBElement`s, whose slots stay `Fraction` tuples, on the way in and out.
-The sampled structure laws of the `axioms` suite run on kernel elements
-directly and build `Fraction`s only for a counterexample.
+denominator, in lowest terms, so equal slots are equal tuples.  `DVBElement`
+keeps its bundle, its base point (a tuple of `Fraction`s) and the three slot
+vectors; its `f`, `c` and `e` are `Fraction` views, made on first read.  The
+right and left additions, the scalings, kernel splitting, the core difference,
+the flip and `FiberMorphism.apply` are each written once, on the slot
+vectors, with their bundle, base point, side and shared-slot checks; the
+public `fiber_add`, `fiber_scale`, `kernel_split`, `core_difference` and
+`apply` call them, and the sampled structure laws of the `axioms` suite call
+the private routines directly.  `apply` reads the fiber morphism's blocks as
+integer matrices over one denominator per block.  Sampled slots are drawn
+from `ring._rational_draws`, the (p, q) pairs of `random_tuple`, which follow
+the stdlib `randint` rule.
 
 Morphisms between decomposed bundles over the same chart are block maps over
 the identity of the base,
@@ -156,13 +155,7 @@ class DecomposedDVB:
         c: Sequence[Fraction | int | str],
         e: Sequence[Fraction | int | str],
     ) -> DVBElement:
-        return DVBElement(
-            self,
-            self.chart.point(x),
-            _slot(f, self.n_F, "F"),
-            _slot(c, self.n_C, "C"),
-            _slot(e, self.n_E, "E"),
-        )
+        return DVBElement(self, x, f, c, e)
 
     def zero_over_right(self, x, e) -> DVBElement:
         """Zero of the right structure over the E point (x, e)."""
@@ -180,21 +173,77 @@ def _slot(values, rank: int, name: str) -> tuple[Fraction, ...]:
     return out
 
 
-@dataclass(frozen=True)
-class DVBElement:
-    bundle: DecomposedDVB
-    x: Point
-    f: tuple[Fraction, ...]
-    c: tuple[Fraction, ...]
-    e: tuple[Fraction, ...]
+_new = object.__new__
 
-    def flip(self) -> DVBElement:
-        """The same point viewed in the flipped bundle."""
-        return DVBElement(self.bundle.flip(), self.x, self.e, self.c, self.f)
+
+class DVBElement:
+    """A point (x | f | c | e) of a decomposed double bundle.
+
+    It holds the key (bundle, x, f, c, e), with x a tuple of `Fraction`s and
+    f, c, e slot vectors (`_f`, `_c`, `_e`); `f`, `c` and `e` read them as
+    tuples of `Fraction`s, made on first read.  Like `bundle.element`, the
+    constructor takes exact values (ints, `Fraction`s, 'p/q' strings) and
+    raises `ValueError` for a point arity or slot length that does not fit
+    the bundle and `TypeError` for an inexact value; `_of_slots`, which the
+    structure maps use, checks nothing, because they keep every shape.
+    Equality and hashing compare the keys.  Instances are immutable.
+    """
+
+    # the views are cached in the instance dict, made when first needed
+    __slots__ = ("_key", "__dict__")
+
+    def __init__(self, bundle: DecomposedDVB, x, f, c, e):
+        x = bundle.chart.point(x)
+        f, c, e = _slot(f, bundle.n_F, "F"), _slot(c, bundle.n_C, "C"), _slot(e, bundle.n_E, "E")
+        _set_key(self, (bundle, x, _slots_of(f), _slots_of(c), _slots_of(e)))
+        vars(self).update(f=f, c=c, e=e)
+
+    @staticmethod
+    def _of_slots(bundle: DecomposedDVB, x: Point, f: _Slots, c: _Slots, e: _Slots):
+        el = _new(DVBElement)
+        _set_key(el, (bundle, x, f, c, e))
+        return el
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a DVBElement")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a DVBElement")
+
+    bundle = property(lambda self: self._key[0])
+    x = property(lambda self: self._key[1])
+    _f = property(lambda self: self._key[2])
+    _c = property(lambda self: self._key[3])
+    _e = property(lambda self: self._key[4])
+    f = cached_property(lambda self: _fractions(self._key[2]))
+    c = cached_property(lambda self: _fractions(self._key[3]))
+    e = cached_property(lambda self: _fractions(self._key[4]))
+
+    def __eq__(self, other):
+        if other.__class__ is not DVBElement:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        return (
+            f"DVBElement(bundle={self.bundle!r}, x={self.x!r}, "
+            f"f={self.f!r}, c={self.c!r}, e={self.e!r})"
+        )
 
     def __str__(self) -> str:
         return f"(x={self.x} | f={self.f} | c={self.c} | e={self.e})"
 
+    def flip(self) -> DVBElement:
+        """The same point viewed in the flipped bundle."""
+        b, x, f, c, e = self._key
+        return DVBElement._of_slots(b.flip(), x, e, c, f)
+
+
+# the slot's own setter, which the raising __setattr__ does not reach
+_set_key = DVBElement._key.__set__
 
 Side = str  # "right" or "left"
 
@@ -204,8 +253,8 @@ Side = str  # "right" or "left"
 #
 # A slot vector is a pair (numerators, denominator) with the gcd of the
 # denominator and all the numerators equal to 1, so a zero vector has
-# denominator 1.  A kernel element is the plain tuple (bundle, x, f, c, e)
-# with x a point of Fractions and f, c, e slot vectors.
+# denominator 1.  The structure maps below read and build the slot vectors
+# of `DVBElement`s and make no `Fraction`.
 
 _Slots = tuple[tuple[int, ...], int]
 
@@ -249,10 +298,10 @@ def _vec_add(a, b) -> _Slots:
     return _reduced([p * ma + q * mb for p, q in zip(an, bn)], ad * ma)
 
 
-def _vec_scale(r: Fraction | int, a: _Slots) -> _Slots:
+def _vec_scale(rn: int, rd: int, a: _Slots) -> _Slots:
+    """The slot vector a times rn/rd."""
     nums, den = a
-    rn = r.numerator
-    return _reduced([rn * n for n in nums], r.denominator * den)
+    return _reduced([rn * n for n in nums], rd * den)
 
 
 def _is_right(side: Side) -> bool:
@@ -264,59 +313,59 @@ def _is_right(side: Side) -> bool:
 
 
 def _same_base(u, v) -> None:
+    """Check two element keys for one bundle and one base point."""
     if u[0] is not v[0] and u[0] != v[0]:
         raise BaseMismatchError("elements belong to different bundles")
     if u[1] != v[1]:
         raise BaseMismatchError(f"base points differ: {u[1]} vs {v[1]}")
 
 
-def _int_add(side: Side, u, v):
-    """Add in the chosen structure; the opposite side fiber must agree."""
-    right = _is_right(side)
-    _same_base(u, v)
-    b, x, f, c, e = u
-    if right:
-        if e != v[4]:
-            raise FiberMismatchError("right addition needs a shared E point")
-        return b, x, _vec_add(f, v[2]), _vec_add(c, v[3]), e
-    if f != v[2]:
+def _right_add(u: DVBElement, v: DVBElement) -> DVBElement:
+    uk, vk = u._key, v._key
+    _same_base(uk, vk)
+    b, x, f, c, e = uk
+    if e != vk[4]:
+        raise FiberMismatchError("right addition needs a shared E point")
+    return DVBElement._of_slots(b, x, _vec_add(f, vk[2]), _vec_add(c, vk[3]), e)
+
+
+def _left_add(u: DVBElement, v: DVBElement) -> DVBElement:
+    uk, vk = u._key, v._key
+    _same_base(uk, vk)
+    b, x, f, c, e = uk
+    if f != vk[2]:
         raise FiberMismatchError("left addition needs a shared F point")
-    return b, x, f, _vec_add(c, v[3]), _vec_add(e, v[4])
+    return DVBElement._of_slots(b, x, f, _vec_add(c, vk[3]), _vec_add(e, vk[4]))
 
 
-def _int_scale(side: Side, r: Fraction | int, v):
-    b, x, f, c, e = v
-    if _is_right(side):
-        return b, x, _vec_scale(r, f), _vec_scale(r, c), e
-    return b, x, f, _vec_scale(r, c), _vec_scale(r, e)
+def _right_scale(r: Fraction | int, v: DVBElement) -> DVBElement:
+    b, x, f, c, e = v._key
+    rn, rd = r.numerator, r.denominator
+    return DVBElement._of_slots(b, x, _vec_scale(rn, rd, f), _vec_scale(rn, rd, c), e)
 
 
-def _int_split(v):
-    b, x, f, c, e = v
+def _left_scale(r: Fraction | int, v: DVBElement) -> DVBElement:
+    b, x, f, c, e = v._key
+    rn, rd = r.numerator, r.denominator
+    return DVBElement._of_slots(b, x, f, _vec_scale(rn, rd, c), _vec_scale(rn, rd, e))
+
+
+def _split(v: DVBElement) -> tuple[DVBElement, DVBElement]:
+    b, x, f, c, e = v._key
     if any(e[0]):
         raise NotInKernelError("element has a nonzero E projection")
-    return (b, x, f, _zero_slots(b.n_C), e), (b, x, _zero_slots(b.n_F), c, e)
+    return (
+        DVBElement._of_slots(b, x, f, _zero_slots(b.n_C), e),
+        DVBElement._of_slots(b, x, _zero_slots(b.n_F), c, e),
+    )
 
 
-def _int_difference(u, v) -> _Slots:
-    _same_base(u, v)
-    if u[2] != v[2] or u[4] != v[4]:
+def _difference(u: DVBElement, v: DVBElement) -> _Slots:
+    uk, vk = u._key, v._key
+    _same_base(uk, vk)
+    if uk[2] != vk[2] or uk[4] != vk[4]:
         raise FiberMismatchError("core difference needs matching F and E slots")
-    return _vec_add(u[3], _vec_scale(-1, v[3]))
-
-
-def _int_flip(v):
-    b, x, f, c, e = v
-    return b.flip(), x, e, c, f
-
-
-def _int_of(v: DVBElement):
-    return v.bundle, v.x, _slots_of(v.f), _slots_of(v.c), _slots_of(v.e)
-
-
-def _element_of(k) -> DVBElement:
-    b, x, f, c, e = k
-    return DVBElement(b, x, _fractions(f), _fractions(c), _fractions(e))
+    return _vec_add(uk[3], _vec_scale(-1, 1, vk[3]))
 
 
 def _int_matrix(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -415,16 +464,16 @@ class _EvalPlan:
 
 
 # ---------------------------------------------------------------------------
-# Structure maps on DVBElement: adapters over the kernel
+# Structure maps on DVBElement: the public entry points of the kernel routines
 
 
 def fiber_add(side: Side, u: DVBElement, v: DVBElement) -> DVBElement:
     """Add in the chosen structure; the opposite side fiber must agree."""
-    return _element_of(_int_add(side, _int_of(u), _int_of(v)))
+    return (_right_add if _is_right(side) else _left_add)(u, v)
 
 
 def fiber_scale(side: Side, r: Fraction | int | str, v: DVBElement) -> DVBElement:
-    return _element_of(_int_scale(side, rat(r), _int_of(v)))
+    return (_right_scale if _is_right(side) else _left_scale)(rat(r), v)
 
 
 def fiber_sub(side: Side, u: DVBElement, v: DVBElement) -> DVBElement:
@@ -439,8 +488,7 @@ def kernel_split(v: DVBElement) -> tuple[DVBElement, DVBElement]:
     right sum recombines to the input, and the analogous statement for the
     left kernel is reached through the flip.
     """
-    side_part, core_part = _int_split(_int_of(v))
-    return _element_of(side_part), _element_of(core_part)
+    return _split(v)
 
 
 def core_embed(bundle: DecomposedDVB, x, c) -> DVBElement:
@@ -454,7 +502,7 @@ def core_difference(u: DVBElement, v: DVBElement) -> tuple[Fraction, ...]:
     This is the unique k with u = v +_right (core k over e) and equally
     u = v +_left (core k over f).
     """
-    return _fractions(_int_difference(_int_of(u), _int_of(v)))
+    return _fractions(_difference(u, v))
 
 
 def flip(obj):
@@ -806,9 +854,9 @@ class FiberMorphism:
         flat_psi = tuple(tuple(p for row in plane for p in row) for plane in self.psi)
         return tuple(_int_matrix(m) for m in (self.l, self.c, self.r, flat_psi))
 
-    def _int_apply(self, v):
-        """The kernel form of `apply`: (f, c, e) -> (L f, C c + Psi(f, e), R e)."""
-        b, x, f, c, e = v
+    def _apply(self, v: DVBElement) -> DVBElement:
+        """(f, c, e) -> (L f, C c + Psi(f, e), R e) on the slot vectors."""
+        b, x, f, c, e = v._key
         if b is not self.source and b != self.source:
             raise BaseMismatchError("element bundle differs from morphism source")
         if x != self.x:
@@ -816,7 +864,7 @@ class FiberMorphism:
         l, cm, r, psi = self._int_blocks
         (fn, fd), (en, ed) = f, e
         e_times_f = ([p * q for p in en for q in fn], ed * fd)
-        return (
+        return DVBElement._of_slots(
             self.target,
             x,
             _reduced(*_mat_vec(l, f)),
@@ -825,7 +873,7 @@ class FiberMorphism:
         )
 
     def apply(self, v: DVBElement) -> DVBElement:
-        return _element_of(self._int_apply(_int_of(v)))
+        return self._apply(v)
 
     def after(self, inner: FiberMorphism) -> FiberMorphism:
         if inner.target != self.source or inner.x != self.x:

@@ -25,6 +25,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .core import (
     BaseMismatchError,
@@ -33,10 +34,13 @@ from .core import (
     DVBMorphism,
     FiberMorphism,
     PointwiseMorphism,
+    _random_slots,
     _right_dual_blocks,
     _signed_identity,
+    _slots_of,
+    _vec_scale,
 )
-from .ring import MultiPoly, Point, dot, mat_inverse_frac, random_tuple, rat
+from .ring import MultiPoly, Point, mat_inverse_frac, rat
 
 
 class ProjectionMismatchError(ValueError):
@@ -73,31 +77,47 @@ def triple_right_dual(b: DecomposedDVB) -> DecomposedDVB:
     return right_dual(right_dual(right_dual(b)))
 
 
-def _check_pairable(v: DVBElement, a: DVBElement, dual: DecomposedDVB, leg: str) -> None:
-    if a.bundle != dual:
+def _pair(v: DVBElement, a: DVBElement, dual: DecomposedDVB, right: bool) -> Fraction:
+    """p.s + q.c for v = (x | f | c | e) and a covector a in `dual`: over v's
+    E point a = (x | e | p | q) and s = f (right), over v's F point
+    a = (x | q | p | f) and s = e (left).  Two integer dots over the slots'
+    denominators make one `Fraction`."""
+    b, x, f, c, e = v._key
+    ab, ax, af, (pn, pd), ae = a._key
+    if ab is not dual and ab != dual:
         raise BaseMismatchError("second argument does not live in the dual bundle")
-    if v.x != a.x:
-        raise BaseMismatchError(f"base points differ: {v.x} vs {a.x}")
-    if leg == "right":
-        if v.e != a.f:
+    if x != ax:
+        raise BaseMismatchError(f"base points differ: {x} vs {ax}")
+    if right:
+        if e != af:
             raise ProjectionMismatchError("elements project to different E points")
-    elif v.f != a.e:
-        raise ProjectionMismatchError("elements project to different F points")
+        (sn, sd), (qn, qd) = f, ae
+    else:
+        if f != ae:
+            raise ProjectionMismatchError("elements project to different F points")
+        (sn, sd), (qn, qd) = e, af
+    cn, cd = c
+    side_den, core_den = pd * sd, qd * cd
+    num = sum(map(mul, pn, sn)) * core_den + sum(map(mul, qn, cn)) * side_den
+    return Fraction(num, side_den * core_den)
 
 
 def pair_r(v: DVBElement, a: DVBElement) -> Fraction:
     """Evaluate a right-dual element on v over a shared right projection.
 
-    With v = (x | f | c | e) and a = (x | e | p | q) the value is p.f + q.c.
+    With v = (x | f | c | e) and a = (x | e | p | q) the value is p.f + q.c,
+    computed on the slot vectors.
     """
-    _check_pairable(v, a, right_dual(v.bundle), "right")
-    return dot(a.c + a.e, v.f + v.c)
+    return _pair(v, a, right_dual(v.bundle), True)
 
 
 def pair_l(v: DVBElement, b: DVBElement) -> Fraction:
-    """Evaluate a left-dual element on v; reduced to pair_r through the flip."""
-    _check_pairable(v, b, left_dual(v.bundle), "left")
-    return pair_r(v.flip(), b.flip())
+    """Evaluate a left-dual element on v over a shared left projection.
+
+    With v = (x | f | c | e) and b = (x | q | p | f) the value is p.e + q.c,
+    the right pairing of the flipped pair, computed without flipping either.
+    """
+    return _pair(v, b, left_dual(v.bundle), False)
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +198,10 @@ def canonical_R(variant: str, v: DVBElement) -> DVBElement:
     The base map negates the core slot; the +- and -+ companions negate the
     E or F slot instead, and the = companion negates all three.
     """
-    s_f, s_c, s_e = _VARIANT_SIGNS[_normalize_variant(variant)]
-    return DVBElement(
-        triple_right_dual(v.bundle),
-        v.x,
-        tuple(s_f * a for a in v.f),
-        tuple(s_c * a for a in v.c),
-        tuple(s_e * a for a in v.e),
+    signs = _VARIANT_SIGNS[_normalize_variant(variant)]
+    b, x, *slots = v._key
+    return DVBElement._of_slots(
+        triple_right_dual(b), x, *(_vec_scale(s, 1, slot) for s, slot in zip(signs, slots))
     )
 
 
@@ -224,21 +241,23 @@ def verify_R_relation(
         raise ProjectionMismatchError("candidate sits over a different base point")
     d1 = right_dual(bundle)
     d2 = right_dual(d1)
-    free = bundle.n_F + bundle.n_C + bundle.n_E
-
+    n_f, n_c, n_e = bundle.ranks
     if grid is not None:
         values = [rat(g) for g in grid]
-        pool = itertools.product(values, repeat=free)
+        pool = (
+            (_slots_of(t[:n_f]), _slots_of(t[n_f : n_f + n_c]), _slots_of(t[n_f + n_c :]))
+            for t in itertools.product(values, repeat=n_f + n_c + n_e)
+        )
     else:
+        # the draws of random_tuple(rng, n_f + n_c + n_e), cut into three slots
         rng = random.Random(seed)
-        pool = (random_tuple(rng, free) for _ in range(samples))
+        pool = ([_random_slots(rng, n, 7) for n in bundle.ranks] for _ in range(samples))
 
-    for slots in pool:
-        p = slots[: bundle.n_F]
-        q = slots[bundle.n_F : bundle.n_F + bundle.n_C]
-        eps = slots[bundle.n_F + bundle.n_C :]
-        a = DVBElement(d1, v.x, v.e, p, q)
-        alpha = DVBElement(d2, v.x, q, eps, phi.f)
+    _, x, _, _, e = v._key
+    phi_f = phi._f
+    for p, q, eps in pool:
+        a = DVBElement._of_slots(d1, x, e, p, q)
+        alpha = DVBElement._of_slots(d2, x, q, eps, phi_f)
         if pair_r(a, alpha) != s1 * pair_r(v, a) + s2 * pair_r(alpha, phi):
             return False
     return True

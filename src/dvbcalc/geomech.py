@@ -29,6 +29,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Sequence
 
 from .core import (
@@ -38,6 +39,10 @@ from .core import (
     DVBMorphism,
     FiberMismatchError,
     VectorBundle,
+    _int_matrix,
+    _mat_vec,
+    _random_slots,
+    _reduced,
     _signed_identity,
     compose_morphisms,
     cotangent_prolongation,
@@ -122,31 +127,33 @@ def _plain_scale(side, r, a):
 
 
 def _respects_both_structures(
-    shell: DecomposedDVB, image, samples: int, seed: int, add=fiber_add, scale=fiber_scale
+    shell: DecomposedDVB, image, samples: int, seed: int, add=None, scale=None
 ) -> bool:
     """Sampled test that `image` commutes with both structures of `shell`.
 
     Each sample draws x, e, e2, f, f2, c, c2, r in that order and builds
     u = (x | f | c | e), v = (x | f2 | c2 | e) sharing e with u, and
-    w = (x | f | c2 | e2) sharing f with u.  The image must turn the right
-    sum and scaling of (u, v) and the left sum and scaling of (u, w) into
-    `add` and `scale` of the images: `fiber_add`/`fiber_scale` for a map
-    into a shell, `_plain_add`/`_plain_scale` for a double-linear function.
+    w = (x | f | c2 | e2) sharing f with u, on slot vectors.  The image must
+    turn the right sum and scaling of (u, v) and the left sum and scaling of
+    (u, w) into `add` and `scale` of the images: `_plain_add`/`_plain_scale`
+    for a double-linear function, and for a map into a shell, by default,
+    `fiber_add`/`fiber_scale`, looked up when the test runs.
     """
+    if add is None:
+        add, scale = fiber_add, fiber_scale
     rng = random.Random(seed)
     n_f, n_c, n_e = shell.ranks
+    element = DVBElement._of_slots
     for _ in range(samples):
         x = random_tuple(rng, shell.chart.dim)
-        e, e2 = random_tuple(rng, n_e), random_tuple(rng, n_e)
-        f, f2 = random_tuple(rng, n_f), random_tuple(rng, n_f)
-        c, c2 = random_tuple(rng, n_c), random_tuple(rng, n_c)
+        e, e2, f, f2, c, c2 = (_random_slots(rng, n, 7) for n in (n_e, n_e, n_f, n_f, n_c, n_c))
         r = random_rational(rng)
-        u = shell.element(x, f, c, e)
+        u = element(shell, x, f, c, e)
         at_u = image(u)
         try:
             for side, other in (
-                ("right", shell.element(x, f2, c2, e)),
-                ("left", shell.element(x, f, c2, e2)),
+                ("right", element(shell, x, f2, c2, e)),
+                ("left", element(shell, x, f, c2, e2)),
             ):
                 if image(fiber_add(side, u, other)) != add(side, at_u, image(other)):
                     return False
@@ -173,7 +180,7 @@ def _section_is_bundle_morphism(
         e1, e2 = random_tuple(rng, k), random_tuple(rng, k)
         r = random_rational(rng)
         v1, v2 = image(x, e1), image(x, e2)
-        if v1.f != v2.f:
+        if v1._f != v2._f:
             return False
         if image(x, tuple(a + b for a, b in zip(e1, e2))) != fiber_add("left", v1, v2):
             return False
@@ -444,18 +451,22 @@ def lambda_sharp(biv: Bivector):
     full = biv.full_matrix()
     n = biv.bundle.chart.dim
 
-    # the matrix at the last point seen: sampled checks apply the map at one
-    # (x, e) several times in a row
+    # the matrix at the last point seen, as integer rows over one denominator:
+    # sampled checks apply the map at one (x, e) several times in a row
     last = [None, None]
 
     def apply(w: DVBElement) -> DVBElement:
         if w.bundle != cot:
             raise ValueError("argument must live on the cotangent shell")
-        point = tuple(w.x) + tuple(w.e)
+        _, x, (phi, phi_den), (p, p_den), e = w._key
+        point = x + w.e
         if point != last[0]:
-            last[:] = point, full.eval_at(point)
-        out = mat_vec_frac(last[1], w.c + w.f)
-        return tan.element(w.x, out[:n], out[n:], w.e)
+            last[:] = point, _int_matrix(full.eval_at(point))
+        # the covector (p, phi) over one denominator, times the matrix
+        den = lcm(p_den, phi_den)
+        covector = [a * (den // p_den) for a in p] + [a * (den // phi_den) for a in phi]
+        out, d = _mat_vec(last[1], (covector, den))
+        return DVBElement._of_slots(tan, x, _reduced(out[:n], d), _reduced(out[n:], d), e)
 
     return apply
 
@@ -824,7 +835,7 @@ def covector_vector_pairing(cot: DVBElement, tan: DVBElement) -> Fraction:
         vb
     ):
         raise ValueError("arguments are not matching cotangent and tangent points")
-    rehomed = DVBElement(right_dual(tan.bundle), cot.x, cot.e, cot.c, cot.f)
+    rehomed = DVBElement._of_slots(right_dual(tan.bundle), cot.x, cot._e, cot._c, cot._f)
     return pair_r(tan, rehomed)
 
 

@@ -49,6 +49,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import add
 from typing import Mapping, Sequence
@@ -103,10 +104,16 @@ def _randint(rng: random.Random, lo: int, hi: int) -> int:
     return _draw(rng, (_span(lo, hi),))[0]
 
 
+@lru_cache(maxsize=16)
+def _rational_spans(bound: int) -> tuple[tuple[int, int, int], ...]:
+    """The spans of one (p, q) pair: [-bound, bound], then [1, bound]."""
+    return _span(-bound, bound), _span(1, bound)
+
+
 def _rational_draws(rng: random.Random, n: int, bound: int) -> list[int]:
     """The flat list p1, q1, ..., pn, qn of n pairs, each p drawn from
     [-bound, bound] and then q from [1, bound]."""
-    return _draw(rng, (_span(-bound, bound), _span(1, bound)) * n)
+    return _draw(rng, _rational_spans(bound) * n)
 
 
 def random_rational(rng: random.Random, bound: int = 7) -> Fraction:

@@ -30,16 +30,17 @@ from dvbcalc.core import (
     kernel_split,
     psi_zero,
     tangent_prolongation,
-    _element_of,
+    _difference,
     _fractions,
-    _int_add,
-    _int_difference,
-    _int_of,
-    _int_scale,
-    _int_split,
+    _left_add,
+    _left_scale,
     _random_slots,
+    _right_add,
+    _right_scale,
+    _split,
     _SHARED_PLAN_TOP,
 )
+from dvbcalc.duality import left_dual, pair_l, pair_r, right_dual
 from dvbcalc.ring import MultiPoly, PolyMatrix, random_rational, random_tuple, rat
 from dvbcalc.scenario import random_morphism, random_poly_matrix, random_poly_vector
 
@@ -503,8 +504,8 @@ def plain_scale(side, r, v):
     return DVBElement(v.bundle, v.x, v.f, scale(v.c), scale(v.e))
 
 
-def assert_lowest_terms(k):
-    for nums, den in k[2:]:
+def assert_lowest_terms(v):
+    for nums, den in (v._f, v._c, v._e):
         assert den > 0 and gcd(den, *nums) == 1
 
 
@@ -520,28 +521,28 @@ def test_kernel_structure_maps_match_fraction_formulas(ranks):
             ("right", DVBElement(b, x, wide_tuple(rng, b.n_F), wide_tuple(rng, b.n_C), e)),
             ("left", DVBElement(b, x, f, wide_tuple(rng, b.n_C), wide_tuple(rng, b.n_E))),
         ):
-            k = _int_add(side, _int_of(u), _int_of(v))
+            k = (_right_add if side == "right" else _left_add)(u, v)
             assert_lowest_terms(k)
-            assert k == _int_of(plain_add(side, u, v))
-            assert _element_of(k) == plain_add(side, u, v) == fiber_add(side, u, v)
+            assert k._key == plain_add(side, u, v)._key
+            assert k == plain_add(side, u, v) == fiber_add(side, u, v)
             r = wide_scalar(rng)
-            k = _int_scale(side, r, _int_of(u))
+            k = (_right_scale if side == "right" else _left_scale)(r, u)
             assert_lowest_terms(k)
-            assert _element_of(k) == plain_scale(side, r, u) == fiber_scale(side, r, u)
+            assert k == plain_scale(side, r, u) == fiber_scale(side, r, u)
         # equal projections on both sides: the core difference
         w = DVBElement(b, x, f, wide_tuple(rng, b.n_C), e)
-        diff = _int_difference(_int_of(u), _int_of(w))
+        diff = _difference(u, w)
         assert _fractions(diff) == tuple(p - q for p, q in zip(u.c, w.c))
         assert core_difference(u, w) == _fractions(diff)
         # a right-kernel element splits into (x | f | 0 | 0) and (x | 0 | c | 0)
         kern = DVBElement(b, x, f, c, (Fraction(0),) * b.n_E)
-        side_part, core_part = _int_split(_int_of(kern))
-        assert _element_of(side_part) == b.zero_over_left(x, f)
-        assert _element_of(core_part) == core_embed(b, x, c)
-        assert kernel_split(kern) == (_element_of(side_part), _element_of(core_part))
+        side_part, core_part = _split(kern)
+        assert side_part == b.zero_over_left(x, f)
+        assert core_part == core_embed(b, x, c)
+        assert kernel_split(kern) == (side_part, core_part)
         if b.n_E:
             with pytest.raises(NotInKernelError, match="nonzero E projection"):
-                _int_split(_int_of(DVBElement(b, x, f, c, (Fraction(1),) * b.n_E)))
+                _split(DVBElement(b, x, f, c, (Fraction(1),) * b.n_E))
 
 
 @pytest.mark.parametrize("ranks", KERNEL_RANKS, ids=str)
@@ -583,19 +584,19 @@ def test_kernel_apply_matches_fraction_formula(ranks):
             tuple(p + q for p, q in zip(times(fm.c, v.c), bilinear)),
             times(fm.r, v.e),
         )
-        k = fm._int_apply(_int_of(v))
+        k = fm._apply(v)
         assert_lowest_terms(k)
-        assert _element_of(k) == want == fm.apply(v)
+        assert k == want == fm.apply(v)
 
 
 def test_kernel_apply_keeps_base_checks():
     phi = scalar_morphism(2, 3, 5, 7)
     fm = phi.at((Fraction(1),))
     with pytest.raises(BaseMismatchError, match="base point differs from block point"):
-        fm._int_apply(_int_of(B.element((2,), (1,), (1,), (1,))))
+        fm._apply(B.element((2,), (1,), (1,), (1,)))
     other = DecomposedDVB(CHART, 1, 1, 1, ("A", "C", "E"))
     with pytest.raises(BaseMismatchError, match="bundle differs from morphism source"):
-        fm._int_apply(_int_of(other.element((1,), (1,), (1,), (1,))))
+        fm._apply(other.element((1,), (1,), (1,), (1,)))
 
 
 @pytest.mark.parametrize("bound", [1, 7, 49])
@@ -684,9 +685,9 @@ def test_at_matches_per_entry_eval(case, rng):
         b = phi.source
         for _ in range(2):
             v = DVBElement(b, x, wide_tuple(rng, b.n_F), wide_tuple(rng, b.n_C), wide_tuple(rng, b.n_E))
-            k = phi.at(x)._int_apply(_int_of(v))
+            k = phi.at(x)._apply(v)
             assert_lowest_terms(k)
-            assert _element_of(k) == reference.apply(v)
+            assert k == reference.apply(v)
 
 
 def test_at_builds_fraction_blocks_only_when_read():
@@ -695,8 +696,8 @@ def test_at_builds_fraction_blocks_only_when_read():
     fm = phi.at(x)
     lazy = ("l", "c", "r", "psi")
     assert not any(name in vars(fm) for name in lazy)
-    v = _int_of(B222.element(x, (1, 2), (3, 4), (5, 6)))
-    fm._int_apply(v)
+    v = B222.element(x, (1, 2), (3, 4), (5, 6))
+    fm._apply(v)
     assert not any(name in vars(fm) for name in lazy)
     want = reference_blocks(phi, x)
     assert fm.psi == want[3]
@@ -726,3 +727,170 @@ def test_at_checks_point_arity_for_every_rank(ranks):
     with pytest.raises(TypeError, match="cannot interpret 0.5 as a rational"):
         phi.at((0.5, 1))
     assert phi.at(("1/2", 3)).x == (Fraction(1, 2), Fraction(3))
+
+
+# ---------------------------------------------------------------------------
+# One element type: DVBElement on slot vectors
+#
+# The reference formulas are the Fraction ones the structure maps and the
+# pairings had before the element held slot vectors.  Values reach
+# denominators up to 10**12, and slots are zero about half the time.
+
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        (((0,), (1, 2), (), (3,)), ValueError, "^F slot has 2 entries, bundle rank is 1$"),
+        (((0,), (1,), (), (3,)), ValueError, "^C slot has 0 entries, bundle rank is 1$"),
+        (((0,), (1,), (2,), (3, 4)), ValueError, "^E slot has 2 entries, bundle rank is 1$"),
+        (((0, 1), (1,), (2,), (3,)), ValueError, "^point arity 2 vs chart dim 1$"),
+        (((), (1,), (2,), (3,)), ValueError, "^point arity 0 vs chart dim 1$"),
+        (((0,), (1.5,), (2,), (3,)), TypeError, "^cannot interpret 1.5 as a rational$"),
+        (((0.5,), (1,), (2,), (3,)), TypeError, "^cannot interpret 0.5 as a rational$"),
+    ],
+    ids=["long-F", "short-C", "long-E", "long-point", "short-point", "float-slot", "float-point"],
+)
+def test_element_checks_its_shape_and_values(args, error, message):
+    for build in (lambda *a: DVBElement(B, *a), B.element):
+        with pytest.raises(error, match=message):
+            build(*args)
+
+
+exact = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(max_denominator=10**12).filter(lambda q: abs(q) < 10**12),
+)
+
+
+@st.composite
+def slot_values(draw, n):
+    if draw(st.booleans()):
+        return (Fraction(0),) * n
+    return tuple(draw(exact) for _ in range(n))
+
+
+@st.composite
+def element_cases(draw):
+    """A bundle, a point, two draws of every slot, a scalar and fiber blocks."""
+    dim, *ranks = (draw(st.integers(0, 3)) for _ in range(4))
+    b = DecomposedDVB(Chart.of_dim(dim), *ranks)
+    x = tuple(draw(exact) for _ in range(b.chart.dim))
+    first = tuple(draw(slot_values(n)) for n in b.ranks)
+    second = tuple(draw(slot_values(n)) for n in b.ranks)
+
+    def matrix(rows, cols):
+        return tuple(draw(slot_values(cols)) for _ in range(rows))
+
+    n_f, n_c, n_e = b.ranks
+    blocks = (
+        matrix(n_f, n_f), matrix(n_c, n_c), matrix(n_e, n_e),
+        tuple(matrix(n_e, n_f) for _ in range(n_c)),
+    )
+    return b, x, first, second, draw(exact), blocks
+
+
+def fields(v):
+    return (v.bundle, v.x, v.f, v.c, v.e)
+
+
+def plus(p, q):
+    return tuple(a + b for a, b in zip(p, q))
+
+
+def times(m, vec):
+    return tuple(sum((a * q for a, q in zip(row, vec)), Fraction(0)) for row in m)
+
+
+def fraction_dot(p, q):
+    return sum((a * b for a, b in zip(p, q)), Fraction(0))
+
+
+@given(element_cases())
+@settings(max_examples=80, deadline=None)
+def test_single_representation_matches_fraction_formulas(case):
+    b, x, (f, c, e), (f2, c2, e2), r, (l, cm, rm, psi) = case
+    zeros = [(Fraction(0),) * n for n in b.ranks]
+    u = DVBElement(b, x, f, c, e)
+
+    def scaled(p):
+        return tuple(r * a for a in p)
+
+    # the two structures
+    assert fields(fiber_add("right", u, DVBElement(b, x, f2, c2, e))) == (
+        b, x, plus(f, f2), plus(c, c2), e
+    )
+    assert fields(fiber_add("left", u, DVBElement(b, x, f, c2, e2))) == (
+        b, x, f, plus(c, c2), plus(e, e2)
+    )
+    assert fields(fiber_scale("right", r, u)) == (b, x, scaled(f), scaled(c), e)
+    assert fields(fiber_scale("left", r, u)) == (b, x, f, scaled(c), scaled(e))
+    assert core_difference(u, DVBElement(b, x, f, c2, e)) == tuple(p - q for p, q in zip(c, c2))
+    side_part, core_part = kernel_split(DVBElement(b, x, f, c, zeros[2]))
+    assert fields(side_part) == (b, x, f, zeros[1], zeros[2])
+    assert fields(core_part) == (b, x, zeros[0], c, zeros[2])
+    assert fields(u.flip()) == (b.flip(), x, e, c, f)
+    # a fiber morphism: (L f, C c + Psi(f, e), R e)
+    fm = FiberMorphism(b, b, x, l, cm, rm, psi)
+    bilinear = tuple(
+        fraction_dot([a for row in plane for a in row], [p * q for p in e for q in f])
+        for plane in psi
+    )
+    assert fields(fm.apply(u)) == (b, x, times(l, f), plus(times(cm, c), bilinear), times(rm, e))
+    # the pairings: <v, a> = p.f + q.c on the right, p.e + q.c on the left
+    p, q = f2, c2
+    a = DVBElement(right_dual(b), x, e, p, q)
+    assert pair_r(u, a) == fraction_dot(a.c + a.e, u.f + u.c)
+    assert pair_r(u, a) == fraction_dot(p, f) + fraction_dot(q, c)
+    p, q = e2, c2
+    bl = DVBElement(left_dual(b), x, q, p, f)
+    assert pair_l(u, bl) == fraction_dot(p, e) + fraction_dot(q, c)
+    # equality and hashing do not depend on how an element was built
+    as_text = [tuple(str(v) for v in slot) for slot in (x, f, c, e)]
+    as_ints = [tuple(int(v) if v.denominator == 1 else v for v in slot) for slot in (x, f, c, e)]
+    for other in (
+        b.element(x, f, c, e),
+        b.element(*as_text),
+        b.element(*as_ints),
+        DVBElement(b, *as_text),
+        fiber_add("right", u, b.zero_over_right(x, e)),
+        fiber_scale("left", 1, u),
+        u.flip().flip(),
+    ):
+        assert other == u and hash(other) == hash(u) and fields(other) == fields(u)
+        assert repr(other) == repr(u) and str(other) == str(u)
+
+
+def test_element_builds_fraction_views_only_when_read():
+    x = (Fraction(2, 3), Fraction(-5, 7))
+    u = B222.element(x, (1, "1/2"), (3, 4), (5, 6))
+    v = B222.element(x, (7, 8), (9, "-1/3"), (5, 6))
+    views = ("f", "c", "e")
+    # elements built from public input keep the values they were given
+    assert all(name in vars(u) for name in views)
+    fm = random_morphism(random.Random(4), B222, 2).at(x)
+    built = [
+        fiber_add("right", u, v),
+        fiber_scale("left", "1/2", u),
+        *kernel_split(B222.element(x, (1, 2), (3, 4), (0, 0))),
+        u.flip(),
+        fm.apply(u),
+    ]
+    for w in built:
+        assert not any(name in vars(w) for name in views)
+    w = built[0]
+    assert w.c == (Fraction(12), Fraction(11, 3))
+    assert [name for name in views if name in vars(w)] == ["c"]
+    assert (w.f, w.e) == ((Fraction(8), Fraction(17, 2)), (Fraction(5), Fraction(6)))
+    assert w.c is w.c
+
+
+def test_element_is_immutable():
+    u = B.element((1,), (2,), (3,), (4,))
+    for v in (u, fiber_scale("right", 1, u)):
+        with pytest.raises(AttributeError, match="^cannot assign to field 'f'"):
+            v.f = (Fraction(1),)
+        with pytest.raises(AttributeError, match="^cannot assign to field '_key'"):
+            v._key = u._key
+        for name in ("f", "x", "bundle", "_key"):
+            with pytest.raises(AttributeError, match=f"^cannot delete field {name!r}"):
+                delattr(v, name)
+        assert v.f == (Fraction(2),) and v._f == ((2,), 1) and v == u

@@ -20,7 +20,8 @@ from dvbcalc.scenario import (
 )
 from dvbcalc.suites import _scalar_worked_example, run_connection_check, run_suite
 
-# The public structure maps on DVBElement: boundary adapters over the kernel.
+# The public structure maps on DVBElement; the axioms suite calls the private
+# routines behind them.
 STRUCTURE_OPS = ("fiber_add", "fiber_scale", "fiber_sub", "kernel_split", "core_difference")
 
 SUITE_SIZES = {"axioms": 7, "duality": 8, "third-dual": 5, "geometry": 12}

@@ -1,0 +1,159 @@
+"""Record one commit's benchmark numbers in BENCH_<pr>.json.
+
+Run from the repository root:
+
+    python3 tools/bench.py --pr 11
+
+It runs, one after another and never in parallel:
+
+* `perfbench/run.py --trace 0` for every workload on each of the fixed
+  seeds below, and reports the median and quartiles of every end-to-end
+  metric per workload;
+* one `perfbench/run.py --trace 1` pass on `axioms-sweep` and one on
+  `check-all`, with their per-layer metrics and the busy share of
+  `core.DVBMorphism.at` from the traced scopes;
+* the tier-1 test command and acceptance criterion 1 (whose own gate is
+  10 s), each standalone and three times;
+
+and records the git sha (and whether tracked files had uncommitted edits),
+the Python version, `nproc`, the line counts of `src/` and `tests/` and the
+tier-1 test count.  It takes about ten minutes on a 2-core host.  Only the
+standard library is used.  To measure an older commit, copy this file into
+a clone of that commit and run it there.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+WORKLOADS = ("axioms-sweep", "check-all", "symbolic")
+SEEDS = (1101, 1102, 1103)
+TRACED = ("axioms-sweep", "check-all")
+TRACED_SEED = 1101
+RUN_SECONDS = 20
+REPEATS = 3
+CRITERION_1 = "tests/test_acceptance.py::test_criterion_1"
+CRITERION_1_GATE_S = 10.0
+
+
+def _perfbench(root: Path, workload: str, seed: int, trace: int) -> dict:
+    """One perfbench run: its result line, plus the traced scopes."""
+    cmd = [
+        sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+        "--seconds", str(RUN_SECONDS), "--trace", str(trace),
+    ]
+    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True).stdout
+    result = json.loads(out.strip().splitlines()[-1])
+    run = {
+        "seed": seed,
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+    }
+    if trace:
+        scopes_path = root / ".perfbench_out" / f"trace-{workload}-seed{seed}.json"
+        scopes = json.loads(scopes_path.read_text())
+        at = scopes.get("core.DVBMorphism.at", {})
+        run["metrics"]["core.DVBMorphism.at.busy_share"] = at.get("busy_share", 0.0)
+    return run
+
+
+def _spread(values: list[float]) -> dict:
+    ordered = sorted(values)
+    if len(ordered) > 1:
+        q1, _, q3 = statistics.quantiles(ordered, n=4, method="inclusive")
+    else:
+        q1 = q3 = ordered[0]
+    return {"median": statistics.median(ordered), "q1": q1, "q3": q3, "runs": values}
+
+
+def _timed(root: Path, cmd: list[str]) -> tuple[float, str]:
+    env = dict(os.environ, PYTHONPATH="src" + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    start = time.perf_counter()
+    done = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
+    elapsed = time.perf_counter() - start
+    if done.returncode != 0:
+        raise SystemExit(f"error: {' '.join(cmd)} exited {done.returncode}\n{done.stdout[-2000:]}")
+    return elapsed, done.stdout
+
+
+def _tests(root: Path) -> dict:
+    pytest = [sys.executable, "-m", "pytest", "-q"]
+    tier1, passed = [], None
+    for _ in range(REPEATS):
+        wall, out = _timed(root, pytest + ["--continue-on-collection-errors"])
+        tier1.append(wall)
+        passed = int(re.search(r"(\d+) passed", out).group(1))
+    walls, gated = [], []
+    for _ in range(REPEATS):
+        wall, out = _timed(root, pytest + ["-s", CRITERION_1])
+        walls.append(wall)
+        gated.append(float(re.search(r"criterion 1: PASS .* in ([\d.]+)s", out).group(1)))
+    return {
+        "tier1": {"passed": passed, "wall_s": _spread(tier1)},
+        "criterion_1": {
+            "gate_s": CRITERION_1_GATE_S,
+            "sweep_s": _spread(gated),
+            "process_wall_s": _spread(walls),
+        },
+    }
+
+
+def _lines(root: Path, sub: str) -> int:
+    return sum(len(p.read_text().splitlines()) for p in sorted((root / sub).rglob("*.py")))
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    p.add_argument("--pr", type=int, required=True, help="the number in BENCH_<pr>.json")
+    args = p.parse_args(argv)
+    root = Path(__file__).resolve().parent.parent
+    def git(*args: str) -> str:
+        return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True).stdout
+
+    sha = git("rev-parse", "HEAD").strip()
+    # uncommitted edits to tracked files: the numbers are of HEAD plus those
+    dirty = bool(git("status", "--porcelain", "--untracked-files=no").strip())
+
+    end_to_end = {}
+    for workload in WORKLOADS:
+        runs = [_perfbench(root, workload, seed, 0) for seed in SEEDS]
+        metrics = {n: _spread([r["metrics"][n] for r in runs]) for n in runs[0]["metrics"]}
+        end_to_end[workload] = {
+            "seeds": list(SEEDS),
+            "attempted": sum(r["attempted"] for r in runs),
+            "failed": sum(r["failed"] for r in runs),
+            "metrics": metrics,
+        }
+        print(f"{workload}: run_ref median {metrics['run_ref']['median']:.1f}", flush=True)
+    traced = {w: _perfbench(root, w, TRACED_SEED, 1) for w in TRACED}
+
+    bench = {
+        "pr": args.pr,
+        "git_sha": sha,
+        "git_dirty": dirty,
+        "python": platform.python_version(),
+        "nproc": len(os.sched_getaffinity(0)),
+        "run_seconds": RUN_SECONDS,
+        "lines": {"src": _lines(root, "src"), "tests": _lines(root, "tests")},
+        "end_to_end": end_to_end,
+        "traced": traced,
+        **_tests(root),
+    }
+    out = root / f"BENCH_{args.pr}.json"
+    out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -33,15 +33,11 @@ the identity of the base,
     (f, c, e)  |->  (L(x) f,  C(x) c + Psi(x)(f, e),  R(x) e),
 
 with polynomial matrix blocks and a bilinear polynomial block Psi indexed as
-Psi[core-out][e-in][f-in].  `DVBMorphism.at` evaluates them through one
-cached integer plan, `_EvalPlan`, built on first use: every entry, Psi
-included, is integer coefficients over one common denominator against the
-distinct monomials of all entries, so each monomial is evaluated once per
-point and each entry is one integer sum.  A morphism with an exponent above
-_SHARED_PLAN_TOP gets one plan per block instead, so that its long values
-stay in the blocks that hold them.  The `FiberMorphism` it
-returns holds those integer matrices, and its `Fraction` blocks are made
-only when one is read.
+Psi[core-out][e-in][f-in].  `DVBMorphism.at` evaluates all four blocks,
+Psi included, through one cached `ring._EvalPlan`, or through one plan per
+block when an exponent exceeds _SHARED_PLAN_TOP, so that long values stay
+in the blocks that hold them.  The `FiberMorphism` it returns holds the
+plan's integer matrices, and makes its `Fraction` blocks only when read.
 
 Composition, inverse, right dual and flip are written once, as a block
 algebra on nested tuples over any coefficient ring: DVBMorphism runs it on
@@ -59,19 +55,20 @@ maps onto the third dual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm, prod
-from operator import add, getitem, mul
+from math import gcd, lcm
+from operator import add, mul
 from typing import Callable, Sequence
 
 from .ring import (
-    Exponent,
     FracMatrix,
     MultiPoly,
     Point,
     PolyMatrix,
+    _EvalPlan,
+    _frac_rows,
     _rational_draws,
     mat_inverse_frac,
     mat_mul,
@@ -123,17 +120,26 @@ class VectorBundle:
     label: str = "E"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecomposedDVB:
     chart: Chart
     n_F: int
     n_C: int
     n_E: int
     labels: tuple[str, str, str] = ("F", "C", "E")
+    # the dataclass hash of the fields above, made on first use: the dual
+    # bundle caches look a bundle up on every pairing
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if min(self.n_F, self.n_C, self.n_E) < 0:
             raise ValueError("fiber ranks must be nonnegative")
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            key = (self.chart, self.n_F, self.n_C, self.n_E, self.labels)
+            object.__setattr__(self, "_hash", hash(key))
+        return self._hash
 
     @property
     def ranks(self) -> tuple[int, int, int]:
@@ -304,6 +310,16 @@ def _vec_scale(rn: int, rd: int, a: _Slots) -> _Slots:
     return _reduced([rn * n for n in nums], rd * den)
 
 
+def _pairing(a: _Slots, b: _Slots, c: _Slots, d: _Slots) -> Fraction:
+    """a.b + c.d for four slot vectors, in lowest terms or not: two integer
+    dots over the denominators make one `Fraction`."""
+    (an, ad), (bn, bd), (cn, cd), (dn, dd) = a, b, c, d
+    first, second = ad * bd, cd * dd
+    return Fraction(
+        sum(map(mul, an, bn)) * second + sum(map(mul, cn, dn)) * first, first * second
+    )
+
+
 def _is_right(side: Side) -> bool:
     if side == "right":
         return True
@@ -382,85 +398,11 @@ def _mat_vec(m, v) -> tuple[list[int], int]:
     return [sum(map(mul, row, nums)) for row in rows], md * vd
 
 
-def _frac_rows(m) -> FracMatrix:
-    """An integer matrix over one denominator as rows of `Fraction`s."""
-    rows, den = m
-    return tuple(tuple([Fraction(n, den) for n in row]) for row in rows)
-
-
 # Up to this exponent the four blocks of a morphism share one plan, whose
 # common denominator scales each block by at most d^16 per coordinate.
 # Above it each block gets its own plan, so one entry of high degree does not
 # lengthen the integers of the other blocks.
 _SHARED_PLAN_TOP = 16
-
-
-class _EvalPlan:
-    """Integer evaluation of polynomial matrices at rational points.
-
-    Every entry of every matrix is held as integer coefficients over one
-    common coefficient denominator D, against the list of the distinct
-    monomials of all entries, with M_i the highest exponent of coordinate i.
-    At x with x_i = n_i/d_i each monomial is
-
-        x^e = prod_i n_i^e_i d_i^(M_i - e_i) / prod_i d_i^M_i,
-
-    so `at` evaluates each distinct monomial once, as that integer
-    numerator, and every entry is one integer sum over the shared
-    denominator D prod_i d_i^M_i: no rational addition and no gcd per entry.
-    The power table of a coordinate holds only the exponents that occur,
-    and a coordinate that does not occur is left out: an entry x1^k costs
-    one table entry, not k + 1.
-    """
-
-    __slots__ = ("monomials", "powers", "den", "matrices")
-
-    def __init__(self, matrices, dim: int):
-        terms = [t for m in matrices for row in m for p in row for t in p.terms]
-        index: dict[Exponent, int] = {}
-        for e, _ in terms:
-            index.setdefault(e, len(index))
-        used = [i for i in range(dim) if any(e[i] for e in index)]
-        self.monomials = tuple(tuple([e[i] for i in used]) for e in index)
-        self.powers = tuple(
-            (i, max(ks), tuple(ks))
-            for i, ks in ((i, {e[i] for e in index}) for i in used)
-        )
-        self.den = den = lcm(*[c.denominator for _, c in terms])
-
-        def entry(p: MultiPoly):
-            return (
-                tuple([index[e] for e, _ in p.terms]),
-                tuple([c.numerator * (den // c.denominator) for _, c in p.terms]),
-            )
-
-        self.matrices = tuple(
-            tuple(tuple([entry(p) for p in row]) for row in m) for m in matrices
-        )
-
-    def top(self) -> int:
-        """The highest exponent of any coordinate."""
-        return max((top for _, top, _ in self.powers), default=0)
-
-    def at(self, point: Point):
-        """Each matrix as integer rows over the one shared denominator."""
-        tables = []
-        den = self.den
-        for i, top, ks in self.powers:
-            n, d = point[i].numerator, point[i].denominator
-            tables.append({k: n**k * d ** (top - k) for k in ks})
-            den *= d**top
-        value = [prod(map(getitem, tables, e)) for e in self.monomials].__getitem__
-        return tuple(
-            (
-                tuple(
-                    tuple([sum(map(mul, coeffs, map(value, idx))) for idx, coeffs in row])
-                    for row in m
-                ),
-                den,
-            )
-            for m in self.matrices
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -809,17 +751,9 @@ class FiberMorphism:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r} of a FiberMorphism")
 
-    @cached_property
-    def l(self) -> FracMatrix:
-        return _frac_rows(self._int_blocks[0])
-
-    @cached_property
-    def c(self) -> FracMatrix:
-        return _frac_rows(self._int_blocks[1])
-
-    @cached_property
-    def r(self) -> FracMatrix:
-        return _frac_rows(self._int_blocks[2])
+    l = cached_property(lambda self: _frac_rows(self._int_blocks[0]))
+    c = cached_property(lambda self: _frac_rows(self._int_blocks[1]))
+    r = cached_property(lambda self: _frac_rows(self._int_blocks[2]))
 
     @cached_property
     def psi(self) -> FracPsi:

@@ -25,7 +25,6 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 
 from .core import (
     BaseMismatchError,
@@ -34,6 +33,7 @@ from .core import (
     DVBMorphism,
     FiberMorphism,
     PointwiseMorphism,
+    _pairing,
     _random_slots,
     _right_dual_blocks,
     _signed_identity,
@@ -83,7 +83,7 @@ def _pair(v: DVBElement, a: DVBElement, dual: DecomposedDVB, right: bool) -> Fra
     a = (x | q | p | f) and s = e (left).  Two integer dots over the slots'
     denominators make one `Fraction`."""
     b, x, f, c, e = v._key
-    ab, ax, af, (pn, pd), ae = a._key
+    ab, ax, af, p, ae = a._key
     if ab is not dual and ab != dual:
         raise BaseMismatchError("second argument does not live in the dual bundle")
     if x != ax:
@@ -91,15 +91,10 @@ def _pair(v: DVBElement, a: DVBElement, dual: DecomposedDVB, right: bool) -> Fra
     if right:
         if e != af:
             raise ProjectionMismatchError("elements project to different E points")
-        (sn, sd), (qn, qd) = f, ae
-    else:
-        if f != ae:
-            raise ProjectionMismatchError("elements project to different F points")
-        (sn, sd), (qn, qd) = e, af
-    cn, cd = c
-    side_den, core_den = pd * sd, qd * cd
-    num = sum(map(mul, pn, sn)) * core_den + sum(map(mul, qn, cn)) * side_den
-    return Fraction(num, side_den * core_den)
+        return _pairing(p, f, ae, c)
+    if f != ae:
+        raise ProjectionMismatchError("elements project to different F points")
+    return _pairing(p, e, af, c)
 
 
 def pair_r(v: DVBElement, a: DVBElement) -> Fraction:

@@ -11,16 +11,18 @@ index tuple.
 `make_form`, `+`, `wedge`, `d` and the tangent lift all produce terms with
 indices in any order and pass them to one collector, `_collect`, which sorts
 each index with its permutation sign and sums the terms per sorted index.
-Evaluation takes the determinant of each minor from `ring.det_frac`.
+Evaluation reads every component from one `ring` evaluation plan, cached
+on the form, and the determinant of each minor from `ring.det_frac`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
-from .ring import MultiPoly, Point, det_frac, rat
+from .ring import MultiPoly, Point, _coords, _EvalPlan, det_frac, rat
 
 Index = tuple[int, ...]
 
@@ -213,6 +215,10 @@ class DifferentialForm:
                 terms.append((idx[:slot] + (idx[slot] + n,) + idx[slot + 1 :], lifted))
         return _collect(big, self.degree, terms)
 
+    _plan = cached_property(
+        lambda self: _EvalPlan(((tuple(poly for _, poly in self.comps),),), len(self.vars))
+    )
+
     def evaluate(self, point: Point, vectors: Sequence[Sequence[Fraction]]) -> Fraction:
         """Value on rational vectors: sum of components times minors."""
         if len(vectors) != self.degree:
@@ -221,11 +227,12 @@ class DifferentialForm:
         for vec in vecs:
             if len(vec) != len(self.vars):
                 raise ValueError("vector arity does not match the variables")
+        ((values,), den), = self._plan.at(_coords(point, len(self.vars)))
         total = Fraction(0)
-        for idx, poly in self.comps:
-            minor = tuple(tuple(vec[j] for j in idx) for vec in vecs)
-            total += poly.eval(point) * det_frac(minor)
-        return total
+        for value, (idx, _) in zip(values, self.comps):
+            if value:
+                total += value * det_frac(tuple(tuple(vec[j] for j in idx) for vec in vecs))
+        return total / den
 
     def __str__(self) -> str:
         if not self.comps:

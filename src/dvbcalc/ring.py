@@ -17,11 +17,18 @@ matrix with no rows stores none.  `PolyMatrix` wraps them for polynomials.
 
 Sums of products are formed in one pass.  On rationals, `dot` forms each
 term as an integer numerator and denominator, sums them over a running
-integer pair, and reduces a single `Fraction` per result; `MultiPoly.eval`
-does the same per term.  On polynomials, `_sum_products` puts every product
-term of a sum a1*b1 + a2*b2 + ... into one exponent -> integer ratio dict and
-makes the result canonical once, instead of once per `+` and `*`.  Every
-entry of `mat_mul` and every polynomial product goes through one of the two.
+integer pair, and reduces a single `Fraction` per result.  On polynomials,
+`_sum_products` puts every product term of a sum a1*b1 + a2*b2 + ... into
+one exponent -> integer ratio dict and makes the result canonical once,
+instead of once per `+` and `*`.  Every entry of `mat_mul` and every
+polynomial product goes through one of the two.
+
+Every polynomial value at a rational point comes from one evaluator,
+`_EvalPlan`, which gives a list of polynomial matrices at a point as integer
+rows over one shared denominator.  `PolyMatrix`, the morphisms of `core` and
+the records of `geomech` and `forms` each cache one plan, built on first
+use, and hand its rows on without making a `Fraction`; `MultiPoly.eval` and
+`PolyMatrix.eval_at` make `Fraction`s from them.
 
 Polynomial determinants come from one minor table, built row by row over
 column bitmasks: level k maps each k-subset S of the columns to the nonzero
@@ -49,13 +56,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, lcm
-from operator import add
+from functools import cached_property, lru_cache
+from math import gcd, lcm, prod
+from operator import add, getitem, mul
 from typing import Mapping, Sequence
 
 Exponent = tuple[int, ...]
 Point = tuple[Fraction, ...]
+FracMatrix = tuple[tuple[Fraction, ...], ...]
 
 
 class SingularMatrixError(ArithmeticError):
@@ -265,21 +273,8 @@ class MultiPoly:
         return MultiPoly(self.vars, _canonical(self.vars, acc))
 
     def eval(self, point: Sequence[Fraction | int | str]) -> Fraction:
-        """Evaluate at a rational point given in variable order."""
-        if len(point) != len(self.vars):
-            raise ValueError(
-                f"point arity {len(point)} does not match {len(self.vars)} variables"
-            )
-        pt = [rat(p) for p in point]
-        num, den = 0, 1
-        for e, c in self.terms:
-            tn, td = c.numerator, c.denominator
-            for base, k in zip(pt, e):
-                if k:
-                    tn *= base.numerator ** k
-                    td *= base.denominator ** k
-            num, den = _add_ratio(num, den, tn, td)
-        return Fraction(num, den)
+        """Evaluate at a rational point given in variable order: one plan entry."""
+        return PolyMatrix(self.vars, ((self,),)).eval_at(point)[0][0]
 
     def compose(self, images: Sequence[MultiPoly]) -> MultiPoly:
         """Substitute one polynomial per variable; images share a variable list."""
@@ -369,6 +364,105 @@ def _sum_products(vars: tuple[str, ...], pairs) -> MultiPoly:
     return MultiPoly(vars, tuple(terms))
 
 
+def _coords(point: Sequence[Fraction | int | str], n: int) -> Point:
+    """A point of n exact coordinates (ints, Fractions, 'p/q' strings)."""
+    if len(point) != n:
+        raise ValueError(f"point arity {len(point)} does not match {n} variables")
+    return tuple(map(rat, point))
+
+
+class _EvalPlan:
+    """Integer evaluation of polynomial matrices at rational points.
+
+    Every entry of every matrix is held as integer coefficients over one
+    common coefficient denominator D, against the list of the distinct
+    monomials of all entries, with M_i the highest exponent of coordinate i.
+    At x with x_i = n_i/d_i each monomial is
+
+        x^e = prod_i n_i^e_i d_i^(M_i - e_i) / prod_i d_i^M_i,
+
+    so `at` evaluates each distinct monomial once, as that integer
+    numerator, and every entry is one integer sum over the shared
+    denominator D prod_i d_i^M_i: no rational addition and no gcd per entry.
+    The power table of a coordinate holds only the exponents that occur,
+    and a coordinate that does not occur is left out: an entry x1^k costs
+    one table entry, not k + 1.
+    """
+
+    __slots__ = ("monomials", "powers", "den", "matrices", "last")
+
+    def __init__(self, matrices, dim: int):
+        terms = [t for m in matrices for row in m for p in row for t in p.terms]
+        index: dict[Exponent, int] = {}
+        for e, _ in terms:
+            index.setdefault(e, len(index))
+        used = [i for i in range(dim) if any(e[i] for e in index)]
+        self.monomials = tuple(tuple([e[i] for i in used]) for e in index)
+        self.powers = tuple(
+            (i, max(ks), tuple(ks))
+            for i, ks in ((i, {e[i] for e in index}) for i in used)
+        )
+        self.den = den = lcm(*[c.denominator for _, c in terms])
+
+        def entry(p: MultiPoly):
+            return (
+                tuple([index[e] for e, _ in p.terms]),
+                tuple([c.numerator * (den // c.denominator) for _, c in p.terms]),
+            )
+
+        self.matrices = tuple(
+            tuple(tuple([entry(p) for p in row]) for row in m) for m in matrices
+        )
+        self.last = None, None
+
+    def top(self) -> int:
+        """The highest exponent of any coordinate."""
+        return max((top for _, top, _ in self.powers), default=0)
+
+    def at(self, point: Point, tail: tuple[Sequence[int], int] = ((), 1)):
+        """Each matrix as integer rows over the one shared denominator, at the
+        tuple `point` (Fractions or ints) followed by `tail`, integers over one
+        positive denominator (a fiber point's slot vector in `core`).  The
+        values at the last point are kept: sampled checks ask for one point
+        several times in a row."""
+        key, values = self.last
+        if key != (point, tail):
+            values = self._evaluate(point, tail)
+            self.last = (point, tail), values
+        return values
+
+    def _evaluate(self, point: Point, tail):
+        tables = []
+        den = self.den
+        cut = len(point)
+        for i, top, ks in self.powers:
+            if i < cut:
+                n, d = point[i].numerator, point[i].denominator
+            else:
+                n, d = tail[0][i - cut], tail[1]
+                g = gcd(n, d)
+                n, d = n // g, d // g
+            tables.append({k: n**k * d ** (top - k) for k in ks})
+            den *= d**top
+        value = [prod(map(getitem, tables, e)) for e in self.monomials].__getitem__
+        return tuple(
+            (
+                tuple(
+                    tuple([sum(map(mul, coeffs, map(value, idx))) for idx, coeffs in row])
+                    for row in m
+                ),
+                den,
+            )
+            for m in self.matrices
+        )
+
+
+def _frac_rows(m) -> FracMatrix:
+    """An integer matrix over one denominator as rows of `Fraction`s."""
+    rows, den = m
+    return tuple(tuple([Fraction(n, den) for n in row]) for row in rows)
+
+
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     if len(u) != len(v):
         raise ValueError(f"dot of tuples with lengths {len(u)} and {len(v)}")
@@ -383,12 +477,6 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # Rational matrices (nested tuples of Fraction)
-
-FracMatrix = tuple[tuple[Fraction, ...], ...]
-
-
-def mat_vec_frac(m: FracMatrix, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(dot(row, v) for row in m)
 
 
 def mat_mul(a, b, cols: int, zero):
@@ -574,8 +662,17 @@ class PolyMatrix:
     def transpose(self) -> PolyMatrix:
         return PolyMatrix(self.vars, transpose(self.entries, self.cols))
 
-    def eval_at(self, point: Point) -> FracMatrix:
-        return tuple(tuple(p.eval(point) for p in row) for row in self.entries)
+    @cached_property
+    def _plan(self) -> _EvalPlan:
+        """The evaluation plan of the entries, built on first use."""
+        return _EvalPlan((self.entries,), len(self.vars))
+
+    def eval_ints(self, point: Sequence[Fraction | int | str]):
+        """The entries at a point, as integer rows over one denominator."""
+        return self._plan.at(_coords(point, len(self.vars)))[0]
+
+    def eval_at(self, point: Sequence[Fraction | int | str]) -> FracMatrix:
+        return _frac_rows(self.eval_ints(point))
 
     def det(self) -> MultiPoly:
         if self.rows != self.cols:

@@ -348,14 +348,15 @@ def _identically_singular(m: PolyMatrix) -> bool:
     A nonzero value at one rational point proves that the determinant is not
     the zero polynomial: this is the Schwartz-Zippel argument used as a
     one-sided certificate, and it costs one Bareiss elimination of the
-    values at the fixed point _WITNESS.  A nonzero determinant vanishes only
-    on a hypersurface, which may pass through the witness, so a zero value
-    there falls back to the symbolic determinant; so does an entry of degree
-    above _WITNESS_MAX_DEGREE, whose values are too long to be cheap.
+    values at the fixed point _WITNESS, read from the plan of a copy so that
+    the block keeps no plan.  A nonzero determinant vanishes only on a
+    hypersurface, which may pass through the witness, so a zero value there
+    falls back to the symbolic determinant; so does an entry of degree above
+    _WITNESS_MAX_DEGREE, whose values are too long to be cheap.
     """
     if all(
         p.total_degree() <= _WITNESS_MAX_DEGREE for row in m.entries for p in row
-    ) and det_frac(m.eval_at(_WITNESS[: len(m.vars)])) != 0:
+    ) and det_frac(PolyMatrix(m.vars, m.entries).eval_ints(_WITNESS[: len(m.vars)])[0]) != 0:
         return False
     return m.det().is_zero
 

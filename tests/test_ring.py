@@ -1,11 +1,40 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dvbcalc import ring
+from dvbcalc.core import (
+    _SHARED_PLAN_TOP,
+    Chart,
+    DecomposedDVB,
+    DVBElement,
+    DVBMorphism,
+    FiberMorphism,
+    VectorBundle,
+    cotangent_prolongation,
+    tangent_prolongation,
+)
+from dvbcalc.forms import make_form
+from dvbcalc.geomech import (
+    Bivector,
+    CoreSection,
+    GeneralOneForm,
+    GeneralVectorField,
+    LinearConnection,
+    LinearSection,
+    Metric,
+    check_jacobi,
+    lambda_sharp,
+    oneform_evaluation_on_tangent,
+    total_space_vars,
+    vertical_lift,
+    vf_evaluation_on_cotangent,
+)
 from dvbcalc.ring import (
     MultiPoly,
     PolyMatrix,
@@ -15,6 +44,7 @@ from dvbcalc.ring import (
     mat_inverse_frac,
     mat_mul,
     random_rational,
+    random_tuple,
     rat,
     solve_fraction_free,
 )
@@ -697,3 +727,303 @@ def test_non_square_rational_input_rejected():
             mat_inverse_frac(m)
         with pytest.raises(ValueError, match="^determinant of a non-square matrix$"):
             det_frac(m)
+
+
+# -- one evaluation plan behind every polynomial record ------------------------
+#
+# Every record that evaluates through a cached `_EvalPlan` is checked against
+# `fraction_eval`, one `Fraction` per term.  Charts have dimension 0-3 and
+# fibers rank 0-3, so blocks with no rows or no columns occur.  Polynomials
+# are zero, constant or general, with coefficients that include the pairwise
+# sharing denominators 6, 10 and 15; coordinates are zero, negative, small or
+# long, given as ints, 'p/q' strings or Fractions.
+
+plan_coefficients = st.one_of(
+    st.sampled_from([Fraction(5, 6), Fraction(-7, 10), Fraction(4, 15), Fraction(-1, 6)]),
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+)
+plan_values = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9),
+    st.fractions(max_denominator=10**12).filter(lambda q: abs(q) < 10**4),
+)
+# each value as a Fraction, a 'p/q' string or, when integral, an int
+plan_inputs = plan_values.flatmap(
+    lambda q: st.sampled_from([Fraction(q), str(q)] + [int(q)] * (q.denominator == 1))
+)
+# exponents above _SHARED_PLAN_TOP give each morphism block its own plan
+morphism_exponents = st.integers(0, 8) | st.just(_SHARED_PLAN_TOP + 3)
+
+
+@st.composite
+def plan_polys(draw, vars, exponents=st.integers(0, 4)):
+    kind = draw(st.sampled_from(["zero", "constant", "general", "general"]))
+    if kind == "zero":
+        return MultiPoly.zero(vars)
+    if kind == "constant":
+        return MultiPoly.const(vars, draw(plan_coefficients))
+    data = {}
+    for _ in range(draw(st.integers(1, 3))):
+        data[tuple(draw(exponents) for _ in vars)] = draw(plan_coefficients)
+    return MultiPoly.from_dict(vars, data)
+
+
+def plan_vector(draw, vars, n, **kw):
+    return tuple(draw(plan_polys(vars, **kw)) for _ in range(n))
+
+
+def plan_matrix(draw, vars, rows, cols, **kw):
+    return PolyMatrix(vars, tuple(plan_vector(draw, vars, cols, **kw) for _ in range(rows)))
+
+
+def plan_point(draw, n):
+    return tuple(draw(plan_inputs) for _ in range(n))
+
+
+def ranks(draw):
+    return tuple(draw(st.integers(0, 3)) for _ in range(3))
+
+
+def values(polys, point):
+    return tuple(fraction_eval(p, point) for p in polys)
+
+
+def assert_lowest_terms(v):
+    for nums, den in (v._f, v._c, v._e):
+        assert den > 0 and gcd(den, *nums) == 1
+
+
+def reference_blocks(phi, x):
+    def rows(m):
+        return tuple(values(row, x) for row in m)
+
+    return (
+        rows(phi.phi_l.entries),
+        rows(phi.phi_c.entries),
+        rows(phi.phi_r.entries),
+        tuple(rows(plane) for plane in phi.psi),
+    )
+
+
+@st.composite
+def morphisms_and_points(draw):
+    chart = Chart.of_dim(draw(st.integers(0, 3)))
+    source = DecomposedDVB(chart, *ranks(draw))
+    target = DecomposedDVB(chart, *ranks(draw))
+    vars, kw = chart.names, {"exponents": morphism_exponents}
+    phi = DVBMorphism(
+        source,
+        target,
+        plan_matrix(draw, vars, target.n_F, source.n_F, **kw),
+        plan_matrix(draw, vars, target.n_C, source.n_C, **kw),
+        plan_matrix(draw, vars, target.n_E, source.n_E, **kw),
+        tuple(
+            plan_matrix(draw, vars, source.n_E, source.n_F, **kw).entries
+            for _ in range(target.n_C)
+        ),
+    )
+    return phi, [plan_point(draw, chart.dim) for _ in range(draw(st.integers(1, 3)))]
+
+
+@given(morphisms_and_points(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_at_matches_per_entry_eval(case, rng):
+    phi, points = case
+    for raw in points:
+        x = tuple(map(rat, raw))
+        fm = phi.at(raw)
+        want = reference_blocks(phi, x)
+        assert (fm.x, (fm.l, fm.c, fm.r, fm.psi)) == (x, want)
+        reference = FiberMorphism(phi.source, phi.target, x, *want)
+        assert fm == reference and hash(fm) == hash(reference)
+        assert phi.phi_l.eval_at(raw) == want[0]
+        for p in (row[0] for row in phi.phi_c.entries if row):
+            assert p.eval(raw) == fraction_eval(p, x)
+        b = phi.source
+        for _ in range(2):
+            v = DVBElement(b, x, *(random_tuple(rng, n, 49) for n in b.ranks))
+            k = phi.at(x)._apply(v)
+            assert_lowest_terms(k)
+            assert k == reference.apply(v)
+
+
+@st.composite
+def side_records(draw):
+    """A vector field and a one-form on a vector bundle, with a point (x, e)."""
+    vb = VectorBundle(Chart.of_dim(draw(st.integers(0, 3))), draw(st.integers(0, 3)))
+    vars, n, k = total_space_vars(vb), vb.chart.dim, vb.rank
+    field = GeneralVectorField(vb, plan_vector(draw, vars, n), plan_vector(draw, vars, k))
+    form = GeneralOneForm(vb, plan_vector(draw, vars, n), plan_vector(draw, vars, k))
+    return field, form, plan_point(draw, n), plan_point(draw, k)
+
+
+@given(side_records(), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_vector_field_and_one_form_plans_match_per_entry_eval(case, rng):
+    field, form, x, e = case
+    vb = field.bundle
+    tan, cot = tangent_prolongation(vb), cotangent_prolongation(vb)
+    point = tuple(map(rat, x + e))
+    base, vert = values(field.base, point), values(field.vert, point)
+    image = field.tangent_image(x, e)
+    assert_lowest_terms(image)
+    assert image == tan.element(x, base, vert, e)
+    dx, de = values(form.dx_coeffs, point), values(form.de_coeffs, point)
+    image = form.cotangent_image(x, e)
+    assert_lowest_terms(image)
+    assert image == cot.element(x, de, dx, e)
+    n, k = vb.chart.dim, vb.rank
+    p, phi, xdot, edot = (random_tuple(rng, m, 49) for m in (n, k, n, k))
+    value = vf_evaluation_on_cotangent(field, cot.element(x, phi, p, e))
+    assert type(value) is Fraction and value == fraction_dot(p, base) + fraction_dot(phi, vert)
+    value = oneform_evaluation_on_tangent(form, tan.element(x, xdot, edot, e))
+    assert type(value) is Fraction and value == fraction_dot(dx, xdot) + fraction_dot(de, edot)
+
+
+@st.composite
+def section_records(draw):
+    """Left and right linear sections and a core section of one bundle."""
+    bundle = DecomposedDVB(Chart.of_dim(draw(st.integers(0, 3))), *ranks(draw))
+    vars, (n_f, n_c, n_e) = bundle.chart.names, bundle.ranks
+    left = LinearSection(
+        bundle, "left", plan_vector(draw, vars, n_e), plan_matrix(draw, vars, n_c, n_f)
+    )
+    right = LinearSection(
+        bundle, "right", plan_vector(draw, vars, n_f), plan_matrix(draw, vars, n_c, n_e)
+    )
+    core = CoreSection(bundle.chart, plan_vector(draw, vars, n_c))
+    points = (plan_point(draw, m) for m in (bundle.chart.dim, n_f, n_e))
+    return (left, right, core, *points)
+
+
+def mat_vec(m, v):
+    return tuple(fraction_dot(row, v) for row in m)
+
+
+@given(section_records())
+@settings(max_examples=40, deadline=None)
+def test_section_plans_match_per_entry_eval(case):
+    left, right, core, x, f, e = case
+    b = left.bundle
+    pt, fv, ev = (tuple(map(rat, t)) for t in (x, f, e))
+    got = left.at(x, f)
+    assert_lowest_terms(got)
+    fiber = tuple(values(row, pt) for row in left.fiber.entries)
+    assert got == b.element(pt, fv, mat_vec(fiber, fv), values(left.base, pt))
+    got = right.at(x, e)
+    assert_lowest_terms(got)
+    fiber = tuple(values(row, pt) for row in right.fiber.entries)
+    assert got == b.element(pt, values(right.base, pt), mat_vec(fiber, ev), ev)
+    gamma = values(core.gamma, pt)
+    assert core.value(x) == gamma
+    for side, want in (
+        ("right", b.element(pt, (0,) * b.n_F, gamma, ev)),
+        ("left", b.element(pt, fv, gamma, (0,) * b.n_E)),
+    ):
+        lifted = vertical_lift(b, side, core, x, e if side == "right" else f)
+        assert_lowest_terms(lifted)
+        assert lifted == want
+
+
+@st.composite
+def chart_records(draw):
+    """A connection, a metric and a 2-form over the total space of one bundle."""
+    vb = VectorBundle(Chart.of_dim(draw(st.integers(0, 3))), draw(st.integers(0, 3)))
+    names, n, k = vb.chart.names, vb.chart.dim, vb.rank
+    conn = LinearConnection(vb, tuple(plan_matrix(draw, names, n, k).entries for _ in range(k)))
+    upper = [plan_vector(draw, names, k) for _ in range(k)]
+    g = PolyMatrix(names, tuple(
+        tuple(upper[min(a, b)][max(a, b)] for b in range(k)) for a in range(k)
+    ))
+    vars = total_space_vars(vb)
+    degree = draw(st.integers(0, min(2, len(vars))))
+    comps = {idx: draw(plan_polys(vars)) for idx in combinations(range(len(vars)), degree)}
+    form = make_form(vars, degree, comps)
+    vectors = [plan_point(draw, len(vars)) for _ in range(degree)]
+    return conn, Metric(vb, g), form, plan_point(draw, n), plan_point(draw, len(vars)), vectors
+
+
+@given(chart_records())
+@settings(max_examples=40, deadline=None)
+def test_connection_metric_and_form_plans_match_per_entry_eval(case):
+    conn, metric, form, x, spot, vectors = case
+    pt = tuple(map(rat, x))
+    planes = conn._plan.at(pt)
+    assert len(planes) == len(conn.gamma)
+    for (rows, den), plane in zip(planes, conn.gamma):
+        assert den > 0
+        assert tuple(tuple(Fraction(v, den) for v in row) for row in rows) == tuple(
+            values(row, pt) for row in plane
+        )
+    assert metric._det.eval_at(x) == ((fraction_eval(metric.g.det(), pt),),)
+    vecs = [tuple(map(rat, v)) for v in vectors]
+    want = sum(
+        (
+            fraction_eval(poly, tuple(map(rat, spot)))
+            * det_frac(tuple(tuple(vec[j] for j in idx) for vec in vecs))
+            for idx, poly in form.comps
+        ),
+        Fraction(0),
+    )
+    value = form.evaluate(spot, vectors)
+    assert type(value) is Fraction and value == want
+
+
+def antisymmetric(draw, vars, n):
+    upper = [plan_vector(draw, vars, n) for _ in range(n)]
+    z = MultiPoly.zero(vars)
+    return PolyMatrix(vars, tuple(
+        tuple(upper[i][j] if i < j else -upper[j][i] if i > j else z for j in range(n))
+        for i in range(n)
+    ))
+
+
+@st.composite
+def bivectors_and_points(draw):
+    vb = VectorBundle(Chart.of_dim(draw(st.integers(0, 2))), draw(st.integers(0, 2)))
+    vars, n, k = total_space_vars(vb), vb.chart.dim, vb.rank
+    biv = Bivector(
+        vb,
+        antisymmetric(draw, vars, n),
+        plan_matrix(draw, vars, n, k),
+        antisymmetric(draw, vars, k),
+    )
+    return biv, [plan_point(draw, n + k) for _ in range(draw(st.integers(1, 3)))]
+
+
+def jacobi_reference(biv, point):
+    """The cyclic sums of P^{su} d_s P^{vw}, one Fraction per term."""
+    full = biv.full_matrix()
+    vars, m = full.vars, len(full.vars)
+    p = tuple(values(row, point) for row in full.entries)
+    d = [
+        [values((q.partial(vars[s]) for q in row), point) for row in full.entries]
+        for s in range(m)
+    ]
+    for u, v, w in combinations(range(m), 3):
+        total = Fraction(0)
+        for s in range(m):
+            total += p[s][u] * d[s][v][w] + p[s][v] * d[s][w][u] + p[s][w] * d[s][u][v]
+        if total != 0:
+            return False
+    return True
+
+
+@given(bivectors_and_points(), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_bivector_plans_match_per_entry_eval(case, rng):
+    biv, points = case
+    vb = biv.bundle
+    n, k = vb.chart.dim, vb.rank
+    sharp = lambda_sharp(biv)
+    tan, cot = tangent_prolongation(vb), cotangent_prolongation(vb)
+    for raw in points:
+        point = tuple(map(rat, raw))
+        full = tuple(values(row, point) for row in biv.full_matrix().entries)
+        assert biv.full_matrix().eval_at(raw) == full
+        p, phi = random_tuple(rng, n, 49), random_tuple(rng, k, 49)
+        out = mat_vec(full, p + phi)
+        got = sharp(cot.element(point[:n], phi, p, point[n:]))
+        assert_lowest_terms(got)
+        assert got == tan.element(point[:n], out[:n], out[n:], point[n:])
+        assert check_jacobi(biv, [raw]) == jacobi_reference(biv, point)

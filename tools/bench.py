@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python3 tools/bench.py --pr 11
+    python3 tools/bench.py --pr 12
 
 It runs, one after another and never in parallel:
 
@@ -15,7 +15,8 @@ It runs, one after another and never in parallel:
 * the tier-1 test command and acceptance criterion 1 (whose own gate is
   10 s), each standalone and three times;
 
-and records the git sha (and whether tracked files had uncommitted edits),
+and records the git sha, whether tracked files had uncommitted edits, the
+sha256 of `git diff HEAD` (which names the measured tree when they had),
 the Python version, `nproc`, the line counts of `src/` and `tests/` and the
 tier-1 test count.  It takes about ten minutes on a 2-core host.  Only the
 standard library is used.  To measure an older commit, copy this file into
@@ -25,6 +26,7 @@ a clone of that commit and run it there.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -117,12 +119,14 @@ def main(argv=None) -> int:
     p.add_argument("--pr", type=int, required=True, help="the number in BENCH_<pr>.json")
     args = p.parse_args(argv)
     root = Path(__file__).resolve().parent.parent
-    def git(*args: str) -> str:
-        return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True).stdout
+    def git(*args: str) -> bytes:
+        return subprocess.run(["git", *args], cwd=root, capture_output=True).stdout
 
-    sha = git("rev-parse", "HEAD").strip()
-    # uncommitted edits to tracked files: the numbers are of HEAD plus those
+    sha = git("rev-parse", "HEAD").decode().strip()
+    # uncommitted edits to tracked files: the numbers are of HEAD plus those,
+    # and the digest of the diff tells which edits they were
     dirty = bool(git("status", "--porcelain", "--untracked-files=no").strip())
+    diff_sha = hashlib.sha256(git("diff", "HEAD", "--binary")).hexdigest()
 
     end_to_end = {}
     for workload in WORKLOADS:
@@ -141,6 +145,7 @@ def main(argv=None) -> int:
         "pr": args.pr,
         "git_sha": sha,
         "git_dirty": dirty,
+        "git_diff_sha256": diff_sha,
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)),
         "run_seconds": RUN_SECONDS,

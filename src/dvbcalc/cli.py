@@ -18,7 +18,9 @@ Scenario problems are reported on stderr with a ``PARSE_ERROR:`` or
 ``INCONSISTENT_SCENARIO:`` prefix and exit code 2; a morphism that is
 singular at a requested point is an inconsistent scenario.  Every
 ``--seed`` must lie in [0, 2**32), the range ``derive_seed`` uses;
-``--max-rank`` lies in [1, 8] and ``--max-degree`` in [0, 8].
+``--samples`` and ``--bound`` lie in [1, 1000], ``--max-rank`` in [1, 8]
+and ``--max-degree`` in [0, 8].  The plan flags share their ranges with a
+scenario file's ``plan``, from ``scenario.PLAN_RANGES``.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ from .geomech import (
 )
 from .ring import SingularMatrixError, rat
 from .scenario import (
+    _MAX_DEGREE,
     _MAX_RANK,
-    _SEED_BOUND,
+    PLAN_RANGES,
     InconsistentScenarioError,
     Scenario,
     ScenarioParseError,
@@ -64,27 +67,25 @@ def _parse_point(text: str, dim: int, what: str = "point"):
 
 
 def _bounded_int(what: str, low: int, high: int, shown: str):
-    """argparse type for an int in [low, high); `shown` spells the range."""
+    """argparse type for an int in [low, high]; `shown` spells the range."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if not low <= value < high:
+        if not low <= value <= high:
             raise argparse.ArgumentTypeError(f"{what} {value} is outside {shown}")
         return value
 
     return parse
 
 
-_seed = _bounded_int("seed", 0, _SEED_BOUND, "[0, 2**32)")
-_max_rank = _bounded_int("rank bound", 1, _MAX_RANK + 1, f"[1, {_MAX_RANK}]")
-
-# Random blocks reach degree 2 * max_degree in a metric, and the checks
-# expand products of such blocks; 8 keeps a generated scenario small.
-_MAX_DEGREE = 8
-_max_degree = _bounded_int("degree bound", 0, _MAX_DEGREE + 1, f"[0, {_MAX_DEGREE}]")
+_seed, _samples, _bound = (
+    _bounded_int(key, *PLAN_RANGES[key]) for key in ("seed", "samples", "bound")
+)
+_max_rank = _bounded_int("rank bound", 1, _MAX_RANK, f"[1, {_MAX_RANK}]")
+_max_degree = _bounded_int("degree bound", 0, _MAX_DEGREE, f"[0, {_MAX_DEGREE}]")
 
 
 def _fmt_tuple(values) -> str:
@@ -102,8 +103,8 @@ def _print_matrix(name: str, rows) -> None:
 
 def _add_plan_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=_seed, default=None, help="sampling seed override")
-    p.add_argument("--samples", type=int, default=None, help="tuples per property")
-    p.add_argument("--bound", type=int, default=None, help="coordinate magnitude bound")
+    p.add_argument("--samples", type=_samples, default=None, help="tuples per property")
+    p.add_argument("--bound", type=_bound, default=None, help="coordinate magnitude bound")
 
 
 def _add_source_flags(p: argparse.ArgumentParser) -> None:

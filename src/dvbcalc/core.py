@@ -34,10 +34,9 @@ the identity of the base,
 
 with polynomial matrix blocks and a bilinear polynomial block Psi indexed as
 Psi[core-out][e-in][f-in].  `DVBMorphism.at` evaluates all four blocks,
-Psi included, through one cached `ring._EvalPlan`, or through one plan per
-block when an exponent exceeds _SHARED_PLAN_TOP, so that long values stay
-in the blocks that hold them.  The `FiberMorphism` it returns holds the
-plan's integer matrices, and makes its `Fraction` blocks only when read.
+Psi included, through one cached `ring._EvalPlan`.  The `FiberMorphism` it
+returns holds the plan's integer matrices, and makes its `Fraction` blocks
+only when read.
 
 Composition, inverse, right dual and flip are written once, as a block
 algebra on nested tuples over any coefficient ring: DVBMorphism runs it on
@@ -398,13 +397,6 @@ def _mat_vec(m, v) -> tuple[list[int], int]:
     return [sum(map(mul, row, nums)) for row in rows], md * vd
 
 
-# Up to this exponent the four blocks of a morphism share one plan, whose
-# common denominator scales each block by at most d^16 per coordinate.
-# Above it each block gets its own plan, so one entry of high degree does not
-# lengthen the integers of the other blocks.
-_SHARED_PLAN_TOP = 16
-
-
 # ---------------------------------------------------------------------------
 # Structure maps on DVBElement: the public entry points of the kernel routines
 
@@ -648,26 +640,17 @@ class DVBMorphism:
         return (self.phi_l.entries, self.phi_c.entries, self.phi_r.entries, self.psi)
 
     @cached_property
-    def _plans(self) -> tuple[_EvalPlan, ...]:
-        """The plans of L, C, R and Psi (flattened to n_C x (n_E * n_F)), in
-        the layout of `FiberMorphism._int_blocks`: one shared plan, or one
-        per block above _SHARED_PLAN_TOP; built on first use."""
+    def _plan(self) -> _EvalPlan:
+        """The plan of L, C, R and Psi (flattened to n_C x (n_E * n_F)), in
+        the layout of `FiberMorphism._int_blocks`; built on first use."""
         flat_psi = tuple(tuple(p for row in plane for p in row) for plane in self.psi)
         blocks = (self.phi_l.entries, self.phi_c.entries, self.phi_r.entries, flat_psi)
-        dim = self.source.chart.dim
-        shared = _EvalPlan(blocks, dim)
-        if shared.top() <= _SHARED_PLAN_TOP:
-            return (shared,)
-        return tuple(_EvalPlan((m,), dim) for m in blocks)
+        return _EvalPlan(blocks, self.source.chart.dim)
 
     def at(self, x: Sequence[Fraction | int | str]) -> FiberMorphism:
-        """Evaluate all blocks at a base point, through the integer plans."""
+        """Evaluate all blocks at a base point, through the integer plan."""
         point = self.source.chart.point(x)
-        return FiberMorphism._of_ints(
-            self.source, self.target, point, tuple(
-                m for plan in self._plans for m in plan.at(point)
-            )
-        )
+        return FiberMorphism._of_ints(self.source, self.target, point, self._plan.at(point))
 
     def apply(self, v: DVBElement) -> DVBElement:
         return self.at(v.x).apply(v)

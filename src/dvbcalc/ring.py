@@ -28,7 +28,9 @@ Every polynomial value at a rational point comes from one evaluator,
 rows over one shared denominator.  `PolyMatrix`, the morphisms of `core` and
 the records of `geomech` and `forms` each cache one plan, built on first
 use, and hand its rows on without making a `Fraction`; `MultiPoly.eval` and
-`PolyMatrix.eval_at` make `Fraction`s from them.
+`PolyMatrix.eval_at` make `Fraction`s from them.  A plan's integers grow
+with the highest exponent of each coordinate.  Polynomials here take any
+degree; it is the scenario parser that caps the exponents of outside input.
 
 Polynomial determinants come from one minor table, built row by row over
 column bitmasks: level k maps each k-subset S of the columns to the nonzero
@@ -414,10 +416,6 @@ class _EvalPlan:
             tuple(tuple([entry(p) for p in row]) for row in m) for m in matrices
         )
         self.last = None, None
-
-    def top(self) -> int:
-        """The highest exponent of any coordinate."""
-        return max((top for _, top, _ in self.powers), default=0)
 
     def at(self, point: Point, tail: tuple[Sequence[int], int] = ((), 1)):
         """Each matrix as integer rows over the one shared denominator, at the

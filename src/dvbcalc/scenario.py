@@ -22,8 +22,13 @@ through `json.encoder.encode_basestring_ascii`.  The stdlib encoder runs in
 pure Python whenever it indents, and pays for generality a scenario does not
 need; any other type raises TypeError.
 
+Every number a file gives is capped: ranks, exponents, terms per literal
+and the sampling plan (PLAN_RANGES, shared with the command line's flags).
+Records and morphisms built through the API keep any degree.
+
 Two error channels: ScenarioParseError for structural problems (bad JSON,
-malformed literals, ragged grids), InconsistentScenarioError for well formed
+malformed literals, ragged grids, values outside a cap), and
+InconsistentScenarioError for well formed
 data whose ranks or shape constraints do not fit together (for example a
 bivector block that is not antisymmetric, or a metric or square morphism
 block whose determinant is the zero polynomial; a one-point certificate,
@@ -90,6 +95,26 @@ _SEED_BOUND = 2**32
 # or inverse costs time exponential in the rank, and a dense rank-8 metric
 # already takes about a second to invert.
 _MAX_RANK = 8
+
+# Random blocks reach degree 2 * max_degree in a metric, and the checks
+# expand products of such blocks; 8 keeps a generated scenario small.
+_MAX_DEGREE = 8
+
+# A polynomial literal holds at most what `dvb gen` writes: exponents up to
+# 2 * _MAX_DEGREE (a metric is A A^T) and, with room to spare, _MAX_TERMS
+# terms (it writes at most 19).  Every sampled value of an entry x1^k has
+# O(k) bits, so an unbounded exponent would stall the suites.
+_MAX_EXPONENT = 2 * _MAX_DEGREE
+_MAX_TERMS = 256
+
+# The sampling plan: each key's (low, high) range, both ends included, and
+# how a message spells it.  The sample count and the coordinate bound are
+# capped at 1000, above every value in use; the defaults are 100 and 7.
+PLAN_RANGES = {
+    "seed": (0, _SEED_BOUND - 1, "[0, 2**32)"),
+    "samples": (1, 1000, "[1, 1000]"),
+    "bound": (1, 1000, "[1, 1000]"),
+}
 
 
 # Degree bound of the records drawn for sections a scenario does not carry.
@@ -161,13 +186,6 @@ _WITNESS = (
     Fraction(13, 19), Fraction(-17, 23), Fraction(19, 29), Fraction(-23, 31),
 )
 
-# The witness values of a degree-d entry have O(d) bits, and their
-# determinant costs about the square of that: 35 ms for a dense rank-8
-# matrix at degree 1024, 5 s for a 2 x 2 one at degree 100000.  Above this
-# degree the symbolic determinant, whose cost does not grow with the
-# exponents, is the cheaper proof.
-_WITNESS_MAX_DEGREE = 1024
-
 
 # ---------------------------------------------------------------------------
 # The scenario record
@@ -197,10 +215,10 @@ class Scenario:
         return VectorBundle(self.chart, self.bundle.n_E, self.bundle.labels[2])
 
     def __post_init__(self) -> None:
-        if self.samples < 1:
-            raise InconsistentScenarioError("sample count must be positive")
-        if self.bound < 1:
-            raise InconsistentScenarioError("coordinate bound must be positive")
+        for key, (low, high, shown) in PLAN_RANGES.items():
+            value = getattr(self, key)
+            if not low <= value <= high:
+                raise ScenarioParseError(f"plan.{key} {value} is outside {shown}")
         if self.morphism is not None and (
             self.morphism.source != self.bundle or self.morphism.target != self.bundle
         ):
@@ -287,7 +305,10 @@ _TERM_KEYS = {"coeff", "exps"}
 def parse_poly(obj, vars: tuple[str, ...], where: str) -> MultiPoly:
     """One polynomial literal against a declared variable list."""
     acc: dict[tuple[int, ...], Fraction] = {}
-    for pos, term in enumerate(_need_list(obj, where)):
+    terms = _need_list(obj, where)
+    if len(terms) > _MAX_TERMS:
+        raise ScenarioParseError(f"{where} has {len(terms)} terms, more than {_MAX_TERMS}")
+    for pos, term in enumerate(terms):
         if not isinstance(term, dict):
             raise _term_error(where, pos, " must be an object")
         if term.keys() != _TERM_KEYS:
@@ -314,6 +335,8 @@ def parse_poly(obj, vars: tuple[str, ...], where: str) -> MultiPoly:
                 raise _term_error(where, pos, ", exponent must be an integer")
             if k < 0:
                 raise _term_error(where, pos, ": negative exponent")
+            if k > _MAX_EXPONENT:
+                raise _term_error(where, pos, f": exponent {k} is above {_MAX_EXPONENT}")
         key = tuple(exps)
         acc[key] = acc[key] + coeff if key in acc else coeff
     return MultiPoly.from_dict(vars, acc)
@@ -351,12 +374,9 @@ def _identically_singular(m: PolyMatrix) -> bool:
     values at the fixed point _WITNESS, read from the plan of a copy so that
     the block keeps no plan.  A nonzero determinant vanishes only on a
     hypersurface, which may pass through the witness, so a zero value there
-    falls back to the symbolic determinant; so does an entry of degree above
-    _WITNESS_MAX_DEGREE, whose values are too long to be cheap.
+    falls back to the symbolic determinant.
     """
-    if all(
-        p.total_degree() <= _WITNESS_MAX_DEGREE for row in m.entries for p in row
-    ) and det_frac(PolyMatrix(m.vars, m.entries).eval_ints(_WITNESS[: len(m.vars)])[0]) != 0:
+    if det_frac(PolyMatrix(m.vars, m.entries).eval_ints(_WITNESS[: len(m.vars)])[0]) != 0:
         return False
     return m.det().is_zero
 
@@ -394,22 +414,9 @@ def scenario_from_obj(obj) -> Scenario:
     )
     side = VectorBundle(chart, bundle.n_E, labels[2])
 
-    seed, samples, bound = 0, 100, 7
-    if "plan" in top:
-        plan = _need_dict(top["plan"], "plan")
-        _check_keys(plan, (), ("seed", "samples", "bound"), "plan")
-        if "seed" in plan:
-            seed = _need_int(plan["seed"], "plan.seed")
-            if not 0 <= seed < _SEED_BOUND:
-                raise ScenarioParseError(f"plan.seed {seed} is outside [0, 2**32)")
-        if "samples" in plan:
-            samples = _need_int(plan["samples"], "plan.samples")
-            if samples < 1:
-                raise ScenarioParseError("plan.samples must be positive")
-        if "bound" in plan:
-            bound = _need_int(plan["bound"], "plan.bound")
-            if bound < 1:
-                raise ScenarioParseError("plan.bound must be positive")
+    plan = _need_dict(top.get("plan", {}), "plan")
+    _check_keys(plan, (), tuple(PLAN_RANGES), "plan")
+    plan = {key: _need_int(value, f"plan.{key}") for key, value in plan.items()}
 
     vars_of = {"base": chart.names, "shell": total_space_vars(side)}
     over_of = {"bundle": (bundle, bundle), "side": (side,), "chart": (chart,)}
@@ -435,13 +442,15 @@ def scenario_from_obj(obj) -> Scenario:
                 )
         sections[key] = record
 
-    return Scenario(bundle=bundle, seed=seed, samples=samples, bound=bound, **sections)
+    return Scenario(bundle=bundle, **plan, **sections)
 
 
 def scenario_from_text(text: str) -> Scenario:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # besides JSONDecodeError: an integer literal past the interpreter's
+        # digit limit, or nesting deeper than the recursion limit
         raise ScenarioParseError(f"invalid JSON: {exc}") from exc
     return scenario_from_obj(obj)
 

@@ -1,10 +1,11 @@
 """The dvb command line: exit codes, determinism, error channels."""
 
 import json
+import time
 
 import pytest
 
-from dvbcalc.cli import main
+from dvbcalc.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -333,6 +334,65 @@ def test_out_of_range_plan_seed_is_parse_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("PARSE_ERROR:")
+
+
+@pytest.mark.parametrize("flag", ["--samples", "--bound"])
+@pytest.mark.parametrize("value", ["0", "1001"])
+def test_out_of_range_plan_flag_is_usage_error(flag, value, capsys):
+    for argv in (
+        ("check", "axioms", "--random", flag, value),
+        ("connection", "check", "metric", "--random", flag, value),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"{flag[2:]} {value} is outside [1, 1000]" in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--samples", "--bound"])
+def test_plan_flag_cap_accepted(flag):
+    for argv in (["check", "axioms"], ["connection", "check", "metric"]):
+        args = build_parser().parse_args([*argv, "--random", flag, "1000"])
+        assert getattr(args, flag[2:]) == 1000
+
+
+@pytest.mark.parametrize("key", ["samples", "bound"])
+@pytest.mark.parametrize("value", [0, 1000, 1001])
+def test_plan_value_caps_in_a_file(tmp_path, capsys, key, value):
+    path = tmp_path / "plan.json"
+    obj = {"bundle": {"n": 1, "n_F": 1, "n_C": 1, "n_E": 1}, "plan": {key: value}}
+    path.write_text(json.dumps(obj))
+    # dualize reads the whole scenario, plan included, and samples nothing
+    code, out, err = run_cli(capsys, "dualize", "--scenario", str(path))
+    if value == 1000:
+        assert (code, err) == (0, "")
+    else:
+        assert code == 2
+        assert out == ""
+        assert err == f"PARSE_ERROR: plan.{key} {value} is outside [1, 1000]\n"
+
+
+def test_high_exponent_scenario_is_rejected_at_once(tmp_path, capsys):
+    # every sample value of x1^400000 has over a million bits: the suites
+    # took 30-50 s on this scenario before exponents were capped
+    obj = json.loads(run_cli(capsys, "gen", "--seed", "3", "--max-rank", "1")[1])
+    zeros = [0] * obj["bundle"]["n"]
+    high = [400000] + zeros[1:]
+    obj["morphism"]["Phi_r"] = [[[{"coeff": "1", "exps": zeros}, {"coeff": "1", "exps": high}]]]
+    path = tmp_path / "high.json"
+    path.write_text(json.dumps(obj))
+    for suite in ("axioms", "duality"):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "check", suite, "--scenario", str(path), "--samples", "3"
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "PARSE_ERROR: morphism.Phi_r[0][0], term 1: exponent 400000 is above 16\n"
+        )
 
 
 @pytest.mark.parametrize("rank", ["0", "9"])

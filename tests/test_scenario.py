@@ -3,7 +3,6 @@
 import dataclasses
 import json
 import random
-import time
 from fractions import Fraction
 
 import pytest
@@ -147,6 +146,23 @@ def test_ragged_matrix_rejected():
     obj["metric"] = {"g": [[poly_lit("1", [0])], []]}
     with pytest.raises(ScenarioParseError):
         scenario_from_obj(obj)
+
+
+@pytest.mark.parametrize("key", ["samples", "bound"])
+@pytest.mark.parametrize("value, accepted", [(0, False), (1000, True), (1001, False)])
+def test_plan_caps(key, value, accepted):
+    obj = minimal_obj()
+    obj["plan"] = {key: value}
+    if accepted:
+        sc = scenario_from_obj(obj)
+        assert getattr(sc, key) == value
+        assert getattr(sc.with_plan(**{key: 1}), key) == 1
+    else:
+        with pytest.raises(ScenarioParseError) as info:
+            scenario_from_obj(obj)
+        assert str(info.value) == f"plan.{key} {value} is outside [1, 1000]"
+        with pytest.raises(ScenarioParseError):
+            Scenario(bundle=DecomposedDVB(Chart.of_dim(1), 1, 1, 1)).with_plan(**{key: value})
 
 
 def test_plan_zero_samples_rejected():
@@ -536,19 +552,14 @@ def test_identically_singular_rank_2_metric_text():
     assert str(info.value) == "metric: determinant vanishes identically"
 
 
-def test_high_degree_matrix_is_proved_without_the_witness(monkeypatch):
-    # the witness values of x1^(10^6) have millions of bits; the symbolic
-    # determinant of these monomials takes microseconds
-    from dvbcalc import scenario
-
-    monkeypatch.setattr(scenario, "det_frac", None)
+def test_high_degree_matrix_is_rejected():
+    # an entry x1^(10^6) has million-bit values at every sample point
     obj = {"bundle": {"n": 2, "n_F": 1, "n_C": 1, "n_E": 2}}
-    high, other = poly_lit("1", [10**6, 0]), poly_lit("1", [0, 10**6])
-    obj["metric"] = {"g": [[high, other], [other, high]]}
-    assert scenario_from_obj(obj).metric.g.det().total_degree() == 2 * 10**6
-    obj["metric"] = {"g": [[high, high], [high, high]]}
-    with pytest.raises(InconsistentScenarioError, match="^metric: determinant vanishes"):
+    one, high = poly_lit("1", [0, 0]), poly_lit("1", [0, 10**6])
+    obj["metric"] = {"g": [[one, one], [one, one + high]]}
+    with pytest.raises(ScenarioParseError) as info:
         scenario_from_obj(obj)
+    assert str(info.value) == "metric.g[1][1], term 1: exponent 1000000 is above 16"
 
 
 @pytest.mark.parametrize("max_rank, max_degree", [(3, 2), (8, 8)])
@@ -573,22 +584,37 @@ def _unit_morphism_obj():
     return obj
 
 
-def test_high_degree_morphism_entry_evaluates_in_its_own_block():
-    # x1^100000 has 280k-bit values at a bound-7 point: the plan computes
-    # only the powers that occur, and the other blocks keep short integers
+def test_high_degree_morphism_entry_is_rejected():
     obj = _unit_morphism_obj()
     obj["morphism"]["Phi_c"] = [[poly_lit("1", [10**5])]]
-    sc = scenario_from_obj(obj)
-    phi = sc.morphism
-    start = time.perf_counter()
-    for x in ((Fraction(-6, 7),), (Fraction(5, 3),), (Fraction(7),)):
-        fm = phi.at(x)
-        (l, l_den), (c, c_den), (r, r_den), (psi, psi_den) = fm._int_blocks
-        assert (l, l_den, r, r_den, psi, psi_den) == ((((1,),), 1) * 2 + (((0,),), 1))
-        assert Fraction(c[0][0], c_den) == x[0] ** 10**5
-        v = sc.bundle.element(x, (1,), (2,), (3,))
-        assert fm.apply(v).c == (2 * x[0] ** 10**5,)
-    assert time.perf_counter() - start < 5
+    with pytest.raises(ScenarioParseError) as info:
+        scenario_from_obj(obj)
+    assert str(info.value) == "morphism.Phi_c[0][0], term 0: exponent 100000 is above 16"
+
+
+@pytest.mark.parametrize("k, accepted", [(16, True), (17, False)])
+def test_exponent_cap_is_the_highest_generated_degree(k, accepted):
+    obj = _unit_morphism_obj()
+    obj["morphism"]["Phi_c"] = [[poly_lit("1", [k])]]
+    if not accepted:
+        with pytest.raises(ScenarioParseError, match=f"term 0: exponent {k} is above 16$"):
+            scenario_from_obj(obj)
+        return
+    phi = scenario_from_obj(obj).morphism
+    x = (Fraction(-6, 7),)
+    assert phi.at(x).c == ((x[0] ** k,),)
+
+
+@pytest.mark.parametrize("count, accepted", [(256, True), (257, False)])
+def test_term_count_cap(count, accepted):
+    obj = minimal_obj()
+    obj["core_section"] = {"gamma": [[{"coeff": "1", "exps": [0]}] * count]}
+    if accepted:
+        assert str(scenario_from_obj(obj).core_section.gamma[0]) == str(count)
+    else:
+        with pytest.raises(ScenarioParseError) as info:
+            scenario_from_obj(obj)
+        assert str(info.value) == "core_section.gamma[0] has 257 terms, more than 256"
 
 
 @pytest.mark.parametrize("block", ["Phi_l", "Phi_c", "Phi_r"])

@@ -21,9 +21,8 @@ SEEDS = (0, 1, 2)
 WALL_BOUND_S = 2.0
 
 
-def _term(obj):
-    """The first term of the first Phi_l entry."""
-    return obj["morphism"]["Phi_l"][0][0][0]
+# the key path of the first term of the first Phi_l entry
+TERM = ("morphism", "Phi_l", 0, 0, 0)
 
 
 def _nest(value, depth):
@@ -32,31 +31,25 @@ def _nest(value, depth):
     return value
 
 
+def _walk(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
 def _set(path, value):
-    """An operator that sets the value at a key path of the scenario object."""
+    """An operator that sets the value at a key path; a callable maps the old value."""
 
     def apply(obj):
-        *outer, last = path
-        for key in outer:
-            obj = obj[key]
-        obj[last] = value(obj[last]) if callable(value) else value
+        parent = _walk(obj, path[:-1])
+        parent[path[-1]] = value(parent[path[-1]]) if callable(value) else value
 
     return apply
 
 
 def _drop(*path):
     def apply(obj):
-        *outer, last = path
-        for key in outer:
-            obj = obj[key]
-        del obj[last]
-
-    return apply
-
-
-def _on_term(key, value):
-    def apply(obj):
-        _term(obj)[key] = value(_term(obj)[key]) if callable(value) else value
+        del _walk(obj, path[:-1])[path[-1]]
 
     return apply
 
@@ -66,35 +59,35 @@ def _on_term(key, value):
 OPERATORS = {
     "drop-bundle": _drop("bundle"),
     "drop-section": _drop("metric"),
-    "drop-term-key": lambda obj: _term(obj).pop("exps"),
+    "drop-term-key": _drop(*TERM, "exps"),
     "drop-plan-key": _drop("plan", "samples"),
     "text:duplicate-plan-key": lambda t: t.replace('"plan": {', '"plan": {"samples": 0, ', 1),
     "text:duplicate-section-key": lambda t: t.rstrip()[:-1] + ', "metric": {}}',
     "wrong-type-bundle": _set(("bundle",), [1, 2]),
     "wrong-type-psi": _set(("morphism", "Psi"), "x"),
-    "wrong-type-exps": _on_term("exps", {"x1": 1}),
+    "wrong-type-exps": _set((*TERM, "exps"), {"x1": 1}),
     "wrong-type-labels": _set(("bundle", "labels"), [1, 2, 3]),
-    "float-coefficient": _on_term("coeff", 1.5),
+    "float-coefficient": _set((*TERM, "coeff"), 1.5),
     "float-bound": _set(("plan", "bound"), 2.0),
     "huge-rank": _set(("bundle", "n"), 10**30),
     "huge-seed": _set(("plan", "seed"), 2**64),
     "huge-samples": _set(("plan", "samples"), 10**9),
-    "huge-coefficient": _on_term("coeff", 10**400),
-    "huge-exponent": _on_term("exps", lambda e: [10**20] + e[1:]),
+    "huge-coefficient": _set((*TERM, "coeff"), 10**400),
+    "huge-exponent": _set((*TERM, "exps"), lambda e: [10**20] + e[1:]),
     "text:huge-int-literal": lambda t: t.replace('"seed": ', '"seed": ' + "9" * 5000, 1),
     "negative-rank": _set(("bundle", "n_E"), -1),
     "negative-bound": _set(("plan", "bound"), -7),
-    "negative-exponent": _on_term("exps", lambda e: [-1] + e[1:]),
-    "exponent-17": _on_term("exps", lambda e: [17] + e[1:]),
-    "exponent-16": _on_term("exps", lambda e: [16] + e[1:]),
+    "negative-exponent": _set((*TERM, "exps"), lambda e: [-1] + e[1:]),
+    "exponent-17": _set((*TERM, "exps"), lambda e: [17] + e[1:]),
+    "exponent-16": _set((*TERM, "exps"), lambda e: [16] + e[1:]),
     "257-terms": _set(("morphism", "Phi_l", 0, 0), lambda p: p[:1] * 257),
     "deep-nesting-labels": _set(("bundle", "labels"), _nest("F", 50)),
     "deep-nesting-psi": _set(("morphism", "Psi"), lambda psi: _nest(psi, 50)),
     "text:deep-nesting": lambda t: '{"bundle": ' + "[" * 100000 + "]" * 100000 + "}",
     "string-rank": _set(("bundle", "n"), "2"),
     "string-samples": _set(("plan", "samples"), "5"),
-    "string-exponent": _on_term("exps", lambda e: ["1"] + e[1:]),
-    "string-coefficient": _on_term("coeff", "seven"),
+    "string-exponent": _set((*TERM, "exps"), lambda e: ["1"] + e[1:]),
+    "string-coefficient": _set((*TERM, "coeff"), "seven"),
 }
 
 

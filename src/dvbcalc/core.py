@@ -18,12 +18,13 @@ denominator, in lowest terms, so equal slots are equal tuples.  `DVBElement`
 keeps its bundle, its base point (a tuple of `Fraction`s) and the three slot
 vectors; its `f`, `c` and `e` are `Fraction` views, made on first read.  The
 right and left additions, the scalings, kernel splitting, the core difference,
-the flip and `FiberMorphism.apply` are each written once, on the slot
-vectors, with their bundle, base point, side and shared-slot checks; the
-public `fiber_add`, `fiber_scale`, `kernel_split`, `core_difference` and
-`apply` call them, and the sampled structure laws of the `axioms` suite call
-the private routines directly.  `apply` reads the fiber morphism's blocks as
-integer matrices over one denominator per block.  Sampled slots are drawn
+the flip and the application of a morphism (`_apply_blocks`) are each written
+once, on the slot vectors, with their bundle, base point, side and
+shared-slot checks; the public `fiber_add`, `fiber_scale`, `kernel_split`,
+`core_difference` and the `apply` of `DVBMorphism` and `FiberMorphism` call
+them, and the sampled structure laws of the `axioms` suite call the private
+routines directly.  `_apply_blocks` reads a morphism's blocks as integer
+matrices over one denominator per block.  Sampled slots are drawn
 from `ring._rational_draws`, the (p, q) pairs of `random_tuple`, which follow
 the stdlib `randint` rule.
 
@@ -33,10 +34,11 @@ the identity of the base,
     (f, c, e)  |->  (L(x) f,  C(x) c + Psi(x)(f, e),  R(x) e),
 
 with polynomial matrix blocks and a bilinear polynomial block Psi indexed as
-Psi[core-out][e-in][f-in].  `DVBMorphism.at` evaluates all four blocks,
-Psi included, through one cached `ring._EvalPlan`.  The `FiberMorphism` it
-returns holds the plan's integer matrices, and makes its `Fraction` blocks
-only when read.
+Psi[core-out][e-in][f-in].  All four blocks, Psi included, are evaluated
+through one cached `ring._EvalPlan`: `DVBMorphism.apply` reads its integer
+matrices at the element's base point, and `DVBMorphism.at` returns them as
+the `Fraction` blocks of a `FiberMorphism`, whose `apply` makes its own
+integer matrices from them on first use.
 
 Composition, inverse, right dual and flip are written once, as a block
 algebra on nested tuples over any coefficient ring: DVBMorphism runs it on
@@ -397,6 +399,25 @@ def _mat_vec(m, v) -> tuple[list[int], int]:
     return [sum(map(mul, row, nums)) for row in rows], md * vd
 
 
+def _apply_blocks(source, target, int_blocks_at, v: DVBElement) -> DVBElement:
+    """(f, c, e) -> (L f, C c + Psi(f, e), R e) on the slot vectors, with the
+    blocks at v's base point read from `int_blocks_at` (in the layout of
+    `FiberMorphism._int_blocks`) once v's bundle is checked to be `source`."""
+    b, x, f, c, e = v._key
+    if b is not source and b != source:
+        raise BaseMismatchError("element bundle differs from morphism source")
+    l, cm, r, psi = int_blocks_at(x)
+    (fn, fd), (en, ed) = f, e
+    e_times_f = ([p * q for p in en for q in fn], ed * fd)
+    return DVBElement._of_slots(
+        target,
+        x,
+        _reduced(*_mat_vec(l, f)),
+        _vec_add(_mat_vec(cm, c), _mat_vec(psi, e_times_f)),
+        _reduced(*_mat_vec(r, e)),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Structure maps on DVBElement: the public entry points of the kernel routines
 
@@ -650,10 +671,16 @@ class DVBMorphism:
     def at(self, x: Sequence[Fraction | int | str]) -> FiberMorphism:
         """Evaluate all blocks at a base point, through the integer plan."""
         point = self.source.chart.point(x)
-        return FiberMorphism._of_ints(self.source, self.target, point, self._plan.at(point))
+        l, c, r, flat_psi = map(_frac_rows, self._plan.at(point))
+        n_f = self.source.n_F
+        psi = tuple(
+            tuple(row[a * n_f : (a + 1) * n_f] for a in range(self.source.n_E))
+            for row in flat_psi
+        )
+        return FiberMorphism(self.source, self.target, point, l, c, r, psi)
 
     def apply(self, v: DVBElement) -> DVBElement:
-        return self.at(v.x).apply(v)
+        return _apply_blocks(self.source, self.target, self._plan.at, v)
 
     def flip(self) -> DVBMorphism:
         """The same morphism between the flipped bundles."""
@@ -694,72 +721,21 @@ def compose_morphisms(outer: DVBMorphism, inner: DVBMorphism) -> DVBMorphism:
     return DVBMorphism._from_blocks(inner.source, outer.target, blocks)
 
 
+@dataclass(frozen=True)
 class FiberMorphism:
     """Morphism blocks evaluated at one base point: exact rational data.
 
-    The blocks are held in one of two forms, and the other is derived on
-    first use.  `FiberMorphism(source, target, x, l, c, r, psi)` takes
-    `Fraction` blocks, and `_int_blocks` is built from them when `apply`
-    first needs it.  `DVBMorphism.at` hands over the integer matrices of
-    its plan as `_int_blocks`, and the `Fraction` blocks `l`, `c`, `r` and
-    `psi` are made only when one is read.  Equality and hashing compare the
-    `Fraction` blocks.  Instances are immutable.
+    `apply` reads the `Fraction` blocks as integer matrices over one
+    denominator each, made on first use.
     """
 
     source: DecomposedDVB
     target: DecomposedDVB
     x: Point
-
-    def __init__(
-        self,
-        source: DecomposedDVB,
-        target: DecomposedDVB,
-        x: Point,
-        l: FracMatrix,
-        c: FracMatrix,
-        r: FracMatrix,
-        psi: FracPsi,
-    ):
-        vars(self).update(source=source, target=target, x=x, l=l, c=c, r=r, psi=psi)
-
-    @staticmethod
-    def _of_ints(source, target, x, int_blocks) -> FiberMorphism:
-        fm = object.__new__(FiberMorphism)
-        vars(fm).update(source=source, target=target, x=x, _int_blocks=int_blocks)
-        return fm
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a FiberMorphism")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of a FiberMorphism")
-
-    l = cached_property(lambda self: _frac_rows(self._int_blocks[0]))
-    c = cached_property(lambda self: _frac_rows(self._int_blocks[1]))
-    r = cached_property(lambda self: _frac_rows(self._int_blocks[2]))
-
-    @cached_property
-    def psi(self) -> FracPsi:
-        n_f = self.source.n_F
-        return tuple(
-            tuple(row[a * n_f : (a + 1) * n_f] for a in range(self.source.n_E))
-            for row in _frac_rows(self._int_blocks[3])
-        )
-
-    def _key(self):
-        return (self.source, self.target, self.x, *self._blocks())
-
-    def __eq__(self, other):
-        if other.__class__ is not FiberMorphism:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        fields = zip(("source", "target", "x", "l", "c", "r", "psi"), self._key())
-        return f"FiberMorphism({', '.join(f'{k}={v!r}' for k, v in fields)})"
+    l: FracMatrix
+    c: FracMatrix
+    r: FracMatrix
+    psi: FracPsi
 
     def _blocks(self):
         return (self.l, self.c, self.r, self.psi)
@@ -771,26 +747,13 @@ class FiberMorphism:
         flat_psi = tuple(tuple(p for row in plane for p in row) for plane in self.psi)
         return tuple(_int_matrix(m) for m in (self.l, self.c, self.r, flat_psi))
 
-    def _apply(self, v: DVBElement) -> DVBElement:
-        """(f, c, e) -> (L f, C c + Psi(f, e), R e) on the slot vectors."""
-        b, x, f, c, e = v._key
-        if b is not self.source and b != self.source:
-            raise BaseMismatchError("element bundle differs from morphism source")
+    def _int_blocks_at(self, x: Point):
         if x != self.x:
             raise BaseMismatchError("element base point differs from block point")
-        l, cm, r, psi = self._int_blocks
-        (fn, fd), (en, ed) = f, e
-        e_times_f = ([p * q for p in en for q in fn], ed * fd)
-        return DVBElement._of_slots(
-            self.target,
-            x,
-            _reduced(*_mat_vec(l, f)),
-            _vec_add(_mat_vec(cm, c), _mat_vec(psi, e_times_f)),
-            _reduced(*_mat_vec(r, e)),
-        )
+        return self._int_blocks
 
     def apply(self, v: DVBElement) -> DVBElement:
-        return self._apply(v)
+        return _apply_blocks(self.source, self.target, self._int_blocks_at, v)
 
     def after(self, inner: FiberMorphism) -> FiberMorphism:
         if inner.target != self.source or inner.x != self.x:

@@ -73,6 +73,7 @@ from .ring import (
     _draw,
     _EvalPlan,
     _span,
+    det_frac,
     random_rational,
     random_tuple,
 )
@@ -918,9 +919,6 @@ class Metric:
         if any(g[i][j] != g[j][i] for i in range(len(g)) for j in range(i)):
             raise ValueError("metric must be symmetric")
 
-    # det g as a 1 x 1 matrix, with its plan; built on first use
-    _det = cached_property(lambda self: PolyMatrix(self.g.vars, ((self.g.det(),),)))
-
 
 def tangent_metric_morphism(metric: Metric) -> DVBMorphism:
     """Tangent of the metric map: shell morphism with derivative bilinear block."""
@@ -978,7 +976,7 @@ def is_metric_connection(
     shell = tangent_prolongation(conn.bundle)
     for _ in range(samples):
         x = random_tuple(rng, n)
-        if metric._det.eval_ints(x)[0] == ((0,),):
+        if det_frac(metric.g.eval_ints(x)[0]) == 0:
             raise SingularMetricError(f"metric is singular at {x}")
         v = shell.element(x, random_tuple(rng, n), random_tuple(rng, k), random_tuple(rng, k))
         if lhs.apply(v) != rhs.apply(v):

@@ -22,8 +22,10 @@ through `ring._draw`, which keeps the stdlib `randint` rule, so every value
 and replay seed is unchanged; the `Fraction` views of an element are made
 only where a property reads them, such as a counterexample.  The sampled
 structure laws (the `axioms` checkers, which the dual-bundle property
-reuses) call `core`'s private structure maps.  A morphism is evaluated at a
-sample point once, through its integer plan (see `core`).
+reuses) call `core`'s private structure maps.  `axioms.07` applies the
+morphism with `DVBMorphism.apply`, which reads the integer plan at each
+element's point (see `core`); the plan keeps its values at the last point,
+so each sample point is evaluated once.
 
 Every property draws its samples from a seed derived from the scenario seed
 and the property id, so results are independent of execution order and any
@@ -444,7 +446,7 @@ def _morphism_respects(sc: Scenario, s: _Sampler):
     phi = sc.section("morphism")
     for _ in range(sc.samples):
         x = s.point()
-        apply = phi.at(x)._apply
+        apply = phi.apply
         shared_e = s.slots(b.n_E)
         shared_f = s.slots(b.n_F)
         r = s.rational()
@@ -568,7 +570,7 @@ def _adjoint_contract(sc: Scenario, s: _Sampler):
         x = s.point()
         fm = phi.at(x)
         v = s.element(x=x)
-        image = fm.apply(v)
+        image = phi.apply(v)
         a = d.element(x=x, f=image._e)
         pulled = fiber_right_dual(fm).apply(a)
         if pair_r(image, a) != pair_r(v, pulled):

@@ -583,19 +583,33 @@ def test_kernel_apply_matches_fraction_formula(ranks):
             tuple(p + q for p, q in zip(times(fm.c, v.c), bilinear)),
             times(fm.r, v.e),
         )
-        k = fm._apply(v)
+        k = fm.apply(v)
         assert_lowest_terms(k)
-        assert k == want == fm.apply(v)
+        assert k == want
 
 
 def test_kernel_apply_keeps_base_checks():
     phi = scalar_morphism(2, 3, 5, 7)
     fm = phi.at((Fraction(1),))
     with pytest.raises(BaseMismatchError, match="base point differs from block point"):
-        fm._apply(B.element((2,), (1,), (1,), (1,)))
+        fm.apply(B.element((2,), (1,), (1,), (1,)))
     other = DecomposedDVB(CHART, 1, 1, 1, ("A", "C", "E"))
     with pytest.raises(BaseMismatchError, match="bundle differs from morphism source"):
-        fm._apply(other.element((1,), (1,), (1,), (1,)))
+        fm.apply(other.element((1,), (1,), (1,), (1,)))
+
+
+def test_morphism_apply_checks_the_bundle_before_the_plan():
+    """An element of another bundle is rejected before the plan is read at
+    its point, also when its chart has fewer coordinates than the plan reads."""
+    phi = scalar_morphism(2, 3, 5, 7)
+    others = (
+        DecomposedDVB(CHART, 1, 1, 1, ("A", "C", "E")).element((1,), (1,), (1,), (1,)),
+        DecomposedDVB(Chart.of_dim(0), 1, 1, 1).element((), (1,), (1,), (1,)),
+    )
+    message = "^element bundle differs from morphism source$"
+    for v in others:
+        with pytest.raises(BaseMismatchError, match=message):
+            phi.apply(v)
 
 
 @pytest.mark.parametrize("bound", [1, 7, 49])
@@ -613,23 +627,10 @@ def test_kernel_draws_equal_random_tuple(bound):
 
 
 # ---------------------------------------------------------------------------
-# The integer evaluation plan behind DVBMorphism.at
+# Bundles and fiber morphisms as values
 #
-# The plan itself is checked against a per-term oracle in test_ring.py, on
-# every record that holds one; here the reference evaluates every block
-# entry on its own with MultiPoly.eval.
-
-
-def reference_blocks(phi, x):
-    def values(rows):
-        return tuple(tuple(p.eval(x) for p in row) for row in rows)
-
-    return (
-        values(phi.phi_l.entries),
-        values(phi.phi_c.entries),
-        values(phi.phi_r.entries),
-        tuple(values(plane) for plane in phi.psi),
-    )
+# The plan behind DVBMorphism.at is checked against a per-entry oracle in
+# test_ring.py, on every record that holds one.
 
 
 def test_bundle_hash_is_the_field_tuple_hash():
@@ -640,21 +641,6 @@ def test_bundle_hash_is_the_field_tuple_hash():
         assert hash(b) == want and hash(b) == want
         assert b == DecomposedDVB(b.chart, *b.ranks, b.labels)
         assert not hasattr(b, "__dict__")
-
-
-def test_at_builds_fraction_blocks_only_when_read():
-    phi = random_morphism(random.Random(4), B222, 2)
-    x = (Fraction(2, 3), Fraction(-5, 7))
-    fm = phi.at(x)
-    lazy = ("l", "c", "r", "psi")
-    assert not any(name in vars(fm) for name in lazy)
-    v = B222.element(x, (1, 2), (3, 4), (5, 6))
-    fm._apply(v)
-    assert not any(name in vars(fm) for name in lazy)
-    want = reference_blocks(phi, x)
-    assert fm.psi == want[3]
-    assert [name for name in lazy if name in vars(fm)] == ["psi"]
-    assert (fm.l, fm.c, fm.r) == want[:3]
 
 
 def test_fiber_morphism_is_immutable():

@@ -73,6 +73,7 @@ from dvbcalc.geomech import (
     zero_connection,
 )
 from dvbcalc.ring import MultiPoly, PolyMatrix, dot, rat
+from dvbcalc.scenario import random_connection, random_metric, random_poly
 
 CHART1 = Chart.of_dim(1)
 CHART2 = Chart.of_dim(2)
@@ -999,6 +1000,42 @@ def test_singular_metric_raises():
     conn = zero_connection(VB11)
     with pytest.raises(SingularMetricError):
         is_metric_connection(conn, metric)
+
+
+def test_metric_check_takes_no_symbolic_determinant(monkeypatch):
+    """Singularity is tested on the metric's values at each sampled point, so
+    the verdicts and the singular-point error need no symbolic determinant."""
+
+    def no_det(self):
+        raise AssertionError("symbolic determinant taken")
+
+    monkeypatch.setattr(PolyMatrix, "det", no_det)
+    rng = random.Random(14)
+    verdicts = []
+    for dim, rank in [(1, 1), (2, 2), (3, 2), (2, 3), (1, 4)]:
+        vb = VectorBundle(Chart.of_dim(dim), rank)
+        names = vb.chart.names
+        upper = [[random_poly(rng, names, 2) for _ in range(rank)] for _ in range(rank)]
+        dense = Metric(vb, PolyMatrix(names, tuple(
+            tuple(upper[min(a, b)][max(a, b)] for b in range(rank)) for a in range(rank)
+        )))
+        cases = (
+            (random_connection(rng, vb, 1), dense),
+            (random_connection(rng, vb, 1), random_metric(rng, vb, 2)),
+            (zero_connection(vb), random_metric(rng, vb, 0)),
+        )
+        for seed, (conn, metric) in enumerate(cases):
+            verdict = is_metric_connection(conn, metric, seed=seed)
+            assert verdict == metric_identity(conn, metric)
+            verdicts.append(verdict)
+    assert verdicts == [False, False, True] * 5
+    x1 = MultiPoly.var(CHART1.names, "x1")
+    metric = Metric(VB11, PolyMatrix(CHART1.names, ((x1,),)))
+    # seed 9 draws x1 = 0 first: det g = x1 is not the zero polynomial, but
+    # it vanishes there
+    message = r"^metric is singular at \(Fraction\(0, 1\),\)$"
+    with pytest.raises(SingularMetricError, match=message):
+        is_metric_connection(zero_connection(VB11), metric, seed=9)
 
 
 def test_pair_morphism_has_no_bilinear_part():

@@ -10,7 +10,7 @@ import pytest
 
 from dvbcalc import core
 from dvbcalc.core import Chart, DecomposedDVB, DVBMorphism, psi_zero
-from dvbcalc.ring import PolyMatrix, random_rational, random_tuple
+from dvbcalc.ring import PolyMatrix, _EvalPlan, random_rational, random_tuple
 from dvbcalc.scenario import (
     InconsistentScenarioError,
     Scenario,
@@ -316,25 +316,6 @@ def test_metric_check_passes_on_compatible_pair():
     assert report.passed
 
 
-def test_morphism_axiom_evaluates_each_sample_point_once(monkeypatch):
-    calls = []
-    original = DVBMorphism.at
-
-    def counting_at(self, x):
-        calls.append(x)
-        return original(self, x)
-
-    monkeypatch.setattr(DVBMorphism, "at", counting_at)
-    b = DecomposedDVB(Chart.of_dim(2), 2, 1, 2)
-    sc = Scenario(bundle=b, seed=3, samples=9, bound=4)
-    report = run_suite("axioms", sc)
-    assert report.passed
-    assert any(r.prop_id.startswith("axioms.07.") for r in report.results)
-    # axioms.01-06 never evaluate the morphism; axioms.07 draws one point
-    # per sample and evaluates the blocks there exactly once
-    assert len(calls) == sc.samples
-
-
 def _count_calls(monkeypatch, owner_attrs):
     """Wrap each (owner, name) with a call counter, rebinding every name in
     a dvbcalc module that refers to the same function."""
@@ -356,18 +337,42 @@ def _count_calls(monkeypatch, owner_attrs):
     return counts
 
 
-def test_axioms_suite_stays_on_the_integer_kernel(monkeypatch):
+def _run_axioms_counting(monkeypatch, sc):
+    """Run the axioms suite on `sc`, counting plan evaluations and the calls
+    of the public structure maps, `DVBMorphism.at` and `FiberMorphism.apply`."""
     counts = _count_calls(
         monkeypatch,
         [(core, name) for name in STRUCTURE_OPS]
         + [(core.DVBMorphism, "at"), (core.FiberMorphism, "apply")],
     )
-    sc = Scenario(bundle=DecomposedDVB(Chart.of_dim(2), 2, 3, 2), seed=5, samples=12, bound=7)
+    counts["evaluate"] = 0
+    original = _EvalPlan._evaluate
+
+    def counting(self, point, tail):
+        counts["evaluate"] += 1
+        return original(self, point, tail)
+
+    monkeypatch.setattr(_EvalPlan, "_evaluate", counting)
     report = run_suite("axioms", sc)
     assert report.passed
-    assert {name: counts[name] for name in STRUCTURE_OPS} == dict.fromkeys(STRUCTURE_OPS, 0)
-    assert counts["at"] == sc.samples
-    assert counts["apply"] == 0
+    assert any(r.prop_id.startswith("axioms.07.") for r in report.results)
+    return counts
+
+
+def test_morphism_axiom_evaluates_each_sample_point_once(monkeypatch):
+    sc = Scenario(bundle=DecomposedDVB(Chart.of_dim(2), 2, 1, 2), seed=3, samples=9, bound=4)
+    counts = _run_axioms_counting(monkeypatch, sc)
+    # axioms.01-06 never evaluate the morphism; axioms.07 draws one point
+    # per sample and evaluates the morphism's plan there exactly once
+    assert counts.pop("evaluate") == sc.samples
+    assert counts == dict.fromkeys(STRUCTURE_OPS + ("at", "apply"), 0)
+
+
+def test_axioms_suite_stays_on_the_integer_kernel(monkeypatch):
+    sc = Scenario(bundle=DecomposedDVB(Chart.of_dim(2), 2, 3, 2), seed=5, samples=12, bound=7)
+    counts = _run_axioms_counting(monkeypatch, sc)
+    assert counts.pop("evaluate") == sc.samples
+    assert counts == dict.fromkeys(STRUCTURE_OPS + ("at", "apply"), 0)
 
 
 def _fmt_tuple(values) -> str:

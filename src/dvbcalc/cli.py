@@ -20,7 +20,9 @@ singular at a requested point is an inconsistent scenario.  Every
 ``--seed`` must lie in [0, 2**32), the range ``derive_seed`` uses;
 ``--samples`` and ``--bound`` lie in [1, 1000], ``--max-rank`` in [1, 8]
 and ``--max-degree`` in [0, 8].  The plan flags share their ranges with a
-scenario file's ``plan``, from ``scenario.PLAN_RANGES``.
+scenario file's ``plan``, from ``scenario.PLAN_RANGES``.  A ``--point`` or
+``--outer`` coordinate is read by ``scenario.parse_number``, under the digit
+cap of a scenario coefficient.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .geomech import (
     complete_tangent_lift,
     vertical_lift,
 )
-from .ring import SingularMatrixError, rat
+from .ring import SingularMatrixError
 from .scenario import (
     _MAX_DEGREE,
     _MAX_RANK,
@@ -46,6 +48,7 @@ from .scenario import (
     ScenarioParseError,
     gen_random_scenario,
     load_scenario,
+    parse_number,
     scenario_to_text,
 )
 from .suites import SUITE_NAMES, run_connection_check, run_suite
@@ -61,7 +64,7 @@ def _parse_point(text: str, dim: int, what: str = "point"):
             f"{what} needs {dim} comma-separated coordinates, got {len(parts)}"
         )
     try:
-        return tuple(rat(p) for p in parts)
+        return tuple(parse_number(p) for p in parts)
     except (ValueError, ZeroDivisionError) as exc:
         raise ScenarioParseError(f"bad {what} coordinate: {exc}") from None
 

@@ -68,6 +68,7 @@ from .ring import (
     MultiPoly,
     Point,
     PolyMatrix,
+    _check_grid,
     _EvalPlan,
     _frac_rows,
     _rational_draws,
@@ -619,30 +620,11 @@ class DVBMorphism:
         if self.source.chart != self.target.chart:
             raise BaseMismatchError("morphism requires a shared chart")
         vars = self.source.chart.names
-        shapes = (
-            (self.phi_l, self.target.n_F, self.source.n_F),
-            (self.phi_c, self.target.n_C, self.source.n_C),
-            (self.phi_r, self.target.n_E, self.source.n_E),
-        )
-        for block, rows, cols in shapes:
-            if block.vars != vars:
-                raise ValueError("block variables must match the chart")
-            # a block with no rows cannot store its column count
-            if block.rows != rows or (rows > 0 and block.cols != cols):
-                raise ValueError(
-                    f"block shape {(block.rows, block.cols)} != {(rows, cols)}"
-                )
-        if len(self.psi) != self.target.n_C:
-            raise ValueError("Psi outer length must be the target core rank")
-        for plane in self.psi:
-            if len(plane) != self.source.n_E:
-                raise ValueError("Psi middle length must be the source E rank")
-            for row in plane:
-                if len(row) != self.source.n_F:
-                    raise ValueError("Psi inner length must be the source F rank")
-                for p in row:
-                    if p.vars != vars:
-                        raise ValueError("Psi entries must match the chart")
+        (f, c, e), (tf, tc, te) = self.source.ranks, self.target.ranks
+        _check_grid("Phi_l", self.phi_l, (tf, f), vars)
+        _check_grid("Phi_c", self.phi_c, (tc, c), vars)
+        _check_grid("Phi_r", self.phi_r, (te, e), vars)
+        _check_grid("Psi", self.psi, (tc, e, f), vars)
 
     @staticmethod
     def _from_blocks(source, target, blocks) -> DVBMorphism:

@@ -70,6 +70,7 @@ from .ring import (
     MultiPoly,
     Point,
     PolyMatrix,
+    _check_grid,
     _draw,
     _EvalPlan,
     _span,
@@ -201,12 +202,8 @@ class GeneralVectorField:
 
     def __post_init__(self) -> None:
         vars = total_space_vars(self.bundle)
-        if len(self.base) != self.bundle.chart.dim:
-            raise ValueError("need one base component per chart coordinate")
-        if len(self.vert) != self.bundle.rank:
-            raise ValueError("need one vertical component per fiber coordinate")
-        if any(p.vars != vars for p in self.base + self.vert):
-            raise ValueError("components must use the total space variables")
+        _check_grid("base", self.base, (self.bundle.chart.dim,), vars)
+        _check_grid("vert", self.vert, (self.bundle.rank,), vars)
 
     # one plan for both rows, over the total space (x, e)
     _plan = cached_property(
@@ -231,15 +228,9 @@ class LinearVectorField:
     fiber: PolyMatrix
 
     def __post_init__(self) -> None:
-        names = self.bundle.chart.names
-        if len(self.base) != self.bundle.chart.dim:
-            raise ValueError("need one base component per chart coordinate")
-        if any(p.vars != names for p in self.base):
-            raise ValueError("base components depend on the chart only")
-        if self.fiber.vars != names:
-            raise ValueError("fiber matrix depends on the chart only")
-        if (self.fiber.rows, self.fiber.cols) != (self.bundle.rank, self.bundle.rank):
-            raise ValueError("fiber matrix must be rank x rank")
+        names, k = self.bundle.chart.names, self.bundle.rank
+        _check_grid("base", self.base, (self.bundle.chart.dim,), names)
+        _check_grid("fiber", self.fiber, (k, k), names)
 
     def as_general(self) -> GeneralVectorField:
         vars = total_space_vars(self.bundle)
@@ -303,12 +294,8 @@ class GeneralOneForm:
 
     def __post_init__(self) -> None:
         vars = total_space_vars(self.bundle)
-        if len(self.dx_coeffs) != self.bundle.chart.dim:
-            raise ValueError("need one dx coefficient per chart coordinate")
-        if len(self.de_coeffs) != self.bundle.rank:
-            raise ValueError("need one de coefficient per fiber coordinate")
-        if any(p.vars != vars for p in self.dx_coeffs + self.de_coeffs):
-            raise ValueError("coefficients must use the total space variables")
+        _check_grid("dx", self.dx_coeffs, (self.bundle.chart.dim,), vars)
+        _check_grid("de", self.de_coeffs, (self.bundle.rank,), vars)
 
     # one plan for both rows, over the total space (x, e)
     _plan = cached_property(
@@ -337,13 +324,8 @@ class LinearOneForm:
     def __post_init__(self) -> None:
         names = self.bundle.chart.names
         n, k = self.bundle.chart.dim, self.bundle.rank
-        if len(self.theta_a) != k:
-            raise ValueError("need one de coefficient per fiber coordinate")
-        if len(self.theta_ia) != n or any(len(row) != k for row in self.theta_ia):
-            raise ValueError("dx coefficient grid must be chart dim x rank")
-        for p in self.theta_a + tuple(q for row in self.theta_ia for q in row):
-            if p.vars != names:
-                raise ValueError("coefficients depend on the chart only")
+        _check_grid("theta_a", self.theta_a, (k,), names)
+        _check_grid("theta_ia", self.theta_ia, (n, k), names)
 
     def as_general(self) -> GeneralOneForm:
         vars = total_space_vars(self.bundle)
@@ -408,13 +390,9 @@ class Bivector:
     def __post_init__(self) -> None:
         vars = total_space_vars(self.bundle)
         n, k = self.bundle.chart.dim, self.bundle.rank
-        shapes = ((self.l_ij, n, n), (self.l_ia, n, k), (self.l_ab, k, k))
-        for block, rows, cols in shapes:
-            if block.vars != vars:
-                raise ValueError("blocks must use the total space variables")
-            # a block with no rows cannot store its column count
-            if block.rows != rows or (rows > 0 and block.cols != cols):
-                raise ValueError("block shape mismatch")
+        _check_grid("l_ij", self.l_ij, (n, n), vars)
+        _check_grid("l_ia", self.l_ia, (n, k), vars)
+        _check_grid("l_ab", self.l_ab, (k, k), vars)
         for block in (self.l_ij, self.l_ab):
             skew = block + block.transpose()
             if any(not p.is_zero for row in skew.entries for p in row):
@@ -521,25 +499,13 @@ class LinearTwoForm:
     def __post_init__(self) -> None:
         names = self.bundle.chart.names
         n, k = self.bundle.chart.dim, self.bundle.rank
-        if len(self.omega_ija) != n or any(
-            len(plane) != n or any(len(row) != k for row in plane)
-            for plane in self.omega_ija
-        ):
-            raise ValueError("three-index grid must be n x n x rank")
-        if len(self.omega_ia) != n or any(len(row) != k for row in self.omega_ia):
-            raise ValueError("mixed grid must be n x rank")
+        _check_grid("omega_ija", self.omega_ija, (n, n, k), names)
+        _check_grid("omega_ia", self.omega_ia, (n, k), names)
         for i in range(n):
             for j in range(n):
                 for a in range(k):
-                    p = self.omega_ija[i][j][a]
-                    if p.vars != names:
-                        raise ValueError("coefficients depend on the chart only")
-                    if not (p + self.omega_ija[j][i][a]).is_zero:
+                    if not (self.omega_ija[i][j][a] + self.omega_ija[j][i][a]).is_zero:
                         raise ValueError("three-index grid must be antisymmetric in ij")
-        for row in self.omega_ia:
-            for p in row:
-                if p.vars != names:
-                    raise ValueError("coefficients depend on the chart only")
 
     def as_form(self) -> DifferentialForm:
         """The assembled 2-form over the total space variables."""
@@ -673,8 +639,7 @@ class CoreSection:
     gamma: tuple[MultiPoly, ...]
 
     def __post_init__(self) -> None:
-        if any(p.vars != self.chart.names for p in self.gamma):
-            raise ValueError("section components depend on the chart only")
+        _check_grid("gamma", self.gamma, (len(self.gamma),), self.chart.names)
 
     _plan = cached_property(lambda self: _EvalPlan(((self.gamma,),), self.chart.dim))
 
@@ -722,19 +687,10 @@ class LinearSection:
     fiber: PolyMatrix
 
     def __post_init__(self) -> None:
-        if self.side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
         names, b = self.bundle.chart.names, self.bundle
-        base_rank, in_rank = (b.n_E, b.n_F) if self.side == "left" else (b.n_F, b.n_E)
-        if len(self.base) != base_rank:
-            raise ValueError("base section length must match the opposite side rank")
-        if any(p.vars != names for p in self.base):
-            raise ValueError("base section depends on the chart only")
-        if self.fiber.vars != names:
-            raise ValueError("fiber matrix depends on the chart only")
-        # a fiber matrix with no rows cannot store its column count
-        if self.fiber.rows != self.bundle.n_C or (self.fiber.rows and self.fiber.cols != in_rank):
-            raise ValueError("fiber matrix must be core rank x input rank")
+        base_rank, in_rank = (b.n_F, b.n_E) if _is_right(self.side) else (b.n_E, b.n_F)
+        _check_grid("base", self.base, (base_rank,), names)
+        _check_grid("fiber", self.fiber, (b.n_C, in_rank), names)
 
     _plan = cached_property(
         lambda self: _EvalPlan(((self.base,), self.fiber.entries), self.bundle.chart.dim)
@@ -827,15 +783,8 @@ class LinearConnection:
     gamma: tuple[tuple[tuple[MultiPoly, ...], ...], ...]
 
     def __post_init__(self) -> None:
-        names = self.bundle.chart.names
         n, k = self.bundle.chart.dim, self.bundle.rank
-        if len(self.gamma) != k or any(
-            len(plane) != n or any(len(row) != k for row in plane)
-            for plane in self.gamma
-        ):
-            raise ValueError("Christoffel grid must be rank x dim x rank")
-        if any(p.vars != names for plane in self.gamma for row in plane for p in row):
-            raise ValueError("Christoffel data depends on the chart only")
+        _check_grid("gamma", self.gamma, (k, n, k), self.bundle.chart.names)
 
     _plan = cached_property(lambda self: _EvalPlan(self.gamma, self.bundle.chart.dim))
 
@@ -910,10 +859,8 @@ class Metric:
     g: PolyMatrix
 
     def __post_init__(self) -> None:
-        if self.g.vars != self.bundle.chart.names:
-            raise ValueError("metric depends on the chart only")
-        if (self.g.rows, self.g.cols) != (self.bundle.rank, self.bundle.rank):
-            raise ValueError("metric must be rank x rank")
+        k = self.bundle.rank
+        _check_grid("g", self.g, (k, k), self.bundle.chart.names)
         # canonical polynomials are equal exactly when their stored forms are
         g = self.g.entries
         if any(g[i][j] != g[j][i] for i in range(len(g)) for j in range(i)):

@@ -14,6 +14,10 @@ the dataclass equality and hash canonical.
 Matrices are nested tuples over either coefficient type.  One `mat_mul` and
 one `transpose` serve both; the caller passes the column count, because a
 matrix with no rows stores none.  `PolyMatrix` wraps them for polynomials.
+The morphisms of `core` and the records of `geomech` check each field with
+one grid check, `_check_grid`: the field is nested tuples (or a
+`PolyMatrix`) with the lengths its ranks fix, and every entry is over the
+expected variables.
 
 Sums of products are formed in one pass.  On rationals, `dot` forms each
 term as an integer numerator and denominator, sums them over a running
@@ -739,3 +743,28 @@ def _extend_minors(minors: dict[int, MultiPoly], rows, vars) -> dict[int, MultiP
             if minor.terms:
                 minors[mask] = minor
     return minors
+
+
+def _check_grid(what: str, value, dims: Sequence[int], vars: tuple[str, ...]) -> None:
+    """Raise ValueError unless `value` is a grid of MultiPoly over `vars`
+    whose lengths are `dims`: nested tuples len(dims) deep, or a PolyMatrix
+    when `dims` has two entries.  Messages name `what` and the index path."""
+    if isinstance(value, PolyMatrix):
+        rows, cols = dims
+        # a matrix with no rows stores no column count
+        if value.rows != rows or (rows > 0 and value.cols != cols):
+            raise ValueError(
+                f"{what} has shape {(value.rows, value.cols)}, expected {(rows, cols)}"
+            )
+        if value.vars != vars:
+            raise ValueError(f"{what} must use the variables {vars}")
+        return
+    if len(value) != dims[0]:
+        raise ValueError(f"{what} has {len(value)} entries, expected {dims[0]}")
+    if len(dims) > 1:
+        for i, item in enumerate(value):
+            _check_grid(f"{what}[{i}]", item, dims[1:], vars)
+        return
+    for i, p in enumerate(value):
+        if not isinstance(p, MultiPoly) or p.vars != vars:
+            raise ValueError(f"{what}[{i}] must use the variables {vars}")

@@ -22,8 +22,10 @@ through `json.encoder.encode_basestring_ascii`.  The stdlib encoder runs in
 pure Python whenever it indents, and pays for generality a scenario does not
 need; any other type raises TypeError.
 
-Every number a file gives is capped: ranks, exponents, terms per literal
-and the sampling plan (PLAN_RANGES, shared with the command line's flags).
+Every number a file gives is capped: ranks, exponents, terms per literal,
+the digits of each coefficient (_MAX_DIGITS, shared with the command line's
+coordinates) and the sampling plan (PLAN_RANGES, shared with the command
+line's flags).
 Records and morphisms built through the API keep any degree.
 
 Two error channels: ScenarioParseError for structural problems (bad JSON,
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import zlib
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -70,6 +73,7 @@ from .geomech import (
 from .ring import (
     MultiPoly,
     PolyMatrix,
+    _check_grid,
     _draw,
     _randint,
     _span,
@@ -106,6 +110,17 @@ _MAX_DEGREE = 8
 # O(k) bits, so an unbounded exponent would stall the suites.
 _MAX_EXPONENT = 2 * _MAX_DEGREE
 _MAX_TERMS = 256
+
+# A number read from outside, a coefficient or a --point/--outer coordinate,
+# has at most _MAX_DIGITS decimal digits in its numerator and in its
+# denominator.  `dvb gen` writes at most 7.  At 32, the longest integer that
+# `dvb dualize --point` prints for a rank-8 file with every coefficient and
+# coordinate at the cap has about 2700 digits, below the interpreter's
+# 4300-digit limit on int-to-text conversion; the count grows with the cap.
+_MAX_DIGITS = 32
+_DIGIT_BOUND = 10**_MAX_DIGITS
+# The exponent at the end of a number text, in the grammar `Fraction` reads.
+_EXPONENT_TEXT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 # The sampling plan: each key's (low, high) range, both ends included, and
 # how a message spells it.  The sample count and the coordinate bound are
@@ -235,10 +250,10 @@ class Scenario:
         if self.core_section is not None:
             if self.core_section.chart != self.chart:
                 raise InconsistentScenarioError("core section chart differs")
-            if len(self.core_section.gamma) != self.bundle.n_C:
-                raise InconsistentScenarioError(
-                    "core section length differs from the core rank"
-                )
+            _build(
+                "core_section", _check_grid,
+                "gamma", self.core_section.gamma, (self.bundle.n_C,), self.chart.names,
+            )
 
     def section(self, key: str):
         """The record of section `key`, or a stand-in when the scenario has none.
@@ -302,6 +317,29 @@ def _term_error(where: str, pos: int, detail: str) -> ScenarioParseError:
 _TERM_KEYS = {"coeff", "exps"}
 
 
+def parse_number(raw: int | str | Fraction) -> Fraction:
+    """The exact value of a rational, an integer or a string that `Fraction`
+    reads ('p/q', a decimal, an exponent form).
+
+    Raises ValueError (ZeroDivisionError for a zero denominator) when the
+    text is malformed or the reduced numerator or denominator has more than
+    _MAX_DIGITS digits.  An exponent is checked before its power of ten is
+    built: the value M * 10^(k - f) of a mantissa M with at most m digits,
+    f of them after the point, has more than _MAX_DIGITS digits in its
+    numerator or denominator once |k| exceeds _MAX_DIGITS + m, and m is
+    at most the length of the text.
+    """
+    # the membership test spares most texts the regex search
+    exponent = (
+        isinstance(raw, str) and ("e" in raw or "E" in raw) and _EXPONENT_TEXT.search(raw)
+    )
+    if not (exponent and abs(int(exponent[1])) > _MAX_DIGITS + len(raw)):
+        value = Fraction(raw)
+        if abs(value.numerator) < _DIGIT_BOUND and value.denominator < _DIGIT_BOUND:
+            return value
+    raise ValueError(f"more than {_MAX_DIGITS} digits in the numerator or denominator")
+
+
 def parse_poly(obj, vars: tuple[str, ...], where: str) -> MultiPoly:
     """One polynomial literal against a declared variable list."""
     acc: dict[tuple[int, ...], Fraction] = {}
@@ -320,7 +358,7 @@ def parse_poly(obj, vars: tuple[str, ...], where: str) -> MultiPoly:
                 where, pos, ": coefficient must be an integer or a 'p/q' string"
             )
         try:
-            coeff = Fraction(raw)
+            coeff = parse_number(raw)
         except (ValueError, ZeroDivisionError) as exc:
             raise _term_error(where, pos, f": bad coefficient {raw!r}: {exc}") from exc
         if not isinstance(exps, list):
@@ -338,7 +376,12 @@ def parse_poly(obj, vars: tuple[str, ...], where: str) -> MultiPoly:
             if k > _MAX_EXPONENT:
                 raise _term_error(where, pos, f": exponent {k} is above {_MAX_EXPONENT}")
         key = tuple(exps)
-        acc[key] = acc[key] + coeff if key in acc else coeff
+        if key in acc:
+            try:
+                coeff = parse_number(acc[key] + coeff)
+            except ValueError as exc:
+                raise _term_error(where, pos, f": like terms sum to {exc}") from exc
+        acc[key] = coeff
     return MultiPoly.from_dict(vars, acc)
 
 

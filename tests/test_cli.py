@@ -6,6 +6,7 @@ import time
 import pytest
 
 from dvbcalc.cli import build_parser, main
+from dvbcalc.scenario import SECTIONS
 
 
 def run_cli(capsys, *argv):
@@ -470,3 +471,108 @@ def test_max_degree_bounds_accepted(degree, capsys):
     )
     assert code in (0, 1)
     assert err == ""
+
+
+def _gen_file(tmp_path, capsys, *flags, edit=None):
+    """A `dvb gen` file, after `edit` changes its parsed object in place."""
+    code, out, _ = run_cli(capsys, "gen", *flags)
+    assert code == 0
+    obj = json.loads(out)
+    if edit is not None:
+        edit(obj)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize("section, field", [(row[0], row[3][0][0]) for row in SECTIONS])
+def test_shortened_field_names_section_and_field(section, field, tmp_path, capsys):
+    def shorten(obj):
+        obj[section][field] = obj[section][field][:-1]
+
+    path = _gen_file(tmp_path, capsys, "--seed", "11", edit=shorten)
+    code, out, err = run_cli(capsys, "dualize", "--scenario", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"INCONSISTENT_SCENARIO: {section}: {field} has ")
+
+
+def test_connection_grid_message_names_the_index_path(tmp_path, capsys):
+    def shorten(obj):
+        obj["connection"]["gamma"][0] = obj["connection"]["gamma"][0][:1]
+
+    path = _gen_file(tmp_path, capsys, "--seed", "5", "--symmetric", edit=shorten)
+    code, _, err = run_cli(capsys, "connection", "check", "symmetric", "--scenario", path)
+    assert code == 2
+    assert err == "INCONSISTENT_SCENARIO: connection: gamma[0] has 1 entries, expected 2\n"
+
+
+def _first_term(grid):
+    """The first term of the first nonzero literal in nested lists of literals."""
+    while isinstance(grid, list):
+        grid = next(item for item in grid if item)
+    return grid
+
+
+def _set_core_coefficient(obj):
+    _first_term(obj["core_section"]["gamma"])["coeff"] = "1e5000"
+
+
+def _set_asymmetric_coefficient(obj):
+    # gamma[a][i][b] off the diagonal i = b, so that the check fails
+    _first_term([plane[0][1:] for plane in obj["connection"]["gamma"]])["coeff"] = "1e5000"
+
+
+def _parse_error_at_once(capsys, *argv) -> str:
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith("PARSE_ERROR: ")
+    return err
+
+
+@pytest.mark.parametrize("point", ["1e2000", "1e2000000"])
+def test_huge_point_coordinate_is_parse_error(point, tmp_path, capsys):
+    # the value 10^2000 once reached int-to-text conversion, past the
+    # interpreter's 4300-digit limit; 10^2000000 took 57 s to get there
+    path = _gen_file(tmp_path, capsys, "--seed", "1", "--max-rank", "3", "--max-degree", "8")
+    err = _parse_error_at_once(capsys, "dualize", "--scenario", path, "--point", point)
+    assert err == (
+        "PARSE_ERROR: bad point coordinate: "
+        "more than 32 digits in the numerator or denominator\n"
+    )
+
+
+def test_huge_outer_coordinate_is_parse_error(scenario_file, capsys):
+    err = _parse_error_at_once(
+        capsys, "lift", "vertical", "--scenario", scenario_file,
+        "--side", "right", "--point", "1,0,2", "--outer", "1e5000",
+    )
+    assert err.startswith("PARSE_ERROR: bad outer fiber value coordinate: ")
+
+
+def test_huge_connection_coefficient_is_parse_error(tmp_path, capsys):
+    # it once broke the formatting of the asymmetry counterexample
+    path = _gen_file(
+        tmp_path, capsys, "--seed", "5", "--symmetric",
+        edit=_set_asymmetric_coefficient,
+    )
+    err = _parse_error_at_once(capsys, "connection", "check", "symmetric", "--scenario", path)
+    assert err.startswith("PARSE_ERROR: connection.gamma[")
+    assert err.endswith(
+        "bad coefficient '1e5000': more than 32 digits in the numerator or denominator\n"
+    )
+
+
+def test_huge_core_section_coefficient_is_parse_error(tmp_path, capsys):
+    path = _gen_file(
+        tmp_path, capsys, "--seed", "5", "--symmetric",
+        edit=_set_core_coefficient,
+    )
+    err = _parse_error_at_once(
+        capsys, "lift", "vertical", "--scenario", path,
+        "--side", "left", "--point", "1,1", "--outer", "1,1",
+    )
+    assert err.startswith("PARSE_ERROR: core_section.gamma[")

@@ -1,8 +1,11 @@
-"""Deterministic mutation fuzzing of scenario files through `dvb check all`.
+"""Deterministic mutation fuzzing of scenario files through the command line.
 
 Each case takes the `dvb gen` text of one seed, applies one operator from a
-fixed list, and runs the command line in-process on the result.  Whatever
-the mutation, the run ends in a report (exit 0 or 1) or in a one-line
+fixed list, and runs the command line in-process on the result: `dvb check
+all`, and on a file drawn with `--symmetric` the commands that print exact
+values, `dualize --point`, `lift vertical` and `connection check
+symmetric`, once more with a huge `--point`.  Whatever the mutation, the
+run ends in a report or a printout (exit 0 or 1) or in a one-line
 `PARSE_ERROR:`/`INCONSISTENT_SCENARIO:`/usage error (exit 2), never in an
 uncaught exception, and it ends quickly.  Runs sample one tuple per
 property (`--samples 1`) so that the mutations that stay valid stay cheap;
@@ -11,6 +14,7 @@ the file's own plan is still read and checked.
 
 import json
 import time
+from functools import lru_cache
 
 import pytest
 
@@ -43,6 +47,26 @@ def _set(path, value):
     def apply(obj):
         parent = _walk(obj, path[:-1])
         parent[path[-1]] = value(parent[path[-1]]) if callable(value) else value
+
+    return apply
+
+
+def _set_coefficients(value):
+    """An operator that sets the first coefficient of `Phi_l`, of the core
+    section and of `gamma` off its diagonal, where the connection stops
+    being symmetric: values that the printing commands print."""
+
+    def apply(obj):
+        gamma = obj["connection"]["gamma"]
+        for grid in (
+            obj["morphism"]["Phi_l"],
+            obj["core_section"]["gamma"],
+            [plane[0][1:] for plane in gamma],
+        ):
+            while grid and isinstance(grid, list):
+                grid = next((item for item in grid if item), None)
+            if grid:
+                grid["coeff"] = value
 
     return apply
 
@@ -88,11 +112,18 @@ OPERATORS = {
     "string-samples": _set(("plan", "samples"), "5"),
     "string-exponent": _set((*TERM, "exps"), lambda e: ["1"] + e[1:]),
     "string-coefficient": _set((*TERM, "coeff"), "seven"),
+    "coefficient-1e5000": _set_coefficients("1e5000"),
+    "coefficient-1e10000000": _set_coefficients("1e10000000"),
 }
 
 
-def _mutated(seed: int, name: str) -> str:
-    text = scenario_to_text(gen_random_scenario(seed, max_rank=2))
+@lru_cache(maxsize=None)
+def _generated(seed: int, symmetric: bool) -> str:
+    return scenario_to_text(gen_random_scenario(seed, max_rank=2, symmetric=symmetric))
+
+
+def _mutated(seed: int, name: str, symmetric: bool = False) -> str:
+    text = _generated(seed, symmetric)
     op = OPERATORS[name]
     if name.startswith("text:"):
         return op(text)
@@ -101,13 +132,9 @@ def _mutated(seed: int, name: str) -> str:
     return json.dumps(obj)
 
 
-@pytest.mark.parametrize("name", sorted(OPERATORS))
-@pytest.mark.parametrize("seed", SEEDS)
-def test_mutated_scenario_ends_cleanly(seed, name, tmp_path, capsys):
-    path = tmp_path / "mutated.json"
-    path.write_text(_mutated(seed, name))
+def _ends_cleanly(argv, capsys):
     start = time.perf_counter()
-    code = main(["check", "all", "--scenario", str(path), "--samples", "1"])
+    code = main(argv)
     elapsed = time.perf_counter() - start
     out, err = capsys.readouterr()
     assert code in (0, 1, 2)
@@ -115,3 +142,37 @@ def test_mutated_scenario_ends_cleanly(seed, name, tmp_path, capsys):
     if code == 2:
         assert err.startswith(("PARSE_ERROR: ", "INCONSISTENT_SCENARIO: ", "usage: "))
     assert elapsed < WALL_BOUND_S
+
+
+@pytest.mark.parametrize("name", sorted(OPERATORS))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mutated_scenario_ends_cleanly(seed, name, tmp_path, capsys):
+    path = tmp_path / "mutated.json"
+    path.write_text(_mutated(seed, name))
+    _ends_cleanly(["check", "all", "--scenario", str(path), "--samples", "1"], capsys)
+
+
+def _commands(seed: int) -> dict:
+    """The printing commands by name, with coordinates for the unmutated
+    shape of the symmetric file of `seed`."""
+    bundle = json.loads(_generated(seed, True))["bundle"]
+    point = ",".join(["1/2"] * bundle["n"])
+    return {
+        "dualize": ["dualize", "--point", point],
+        "lift-vertical": [
+            "lift", "vertical", "--side", "left", "--point", point,
+            "--outer", ",".join(["3"] * bundle["n_F"]),
+        ],
+        "connection-symmetric": ["connection", "check", "symmetric", "--samples", "1"],
+        "dualize-huge-point": ["dualize", "--point", ",".join(["1e2000"] * bundle["n"])],
+    }
+
+
+# one seed keeps the four commands times every operator within about 2 s
+@pytest.mark.parametrize("command", sorted(_commands(0)))
+@pytest.mark.parametrize("name", sorted(OPERATORS))
+@pytest.mark.parametrize("seed", SEEDS[:1])
+def test_mutated_scenario_prints_cleanly(seed, name, command, tmp_path, capsys):
+    path = tmp_path / "mutated.json"
+    path.write_text(_mutated(seed, name, symmetric=True))
+    _ends_cleanly(_commands(seed)[command] + ["--scenario", str(path)], capsys)

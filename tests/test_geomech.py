@@ -1,6 +1,7 @@
 """Geometry layer: lifts, bivectors, linear forms, connections, symmetry."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -73,7 +74,7 @@ from dvbcalc.geomech import (
     zero_connection,
 )
 from dvbcalc.ring import MultiPoly, PolyMatrix, dot, rat
-from dvbcalc.scenario import random_connection, random_metric, random_poly
+from dvbcalc.scenario import Scenario, random_connection, random_metric, random_poly
 
 CHART1 = Chart.of_dim(1)
 CHART2 = Chart.of_dim(2)
@@ -1176,3 +1177,125 @@ def test_lifted_symplectic_form_coordinate_expression():
         },
     )
     assert form == expected
+
+
+# ---------------------------------------------------------------------------
+# Field shapes: one grid check for every record and morphism
+
+def _grid_records():
+    """One valid record of each kind over a chart of dim 2 with every rank 2,
+    so that every length of every field is 2."""
+    sc = Scenario(bundle=DecomposedDVB(CHART2, 2, 2, 2))
+    z = MultiPoly.zero(CHART2.names)
+    return {
+        "DVBMorphism": sc.section("morphism"),
+        "GeneralVectorField": sc.section("vector_field"),
+        "LinearVectorField": complete_tangent_lift(CHART2, (z, z)),
+        "GeneralOneForm": sc.section("one_form"),
+        "LinearOneForm": LinearOneForm(sc.side_bundle, (z, z), ((z, z), (z, z))),
+        "Bivector": sc.section("bivector"),
+        "LinearTwoForm": sc.section("two_form"),
+        "CoreSection": sc.section("core_section"),
+        "LinearSection": LinearSection(
+            sc.bundle, "left", (z, z), PolyMatrix.zero(CHART2.names, 2, 2)
+        ),
+        "LinearConnection": sc.section("connection"),
+        "Metric": sc.section("metric"),
+    }
+
+
+# (record, attribute, the field's name in messages, nesting depth)
+GRID_FIELDS = [
+    ("DVBMorphism", "phi_l", "Phi_l", 2),
+    ("DVBMorphism", "phi_c", "Phi_c", 2),
+    ("DVBMorphism", "phi_r", "Phi_r", 2),
+    ("DVBMorphism", "psi", "Psi", 3),
+    ("GeneralVectorField", "base", "base", 1),
+    ("GeneralVectorField", "vert", "vert", 1),
+    ("LinearVectorField", "base", "base", 1),
+    ("LinearVectorField", "fiber", "fiber", 2),
+    ("GeneralOneForm", "dx_coeffs", "dx", 1),
+    ("GeneralOneForm", "de_coeffs", "de", 1),
+    ("LinearOneForm", "theta_a", "theta_a", 1),
+    ("LinearOneForm", "theta_ia", "theta_ia", 2),
+    ("Bivector", "l_ij", "l_ij", 2),
+    ("Bivector", "l_ia", "l_ia", 2),
+    ("Bivector", "l_ab", "l_ab", 2),
+    ("LinearTwoForm", "omega_ija", "omega_ija", 3),
+    ("LinearTwoForm", "omega_ia", "omega_ia", 2),
+    ("CoreSection", "gamma", "gamma", 1),
+    ("LinearSection", "base", "base", 1),
+    ("LinearSection", "fiber", "fiber", 2),
+    ("LinearConnection", "gamma", "gamma", 3),
+    ("Metric", "g", "g", 2),
+]
+
+# A core section has no rank of its own: only its variables are checked
+# there, its length by the scenario and by `vertical_lift`.
+UNSIZED = {("CoreSection", "gamma")}
+
+
+def _resized(grid, depth, delta):
+    """The grid with the first tuple `depth` levels down one entry shorter
+    (delta -1) or longer (delta 1); in a matrix, every row at depth 1."""
+    if isinstance(grid, PolyMatrix):
+        rows = grid.entries
+        if depth == 0:
+            return PolyMatrix(grid.vars, _resized(rows, 0, delta))
+        return PolyMatrix(grid.vars, tuple(_resized(row, 0, delta) for row in rows))
+    if depth == 0:
+        return grid[:-1] if delta < 0 else grid + grid[:1]
+    return (_resized(grid[0], depth - 1, delta),) + grid[1:]
+
+
+def _misplaced(grid):
+    """The grid with its first entry (every entry of a matrix) over other variables."""
+    if isinstance(grid, PolyMatrix):
+        return PolyMatrix.zero(("y",), grid.rows, grid.cols)
+    if isinstance(grid, MultiPoly):
+        return MultiPoly.zero(("y",))
+    return (_misplaced(grid[0]),) + grid[1:]
+
+
+def _first_entry(grid):
+    while not isinstance(grid, MultiPoly):
+        grid = grid[0]
+    return grid
+
+
+def _raises(record, attr, value) -> str:
+    with pytest.raises(ValueError) as info:
+        replace(record, **{attr: value})
+    return str(info.value)
+
+
+@pytest.mark.parametrize(
+    "record, attr, name, depth", GRID_FIELDS, ids=[f"{r}.{a}" for r, a, _, _ in GRID_FIELDS]
+)
+def test_field_shape_and_variables_are_checked(record, attr, name, depth):
+    valid = _grid_records()[record]
+    grid = getattr(valid, attr)
+    matrix = isinstance(grid, PolyMatrix)
+    levels = () if (record, attr) in UNSIZED else range(depth)
+    for level in levels:
+        for delta in (-1, 1):
+            if matrix:
+                shape = [2, 2]
+                shape[level] += delta
+                expected = f"{name} has shape {tuple(shape)}, expected (2, 2)"
+            else:
+                expected = f"{name}{'[0]' * level} has {2 + delta} entries, expected 2"
+            assert _raises(valid, attr, _resized(grid, level, delta)) == expected
+    where = name if matrix else name + "[0]" * depth
+    vars = grid.vars if matrix else _first_entry(grid).vars
+    assert _raises(valid, attr, _misplaced(grid)) == f"{where} must use the variables {vars}"
+
+
+def test_linear_section_and_vertical_lift_share_the_side_check():
+    records = _grid_records()
+    section = records["LinearSection"]
+    message = r"^side must be 'right' or 'left', got 'up'$"
+    with pytest.raises(ValueError, match=message):
+        replace(section, side="up")
+    with pytest.raises(ValueError, match=message):
+        vertical_lift(section.bundle, "up", records["CoreSection"], (1, 2), (3, 4))

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from dvbcalc.scenario import (
     ScenarioParseError,
     derive_seed,
     gen_random_scenario,
+    parse_number,
     random_bivector,
     random_connection,
     random_metric,
@@ -494,6 +496,21 @@ def test_generation_bounds_validated():
             "core_section.gamma[0], term 0, exponent must be an integer",
         ),
         ({"coeff": "1", "exps": [-1]}, "core_section.gamma[0], term 0: negative exponent"),
+        (
+            {"coeff": "1e10000000", "exps": [0]},
+            "core_section.gamma[0], term 0: bad coefficient '1e10000000': "
+            "more than 32 digits in the numerator or denominator",
+        ),
+        (
+            {"coeff": 10**32, "exps": [0]},
+            f"core_section.gamma[0], term 0: bad coefficient {10**32}: "
+            "more than 32 digits in the numerator or denominator",
+        ),
+        (
+            {"coeff": "1e-32", "exps": [0]},
+            "core_section.gamma[0], term 0: bad coefficient '1e-32': "
+            "more than 32 digits in the numerator or denominator",
+        ),
     ],
 )
 def test_term_parse_error_texts(term, message):
@@ -502,6 +519,36 @@ def test_term_parse_error_texts(term, message):
     with pytest.raises(ScenarioParseError) as info:
         scenario_from_obj(obj)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "raw", [10**32 - 1, "-" + "9" * 32, "1/" + "9" * 32, "1e31", "1e-31", "0.5e1", "3/7"]
+)
+def test_coefficients_at_the_digit_cap_are_read(raw):
+    assert parse_number(raw) == Fraction(raw)
+
+
+def test_huge_exponent_is_rejected_before_its_power_is_built():
+    # Fraction("1e10000000") alone takes about 15 s
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        parse_number("1e10000000")
+    assert time.perf_counter() - start < 0.1
+
+
+def test_like_terms_are_summed_under_the_digit_cap():
+    # each coefficient is within the cap, their sum is not
+    obj = minimal_obj()
+    big = 10**31
+    obj["core_section"] = {
+        "gamma": [poly_lit(f"1/{big + 1}", [1]) + poly_lit(f"1/{big + 3}", [1])]
+    }
+    with pytest.raises(ScenarioParseError) as info:
+        scenario_from_obj(obj)
+    assert str(info.value) == (
+        "core_section.gamma[0], term 1: like terms sum to "
+        "more than 32 digits in the numerator or denominator"
+    )
 
 
 def test_term_parse_error_names_the_failing_term():

@@ -113,10 +113,11 @@ _MAX_TERMS = 256
 
 # A number read from outside, a coefficient or a --point/--outer coordinate,
 # has at most _MAX_DIGITS decimal digits in its numerator and in its
-# denominator.  `dvb gen` writes at most 7.  At 32, the longest integer that
-# `dvb dualize --point` prints for a rank-8 file with every coefficient and
-# coordinate at the cap has about 2700 digits, below the interpreter's
-# 4300-digit limit on int-to-text conversion; the count grows with the cap.
+# denominator.  `dvb gen` wrote at most 7 over 480 sampled files.  At 32,
+# the longest integer that `dvb dualize --point` prints for the largest
+# rank-8 file `dvb gen` draws, with every coefficient and coordinate at the
+# cap, has about 2700 digits, below the interpreter's 4300-digit limit on
+# int-to-text conversion; the count grows with the cap.
 _MAX_DIGITS = 32
 _DIGIT_BOUND = 10**_MAX_DIGITS
 # The exponent at the end of a number text, in the grammar `Fraction` reads.

@@ -22,7 +22,7 @@ singular at a requested point is an inconsistent scenario.  Every
 and ``--max-degree`` in [0, 8].  The plan flags share their ranges with a
 scenario file's ``plan``, from ``scenario.PLAN_RANGES``.  A ``--point`` or
 ``--outer`` coordinate is read by ``scenario.parse_number``, under the digit
-cap of a scenario coefficient.
+cap of a scenario coefficient; its first coordinate may be negative.
 """
 
 from __future__ import annotations
@@ -309,6 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # argparse reads a value with a leading minus after --point/--outer as an
+    # option, so each is joined with its value first, as in --point=-1/2,1
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 2, -1, -1):
+        if argv[i] in ("--point", "--outer"):
+            argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -24,9 +24,12 @@ shared-slot checks; the public `fiber_add`, `fiber_scale`, `kernel_split`,
 `core_difference` and the `apply` of `DVBMorphism` and `FiberMorphism` call
 them, and the sampled structure laws of the `axioms` suite call the private
 routines directly.  `_apply_blocks` reads a morphism's blocks as integer
-matrices over one denominator per block.  Sampled slots are drawn
-from `ring._rational_draws`, the (p, q) pairs of `random_tuple`, which follow
-the stdlib `randint` rule.
+matrices over one denominator per block.
+
+Every sampled check, in the suites, `geomech` and `duality`, draws through
+one `_Sampler` (an rng, a bundle and a coordinate bound), whose `slots` and
+`element` turn the (p, q) pairs of `ring._rational_draws`, in the order of
+`random_tuple`, into slot vectors without a `Fraction`.
 
 Morphisms between decomposed bundles over the same chart are block maps over
 the identity of the base,
@@ -68,12 +71,16 @@ from .ring import (
     MultiPoly,
     Point,
     PolyMatrix,
+    SingularMatrixError,
     _check_grid,
     _EvalPlan,
     _frac_rows,
+    _randint,
     _rational_draws,
     mat_inverse_frac,
     mat_mul,
+    random_rational,
+    random_tuple,
     rat,
     transpose,
 )
@@ -288,14 +295,6 @@ def _fractions(slots: _Slots) -> tuple[Fraction, ...]:
     return tuple([Fraction(n, den) for n in nums])
 
 
-def _random_slots(rng, n: int, bound: int) -> _Slots:
-    """The slot vector of `random_tuple(rng, n, bound)`, from the same draws."""
-    draws = _rational_draws(rng, n, bound)
-    qs = draws[1::2]
-    den = lcm(*qs)
-    return _reduced([p * (den // q) for p, q in zip(draws[::2], qs)], den)
-
-
 def _vec_add(a, b) -> _Slots:
     """The sum of two slot vectors; the inputs need not be in lowest terms."""
     (an, ad), (bn, bd) = a, b
@@ -417,6 +416,95 @@ def _apply_blocks(source, target, int_blocks_at, v: DVBElement) -> DVBElement:
         _vec_add(_mat_vec(cm, c), _mat_vec(psi, e_times_f)),
         _reduced(*_mat_vec(r, e)),
     )
+
+
+# ---------------------------------------------------------------------------
+# The sampler: every sampled check of the library draws here
+
+
+class _Sampler:
+    """The draws of one sampled check: its rng, a bundle and the coordinate bound.
+
+    Every draw comes from the one rng in call order, so a check replays
+    from its seed.  `point` reads the bundle's chart, which a vector bundle
+    also has; `element` needs a decomposed bundle.
+    """
+
+    __slots__ = ("rng", "bundle", "bound")
+
+    def __init__(self, rng, bundle: DecomposedDVB, bound: int = 7):
+        self.rng = rng
+        self.bundle = bundle
+        self.bound = bound
+
+    def over(self, bundle: DecomposedDVB) -> _Sampler:
+        """The same draws over another bundle, such as a dual or a shell."""
+        return _Sampler(self.rng, bundle, self.bound)
+
+    def rational(self) -> Fraction:
+        return random_rational(self.rng, self.bound)
+
+    def rationals(self, n: int) -> tuple[Fraction, ...]:
+        return random_tuple(self.rng, n, self.bound)
+
+    def point(self) -> Point:
+        return random_tuple(self.rng, self.bundle.chart.dim, self.bound)
+
+    def positives(self, n: int) -> list[int]:
+        """n integers from [1, bound]."""
+        return [_randint(self.rng, 1, self.bound) for _ in range(n)]
+
+    def slots(self, n: int) -> _Slots:
+        """`rationals(n)` as a slot vector, from the same draws."""
+        draws = _rational_draws(self.rng, n, self.bound)
+        qs = draws[1::2]
+        den = lcm(*qs)
+        return _reduced([p * (den // q) for p, q in zip(draws[::2], qs)], den)
+
+    def element(self, x=None, f=None, c=None, e=None) -> DVBElement:
+        """An element of the bundle; the slots not given are drawn in order,
+        and the slots given are slot vectors."""
+        b = self.bundle
+        return DVBElement._of_slots(
+            b,
+            self.point() if x is None else x,
+            self.slots(b.n_F) if f is None else f,
+            self.slots(b.n_C) if c is None else c,
+            self.slots(b.n_E) if e is None else e,
+        )
+
+    def seed(self) -> int:
+        """A seed for a sampled criterion that keeps its own sampler."""
+        return _randint(self.rng, 0, (1 << 30) - 1)
+
+    def regular_points(self, count: int, sample, finished):
+        """Run `sample` until it has passed at `count` points.
+
+        `sample` draws its own point, or the seed of a sampled criterion,
+        and returns a result triple to stop with, or None.  In exact
+        arithmetic a SingularMatrixError (a singular metric is one) is a true
+        singularity of a scenario record at the drawn point, not a defect,
+        so that sample is drawn again; after `count` such redraws the
+        property passes vacuously.  Once `count` samples pass, `finished`
+        is the result.
+        """
+        passed = redrawn = 0
+        while passed < count:
+            try:
+                result = sample()
+            except SingularMatrixError:
+                redrawn += 1
+                if redrawn > count:
+                    detail = f"only {passed} of {count} points regular after {count} redraws"
+                    return True, f"{detail}; vacuous", None
+                continue
+            if result is not None:
+                return result
+            passed += 1
+        if not redrawn:
+            return finished
+        ok, detail, cx = finished
+        return ok, f"{detail} (singular points redrawn: {redrawn})", cx
 
 
 # ---------------------------------------------------------------------------

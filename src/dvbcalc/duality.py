@@ -34,8 +34,8 @@ from .core import (
     FiberMorphism,
     PointwiseMorphism,
     _pairing,
-    _random_slots,
     _right_dual_blocks,
+    _Sampler,
     _signed_identity,
     _slots_of,
     _vec_scale,
@@ -244,9 +244,8 @@ def verify_R_relation(
             for t in itertools.product(values, repeat=n_f + n_c + n_e)
         )
     else:
-        # the draws of random_tuple(rng, n_f + n_c + n_e), cut into three slots
-        rng = random.Random(seed)
-        pool = ([_random_slots(rng, n, 7) for n in bundle.ranks] for _ in range(samples))
+        s = _Sampler(random.Random(seed), bundle)
+        pool = ([s.slots(n) for n in bundle.ranks] for _ in range(samples))
 
     _, x, _, _, e = v._key
     phi_f = phi._f

@@ -10,7 +10,8 @@ The recurring theme is that fiberwise-linear objects on E are exactly the
 ones whose associated maps between the tangent shell K(TM, E, E) and the
 cotangent shell K(E*, T*M, E) respect both bundle structures.  Shape
 predicates are decided exactly on polynomial degrees; structure predicates
-are sampled at rational points with a seeded generator and checked exactly.
+are sampled at rational points and checked exactly: each draws through a
+`core._Sampler` over its seed, and keeps fiber values as slot vectors.
 One sampled checker, `_respects_both_structures`, decides "respects both
 structures" for maps into a shell (contraction of a bivector) and for
 double-linear functions (momentum and velocity functions); one more,
@@ -44,11 +45,13 @@ from .core import (
     _is_right,
     _mat_vec,
     _pairing,
-    _random_slots,
     _reduced,
+    _Sampler,
     _signed_identity,
     _slot,
     _slots_of,
+    _vec_add,
+    _vec_scale,
     _zero_slots,
     compose_morphisms,
     cotangent_prolongation,
@@ -70,17 +73,14 @@ from .ring import (
     MultiPoly,
     Point,
     PolyMatrix,
+    SingularMatrixError,
     _check_grid,
-    _draw,
     _EvalPlan,
-    _span,
     det_frac,
-    random_rational,
-    random_tuple,
 )
 
 
-class SingularMetricError(ArithmeticError):
+class SingularMetricError(SingularMatrixError):
     """The metric block is singular at a point where it must be inverted."""
 
 
@@ -143,13 +143,13 @@ def _respects_both_structures(
     """
     if add is None:
         add, scale = fiber_add, fiber_scale
-    rng = random.Random(seed)
+    s = _Sampler(random.Random(seed), shell)
     n_f, n_c, n_e = shell.ranks
     element = DVBElement._of_slots
     for _ in range(samples):
-        x = random_tuple(rng, shell.chart.dim)
-        e, e2, f, f2, c, c2 = (_random_slots(rng, n, 7) for n in (n_e, n_e, n_f, n_f, n_c, n_c))
-        r = random_rational(rng)
+        x = s.point()
+        e, e2, f, f2, c, c2 = (s.slots(n) for n in (n_e, n_e, n_f, n_f, n_c, n_c))
+        r = s.rational()
         u = element(shell, x, f, c, e)
         at_u = image(u)
         try:
@@ -169,22 +169,21 @@ def _respects_both_structures(
 def _section_is_bundle_morphism(bundle: VectorBundle, image, samples: int, seed: int) -> bool:
     """Sampled test that e -> image(x, e) is a morphism for the left structure.
 
-    The images of two fiber points over one base point must share their
-    left leg, and the image must turn fiber sums and scalings into left
-    sums and scalings of the target shell.
+    `image` takes a fiber slot vector.  The images of two fiber points over
+    one base point must share their left leg, and the image must turn fiber
+    sums and scalings into left sums and scalings of the target shell.
     """
-    rng = random.Random(seed)
-    n, k = bundle.chart.dim, bundle.rank
+    s = _Sampler(random.Random(seed), bundle)
     for _ in range(samples):
-        x = random_tuple(rng, n)
-        e1, e2 = random_tuple(rng, k), random_tuple(rng, k)
-        r = random_rational(rng)
+        x = s.point()
+        e1, e2 = s.slots(bundle.rank), s.slots(bundle.rank)
+        r = s.rational()
         v1, v2 = image(x, e1), image(x, e2)
         if v1._f != v2._f:
             return False
-        if image(x, tuple(a + b for a, b in zip(e1, e2))) != fiber_add("left", v1, v2):
+        if image(x, _vec_add(e1, e2)) != fiber_add("left", v1, v2):
             return False
-        if image(x, tuple(r * a for a in e1)) != fiber_scale("left", r, v1):
+        if image(x, _vec_scale(r.numerator, r.denominator, e1)) != fiber_scale("left", r, v1):
             return False
     return True
 
@@ -212,7 +211,11 @@ class GeneralVectorField:
 
     def tangent_image(self, x, e) -> DVBElement:
         """The field evaluated at (x, e) as a tangent shell element."""
-        x, e = self.bundle.chart.point(x), _slots_of(_slot(e, self.bundle.rank, "E"))
+        return self._tangent_image(
+            self.bundle.chart.point(x), _slots_of(_slot(e, self.bundle.rank, "E"))
+        )
+
+    def _tangent_image(self, x, e) -> DVBElement:  # e a slot vector
         (xdot, edot), den = self._plan.at(x, e)[0]
         return DVBElement._of_slots(
             tangent_prolongation(self.bundle), x, _reduced(xdot, den), _reduced(edot, den), e
@@ -264,7 +267,7 @@ def vf_is_bundle_morphism(field: GeneralVectorField, samples: int = 40, seed: in
     (base components independent of e) and be additive and homogeneous in e
     with respect to the left structure of the tangent shell.
     """
-    return _section_is_bundle_morphism(field.bundle, field.tangent_image, samples, seed)
+    return _section_is_bundle_morphism(field.bundle, field._tangent_image, samples, seed)
 
 
 def vf_linearity_on_cotangent(field, samples: int = 40, seed: int = 0) -> bool:
@@ -306,7 +309,11 @@ class GeneralOneForm:
 
     def cotangent_image(self, x, e) -> DVBElement:
         """The form at (x, e) as a cotangent shell element."""
-        x, e = self.bundle.chart.point(x), _slots_of(_slot(e, self.bundle.rank, "E"))
+        return self._cotangent_image(
+            self.bundle.chart.point(x), _slots_of(_slot(e, self.bundle.rank, "E"))
+        )
+
+    def _cotangent_image(self, x, e) -> DVBElement:  # e a slot vector
         (p, phi), den = self._plan.at(x, e)[0]
         return DVBElement._of_slots(
             cotangent_prolongation(self.bundle), x, _reduced(phi, den), _reduced(p, den), e
@@ -354,7 +361,7 @@ def oneform_evaluation_on_tangent(form: GeneralOneForm, w: DVBElement) -> Fracti
 
 def oneform_is_bundle_morphism(form: GeneralOneForm, samples: int = 40, seed: int = 0) -> bool:
     """Sampled test that e -> form(x, e) is a morphism into the cotangent shell."""
-    return _section_is_bundle_morphism(form.bundle, form.cotangent_image, samples, seed)
+    return _section_is_bundle_morphism(form.bundle, form._cotangent_image, samples, seed)
 
 
 def oneform_linearity_on_tangent(form, samples: int = 40, seed: int = 0) -> bool:
@@ -918,14 +925,12 @@ def is_metric_connection(
     rhs = compose_morphisms(
         connection_splitting(dual_connection(conn)), tangent_metric_morphism(metric)
     )
-    rng = random.Random(seed)
-    n, k = conn.bundle.chart.dim, conn.bundle.rank
-    shell = tangent_prolongation(conn.bundle)
+    s = _Sampler(random.Random(seed), tangent_prolongation(conn.bundle))
     for _ in range(samples):
-        x = random_tuple(rng, n)
+        x = s.point()
         if det_frac(metric.g.eval_ints(x)[0]) == 0:
             raise SingularMetricError(f"metric is singular at {x}")
-        v = shell.element(x, random_tuple(rng, n), random_tuple(rng, k), random_tuple(rng, k))
+        v = s.element(x)
         if lhs.apply(v) != rhs.apply(v):
             return False
     return True
@@ -1007,38 +1012,32 @@ def alpha_M(chart: Chart):
 
 
 def is_symmetric_connection(conn: LinearConnection, samples: int = 20, seed: int = 0) -> bool:
-    """Symmetry of a tangent bundle connection, by diagram and by coordinates.
+    """Symmetry of a tangent bundle connection, by the side-exchange diagram.
 
-    The diagram path samples the side exchange conjugation of the splitting,
-    always including the side basis pairs so any asymmetric Christoffel entry
-    is certain to register.  The coordinate path compares Gamma^a_ib with
-    Gamma^a_bi exactly.  The two must agree.
+    Samples the side exchange conjugation of the splitting, always including
+    the side basis pairs so any asymmetric Christoffel entry is certain to
+    register.  The coordinate test, Gamma^a_ib against Gamma^a_bi exactly,
+    is `_first_asymmetry`; the suites compare the two verdicts.
     """
     vb = conn.bundle
     n = vb.chart.dim
     if vb.rank != n:
         raise ValueError("symmetry needs the bundle ranks to match the chart")
-    exact = _first_asymmetry(conn) is None
-
     split = connection_splitting(conn)
     shell = split.source
     exchange = kappa_triple(shell)
     lhs = compose_morphisms(exchange, split)
     rhs = compose_morphisms(split.flip(), exchange)
-    rng = random.Random(seed)
+    s = _Sampler(random.Random(seed), shell)
 
     units = [tuple(int(t == i) for t in range(n)) for i in range(n)]
     elements = []
     for _ in range(2):
-        x = random_tuple(rng, n)
+        x = s.point()
         elements += [shell.element(x, f, (0,) * n, e) for f in units for e in units]
     for _ in range(samples):
-        x = random_tuple(rng, n)
-        elements.append(shell.element(x, *(random_tuple(rng, n) for _ in range(3))))
-    sampled = all(lhs.apply(v) == rhs.apply(v) for v in elements)
-    if sampled != exact:
-        raise RuntimeError("diagram and coordinate symmetry tests disagree")
-    return exact
+        elements.append(s.element())
+    return all(lhs.apply(v) == rhs.apply(v) for v in elements)
 
 
 # ---------------------------------------------------------------------------
@@ -1070,11 +1069,11 @@ def horizontal_lagrangian_check(
     if vb.rank != n:
         raise ValueError("the check needs the bundle ranks to match the chart")
     omega = lifted_symplectic_form(vb.chart.names)
-    rng = random.Random(seed)
+    s = _Sampler(random.Random(seed), vb)
     zeros = (Fraction(0),) * n
     for _ in range(samples):
-        x = random_tuple(rng, n)
-        p = _draw(rng, (_span(1, 7),) * n)
+        x = s.point()
+        p = s.positives(n)
         spot = x + tuple(p) + zeros + zeros
         # the planes Gamma[b] at x, as integer rows over one denominator
         gamma = conn._plan.at(x)

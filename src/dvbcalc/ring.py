@@ -52,9 +52,10 @@ returns the determinant and the solutions for all right-hand sides at once.
 
 Every random integer the library draws comes from one routine, `_draw`,
 which reads `rng.getrandbits` with the stdlib's own rejection rule, so it
-gives the values and leaves the rng state of `randint`/`randrange`.
-`random_rational`, `random_tuple` and the kernel slots of `core` read its
-batched (p, q) pair form, `_rational_draws`.
+gives the values and leaves the rng state of `randint`/`randrange`.  Its
+(p, q) pair form, `_rational_draws`, feeds `random_rational`/`random_tuple`
+(the scenario generators) and the one sampler of every sampled check,
+`core._Sampler`, which makes slot vectors of the same pairs.
 """
 
 from __future__ import annotations

@@ -69,7 +69,6 @@ from .geomech import (
     _fiber_linear,
     total_space_vars,
 )
-# random_tuple is imported so that it stays importable from here.
 from .ring import (
     MultiPoly,
     PolyMatrix,
@@ -79,7 +78,6 @@ from .ring import (
     _span,
     det_frac,
     random_rational,
-    random_tuple,
 )
 
 

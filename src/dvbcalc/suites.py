@@ -9,18 +9,15 @@ dual, their defining relation, and the conjugated transport identity;
 and connection criteria.  `all` concatenates them.
 
 A property is one row `(prop_id, fn)` of its suite's table.  `fn(sc, s)`
-gets the scenario and a `_Sampler`, which holds the property's
-`random.Random`, the scenario bundle and the coordinate bound, and makes
-every draw; it returns `(passed, detail, counterexample)`.  A property that
-needs a section the scenario leaves out reads the stand-in of
-`Scenario.section`.
+gets the scenario and the library's one sampler, `core._Sampler`, over the
+property's `random.Random`, the scenario bundle and the coordinate bound;
+it returns `(passed, detail, counterexample)`.  A sampled `geomech`
+criterion that a property calls gets a seed from `s.seed()` and draws
+through a sampler of its own.  A property that needs a section the scenario
+leaves out reads the stand-in of `Scenario.section`.
 
-The sampler's `element` draws an element's slots as `core` slot vectors,
-from the same (p, q) pairs of `ring._rational_draws` in the same order as
-`random_tuple`, and `slots` draws one shared slot vector.  Every draw goes
-through `ring._draw`, which keeps the stdlib `randint` rule, so every value
-and replay seed is unchanged; the `Fraction` views of an element are made
-only where a property reads them, such as a counterexample.  The sampled
+Samples are slot vectors; the `Fraction` views of an element are made only
+where a property reads them, such as a counterexample.  The sampled
 structure laws (the `axioms` checkers, which the dual-bundle property
 reuses) call `core`'s private structure maps.  `axioms.07` applies the
 morphism with `DVBMorphism.apply`, which reads the integer plan at each
@@ -48,11 +45,11 @@ from .core import (
     DVBMorphism,
     NotInKernelError,
     VectorBundle,
+    _Sampler,
     _difference,
     _fractions,
     _left_add,
     _left_scale,
-    _random_slots,
     _right_add,
     _right_scale,
     _split,
@@ -110,14 +107,7 @@ from .geomech import (
     vf_is_bundle_morphism,
     vf_linearity_on_cotangent,
 )
-from .ring import (
-    MultiPoly,
-    PolyMatrix,
-    SingularMatrixError,
-    _randint,
-    random_rational,
-    random_tuple,
-)
+from .ring import MultiPoly, PolyMatrix
 from .scenario import (
     GENERATED_DEGREE,
     SECTIONS,
@@ -204,88 +194,6 @@ def _fmt(value) -> str:
         x, f, c, e = (_fmt(slot) for slot in (value.x, value.f, value.c, value.e))
         return f"(x={x} | f={f} | c={c} | e={e})"
     return str(value)
-
-
-# ---------------------------------------------------------------------------
-# The sampler
-
-class _Sampler:
-    """The draws of one property: its rng, a bundle and the coordinate bound.
-
-    Every draw comes from the one rng in call order, so a property replays
-    from its seed.
-    """
-
-    __slots__ = ("rng", "bundle", "bound")
-
-    def __init__(self, rng: random.Random, bundle: DecomposedDVB, bound: int):
-        self.rng = rng
-        self.bundle = bundle
-        self.bound = bound
-
-    def over(self, bundle: DecomposedDVB) -> _Sampler:
-        """The same draws over another bundle, such as a dual or a shell."""
-        return _Sampler(self.rng, bundle, self.bound)
-
-    def rational(self) -> Fraction:
-        return random_rational(self.rng, self.bound)
-
-    def rationals(self, n: int) -> tuple[Fraction, ...]:
-        return random_tuple(self.rng, n, self.bound)
-
-    def point(self) -> tuple[Fraction, ...]:
-        return random_tuple(self.rng, self.bundle.chart.dim, self.bound)
-
-    def slots(self, n: int):
-        """`rationals(n)` as a slot vector, from the same draws."""
-        return _random_slots(self.rng, n, self.bound)
-
-    def element(self, x=None, f=None, c=None, e=None) -> DVBElement:
-        """An element of the bundle; the slots not given are drawn in order,
-        and the slots given are slot vectors."""
-        b, rng, bound = self.bundle, self.rng, self.bound
-        if x is None:
-            x = random_tuple(rng, b.chart.dim, bound)
-        return DVBElement._of_slots(
-            b,
-            x,
-            _random_slots(rng, b.n_F, bound) if f is None else f,
-            _random_slots(rng, b.n_C, bound) if c is None else c,
-            _random_slots(rng, b.n_E, bound) if e is None else e,
-        )
-
-    def seed(self) -> int:
-        """A seed for a sampled criterion that keeps its own rng."""
-        return _randint(self.rng, 0, (1 << 30) - 1)
-
-    def regular_points(self, count: int, sample, finished):
-        """Run `sample` until it has passed at `count` points.
-
-        `sample` draws its own point, or the seed of a sampled criterion,
-        and returns a result triple to stop with, or None.  In exact
-        arithmetic a SingularMatrixError or SingularMetricError is a true
-        singularity of a scenario record at the drawn point, not a defect,
-        so that sample is drawn again; after `count` such redraws the
-        property passes vacuously.  Once `count` samples pass, `finished`
-        is the result.
-        """
-        passed = redrawn = 0
-        while passed < count:
-            try:
-                result = sample()
-            except (SingularMatrixError, SingularMetricError):
-                redrawn += 1
-                if redrawn > count:
-                    detail = f"only {passed} of {count} points regular after {count} redraws"
-                    return True, f"{detail}; vacuous", None
-                continue
-            if result is not None:
-                return result
-            passed += 1
-        if not redrawn:
-            return finished
-        ok, detail, cx = finished
-        return ok, f"{detail} (singular points redrawn: {redrawn})", cx
 
 
 def _run_property(prop_id: str, sc: Scenario, fn) -> PropertyResult:
@@ -1197,7 +1105,13 @@ def _metric_check(sc: Scenario, s: _Sampler):
 
 def _symmetric_check(sc: Scenario, s: _Sampler):
     conn = sc.section("connection")
-    if is_symmetric_connection(conn, samples=20, seed=s.seed()):
+    exact = _first_asymmetry(conn) is None
+    diagram = is_symmetric_connection(conn, samples=20, seed=s.seed())
+    if exact != diagram:
+        return False, "diagram and coordinate channels disagree", {
+            "coordinate_symmetry": exact, "side_exchange_diagram": diagram
+        }
+    if exact:
         return True, "connection is symmetric", None
     return False, "connection is not symmetric", _asymmetry_cx(conn)
 

@@ -55,6 +55,7 @@ from dvbcalc import (
     vf_is_bundle_morphism,
     vf_linearity_on_cotangent,
 )
+from dvbcalc.ring import random_rational, random_tuple
 from dvbcalc.scenario import (
     Scenario,
     derive_seed,
@@ -65,8 +66,6 @@ from dvbcalc.scenario import (
     random_one_form,
     random_poly_matrix,
     random_poly_vector,
-    random_rational,
-    random_tuple,
     random_two_form,
     random_vector_field,
 )

@@ -576,3 +576,16 @@ def test_huge_core_section_coefficient_is_parse_error(tmp_path, capsys):
         "--side", "left", "--point", "1,1", "--outer", "1,1",
     )
     assert err.startswith("PARSE_ERROR: core_section.gamma[")
+
+
+@pytest.mark.parametrize("command, flags", [
+    (("dualize",), ("--point", "-1/2,1,2")),
+    (("lift", "vertical", "--side", "right"), ("--point", "-1,0,2", "--outer", "-3")),
+])
+def test_leading_minus_coordinate_is_a_value(command, flags, scenario_file, capsys):
+    # argparse alone reads "-1/2,1,2" after --point as an option and exits 2
+    base = (*command, "--scenario", scenario_file)
+    code, out, err = run_cli(capsys, *base, *flags)
+    assert (code, err) == (0, "")
+    joined = [f"{flag}={value}" for flag, value in zip(flags[::2], flags[1::2])]
+    assert run_cli(capsys, *base, *joined) == (0, out, "")

@@ -34,7 +34,7 @@ from dvbcalc.core import (
     _fractions,
     _left_add,
     _left_scale,
-    _random_slots,
+    _Sampler,
     _right_add,
     _right_scale,
     _split,
@@ -617,12 +617,12 @@ def test_kernel_draws_equal_random_tuple(bound):
     for seed in range(200):
         for n in range(5):
             ours, theirs = random.Random(seed), random.Random(seed)
-            slots = _random_slots(ours, n, bound)
+            slots = _Sampler(ours, None, bound).slots(n)
             assert _fractions(slots) == random_tuple(theirs, n, bound)
             assert ours.getstate() == theirs.getstate()
             assert gcd(slots[1], *slots[0]) == 1
         ours, theirs = random.Random(seed), random.Random(seed)
-        assert _fractions(_random_slots(ours, 1, bound)) == (random_rational(theirs, bound),)
+        assert _fractions(_Sampler(ours, None, bound).slots(1)) == (random_rational(theirs, bound),)
         assert ours.getstate() == theirs.getstate()
 
 

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from dvbcalc import core
+from dvbcalc import core, geomech
 from dvbcalc.core import Chart, DecomposedDVB, DVBMorphism, psi_zero
 from dvbcalc.ring import PolyMatrix, _EvalPlan, random_rational, random_tuple
 from dvbcalc.scenario import (
@@ -427,3 +427,29 @@ def test_scalar_worked_example_evaluates_once_and_pulls_back_once_per_covector(m
     assert passed, detail
     # one evaluation at the point; 125 images and 125 pulled-back covectors
     assert counts == {"at": 1, "apply": 250}
+
+
+def _exchange_negating_the_core(bundle):
+    # a defect in the side-exchange diagram only: the coordinate and
+    # isotropy channels never read the exchange
+    return core._signed_identity(bundle, bundle.flip(), (1, -1, 1))
+
+
+def test_symmetry_diagram_defect_is_reported_with_every_verdict(monkeypatch):
+    monkeypatch.setattr(geomech, "kappa_triple", _exchange_negating_the_core)
+    sc = gen_random_scenario(0, symmetric=True)
+    rows = {r.prop_id: r for r in run_suite("geometry", sc).results}
+    row = rows["geometry.10.connection-symmetry-channels"]
+    assert not row.passed
+    assert row.detail == "connection symmetry channels disagree"
+    assert row.counterexample == {
+        "coordinate_symmetry": "True",
+        "side_exchange_diagram": "False",
+        "horizontal_isotropy": "True",
+    }
+    check = run_connection_check("symmetric", sc).results[0]
+    assert not check.passed
+    assert check.detail == "diagram and coordinate channels disagree"
+    assert check.counterexample == {
+        "coordinate_symmetry": "True", "side_exchange_diagram": "False"
+    }

@@ -39,19 +39,19 @@ the identity of the base,
 with polynomial matrix blocks and a bilinear polynomial block Psi indexed as
 Psi[core-out][e-in][f-in].  All four blocks, Psi included, are evaluated
 through one cached `ring._EvalPlan`: `DVBMorphism.apply` reads its integer
-matrices at the element's base point, and `DVBMorphism.at` returns them as
-the `Fraction` blocks of a `FiberMorphism`, whose `apply` makes its own
-integer matrices from them on first use.
+matrices at the element's base point, and `DVBMorphism.at` keeps them, in
+lowest terms, as the blocks of a `FiberMorphism`, whose `Fraction` views
+are made only when read.
 
 Composition, inverse, right dual and flip are written once, as a block
-algebra on nested tuples over any coefficient ring: DVBMorphism runs it on
-MultiPoly blocks and FiberMorphism on the Fraction blocks at one base point.
-Every product in it is a `ring.mat_mul`, whose entries are each summed in
-one pass; the Psi contraction over the core index is one product with the
-Psi planes flattened to rows.  Inverses and duals
-divide by block determinants, so they use `mat_inverse_frac` per base point,
-or `unimodular_inverse` when the blocks are unimodular.  Only morphisms with
-equal source and target ranks can be inverted.  One builder,
+algebra that takes its matrix product: DVBMorphism runs it on MultiPoly rows
+with `ring.mat_mul`, FiberMorphism on integer rows over one denominator per
+block, so the pointwise algebra makes no `Fraction`.  The Psi contraction
+over the core index is one product with the Psi planes flattened to rows.
+Inverses and duals divide by block determinants: at a point a block's
+inverse is its adjugate over the pivot of one fraction-free elimination,
+and over the chart `unimodular_inverse` serves when the blocks are
+unimodular.  Only morphisms with equal source and target ranks can be inverted.  One builder,
 `_signed_identity`, makes every morphism whose blocks are signed identities
 and whose Psi is zero: the identity, the side exchange and the canonical
 maps onto the third dual.
@@ -62,22 +62,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd, lcm
 from operator import add, mul
 from typing import Callable, Sequence
 
 from .ring import (
-    FracMatrix,
     MultiPoly,
     Point,
     PolyMatrix,
     SingularMatrixError,
     _check_grid,
+    _adjugate,
     _EvalPlan,
     _frac_rows,
     _randint,
     _rational_draws,
-    mat_inverse_frac,
     mat_mul,
     random_rational,
     random_tuple,
@@ -311,14 +311,17 @@ def _vec_scale(rn: int, rd: int, a: _Slots) -> _Slots:
     return _reduced([rn * n for n in nums], rd * den)
 
 
-def _pairing(a: _Slots, b: _Slots, c: _Slots, d: _Slots) -> Fraction:
-    """a.b + c.d for four slot vectors, in lowest terms or not: two integer
-    dots over the denominators make one `Fraction`."""
+def _pairing(a: _Slots, b: _Slots, c: _Slots, d: _Slots) -> tuple[int, int]:
+    """a.b + c.d for four slot vectors, in lowest terms or not, as the
+    unreduced ratio (numerator, denominator) of two integer dots."""
     (an, ad), (bn, bd), (cn, cd), (dn, dd) = a, b, c, d
     first, second = ad * bd, cd * dd
-    return Fraction(
-        sum(map(mul, an, bn)) * second + sum(map(mul, cn, dn)) * first, first * second
-    )
+    return sum(map(mul, an, bn)) * second + sum(map(mul, cn, dn)) * first, first * second
+
+
+def _dot(a: _Slots, b: _Slots) -> tuple[int, int]:
+    """a.b for two slot vectors, as an unreduced ratio like `_pairing`'s."""
+    return sum(map(mul, a[0], b[0])), a[1] * b[1]
 
 
 def _is_right(side: Side) -> bool:
@@ -390,6 +393,22 @@ def _int_matrix(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
     den = lcm(*[a.denominator for row in rows for a in row])
     ints = tuple(tuple([a.numerator * (den // a.denominator) for a in row]) for row in rows)
     return ints, den
+
+
+def _lowest(m):
+    """An integer matrix (rows, den), den > 0, in lowest terms."""
+    rows, den = m
+    g = gcd(den, *chain.from_iterable(rows))
+    if g == 1:
+        return m
+    return tuple(tuple([v // g for v in row]) for row in rows), den // g
+
+
+def _inverse_ints(m):
+    """The inverse of an integer matrix (rows, den): den adj(rows) / det(rows)."""
+    adjugate, pivot = _adjugate(m[0])
+    scale = m[1] if pivot > 0 else -m[1]
+    return tuple(tuple([scale * v for v in row]) for row in adjugate), abs(pivot)
 
 
 def _mat_vec(m, v) -> tuple[list[int], int]:
@@ -590,99 +609,107 @@ def cotangent_prolongation(vb: VectorBundle) -> DecomposedDVB:
 # Block algebra
 #
 # Composition, inverse, right dual and flip are written once, on blocks
-# (L, C, R, Psi) stored as nested tuples over any coefficient ring with `+`,
-# `*` and unary `-`: Fraction at a point, MultiPoly over the chart.  Widths
-# come from the bundles, because a matrix with no rows stores no width.  With
-# Psi[g] the E x F plane of core row g and T the transpose:
+# (L, C, R, Psi) held as matrices (rows, den), nested-tuple rows over one
+# denominator, with the E x F plane Psi[g] of core row g flattened to row g
+# of Psi.  Widths come from the bundles, because a matrix with no rows
+# stores no width.  With T the transpose:
 #
 #   composite outer . inner:  Psi[g]  = sum_d C2[g][d] Psi1[d] + R1^T Psi2[g] L1
 #   inverse:                  Psi[g]  = -sum_d C^-1[g][d] R^-T Psi[d] L^-1
 #   right dual:               Psi'[A] = (Psi[g][a][A])_(g,a) R^-1
 #   flip:                     Psi'[g] = Psi[g]^T
 #
-# Contracting one factor at a time keeps the inverse at O(n^4) coefficient
-# products; exact canonical arithmetic makes every result independent of the
-# summation order.
-
-def _combine(coeffs, planes, shape, zero):
-    """The planes sum_d coeffs[g][d] planes[d], one per row g of `coeffs`.
-
-    With each (rows x cols) plane flattened to one row this is a single
-    matrix product, so every entry is one sum of products.
-    """
-    rows, cols = shape
-    flat = tuple(tuple(p for row in plane for p in row) for plane in planes)
-    return tuple(
-        tuple(out[i * cols : (i + 1) * cols] for i in range(rows))
-        for out in mat_mul(coeffs, flat, rows * cols, zero)
-    )
+# A sum over d is one product with the flat Psi; contracting one factor at a
+# time keeps the inverse at O(n^4) coefficient products.  The formulas take
+# the product `mul`, over the product of the two denominators, and share the
+# rest: `_poly_mul` multiplies MultiPoly rows (over 1) with `ring.mat_mul`,
+# `_int_mul` integer rows at a point, left unreduced until a FiberMorphism
+# stores them in lowest terms.
 
 
-def _pull_planes(planes, r, l, source, target, zero):
-    """R^T P L for each E x F plane P over `target`; (l, r) are side blocks
-    of a morphism source -> target."""
-    rt = transpose(r, source.n_E)
-    return tuple(
-        mat_mul(mat_mul(rt, p, target.n_F, zero), l, source.n_F, zero) for p in planes
-    )
+def _poly_mul(vars):
+    zero = MultiPoly.zero(vars)
+    return lambda a, b, cols: (mat_mul(a[0], b[0], cols, zero), 1)
 
 
-def _compose_blocks(outer, inner, source, middle, zero):
+def _int_mul(a, b, cols: int):
+    (a_rows, a_den), (b_rows, b_den) = a, b
+    columns = transpose(b_rows, cols)
+    return tuple([tuple([sum(map(mul, r, c)) for c in columns]) for r in a_rows]), a_den * b_den
+
+
+def _sum(a, b):
+    (a_rows, a_den), (b_rows, b_den) = a, b
+    if a_den == b_den:
+        return tuple(tuple(map(add, x, y)) for x, y in zip(a_rows, b_rows)), a_den
+    rows = [[p * b_den + q * a_den for p, q in zip(x, y)] for x, y in zip(a_rows, b_rows)]
+    return tuple(map(tuple, rows)), a_den * b_den
+
+
+def _flat(planes):
+    """Each plane of a Psi block as one row, row by row."""
+    return tuple(tuple(chain.from_iterable(plane)) for plane in planes)
+
+
+def _planes(rows, n_e: int, n_f: int):
+    """The rows of a flat Psi block as n_e x n_f planes."""
+    return tuple(tuple(row[a * n_f : (a + 1) * n_f] for a in range(n_e)) for row in rows)
+
+
+def _pull(psi, r, l, source, target, mul):
+    """R^T P L for each E x F plane P of a flat Psi over `target`; (l, r)
+    are side blocks of a morphism source -> target."""
+    rows, den = psi
+    rt = transpose(r[0], source.n_E), r[1]
+    planes = _planes(rows, target.n_E, target.n_F)
+    pulled = [mul(mul(rt, (p, den), target.n_F), l, source.n_F)[0] for p in planes]
+    return _flat(pulled), r[1] * den * l[1]
+
+
+def _compose_blocks(outer, inner, source, middle, mul):
     """Blocks of outer . inner, with inner running source -> middle."""
     l2, c2, r2, psi2 = outer
     l1, c1, r1, psi1 = inner
-    pulled = _pull_planes(psi2, r1, l1, source, middle, zero)
-    combined = _combine(c2, psi1, (source.n_E, source.n_F), zero)
     return (
-        mat_mul(l2, l1, source.n_F, zero),
-        mat_mul(c2, c1, source.n_C, zero),
-        mat_mul(r2, r1, source.n_E, zero),
-        tuple(
-            tuple(tuple(map(add, s_row, p_row)) for s_row, p_row in zip(s_plane, p_plane))
-            for s_plane, p_plane in zip(combined, pulled)
-        ),
+        mul(l2, l1, source.n_F),
+        mul(c2, c1, source.n_C),
+        mul(r2, r1, source.n_E),
+        _sum(mul(c2, psi1, source.n_E * source.n_F), _pull(psi2, r1, l1, source, middle, mul)),
     )
 
 
-def _inverse_blocks(psi, inverses, source, target, zero):
+def _inverse_blocks(psi, inverses, source, target, mul):
     """Blocks of the inverse of a morphism source -> target, given its Psi
     and its inverted side and core blocks (L^-1, C^-1, R^-1)."""
-    li, ci, ri = inverses
-    pulled = _pull_planes(psi, ri, li, target, source, zero)
-    minus_ci = tuple(tuple(-k for k in row) for row in ci)
-    return (li, ci, ri, _combine(minus_ci, pulled, (target.n_E, target.n_F), zero))
+    li, (ci, ci_den), ri = inverses
+    pulled = _pull(psi, ri, li, target, source, mul)
+    minus_ci = tuple(tuple(-k for k in row) for row in ci), ci_den
+    return (li, (ci, ci_den), ri, mul(minus_ci, pulled, target.n_E * target.n_F))
 
 
-def _right_dual_blocks(blocks, rinv, source, target, zero):
+def _right_dual_blocks(blocks, rinv, source, target, mul):
     """Blocks of the right dual of a morphism source -> target, given R^-1;
     the dual runs from the dual of target to the dual of source."""
-    l, c, _, psi = blocks
-    return (
-        rinv,
-        transpose(l, source.n_F),
-        transpose(c, source.n_C),
-        tuple(
-            mat_mul(
-                tuple(tuple(plane[a][big_a] for a in range(source.n_E)) for plane in psi),
-                rinv,
-                target.n_E,
-                zero,
-            )
-            for big_a in range(source.n_F)
-        ),
-    )
+    (l, l_den), (c, c_den), _, (psi, den) = blocks
+    n_f = source.n_F
+    # (row[A::n_f] for row in psi) is the matrix (Psi[g][a][A])_(g,a)
+    planes = [
+        mul((tuple(row[big_a::n_f] for row in psi), den), rinv, target.n_E)[0]
+        for big_a in range(n_f)
+    ]
+    l_t, c_t = (transpose(l, n_f), l_den), (transpose(c, source.n_C), c_den)
+    return rinv, l_t, c_t, (_flat(planes), den * rinv[1])
 
 
 def _flip_blocks(blocks, source):
-    l, c, r, psi = blocks
-    return (r, c, l, tuple(transpose(plane, source.n_F) for plane in psi))
+    l, c, r, (psi, den) = blocks
+    return r, c, l, (_flat(zip(*p) for p in _planes(psi, source.n_E, source.n_F)), den)
 
 
 # ---------------------------------------------------------------------------
 # Morphisms
 
 PsiBlock = tuple[tuple[tuple[MultiPoly, ...], ...], ...]
-FracPsi = tuple[tuple[tuple[Fraction, ...], ...], ...]
 
 
 def psi_zero(vars, n_c_out: int, n_e_in: int, n_f_in: int) -> PsiBlock:
@@ -717,37 +744,31 @@ class DVBMorphism:
     @staticmethod
     def _from_blocks(source, target, blocks) -> DVBMorphism:
         vars = source.chart.names
-        l, c, r, psi = blocks
+        l, c, r, psi = (rows for rows, _ in blocks)
         return DVBMorphism(
             source,
             target,
             PolyMatrix(vars, l),
             PolyMatrix(vars, c),
             PolyMatrix(vars, r),
-            psi,
+            _planes(psi, source.n_E, source.n_F),
         )
 
     def _blocks(self):
-        return (self.phi_l.entries, self.phi_c.entries, self.phi_r.entries, self.psi)
+        """L, C, R and the flat Psi over 1, as the block algebra takes them."""
+        blocks = (self.phi_l.entries, self.phi_c.entries, self.phi_r.entries, _flat(self.psi))
+        return tuple((rows, 1) for rows in blocks)
 
     @cached_property
     def _plan(self) -> _EvalPlan:
-        """The plan of L, C, R and Psi (flattened to n_C x (n_E * n_F)), in
-        the layout of `FiberMorphism._int_blocks`; built on first use."""
-        flat_psi = tuple(tuple(p for row in plane for p in row) for plane in self.psi)
-        blocks = (self.phi_l.entries, self.phi_c.entries, self.phi_r.entries, flat_psi)
-        return _EvalPlan(blocks, self.source.chart.dim)
+        """The plan of the blocks, in the layout of
+        `FiberMorphism._int_blocks`; built on first use."""
+        return _EvalPlan([rows for rows, _ in self._blocks()], self.source.chart.dim)
 
     def at(self, x: Sequence[Fraction | int | str]) -> FiberMorphism:
         """Evaluate all blocks at a base point, through the integer plan."""
         point = self.source.chart.point(x)
-        l, c, r, flat_psi = map(_frac_rows, self._plan.at(point))
-        n_f = self.source.n_F
-        psi = tuple(
-            tuple(row[a * n_f : (a + 1) * n_f] for a in range(self.source.n_E))
-            for row in flat_psi
-        )
-        return FiberMorphism(self.source, self.target, point, l, c, r, psi)
+        return FiberMorphism._of_blocks(self.source, self.target, point, self._plan.at(point))
 
     def apply(self, v: DVBElement) -> DVBElement:
         return _apply_blocks(self.source, self.target, self._plan.at, v)
@@ -786,36 +807,42 @@ def compose_morphisms(outer: DVBMorphism, inner: DVBMorphism) -> DVBMorphism:
         inner._blocks(),
         inner.source,
         inner.target,
-        MultiPoly.zero(inner.source.chart.names),
+        _poly_mul(inner.source.chart.names),
     )
     return DVBMorphism._from_blocks(inner.source, outer.target, blocks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FiberMorphism:
     """Morphism blocks evaluated at one base point: exact rational data.
 
-    `apply` reads the `Fraction` blocks as integer matrices over one
-    denominator each, made on first use.
+    The blocks are integer rows over one positive denominator each, in
+    lowest terms, so equal blocks are equal tuples; `l`, `c`, `r` and `psi`
+    are their `Fraction` views, made on first read.  The constructor takes
+    `Fraction` blocks, `_of_blocks` integer ones.
     """
 
     source: DecomposedDVB
     target: DecomposedDVB
     x: Point
-    l: FracMatrix
-    c: FracMatrix
-    r: FracMatrix
-    psi: FracPsi
+    _int_blocks: tuple
 
-    def _blocks(self):
-        return (self.l, self.c, self.r, self.psi)
+    def __init__(self, source, target, x, l, c, r, psi):
+        blocks = tuple(_int_matrix(m) for m in (l, c, r, _flat(psi)))
+        vars(self).update(source=source, target=target, x=x, _int_blocks=blocks)
 
-    @cached_property
-    def _int_blocks(self):
-        """L, C, R and Psi (flattened to n_C x (n_E * n_F)) as integer
-        matrices, each over one denominator; built on first use."""
-        flat_psi = tuple(tuple(p for row in plane for p in row) for plane in self.psi)
-        return tuple(_int_matrix(m) for m in (self.l, self.c, self.r, flat_psi))
+    @staticmethod
+    def _of_blocks(source, target, x, blocks) -> FiberMorphism:
+        fm = _new(FiberMorphism)
+        vars(fm).update(source=source, target=target, x=x, _int_blocks=tuple(map(_lowest, blocks)))
+        return fm
+
+    l = cached_property(lambda self: _frac_rows(self._int_blocks[0]))
+    c = cached_property(lambda self: _frac_rows(self._int_blocks[1]))
+    r = cached_property(lambda self: _frac_rows(self._int_blocks[2]))
+    psi = cached_property(
+        lambda self: _planes(_frac_rows(self._int_blocks[3]), self.source.n_E, self.source.n_F)
+    )
 
     def _int_blocks_at(self, x: Point):
         if x != self.x:
@@ -829,24 +856,21 @@ class FiberMorphism:
         if inner.target != self.source or inner.x != self.x:
             raise ValueError("fiber composition needs matching middle bundle and point")
         blocks = _compose_blocks(
-            self._blocks(), inner._blocks(), inner.source, inner.target, Fraction(0)
+            self._int_blocks, inner._int_blocks, inner.source, inner.target, _int_mul
         )
-        return FiberMorphism(inner.source, self.target, self.x, *blocks)
+        return FiberMorphism._of_blocks(inner.source, self.target, self.x, blocks)
 
     def inverse(self) -> FiberMorphism:
         """Pointwise inverse; blocks invert and Psi picks up a minus sign."""
         _check_square_ranks(self)
-        inverses = tuple(mat_inverse_frac(m) for m in (self.l, self.c, self.r))
-        blocks = _inverse_blocks(self.psi, inverses, self.source, self.target, Fraction(0))
-        return FiberMorphism(self.target, self.source, self.x, *blocks)
+        l, c, r, psi = self._int_blocks
+        inverses = tuple(map(_inverse_ints, (l, c, r)))
+        blocks = _inverse_blocks(psi, inverses, self.source, self.target, _int_mul)
+        return FiberMorphism._of_blocks(self.target, self.source, self.x, blocks)
 
     def flip(self) -> FiberMorphism:
-        return FiberMorphism(
-            self.source.flip(),
-            self.target.flip(),
-            self.x,
-            *_flip_blocks(self._blocks(), self.source),
-        )
+        blocks = _flip_blocks(self._int_blocks, self.source)
+        return FiberMorphism._of_blocks(self.source.flip(), self.target.flip(), self.x, blocks)
 
 
 @dataclass(frozen=True)
@@ -887,10 +911,10 @@ def invert_morphism_poly(phi: DVBMorphism) -> DVBMorphism:
     if any(m is None for m in inverses):
         raise ValueError("blocks are not unimodular; use invert_morphism")
     blocks = _inverse_blocks(
-        phi.psi,
-        tuple(m.entries for m in inverses),
+        phi._blocks()[3],
+        tuple((m.entries, 1) for m in inverses),
         phi.source,
         phi.target,
-        MultiPoly.zero(phi.source.chart.names),
+        _poly_mul(phi.source.chart.names),
     )
     return DVBMorphism._from_blocks(phi.target, phi.source, blocks)

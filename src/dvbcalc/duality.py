@@ -33,14 +33,17 @@ from .core import (
     DVBMorphism,
     FiberMorphism,
     PointwiseMorphism,
+    _int_mul,
+    _inverse_ints,
     _pairing,
+    _poly_mul,
     _right_dual_blocks,
     _Sampler,
     _signed_identity,
     _slots_of,
     _vec_scale,
 )
-from .ring import MultiPoly, Point, mat_inverse_frac, rat
+from .ring import Point, rat
 
 
 class ProjectionMismatchError(ValueError):
@@ -77,13 +80,14 @@ def triple_right_dual(b: DecomposedDVB) -> DecomposedDVB:
     return right_dual(right_dual(right_dual(b)))
 
 
-def _pair(v: DVBElement, a: DVBElement, dual: DecomposedDVB, right: bool) -> Fraction:
-    """p.s + q.c for v = (x | f | c | e) and a covector a in `dual`: over v's
-    E point a = (x | e | p | q) and s = f (right), over v's F point
-    a = (x | q | p | f) and s = e (left).  Two integer dots over the slots'
-    denominators make one `Fraction`."""
+def _pair(v: DVBElement, a: DVBElement, right: bool = True) -> tuple[int, int]:
+    """p.s + q.c for v = (x | f | c | e) and a covector a: in the right dual
+    over v's E point a = (x | e | p | q) and s = f, in the left dual over
+    v's F point a = (x | q | p | f) and s = e.  The value is the unreduced
+    integer ratio of `core._pairing`."""
     b, x, f, c, e = v._key
     ab, ax, af, p, ae = a._key
+    dual = right_dual(b) if right else left_dual(b)
     if ab is not dual and ab != dual:
         raise BaseMismatchError("second argument does not live in the dual bundle")
     if x != ax:
@@ -97,13 +101,21 @@ def _pair(v: DVBElement, a: DVBElement, dual: DecomposedDVB, right: bool) -> Fra
     return _pairing(p, e, af, c)
 
 
+def _same(p: tuple[int, int], *terms: tuple[int, int]) -> bool:
+    """Whether the integer ratio p = (num, den) is the sum of the ratios `terms`."""
+    num, den = 0, 1
+    for n, d in terms:
+        num, den = num * d + n * den, den * d
+    return p[0] * den == num * p[1]
+
+
 def pair_r(v: DVBElement, a: DVBElement) -> Fraction:
     """Evaluate a right-dual element on v over a shared right projection.
 
     With v = (x | f | c | e) and a = (x | e | p | q) the value is p.f + q.c,
     computed on the slot vectors.
     """
-    return _pair(v, a, right_dual(v.bundle), True)
+    return Fraction(*_pair(v, a))
 
 
 def pair_l(v: DVBElement, b: DVBElement) -> Fraction:
@@ -112,7 +124,7 @@ def pair_l(v: DVBElement, b: DVBElement) -> Fraction:
     With v = (x | f | c | e) and b = (x | q | p | f) the value is p.e + q.c,
     the right pairing of the flipped pair, computed without flipping either.
     """
-    return _pair(v, b, left_dual(v.bundle), False)
+    return Fraction(*_pair(v, b, False))
 
 
 # ---------------------------------------------------------------------------
@@ -124,10 +136,9 @@ def fiber_right_dual(fm: FiberMorphism) -> FiberMorphism:
     The new left block is the inverse of the old right block, and the new
     core and right blocks are the transposes of the old left and core blocks.
     """
-    blocks = _right_dual_blocks(
-        fm._blocks(), mat_inverse_frac(fm.r), fm.source, fm.target, Fraction(0)
-    )
-    return FiberMorphism(right_dual(fm.target), right_dual(fm.source), fm.x, *blocks)
+    rinv = _inverse_ints(fm._int_blocks[2])
+    blocks = _right_dual_blocks(fm._int_blocks, rinv, fm.source, fm.target, _int_mul)
+    return FiberMorphism._of_blocks(right_dual(fm.target), right_dual(fm.source), fm.x, blocks)
 
 
 def right_dual_morphism(phi) -> PointwiseMorphism:
@@ -151,10 +162,10 @@ def right_dual_morphism_poly(phi: DVBMorphism) -> DVBMorphism:
         raise ValueError("right block is not unimodular; use right_dual_morphism")
     blocks = _right_dual_blocks(
         phi._blocks(),
-        rinv.entries,
+        (rinv.entries, 1),
         phi.source,
         phi.target,
-        MultiPoly.zero(phi.source.chart.names),
+        _poly_mul(phi.source.chart.names),
     )
     return DVBMorphism._from_blocks(right_dual(phi.target), right_dual(phi.source), blocks)
 
@@ -252,7 +263,8 @@ def verify_R_relation(
     for p, q, eps in pool:
         a = DVBElement._of_slots(d1, x, e, p, q)
         alpha = DVBElement._of_slots(d2, x, q, eps, phi_f)
-        if pair_r(a, alpha) != s1 * pair_r(v, a) + s2 * pair_r(alpha, phi):
+        (vn, vd), (pn, pd) = _pair(v, a), _pair(alpha, phi)
+        if not _same(_pair(a, alpha), (s1 * vn, vd), (s2 * pn, pd)):
             return False
     return True
 

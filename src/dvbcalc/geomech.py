@@ -75,8 +75,8 @@ from .ring import (
     PolyMatrix,
     SingularMatrixError,
     _check_grid,
+    _bareiss,
     _EvalPlan,
-    det_frac,
 )
 
 
@@ -257,7 +257,7 @@ def vf_evaluation_on_cotangent(field: GeneralVectorField, w: DVBElement) -> Frac
         raise ValueError("argument must live on the cotangent shell of the bundle")
     _, x, phi, p, e = w._key
     (xdot, edot), den = field._plan.at(x, e)[0]
-    return _pairing(p, (xdot, den), phi, (edot, den))
+    return Fraction(*_pairing(p, (xdot, den), phi, (edot, den)))
 
 
 def vf_is_bundle_morphism(field: GeneralVectorField, samples: int = 40, seed: int = 0) -> bool:
@@ -356,7 +356,7 @@ def oneform_evaluation_on_tangent(form: GeneralOneForm, w: DVBElement) -> Fracti
         raise ValueError("argument must live on the tangent shell of the bundle")
     _, x, xdot, edot, e = w._key
     (p, phi), den = form._plan.at(x, e)[0]
-    return _pairing((p, den), xdot, (phi, den), edot)
+    return Fraction(*_pairing((p, den), xdot, (phi, den), edot))
 
 
 def oneform_is_bundle_morphism(form: GeneralOneForm, samples: int = 40, seed: int = 0) -> bool:
@@ -928,7 +928,7 @@ def is_metric_connection(
     s = _Sampler(random.Random(seed), tangent_prolongation(conn.bundle))
     for _ in range(samples):
         x = s.point()
-        if det_frac(metric.g.eval_ints(x)[0]) == 0:
+        if _bareiss(metric.g.eval_ints(x)[0], ())[0] == 0:  # integer determinant
             raise SingularMetricError(f"metric is singular at {x}")
         v = s.element(x)
         if lhs.apply(v) != rhs.apply(v):

@@ -19,13 +19,12 @@ one grid check, `_check_grid`: the field is nested tuples (or a
 `PolyMatrix`) with the lengths its ranks fix, and every entry is over the
 expected variables.
 
-Sums of products are formed in one pass.  On rationals, `dot` forms each
-term as an integer numerator and denominator, sums them over a running
-integer pair, and reduces a single `Fraction` per result.  On polynomials,
-`_sum_products` puts every product term of a sum a1*b1 + a2*b2 + ... into
-one exponent -> integer ratio dict and makes the result canonical once,
-instead of once per `+` and `*`.  Every entry of `mat_mul` and every
-polynomial product goes through one of the two.
+Sums of products are formed in one pass.  On polynomials, `_sum_products`
+puts every product term of a1*b1 + a2*b2 + ... into one exponent -> integer
+ratio dict and makes the result canonical once, not once per `+` and `*`.
+On rationals, `dot` (and `mat_mul` on `Fraction`s) reduces one `Fraction`
+per result; the pointwise algebra of `core` keeps integer rows over one
+denominator instead, and makes none.
 
 Every polynomial value at a rational point comes from one evaluator,
 `_EvalPlan`, which gives a list of polynomial matrices at a point as integer
@@ -45,10 +44,11 @@ the full-mask entry.  `unimodular_inverse` inverts a matrix whose
 determinant is a nonzero constant as its adjugate over that constant, and
 reads each cofactor from the table over the other rows.  Every other
 determinant, inverse and linear solve is done on rationals by one routine,
-`_bareiss`: it clears denominators and runs fraction-free (Bareiss)
-elimination, so every intermediate value stays an exact integer, and it
-returns the determinant and the solutions for all right-hand sides at once.
-`det_frac`, `solve_fraction_free` and `mat_inverse_frac` read it.
+`_bareiss`: it clears the denominators of each row (an int is read as it
+is) and runs fraction-free (Bareiss) elimination, so every value stays an
+exact integer, and returns the determinant and the solutions for all
+right-hand sides at once, as integers.  `det_frac`, `solve_fraction_free`,
+`mat_inverse_frac` and `_adjugate` (pointwise block inverses) read it.
 
 Every random integer the library draws comes from one routine, `_draw`,
 which reads `rng.getrandbits` with the stdlib's own rejection rule, so it
@@ -507,15 +507,15 @@ def transpose(a, cols: int):
     return tuple(tuple(row[j] for row in a) for j in range(cols))
 
 
-def _bareiss(matrix: Sequence[Sequence[Fraction]], columns: Sequence[Sequence[Fraction]]):
+def _bareiss(matrix, columns):
     """Fraction-free (Bareiss) elimination of [matrix | columns], matrix square.
 
-    Rows are scaled to integers, so every division is exact and the last
-    pivot is the determinant of the row-swapped integer matrix.  Returns the
-    determinant of `matrix`, with the sign of each row swap, and the solution
-    of matrix x = column for each column, back substituted in integers over
-    that pivot (by Cramer's rule each numerator is an integer).  A singular
-    matrix has determinant 0; with a column to solve for it raises
+    Rows of ints or `Fraction`s are scaled by the lcm of their denominators,
+    so every division is exact.  Returns (d, s, solutions): d is the last
+    pivot with the sign of each row swap, the determinant of the scaled
+    matrix, and det(matrix) = d / s; for each column, the integers y with
+    matrix (y / d) = column (by Cramer's rule each is an integer).  A
+    singular matrix has d = 0; with a column to solve for it raises
     SingularMatrixError.
     """
     n = len(matrix)
@@ -524,8 +524,8 @@ def _bareiss(matrix: Sequence[Sequence[Fraction]], columns: Sequence[Sequence[Fr
     rows: list[list[int]] = []
     scales = 1
     for i, row in enumerate(matrix):
-        entries = [Fraction(x) for x in row] + [Fraction(col[i]) for col in columns]
-        scale = lcm(*(x.denominator for x in entries))
+        entries = [*row, *[col[i] for col in columns]]
+        scale = lcm(*[x.denominator for x in entries])
         rows.append([x.numerator * (scale // x.denominator) for x in entries])
         scales *= scale
 
@@ -537,7 +537,7 @@ def _bareiss(matrix: Sequence[Sequence[Fraction]], columns: Sequence[Sequence[Fr
             if pivot is None:
                 if columns:
                     raise SingularMatrixError("singular matrix in fraction-free solve")
-                return Fraction(0), []
+                return 0, scales, []
             rows[k], rows[pivot] = rows[pivot], rows[k]
             sign = -sign
         top = rows[k]
@@ -553,15 +553,15 @@ def _bareiss(matrix: Sequence[Sequence[Fraction]], columns: Sequence[Sequence[Fr
         for i in reversed(range(n)):
             row = rows[i]
             y[i] = (prev * row[col] - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
-        solutions.append(tuple(Fraction(v, prev) for v in y))
-    return Fraction(sign * prev, scales), solutions
+        solutions.append(tuple([sign * v for v in y]))
+    return sign * prev, scales, solutions
 
 
 def det_frac(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact determinant of a square rational matrix."""
     if any(len(row) != len(matrix) for row in matrix):
         raise ValueError("determinant of a non-square matrix")
-    return _bareiss(matrix, ())[0]
+    return Fraction(*_bareiss(matrix, ())[:2])
 
 
 def solve_fraction_free(
@@ -571,14 +571,20 @@ def solve_fraction_free(
 
     Raises SingularMatrixError when the matrix is singular.
     """
-    return _bareiss(matrix, (rhs,))[1][0]
+    d, _, (y,) = _bareiss(matrix, (rhs,))
+    return tuple(Fraction(v, d) for v in y)
+
+
+def _adjugate(a) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(m, d) with a^-1 = m / d, by one elimination of [a | I]: adj(a), det(a) on ints."""
+    n = len(a)
+    d, _, columns = _bareiss(a, tuple(tuple(int(i == j) for i in range(n)) for j in range(n)))
+    return transpose(columns, n), d
 
 
 def mat_inverse_frac(a: FracMatrix) -> FracMatrix:
     """Exact inverse of a square rational matrix: one elimination of [a | I]."""
-    n = len(a)
-    unit = tuple(tuple(Fraction(int(i == j)) for i in range(n)) for j in range(n))
-    return transpose(_bareiss(a, unit)[1], n)
+    return _frac_rows(_adjugate(a))
 
 
 # ---------------------------------------------------------------------------

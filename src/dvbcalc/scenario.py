@@ -72,11 +72,11 @@ from .geomech import (
 from .ring import (
     MultiPoly,
     PolyMatrix,
+    _bareiss,
     _check_grid,
     _draw,
     _randint,
     _span,
-    det_frac,
     random_rational,
 )
 
@@ -418,7 +418,8 @@ def _identically_singular(m: PolyMatrix) -> bool:
     hypersurface, which may pass through the witness, so a zero value there
     falls back to the symbolic determinant.
     """
-    if det_frac(PolyMatrix(m.vars, m.entries).eval_ints(_WITNESS[: len(m.vars)])[0]) != 0:
+    values = PolyMatrix(m.vars, m.entries).eval_ints(_WITNESS[: len(m.vars)])[0]
+    if _bareiss(values, ())[0] != 0:
         return False
     return m.det().is_zero
 

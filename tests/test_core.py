@@ -655,6 +655,76 @@ def test_fiber_morphism_is_immutable():
         assert m.l == ((Fraction(2),),) and m._int_blocks[0] == (((2,),), 1)
 
 
+# (source ranks, target ranks): a zero rank in each slot, on equal ranks and
+# on differing ones
+CANONICAL_RANKS = [
+    ((0, 2, 1), (0, 2, 1)),
+    ((2, 0, 1), (2, 0, 1)),
+    ((1, 2, 0), (1, 2, 0)),
+    ((0, 1, 2), (2, 1, 0)),
+    ((2, 0, 1), (1, 2, 1)),
+    ((1, 2, 2), (2, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("ranks", CANONICAL_RANKS, ids=str)
+def test_fiber_morphism_has_one_canonical_form(ranks):
+    """One pointwise morphism reached four ways holds one key: from
+    `DVBMorphism.at`, from `Fraction` blocks through the constructor, as
+    `after` an identity on either side and, on equal ranks, as
+    `inverse().inverse()`.  Every block is integer rows over a positive
+    denominator in lowest terms, although the plan's values share factors
+    with its denominator."""
+    chart = Chart.of_dim(2)
+    source, target = (DecomposedDVB(chart, *r) for r in ranks)
+    vars = chart.names
+    x1, x2 = (MultiPoly.var(vars, name) for name in vars)
+
+    def entry(i, j):
+        # lower triangular with a nonzero diagonal, so square blocks invert
+        if i == j:
+            return x1.scale(Fraction(4, 3)) + MultiPoly.const(vars, Fraction(2, 3))
+        if i > j:
+            return (x1 * x2).scale(Fraction(3, 4)) + MultiPoly.const(vars, Fraction(-1, 6))
+        return MultiPoly.zero(vars)
+
+    def block(rows, cols):
+        return PolyMatrix.build(vars, rows, cols, entry)
+
+    (f, c, e), (tf, tc, te) = ranks
+    psi = tuple(
+        tuple(
+            tuple(x2.scale(Fraction(2, 9)) + MultiPoly.const(vars, Fraction(g + a + i, 6))
+                  for i in range(f))
+            for a in range(e)
+        )
+        for g in range(tc)
+    )
+    phi = DVBMorphism(source, target, block(tf, f), block(tc, c), block(te, e), psi)
+    x = (Fraction(1, 2), Fraction(2, 3))
+    assert any(gcd(den, *(v for row in rows for v in row)) > 1 for rows, den in phi._plan.at(x))
+    values = (
+        phi.phi_l.eval_at(x),
+        phi.phi_c.eval_at(x),
+        phi.phi_r.eval_at(x),
+        tuple(PolyMatrix(vars, plane).eval_at(x) for plane in psi),
+    )
+    fm = phi.at(x)
+    routes = [
+        FiberMorphism(source, target, x, *values),
+        fm.after(identity_morphism(source).at(x)),
+        identity_morphism(target).at(x).after(fm),
+    ]
+    if source.ranks == target.ranks:
+        routes.append(fm.inverse().inverse())
+    for other in [fm, *routes]:
+        assert other == fm and hash(other) == hash(fm)
+        assert other._int_blocks == fm._int_blocks
+        assert (other.l, other.c, other.r, other.psi) == values
+        for rows, den in other._int_blocks:
+            assert den > 0 and gcd(den, *(v for row in rows for v in row)) == 1
+
+
 @pytest.mark.parametrize("ranks", [(0, 0, 0), (1, 2, 1)])
 def test_at_checks_point_arity_for_every_rank(ranks):
     phi = identity_morphism(DecomposedDVB(Chart.of_dim(2), *ranks))

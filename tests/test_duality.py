@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dvbcalc.core import (
+    _Sampler,
     BaseMismatchError,
     Chart,
     DecomposedDVB,
@@ -21,6 +22,8 @@ from dvbcalc.core import (
     tangent_prolongation,
 )
 from dvbcalc.duality import (
+    _pair,
+    _same,
     ProjectionMismatchError,
     R_VARIANTS,
     canonical_R,
@@ -293,6 +296,37 @@ def test_adjoint_contract_scalar():
     a = right_dual(B).element((0,), (3,), ("1/7",), (2,))
     assert a.f == phi.apply(v).e
     assert pair_r(phi.apply(v), a) == pair_r(v, dual.apply(a))
+
+
+def test_pointwise_dual_algebra_makes_no_fraction():
+    """Once the point is drawn, the dual morphism, the adjoint identity on
+    the integer pairing, composition and inverse run on integers: no
+    `Fraction` is made."""
+    rng = random.Random(83)
+    phi = random_iso(rng, B234)
+    identity = identity_morphism(B234)
+    s = _Sampler(rng, B234)
+    x = s.point()
+    saved = Fraction.__dict__["__new__"]
+    made = []
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return saved.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting)
+    try:
+        fm = phi.at(x)
+        v = s.element(x=x)
+        image = phi.apply(v)
+        a = s.over(right_dual(B234)).element(x=x, f=image._e)
+        pulled = fiber_right_dual(fm).apply(a)
+        adjoint = _same(_pair(image, a), _pair(v, pulled))
+        round_trip = fm.inverse().after(fm) == identity.at(x)
+    finally:
+        Fraction.__new__ = saved
+    assert adjoint and round_trip
+    assert made == []
 
 
 def test_adjoint_contract_random():

@@ -14,6 +14,9 @@ It runs, one after another and never in parallel:
   `core.DVBMorphism.at` from the traced scopes;
 * the tier-1 test command and acceptance criterion 1 (whose own gate is
   10 s), each standalone and three times;
+* the number of `Fraction.__new__` calls in one in-process round of
+  `run_suite("all", gen_random_scenario(s))` for s = 0-11, with the
+  scenarios built before counting starts;
 
 and records the git sha, whether tracked files had uncommitted edits, the
 sha256 of `git diff HEAD` (which names the measured tree when they had),
@@ -45,6 +48,27 @@ RUN_SECONDS = 20
 REPEATS = 3
 CRITERION_1 = "tests/test_acceptance.py::test_criterion_1"
 CRITERION_1_GATE_S = 10.0
+# run in a fresh interpreter on the checkout's src/; prints the call count
+FRACTION_ROUND = """
+import fractions
+from dvbcalc.scenario import gen_random_scenario
+from dvbcalc.suites import run_suite
+
+scenarios = [gen_random_scenario(s) for s in range(12)]
+saved = fractions.Fraction.__dict__["__new__"]
+calls = 0
+
+def counting(cls, *args, **kwargs):
+    global calls
+    calls += 1
+    return saved.__func__(cls, *args, **kwargs)
+
+fractions.Fraction.__new__ = staticmethod(counting)
+for sc in scenarios:
+    run_suite("all", sc)
+fractions.Fraction.__new__ = saved
+print(calls)
+"""
 
 
 def _perfbench(root: Path, workload: str, seed: int, trace: int) -> dict:
@@ -110,6 +134,14 @@ def _tests(root: Path) -> dict:
     }
 
 
+def _fraction_calls(root: Path) -> dict:
+    _, out = _timed(root, [sys.executable, "-c", FRACTION_ROUND])
+    return {
+        "round": 'run_suite("all", gen_random_scenario(s)) for s = 0-11',
+        "calls": int(out.strip().splitlines()[-1]),
+    }
+
+
 def _lines(root: Path, sub: str) -> int:
     return sum(len(p.read_text().splitlines()) for p in sorted((root / sub).rglob("*.py")))
 
@@ -152,6 +184,7 @@ def main(argv=None) -> int:
         "lines": {"src": _lines(root, "src"), "tests": _lines(root, "tests")},
         "end_to_end": end_to_end,
         "traced": traced,
+        "fraction_new": _fraction_calls(root),
         **_tests(root),
     }
     out = root / f"BENCH_{args.pr}.json"

@@ -44,17 +44,16 @@ lowest terms, as the blocks of a `FiberMorphism`, whose `Fraction` views
 are made only when read.
 
 Composition, inverse, right dual and flip are written once, as a block
-algebra that takes its matrix product: DVBMorphism runs it on MultiPoly rows
-with `ring.mat_mul`, FiberMorphism on integer rows over one denominator per
-block, so the pointwise algebra makes no `Fraction`.  The Psi contraction
-over the core index is one product with the Psi planes flattened to rows.
-Inverses and duals divide by block determinants: at a point a block's
-inverse is its adjugate over the pivot of one fraction-free elimination,
-and over the chart `unimodular_inverse` serves when the blocks are
-unimodular.  Only morphisms with equal source and target ranks can be inverted.  One builder,
-`_signed_identity`, makes every morphism whose blocks are signed identities
-and whose Psi is zero: the identity, the side exchange and the canonical
-maps onto the third dual.
+algebra that takes its matrix product: `ring.mat_mul` on a DVBMorphism's
+MultiPoly rows, an integer product on a FiberMorphism's integer rows.  The
+Psi contraction over the core index is one product with the Psi planes
+flattened to rows.  Inverses and duals divide by block determinants: at a
+point a block's inverse is its adjugate over the pivot of one fraction-free
+elimination, and over the chart `unimodular_inverse` inverts unimodular
+blocks.  Only morphisms with equal source and target ranks can be inverted.
+One builder, `_signed_identity`, makes every morphism whose blocks are
+signed identities and whose Psi is zero: the identity, the side exchange
+and the canonical maps onto the third dual.
 """
 
 from __future__ import annotations

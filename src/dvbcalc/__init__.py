@@ -22,7 +22,6 @@ from .ring import (
     MultiPoly,
     PolyMatrix,
     SingularMatrixError,
-    dot,
     rat,
 )
 from .core import (

@@ -51,7 +51,7 @@ from .scenario import (
     parse_number,
     scenario_to_text,
 )
-from .suites import SUITE_NAMES, run_connection_check, run_suite
+from .suites import _CONNECTION_CHECKS, SUITE_NAMES, run_connection_check, run_suite
 
 
 def _parse_point(text: str, dim: int, what: str = "point"):
@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conn = sub.add_parser("connection", help="connection predicates")
     conn_sub = p_conn.add_subparsers(dest="conn_cmd", required=True)
     p_cc = conn_sub.add_parser("check", help="evaluate one connection predicate")
-    p_cc.add_argument("kind", choices=("metric", "symmetric", "lagrangian"))
+    p_cc.add_argument("kind", choices=tuple(_CONNECTION_CHECKS))
     _add_source_flags(p_cc)
     _add_plan_flags(p_cc)
     p_cc.set_defaults(func=_cmd_connection_check)

@@ -627,8 +627,7 @@ def cotangent_prolongation(vb: VectorBundle) -> DecomposedDVB:
 
 
 def _poly_mul(vars):
-    zero = MultiPoly.zero(vars)
-    return lambda a, b, cols: (mat_mul(a[0], b[0], cols, zero), 1)
+    return lambda a, b, cols: (mat_mul(a[0], b[0], cols, vars), 1)
 
 
 def _int_mul(a, b, cols: int):

@@ -11,6 +11,10 @@ Applying the right dual three times returns the original bundle object, but
 the identification hides a sign: the canonical map to the third dual negates
 the core slot.  Three companion maps with other sign patterns satisfy the
 same kind of evaluation relation; all four are involutive block morphisms.
+A map that scales the slots (f, c, e) by (s_F, s_C, s_E) satisfies the
+relation <a, alpha> = s1 <v, a> + s2 <alpha, phi> exactly when s1 = s_F,
+s2 = s_E and s_C = -s_F s_E, as expanding the three pairings shows, so one
+table of (s_F, s_E) fixes each variant.
 Transporting a dualized morphism back through the canonical maps recovers
 its inverse, while transporting through the plain slot identification does
 not once the bilinear block is nonzero.
@@ -173,29 +177,22 @@ def right_dual_morphism_poly(phi: DVBMorphism) -> DVBMorphism:
 # ---------------------------------------------------------------------------
 # Canonical maps onto the third dual
 
-R_VARIANTS = ("R", "R+-", "R-+", "R=")
-
-_VARIANT_SIGNS = {
-    "R": (1, -1, 1),
-    "R+-": (1, 1, -1),
-    "R-+": (-1, 1, 1),
-    "R=": (-1, -1, -1),
-}
-
-# evaluation relation <a, alpha> = s1 <v, a> + s2 <alpha, phi>
-_VARIANT_RELATION = {
-    "R": (1, 1),
-    "R+-": (1, -1),
-    "R-+": (-1, 1),
-    "R=": (-1, -1),
-}
+# The relation signs (s_F, s_E) of each variant; see verify_R_relation.
+_VARIANT_SIGNS = {"R": (1, 1), "R+-": (1, -1), "R-+": (-1, 1), "R=": (-1, -1)}
+R_VARIANTS = tuple(_VARIANT_SIGNS)
 
 
-def _normalize_variant(variant: str) -> str:
+def _relation_signs(variant: str) -> tuple[int, int]:
     name = variant.replace("±", "+-").replace("∓", "-+")
     if name not in _VARIANT_SIGNS:
         raise ValueError(f"unknown canonical map variant {variant!r}")
-    return name
+    return _VARIANT_SIGNS[name]
+
+
+def _slot_signs(variant: str) -> tuple[int, int, int]:
+    """The signs (s_F, s_C, s_E) by which the map scales the slots (f, c, e)."""
+    s_f, s_e = _relation_signs(variant)
+    return s_f, -s_f * s_e, s_e
 
 
 def canonical_R(variant: str, v: DVBElement) -> DVBElement:
@@ -204,7 +201,7 @@ def canonical_R(variant: str, v: DVBElement) -> DVBElement:
     The base map negates the core slot; the +- and -+ companions negate the
     E or F slot instead, and the = companion negates all three.
     """
-    signs = _VARIANT_SIGNS[_normalize_variant(variant)]
+    signs = _slot_signs(variant)
     b, x, *slots = v._key
     return DVBElement._of_slots(
         triple_right_dual(b), x, *(_vec_scale(s, 1, slot) for s, slot in zip(signs, slots))
@@ -213,9 +210,7 @@ def canonical_R(variant: str, v: DVBElement) -> DVBElement:
 
 def canonical_R_morphism(b: DecomposedDVB, variant: str = "R") -> DVBMorphism:
     """The canonical map as a block morphism with signed identity blocks."""
-    return _signed_identity(
-        b, triple_right_dual(b), _VARIANT_SIGNS[_normalize_variant(variant)]
-    )
+    return _signed_identity(b, triple_right_dual(b), _slot_signs(variant))
 
 
 def verify_R_relation(
@@ -235,11 +230,12 @@ def verify_R_relation(
 
         <a, alpha> = s1 <v, a> + s2 <alpha, phi>
 
-    with the sign pair of the chosen variant.  The free slots are the F* and
-    C* covectors of a and the E* covector of alpha; they are drawn at random,
-    or enumerated exhaustively over `grid` values when given.
+    with (s1, s2) = (s_F, s_E), the F and E slot signs of the variant.  The
+    free slots are the F* and C* covectors of a and the E* covector of alpha;
+    they are drawn at random, or enumerated exhaustively over `grid` values
+    when given.
     """
-    s1, s2 = _VARIANT_RELATION[_normalize_variant(variant)]
+    s1, s2 = _relation_signs(variant)
     bundle = v.bundle
     if phi.bundle != triple_right_dual(bundle):
         raise ProjectionMismatchError("candidate lives in the wrong bundle")

@@ -797,12 +797,8 @@ class LinearConnection:
 
 
 def zero_connection(bundle: VectorBundle) -> LinearConnection:
-    z = MultiPoly.zero(bundle.chart.names)
-    n, k = bundle.chart.dim, bundle.rank
-    return LinearConnection(
-        bundle,
-        tuple(tuple(tuple(z for _ in range(k)) for _ in range(n)) for _ in range(k)),
-    )
+    k = bundle.rank
+    return LinearConnection(bundle, psi_zero(bundle.chart.names, k, bundle.chart.dim, k))
 
 
 def connection_splitting(conn: LinearConnection) -> DVBMorphism:

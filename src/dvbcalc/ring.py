@@ -11,20 +11,20 @@ order (total degree first, then the exponent vector).  Two polynomials are
 mathematically equal exactly when their stored forms are equal, which makes
 the dataclass equality and hash canonical.
 
-Matrices are nested tuples over either coefficient type.  One `mat_mul` and
-one `transpose` serve both; the caller passes the column count, because a
-matrix with no rows stores none.  `PolyMatrix` wraps them for polynomials.
+Polynomial matrices are nested tuples of `MultiPoly`, which `PolyMatrix`
+wraps; `mat_mul` multiplies them, and it and `transpose` take the column
+count, because a matrix with no rows stores none.  A rational matrix is
+integer rows over one denominator.  `Fraction` matrices appear only at the
+boundary: `det_frac`, `solve_fraction_free` and `mat_inverse_frac` take
+them (or ints), and `mat_inverse_frac` and `PolyMatrix.eval_at` return them.
 The morphisms of `core` and the records of `geomech` check each field with
 one grid check, `_check_grid`: the field is nested tuples (or a
 `PolyMatrix`) with the lengths its ranks fix, and every entry is over the
 expected variables.
 
-Sums of products are formed in one pass.  On polynomials, `_sum_products`
-puts every product term of a1*b1 + a2*b2 + ... into one exponent -> integer
-ratio dict and makes the result canonical once, not once per `+` and `*`.
-On rationals, `dot` (and `mat_mul` on `Fraction`s) reduces one `Fraction`
-per result; the pointwise algebra of `core` keeps integer rows over one
-denominator instead, and makes none.
+Sums of products are formed in one pass: `_sum_products` puts every product
+term of a1*b1 + a2*b2 + ... into one exponent -> integer ratio dict and
+makes the result canonical once, not once per `+` and `*`.
 
 Every polynomial value at a rational point comes from one evaluator,
 `_EvalPlan`, which gives a list of polynomial matrices at a point as integer
@@ -466,40 +466,21 @@ def _frac_rows(m) -> FracMatrix:
     return tuple(tuple([Fraction(n, den) for n in row]) for row in rows)
 
 
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    if len(u) != len(v):
-        raise ValueError(f"dot of tuples with lengths {len(u)} and {len(v)}")
-    num, den = 0, 1
-    for a, b in zip(u, v):
-        if a and b:
-            num, den = _add_ratio(
-                num, den, a.numerator * b.numerator, a.denominator * b.denominator
-            )
-    return Fraction(num, den)
-
-
 # ---------------------------------------------------------------------------
-# Rational matrices (nested tuples of Fraction)
+# Nested-tuple matrices: the polynomial product and rational elimination
 
 
-def mat_mul(a, b, cols: int, zero):
-    """Product of nested-tuple matrices over `Fraction` or `MultiPoly`.
+def mat_mul(a, b, cols: int, vars: tuple[str, ...]):
+    """Product of nested-tuple matrices of polynomials over `vars`.
 
     `b` has `len(b)` rows and `cols` columns; the width is passed in because
-    a matrix with no rows stores none.  `zero` is the ring's zero.  Each
-    entry is one sum of products: `dot` on rationals, `_sum_products` on
-    polynomials.
+    a matrix with no rows stores none.  Each entry is one `_sum_products`.
     """
     k = len(b)
     if any(len(row) != k for row in a) or any(len(row) != cols for row in b):
         raise ValueError("matrix shape mismatch in product")
     columns = transpose(b, cols)
-    if isinstance(zero, MultiPoly):
-        return tuple(
-            tuple(_sum_products(zero.vars, zip(row, col)) for col in columns)
-            for row in a
-        )
-    return tuple(tuple(dot(row, col) for col in columns) for row in a)
+    return tuple(tuple(_sum_products(vars, zip(row, col)) for col in columns) for row in a)
 
 
 def transpose(a, cols: int):
@@ -660,7 +641,7 @@ class PolyMatrix:
     def __mul__(self, other: PolyMatrix) -> PolyMatrix:
         return PolyMatrix(
             self.vars,
-            mat_mul(self.entries, other.entries, other.cols, MultiPoly.zero(self.vars)),
+            mat_mul(self.entries, other.entries, other.cols, self.vars),
         )
 
     def scale(self, factor: Fraction | int) -> PolyMatrix:

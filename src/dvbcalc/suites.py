@@ -122,9 +122,6 @@ from .scenario import (
     random_poly_vector,
 )
 
-SUITE_NAMES = ("axioms", "duality", "third-dual", "geometry", "all")
-
-
 # ---------------------------------------------------------------------------
 # Results and reports
 
@@ -1029,6 +1026,7 @@ _SUITES = {
     "third-dual": _THIRD_DUAL,
     "geometry": _GEOMETRY,
 }
+SUITE_NAMES = (*_SUITES, "all")
 
 
 def _scenario_header(sc: Scenario, suite: str) -> tuple[str, ...]:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +42,7 @@ from dvbcalc.duality import (
     triple_right_dual,
     verify_R_relation,
 )
-from dvbcalc.ring import MultiPoly, PolyMatrix, dot, rat
+from dvbcalc.ring import MultiPoly, PolyMatrix, rat
 from dvbcalc.scenario import random_poly_matrix, random_poly_vector, random_unimodular_matrix
 
 CHART = Chart.of_dim(1)
@@ -229,13 +230,13 @@ def test_kernel_pairings():
         p = rand_tuple(rng, 2)
         # dual element in the right kernel sees only the F projection of v
         a = dual.element(x, v.e, p, (0, 0, 0))
-        assert pair_r(v, a) == dot(p, v.f)
+        assert pair_r(v, a) == sum(map(mul, p, v.f))
         # element in the left kernel is seen only through its core
         v0 = bundle.element(x, (0, 0), v.c, v.e)
         q = rand_tuple(rng, 3)
         b1 = dual.element(x, v.e, rand_tuple(rng, 2), q)
         b2 = dual.element(x, v.e, rand_tuple(rng, 2), q)
-        assert pair_r(v0, b1) == pair_r(v0, b2) == dot(q, v.c)
+        assert pair_r(v0, b1) == pair_r(v0, b2) == sum(map(mul, q, v.c))
 
 
 def test_left_pairing_formula_and_mismatch():
@@ -441,6 +442,15 @@ def test_relation_holds_for_canonical_images():
             )
             phi = canonical_R(variant, v)
             assert verify_R_relation(v, phi, samples=40, seed=trial, variant=variant)
+
+
+def test_each_variant_relation_picks_out_its_own_map():
+    """With every slot of v nonzero, the relation of variant u holds for the
+    image of v under the map of variant w exactly when u == w."""
+    v = B234.element((1, -2), (3, -1), (2, 5, -4), (-3, 1, 7, 6))
+    for u in R_VARIANTS:
+        for w in R_VARIANTS:
+            assert verify_R_relation(v, canonical_R(w, v), variant=u) == (u == w), (u, w)
 
 
 def test_relation_on_exhaustive_grid():

@@ -20,10 +20,11 @@ It runs, one after another and never in parallel:
 
 and records the git sha, whether tracked files had uncommitted edits, the
 sha256 of `git diff HEAD` (which names the measured tree when they had),
-the Python version, `nproc`, the line counts of `src/` and `tests/` and the
-tier-1 test count.  It takes about ten minutes on a 2-core host.  Only the
-standard library is used.  To measure an older commit, copy this file into
-a clone of that commit and run it there.
+the Python version, `nproc`, the line counts of `src/` and `tests/` and of
+each `src/dvbcalc` module (`lines.src_modules`), and the tier-1 test count.
+It takes about ten minutes on a 2-core host.  Only the standard library is
+used.  To measure an older commit, copy this file into a clone of that
+commit and run it there.
 """
 
 from __future__ import annotations
@@ -142,8 +143,13 @@ def _fraction_calls(root: Path) -> dict:
     }
 
 
-def _lines(root: Path, sub: str) -> int:
-    return sum(len(p.read_text().splitlines()) for p in sorted((root / sub).rglob("*.py")))
+def _lines(root: Path, sub: str) -> dict[str, int]:
+    """`wc -l` of each .py file under `sub`, keyed by its path below `sub`."""
+    base = root / sub
+    return {
+        str(p.relative_to(base)): len(p.read_text().splitlines())
+        for p in sorted(base.rglob("*.py"))
+    }
 
 
 def main(argv=None) -> int:
@@ -181,7 +187,11 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)),
         "run_seconds": RUN_SECONDS,
-        "lines": {"src": _lines(root, "src"), "tests": _lines(root, "tests")},
+        "lines": {
+            "src": sum(_lines(root, "src").values()),
+            "tests": sum(_lines(root, "tests").values()),
+            "src_modules": _lines(root, "src/dvbcalc"),
+        },
         "end_to_end": end_to_end,
         "traced": traced,
         "fraction_new": _fraction_calls(root),

@@ -16,7 +16,9 @@ Subcommands:
 
 Scenario problems are reported on stderr with a ``PARSE_ERROR:`` or
 ``INCONSISTENT_SCENARIO:`` prefix and exit code 2; a morphism that is
-singular at a requested point is an inconsistent scenario.  Every
+singular at a requested point is an inconsistent scenario, and so is a value
+past the interpreter's int-to-text limit: a command formats every value it
+prints before it prints any.  Every
 ``--seed`` must lie in [0, 2**32), the range ``derive_seed`` uses;
 ``--samples`` and ``--bound`` lie in [1, 1000], ``--max-rank`` in [1, 8]
 and ``--max-degree`` in [0, 8].  The plan flags share their ranges with a
@@ -51,7 +53,7 @@ from .scenario import (
     parse_number,
     scenario_to_text,
 )
-from .suites import _CONNECTION_CHECKS, SUITE_NAMES, run_connection_check, run_suite
+from .suites import _CONNECTION_CHECKS, SUITE_NAMES, _fmt, run_connection_check, run_suite
 
 
 def _parse_point(text: str, dim: int, what: str = "point"):
@@ -91,17 +93,19 @@ _max_rank = _bounded_int("rank bound", 1, _MAX_RANK, f"[1, {_MAX_RANK}]")
 _max_degree = _bounded_int("degree bound", 0, _MAX_DEGREE, f"[0, {_MAX_DEGREE}]")
 
 
-def _fmt_tuple(values) -> str:
-    return "(" + ", ".join(str(v) for v in values) + ")"
+def _text(value) -> str:
+    """`value` as printed text, by the report formatter; a value past the
+    interpreter's digit limit for int-to-text conversion is inconsistent."""
+    try:
+        return _fmt(value)
+    except ValueError:
+        raise InconsistentScenarioError("a value to print exceeds the int-to-text limit") from None
 
 
-def _print_matrix(name: str, rows) -> None:
-    print(f"{name}:")
+def _matrix_lines(name: str, rows) -> list[str]:
     if not rows:
-        print("  (empty)")
-        return
-    for row in rows:
-        print("  [" + "  ".join(str(v) for v in row) + "]")
+        return [f"{name}:", "  (empty)"]
+    return [f"{name}:"] + ["  [" + "  ".join(map(_text, row)) + "]" for row in rows]
 
 
 def _add_plan_flags(p: argparse.ArgumentParser) -> None:
@@ -180,26 +184,26 @@ def _cmd_dualize(args) -> int:
         x = _parse_point(args.point, b.chart.dim)
     dual = right_dual(b)
     ld = left_dual(b)
-    print(f"bundle: ranks (n_F, n_C, n_E) = {b.ranks}; labels {', '.join(b.labels)}")
-    print(f"right dual: ranks {dual.ranks}; labels {', '.join(dual.labels)}")
-    print(f"left dual: ranks {ld.ranks}; labels {', '.join(ld.labels)}")
-    if x is None:
-        return 0
-    try:
-        fm = fiber_right_dual(sc.morphism.at(x))
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(
-            f"morphism blocks are singular at x = {_fmt_tuple(x)}: {exc}"
-        ) from None
-    print(f"dual morphism blocks at x = {_fmt_tuple(x)}:")
-    _print_matrix("l", fm.l)
-    _print_matrix("c", fm.c)
-    _print_matrix("r", fm.r)
-    if not fm.psi or not any(any(row) for plane in fm.psi for row in plane):
-        print("psi: 0")
-    else:
-        for g, plane in enumerate(fm.psi):
-            _print_matrix(f"psi[{g + 1}]", plane)
+    lines = [
+        f"bundle: ranks (n_F, n_C, n_E) = {b.ranks}; labels {', '.join(b.labels)}",
+        f"right dual: ranks {dual.ranks}; labels {', '.join(dual.labels)}",
+        f"left dual: ranks {ld.ranks}; labels {', '.join(ld.labels)}",
+    ]
+    if x is not None:
+        try:
+            fm = fiber_right_dual(sc.morphism.at(x))
+        except SingularMatrixError as exc:
+            raise SingularMatrixError(
+                f"morphism blocks are singular at x = {_text(x)}: {exc}"
+            ) from None
+        lines.append(f"dual morphism blocks at x = {_text(x)}:")
+        lines += _matrix_lines("l", fm.l) + _matrix_lines("c", fm.c) + _matrix_lines("r", fm.r)
+        if not fm.psi or not any(any(row) for plane in fm.psi for row in plane):
+            lines.append("psi: 0")
+        else:
+            for g, plane in enumerate(fm.psi):
+                lines += _matrix_lines(f"psi[{g + 1}]", plane)
+    print(*lines, sep="\n")
     return 0
 
 
@@ -211,10 +215,9 @@ def _cmd_lift_vertical(args) -> int:
     outer_len = b.n_E if args.side == "right" else b.n_F
     outer = _parse_point(args.outer, outer_len, what="outer fiber value")
     lifted = vertical_lift(b, args.side, section, x, outer)
-    print(f"vertical lift ({args.side}) at x = {_fmt_tuple(x)}:")
-    print(f"  f = {_fmt_tuple(lifted.f)}")
-    print(f"  c = {_fmt_tuple(lifted.c)}")
-    print(f"  e = {_fmt_tuple(lifted.e)}")
+    slots = zip("fce", (lifted.f, lifted.c, lifted.e))
+    lines = [f"  {name} = {_text(values)}" for name, values in slots]
+    print(f"vertical lift ({args.side}) at x = {_text(x)}:", *lines, sep="\n")
     return 0
 
 
@@ -234,10 +237,9 @@ def _cmd_lift_complete(args) -> int:
         if args.kind == "tangent"
         else complete_cotangent_lift(chart, base)
     )
+    lines = ["base: " + _text(lift.base), *_matrix_lines("fiber", lift.fiber.entries)]
     print(f"complete {args.kind} lift on chart dim {chart.dim} "
-          f"(bundle label {lift.bundle.label}):")
-    print("base: " + _fmt_tuple(lift.base))
-    _print_matrix("fiber", lift.fiber.entries)
+          f"(bundle label {lift.bundle.label}):", *lines, sep="\n")
     return 0
 
 

@@ -13,8 +13,10 @@ predicates are decided exactly on polynomial degrees; structure predicates
 are sampled at rational points and checked exactly: each draws through a
 `core._Sampler` over its seed, and keeps fiber values as slot vectors.
 One sampled checker, `_respects_both_structures`, decides "respects both
-structures" for maps into a shell (contraction of a bivector) and for
-double-linear functions (momentum and velocity functions); one more,
+structures" for maps into a shell: the contraction of a bivector, and a
+double-linear function (a momentum or velocity function) as the map
+w -> (x | () | value(w) | ()) into the core line L = (0 | Q | 0), whose
+two structures both add and scale its core slot; one more,
 `_section_is_bundle_morphism`, decides whether a field or form is a bundle
 morphism into its shell.
 
@@ -120,29 +122,16 @@ def _fiber_linear(coeffs: Sequence[MultiPoly], vars: tuple[str, ...]) -> MultiPo
     return MultiPoly.from_dict(vars, terms)
 
 
-def _plain_add(side, a, b):
-    return a + b
-
-
-def _plain_scale(side, r, a):
-    return r * a
-
-
-def _respects_both_structures(
-    shell: DecomposedDVB, image, samples: int, seed: int, add=None, scale=None
-) -> bool:
-    """Sampled test that `image` commutes with both structures of `shell`.
+def _respects_both_structures(shell: DecomposedDVB, image, samples: int, seed: int) -> bool:
+    """Sampled test that `image`, a map into a shell, respects both structures.
 
     Each sample draws x, e, e2, f, f2, c, c2, r in that order and builds
     u = (x | f | c | e), v = (x | f2 | c2 | e) sharing e with u, and
     w = (x | f | c2 | e2) sharing f with u, on slot vectors.  The image must
     turn the right sum and scaling of (u, v) and the left sum and scaling of
-    (u, w) into `add` and `scale` of the images: `_plain_add`/`_plain_scale`
-    for a double-linear function, and for a map into a shell, by default,
-    `fiber_add`/`fiber_scale`, looked up when the test runs.
+    (u, w) into the same sum and scaling of the images; a double-linear
+    function is checked as a map into the core line (`_into_line`).
     """
-    if add is None:
-        add, scale = fiber_add, fiber_scale
     s = _Sampler(random.Random(seed), shell)
     n_f, n_c, n_e = shell.ranks
     element = DVBElement._of_slots
@@ -157,13 +146,25 @@ def _respects_both_structures(
                 ("right", element(shell, x, f2, c2, e)),
                 ("left", element(shell, x, f, c2, e2)),
             ):
-                if image(fiber_add(side, u, other)) != add(side, at_u, image(other)):
+                if image(fiber_add(side, u, other)) != fiber_add(side, at_u, image(other)):
                     return False
-                if image(fiber_scale(side, r, u)) != scale(side, r, at_u):
+                if image(fiber_scale(side, r, u)) != fiber_scale(side, r, at_u):
                     return False
         except FiberMismatchError:
             return False
     return True
+
+
+def _into_line(shell: DecomposedDVB, value):
+    """w -> (x | () | value(w) | ()) from `shell` into the core line over its
+    chart, where `value` maps w's key to an unreduced ratio like `_pairing`'s."""
+    line, none = DecomposedDVB(shell.chart, 0, 1, 0), _zero_slots(0)
+
+    def image(w: DVBElement) -> DVBElement:
+        num, den = value(w._key)
+        return DVBElement._of_slots(line, w._key[1], none, _reduced((num,), den), none)
+
+    return image
 
 
 def _section_is_bundle_morphism(bundle: VectorBundle, image, samples: int, seed: int) -> bool:
@@ -221,6 +222,12 @@ class GeneralVectorField:
             tangent_prolongation(self.bundle), x, _reduced(xdot, den), _reduced(edot, den), e
         )
 
+    def _momentum(self, key) -> tuple[int, int]:
+        """The momentum function at a cotangent shell key, as `_pairing`'s ratio."""
+        _, x, phi, p, e = key
+        (xdot, edot), den = self._plan.at(x, e)[0]
+        return _pairing(p, (xdot, den), phi, (edot, den))
+
 
 @dataclass(frozen=True)
 class LinearVectorField:
@@ -255,9 +262,7 @@ def vf_evaluation_on_cotangent(field: GeneralVectorField, w: DVBElement) -> Frac
     """
     if w.bundle != cotangent_prolongation(field.bundle):
         raise ValueError("argument must live on the cotangent shell of the bundle")
-    _, x, phi, p, e = w._key
-    (xdot, edot), den = field._plan.at(x, e)[0]
-    return Fraction(*_pairing(p, (xdot, den), phi, (edot, den)))
+    return Fraction(*field._momentum(w._key))
 
 
 def vf_is_bundle_morphism(field: GeneralVectorField, samples: int = 40, seed: int = 0) -> bool:
@@ -274,14 +279,8 @@ def vf_linearity_on_cotangent(field, samples: int = 40, seed: int = 0) -> bool:
     """Sampled linearity of the momentum function under both shell structures."""
     if isinstance(field, LinearVectorField):
         field = field.as_general()
-    return _respects_both_structures(
-        cotangent_prolongation(field.bundle),
-        lambda w: vf_evaluation_on_cotangent(field, w),
-        samples,
-        seed,
-        _plain_add,
-        _plain_scale,
-    )
+    cot = cotangent_prolongation(field.bundle)
+    return _respects_both_structures(cot, _into_line(cot, field._momentum), samples, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +318,12 @@ class GeneralOneForm:
             cotangent_prolongation(self.bundle), x, _reduced(phi, den), _reduced(p, den), e
         )
 
+    def _velocity(self, key) -> tuple[int, int]:
+        """The velocity function at a tangent shell key, as `_pairing`'s ratio."""
+        _, x, xdot, edot, e = key
+        (p, phi), den = self._plan.at(x, e)[0]
+        return _pairing((p, den), xdot, (phi, den), edot)
+
 
 @dataclass(frozen=True)
 class LinearOneForm:
@@ -354,9 +359,7 @@ def oneform_evaluation_on_tangent(form: GeneralOneForm, w: DVBElement) -> Fracti
     """Value of the form's velocity function at a tangent shell point."""
     if w.bundle != tangent_prolongation(form.bundle):
         raise ValueError("argument must live on the tangent shell of the bundle")
-    _, x, xdot, edot, e = w._key
-    (p, phi), den = form._plan.at(x, e)[0]
-    return Fraction(*_pairing((p, den), xdot, (phi, den), edot))
+    return Fraction(*form._velocity(w._key))
 
 
 def oneform_is_bundle_morphism(form: GeneralOneForm, samples: int = 40, seed: int = 0) -> bool:
@@ -368,14 +371,8 @@ def oneform_linearity_on_tangent(form, samples: int = 40, seed: int = 0) -> bool
     """Sampled linearity of the velocity function under both shell structures."""
     if isinstance(form, LinearOneForm):
         form = form.as_general()
-    return _respects_both_structures(
-        tangent_prolongation(form.bundle),
-        lambda w: oneform_evaluation_on_tangent(form, w),
-        samples,
-        seed,
-        _plain_add,
-        _plain_scale,
-    )
+    tan = tangent_prolongation(form.bundle)
+    return _respects_both_structures(tan, _into_line(tan, form._velocity), samples, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,7 @@ from .duality import (
     left_dual,
     naive_third_dual_transport,
     right_dual,
+    right_dual_morphism,
     third_dual_transport,
     verify_R_relation,
     R_VARIANTS,
@@ -467,23 +468,28 @@ def _dual_bundle_axioms(sc: Scenario, s: _Sampler):
     return True, "the right dual satisfies the double bundle axioms", None
 
 
-def _adjoint_contract(sc: Scenario, s: _Sampler):
-    phi = sc.section("morphism")
-    d = s.over(right_dual(phi.target))
+def _adjoint_loop(s: _Sampler, phi, dual, count: int, fails: str, passes: str):
+    """<phi(v), a> = <v, dual(a)> at `count` regular points, drawing x, then v
+    over phi's source, then a over the dual of phi's target above phi(v)."""
+    on_source, on_dual = s.over(phi.source), s.over(right_dual(phi.target))
 
     def sample():
         x = s.point()
-        fm = phi.at(x)
-        v = s.element(x=x)
+        v = on_source.element(x=x)
         image = phi.apply(v)
-        a = d.element(x=x, f=image._e)
-        pulled = fiber_right_dual(fm).apply(a)
-        if not _same(_pair(image, a), _pair(v, pulled)):
-            return False, "adjoint contract fails", {"x": x, "v": v, "a": a}
+        a = on_dual.element(x=x, f=image._e)
+        if not _same(_pair(image, a), _pair(v, dual.at(x).apply(a))):
+            return False, fails, {"x": x, "v": v, "a": a}
 
-    return s.regular_points(sc.samples, sample, (
-        True, f"pairing against the dual image matches on {sc.samples} samples", None
-    ))
+    return s.regular_points(count, sample, (True, passes, None))
+
+
+def _adjoint_contract(sc: Scenario, s: _Sampler):
+    phi = sc.section("morphism")
+    return _adjoint_loop(
+        s, phi, right_dual_morphism(phi), sc.samples, "adjoint contract fails",
+        f"pairing against the dual image matches on {sc.samples} samples",
+    )
 
 
 def _dual_contravariance(sc: Scenario, s: _Sampler):
@@ -979,19 +985,11 @@ def _vertical_lift_kernel(sc: Scenario, s: _Sampler):
 def _side_exchange_adjoint(sc: Scenario, s: _Sampler):
     if sc.chart.dim == 0:
         return True, "point chart; vacuous", None
-    exchange = kappa_M(sc.chart)
-    adjoint = alpha_M(sc.chart)
-    on_shell = s.over(exchange.source)
-    on_dual = s.over(right_dual(exchange.source))
     rounds = max(1, sc.samples // 5)
-    for _ in range(rounds):
-        x = s.point()
-        v = on_shell.element(x=x)
-        image = exchange.apply(v)
-        a = on_dual.element(x=x, f=image._e)
-        if not _same(_pair(image, a), _pair(v, adjoint.at(x).apply(a))):
-            return False, "side exchange adjoint contract fails", {"x": x, "v": v, "a": a}
-    return True, f"double tangent exchange is adjoint to its dual on {rounds} samples", None
+    return _adjoint_loop(
+        s, kappa_M(sc.chart), alpha_M(sc.chart), rounds, "side exchange adjoint contract fails",
+        f"double tangent exchange is adjoint to its dual on {rounds} samples",
+    )
 
 
 _GEOMETRY = (
@@ -1066,8 +1064,7 @@ def run_suite(
 # ---------------------------------------------------------------------------
 # Single-predicate connection checks (CLI `connection check ...`)
 
-def _asymmetry_cx(conn: LinearConnection):
-    spot = _first_asymmetry(conn)
+def _asymmetry_cx(conn: LinearConnection, spot):
     if spot is None:
         return None
     a, i, bq = spot
@@ -1081,7 +1078,8 @@ def _asymmetry_cx(conn: LinearConnection):
 def _metric_check(sc: Scenario, s: _Sampler):
     conn = sc.section("connection")
     metric = sc.section("metric")
-    exact = metric_identity(conn, metric)
+    defect = _metric_defect(conn, metric)
+    exact = defect is None
     try:
         sampled = is_metric_connection(conn, metric, samples=8, seed=s.seed())
     except SingularMetricError as exc:
@@ -1092,7 +1090,7 @@ def _metric_check(sc: Scenario, s: _Sampler):
         }
     if exact:
         return True, "connection preserves the metric", None
-    i, a, bq, got, want = _metric_defect(conn, metric)
+    i, a, bq, got, want = defect
     return False, "connection does not preserve the metric", {
         "index (i, a, b)": (i, a, bq), "metric_derivative": got, "covariant_combination": want
     }
@@ -1100,7 +1098,8 @@ def _metric_check(sc: Scenario, s: _Sampler):
 
 def _symmetric_check(sc: Scenario, s: _Sampler):
     conn = sc.section("connection")
-    exact = _first_asymmetry(conn) is None
+    spot = _first_asymmetry(conn)
+    exact = spot is None
     diagram = is_symmetric_connection(conn, samples=20, seed=s.seed())
     if exact != diagram:
         return False, "diagram and coordinate channels disagree", {
@@ -1108,7 +1107,7 @@ def _symmetric_check(sc: Scenario, s: _Sampler):
         }
     if exact:
         return True, "connection is symmetric", None
-    return False, "connection is not symmetric", _asymmetry_cx(conn)
+    return False, "connection is not symmetric", _asymmetry_cx(conn, spot)
 
 
 def _lagrangian_check(sc: Scenario, s: _Sampler):
@@ -1118,7 +1117,7 @@ def _lagrangian_check(sc: Scenario, s: _Sampler):
     return (
         False,
         "lifted canonical form does not vanish on horizontal pairs",
-        _asymmetry_cx(conn),
+        _asymmetry_cx(conn, _first_asymmetry(conn)),
     )
 
 

@@ -578,6 +578,40 @@ def test_huge_core_section_coefficient_is_parse_error(tmp_path, capsys):
     assert err.startswith("PARSE_ERROR: core_section.gamma[")
 
 
+def _wide_literal(terms):
+    # distinct exponents and distinct 32-digit denominators: at (1, 1, 1) the
+    # value has a denominator of about 32 * terms digits
+    exps = [(a, b, c) for a in range(17) for b in range(17) for c in range(17)][1 : terms + 1]
+    return [
+        {"coeff": f"{i + 1}/{10**31 + 2 * i + 1}", "exps": list(e)} for i, e in enumerate(exps)
+    ]
+
+
+@pytest.mark.parametrize("terms", [256, 3])
+def test_value_past_the_int_to_text_limit_exits_2(terms, tmp_path, capsys):
+    # every number is within its cap; 256 terms print past the interpreter's
+    # 4300-digit limit for int-to-text conversion, 3 terms print
+    one = [[[{"coeff": "1", "exps": [0, 0, 0]}]]]
+    bundle = {"n": 3, "n_F": 1, "n_C": 1, "n_E": 1}
+    morphism = {"Phi_l": one, "Phi_c": one, "Phi_r": [[_wide_literal(terms)]], "Psi": [[[[]]]]}
+    runs = (
+        ({"core_section": {"gamma": [_wide_literal(terms)]}},
+         ("lift", "vertical", "--side", "right", "--point", "1,1,1", "--outer", "1"), 4),
+        ({"morphism": morphism}, ("dualize", "--point", "1,1,1"), 11),
+    )
+    for i, (sections, argv, lines) in enumerate(runs):
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps({"bundle": bundle, **sections}))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, "--scenario", str(path))
+        assert time.perf_counter() - start < 1
+        if terms == 3:
+            assert (code, err, out.count("\n")) == (0, "", lines)
+        else:
+            assert (code, out) == (2, "")
+            assert err == "INCONSISTENT_SCENARIO: a value to print exceeds the int-to-text limit\n"
+
+
 @pytest.mark.parametrize("command, flags", [
     (("dualize",), ("--point", "-1/2,1,2")),
     (("lift", "vertical", "--side", "right"), ("--point", "-1,0,2", "--outer", "-3")),

@@ -20,6 +20,7 @@ from dvbcalc.core import (
     tangent_prolongation,
 )
 from dvbcalc.duality import ProjectionMismatchError, pair_r, right_dual
+from dvbcalc import geomech
 from dvbcalc.forms import make_form
 from dvbcalc.geomech import (
     Bivector,
@@ -33,8 +34,6 @@ from dvbcalc.geomech import (
     LinearVectorField,
     Metric,
     SingularMetricError,
-    _plain_add,
-    _plain_scale,
     _respects_both_structures,
     alpha_M,
     bivector_linear_shape,
@@ -150,8 +149,13 @@ def _broken_laws(image, seed):
     return broken
 
 
+def _into_line(function):
+    """A candidate double-linear function as a map into the core line (0 | 1 | 0)."""
+    return lambda u: DecomposedDVB(u.bundle.chart, 0, 1, 0).element(u.x, (), (function(u),), ())
+
+
 def _function_check(image, seed, samples=40):
-    return _respects_both_structures(SHELL, image, samples, seed, _plain_add, _plain_scale)
+    return _respects_both_structures(SHELL, _into_line(image), samples, seed)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -190,7 +194,7 @@ def test_zero_rank_shells_pass_vacuously():
             shell = DecomposedDVB(Chart.of_dim(dim), *ranks)
             assert _respects_both_structures(shell, lambda u: u, 5, 0)
             assert _respects_both_structures(
-                shell, lambda u: sum(u.c, Fraction(0)), 5, 0, _plain_add, _plain_scale
+                shell, _into_line(lambda u: sum(u.c, Fraction(0))), 5, 0
             )
 
 
@@ -362,6 +366,26 @@ def test_oneform_three_way_agreement_on_randoms():
         shaped = is_linear_oneform(gen)
         assert oneform_is_bundle_morphism(gen, samples=25, seed=3) == shaped
         assert oneform_linearity_on_tangent(gen, samples=25, seed=7) == shaped
+
+
+def test_linearity_channels_skip_the_public_evaluations(monkeypatch):
+    # the channels read the records' plans as integer ratios; the public
+    # evaluations each make a Fraction that the channels would only compare
+    def refuse(*args):
+        raise RuntimeError("public evaluation called")
+
+    monkeypatch.setattr(geomech, "vf_evaluation_on_cotangent", refuse)
+    monkeypatch.setattr(geomech, "oneform_evaluation_on_tangent", refuse)
+    names, vars = CHART1.names, total_space_vars(VB11)
+    field = LinearVectorField(
+        VB11, (poly(names, {(2,): 1}),), PolyMatrix(names, ((poly(names, {(1,): 3}),),))
+    )
+    form = LinearOneForm(VB11, (MultiPoly.zero(names),), ((MultiPoly.const(names, 1),),))
+    assert vf_linearity_on_cotangent(field)
+    assert not vf_linearity_on_cotangent(_field_d_e())
+    assert oneform_linearity_on_tangent(form)
+    bent = GeneralOneForm(VB11, (poly(vars, {(0, 2): 1}),), (MultiPoly.zero(vars),))
+    assert not oneform_linearity_on_tangent(bent)
 
 
 def test_linear_pairing_of_field_and_form_is_fiber_linear():

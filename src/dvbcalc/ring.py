@@ -50,12 +50,12 @@ exact integer, and returns the determinant and the solutions for all
 right-hand sides at once, as integers.  `det_frac`, `solve_fraction_free`,
 `mat_inverse_frac` and `_adjugate` (pointwise block inverses) read it.
 
-Every random integer the library draws comes from one routine, `_draw`,
-which reads `rng.getrandbits` with the stdlib's own rejection rule, so it
-gives the values and leaves the rng state of `randint`/`randrange`.  Its
-(p, q) pair form, `_rational_draws`, feeds `random_rational`/`random_tuple`
-(the scenario generators) and the one sampler of every sampled check,
-`core._Sampler`, which makes slot vectors of the same pairs.
+Every random integer the library draws follows the stdlib's `randrange`
+rule, so it gives the values and leaves the rng state of `randint`.  Two
+loops read `rng.getrandbits` by it: `_draw`, over any spans, and the pair
+loop `_rational_draws`, which returns n pairs (p, q) as the lists (ps, qs)
+and feeds `random_rational`/`random_tuple` (the scenario generators) and the
+one sampler of every sampled check, `core._Sampler`.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd, lcm, prod
 from operator import add, getitem, mul
 from typing import Mapping, Sequence
@@ -119,26 +119,32 @@ def _randint(rng: random.Random, lo: int, hi: int) -> int:
     return _draw(rng, (_span(lo, hi),))[0]
 
 
-@lru_cache(maxsize=16)
-def _rational_spans(bound: int) -> tuple[tuple[int, int, int], ...]:
-    """The spans of one (p, q) pair: [-bound, bound], then [1, bound]."""
-    return _span(-bound, bound), _span(1, bound)
-
-
-def _rational_draws(rng: random.Random, n: int, bound: int) -> list[int]:
-    """The flat list p1, q1, ..., pn, qn of n pairs, each p drawn from
-    [-bound, bound] and then q from [1, bound]."""
-    return _draw(rng, _rational_spans(bound) * n)
+def _rational_draws(rng: random.Random, n: int, bound: int) -> tuple[list[int], list[int]]:
+    """n pairs (p, q) as the lists (ps, qs), each p drawn from [-bound, bound]
+    and then q from [1, bound], by `_draw`'s rule in one loop."""
+    getrandbits, width = rng.getrandbits, 2 * bound + 1
+    kp, kq = width.bit_length(), bound.bit_length()
+    ps, qs = [], []
+    for _ in range(n):
+        r = getrandbits(kp)
+        while r >= width:
+            r = getrandbits(kp)
+        ps.append(r - bound)
+        r = getrandbits(kq)
+        while r >= bound:
+            r = getrandbits(kq)
+        qs.append(r + 1)
+    return ps, qs
 
 
 def random_rational(rng: random.Random, bound: int = 7) -> Fraction:
     """p/q with p drawn from [-bound, bound], then q from [1, bound]."""
-    return Fraction(*_rational_draws(rng, 1, bound))
+    (p,), (q,) = _rational_draws(rng, 1, bound)
+    return Fraction(p, q)
 
 
 def random_tuple(rng: random.Random, n: int, bound: int = 7) -> tuple[Fraction, ...]:
-    draws = _rational_draws(rng, n, bound)
-    return tuple(map(Fraction, draws[::2], draws[1::2]))
+    return tuple(map(Fraction, *_rational_draws(rng, n, bound)))
 
 
 def _term_key(item: tuple[Exponent, Fraction]) -> tuple[int, Exponent]:

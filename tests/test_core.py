@@ -37,10 +37,13 @@ from dvbcalc.core import (
     _Sampler,
     _right_add,
     _right_scale,
+    _slots_of,
     _split,
+    _vec_add,
+    _vec_scale,
 )
 from dvbcalc.duality import left_dual, pair_l, pair_r, right_dual
-from dvbcalc.ring import MultiPoly, PolyMatrix, random_rational, random_tuple, rat
+from dvbcalc.ring import MultiPoly, PolyMatrix, _rational_draws, random_rational, random_tuple, rat
 from dvbcalc.scenario import random_morphism, random_poly_matrix, random_poly_vector
 
 CHART = Chart.of_dim(1)
@@ -468,21 +471,26 @@ def test_rank_mismatch_is_not_invertible(invert):
 # -- the integer slot kernel ----------------------------------------------------
 #
 # Differential tests of the kernel against the plain Fraction formulas of the
-# two structures and of a block morphism at one point.  Values reach
-# denominators up to 49, slots are zero about a third of the time, and the
-# ranks run over 0-4.
+# two structures and of a block morphism at one point, on the `Fraction`
+# views.  Values are drawn with bounds 1, 7 and 49 (denominators up to 49),
+# slots are zero about a third of the time, and the ranks run over 0-4.  Each
+# kernel operation reduces its own result, so every slot vector it returns
+# must be in lowest terms.
 
 KERNEL_RANKS = [(n_f, n_c, n_e) for n_f in range(5) for n_c in range(5) for n_e in range(5)]
+KERNEL_BOUNDS = (1, 7, 49)
 
 
-def wide_tuple(rng, n):
+def wide_tuple(rng, n, bound=49):
     if rng.randrange(3) == 0:
         return (Fraction(0),) * n
-    return tuple(Fraction(rng.randint(-49, 49), rng.randint(1, 49)) for _ in range(n))
+    return tuple(Fraction(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(n))
 
 
-def wide_scalar(rng):
-    return rng.choice([Fraction(0), Fraction(-1), wide_tuple(rng, 1)[0]])
+def wide_scalars(rng, bound):
+    """rn = 0, rn < 0, rd > 1, rn < 0 with rd > 1, and a drawn scalar."""
+    drawn = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+    return (0, -bound, Fraction(bound, bound + 1), Fraction(-3, 2 * bound + 1), drawn)
 
 
 def plain_add(side, u, v):
@@ -503,39 +511,73 @@ def plain_scale(side, r, v):
     return DVBElement(v.bundle, v.x, v.f, scale(v.c), scale(v.e))
 
 
+def assert_lowest_slots(slots):
+    """gcd 1, a positive denominator, and a zero vector over 1."""
+    nums, den = slots
+    assert type(nums) is tuple and den > 0 and gcd(den, *nums) == 1
+    assert any(nums) or den == 1
+
+
 def assert_lowest_terms(v):
-    for nums, den in (v._f, v._c, v._e):
-        assert den > 0 and gcd(den, *nums) == 1
+    for slots in (v._f, v._c, v._e):
+        assert_lowest_slots(slots)
+
+
+@pytest.mark.parametrize("bound", KERNEL_BOUNDS)
+def test_kernel_vec_ops_match_fractions(bound):
+    """`_vec_add` on equal and unequal denominators and on unreduced
+    inputs, and `_vec_scale` with rn = 0, rn < 0 and rd > 1."""
+    rng = random.Random(f"vec ops {bound}")
+    for n in range(5):
+        for _ in range(40):
+            a, d = wide_tuple(rng, n, bound), wide_tuple(rng, n, bound)
+            # b has a's denominator entry by entry, so its slot vector has a's
+            b = tuple(p + rng.randint(-bound, bound) for p in a)
+            sa, sb, sd = (_slots_of(v) for v in (a, b, d))
+            assert sa[1] == sb[1]
+            unreduced = tuple(6 * p for p in sa[0]), 6 * sa[1]
+            cases = (a, sa, b, sb), (a, sa, d, sd), (d, sd, a, sa), (a, unreduced, d, sd)
+            for u, su, v, sv in cases:
+                total = _vec_add(su, sv)
+                assert_lowest_slots(total)
+                assert _fractions(total) == tuple(p + q for p, q in zip(u, v))
+            for r in wide_scalars(rng, bound):
+                for slots in (sa, unreduced):
+                    scaled = _vec_scale(r.numerator, r.denominator, slots)
+                    assert_lowest_slots(scaled)
+                    assert _fractions(scaled) == tuple(r * p for p in a)
 
 
 @pytest.mark.parametrize("ranks", KERNEL_RANKS, ids=str)
 def test_kernel_structure_maps_match_fraction_formulas(ranks):
     b = DecomposedDVB(Chart.of_dim(2), *ranks)
     rng = random.Random(f"structure {ranks}")
-    for _ in range(4):
-        x = wide_tuple(rng, 2)
-        f, c, e = (wide_tuple(rng, n) for n in ranks)
+    for bound in KERNEL_BOUNDS:
+        x = wide_tuple(rng, 2, bound)
+        f, c, e = (wide_tuple(rng, n, bound) for n in ranks)
         u = DVBElement(b, x, f, c, e)
-        for side, v in (
-            ("right", DVBElement(b, x, wide_tuple(rng, b.n_F), wide_tuple(rng, b.n_C), e)),
-            ("left", DVBElement(b, x, f, wide_tuple(rng, b.n_C), wide_tuple(rng, b.n_E))),
-        ):
+        f2, c2, e2 = (wide_tuple(rng, n, bound) for n in ranks)
+        others = {"right": DVBElement(b, x, f2, c2, e), "left": DVBElement(b, x, f, c2, e2)}
+        for side, v in others.items():
             k = (_right_add if side == "right" else _left_add)(u, v)
             assert_lowest_terms(k)
             assert k._key == plain_add(side, u, v)._key
             assert k == plain_add(side, u, v) == fiber_add(side, u, v)
-            r = wide_scalar(rng)
-            k = (_right_scale if side == "right" else _left_scale)(r, u)
-            assert_lowest_terms(k)
-            assert k == plain_scale(side, r, u) == fiber_scale(side, r, u)
+            for r in wide_scalars(rng, bound):
+                k = (_right_scale if side == "right" else _left_scale)(r, u)
+                assert_lowest_terms(k)
+                assert k == plain_scale(side, r, u) == fiber_scale(side, r, u)
         # equal projections on both sides: the core difference
-        w = DVBElement(b, x, f, wide_tuple(rng, b.n_C), e)
+        w = DVBElement(b, x, f, wide_tuple(rng, b.n_C, bound), e)
         diff = _difference(u, w)
+        assert_lowest_slots(diff)
         assert _fractions(diff) == tuple(p - q for p, q in zip(u.c, w.c))
         assert core_difference(u, w) == _fractions(diff)
         # a right-kernel element splits into (x | f | 0 | 0) and (x | 0 | c | 0)
         kern = DVBElement(b, x, f, c, (Fraction(0),) * b.n_E)
         side_part, core_part = _split(kern)
+        assert_lowest_terms(side_part)
+        assert_lowest_terms(core_part)
         assert side_part == b.zero_over_left(x, f)
         assert core_part == core_embed(b, x, c)
         assert kernel_split(kern) == (side_part, core_part)
@@ -546,46 +588,50 @@ def test_kernel_structure_maps_match_fraction_formulas(ranks):
 
 @pytest.mark.parametrize("ranks", KERNEL_RANKS, ids=str)
 def test_kernel_apply_matches_fraction_formula(ranks):
+    """`FiberMorphism.apply` on `Fraction` blocks, and `DVBMorphism.apply`
+    through its evaluation plan, against the block formula at one point."""
     n_f, n_c, n_e = ranks
     b = DecomposedDVB(Chart.of_dim(1), *ranks)
     rng = random.Random(f"apply {ranks}")
-    x = (Fraction(3, 7),)
 
-    def matrix(rows, cols):
-        return tuple(wide_tuple(rng, cols) for _ in range(rows))
+    def times(m, vec):
+        return tuple(sum((a * q for a, q in zip(row, vec)), Fraction(0)) for row in m)
 
-    fm = FiberMorphism(
-        b,
-        b,
-        x,
-        matrix(n_f, n_f),
-        matrix(n_c, n_c),
-        matrix(n_e, n_e),
-        tuple(matrix(n_e, n_f) for _ in range(n_c)),
-    )
-    for _ in range(4):
-        v = DVBElement(b, x, wide_tuple(rng, n_f), wide_tuple(rng, n_c), wide_tuple(rng, n_e))
+    for bound in KERNEL_BOUNDS:
+        x = (Fraction(rng.randint(-bound, bound), rng.randint(1, bound)),)
 
-        def times(m, vec):
-            return tuple(sum((a * q for a, q in zip(row, vec)), Fraction(0)) for row in m)
+        def matrix(rows, cols):
+            return tuple(wide_tuple(rng, cols, bound) for _ in range(rows))
 
-        bilinear = tuple(
-            sum(
-                (plane[a][i] * v.e[a] * v.f[i] for a in range(n_e) for i in range(n_f)),
-                Fraction(0),
-            )
-            for plane in fm.psi
-        )
-        want = DVBElement(
+        fm = FiberMorphism(
+            b,
             b,
             x,
-            times(fm.l, v.f),
-            tuple(p + q for p, q in zip(times(fm.c, v.c), bilinear)),
-            times(fm.r, v.e),
+            matrix(n_f, n_f),
+            matrix(n_c, n_c),
+            matrix(n_e, n_e),
+            tuple(matrix(n_e, n_f) for _ in range(n_c)),
         )
-        k = fm.apply(v)
-        assert_lowest_terms(k)
-        assert k == want
+        phi = random_morphism(rng, b, 2)
+        for blocks, apply in ((fm, fm.apply), (phi.at(x), phi.apply)):
+            v = DVBElement(b, x, *(wide_tuple(rng, n, bound) for n in ranks))
+            bilinear = tuple(
+                sum(
+                    (plane[a][i] * v.e[a] * v.f[i] for a in range(n_e) for i in range(n_f)),
+                    Fraction(0),
+                )
+                for plane in blocks.psi
+            )
+            want = DVBElement(
+                b,
+                x,
+                times(blocks.l, v.f),
+                tuple(p + q for p, q in zip(times(blocks.c, v.c), bilinear)),
+                times(blocks.r, v.e),
+            )
+            k = apply(v)
+            assert_lowest_terms(k)
+            assert k == want
 
 
 def test_kernel_apply_keeps_base_checks():
@@ -612,18 +658,65 @@ def test_morphism_apply_checks_the_bundle_before_the_plan():
             phi.apply(v)
 
 
-@pytest.mark.parametrize("bound", [1, 7, 49])
+@pytest.mark.parametrize("bound", [1, 7, 49, 1000])
 def test_kernel_draws_equal_random_tuple(bound):
+    """The pair loop gives the `randint(-b, b)`, `randint(1, b)` pairs and
+    the rng state of the stdlib, and `slots` the same values in lowest
+    terms; 1000 is the cap on a scenario's bound."""
     for seed in range(200):
-        for n in range(5):
+        for n in range(6):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            pairs = [(theirs.randint(-bound, bound), theirs.randint(1, bound)) for _ in range(n)]
+            ps, qs = _rational_draws(ours, n, bound)
+            assert (ps, qs) == ([p for p, _ in pairs], [q for _, q in pairs])
+            assert ours.getstate() == theirs.getstate()
             ours, theirs = random.Random(seed), random.Random(seed)
             slots = _Sampler(ours, None, bound).slots(n)
             assert _fractions(slots) == random_tuple(theirs, n, bound)
             assert ours.getstate() == theirs.getstate()
-            assert gcd(slots[1], *slots[0]) == 1
+            assert_lowest_slots(slots)
         ours, theirs = random.Random(seed), random.Random(seed)
-        assert _fractions(_Sampler(ours, None, bound).slots(1)) == (random_rational(theirs, bound),)
+        sampler = _Sampler(ours, None, bound)
+        assert _fractions(sampler.slots(1)) == (random_rational(theirs, bound),)
+        assert sampler.rational() == random_rational(theirs, bound)
+        assert sampler.rationals(3) == random_tuple(theirs, 3, bound)
         assert ours.getstate() == theirs.getstate()
+
+
+def test_kernel_fast_paths_still_compare_values():
+    """Equal base points, bundles and shared slots that are other objects
+    still add; unequal ones raise the errors they always raised."""
+    b = DecomposedDVB(Chart.of_dim(2), 2, 1, 2)
+    u = b.element(("1/2", 3), (1, 2), (3,), (4, "5/7"))
+    twin = DecomposedDVB(Chart.of_dim(2), 2, 1, 2)
+    copies = [
+        DVBElement(b, tuple(Fraction(p) for p in u.x), (5, 6), (7,), u.e),
+        DVBElement(twin, u.x, u.f, (7,), (8, 9)),
+        DVBElement(twin, (Fraction(1, 2), Fraction(3)), (5, 6), (7,), (4, Fraction(5, 7))),
+    ]
+    assert copies[0].x is not u.x and copies[0]._e is not u._e and copies[2].bundle is not b
+    assert _right_add(u, copies[0]) == b.element(u.x, (6, 8), (10,), u.e)
+    assert _left_add(u, copies[1]) == b.element(u.x, u.f, (10,), (12, "68/7"))
+    assert _right_add(u, copies[2]) == _right_add(u, copies[0])
+    assert _fractions(_difference(u, DVBElement(twin, u.x, u.f, (1,), u.e))) == (2,)
+    elsewhere = b.element((1, 3), (1, 2), (3,), u.e)
+    message = (
+        r"^base points differ: \(Fraction\(1, 2\), Fraction\(3, 1\)\)"
+        r" vs \(Fraction\(1, 1\), Fraction\(3, 1\)\)$"
+    )
+    other = DecomposedDVB(Chart.of_dim(2), 2, 1, 2, ("A", "C", "E"))
+    stranger = other.element(u.x, u.f, u.c, u.e)
+    for op in (_right_add, _left_add, _difference):
+        with pytest.raises(BaseMismatchError, match=message):
+            op(u, elsewhere)
+        with pytest.raises(BaseMismatchError, match="^elements belong to different bundles$"):
+            op(u, stranger)
+    with pytest.raises(FiberMismatchError, match="^right addition needs a shared E point$"):
+        _right_add(u, b.element(u.x, u.f, u.c, (4, "5/8")))
+    with pytest.raises(FiberMismatchError, match="^left addition needs a shared F point$"):
+        _left_add(u, b.element(u.x, (1, 3), u.c, u.e))
+    with pytest.raises(FiberMismatchError, match="^core difference needs matching F and E slots$"):
+        _difference(u, b.element(u.x, u.f, u.c, (4, "5/8")))
 
 
 # ---------------------------------------------------------------------------

@@ -312,15 +312,19 @@ def test_eval_over_no_variables():
 
 
 def test_draws_match_stdlib_randint_and_state():
-    """`_draw` keeps the stdlib's rejection rule: the same values as
-    `randint`/`randrange`, and the same rng state afterwards."""
+    """`_draw` and the pair loop `_rational_draws` keep the stdlib's
+    rejection rule: the same values as `randint`/`randrange`, and the same
+    rng state afterwards."""
     for seed in range(200):
-        for b in range(1, 65):  # includes 1, every 2^k and every 2^k - 1
+        # includes 1, every 2^k and every 2^k - 1, and the bound cap 1000;
+        # the pair counts 0-5 on the bounds the suites use and on the cap
+        for b in (*range(1, 65), 1000):
             ours, theirs = random.Random(seed), random.Random(seed)
-            want = []
-            for _ in range(3):
-                want += [theirs.randint(-b, b), theirs.randint(1, b)]
-            assert ring._rational_draws(ours, 3, b) == want
+            for n in range(6) if b in (1, 7, 49, 1000) else (3,):
+                pairs = [(theirs.randint(-b, b), theirs.randint(1, b)) for _ in range(n)]
+                want = ([p for p, _ in pairs], [q for _, q in pairs])
+                assert ring._rational_draws(ours, n, b) == want
+            assert ours.getstate() == theirs.getstate()
             assert ring._randint(ours, -b, 2 * b) == theirs.randint(-b, 2 * b)
             assert ring._randint(ours, 0, b - 1) == theirs.randrange(b)
             assert ring._randint(ours, 0, (1 << 30) - 1) == theirs.randrange(1 << 30)

@@ -27,10 +27,9 @@ routines directly.  `_apply_blocks` reads a morphism's blocks as integer
 matrices over one denominator per block.
 
 Every sampled check, in the suites, `geomech` and `duality`, draws through
-one `_Sampler` (an rng, a bundle and a coordinate bound), whose draws are
-the lists (ps, qs) of `ring._rational_draws`, the pair loop of
-`random_tuple`; `slots` and `element` make slot vectors of them, without a
-`Fraction`.
+one `_Sampler` (an rng, a bundle and a coordinate bound), whose `slots` and
+`element` turn the (p, q) pairs of `ring._rational_draws`, in the order of
+`random_tuple`, into slot vectors without a `Fraction`.
 
 Morphisms between decomposed bundles over the same chart are block maps over
 the identity of the base,
@@ -79,6 +78,8 @@ from .ring import (
     _randint,
     _rational_draws,
     mat_mul,
+    random_rational,
+    random_tuple,
     rat,
     transpose,
 )
@@ -267,10 +268,10 @@ Side = str  # "right" or "left"
 # A slot vector is a pair (numerators, denominator) with the gcd of the
 # denominator and all the numerators equal to 1, so a zero vector has
 # denominator 1.  The structure maps below read and build the slot vectors
-# of `DVBElement`s and make no `Fraction`, each in one frame: `_vec_add` and
-# `_vec_scale` (the one add and scale, read as globals so tests can swap them)
-# reduce their own results, and the maps build the element key inline and
-# compare by identity before by value.
+# of `DVBElement`s and make no `Fraction`.  `_vec_add` and `_vec_scale`, the
+# one add and scale (read as globals so tests can swap them), reduce their
+# results in their own frame, and the adds compare the bundle, the base point
+# and the shared slot by identity before by value.
 
 _Slots = tuple[tuple[int, ...], int]
 
@@ -355,9 +356,7 @@ def _right_add(u: DVBElement, v: DVBElement) -> DVBElement:
         _same_base(uk, vk)
     if e is not vk[4] and e != vk[4]:
         raise FiberMismatchError("right addition needs a shared E point")
-    el = _new(DVBElement)
-    _set_key(el, (b, x, _vec_add(f, vk[2]), _vec_add(c, vk[3]), e))
-    return el
+    return DVBElement._of_slots(b, x, _vec_add(f, vk[2]), _vec_add(c, vk[3]), e)
 
 
 def _left_add(u: DVBElement, v: DVBElement) -> DVBElement:
@@ -367,35 +366,29 @@ def _left_add(u: DVBElement, v: DVBElement) -> DVBElement:
         _same_base(uk, vk)
     if f is not vk[2] and f != vk[2]:
         raise FiberMismatchError("left addition needs a shared F point")
-    el = _new(DVBElement)
-    _set_key(el, (b, x, f, _vec_add(c, vk[3]), _vec_add(e, vk[4])))
-    return el
+    return DVBElement._of_slots(b, x, f, _vec_add(c, vk[3]), _vec_add(e, vk[4]))
 
 
 def _right_scale(r: Fraction | int, v: DVBElement) -> DVBElement:
     b, x, f, c, e = v._key
     rn, rd = r.numerator, r.denominator
-    el = _new(DVBElement)
-    _set_key(el, (b, x, _vec_scale(rn, rd, f), _vec_scale(rn, rd, c), e))
-    return el
+    return DVBElement._of_slots(b, x, _vec_scale(rn, rd, f), _vec_scale(rn, rd, c), e)
 
 
 def _left_scale(r: Fraction | int, v: DVBElement) -> DVBElement:
     b, x, f, c, e = v._key
     rn, rd = r.numerator, r.denominator
-    el = _new(DVBElement)
-    _set_key(el, (b, x, f, _vec_scale(rn, rd, c), _vec_scale(rn, rd, e)))
-    return el
+    return DVBElement._of_slots(b, x, f, _vec_scale(rn, rd, c), _vec_scale(rn, rd, e))
 
 
 def _split(v: DVBElement) -> tuple[DVBElement, DVBElement]:
     b, x, f, c, e = v._key
     if any(e[0]):
         raise NotInKernelError("element has a nonzero E projection")
-    side, core = _new(DVBElement), _new(DVBElement)
-    _set_key(side, (b, x, f, ((0,) * b.n_C, 1), e))
-    _set_key(core, (b, x, ((0,) * b.n_F, 1), c, e))
-    return side, core
+    return (
+        DVBElement._of_slots(b, x, f, _zero_slots(b.n_C), e),
+        DVBElement._of_slots(b, x, _zero_slots(b.n_F), c, e),
+    )
 
 
 def _difference(u: DVBElement, v: DVBElement) -> _Slots:
@@ -441,26 +434,23 @@ def _apply_blocks(source, target, int_blocks_at, v: DVBElement) -> DVBElement:
     """(f, c, e) -> (L f, C c + Psi(f, e), R e) on the slot vectors, with the
     blocks at v's base point read from `int_blocks_at` (in the layout of
     `FiberMorphism._int_blocks`) once v's bundle is checked to be `source`."""
-    b, x, (fn, fd), (cn, cd), (en, ed) = v._key
+    b, x, f, (cn, cd), e = v._key
     if b is not source and b != source:
         raise BaseMismatchError("element bundle differs from morphism source")
-    (l, ld), (cm, cmd), (r, rd), (psi, pd) = int_blocks_at(x)
+    l, (cm, cmd), r, (psi, pd) = int_blocks_at(x)
+    (fn, fd), (en, ed) = f, e
     e_times_f, core_den, psi_den = [p * q for p in en for q in fn], cmd * cd, pd * ed * fd
     core = [
         sum(map(mul, row, cn)) * psi_den + sum(map(mul, plane, e_times_f)) * core_den
         for row, plane in zip(cm, psi)
     ]
-    key = [target, x]
-    for nums, den in (
-        ([sum(map(mul, row, fn)) for row in l], ld * fd),
-        (core, core_den * psi_den),
-        ([sum(map(mul, row, en)) for row in r], rd * ed),
-    ):
-        g = gcd(den, *nums)
-        key.append((tuple(nums), den) if g == 1 else (tuple([n // g for n in nums]), den // g))
-    el = _new(DVBElement)
-    _set_key(el, tuple(key))
-    return el
+    return DVBElement._of_slots(
+        target,
+        x,
+        _reduced(*_mat_vec(l, f)),
+        _reduced(core, core_den * psi_den),
+        _reduced(*_mat_vec(r, e)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -487,14 +477,13 @@ class _Sampler:
         return _Sampler(self.rng, bundle, self.bound)
 
     def rational(self) -> Fraction:
-        (p,), (q,) = _rational_draws(self.rng, 1, self.bound)
-        return Fraction(p, q)
+        return random_rational(self.rng, self.bound)
 
     def rationals(self, n: int) -> tuple[Fraction, ...]:
-        return tuple(map(Fraction, *_rational_draws(self.rng, n, self.bound)))
+        return random_tuple(self.rng, n, self.bound)
 
     def point(self) -> Point:
-        return tuple(map(Fraction, *_rational_draws(self.rng, self.bundle.chart.dim, self.bound)))
+        return random_tuple(self.rng, self.bundle.chart.dim, self.bound)
 
     def positives(self, n: int) -> list[int]:
         """n integers from [1, bound]."""
@@ -506,23 +495,19 @@ class _Sampler:
             return (), 1
         ps, qs = _rational_draws(self.rng, n, self.bound)
         den = lcm(*qs)
-        nums = [p * (den // q) for p, q in zip(ps, qs)]
-        g = gcd(den, *nums)
-        return (tuple(nums), den) if g == 1 else (tuple([v // g for v in nums]), den // g)
+        return _reduced([p * (den // q) for p, q in zip(ps, qs)], den)
 
     def element(self, x=None, f=None, c=None, e=None) -> DVBElement:
         """An element of the bundle; the slots not given are drawn in order,
         and the slots given are slot vectors."""
         b = self.bundle
-        el = _new(DVBElement)
-        _set_key(el, (
+        return DVBElement._of_slots(
             b,
             self.point() if x is None else x,
             self.slots(b.n_F) if f is None else f,
             self.slots(b.n_C) if c is None else c,
             self.slots(b.n_E) if e is None else e,
-        ))
-        return el
+        )
 
     def seed(self) -> int:
         """A seed for a sampled criterion that keeps its own sampler."""

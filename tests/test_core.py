@@ -553,37 +553,38 @@ def test_kernel_structure_maps_match_fraction_formulas(ranks):
     b = DecomposedDVB(Chart.of_dim(2), *ranks)
     rng = random.Random(f"structure {ranks}")
     for bound in KERNEL_BOUNDS:
-        x = wide_tuple(rng, 2, bound)
-        f, c, e = (wide_tuple(rng, n, bound) for n in ranks)
-        u = DVBElement(b, x, f, c, e)
-        f2, c2, e2 = (wide_tuple(rng, n, bound) for n in ranks)
-        others = {"right": DVBElement(b, x, f2, c2, e), "left": DVBElement(b, x, f, c2, e2)}
-        for side, v in others.items():
-            k = (_right_add if side == "right" else _left_add)(u, v)
-            assert_lowest_terms(k)
-            assert k._key == plain_add(side, u, v)._key
-            assert k == plain_add(side, u, v) == fiber_add(side, u, v)
-            for r in wide_scalars(rng, bound):
-                k = (_right_scale if side == "right" else _left_scale)(r, u)
+        for _ in range(4):
+            x = wide_tuple(rng, 2, bound)
+            f, c, e = (wide_tuple(rng, n, bound) for n in ranks)
+            u = DVBElement(b, x, f, c, e)
+            f2, c2, e2 = (wide_tuple(rng, n, bound) for n in ranks)
+            others = {"right": DVBElement(b, x, f2, c2, e), "left": DVBElement(b, x, f, c2, e2)}
+            for side, v in others.items():
+                k = (_right_add if side == "right" else _left_add)(u, v)
                 assert_lowest_terms(k)
-                assert k == plain_scale(side, r, u) == fiber_scale(side, r, u)
-        # equal projections on both sides: the core difference
-        w = DVBElement(b, x, f, wide_tuple(rng, b.n_C, bound), e)
-        diff = _difference(u, w)
-        assert_lowest_slots(diff)
-        assert _fractions(diff) == tuple(p - q for p, q in zip(u.c, w.c))
-        assert core_difference(u, w) == _fractions(diff)
-        # a right-kernel element splits into (x | f | 0 | 0) and (x | 0 | c | 0)
-        kern = DVBElement(b, x, f, c, (Fraction(0),) * b.n_E)
-        side_part, core_part = _split(kern)
-        assert_lowest_terms(side_part)
-        assert_lowest_terms(core_part)
-        assert side_part == b.zero_over_left(x, f)
-        assert core_part == core_embed(b, x, c)
-        assert kernel_split(kern) == (side_part, core_part)
-        if b.n_E:
-            with pytest.raises(NotInKernelError, match="nonzero E projection"):
-                _split(DVBElement(b, x, f, c, (Fraction(1),) * b.n_E))
+                assert k._key == plain_add(side, u, v)._key
+                assert k == plain_add(side, u, v) == fiber_add(side, u, v)
+                for r in wide_scalars(rng, bound):
+                    k = (_right_scale if side == "right" else _left_scale)(r, u)
+                    assert_lowest_terms(k)
+                    assert k == plain_scale(side, r, u) == fiber_scale(side, r, u)
+            # equal projections on both sides: the core difference
+            w = DVBElement(b, x, f, wide_tuple(rng, b.n_C, bound), e)
+            diff = _difference(u, w)
+            assert_lowest_slots(diff)
+            assert _fractions(diff) == tuple(p - q for p, q in zip(u.c, w.c))
+            assert core_difference(u, w) == _fractions(diff)
+            # a right-kernel element splits into (x | f | 0 | 0) and (x | 0 | c | 0)
+            kern = DVBElement(b, x, f, c, (Fraction(0),) * b.n_E)
+            side_part, core_part = _split(kern)
+            assert_lowest_terms(side_part)
+            assert_lowest_terms(core_part)
+            assert side_part == b.zero_over_left(x, f)
+            assert core_part == core_embed(b, x, c)
+            assert kernel_split(kern) == (side_part, core_part)
+            if b.n_E:
+                with pytest.raises(NotInKernelError, match="nonzero E projection"):
+                    _split(DVBElement(b, x, f, c, (Fraction(1),) * b.n_E))
 
 
 @pytest.mark.parametrize("ranks", KERNEL_RANKS, ids=str)
@@ -613,25 +614,26 @@ def test_kernel_apply_matches_fraction_formula(ranks):
             tuple(matrix(n_e, n_f) for _ in range(n_c)),
         )
         phi = random_morphism(rng, b, 2)
-        for blocks, apply in ((fm, fm.apply), (phi.at(x), phi.apply)):
-            v = DVBElement(b, x, *(wide_tuple(rng, n, bound) for n in ranks))
-            bilinear = tuple(
-                sum(
-                    (plane[a][i] * v.e[a] * v.f[i] for a in range(n_e) for i in range(n_f)),
-                    Fraction(0),
+        for _ in range(4):
+            for blocks, apply in ((fm, fm.apply), (phi.at(x), phi.apply)):
+                v = DVBElement(b, x, *(wide_tuple(rng, n, bound) for n in ranks))
+                bilinear = tuple(
+                    sum(
+                        (plane[a][i] * v.e[a] * v.f[i] for a in range(n_e) for i in range(n_f)),
+                        Fraction(0),
+                    )
+                    for plane in blocks.psi
                 )
-                for plane in blocks.psi
-            )
-            want = DVBElement(
-                b,
-                x,
-                times(blocks.l, v.f),
-                tuple(p + q for p, q in zip(times(blocks.c, v.c), bilinear)),
-                times(blocks.r, v.e),
-            )
-            k = apply(v)
-            assert_lowest_terms(k)
-            assert k == want
+                want = DVBElement(
+                    b,
+                    x,
+                    times(blocks.l, v.f),
+                    tuple(p + q for p, q in zip(times(blocks.c, v.c), bilinear)),
+                    times(blocks.r, v.e),
+                )
+                k = apply(v)
+                assert_lowest_terms(k)
+                assert k == want
 
 
 def test_kernel_apply_keeps_base_checks():

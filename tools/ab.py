@@ -5,40 +5,32 @@ Run from anywhere:
     python3 tools/ab.py DIR_A DIR_B --workload axioms-sweep --pairs 10
 
 Pair i runs `perfbench/run.py --trace 0 --seed 1100+i` in DIR_A and in
-DIR_B, one after the other and never in parallel; the side that runs first
-alternates from pair to pair, so a drift of the host's speed falls on both
-sides alike.  For every end-to-end metric of DIR_A's `BENCHMARK.json` it
-prints the median on each side, the median over the pairs of the ratio
-B/A, and in how many pairs B was better (lower or higher, as the metric
-says).  A run with a failed task stops the comparison.  Only the standard
-library is used.
+DIR_B, one after the other and never in parallel, for the run length of
+this repository's `BENCHMARK.json` (through `bench._perfbench`); the side
+that runs first alternates from pair to pair, so a drift of the host's
+speed falls on both sides alike.  For every end-to-end metric of that
+`BENCHMARK.json` it prints the median on each side, the median over the
+pairs of the ratio B/A, and in how many pairs B was better (lower or
+higher, as the metric says).  A run with a failed task stops the
+comparison.  Only the standard library is used.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import statistics
-import subprocess
-import sys
 from pathlib import Path
+
+import bench
 
 SEED_BASE = 1100
 
 
-def _run(root: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
-    cmd = [
-        sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-        "--seconds", str(seconds), "--trace", "0",
-    ]
-    done = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
-    if done.returncode != 0:
-        detail = done.stderr[-2000:]
-        raise SystemExit(f"error: {root}: {' '.join(cmd)} exited {done.returncode}\n{detail}")
-    result = json.loads(done.stdout.strip().splitlines()[-1])
-    if result["failed"]:
-        raise SystemExit(f"error: {root}: {result['failed']} of {result['attempted']} tasks failed")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+def _run(root: Path, workload: str, seed: int) -> dict[str, float]:
+    run = bench._perfbench(root, workload, seed, 0)
+    if run["failed"]:
+        raise SystemExit(f"error: {root}: {run['failed']} of {run['attempted']} tasks failed")
+    return run["metrics"]
 
 
 def main(argv=None) -> int:
@@ -47,21 +39,18 @@ def main(argv=None) -> int:
     p.add_argument("dir_b", type=Path, help="the checkout under test (the change)")
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's)")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
     roots = args.dir_a.resolve(), args.dir_b.resolve()
-    spec = json.loads((roots[0] / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
-    metrics = spec["end_to_end"]
+    metrics = bench.BENCHMARK["end_to_end"]
 
     runs: tuple[list[dict], list[dict]] = ([], [])
     for i in range(args.pairs):
         seed = SEED_BASE + i
         order = (0, 1) if i % 2 == 0 else (1, 0)
         for side in order:
-            runs[side].append(_run(roots[side], args.workload, seed, seconds))
+            runs[side].append(_run(roots[side], args.workload, seed))
         a, b = runs[0][-1], runs[1][-1]
         line = "  ".join(f"{m['name']} {a[m['name']]:.4g}/{b[m['name']]:.4g}" for m in metrics)
         print(f"pair {i + 1} seed {seed}: {line}", flush=True)

@@ -45,7 +45,8 @@ WORKLOADS = ("axioms-sweep", "check-all", "symbolic")
 SEEDS = (1101, 1102, 1103)
 TRACED = ("axioms-sweep", "check-all")
 TRACED_SEED = 1101
-RUN_SECONDS = 20
+BENCHMARK = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+RUN_SECONDS = BENCHMARK["run_seconds"]
 REPEATS = 3
 CRITERION_1 = "tests/test_acceptance.py::test_criterion_1"
 CRITERION_1_GATE_S = 10.0

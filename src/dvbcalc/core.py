@@ -45,7 +45,8 @@ are made only when read.
 
 Composition, inverse, right dual and flip are written once, as a block
 algebra that takes its matrix product: `ring.mat_mul` on a DVBMorphism's
-MultiPoly rows, an integer product on a FiberMorphism's integer rows.  The
+rows in `ring`'s kernel form (converted once per call, in `_blocks` and
+`_from_blocks`), an integer product on a FiberMorphism's integer rows.  The
 Psi contraction over the core index is one product with the Psi planes
 flattened to rows.  Inverses and duals divide by block determinants: at a
 point a block's inverse is its adjugate over the pivot of one fraction-free
@@ -75,8 +76,11 @@ from .ring import (
     _adjugate,
     _EvalPlan,
     _frac_rows,
+    _pair_rows,
+    _poly_rows,
     _randint,
     _rational_draws,
+    _unimodular_inverse,
     mat_mul,
     random_rational,
     random_tuple,
@@ -639,13 +643,14 @@ def cotangent_prolongation(vb: VectorBundle) -> DecomposedDVB:
 # A sum over d is one product with the flat Psi; contracting one factor at a
 # time keeps the inverse at O(n^4) coefficient products.  The formulas take
 # the product `mul`, over the product of the two denominators, and share the
-# rest: `_poly_mul` multiplies MultiPoly rows (over 1) with `ring.mat_mul`,
+# rest: `_poly_mul` multiplies rows of polynomials in `ring`'s kernel form,
+# exponent -> (n, d) in lowest terms (over 1), with `ring.mat_mul`;
 # `_int_mul` integer rows at a point, left unreduced until a FiberMorphism
 # stores them in lowest terms.
 
 
-def _poly_mul(vars):
-    return lambda a, b, cols: (mat_mul(a[0], b[0], cols, vars), 1)
+def _poly_mul(a, b, cols: int):
+    return mat_mul(a[0], b[0], cols), 1
 
 
 def _int_mul(a, b, cols: int):
@@ -759,8 +764,17 @@ class DVBMorphism:
 
     @staticmethod
     def _from_blocks(source, target, blocks) -> DVBMorphism:
+        """The morphism of kernel-form blocks over 1, as the block algebra
+        gives them."""
         vars = source.chart.names
-        l, c, r, psi = (rows for rows, _ in blocks)
+        return DVBMorphism._from_rows(
+            source, target, *(_poly_rows(vars, rows) for rows, _ in blocks)
+        )
+
+    @staticmethod
+    def _from_rows(source, target, l, c, r, psi) -> DVBMorphism:
+        """The morphism of MultiPoly rows L, C, R and the flat Psi."""
+        vars = source.chart.names
         return DVBMorphism(
             source,
             target,
@@ -770,16 +784,20 @@ class DVBMorphism:
             _planes(psi, source.n_E, source.n_F),
         )
 
+    def _rows(self):
+        """L, C, R and the flat Psi as rows of MultiPoly."""
+        return self.phi_l.entries, self.phi_c.entries, self.phi_r.entries, _flat(self.psi)
+
     def _blocks(self):
-        """L, C, R and the flat Psi over 1, as the block algebra takes them."""
-        blocks = (self.phi_l.entries, self.phi_c.entries, self.phi_r.entries, _flat(self.psi))
-        return tuple((rows, 1) for rows in blocks)
+        """L, C, R and the flat Psi in kernel form over 1, as the block
+        algebra takes them."""
+        return tuple((_pair_rows(rows), 1) for rows in self._rows())
 
     @cached_property
     def _plan(self) -> _EvalPlan:
         """The plan of the blocks, in the layout of
         `FiberMorphism._int_blocks`; built on first use."""
-        return _EvalPlan([rows for rows, _ in self._blocks()], self.source.chart.dim)
+        return _EvalPlan(self._rows(), self.source.chart.dim)
 
     def at(self, x: Sequence[Fraction | int | str]) -> FiberMorphism:
         """Evaluate all blocks at a base point, through the integer plan."""
@@ -791,8 +809,9 @@ class DVBMorphism:
 
     def flip(self) -> DVBMorphism:
         """The same morphism between the flipped bundles."""
-        return DVBMorphism._from_blocks(
-            self.source.flip(), self.target.flip(), _flip_blocks(self._blocks(), self.source)
+        blocks = _flip_blocks([(rows, 1) for rows in self._rows()], self.source)
+        return DVBMorphism._from_rows(
+            self.source.flip(), self.target.flip(), *(rows for rows, _ in blocks)
         )
 
 
@@ -823,7 +842,7 @@ def compose_morphisms(outer: DVBMorphism, inner: DVBMorphism) -> DVBMorphism:
         inner._blocks(),
         inner.source,
         inner.target,
-        _poly_mul(inner.source.chart.names),
+        _poly_mul,
     )
     return DVBMorphism._from_blocks(inner.source, outer.target, blocks)
 
@@ -923,14 +942,12 @@ def invert_morphism(phi: DVBMorphism) -> PointwiseMorphism:
 def invert_morphism_poly(phi: DVBMorphism) -> DVBMorphism:
     """Polynomial inverse, available when every block is unimodular."""
     _check_square_ranks(phi)
-    inverses = tuple(m.unimodular_inverse() for m in (phi.phi_l, phi.phi_c, phi.phi_r))
+    blocks = phi._blocks()
+    dim = phi.source.chart.dim
+    inverses = tuple(_unimodular_inverse(rows, dim) for rows, _ in blocks[:3])
     if any(m is None for m in inverses):
         raise ValueError("blocks are not unimodular; use invert_morphism")
     blocks = _inverse_blocks(
-        phi._blocks()[3],
-        tuple((m.entries, 1) for m in inverses),
-        phi.source,
-        phi.target,
-        _poly_mul(phi.source.chart.names),
+        blocks[3], tuple((m, 1) for m in inverses), phi.source, phi.target, _poly_mul
     )
     return DVBMorphism._from_blocks(phi.target, phi.source, blocks)

@@ -47,7 +47,7 @@ from .core import (
     _slots_of,
     _vec_scale,
 )
-from .ring import Point, rat
+from .ring import Point, _unimodular_inverse, rat
 
 
 class ProjectionMismatchError(ValueError):
@@ -161,16 +161,11 @@ def right_dual_morphism(phi) -> PointwiseMorphism:
 
 def right_dual_morphism_poly(phi: DVBMorphism) -> DVBMorphism:
     """Polynomial right dual, available when the right block is unimodular."""
-    rinv = phi.phi_r.unimodular_inverse()
+    blocks = phi._blocks()
+    rinv = _unimodular_inverse(blocks[2][0], phi.source.chart.dim)
     if rinv is None:
         raise ValueError("right block is not unimodular; use right_dual_morphism")
-    blocks = _right_dual_blocks(
-        phi._blocks(),
-        (rinv.entries, 1),
-        phi.source,
-        phi.target,
-        _poly_mul(phi.source.chart.names),
-    )
+    blocks = _right_dual_blocks(blocks, (rinv, 1), phi.source, phi.target, _poly_mul)
     return DVBMorphism._from_blocks(right_dual(phi.target), right_dual(phi.source), blocks)
 
 

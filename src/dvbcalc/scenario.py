@@ -15,12 +15,15 @@ the report header all read it.  A field shape is read by one recursive
 reader and written by one recursive writer, keyed by how many lists deep
 the shape nests its polynomial literals.
 
-The text is written by one recursive emitter, `_emit`, that gives the bytes
-of `json.dumps(obj, indent=2, sort_keys=True)` for the shapes a scenario
-object has (dicts with str keys, lists, str, int, bool, None), strings
-through `json.encoder.encode_basestring_ascii`.  The stdlib encoder runs in
-pure Python whenever it indents, and pays for generality a scenario does not
-need; any other type raises TypeError.
+`scenario_to_text` gives the bytes of `json.dumps(scenario_to_obj(sc),
+indent=2, sort_keys=True)` without building the polynomial literals of that
+object.  A recursive emitter, `_emit`, writes the header and the keys: the
+shapes a JSON object has (dicts with str keys, lists, str, int, bool, None),
+strings through `json.encoder.encode_basestring_ascii`; any other type
+raises TypeError.  Each field's literals are written straight from
+`MultiPoly.terms` by `_write_literals`, with the indentation strings built
+once per depth.  The stdlib encoder runs in pure Python whenever it indents,
+and pays for generality a scenario does not need.
 
 Every number a file gives is capped: ranks, exponents, terms per literal,
 the digits of each coefficient (_MAX_DIGITS, shared with the command line's
@@ -517,7 +520,53 @@ def _nested_obj(value, depth: int) -> list:
     return [_nested_obj(item, depth - 1) for item in value]
 
 
-def scenario_to_obj(sc: Scenario) -> dict:
+class _Literals:
+    """A field's polynomial literals, `depth` lists deep, which `_emit`
+    hands to `_write_literals`."""
+
+    __slots__ = ("value", "depth")
+
+    def __init__(self, value, depth: int):
+        self.value, self.depth = value, depth
+
+
+def _write_literals(field: _Literals, pad: str, out: list[str]) -> None:
+    """Append the text json.dumps(_nested_obj(value, depth), indent=2) gives
+    at the indentation `pad`, written from each `MultiPoly.terms`."""
+    # nl[i]: a line break and the indentation i levels below `pad`
+    nl = ["\n" + pad + "  " * i for i in range(field.depth + 4)]
+
+    def write(value, depth: int, i: int) -> None:
+        inner = nl[i + 1]
+        if not depth:
+            if not value.terms:
+                out.append("[]")
+                return
+            coeff, exps = inner + "{" + nl[i + 2] + '"coeff": "', '",' + nl[i + 2] + '"exps": '
+            close, sep = inner + "}", "," + nl[i + 3]
+            terms = [
+                f"{coeff}{c}{exps}[{nl[i + 3]}{sep.join(map(str, e))}{nl[i + 2]}]{close}"
+                if e
+                else f"{coeff}{c}{exps}[]{close}"
+                for e, c in value.terms
+            ]
+            out.append("[" + ",".join(terms) + nl[i] + "]")
+            return
+        if not value:
+            out.append("[]")
+            return
+        out.append("[")
+        for k, item in enumerate(value):
+            out.append("," + inner if k else inner)
+            write(item, depth - 1, i + 1)
+        out.append(nl[i] + "]")
+
+    write(field.value, field.depth, 0)
+
+
+def _scenario_obj(sc: Scenario, field) -> dict:
+    """The JSON object of a scenario, with `field(value, depth)` in place of
+    each field's polynomial literals."""
     b = sc.bundle
     out: dict = {
         "bundle": {
@@ -537,8 +586,12 @@ def scenario_to_obj(sc: Scenario) -> dict:
                 value = getattr(record, attr)
                 if shape == "matrix":
                     value = value.entries
-                out[key][name] = _nested_obj(value, _DEPTH[shape])
+                out[key][name] = field(value, _DEPTH[shape])
     return out
+
+
+def scenario_to_obj(sc: Scenario) -> dict:
+    return _scenario_obj(sc, _nested_obj)
 
 
 def _emit(obj, pad: str, out: list[str]) -> None:
@@ -579,6 +632,8 @@ def _emit(obj, pad: str, out: list[str]) -> None:
                 out.append(sep)
             _emit(item, inner, out)
         out.append("\n" + pad + "]")
+    elif isinstance(obj, _Literals):
+        _write_literals(obj, pad, out)
     elif obj is None:
         out.append("null")
     elif obj is True or obj is False:
@@ -589,7 +644,7 @@ def _emit(obj, pad: str, out: list[str]) -> None:
 
 def scenario_to_text(sc: Scenario) -> str:
     out: list[str] = []
-    _emit(scenario_to_obj(sc), "", out)
+    _emit(_scenario_obj(sc, _Literals), "", out)
     out.append("\n")
     return "".join(out)
 

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import gcd
 
 import pytest
@@ -561,12 +561,13 @@ def test_mat_mul_matches_naive_sum(shape):
     rng = random.Random(str(shape))
     a = random_sparse_matrix(rng, rows, inner).entries
     b = random_sparse_matrix(rng, inner, cols).entries
-    assert mat_mul(a, b, cols, XY) == naive_mat_mul(a, b, cols, MultiPoly.zero(XY))
+    product = mat_mul(ring._pair_rows(a), ring._pair_rows(b), cols)
+    assert ring._poly_rows(XY, product) == naive_mat_mul(a, b, cols, MultiPoly.zero(XY))
 
 
 def test_mat_mul_shape_mismatch_rejected():
     with pytest.raises(ValueError):
-        mat_mul(((ONE,),), (), 1, XY)
+        mat_mul(((ring._pairs(ONE),),), (), 1)
 
 
 def test_dense_det_stays_exponential_not_factorial(monkeypatch):
@@ -576,10 +577,10 @@ def test_dense_det_stays_exponential_not_factorial(monkeypatch):
     products = []
     kernel = ring._sum_products
 
-    def counting(vars, pairs):
+    def counting(pairs):
         pairs = list(pairs)
         products.append(len(pairs))
-        return kernel(vars, pairs)
+        return kernel(pairs)
 
     monkeypatch.setattr(ring, "_sum_products", counting)
     rng = random.Random(7)
@@ -589,6 +590,205 @@ def test_dense_det_stays_exponential_not_factorial(monkeypatch):
     d = m.det()
     assert sum(products) <= n * 2 ** (n - 1)
     assert d.total_degree() == n
+
+
+# -- the pair kernel against plain Fraction sums of products -----------------
+#
+# The oracle holds a polynomial as exponent -> nonzero Fraction and forms each
+# sum of products term by term in Fraction arithmetic.
+
+
+def frac_poly(rng, nvars, terms, digits):
+    """Up to `terms` terms with exponents 0-3, numerators and denominators of
+    `digits` digits, so the denominators are distinct."""
+    lo, hi = 10 ** (digits - 1), 10**digits - 1
+    return {
+        tuple(rng.randint(0, 3) for _ in range(nvars)): Fraction(
+            rng.choice((1, -1)) * rng.randint(lo, hi), rng.randint(lo, hi)
+        )
+        for _ in range(terms)
+    }
+
+
+def kernel_form(p):
+    return ring._Pairs({e: (c.numerator, c.denominator) for e, c in p.items()})
+
+
+def frac_sum_products(pairs):
+    acc = {}
+    for a, b in pairs:
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                acc[e] = acc.get(e, 0) + c1 * c2
+    return {e: c for e, c in acc.items() if c}
+
+
+def frac_det(rows, nvars):
+    """Leibniz expansion of a square matrix of oracle polynomials."""
+    n = len(rows)
+    total = []
+    for perm in permutations(range(n)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = {(0,) * nvars: Fraction(sign)}
+        for i, j in enumerate(perm):
+            term = frac_sum_products([(term, rows[i][j])])
+        total.append((term, {(0,) * nvars: Fraction(1)}))
+    return frac_sum_products(total)
+
+
+def kernel_case(seed):
+    """Seed -> (number of variables, pairs of oracle polynomials).  Variables
+    cycle through 0-3 and digits through 1, 2 and 32; every fourth case ends
+    with the negation of its first pair, so those terms cancel, and zero
+    polynomials occur as factors."""
+    rng = random.Random(seed)
+    nvars, digits = seed % 4, (1, 2, 32)[seed % 3]
+    pairs = [
+        tuple(frac_poly(rng, nvars, rng.randint(0, 4), digits) for _ in range(2))
+        for _ in range(rng.randint(0, 4))
+    ]
+    if seed % 4 == 0 and pairs:
+        a, b = pairs[0]
+        pairs.append(({e: -c for e, c in a.items()}, b))
+    return nvars, pairs
+
+
+def frac_of(p):
+    """A kernel-form polynomial as exponent -> Fraction, by value."""
+    return {e: Fraction(n, d) for e, (n, d) in p.items()}
+
+
+# 1/6 + 1/3 = 1/2 and 5/12 + 1/12 = 1/2: sums whose denominators share a
+# factor with the new numerator, so only a second gcd brings them to lowest terms
+SHARED_FACTORS = [
+    [({(): Fraction(1, 6)}, {(): Fraction(1)}), ({(): Fraction(1, 3)}, {(): Fraction(1)})],
+    [
+        ({(1,): Fraction(5, 4)}, {(0,): Fraction(1, 3)}),
+        ({(0,): Fraction(1, 4)}, {(1,): Fraction(1, 3)}),
+    ],
+]
+
+
+@pytest.mark.parametrize("seed", range(36))
+def test_kernel_matches_fraction_sums_of_products(seed):
+    _, pairs = kernel_case(seed)
+    got = ring._sum_products([(kernel_form(a), kernel_form(b)) for a, b in pairs])
+    assert frac_of(got) == frac_sum_products(pairs)
+
+
+@pytest.mark.parametrize("pairs", SHARED_FACTORS + [[], [({}, {(): Fraction(2)})]])
+def test_kernel_on_shared_factors_and_zero(pairs):
+    got = ring._sum_products([(kernel_form(a), kernel_form(b)) for a, b in pairs])
+    assert frac_of(got) == frac_sum_products(pairs)
+    a, b = (kernel_form(frac_sum_products(pairs[:1])), kernel_form(frac_sum_products(pairs[1:])))
+    assert frac_of(a + b) == frac_of(got)
+    assert frac_of(-got) == {e: -c for e, c in frac_of(got).items()}
+
+
+def mat_case(seed):
+    """Seed -> (nvars, a, b, cols) of oracle matrices, shapes 0-3 including
+    0 x 0 and 1 x 1, with about a third of the entries zero."""
+    rng = random.Random(seed)
+    nvars, digits = seed % 4, (1, 32)[seed % 2]
+    rows, inner, cols = (rng.randint(0, 3) for _ in range(3))
+    if seed < 2:
+        rows = inner = cols = seed
+
+    def entry():
+        return frac_poly(rng, nvars, rng.choice((0, 1, 2, 3)), digits)
+
+    a = [[entry() for _ in range(inner)] for _ in range(rows)]
+    b = [[entry() for _ in range(cols)] for _ in range(inner)]
+    return nvars, a, b, cols
+
+
+def kernel_rows(m):
+    return tuple(tuple(kernel_form(p) for p in row) for row in m)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_kernel_mat_mul_matches_fraction_sums(seed):
+    _, a, b, cols = mat_case(seed)
+    got = mat_mul(kernel_rows(a), kernel_rows(b), cols)
+    want = [[frac_sum_products(list(zip(row, col))) for col in zip(*b)] for row in a]
+    if not b:
+        want = [[{} for _ in range(cols)] for _ in a]
+    assert [[frac_of(p) for p in row] for row in got] == want
+
+
+def minor_case(seed):
+    """Seed -> (nvars, rows): k rows of an n-column matrix, 0 <= k <= n <= 3."""
+    rng = random.Random(seed)
+    nvars, digits = seed % 4, (1, 32)[seed % 2]
+    n = seed % 4
+    k = rng.randint(0, n)
+    return nvars, [
+        [frac_poly(rng, nvars, rng.choice((0, 1, 2, 3)), digits) for _ in range(n)]
+        for _ in range(k)
+    ]
+
+
+def frac_minors(rows, nvars):
+    """Every nonzero k x k minor of k rows, keyed by its column bitmask."""
+    n = len(rows[0]) if rows else 0
+    out = {}
+    for cols in combinations(range(n), len(rows)):
+        minor = frac_det([[row[j] for j in cols] for row in rows], nvars)
+        if minor:
+            out[sum(1 << j for j in cols)] = minor
+    return out
+
+
+@pytest.mark.parametrize("seed", range(32))
+def test_minor_table_matches_fraction_determinants(seed):
+    nvars, rows = minor_case(seed)
+    got = ring._extend_minors(ring._unit_table(nvars), kernel_rows(rows))
+    assert {mask: frac_of(p) for mask, p in got.items()} == frac_minors(rows, nvars)
+
+
+def height_cases():
+    """Every kernel entry point on dense inputs at 32 digits, each with the
+    exact oracle value of every polynomial it returns."""
+    for seed in range(36):
+        nvars, pairs = kernel_case(seed)
+        kernel_pairs = [(kernel_form(a), kernel_form(b)) for a, b in pairs]
+        yield ring._sum_products(kernel_pairs), frac_sum_products(pairs)
+        if len(pairs) > 1:
+            a, b = (frac_sum_products(pairs[:1]), frac_sum_products(pairs[1:]))
+            yield kernel_form(a) + kernel_form(b), frac_sum_products(pairs)
+    for pairs in SHARED_FACTORS:
+        a, b = (frac_sum_products(pairs[:1]), frac_sum_products(pairs[1:]))
+        yield kernel_form(a) + kernel_form(b), frac_sum_products(pairs)
+    for seed in range(24):
+        _, a, b, cols = mat_case(seed)
+        got = mat_mul(kernel_rows(a), kernel_rows(b), cols)
+        for row, got_row in zip(a, got):
+            for col, p in zip(zip(*b), got_row):
+                yield p, frac_sum_products(list(zip(row, col)))
+    for seed in range(32):
+        nvars, rows = minor_case(seed)
+        got = ring._extend_minors(ring._unit_table(nvars), kernel_rows(rows))
+        want = frac_minors(rows, nvars)
+        yield from ((got[mask], want[mask]) for mask in want)
+
+
+def bits(pairs):
+    return sum(n.bit_length() + d.bit_length() for n, d in pairs)
+
+
+def test_kernel_keeps_fraction_height():
+    """Every pair the kernel returns is (Fraction.numerator,
+    Fraction.denominator) of the exact term: in lowest terms, with its own
+    denominator, so its bits are those of the Fraction.  One denominator
+    shared by a polynomial's terms, or a missed gcd, adds bits here."""
+    total = 0
+    for got, want in height_cases():
+        exact = [(c.numerator, c.denominator) for c in want.values()]
+        assert bits(got.values()) == bits(exact)
+        assert dict(got) == dict(zip(want, exact))
+        total += len(exact)
+    assert total > 400  # 479 terms: the cases are not vacuous
 
 
 # -- rational determinant, solve and inverse: one Bareiss elimination --------

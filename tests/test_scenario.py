@@ -37,6 +37,7 @@ from dvbcalc.scenario import (
     random_vector_field,
     scenario_from_obj,
     scenario_from_text,
+    scenario_to_obj,
     scenario_to_text,
 )
 
@@ -271,10 +272,56 @@ def test_roundtrip_preserves_sections():
     assert again.core_section == sc.core_section
 
 
-def test_serialization_is_sorted_json():
-    sc = gen_random_scenario(2)
+def assert_written_as_json(sc):
     text = scenario_to_text(sc)
-    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    assert text == json.dumps(scenario_to_obj(sc), indent=2, sort_keys=True) + "\n"
+    return text
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("seed", range(50))
+def test_serialization_is_sorted_json(seed, symmetric):
+    assert_written_as_json(gen_random_scenario(seed, symmetric=symmetric))
+
+
+def test_serialization_of_a_chart_with_no_coordinates():
+    # constant blocks: "exps": [], a zero literal, negative and integer coefficients
+    obj = {
+        "bundle": {"n": 0, "n_F": 1, "n_C": 2, "n_E": 1},
+        "morphism": {
+            "Phi_l": [[poly_lit(-3, [])]],
+            "Phi_c": [[poly_lit("7/2", []), []], [poly_lit("-1/9", []), poly_lit(1, [])]],
+            "Phi_r": [[poly_lit("-5", [])]],
+            "Psi": [[[[]]], [[poly_lit("-12/7", [])]]],
+        },
+        "core_section": {"gamma": [[], poly_lit(4, [])]},
+    }
+    text = assert_written_as_json(scenario_from_obj(obj))
+    assert '"exps": []' in text and '"coeff": "-3"' in text and '"gamma": [\n      [],' in text
+
+
+def _scaled_literals(value, factor):
+    """Every coefficient of nested polynomial literals times `factor`,
+    written as an integer where the product is one."""
+    if isinstance(value, list) and value and isinstance(value[0], dict):
+        out = []
+        for term in value:
+            c = Fraction(term["coeff"]) * factor
+            out.append({"coeff": int(c) if c.denominator == 1 else str(c), "exps": term["exps"]})
+        return out
+    return [_scaled_literals(item, factor) for item in value]
+
+
+@pytest.mark.parametrize("factor", [-2, 3])
+def test_serialization_of_every_section_with_scaled_coefficients(factor):
+    # scaling a whole field keeps every symmetry, nonsingularity and Jacobi
+    # condition, and turns the coefficients negative or integral
+    obj = _full_obj()
+    for key in SECTION_KEYS:
+        obj[key] = {name: _scaled_literals(value, factor) for name, value in obj[key].items()}
+    sc = scenario_from_obj(obj)
+    assert all(getattr(sc, key) is not None for key in SECTION_KEYS)
+    assert_written_as_json(sc)
 
 
 # --- the section table -----------------------------------------------------

@@ -1,0 +1,106 @@
+"""Wall-time A/B of two checkouts on one perfbench workload, in one process.
+
+Run from anywhere:
+
+    python3 tools/wall_ab.py DIR_A DIR_B --workload symbolic --rounds 10
+
+Both checkouts' `src/dvbcalc` are imported into this one interpreter, each
+with its own `perfbench/workloads.py`, which builds that side's tasks and
+checks that side's outputs; nothing under `perfbench/` is edited.  Round i
+builds one menu round of tasks from seed 1100+i on each side and runs every
+task on both sides back to back, the side that runs first alternating from
+task to task, so a drift of the host's speed falls on both sides alike.  It
+prints each round's summed task times, the median over the rounds of the
+ratio B/A and in how many rounds B was faster.  A failed output check on
+either side stops the comparison.  Only the standard library is used.
+
+One fresh process per side cannot resolve a few-percent change on a host
+whose speed drifts within seconds; back-to-back tasks in one process can.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+
+SEED_BASE = 1100
+
+
+class Side:
+    """One checkout: its dvbcalc modules and its perfbench workload."""
+
+    def __init__(self, root: Path, workload: str):
+        self.root = root
+        for name in [n for n in sys.modules if n == "dvbcalc" or n.startswith("dvbcalc.")]:
+            del sys.modules[name]
+        sys.path.insert(0, str(root / "src"))
+        try:
+            spec = importlib.util.spec_from_file_location(
+                f"workloads_{id(self)}", root / "perfbench" / "workloads.py"
+            )
+            module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        finally:
+            sys.path.remove(str(root / "src"))
+        origin = Path(sys.modules["dvbcalc"].__file__).resolve().parent
+        if origin != (root / "src" / "dvbcalc").resolve():
+            raise SystemExit(f"error: {root}: imported dvbcalc from {origin}")
+        self.modules = {
+            n: m for n, m in sys.modules.items() if n == "dvbcalc" or n.startswith("dvbcalc.")
+        }
+        self.workload = module.WORKLOADS[workload]
+        self.nominal = module.NOMINAL_SECONDS
+
+    def run(self, task) -> float:
+        """Run one task with this side's modules installed; its wall time."""
+        sys.modules.update(self.modules)
+        start = time.perf_counter()
+        out = self.workload.run(task)
+        elapsed = time.perf_counter() - start
+        problem = self.workload.check(task, out)
+        if problem:
+            raise SystemExit(f"error: {self.root}: {problem}")
+        return elapsed
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    p.add_argument("dir_a", type=Path, help="the checkout to compare against (the parent)")
+    p.add_argument("dir_b", type=Path, help="the checkout under test (the change)")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--rounds", type=int, default=10)
+    args = p.parse_args(argv)
+    if args.rounds < 1:
+        p.error("--rounds must be at least 1")
+    sides = Side(args.dir_a.resolve(), args.workload), Side(args.dir_b.resolve(), args.workload)
+
+    sums: list[tuple[float, float]] = []
+    for i in range(args.rounds):
+        seed = SEED_BASE + i
+        tasks = [side.workload.tasks(seed, side.nominal) for side in sides]
+        if len(tasks[0]) != len(tasks[1]):
+            raise SystemExit(f"error: seed {seed}: the two sides build different task counts")
+        total = [0.0, 0.0]
+        for j, pair in enumerate(zip(*tasks)):
+            for k in ((0, 1) if (i + j) % 2 == 0 else (1, 0)):
+                total[k] += sides[k].run(pair[k])
+        sums.append((total[0], total[1]))
+        print(
+            f"round {i + 1} seed {seed}: {len(tasks[0])} tasks, A {total[0]:.3f} s,"
+            f" B {total[1]:.3f} s, B/A {total[1] / total[0]:.3f}",
+            flush=True,
+        )
+
+    ratio = statistics.median(b / a for a, b in sums)
+    wins = sum(b < a for a, b in sums)
+    print(f"\n{args.workload}, {args.rounds} rounds: A = {sides[0].root}, B = {sides[1].root}")
+    print(f"median round ratio B/A {ratio:.3f}, B faster in {wins}/{args.rounds} rounds")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

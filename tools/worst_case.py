@@ -1,0 +1,118 @@
+"""Write worst-case scenario files: dense blocks at the parser's caps.
+
+Run from anywhere:
+
+    python3 tools/worst_case.py OUT_DIR
+
+It writes one scenario JSON file per name below into OUT_DIR (made if
+missing) and prints each path.  `dvb check --scenario FILE` loads them.  A
+dense entry holds its number of terms with distinct exponent vectors, each
+exponent drawn from 0-16 (the parser's cap), and each coefficient p/q with p
+and q of exactly 32 digits (the parser's digit cap), p of either sign, so
+the denominators are distinct.  perfbench draws only generator scenarios,
+whose denominators are at most 7, so it cannot see coefficient height; these
+files can.  The output is the same on every run: each file draws from its
+own seeded `random.Random`.  Only the standard library is used.
+
+* dense8t3: bundle (n, n_F, n_C, n_E) = (3, 8, 8, 8) with only a morphism
+  section.  Phi_l and Phi_c are identities, Psi is zero, and every entry of
+  Phi_r is dense with 3 terms (`random.Random(1)`).
+* compose-t3r3-outer, compose-t3r3-inner: two fully dense morphisms of the
+  bundle (3, 3, 3, 3), every entry of every block, Psi included, with 3
+  terms; `compose_morphisms(outer, inner)` is the dense composition.
+* compose-t8r3-outer, compose-t8r3-inner: the same with 8 terms per entry.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import random
+from pathlib import Path
+
+DIM = 3
+MAX_EXPONENT = 16
+DIGITS = 32
+
+
+def dense_literal(rng: random.Random, terms: int) -> list[dict]:
+    """One polynomial literal: `terms` terms at the caps."""
+    exps: list[tuple[int, ...]] = []
+    while len(exps) < terms:
+        e = tuple(rng.randint(0, MAX_EXPONENT) for _ in range(DIM))
+        if e not in exps:
+            exps.append(e)
+    out = []
+    for e in exps:
+        p = rng.randint(10 ** (DIGITS - 1), 10**DIGITS - 1) * rng.choice((1, -1))
+        q = rng.randint(10 ** (DIGITS - 1), 10**DIGITS - 1)
+        out.append({"coeff": f"{p}/{q}", "exps": list(e)})
+    return out
+
+
+def identity(n: int) -> list:
+    one = [{"coeff": 1, "exps": [0] * DIM}]
+    return [[one if i == j else [] for j in range(n)] for i in range(n)]
+
+
+def dense(rng: random.Random, terms: int, *shape: int) -> list:
+    """Nested lists of dense literals with the given lengths."""
+    if not shape:
+        return dense_literal(rng, terms)
+    return [dense(rng, terms, *shape[1:]) for _ in range(shape[0])]
+
+
+def scenario(ranks: tuple[int, int, int], morphism: dict) -> dict:
+    n_f, n_c, n_e = ranks
+    return {"bundle": {"n": DIM, "n_F": n_f, "n_C": n_c, "n_E": n_e}, "morphism": morphism}
+
+
+def dense8t3() -> dict:
+    rng = random.Random(1)
+    return scenario(
+        (8, 8, 8),
+        {
+            "Phi_l": identity(8),
+            "Phi_c": identity(8),
+            "Phi_r": dense(rng, 3, 8, 8),
+            "Psi": [[[[] for _ in range(8)] for _ in range(8)] for _ in range(8)],
+        },
+    )
+
+
+def fully_dense(terms: int, rank: int, side: str) -> dict:
+    rng = random.Random(f"compose-t{terms}r{rank}-{side}")
+    blocks = {
+        name: dense(rng, terms, *shape)
+        for name, shape in (
+            ("Phi_l", (rank, rank)),
+            ("Phi_c", (rank, rank)),
+            ("Phi_r", (rank, rank)),
+            ("Psi", (rank, rank, rank)),
+        )
+    }
+    return scenario((rank, rank, rank), blocks)
+
+
+def cases() -> dict[str, dict]:
+    out = {"dense8t3": dense8t3()}
+    for terms, rank in ((3, 3), (8, 3)):
+        for side in ("outer", "inner"):
+            out[f"compose-t{terms}r{rank}-{side}"] = fully_dense(terms, rank, side)
+    return out
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    p.add_argument("out_dir", type=Path)
+    args = p.parse_args(argv)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    for name, obj in cases().items():
+        path = args.out_dir / f"{name}.json"
+        path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -598,8 +598,9 @@ def _emit(obj, pad: str, out: list[str]) -> None:
     """Append the text json.dumps(obj, indent=2, sort_keys=True) gives.
 
     Only the shapes of a scenario object are written: dicts with str keys,
-    lists, str, int, bool and None; the most frequent come first.  Any other
-    type raises TypeError.
+    lists, str, int, bool and None; the most frequent come first.  A
+    `_Literals` field stands for its polynomial literals, which
+    `_write_literals` writes.  Any other type raises TypeError.
     """
     if isinstance(obj, int) and not isinstance(obj, bool):
         out.append(int.__repr__(obj))

@@ -783,22 +783,15 @@ def _unimodular_inverse(rows, nvars: int):
     zero = (0,) * nvars
     if not d or len(d) > 1 or zero not in d:
         return None
-    # 1/d = dd/dn with the sign of dn on the numerator
     dn, dd = d[zero]
-    sn, sd = (dd, dn) if dn > 0 else (-dd, -dn)
+    scale = _Pairs({zero: (dd, dn) if dn > 0 else (-dd, -dn)})  # 1 / d
+    signed = scale, -scale
     without_row = [_extend_minors(tables[i], rows[i + 1 :]) for i in range(n)]
 
     # inverse[i][j] = (-1)^(i+j) det(rows != j x cols != i) / det
     def entry(i: int, j: int) -> _Pairs:
-        minor = without_row[j].get(full ^ (1 << i))
-        if minor is None:
-            return _Pairs()
-        s = sn if (i + j) % 2 == 0 else -sn
-        out = _Pairs()
-        for e, (mn, md) in minor.items():
-            g, h = gcd(mn, sd), gcd(s, md)
-            out[e] = (mn // g) * (s // h), (md // h) * (sd // g)
-        return out
+        minor = without_row[j].get(full ^ (1 << i), _Pairs())
+        return _sum_products([(minor, signed[(i + j) % 2])])
 
     return tuple(tuple([entry(i, j) for j in range(n)]) for i in range(n))
 

@@ -49,8 +49,8 @@ rows in `ring`'s kernel form (converted once per call, in `_blocks` and
 `_from_blocks`), an integer product on a FiberMorphism's integer rows.  The
 Psi contraction over the core index is one product with the Psi planes
 flattened to rows.  Inverses and duals divide by block determinants: at a
-point a block's inverse is its adjugate over the pivot of one fraction-free
-elimination, and over the chart `unimodular_inverse` inverts unimodular
+point `ring._adjugate` inverts a block as stored, in one elimination on its
+primitive rows, and over the chart `unimodular_inverse` inverts unimodular
 blocks.  Only morphisms with equal source and target ranks can be inverted.
 One builder, `_signed_identity`, makes every morphism whose blocks are
 signed identities and whose Psi is zero: the identity, the side exchange
@@ -418,13 +418,6 @@ def _lowest(m):
     if g == 1:
         return m
     return tuple(tuple([v // g for v in row]) for row in rows), den // g
-
-
-def _inverse_ints(m):
-    """The inverse of an integer matrix (rows, den): den adj(rows) / det(rows)."""
-    adjugate, pivot = _adjugate(m[0])
-    scale = m[1] if pivot > 0 else -m[1]
-    return tuple(tuple([scale * v for v in row]) for row in adjugate), abs(pivot)
 
 
 def _mat_vec(m, v) -> tuple[list[int], int]:
@@ -899,7 +892,7 @@ class FiberMorphism:
         """Pointwise inverse; blocks invert and Psi picks up a minus sign."""
         _check_square_ranks(self)
         l, c, r, psi = self._int_blocks
-        inverses = tuple(map(_inverse_ints, (l, c, r)))
+        inverses = tuple(map(_adjugate, (l, c, r)))
         blocks = _inverse_blocks(psi, inverses, self.source, self.target, _int_mul)
         return FiberMorphism._of_blocks(self.target, self.source, self.x, blocks)
 

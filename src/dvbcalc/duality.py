@@ -38,7 +38,6 @@ from .core import (
     FiberMorphism,
     PointwiseMorphism,
     _int_mul,
-    _inverse_ints,
     _pairing,
     _poly_mul,
     _right_dual_blocks,
@@ -47,7 +46,7 @@ from .core import (
     _slots_of,
     _vec_scale,
 )
-from .ring import Point, _unimodular_inverse, rat
+from .ring import Point, _adjugate, _unimodular_inverse, rat
 
 
 class ProjectionMismatchError(ValueError):
@@ -140,7 +139,7 @@ def fiber_right_dual(fm: FiberMorphism) -> FiberMorphism:
     The new left block is the inverse of the old right block, and the new
     core and right blocks are the transposes of the old left and core blocks.
     """
-    rinv = _inverse_ints(fm._int_blocks[2])
+    rinv = _adjugate(fm._int_blocks[2])
     blocks = _right_dual_blocks(fm._int_blocks, rinv, fm.source, fm.target, _int_mul)
     return FiberMorphism._of_blocks(right_dual(fm.target), right_dual(fm.source), fm.x, blocks)
 

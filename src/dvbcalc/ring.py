@@ -60,11 +60,14 @@ the full-mask entry.  `unimodular_inverse` inverts a matrix whose
 determinant is a nonzero constant as its adjugate over that constant, and
 reads each cofactor from the table over the other rows.  Every other
 determinant, inverse and linear solve is done on rationals by one routine,
-`_bareiss`: it clears the denominators of each row (an int is read as it
-is) and runs fraction-free (Bareiss) elimination, so every value stays an
-exact integer, and returns the determinant and the solutions for all
-right-hand sides at once, as integers.  `det_frac`, `solve_fraction_free`,
-`mat_inverse_frac` and `_adjugate` (pointwise block inverses) read it.
+`_bareiss` (`det_frac`, `solve_fraction_free`, `mat_inverse_frac` and the
+block inverse `_adjugate` read it).  It alone turns rows into integers: it
+clears each row's denominators, divides the row by its gcd and eliminates
+these primitive rows fraction-free (Bareiss), so the pivots stay within
+their Hadamard bound (von zur Gathen & Gerhard, ch. 5 and 9).  A plan's
+rows share one denominator per record: on `tools/worst_case.py`'s dense8t3
+it has 5,745 digits where no primitive row entry has more than 755, and
+eliminating them unreduced made `dvb check third-dual` 25x slower.
 
 Every random integer the library draws follows the stdlib's `randrange`
 rule, so it gives the values and leaves the rng state of `randint`.  Two
@@ -573,23 +576,26 @@ def transpose(a, cols: int):
 def _bareiss(matrix, columns):
     """Fraction-free (Bareiss) elimination of [matrix | columns], matrix square.
 
-    Rows of ints or `Fraction`s are scaled by the lcm of their denominators,
-    so every division is exact.  Returns (d, s, solutions): d is the last
-    pivot with the sign of each row swap, the determinant of the scaled
-    matrix, and det(matrix) = d / s; for each column, the integers y with
-    matrix (y / d) = column (by Cramer's rule each is an integer).  A
-    singular matrix has d = 0; with a column to solve for it raises
-    SingularMatrixError.
+    Each augmented row of ints or `Fraction`s is scaled by the lcm of its
+    denominators and divided by its gcd, so every division is exact.
+    Returns (d, c, s, solutions): d is the last pivot with the sign of each
+    row swap, det(matrix) = d c / s with c and s the products of the gcds
+    and of the scales, and for each column the integers y with matrix
+    (y / d) = column (by Cramer's rule each is an integer).  A singular
+    matrix has d = 0; with a column to solve for it raises SingularMatrixError.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix) or any(len(col) != n for col in columns):
         raise ValueError("solve requires a square matrix and matching rhs")
     rows: list[list[int]] = []
-    scales = 1
+    contents = scales = 1
     for i, row in enumerate(matrix):
         entries = [*row, *[col[i] for col in columns]]
         scale = lcm(*[x.denominator for x in entries])
-        rows.append([x.numerator * (scale // x.denominator) for x in entries])
+        ints = [x.numerator * (scale // x.denominator) for x in entries]
+        content = gcd(*ints) or 1
+        rows.append([v // content for v in ints])
+        contents *= content
         scales *= scale
 
     width = n + len(columns)
@@ -600,7 +606,7 @@ def _bareiss(matrix, columns):
             if pivot is None:
                 if columns:
                     raise SingularMatrixError("singular matrix in fraction-free solve")
-                return 0, scales, []
+                return 0, contents, scales, []
             rows[k], rows[pivot] = rows[pivot], rows[k]
             sign = -sign
         top = rows[k]
@@ -617,14 +623,15 @@ def _bareiss(matrix, columns):
             row = rows[i]
             y[i] = (prev * row[col] - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
         solutions.append(tuple([sign * v for v in y]))
-    return sign * prev, scales, solutions
+    return sign * prev, contents, scales, solutions
 
 
 def det_frac(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact determinant of a square rational matrix."""
     if any(len(row) != len(matrix) for row in matrix):
         raise ValueError("determinant of a non-square matrix")
-    return Fraction(*_bareiss(matrix, ())[:2])
+    d, contents, scales, _ = _bareiss(matrix, ())
+    return Fraction(d * contents, scales)
 
 
 def solve_fraction_free(
@@ -634,20 +641,20 @@ def solve_fraction_free(
 
     Raises SingularMatrixError when the matrix is singular.
     """
-    d, _, (y,) = _bareiss(matrix, (rhs,))
+    d, _, _, (y,) = _bareiss(matrix, (rhs,))
     return tuple(Fraction(v, d) for v in y)
 
 
-def _adjugate(a) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(m, d) with a^-1 = m / d, by one elimination of [a | I]: adj(a), det(a) on ints."""
-    n = len(a)
-    d, _, columns = _bareiss(a, tuple(tuple(int(i == j) for i in range(n)) for j in range(n)))
-    return transpose(columns, n), d
+def _adjugate(m) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """A block (rows, den) inverted as rows over d > 0: one elimination of [rows | den I]."""
+    (rows, den), n = m, len(m[0])
+    d, _, _, columns = _bareiss(rows, [[den * (i == j) for i in range(n)] for j in range(n)])
+    return tuple(tuple([v if d > 0 else -v for v in row]) for row in zip(*columns)), abs(d)
 
 
 def mat_inverse_frac(a: FracMatrix) -> FracMatrix:
     """Exact inverse of a square rational matrix: one elimination of [a | I]."""
-    return _frac_rows(_adjugate(a))
+    return _frac_rows(_adjugate((a, 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -415,11 +415,11 @@ def _identically_singular(m: PolyMatrix) -> bool:
 
     A nonzero value at one rational point proves that the determinant is not
     the zero polynomial: this is the Schwartz-Zippel argument used as a
-    one-sided certificate, and it costs one Bareiss elimination of the
-    values at the fixed point _WITNESS, read from the plan of a copy so that
-    the block keeps no plan.  A nonzero determinant vanishes only on a
-    hypersurface, which may pass through the witness, so a zero value there
-    falls back to the symbolic determinant.
+    one-sided certificate, and it costs one Bareiss elimination, on primitive
+    rows, of the values at the fixed point _WITNESS, read from the plan of a
+    copy so that the block keeps no plan.  A nonzero determinant vanishes
+    only on a hypersurface, which may pass through the witness, so a zero
+    value there falls back to the symbolic determinant.
     """
     values = PolyMatrix(m.vars, m.entries).eval_ints(_WITNESS[: len(m.vars)])[0]
     if _bareiss(values, ())[0] != 0:

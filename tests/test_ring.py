@@ -1,13 +1,13 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import gcd
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dvbcalc import ring
+from dvbcalc import ring, scenario
 from dvbcalc.core import (
     Chart,
     DecomposedDVB,
@@ -18,6 +18,7 @@ from dvbcalc.core import (
     cotangent_prolongation,
     tangent_prolongation,
 )
+from dvbcalc.duality import fiber_right_dual
 from dvbcalc.forms import make_form
 from dvbcalc.geomech import (
     Bivector,
@@ -877,6 +878,72 @@ def test_mat_inverse_frac_eliminates_once(monkeypatch):
     monkeypatch.setattr(ring, "_bareiss", counting)
     mat_inverse_frac(m)
     assert calls == [5]
+
+
+def primitive_hadamard_bound(matrix) -> int:
+    """Hadamard's bound on |det| of the primitive rows of a rational matrix:
+    each row times the lcm of its denominators, divided by its gcd."""
+    squares = 1
+    for row in matrix:
+        scale = lcm(*[a.denominator for a in row])
+        ints = [a.numerator * (scale // a.denominator) for a in row]
+        content = gcd(*ints)
+        squares *= sum((v // content) ** 2 for v in ints)
+    return isqrt(squares)
+
+
+def test_elimination_pivots_stay_within_the_primitive_row_bound(monkeypatch):
+    """Every pivot `_bareiss` returns for a dense block with a distinct 10-
+    to 12-digit denominator in each entry has at most the bits of the
+    Hadamard bound of the block's primitive rows, on the pointwise inverse,
+    the right dual, the parse-time certificate and `det_frac`.  Rows over
+    one denominator for the whole block would need about n times as many."""
+    rng = random.Random(22)
+    n = 4
+    block = tuple(
+        tuple(
+            Fraction(rng.randint(-10**12, 10**12), rng.randint(10**9, 10**12 - 1))
+            for _ in range(n)
+        )
+        for _ in range(n)
+    )
+    dens = [a.denominator for row in block for a in row]
+    assert len(set(dens)) == n * n and all(10**9 <= d < 10**12 for d in dens)
+    bound = primitive_hadamard_bound(block).bit_length()
+    one, zero = [{"coeff": 1, "exps": [0]}], []
+    obj = {
+        "bundle": {"n": 1, "n_F": 1, "n_C": 1, "n_E": n},
+        "morphism": {
+            "Phi_l": [[one]],
+            "Phi_c": [[one]],
+            "Phi_r": [[[{"coeff": str(a), "exps": [0]}] for a in row] for row in block],
+            "Psi": [[[zero] for _ in range(n)]],
+        },
+    }
+    fm = scenario.scenario_from_obj(obj).morphism.at((Fraction(1, 2),))
+    assert fm.r == block
+    pivots = []
+    kernel = ring._bareiss
+
+    def recording(matrix, columns):
+        out = kernel(matrix, columns)
+        pivots.append(out[0])
+        return out
+
+    monkeypatch.setattr(ring, "_bareiss", recording)
+    monkeypatch.setattr(scenario, "_bareiss", recording)
+    paths = {
+        "FiberMorphism.inverse": fm.inverse,
+        "fiber_right_dual": lambda: fiber_right_dual(fm),
+        "parse-time witness": lambda: scenario.scenario_from_obj(obj),
+        "det_frac": lambda: det_frac(block),
+    }
+    bits = {}
+    for name, run in paths.items():
+        pivots.clear()
+        run()
+        bits[name] = max(abs(d).bit_length() for d in pivots)
+    assert all(b <= bound for b in bits.values()), (bits, bound)
 
 
 def test_non_square_rational_input_rejected():

@@ -17,11 +17,21 @@ It runs, one after another and never in parallel:
 * the number of `Fraction.__new__` calls in one in-process round of
   `run_suite("all", gen_random_scenario(s))` for s = 0-11, with the
   scenarios built before counting starts;
+* `dvb check third-dual` on the worst-case file dense8t3 and
+  `load_scenario` of dense8t12, both written by `tools/worst_case.py` into
+  a temporary directory, each in three fresh processes (`worst_case`:
+  median and quartiles of the wall time, every exit code, and the sha256
+  of each distinct output with the report's `elapsed:` line taken out);
+  perfbench draws only small generator coefficients, so these are the
+  numbers that see coefficient height;
 
 and records the git sha, whether tracked files had uncommitted edits, the
 sha256 of `git diff HEAD` (which names the measured tree when they had),
 the Python version, `nproc`, the line counts of `src/` and `tests/` and of
 each `src/dvbcalc` module (`lines.src_modules`), and the tier-1 test count.
+Every perfbench run reads and writes bytecode only in one fresh cache
+(`PYTHONPYCACHEPREFIX`, written even where `PYTHONDONTWRITEBYTECODE` is
+set), so a stale `__pycache__` in the checkout cannot change `setup_s`.
 It takes about ten minutes on a 2-core host.  Only the standard library is
 used.  To measure an older commit, copy this file into a clone of that
 commit and run it there.
@@ -38,6 +48,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -71,15 +82,29 @@ for sc in scenarios:
 fractions.Fraction.__new__ = saved
 print(calls)
 """
+LOAD_SCENARIO = "import sys\nfrom dvbcalc.scenario import load_scenario\nload_scenario(sys.argv[1])"
+# (record name, file from tools/worst_case.py, interpreter arguments before
+# the file's path)
+WORST_CASE = (
+    (
+        "check third-dual dense8t3",
+        "dense8t3",
+        ["-m", "dvbcalc.cli", "check", "third-dual", "--scenario"],
+    ),
+    ("load_scenario dense8t12", "dense8t12", ["-c", LOAD_SCENARIO]),
+)
 
 
-def _perfbench(root: Path, workload: str, seed: int, trace: int) -> dict:
-    """One perfbench run: its result line, plus the traced scopes."""
+def _perfbench(root: Path, workload: str, seed: int, trace: int, pycache: str) -> dict:
+    """One perfbench run, which reads and writes its bytecode only under
+    `pycache`: its result line, plus the traced scopes."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
         "--seconds", str(RUN_SECONDS), "--trace", str(trace),
     ]
-    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True).stdout
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = pycache
+    out = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, check=True).stdout
     result = json.loads(out.strip().splitlines()[-1])
     run = {
         "seed": seed,
@@ -104,11 +129,16 @@ def _spread(values: list[float]) -> dict:
     return {"median": statistics.median(ordered), "q1": q1, "q3": q3, "runs": values}
 
 
-def _timed(root: Path, cmd: list[str]) -> tuple[float, str]:
+def _run_src(root: Path, cmd: list[str]) -> tuple[float, subprocess.CompletedProcess]:
+    """Run `cmd` on the checkout's src/ and time it."""
     env = dict(os.environ, PYTHONPATH="src" + os.pathsep + os.environ.get("PYTHONPATH", ""))
     start = time.perf_counter()
     done = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
-    elapsed = time.perf_counter() - start
+    return time.perf_counter() - start, done
+
+
+def _timed(root: Path, cmd: list[str]) -> tuple[float, str]:
+    elapsed, done = _run_src(root, cmd)
     if done.returncode != 0:
         raise SystemExit(f"error: {' '.join(cmd)} exited {done.returncode}\n{done.stdout[-2000:]}")
     return elapsed, done.stdout
@@ -144,6 +174,26 @@ def _fraction_calls(root: Path) -> dict:
     }
 
 
+def _worst_case(root: Path) -> dict:
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        _timed(root, [sys.executable, "tools/worst_case.py", tmp])
+        for name, stem, args in WORST_CASE:
+            cmd = [sys.executable, *args, str(Path(tmp) / f"{stem}.json")]
+            walls, codes, digests = [], [], set()
+            for _ in range(REPEATS):
+                wall, done = _run_src(root, cmd)
+                walls.append(wall)
+                codes.append(done.returncode)
+                body = re.sub(r"^elapsed: \d+ ms\n", "", done.stdout, flags=re.M)
+                digests.add(hashlib.sha256(body.encode()).hexdigest())
+            out[name] = {
+                "wall_s": _spread(walls), "exit_codes": codes, "body_sha256": sorted(digests),
+            }
+            print(f"{name}: median {out[name]['wall_s']['median']:.2f} s", flush=True)
+    return out
+
+
 def _lines(root: Path, sub: str) -> dict[str, int]:
     """`wc -l` of each .py file under `sub`, keyed by its path below `sub`."""
     base = root / sub
@@ -168,17 +218,18 @@ def main(argv=None) -> int:
     diff_sha = hashlib.sha256(git("diff", "HEAD", "--binary")).hexdigest()
 
     end_to_end = {}
-    for workload in WORKLOADS:
-        runs = [_perfbench(root, workload, seed, 0) for seed in SEEDS]
-        metrics = {n: _spread([r["metrics"][n] for r in runs]) for n in runs[0]["metrics"]}
-        end_to_end[workload] = {
-            "seeds": list(SEEDS),
-            "attempted": sum(r["attempted"] for r in runs),
-            "failed": sum(r["failed"] for r in runs),
-            "metrics": metrics,
-        }
-        print(f"{workload}: run_ref median {metrics['run_ref']['median']:.1f}", flush=True)
-    traced = {w: _perfbench(root, w, TRACED_SEED, 1) for w in TRACED}
+    with tempfile.TemporaryDirectory() as pycache:
+        for workload in WORKLOADS:
+            runs = [_perfbench(root, workload, seed, 0, pycache) for seed in SEEDS]
+            metrics = {n: _spread([r["metrics"][n] for r in runs]) for n in runs[0]["metrics"]}
+            end_to_end[workload] = {
+                "seeds": list(SEEDS),
+                "attempted": sum(r["attempted"] for r in runs),
+                "failed": sum(r["failed"] for r in runs),
+                "metrics": metrics,
+            }
+            print(f"{workload}: run_ref median {metrics['run_ref']['median']:.1f}", flush=True)
+        traced = {w: _perfbench(root, w, TRACED_SEED, 1, pycache) for w in TRACED}
 
     bench = {
         "pr": args.pr,
@@ -196,6 +247,7 @@ def main(argv=None) -> int:
         "end_to_end": end_to_end,
         "traced": traced,
         "fraction_new": _fraction_calls(root),
+        "worst_case": _worst_case(root),
         **_tests(root),
     }
     out = root / f"BENCH_{args.pr}.json"

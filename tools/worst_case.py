@@ -17,6 +17,10 @@ own seeded `random.Random`.  Only the standard library is used.
 * dense8t3: bundle (n, n_F, n_C, n_E) = (3, 8, 8, 8) with only a morphism
   section.  Phi_l and Phi_c are identities, Psi is zero, and every entry of
   Phi_r is dense with 3 terms (`random.Random(1)`).
+* dense8t12: the same shape with 12 terms in each entry of Phi_r
+  (`random.Random(12)`).  Its parse-time certificate, one elimination of
+  Phi_r's values at the parser's witness point, is the heaviest step of
+  `load_scenario`.
 * compose-t3r3-outer, compose-t3r3-inner: two fully dense morphisms of the
   bundle (3, 3, 3, 3), every entry of every block, Psi included, with 3
   terms; `compose_morphisms(outer, inner)` is the dense composition.
@@ -67,14 +71,14 @@ def scenario(ranks: tuple[int, int, int], morphism: dict) -> dict:
     return {"bundle": {"n": DIM, "n_F": n_f, "n_C": n_c, "n_E": n_e}, "morphism": morphism}
 
 
-def dense8t3() -> dict:
-    rng = random.Random(1)
+def dense8(terms: int, rng: random.Random) -> dict:
+    """Rank 8 with identity side and core blocks, zero Psi and a dense Phi_r."""
     return scenario(
         (8, 8, 8),
         {
             "Phi_l": identity(8),
             "Phi_c": identity(8),
-            "Phi_r": dense(rng, 3, 8, 8),
+            "Phi_r": dense(rng, terms, 8, 8),
             "Psi": [[[[] for _ in range(8)] for _ in range(8)] for _ in range(8)],
         },
     )
@@ -95,7 +99,7 @@ def fully_dense(terms: int, rank: int, side: str) -> dict:
 
 
 def cases() -> dict[str, dict]:
-    out = {"dense8t3": dense8t3()}
+    out = {"dense8t3": dense8(3, random.Random(1)), "dense8t12": dense8(12, random.Random(12))}
     for terms, rank in ((3, 3), (8, 3)):
         for side in ("outer", "inner"):
             out[f"compose-t{terms}r{rank}-{side}"] = fully_dense(terms, rank, side)

@@ -67,7 +67,7 @@ these primitive rows fraction-free (Bareiss), so the pivots stay within
 their Hadamard bound (von zur Gathen & Gerhard, ch. 5 and 9).  A plan's
 rows share one denominator per record: on `tools/worst_case.py`'s dense8t3
 it has 5,745 digits where no primitive row entry has more than 755, and
-eliminating them unreduced made `dvb check third-dual` 25x slower.
+eliminating them unreduced made `dvb check third-dual` 30x slower.
 
 Every random integer the library draws follows the stdlib's `randrange`
 rule, so it gives the values and leaves the rng state of `randint`.  Two

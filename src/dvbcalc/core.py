@@ -45,8 +45,9 @@ are made only when read.
 
 Composition, inverse, right dual and flip are written once, as a block
 algebra that takes its matrix product: `ring.mat_mul` on a DVBMorphism's
-rows in `ring`'s kernel form (converted once per call, in `_blocks` and
-`_from_blocks`), an integer product on a FiberMorphism's integer rows.  The
+rows in `ring`'s kernel form (converted once per morphism: `_blocks` is
+built on first use, and `_from_blocks` keeps the blocks that built the
+morphism), an integer product on a FiberMorphism's integer rows.  The
 Psi contraction over the core index is one product with the Psi planes
 flattened to rows.  Inverses and duals divide by block determinants: at a
 point `ring._adjugate` inverts a block as stored, in one elimination on its
@@ -758,11 +759,13 @@ class DVBMorphism:
     @staticmethod
     def _from_blocks(source, target, blocks) -> DVBMorphism:
         """The morphism of kernel-form blocks over 1, as the block algebra
-        gives them."""
-        vars = source.chart.names
-        return DVBMorphism._from_rows(
-            source, target, *(_poly_rows(vars, rows) for rows, _ in blocks)
+        gives them; it keeps them as its `_blocks`."""
+        names = source.chart.names
+        phi = DVBMorphism._from_rows(
+            source, target, *(_poly_rows(names, rows) for rows, _ in blocks)
         )
+        vars(phi)["_blocks"] = blocks
+        return phi
 
     @staticmethod
     def _from_rows(source, target, l, c, r, psi) -> DVBMorphism:
@@ -781,9 +784,12 @@ class DVBMorphism:
         """L, C, R and the flat Psi as rows of MultiPoly."""
         return self.phi_l.entries, self.phi_c.entries, self.phi_r.entries, _flat(self.psi)
 
+    @cached_property
     def _blocks(self):
         """L, C, R and the flat Psi in kernel form over 1, as the block
-        algebra takes them."""
+        algebra takes them; built on first use.  Morphisms share these
+        `_Pairs` (`transpose` and the block algebra pass entries on), so
+        nothing may mutate them."""
         return tuple((_pair_rows(rows), 1) for rows in self._rows())
 
     @cached_property
@@ -831,11 +837,7 @@ def compose_morphisms(outer: DVBMorphism, inner: DVBMorphism) -> DVBMorphism:
     if inner.target != outer.source:
         raise ValueError("composition needs inner target equal to outer source")
     blocks = _compose_blocks(
-        outer._blocks(),
-        inner._blocks(),
-        inner.source,
-        inner.target,
-        _poly_mul,
+        outer._blocks, inner._blocks, inner.source, inner.target, _poly_mul
     )
     return DVBMorphism._from_blocks(inner.source, outer.target, blocks)
 
@@ -935,7 +937,7 @@ def invert_morphism(phi: DVBMorphism) -> PointwiseMorphism:
 def invert_morphism_poly(phi: DVBMorphism) -> DVBMorphism:
     """Polynomial inverse, available when every block is unimodular."""
     _check_square_ranks(phi)
-    blocks = phi._blocks()
+    blocks = phi._blocks
     dim = phi.source.chart.dim
     inverses = tuple(_unimodular_inverse(rows, dim) for rows, _ in blocks[:3])
     if any(m is None for m in inverses):

@@ -160,7 +160,7 @@ def right_dual_morphism(phi) -> PointwiseMorphism:
 
 def right_dual_morphism_poly(phi: DVBMorphism) -> DVBMorphism:
     """Polynomial right dual, available when the right block is unimodular."""
-    blocks = phi._blocks()
+    blocks = phi._blocks
     rinv = _unimodular_inverse(blocks[2][0], phi.source.chart.dim)
     if rinv is None:
         raise ValueError("right block is not unimodular; use right_dual_morphism")

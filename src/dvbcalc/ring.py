@@ -23,15 +23,19 @@ one grid check, `_check_grid`: the field is nested tuples (or a
 `PolyMatrix`) with the lengths its ranks fix, and every entry is over the
 expected variables.
 
-Polynomial products run on one private form, `_Pairs`: a dict mapping each
-exponent to a pair (n, d) of integers, the coefficient n/d in lowest terms
-with d > 0, so each term has exactly the height of its `Fraction`.  One
-kernel, `_sum_products`, forms a1*b1 + a2*b2 + ... in that form: each
-exponent's product terms are summed as one integer ratio and reduced once.
+Polynomial products and sums run on one private form, `_Pairs`: a dict
+mapping each exponent to a pair (n, d) of integers, the coefficient n/d in
+lowest terms with d > 0, so each term has exactly the height of its
+`Fraction`.  One kernel, `_sum_products`, forms a1*b1 + a2*b2 + ... in that
+form: each exponent's product terms are summed as one integer ratio and
+reduced once, and a term with the zero exponent (a unit diagonal, a
+scaling, a constant term) multiplies without shifting an exponent.
 `mat_mul`, the minor tables of `_extend_minors` (so `PolyMatrix.det` and
-`unimodular_inverse`) and the block algebra of `core` run on it, with no
-`Fraction` made between their inputs and their outputs; `MultiPoly.__mul__`
-and `PolyMatrix.__mul__` convert at their boundary.  There is deliberately
+`unimodular_inverse`), the block algebra of `core` (which converts each
+morphism's blocks once) and the generator's coefficients in
+`scenario.random_poly` run on it, with no `Fraction` made between their
+inputs and their outputs; `MultiPoly.__add__`, `MultiPoly.__mul__` and
+`PolyMatrix.__mul__` convert at their boundary.  There is deliberately
 no shared denominator per polynomial or per block, although one would make
 small generator inputs 20-33% faster here: with 32-digit coefficients the
 common denominator is the lcm of all of them, and every numerator grows to
@@ -58,13 +62,16 @@ level before.  A dense n x n determinant thus takes n 2^(n-1) polynomial
 products, not the factorial count of Laplace expansion.  `PolyMatrix.det` is
 the full-mask entry.  `unimodular_inverse` inverts a matrix whose
 determinant is a nonzero constant as its adjugate over that constant, and
-reads each cofactor from the table over the other rows.  Every other
-determinant, inverse and linear solve is done on rationals by one routine,
-`_bareiss` (`det_frac`, `solve_fraction_free`, `mat_inverse_frac` and the
-block inverse `_adjugate` read it).  It alone turns rows into integers: it
-clears each row's denominators, divides the row by its gcd and eliminates
-these primitive rows fraction-free (Bareiss), so the pivots stay within
-their Hadamard bound (von zur Gathen & Gerhard, ch. 5 and 9).  A plan's
+reads each cofactor from the table over the other rows; a determinant whose
+values at the origin and at (1, ..., 1) differ is rejected first, by
+`_corner_dets`, which clears each row of those values by one lcm and hands
+the integer rows to `_bareiss`.  Every other determinant, inverse and
+linear solve is done on rationals by that one routine (`det_frac`,
+`solve_fraction_free`, `mat_inverse_frac` and the block inverse `_adjugate`
+read it), and it alone turns their rows into integers: it clears each row's
+denominators, divides the row by its gcd and eliminates these primitive
+rows fraction-free (Bareiss), so the pivots stay within their Hadamard
+bound (von zur Gathen & Gerhard, ch. 5 and 9).  A plan's
 rows share one denominator per record: on `tools/worst_case.py`'s dense8t3
 it has 5,745 digits where no primitive row entry has more than 755, and
 eliminating them unreduced made `dvb check third-dual` 30x slower.
@@ -233,9 +240,6 @@ class MultiPoly:
                 f"variable lists differ: {self.vars} vs {other.vars}"
             )
 
-    def as_dict(self) -> dict[Exponent, Fraction]:
-        return dict(self.terms)
-
     def coeff(self, exps: Exponent) -> Fraction:
         for e, c in self.terms:
             if e == exps:
@@ -256,10 +260,7 @@ class MultiPoly:
 
     def __add__(self, other: MultiPoly) -> MultiPoly:
         self._check_compatible(other)
-        acc = self.as_dict()
-        for e, c in other.terms:
-            acc[e] = acc.get(e, Fraction(0)) + c
-        return MultiPoly(self.vars, _canonical(self.vars, acc))
+        return _poly(self.vars, _pairs(self) + _pairs(other))
 
     def __sub__(self, other: MultiPoly) -> MultiPoly:
         return self + (-other)
@@ -433,10 +434,13 @@ def _sum_products(pairs) -> _Pairs:
     for a, b in pairs:
         if not a or not b:
             continue
-        right = b.items()
+        if len(a) < len(b):
+            a, b = b, a
+        # a zero exponent (None here) shifts no exponent
+        right = [(e2 if any(e2) else None, n2, d2) for e2, (n2, d2) in b.items()]
         for e1, (n1, d1) in a.items():
-            for e2, (n2, d2) in right:
-                e = tuple(map(add, e1, e2))
+            for e2, n2, d2 in right:
+                e = e1 if e2 is None else tuple(map(add, e1, e2))
                 prev = get(e)
                 if prev is None:
                     acc[e] = n1 * n2, d1 * d2
@@ -777,8 +781,16 @@ def _unit_table(nvars: int) -> dict[int, _Pairs]:
 def _unimodular_inverse(rows, nvars: int):
     """The inverse of a square kernel-form matrix over `nvars` variables whose
     determinant is a nonzero constant, as its adjugate over that constant; None
-    for any other determinant."""
+    for any other determinant or a matrix that is not square."""
     n = len(rows)
+    zero = (0,) * nvars
+    if any(len(row) != n for row in rows):
+        return None
+    # A constant determinant takes one value everywhere, so one that differs
+    # between the origin and (1, ..., 1) is rejected before any minor table.
+    at_origin, at_ones = _corner_dets(rows, zero)
+    if at_origin != at_ones:
+        return None
     # tables[i] holds the minors of the first i rows: the determinant is the
     # full-mask entry of tables[n], and the table over the rows other than i
     # starts from tables[i] and continues below row i.
@@ -787,7 +799,6 @@ def _unimodular_inverse(rows, nvars: int):
         tables.append(_extend_minors(tables[-1], (row,)))
     full = (1 << n) - 1
     d = tables[n].get(full)
-    zero = (0,) * nvars
     if not d or len(d) > 1 or zero not in d:
         return None
     dn, dd = d[zero]
@@ -801,6 +812,20 @@ def _unimodular_inverse(rows, nvars: int):
         return _sum_products([(minor, signed[(i + j) % 2])])
 
     return tuple(tuple([entry(i, j) for j in range(n)]) for i in range(n))
+
+
+def _corner_dets(rows, zero: Exponent) -> tuple[int, int]:
+    """det(rows) of a square kernel-form matrix at the origin (each entry's
+    constant term) and at (1, ..., 1) (each entry's coefficient sum), both
+    times the product of each row's denominator lcm, from `_bareiss` on
+    integer rows: equal whenever the determinant is constant."""
+    origin, ones = [], []
+    for row in rows:
+        scale = lcm(*[d for p in row for _, d in p.values()])
+        origin.append([n * (scale // d) for n, d in (p.get(zero, (0, 1)) for p in row)])
+        ones.append([sum([n * (scale // d) for n, d in p.values()]) for p in row])
+    (d0, c0, _, _), (d1, c1, _, _) = _bareiss(origin, ()), _bareiss(ones, ())
+    return d0 * c0, d1 * c1
 
 
 def _extend_minors(minors: dict[int, _Pairs], rows) -> dict[int, _Pairs]:

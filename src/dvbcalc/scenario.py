@@ -57,6 +57,7 @@ import zlib
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import gcd
 
 from .core import Chart, DecomposedDVB, DVBMorphism, VectorBundle
 from .geomech import (
@@ -78,9 +79,12 @@ from .ring import (
     _bareiss,
     _check_grid,
     _draw,
+    _Pairs,
+    _poly,
     _randint,
+    _rational_draws,
     _span,
-    random_rational,
+    _term_key,
 )
 
 
@@ -384,7 +388,8 @@ def parse_poly(obj, vars: tuple[str, ...], where: str) -> MultiPoly:
             except ValueError as exc:
                 raise _term_error(where, pos, f": like terms sum to {exc}") from exc
         acc[key] = coeff
-    return MultiPoly.from_dict(vars, acc)
+    terms = sorted([(e, c) for e, c in acc.items() if c], key=_term_key, reverse=True)
+    return MultiPoly(vars, tuple(terms))
 
 
 # How many lists deep each field shape nests its polynomial literals.
@@ -656,16 +661,19 @@ def scenario_to_text(sc: Scenario) -> str:
 def random_poly(rng: random.Random, vars, max_degree: int) -> MultiPoly:
     """A short random polynomial of total degree at most max_degree."""
     vt = tuple(vars)
-    acc: dict[tuple[int, ...], Fraction] = {}
+    acc = _Pairs()
     for _ in range(_randint(rng, 1, 2)):
         exps = [0] * len(vt)
         if vt:
             degree = _randint(rng, 0, max_degree)
             for i in _draw(rng, (_span(0, len(vt) - 1),) * degree):
                 exps[i] += 1
-        key = tuple(exps)
-        acc[key] = acc.get(key, Fraction(0)) + random_rational(rng)
-    return MultiPoly.from_dict(vt, acc)
+        # the draws of `random_rational`, summed in the kernel form
+        (p,), (q,) = _rational_draws(rng, 1, 7)
+        if p:
+            g = gcd(p, q)
+            acc += _Pairs({tuple(exps): (p // g, q // g)})
+    return _poly(vt, acc)
 
 
 def random_poly_vector(rng, vars, n: int, max_degree: int) -> tuple[MultiPoly, ...]:

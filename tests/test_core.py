@@ -42,9 +42,24 @@ from dvbcalc.core import (
     _vec_add,
     _vec_scale,
 )
-from dvbcalc.duality import left_dual, pair_l, pair_r, right_dual
-from dvbcalc.ring import MultiPoly, PolyMatrix, _rational_draws, random_rational, random_tuple, rat
-from dvbcalc.scenario import random_morphism, random_poly_matrix, random_poly_vector
+from dvbcalc.duality import left_dual, pair_l, pair_r, right_dual, right_dual_morphism_poly
+from dvbcalc.ring import (
+    MultiPoly,
+    PolyMatrix,
+    _pair_rows,
+    _rational_draws,
+    random_rational,
+    random_tuple,
+    rat,
+)
+from dvbcalc.scenario import (
+    gen_random_scenario,
+    random_morphism,
+    random_poly_matrix,
+    random_poly_vector,
+    scenario_from_text,
+    scenario_to_text,
+)
 
 CHART = Chart.of_dim(1)
 B = DecomposedDVB(CHART, 1, 1, 1)
@@ -327,6 +342,31 @@ def test_invert_roundtrip():
     v = B.element((2,), ("1/2",), ("2/3",), ("3/5",))
     assert inv.apply(phi.apply(v)) == v
     assert phi.apply(inv.apply(v)) == v
+
+
+def fresh_blocks(phi):
+    """A morphism's blocks converted anew from its MultiPoly rows."""
+    return tuple((_pair_rows(rows), 1) for rows in phi._rows())
+
+
+def symbolic_results(phi):
+    return invert_morphism_poly(phi), right_dual_morphism_poly(phi), compose_morphisms(phi, phi)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kernel_blocks_are_built_once_and_match_the_rows(seed):
+    """A parsed morphism converts its blocks once; the results of the block
+    algebra keep the blocks that built them, and no operation changes the
+    blocks it reads."""
+    phi = scenario_from_text(scenario_to_text(gen_random_scenario(seed))).morphism
+    blocks = phi._blocks
+    assert blocks == fresh_blocks(phi)
+    first = symbolic_results(phi)
+    for result in first:
+        assert result._blocks == fresh_blocks(result)
+    assert symbolic_results(phi) == first
+    assert phi._blocks is blocks and blocks == fresh_blocks(phi)
+    assert compose_morphisms(first[0], phi) == identity_morphism(phi.source)
 
 
 def test_invert_poly_matches_pointwise():

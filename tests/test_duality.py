@@ -379,6 +379,17 @@ def test_polynomial_dual_needs_unimodular_right_block():
     )
     with pytest.raises(ValueError):
         right_dual_morphism_poly(phi)
+    # a right block that is not square has no inverse either
+    one = MultiPoly.const(vars, 1)
+    wide = DVBMorphism(
+        DecomposedDVB(CHART, 1, 1, 2), B,
+        PolyMatrix.identity(vars, 1),
+        PolyMatrix.identity(vars, 1),
+        PolyMatrix(vars, ((one, one),)),
+        psi_zero(vars, 1, 2, 1),
+    )
+    with pytest.raises(ValueError, match="right block is not unimodular"):
+        right_dual_morphism_poly(wide)
 
 
 # -- canonical maps to the third dual ----------------------------------------

@@ -177,6 +177,32 @@ def test_unimodular_inverse():
     assert PolyMatrix(("x",), ((x,),)).unimodular_inverse() is None
 
 
+def test_corner_values_reject_a_nonconstant_determinant_before_any_minor_table(monkeypatch):
+    """A determinant whose values at the origin and at (1, 1) differ is not
+    constant, so no minor table is built; one that is equal at both points
+    is decided by the tables."""
+    calls = []
+    extend = ring._extend_minors
+    monkeypatch.setattr(ring, "_extend_minors", lambda *args: calls.append(1) or extend(*args))
+    x, y = MultiPoly.var(XY, "x"), MultiPoly.var(XY, "y")
+    one, zero = MultiPoly.const(XY, 1), MultiPoly.zero(XY)
+    # det = 1 + x: 1 at the origin, 2 at (1, 1)
+    differ = PolyMatrix(XY, ((one + x, y), (zero, one)))
+    assert differ.unimodular_inverse() is None
+    assert ring._unimodular_inverse(ring._pair_rows(differ.entries), 2) is None
+    assert calls == []
+    # det = x^2 - x: 0 at both points, not constant
+    equal = PolyMatrix(XY, ((x * x - x,),))
+    assert equal.unimodular_inverse() is None
+    assert calls
+    calls.clear()
+    # det = 1 everywhere, with 32-digit coefficients off the diagonal
+    big = MultiPoly.from_dict(XY, {(1, 2): Fraction(10**31 + 7, 10**31 + 9)})
+    unimodular = PolyMatrix(XY, ((one, big), (zero, one)))
+    assert unimodular * unimodular.unimodular_inverse() == PolyMatrix.identity(XY, 2)
+    assert calls
+
+
 def test_det_cofactor():
     m = PolyMatrix.constant(("x",), [[1, 2], [3, 4]])
     assert m.det() == MultiPoly.const(("x",), -2)
@@ -671,6 +697,35 @@ SHARED_FACTORS = [
 ]
 
 
+# Products with a zero-exponent term, which shifts no exponent: constant
+# factors, factors with a constant term in both argument orders (the shorter
+# first and second), constant-term products landing on another product's
+# exponent, and constant-term products that cancel.
+A3 = {(0, 0): Fraction(1, 2), (1, 0): Fraction(2, 3), (0, 2): Fraction(-5, 7)}
+B2 = {(0, 0): Fraction(3), (1, 1): Fraction(1, 4)}
+# (2 + x/2)(1/3 + 5x): x/6 and 10x land on one exponent
+C2 = {(0, 0): Fraction(2), (1, 0): Fraction(1, 2)}
+D2 = {(0, 0): Fraction(1, 3), (1, 0): Fraction(5)}
+ZERO_EXPONENT = [
+    [({(0, 0): Fraction(3, 4)}, {(0, 0): Fraction(-2, 9)})],
+    [({(): Fraction(2, 3)}, {(): Fraction(3, 4)}), ({(): Fraction(1, 6)}, {(): Fraction(5)})],
+    [(A3, B2)],
+    [(B2, A3)],
+    [(A3, B2), (B2, A3)],
+    [
+        ({(1, 0): Fraction(1, 2)}, {(0, 0): Fraction(1, 3)}),
+        ({(0, 0): Fraction(1, 5)}, {(1, 0): Fraction(1, 7)}),
+    ],
+    [(C2, D2)],
+    [
+        ({(1, 0): Fraction(1, 2)}, {(0, 0): Fraction(1, 3)}),
+        ({(0, 0): Fraction(-1, 6)}, {(1, 0): Fraction(1)}),
+    ],
+    # (x + 1)(x - 1): the x terms cancel
+    [({(1, 0): Fraction(1), (0, 0): Fraction(1)}, {(1, 0): Fraction(1), (0, 0): Fraction(-1)})],
+]
+
+
 @pytest.mark.parametrize("seed", range(36))
 def test_kernel_matches_fraction_sums_of_products(seed):
     _, pairs = kernel_case(seed)
@@ -678,7 +733,7 @@ def test_kernel_matches_fraction_sums_of_products(seed):
     assert frac_of(got) == frac_sum_products(pairs)
 
 
-@pytest.mark.parametrize("pairs", SHARED_FACTORS + [[], [({}, {(): Fraction(2)})]])
+@pytest.mark.parametrize("pairs", SHARED_FACTORS + ZERO_EXPONENT + [[], [({}, {(): Fraction(2)})]])
 def test_kernel_on_shared_factors_and_zero(pairs):
     got = ring._sum_products([(kernel_form(a), kernel_form(b)) for a, b in pairs])
     assert frac_of(got) == frac_sum_products(pairs)
@@ -761,6 +816,9 @@ def height_cases():
     for pairs in SHARED_FACTORS:
         a, b = (frac_sum_products(pairs[:1]), frac_sum_products(pairs[1:]))
         yield kernel_form(a) + kernel_form(b), frac_sum_products(pairs)
+    for pairs in ZERO_EXPONENT:
+        kernel_pairs = [(kernel_form(a), kernel_form(b)) for a, b in pairs]
+        yield ring._sum_products(kernel_pairs), frac_sum_products(pairs)
     for seed in range(24):
         _, a, b, cols = mat_case(seed)
         got = mat_mul(kernel_rows(a), kernel_rows(b), cols)

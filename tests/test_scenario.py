@@ -18,7 +18,7 @@ from dvbcalc.geomech import (
     is_linear_oneform,
     is_symmetric_connection,
 )
-from dvbcalc.ring import MultiPoly
+from dvbcalc.ring import MultiPoly, _draw, _randint, _span, random_rational
 from dvbcalc.scenario import (
     SECTIONS,
     InconsistentScenarioError,
@@ -32,6 +32,7 @@ from dvbcalc.scenario import (
     random_metric,
     random_morphism,
     random_one_form,
+    random_poly,
     random_two_form,
     random_unimodular_matrix,
     random_vector_field,
@@ -786,3 +787,36 @@ def test_emitter_matches_json_dumps(obj):
 def test_emitter_rejects_other_types(obj):
     with pytest.raises(TypeError):
         _emitted(obj)
+
+
+def reference_random_poly(rng, vars, max_degree):
+    """`random_poly` summed in `Fraction`s, as the generator once did; also
+    whether two like terms cancelled."""
+    vt = tuple(vars)
+    acc = {}
+    for _ in range(_randint(rng, 1, 2)):
+        exps = [0] * len(vt)
+        if vt:
+            degree = _randint(rng, 0, max_degree)
+            for i in _draw(rng, (_span(0, len(vt) - 1),) * degree):
+                exps[i] += 1
+        key = tuple(exps)
+        had = acc.get(key, Fraction(0))
+        acc[key] = had + random_rational(rng)
+        cancelled = had != 0 and acc[key] == 0
+    return MultiPoly.from_dict(vt, acc), cancelled
+
+
+def test_random_poly_matches_the_fraction_sum_and_its_draws():
+    cancelled = 0
+    for seed in range(100):
+        for nvars in range(4):
+            vt = ("x", "y", "z")[:nvars]
+            for max_degree in range(5):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                want, gone = reference_random_poly(theirs, vt, max_degree)
+                got = random_poly(ours, vt, max_degree)
+                assert got == want and str(got) == str(want)
+                assert ours.getstate() == theirs.getstate()
+                cancelled += gone
+    assert cancelled  # two like terms cancel in some case

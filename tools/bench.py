@@ -17,13 +17,16 @@ It runs, one after another and never in parallel:
 * the number of `Fraction.__new__` calls in one in-process round of
   `run_suite("all", gen_random_scenario(s))` for s = 0-11, with the
   scenarios built before counting starts;
-* `dvb check third-dual` on the worst-case file dense8t3 and
-  `load_scenario` of dense8t12, both written by `tools/worst_case.py` into
-  a temporary directory, each in three fresh processes (`worst_case`:
-  median and quartiles of the wall time, every exit code, and the sha256
-  of each distinct output with the report's `elapsed:` line taken out);
-  perfbench draws only small generator coefficients, so these are the
-  numbers that see coefficient height;
+* `dvb check third-dual` on the worst-case file dense8t3, `load_scenario`
+  of dense8t12 and `compose_morphisms` of compose-t8r3-outer after
+  compose-t8r3-inner (printing the composite's scenario text), all files
+  written by `tools/worst_case.py` into a temporary directory, each in
+  three fresh processes (`worst_case`: median and quartiles of the wall
+  time, every exit code, and the sha256 of each distinct output with the
+  report's `elapsed:` line taken out); perfbench draws only small generator
+  coefficients, so these are the numbers that see coefficient height, and
+  the composition is the one that sees the product kernel on 32-digit
+  coefficients;
 
 and records the git sha, whether tracked files had uncommitted edits, the
 sha256 of `git diff HEAD` (which names the measured tree when they had),
@@ -83,15 +86,31 @@ fractions.Fraction.__new__ = saved
 print(calls)
 """
 LOAD_SCENARIO = "import sys\nfrom dvbcalc.scenario import load_scenario\nload_scenario(sys.argv[1])"
-# (record name, file from tools/worst_case.py, interpreter arguments before
-# the file's path)
+# prints the scenario text of the outer file with its morphism replaced by
+# the composite outer . inner
+COMPOSE = """
+import dataclasses, sys
+from dvbcalc.core import compose_morphisms
+from dvbcalc.scenario import load_scenario, scenario_to_text
+
+outer, inner = map(load_scenario, sys.argv[1:])
+composite = compose_morphisms(outer.morphism, inner.morphism)
+print(scenario_to_text(dataclasses.replace(outer, morphism=composite)), end="")
+"""
+# (record name, files from tools/worst_case.py, interpreter arguments before
+# the files' paths)
 WORST_CASE = (
     (
         "check third-dual dense8t3",
-        "dense8t3",
+        ("dense8t3",),
         ["-m", "dvbcalc.cli", "check", "third-dual", "--scenario"],
     ),
-    ("load_scenario dense8t12", "dense8t12", ["-c", LOAD_SCENARIO]),
+    ("load_scenario dense8t12", ("dense8t12",), ["-c", LOAD_SCENARIO]),
+    (
+        "compose_morphisms compose-t8r3",
+        ("compose-t8r3-outer", "compose-t8r3-inner"),
+        ["-c", COMPOSE],
+    ),
 )
 
 
@@ -178,8 +197,8 @@ def _worst_case(root: Path) -> dict:
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         _timed(root, [sys.executable, "tools/worst_case.py", tmp])
-        for name, stem, args in WORST_CASE:
-            cmd = [sys.executable, *args, str(Path(tmp) / f"{stem}.json")]
+        for name, stems, args in WORST_CASE:
+            cmd = [sys.executable, *args, *[str(Path(tmp) / f"{stem}.json") for stem in stems]]
             walls, codes, digests = [], [], set()
             for _ in range(REPEATS):
                 wall, done = _run_src(root, cmd)

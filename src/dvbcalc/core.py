@@ -176,14 +176,6 @@ class DecomposedDVB:
     ) -> DVBElement:
         return DVBElement(self, x, f, c, e)
 
-    def zero_over_right(self, x, e) -> DVBElement:
-        """Zero of the right structure over the E point (x, e)."""
-        return self.element(x, (0,) * self.n_F, (0,) * self.n_C, e)
-
-    def zero_over_left(self, x, f) -> DVBElement:
-        """Zero of the left structure over the F point (x, f)."""
-        return self.element(x, f, (0,) * self.n_C, (0,) * self.n_E)
-
 
 def _slot(values, rank: int, name: str) -> tuple[Fraction, ...]:
     out = tuple(rat(v) for v in values)

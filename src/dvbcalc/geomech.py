@@ -210,12 +210,6 @@ class GeneralVectorField:
         lambda self: _EvalPlan(((self.base, self.vert),), len(self.base) + len(self.vert))
     )
 
-    def tangent_image(self, x, e) -> DVBElement:
-        """The field evaluated at (x, e) as a tangent shell element."""
-        return self._tangent_image(
-            self.bundle.chart.point(x), _slots_of(_slot(e, self.bundle.rank, "E"))
-        )
-
     def _tangent_image(self, x, e) -> DVBElement:  # e a slot vector
         (xdot, edot), den = self._plan.at(x, e)[0]
         return DVBElement._of_slots(
@@ -306,12 +300,6 @@ class GeneralOneForm:
         )
     )
 
-    def cotangent_image(self, x, e) -> DVBElement:
-        """The form at (x, e) as a cotangent shell element."""
-        return self._cotangent_image(
-            self.bundle.chart.point(x), _slots_of(_slot(e, self.bundle.rank, "E"))
-        )
-
     def _cotangent_image(self, x, e) -> DVBElement:  # e a slot vector
         (p, phi), den = self._plan.at(x, e)[0]
         return DVBElement._of_slots(
@@ -397,9 +385,10 @@ class Bivector:
         _check_grid("l_ij", self.l_ij, (n, n), vars)
         _check_grid("l_ia", self.l_ia, (n, k), vars)
         _check_grid("l_ab", self.l_ab, (k, k), vars)
-        for block in (self.l_ij, self.l_ab):
-            skew = block + block.transpose()
-            if any(not p.is_zero for row in skew.entries for p in row):
+        # canonical polynomials are equal exactly when their stored forms are
+        for block in (self.l_ij.entries, self.l_ab.entries):
+            m = len(block)
+            if any(block[i][j] != -block[j][i] for i in range(m) for j in range(i, m)):
                 raise ValueError("diagonal blocks must be antisymmetric")
 
     def full_matrix(self) -> PolyMatrix:
@@ -505,11 +494,9 @@ class LinearTwoForm:
         n, k = self.bundle.chart.dim, self.bundle.rank
         _check_grid("omega_ija", self.omega_ija, (n, n, k), names)
         _check_grid("omega_ia", self.omega_ia, (n, k), names)
-        for i in range(n):
-            for j in range(n):
-                for a in range(k):
-                    if not (self.omega_ija[i][j][a] + self.omega_ija[j][i][a]).is_zero:
-                        raise ValueError("three-index grid must be antisymmetric in ij")
+        w = self.omega_ija
+        if any(w[i][j][a] != -w[j][i][a] for i in range(n) for j in range(i, n) for a in range(k)):
+            raise ValueError("three-index grid must be antisymmetric in ij")
 
     def as_form(self) -> DifferentialForm:
         """The assembled 2-form over the total space variables."""

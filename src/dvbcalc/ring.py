@@ -250,12 +250,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        """Degree of the zero polynomial is reported as -1."""
-        if not self.terms:
-            return -1
-        return sum(self.terms[0][0])
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: MultiPoly) -> MultiPoly:
@@ -276,14 +270,6 @@ class MultiPoly:
 
     def __rmul__(self, other: Fraction | int) -> MultiPoly:
         return self.scale(other)
-
-    def __pow__(self, k: int) -> MultiPoly:
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        out = MultiPoly.const(self.vars, 1)
-        for _ in range(k):
-            out = out * self
-        return out
 
     def scale(self, factor: Fraction | int | str) -> MultiPoly:
         f = rat(factor)

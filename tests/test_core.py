@@ -115,14 +115,6 @@ def test_sub_inverts_add():
     assert fiber_sub("left", fiber_add("left", u, w), w) == u
 
 
-def test_zero_sections():
-    v = B.element((0,), (1,), (2,), (3,))
-    zr = B.zero_over_right((0,), (3,))
-    zl = B.zero_over_left((0,), (1,))
-    assert fiber_add("right", v, zr) == v
-    assert fiber_add("left", v, zl) == v
-
-
 def test_add_mismatch_errors():
     u = B.element((0,), (1,), (2,), (3,))
     v = B.element((0,), (1,), (2,), (4,))
@@ -163,7 +155,7 @@ def test_core_addition_agreement():
 def test_kernel_split_recombines():
     v = B222.element((1, 2), (3, 4), (5, 6), (0, 0))
     side, core = kernel_split(v)
-    assert side == B222.zero_over_left((1, 2), (3, 4))
+    assert side == B222.element((1, 2), (3, 4), (0, 0), (0, 0))
     assert core == core_embed(B222, (1, 2), (5, 6))
     assert fiber_add("right", side, core) == v
 
@@ -174,7 +166,7 @@ def test_kernel_split_projector_laws():
     side2, side_core = kernel_split(side)
     assert side2 == side and side_core == core_embed(B222, (1, 2), (0, 0))
     core_side, core2 = kernel_split(core)
-    assert core2 == core and core_side == B222.zero_over_left((1, 2), (0, 0))
+    assert core2 == core and core_side == core_embed(B222, (1, 2), (0, 0))
 
 
 def test_kernel_split_rejects_nonkernel():
@@ -387,6 +379,12 @@ def test_invert_poly_matches_pointwise():
     for x in ((rat(0), rat(1)), (rat("1/2"), rat(-3))):
         assert inv_poly.at(x) == inv_point.at(x)
     assert compose_morphisms(inv_poly, phi) == identity_morphism(B222)
+    # det L = 1 - x1 + x1^2 takes the value 1 at x1 = 0 and at x1 = 1 and has
+    # a constant term, but is not constant
+    l = PolyMatrix(vars, ((one - x_poly + x_poly * x_poly, zero), (zero, one)))
+    assert l.unimodular_inverse() is None
+    with pytest.raises(ValueError, match="^blocks are not unimodular; use invert_morphism$"):
+        invert_morphism_poly(DVBMorphism(B222, B222, l, phi.phi_c, phi.phi_r, phi.psi))
 
 
 def test_flip_morphism_transports_apply():
@@ -619,7 +617,7 @@ def test_kernel_structure_maps_match_fraction_formulas(ranks):
             side_part, core_part = _split(kern)
             assert_lowest_terms(side_part)
             assert_lowest_terms(core_part)
-            assert side_part == b.zero_over_left(x, f)
+            assert side_part == DVBElement(b, x, f, (0,) * b.n_C, (0,) * b.n_E)
             assert core_part == core_embed(b, x, c)
             assert kernel_split(kern) == (side_part, core_part)
             if b.n_E:
@@ -725,6 +723,20 @@ def test_kernel_draws_equal_random_tuple(bound):
         assert ours.getstate() == theirs.getstate()
 
 
+def test_sampler_seeds_lie_below_two_to_the_thirty():
+    """A seed is drawn from [0, 2^30) as `randint` draws it: 31 bits at a
+    time, and 2^30 and 2^30 + 1 are drawn again."""
+
+    class Bits:
+        values = iter([1 << 30, (1 << 30) + 1, (1 << 30) - 1])
+
+        def getrandbits(self, k):
+            assert k == 31
+            return next(self.values)
+
+    assert _Sampler(Bits(), B).seed() == (1 << 30) - 1
+
+
 def test_kernel_fast_paths_still_compare_values():
     """Equal base points, bundles and shared slots that are other objects
     still add; unequal ones raise the errors they always raised."""
@@ -759,6 +771,24 @@ def test_kernel_fast_paths_still_compare_values():
         _left_add(u, b.element(u.x, (1, 3), u.c, u.e))
     with pytest.raises(FiberMismatchError, match="^core difference needs matching F and E slots$"):
         _difference(u, b.element(u.x, u.f, u.c, (4, "5/8")))
+
+
+def test_kernel_fast_paths_check_the_bundle_of_a_shared_point():
+    """The flip of u lies in another bundle but shares u's point object, and
+    with f == e its outer slots equal u's, so only the bundle check can
+    refuse the pair."""
+    b = DecomposedDVB(CHART, 1, 1, 1)
+    u = b.element(("1/2",), (3,), (5,), (3,))
+    v = u.flip()
+    assert v.x is u.x and v.bundle != b
+    calls = (
+        lambda: fiber_add("right", u, v),
+        lambda: fiber_add("left", u, v),
+        lambda: core_difference(u, v),
+    )
+    for call in calls:
+        with pytest.raises(BaseMismatchError, match="^elements belong to different bundles$"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -994,7 +1024,7 @@ def test_single_representation_matches_fraction_formulas(case):
         b.element(*as_text),
         b.element(*as_ints),
         DVBElement(b, *as_text),
-        fiber_add("right", u, b.zero_over_right(x, e)),
+        fiber_add("right", u, b.element(x, (0,) * b.n_F, (0,) * b.n_C, e)),
         fiber_scale("left", 1, u),
         u.flip().flip(),
     ):

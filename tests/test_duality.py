@@ -470,6 +470,14 @@ def test_relation_on_exhaustive_grid():
     assert verify_R_relation(v, phi, grid=range(-2, 3))
     shifted = B.element(v.x, phi.f, (phi.c[0] + 1,), phi.e)
     assert not verify_R_relation(v, shifted, grid=range(-2, 3))
+    # the grid varies every free covector value on its own: this candidate's
+    # errors cancel wherever the last C* value equals the E* value
+    b = DecomposedDVB(Chart.of_dim(0), 0, 2, 1)
+    w = b.element((), (), (1, 2), (3,))
+    good = canonical_R("R", w)
+    wrong = good.bundle.element((), (), (good.c[0], good.c[1] - 1), (good.e[0] + 1,))
+    assert verify_R_relation(w, good, grid=(0, 1))
+    assert not verify_R_relation(w, wrong, grid=(0, 1))
 
 
 def test_relation_fixes_core_free_points():

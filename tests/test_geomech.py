@@ -18,6 +18,7 @@ from dvbcalc.core import (
     fiber_scale,
     identity_morphism,
     tangent_prolongation,
+    _slots_of,
 )
 from dvbcalc.duality import ProjectionMismatchError, pair_r, right_dual
 from dvbcalc import geomech
@@ -425,18 +426,22 @@ def _so3_bivector():
     )
 
 
+# 2 x 2 grids of 0/1 that are not antisymmetric: a symmetric nonzero
+# off-diagonal pair, and a nonzero entry on either diagonal place
+NOT_ANTISYMMETRIC = (((0, 1), (1, 0)), ((1, 0), (0, 0)), ((0, 0), (0, 1)))
+
+
 def test_bivector_validation_rejects_symmetric_block():
-    vb = VectorBundle(Chart.of_dim(0), 2)
+    vb = VectorBundle(Chart.of_dim(2), 2)
     vars = total_space_vars(vb)
-    one = MultiPoly.const(vars, 1)
-    z = MultiPoly.zero(vars)
-    with pytest.raises(ValueError):
-        Bivector(
-            vb,
-            PolyMatrix.zero(vars, 0, 0),
-            PolyMatrix.zero(vars, 0, 2),
-            PolyMatrix(vars, ((z, one), (one, z))),
-        )
+    e1, z = MultiPoly.var(vars, "e1"), MultiPoly.zero(vars)
+    zero = PolyMatrix.zero(vars, 2, 2)
+    for block in ("l_ij", "l_ab"):
+        for grid in NOT_ANTISYMMETRIC:
+            blocks = {"l_ij": zero, "l_ab": zero}
+            blocks[block] = PolyMatrix(vars, tuple(tuple(e1 if v else z for v in row) for row in grid))
+            with pytest.raises(ValueError, match="^diagonal blocks must be antisymmetric$"):
+                Bivector(vb, blocks["l_ij"], zero, blocks["l_ab"])
 
 
 def test_so3_contraction_is_cross_product():
@@ -496,6 +501,19 @@ def test_constant_fiber_block_is_not_linear():
     )
     assert not bivector_linear_shape(biv)
     assert not is_linear_poisson(biv)
+
+
+def test_jacobi_holds_through_cancelling_cyclic_terms():
+    """{e1, e2} = e1 e2, {e3, e1} = e1 e3 and {e2, e3} = 0 is e1 times the
+    bracket with Casimir e2 e3, so it is Poisson; at (1, 1, 1) its three
+    cyclic terms are 0, 1 and -1, and only their sum vanishes."""
+    vb = VectorBundle(Chart.of_dim(0), 3)
+    vars = total_space_vars(vb)
+    e1, e2, e3 = (MultiPoly.var(vars, n) for n in fiber_var_names(3))
+    z = MultiPoly.zero(vars)
+    l_ab = PolyMatrix(vars, ((z, e1 * e2, -(e1 * e3)), (-(e1 * e2), z, z), (e1 * e3, z, z)))
+    biv = Bivector(vb, PolyMatrix.zero(vars, 0, 0), PolyMatrix.zero(vars, 0, 3), l_ab)
+    assert check_jacobi(biv, [(1, 1, 1), (2, -3, 5)])
 
 
 def test_structure_constants_without_jacobi_fail_the_bracket_check():
@@ -577,12 +595,10 @@ def test_two_form_validation_rejects_symmetric_three_index_grid():
     names = CHART2.names
     one = MultiPoly.const(names, 1)
     z = MultiPoly.zero(names)
-    with pytest.raises(ValueError):
-        LinearTwoForm(
-            VectorBundle(CHART2, 1),
-            (((z,), (one,)), ((one,), (z,))),
-            ((z,), (z,)),
-        )
+    for grid in NOT_ANTISYMMETRIC:
+        omega_ija = tuple(tuple((one if v else z,) for v in row) for row in grid)
+        with pytest.raises(ValueError, match="^three-index grid must be antisymmetric in ij$"):
+            LinearTwoForm(VectorBundle(CHART2, 1), omega_ija, ((z,), (z,)))
 
 
 def test_flat_map_in_rank_one():
@@ -803,7 +819,7 @@ def test_section_view_matches_field_through_the_flip():
     field = complete_tangent_lift(CHART1, (x1 * x1,))
     section = linear_vf_as_section(field)
     x, e = (Fraction(2),), (Fraction(3),)
-    assert section.at(x, e).flip() == field.as_general().tangent_image(x, e)
+    assert section.at(x, e).flip() == field.as_general()._tangent_image(x, _slots_of(e))
 
 
 # ---------------------------------------------------------------------------
@@ -1160,6 +1176,8 @@ def test_asymmetric_connection_rejected_both_ways():
     )
     assert not is_symmetric_connection(conn)
     assert not horizontal_lagrangian_check(conn)
+    # every sample sees the asymmetry, whatever momentum it draws
+    assert not any(horizontal_lagrangian_check(conn, samples=1, seed=s) for s in range(8))
 
 
 def test_symmetry_needs_tangent_like_ranks():

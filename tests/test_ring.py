@@ -17,6 +17,7 @@ from dvbcalc.core import (
     VectorBundle,
     cotangent_prolongation,
     tangent_prolongation,
+    _slots_of,
 )
 from dvbcalc.duality import fiber_right_dual
 from dvbcalc.forms import make_form
@@ -64,8 +65,8 @@ ONE = MultiPoly.const(XY, 1)
 
 
 def test_eval_square():
-    p = MultiPoly.var(("x",), "x") ** 2
-    assert p.eval((3,)) == 9
+    x = MultiPoly.var(("x",), "x")
+    assert (x * x).eval((3,)) == 9
 
 
 def test_eval_zero_anywhere():
@@ -99,8 +100,8 @@ def test_product_difference_of_squares():
 
 def test_compose_shift():
     # x^2 after x -> x+1 gives x^2 + 2x + 1
-    sq = MultiPoly.var(("x",), "x") ** 2
-    shifted = sq.compose((X + ONE,))
+    x = MultiPoly.var(("x",), "x")
+    shifted = (x * x).compose((X + ONE,))
     assert shifted == poly({(2, 0): 1, (1, 0): 2, (0, 0): 1})
 
 
@@ -175,6 +176,8 @@ def test_unimodular_inverse():
     assert m * inv == PolyMatrix.identity(("x",), 2)
     # x on the diagonal is invertible pointwise but not unimodularly
     assert PolyMatrix(("x",), ((x,),)).unimodular_inverse() is None
+    # 1 - x + x^2 has a constant term and is 1 at x = 0 and at x = 1
+    assert PolyMatrix(("x",), ((one - x + x * x,),)).unimodular_inverse() is None
 
 
 def test_corner_values_reject_a_nonconstant_determinant_before_any_minor_table(monkeypatch):
@@ -616,7 +619,7 @@ def test_dense_det_stays_exponential_not_factorial(monkeypatch):
     )
     d = m.det()
     assert sum(products) <= n * 2 ** (n - 1)
-    assert d.total_degree() == n
+    assert max(sum(e) for e, _ in d.terms) == n
 
 
 # -- the pair kernel against plain Fraction sums of products -----------------
@@ -1158,11 +1161,12 @@ def test_vector_field_and_one_form_plans_match_per_entry_eval(case, rng):
     tan, cot = tangent_prolongation(vb), cotangent_prolongation(vb)
     point = tuple(map(rat, x + e))
     base, vert = values(field.base, point), values(field.vert, point)
-    image = field.tangent_image(x, e)
+    x, e_slots = tuple(map(rat, x)), _slots_of(tuple(map(rat, e)))
+    image = field._tangent_image(x, e_slots)
     assert_lowest_terms(image)
     assert image == tan.element(x, base, vert, e)
     dx, de = values(form.dx_coeffs, point), values(form.de_coeffs, point)
-    image = form.cotangent_image(x, e)
+    image = form._cotangent_image(x, e_slots)
     assert_lowest_terms(image)
     assert image == cot.element(x, de, dx, e)
     n, k = vb.chart.dim, vb.rank

@@ -27,6 +27,11 @@ It runs, one after another and never in parallel:
   coefficients, so these are the numbers that see coefficient height, and
   the composition is the one that sees the product kernel on 32-digit
   coefficients;
+* `tools/mutants.py`, the mutation run of the suites and tier-1 over `core`,
+  `duality`, `ring` and `geomech` (`mutants`: the sites per module, the
+  stage-1 outcome counts, the stage-2 kill count, the survivors by
+  `file:line:column` and the run's wall time); it runs two mutants at a
+  time on a 2-core host and adds about 17 minutes;
 
 and records the git sha, whether tracked files had uncommitted edits, the
 sha256 of `git diff HEAD` (which names the measured tree when they had),
@@ -35,7 +40,7 @@ each `src/dvbcalc` module (`lines.src_modules`), and the tier-1 test count.
 Every perfbench run reads and writes bytecode only in one fresh cache
 (`PYTHONPYCACHEPREFIX`, written even where `PYTHONDONTWRITEBYTECODE` is
 set), so a stale `__pycache__` in the checkout cannot change `setup_s`.
-It takes about ten minutes on a 2-core host.  Only the standard library is
+It takes about half an hour on a 2-core host.  Only the standard library is
 used.  To measure an older commit, copy this file into a clone of that
 commit and run it there.
 """
@@ -54,6 +59,8 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+import mutants
 
 WORKLOADS = ("axioms-sweep", "check-all", "symbolic")
 SEEDS = (1101, 1102, 1103)
@@ -268,6 +275,7 @@ def main(argv=None) -> int:
         "fraction_new": _fraction_calls(root),
         "worst_case": _worst_case(root),
         **_tests(root),
+        "mutants": mutants.run(),
     }
     out = root / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")

@@ -33,7 +33,7 @@ def test_mutant_list_is_fixed():
     order = [
         (mutants.MODULES.index(s.module), s.line, s.col, s.end_line, s.end_col) for s in first
     ]
-    assert order == sorted(order) and len(set(order)) == len(order)
+    assert order == sorted(order) and len({str(s) for s in first}) == len(first)
     assert {s.module for s in first} == set(mutants.MODULES)
 
 

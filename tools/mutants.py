@@ -30,9 +30,9 @@ the same second would be reused silently) and an address-space limit of
 The unmutated copy runs through both stages first and must survive them.
 `run()` prints one line per mutant as it finishes, then the counts, the
 stage-2 kills with the first test that failed, the survivors by
-`file:line:column` and the wall time, and returns them as a dict
+`file:line:column-line:column` and the wall time, and returns them as a dict
 (`tools/bench.py` records it).  On a 2-core host the full list takes about
-17 minutes.  Only the standard library is used; the tier-1 tests need
+12 minutes.  Only the standard library is used; the tier-1 tests need
 pytest and hypothesis, as they always do.
 """
 
@@ -120,8 +120,11 @@ class Site:
         return f"{self.module}.py:{self.line}"
 
     def __str__(self) -> str:
-        """`file:line:column` (the column counted from 1) and the swap."""
-        return f"{self.where}:{self.col + 1} {self.op} -> {self.swap}"
+        """`file:line:column-line:column`, the expression's first and last
+        character (columns counted from 1), and the swap; nested operators
+        that start at one place differ in their end."""
+        span = f"{self.col + 1}-{self.end_line}:{self.end_col}"
+        return f"{self.where}:{span} {self.op} -> {self.swap}"
 
 
 def _operator(node: ast.AST):

@@ -28,8 +28,9 @@ matrices over one denominator per block.
 
 Every sampled check, in the suites, `geomech` and `duality`, draws through
 one `_Sampler` (an rng, a bundle and a coordinate bound), whose `slots` and
-`element` turn the (p, q) pairs of `ring._rational_draws`, in the order of
-`random_tuple`, into slot vectors without a `Fraction`.
+`element` turn the lowest-terms pairs (p, q) of `ring._rational_draws`, in
+the order of `random_tuple`, into slot vectors without a `Fraction` or a
+vector gcd.
 
 Morphisms between decomposed bundles over the same chart are block maps over
 the identity of the base,
@@ -44,10 +45,10 @@ lowest terms, as the blocks of a `FiberMorphism`, whose `Fraction` views
 are made only when read.
 
 Composition, inverse, right dual and flip are written once, as a block
-algebra that takes its matrix product: `ring.mat_mul` on a DVBMorphism's
-rows in `ring`'s kernel form (converted once per morphism: `_blocks` is
-built on first use, and `_from_blocks` keeps the blocks that built the
-morphism), an integer product on a FiberMorphism's integer rows.  The
+algebra that takes its matrix product: `ring.mat_mul` on the `_Pairs` that
+a DVBMorphism's entries hold (`_blocks` reads them, and `_from_blocks`
+makes each result `_Pairs` an entry as it is, so nothing is converted
+either way), an integer product on a FiberMorphism's integer rows.  The
 Psi contraction over the core index is one product with the Psi planes
 flattened to rows.  Inverses and duals divide by block determinants: at a
 point `ring._adjugate` inverts a block as stored, in one elimination on its
@@ -77,8 +78,6 @@ from .ring import (
     _adjugate,
     _EvalPlan,
     _frac_rows,
-    _pair_rows,
-    _poly_rows,
     _randint,
     _rational_draws,
     _unimodular_inverse,
@@ -480,12 +479,13 @@ class _Sampler:
         return [_randint(self.rng, 1, self.bound) for _ in range(n)]
 
     def slots(self, n: int) -> _Slots:
-        """`rationals(n)` as a slot vector, from the same draws."""
-        if not n:
-            return (), 1
+        """`rationals(n)` as a slot vector, from the same draws.  Each p/q is
+        in lowest terms, so the vector over the lcm of the q is too: for each
+        prime of the lcm, the q holding its full power has a numerator
+        p (lcm / q) that the prime does not divide."""
         ps, qs = _rational_draws(self.rng, n, self.bound)
         den = lcm(*qs)
-        return _reduced([p * (den // q) for p, q in zip(ps, qs)], den)
+        return tuple([p * (den // q) for p, q in zip(ps, qs)]), den
 
     def element(self, x=None, f=None, c=None, e=None) -> DVBElement:
         """An element of the bundle; the slots not given are drawn in order,
@@ -751,38 +751,21 @@ class DVBMorphism:
     @staticmethod
     def _from_blocks(source, target, blocks) -> DVBMorphism:
         """The morphism of kernel-form blocks over 1, as the block algebra
-        gives them; it keeps them as its `_blocks`."""
+        gives them: each `_Pairs` becomes an entry as it is."""
         names = source.chart.names
-        phi = DVBMorphism._from_rows(
-            source, target, *(_poly_rows(names, rows) for rows, _ in blocks)
-        )
-        vars(phi)["_blocks"] = blocks
-        return phi
-
-    @staticmethod
-    def _from_rows(source, target, l, c, r, psi) -> DVBMorphism:
-        """The morphism of MultiPoly rows L, C, R and the flat Psi."""
-        vars = source.chart.names
-        return DVBMorphism(
-            source,
-            target,
-            PolyMatrix(vars, l),
-            PolyMatrix(vars, c),
-            PolyMatrix(vars, r),
-            _planes(psi, source.n_E, source.n_F),
-        )
+        l, c, r, psi = (PolyMatrix._of_pairs(names, rows) for rows, _ in blocks)
+        return DVBMorphism(source, target, l, c, r, _planes(psi.entries, source.n_E, source.n_F))
 
     def _rows(self):
         """L, C, R and the flat Psi as rows of MultiPoly."""
         return self.phi_l.entries, self.phi_c.entries, self.phi_r.entries, _flat(self.psi)
 
-    @cached_property
     def _blocks(self):
-        """L, C, R and the flat Psi in kernel form over 1, as the block
-        algebra takes them; built on first use.  Morphisms share these
-        `_Pairs` (`transpose` and the block algebra pass entries on), so
-        nothing may mutate them."""
-        return tuple((_pair_rows(rows), 1) for rows in self._rows())
+        """L, C, R and the flat Psi as rows of their entries' own `_Pairs`
+        over 1, as the block algebra takes them."""
+        return tuple(
+            (tuple(tuple([p._pairs for p in row]) for row in rows), 1) for rows in self._rows()
+        )
 
     @cached_property
     def _plan(self) -> _EvalPlan:
@@ -800,10 +783,8 @@ class DVBMorphism:
 
     def flip(self) -> DVBMorphism:
         """The same morphism between the flipped bundles."""
-        blocks = _flip_blocks([(rows, 1) for rows in self._rows()], self.source)
-        return DVBMorphism._from_rows(
-            self.source.flip(), self.target.flip(), *(rows for rows, _ in blocks)
-        )
+        blocks = _flip_blocks(self._blocks(), self.source)
+        return DVBMorphism._from_blocks(self.source.flip(), self.target.flip(), blocks)
 
 
 def _signed_identity(
@@ -829,7 +810,7 @@ def compose_morphisms(outer: DVBMorphism, inner: DVBMorphism) -> DVBMorphism:
     if inner.target != outer.source:
         raise ValueError("composition needs inner target equal to outer source")
     blocks = _compose_blocks(
-        outer._blocks, inner._blocks, inner.source, inner.target, _poly_mul
+        outer._blocks(), inner._blocks(), inner.source, inner.target, _poly_mul
     )
     return DVBMorphism._from_blocks(inner.source, outer.target, blocks)
 
@@ -929,7 +910,7 @@ def invert_morphism(phi: DVBMorphism) -> PointwiseMorphism:
 def invert_morphism_poly(phi: DVBMorphism) -> DVBMorphism:
     """Polynomial inverse, available when every block is unimodular."""
     _check_square_ranks(phi)
-    blocks = phi._blocks
+    blocks = phi._blocks()
     dim = phi.source.chart.dim
     inverses = tuple(_unimodular_inverse(rows, dim) for rows, _ in blocks[:3])
     if any(m is None for m in inverses):

@@ -160,7 +160,7 @@ def right_dual_morphism(phi) -> PointwiseMorphism:
 
 def right_dual_morphism_poly(phi: DVBMorphism) -> DVBMorphism:
     """Polynomial right dual, available when the right block is unimodular."""
-    blocks = phi._blocks
+    blocks = phi._blocks()
     rinv = _unimodular_inverse(blocks[2][0], phi.source.chart.dim)
     if rinv is None:
         raise ValueError("right block is not unimodular; use right_dual_morphism")
@@ -237,12 +237,11 @@ def verify_R_relation(
         raise ProjectionMismatchError("candidate sits over a different base point")
     d1 = right_dual(bundle)
     d2 = right_dual(d1)
-    n_f, n_c, n_e = bundle.ranks
     if grid is not None:
         values = [rat(g) for g in grid]
         pool = (
-            (_slots_of(t[:n_f]), _slots_of(t[n_f : n_f + n_c]), _slots_of(t[n_f + n_c :]))
-            for t in itertools.product(values, repeat=n_f + n_c + n_e)
+            _grid_slots(t, bundle.ranks)
+            for t in itertools.product(values, repeat=sum(bundle.ranks))
         )
     else:
         s = _Sampler(random.Random(seed), bundle)
@@ -257,6 +256,15 @@ def verify_R_relation(
         if not _same(_pair(a, alpha), (s1 * vn, vd), (s2 * pn, pd)):
             return False
     return True
+
+
+def _grid_slots(values: tuple[Fraction, ...], ranks: tuple[int, ...]):
+    """`values` cut into consecutive slot vectors of the given ranks, which
+    must cover it exactly: the F*, C* and E* slots of one grid tuple."""
+    if len(values) != sum(ranks):
+        raise ValueError(f"{len(values)} values for slots of ranks {ranks}")
+    cuts = list(itertools.accumulate(ranks, initial=0))
+    return [_slots_of(values[i:j]) for i, j in zip(cuts, cuts[1:])]
 
 
 def _triple_fiber_dual(fm: FiberMorphism) -> FiberMorphism:

@@ -79,6 +79,7 @@ from .ring import (
     _check_grid,
     _bareiss,
     _EvalPlan,
+    _Pairs,
 )
 
 
@@ -100,7 +101,7 @@ def total_space_vars(vb: VectorBundle) -> tuple[str, ...]:
 
 
 def _fiber_degrees(poly: MultiPoly, n_base: int) -> set[int]:
-    return {sum(exps[n_base:]) for exps, _ in poly.terms}
+    return {sum(exps[n_base:]) for exps in poly._pairs}
 
 
 def _of_fiber_degree(polys, n_base: int, degree: int) -> bool:
@@ -114,12 +115,12 @@ def _fiber_linear(coeffs: Sequence[MultiPoly], vars: tuple[str, ...]) -> MultiPo
     A term of coeffs[a] e^a is a term of coeffs[a] with e^a's exponent appended.
     """
     k = len(coeffs)
-    terms = {}
+    pairs = _Pairs()
     for a, p in enumerate(coeffs):
         unit = tuple(int(b == a) for b in range(k))
-        for exps, coeff in p.terms:
-            terms[exps + unit] = coeff
-    return MultiPoly.from_dict(vars, terms)
+        for exps, pair in p._pairs.items():
+            pairs[exps + unit] = pair
+    return MultiPoly(vars, pairs)
 
 
 def _respects_both_structures(shell: DecomposedDVB, image, samples: int, seed: int) -> bool:
@@ -614,9 +615,7 @@ def omega_c_pullback(form: LinearTwoForm) -> LinearTwoForm:
 def _restrict_to_chart(poly: MultiPoly, names: tuple[str, ...], n: int) -> MultiPoly:
     if _fiber_degrees(poly, n) - {0}:
         raise ValueError("polynomial still depends on fiber variables")
-    return MultiPoly.from_dict(
-        names, {exps[:n]: coeff for exps, coeff in poly.terms}
-    )
+    return MultiPoly(names, _Pairs({exps[:n]: pair for exps, pair in poly._pairs.items()}))
 
 
 # ---------------------------------------------------------------------------

@@ -4,17 +4,20 @@ and small dense matrices over them.
 Scalars are `fractions.Fraction`: arbitrary precision, always reduced, with a
 positive denominator, so equality of values is equality of representations.
 
-A polynomial is stored against an explicit tuple of variable names.  Terms
-live in a sorted tuple of (exponent vector, coefficient) pairs: coefficients
-are never zero and the terms are kept in descending graded-lexicographic
-order (total degree first, then the exponent vector).  Two polynomials are
-mathematically equal exactly when their stored forms are equal, which makes
-the dataclass equality and hash canonical.
+A polynomial is stored against an explicit tuple of variable names, in one
+form only, `_Pairs`: a dict mapping each exponent vector to a pair (n, d) of
+integers, the coefficient n/d, nonzero, in lowest terms and with d > 0, so
+each term has exactly the height of its `Fraction`.  Two polynomials are
+mathematically equal exactly when their variables and pairs are equal,
+which makes equality and hashing canonical.  `MultiPoly.terms` is the
+`Fraction` view, made on first read: the sorted tuple of (exponent vector,
+coefficient) pairs in descending graded-lexicographic order (total degree
+first, then the exponent vector), which `str` and the scenario writer read.
 
 Polynomial matrices are nested tuples of `MultiPoly`, which `PolyMatrix`
-wraps; `mat_mul` multiplies them in the kernel form below, and it and
-`transpose` take the column count, because a matrix with no rows stores
-none.  A rational matrix is integer rows over one denominator.  `Fraction`
+wraps; `mat_mul` multiplies their entries' pairs, and it and `transpose`
+take the column count, because a matrix with no rows stores none.  A
+rational matrix is integer rows over one denominator.  `Fraction`
 matrices appear only at the boundary: `det_frac`, `solve_fraction_free` and
 `mat_inverse_frac` take them (or ints), and `mat_inverse_frac` and
 `PolyMatrix.eval_at` return them.
@@ -23,23 +26,20 @@ one grid check, `_check_grid`: the field is nested tuples (or a
 `PolyMatrix`) with the lengths its ranks fix, and every entry is over the
 expected variables.
 
-Polynomial products and sums run on one private form, `_Pairs`: a dict
-mapping each exponent to a pair (n, d) of integers, the coefficient n/d in
-lowest terms with d > 0, so each term has exactly the height of its
-`Fraction`.  One kernel, `_sum_products`, forms a1*b1 + a2*b2 + ... in that
-form: each exponent's product terms are summed as one integer ratio and
-reduced once, and a term with the zero exponent (a unit diagonal, a
-scaling, a constant term) multiplies without shifting an exponent.
+Polynomial products and sums run on the pairs as they are stored.  One
+kernel, `_sum_products`, forms a1*b1 + a2*b2 + ... in that form: each
+exponent's product terms are summed as one integer ratio and reduced once,
+and a term with the zero exponent (a unit diagonal, a scaling, a constant
+term) multiplies without shifting an exponent.  `MultiPoly`'s arithmetic,
 `mat_mul`, the minor tables of `_extend_minors` (so `PolyMatrix.det` and
-`unimodular_inverse`), the block algebra of `core` (which converts each
-morphism's blocks once) and the generator's coefficients in
-`scenario.random_poly` run on it, with no `Fraction` made between their
-inputs and their outputs; `MultiPoly.__add__`, `MultiPoly.__mul__` and
-`PolyMatrix.__mul__` convert at their boundary.  There is deliberately
-no shared denominator per polynomial or per block, although one would make
-small generator inputs 20-33% faster here: with 32-digit coefficients the
-common denominator is the lcm of all of them, and every numerator grows to
-its size.  Composing two fully dense rank-3 morphisms with 8-term entries,
+`unimodular_inverse`), the block algebra of `core` and the generator's
+coefficients in `scenario.random_poly` run on it, and read and build the
+`_Pairs` of their polynomials directly: no `Fraction` is made between
+their inputs and their outputs, and no term list is sorted.  There is
+deliberately no shared denominator per polynomial or per block, although
+one would make small generator inputs 20-33% faster here: with 32-digit
+coefficients the common denominator is the lcm of all of them, and every
+numerator grows to its size.  Composing two fully dense rank-3 morphisms with 8-term entries,
 32-digit p/q coefficients and exponents up to 16 took 1.2-1.8 s with
 per-term pairs (1.5-2.5 s with a `Fraction` per term), 19-23 s with one
 denominator per polynomial and 113 s with one per block, on a 2-core host
@@ -79,9 +79,10 @@ eliminating them unreduced made `dvb check third-dual` 30x slower.
 Every random integer the library draws follows the stdlib's `randrange`
 rule, so it gives the values and leaves the rng state of `randint`.  Two
 loops read `rng.getrandbits` by it: `_draw`, over any spans, and the pair
-loop `_rational_draws`, which returns n pairs (p, q) as the lists (ps, qs)
-and feeds `random_rational`/`random_tuple` (the scenario generators) and the
-one sampler of every sampled check, `core._Sampler`.
+loop `_rational_draws`, which returns n rationals p/q as the lists (ps, qs),
+each pair divided by its gcd as it is drawn, and feeds `random_rational`/
+`random_tuple` (the scenario generators, which build their `Fraction`s with
+`_fraction`) and the one sampler of every sampled check, `core._Sampler`.
 """
 
 from __future__ import annotations
@@ -146,8 +147,9 @@ def _randint(rng: random.Random, lo: int, hi: int) -> int:
 
 
 def _rational_draws(rng: random.Random, n: int, bound: int) -> tuple[list[int], list[int]]:
-    """n pairs (p, q) as the lists (ps, qs), each p drawn from [-bound, bound]
-    and then q from [1, bound], by `_draw`'s rule in one loop."""
+    """n rationals p/q as the lists (ps, qs), each p drawn from [-bound, bound]
+    and then q from [1, bound], by `_draw`'s rule in one loop, and the pair
+    divided by gcd(p, q) as it is drawn: in lowest terms, with 0 as 0/1."""
     getrandbits, width = rng.getrandbits, 2 * bound + 1
     kp, kq = width.bit_length(), bound.bit_length()
     ps, qs = [], []
@@ -155,199 +157,38 @@ def _rational_draws(rng: random.Random, n: int, bound: int) -> tuple[list[int], 
         r = getrandbits(kp)
         while r >= width:
             r = getrandbits(kp)
-        ps.append(r - bound)
+        p = r - bound
         r = getrandbits(kq)
         while r >= bound:
             r = getrandbits(kq)
-        qs.append(r + 1)
+        g = gcd(p, r + 1)
+        ps.append(p // g)
+        qs.append((r + 1) // g)
     return ps, qs
+
+
+def _fraction(n: int, d: int) -> Fraction:
+    """n/d as a `Fraction`, for n and d already in lowest terms with d > 0:
+    its two slots are set as `Fraction` itself sets them, without a second
+    gcd, which costs as much as the kernel's own on a long coefficient."""
+    f = object.__new__(Fraction)
+    f._numerator, f._denominator = n, d
+    return f
 
 
 def random_rational(rng: random.Random, bound: int = 7) -> Fraction:
     """p/q with p drawn from [-bound, bound], then q from [1, bound]."""
     (p,), (q,) = _rational_draws(rng, 1, bound)
-    return Fraction(p, q)
+    return _fraction(p, q)
 
 
 def random_tuple(rng: random.Random, n: int, bound: int = 7) -> tuple[Fraction, ...]:
-    return tuple(map(Fraction, *_rational_draws(rng, n, bound)))
+    return tuple(map(_fraction, *_rational_draws(rng, n, bound)))
 
 
 def _term_key(item: tuple[Exponent, Fraction]) -> tuple[int, Exponent]:
     exps, _ = item
     return (sum(exps), exps)
-
-
-def _canonical(
-    vars: tuple[str, ...], data: Mapping[Exponent, Fraction]
-) -> tuple[tuple[Exponent, Fraction], ...]:
-    terms = []
-    for exps, coeff in data.items():
-        if coeff == 0:
-            continue
-        if len(exps) != len(vars):
-            raise ValueError(
-                f"exponent vector {exps} does not match arity {len(vars)}"
-            )
-        if any(k < 0 for k in exps):
-            raise ValueError(f"negative exponent in {exps}")
-        terms.append((tuple(exps), coeff))
-    terms.sort(key=_term_key, reverse=True)
-    return tuple(terms)
-
-
-@dataclass(frozen=True)
-class MultiPoly:
-    """Sparse polynomial with Fraction coefficients over named variables."""
-
-    vars: tuple[str, ...]
-    terms: tuple[tuple[Exponent, Fraction], ...]
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def from_dict(
-        vars: Sequence[str], data: Mapping[Exponent, Fraction | int | str]
-    ) -> MultiPoly:
-        vt = tuple(vars)
-        return MultiPoly(vt, _canonical(vt, {tuple(e): rat(c) for e, c in data.items()}))
-
-    @staticmethod
-    def zero(vars: Sequence[str]) -> MultiPoly:
-        return MultiPoly(tuple(vars), ())
-
-    @staticmethod
-    def const(vars: Sequence[str], value: Fraction | int | str) -> MultiPoly:
-        vt = tuple(vars)
-        c = rat(value)
-        if c == 0:
-            return MultiPoly(vt, ())
-        return MultiPoly(vt, (((0,) * len(vt), c),))
-
-    @staticmethod
-    def var(vars: Sequence[str], name: str) -> MultiPoly:
-        vt = tuple(vars)
-        if name not in vt:
-            raise ValueError(f"unknown variable {name!r}; have {vt}")
-        exps = tuple(1 if v == name else 0 for v in vt)
-        return MultiPoly(vt, ((exps, Fraction(1)),))
-
-    # -- helpers -----------------------------------------------------------
-
-    def _check_compatible(self, other: MultiPoly) -> None:
-        if self.vars != other.vars:
-            raise ValueError(
-                f"variable lists differ: {self.vars} vs {other.vars}"
-            )
-
-    def coeff(self, exps: Exponent) -> Fraction:
-        for e, c in self.terms:
-            if e == exps:
-                return c
-        return Fraction(0)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other: MultiPoly) -> MultiPoly:
-        self._check_compatible(other)
-        return _poly(self.vars, _pairs(self) + _pairs(other))
-
-    def __sub__(self, other: MultiPoly) -> MultiPoly:
-        return self + (-other)
-
-    def __neg__(self) -> MultiPoly:
-        return MultiPoly(self.vars, tuple((e, -c) for e, c in self.terms))
-
-    def __mul__(self, other: MultiPoly | Fraction | int) -> MultiPoly:
-        if isinstance(other, (Fraction, int)):
-            return self.scale(other)
-        self._check_compatible(other)
-        return _poly(self.vars, _sum_products(((_pairs(self), _pairs(other)),)))
-
-    def __rmul__(self, other: Fraction | int) -> MultiPoly:
-        return self.scale(other)
-
-    def scale(self, factor: Fraction | int | str) -> MultiPoly:
-        f = rat(factor)
-        if f == 0:
-            return MultiPoly.zero(self.vars)
-        return MultiPoly(self.vars, tuple((e, f * c) for e, c in self.terms))
-
-    def partial(self, name: str) -> MultiPoly:
-        """Formal partial derivative with respect to one variable."""
-        if name not in self.vars:
-            raise ValueError(f"unknown variable {name!r}; have {self.vars}")
-        idx = self.vars.index(name)
-        acc: dict[Exponent, Fraction] = {}
-        for e, c in self.terms:
-            k = e[idx]
-            if k == 0:
-                continue
-            de = e[:idx] + (k - 1,) + e[idx + 1 :]
-            acc[de] = acc.get(de, Fraction(0)) + c * k
-        return MultiPoly(self.vars, _canonical(self.vars, acc))
-
-    def eval(self, point: Sequence[Fraction | int | str]) -> Fraction:
-        """Evaluate at a rational point given in variable order: one plan entry."""
-        return PolyMatrix(self.vars, ((self,),)).eval_at(point)[0][0]
-
-    def compose(self, images: Sequence[MultiPoly]) -> MultiPoly:
-        """Substitute one polynomial per variable; images share a variable list."""
-        if len(images) != len(self.vars):
-            raise ValueError(
-                f"{len(images)} images for {len(self.vars)} variables"
-            )
-        if not images:
-            # Constant polynomial over no variables keeps its value.
-            return self
-        target = images[0].vars
-        for img in images:
-            if img.vars != target:
-                raise ValueError("images use differing variable lists")
-        out = MultiPoly.zero(target)
-        for e, c in self.terms:
-            term = MultiPoly.const(target, c)
-            for img, k in zip(images, e):
-                for _ in range(k):
-                    term = term * img
-            out = out + term
-        return out
-
-    def extend(self, vars: Sequence[str]) -> MultiPoly:
-        """Embed into a superset variable list (by name)."""
-        vt = tuple(vars)
-        pos = []
-        for v in self.vars:
-            if v not in vt:
-                raise ValueError(f"variable {v!r} missing from {vt}")
-            pos.append(vt.index(v))
-        acc: dict[Exponent, Fraction] = {}
-        for e, c in self.terms:
-            ne = [0] * len(vt)
-            for p, k in zip(pos, e):
-                ne[p] = k
-            acc[tuple(ne)] = acc.get(tuple(ne), Fraction(0)) + c
-        return MultiPoly(vt, _canonical(vt, acc))
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self.terms:
-            factors = []
-            if c != 1 or not any(e):
-                factors.append(str(c))
-            for name, k in zip(self.vars, e):
-                if k == 1:
-                    factors.append(name)
-                elif k > 1:
-                    factors.append(f"{name}^{k}")
-            parts.append("*".join(factors))
-        return " + ".join(parts).replace("+ -", "- ")
 
 
 class _Pairs(dict):
@@ -380,33 +221,183 @@ class _Pairs(dict):
         return _Pairs({e: (-n, d) for e, (n, d) in self.items()})
 
 
-def _pairs(p: MultiPoly) -> _Pairs:
-    return _Pairs({e: (c.numerator, c.denominator) for e, c in p.terms})
+def _constant(nvars: int, c: Fraction) -> _Pairs:
+    """The constant c over `nvars` variables, as pairs."""
+    return _Pairs({(0,) * nvars: (c.numerator, c.denominator)} if c else {})
 
 
-def _fraction(n: int, d: int) -> Fraction:
-    """n/d as a `Fraction`, for n and d already in lowest terms with d > 0:
-    its two slots are set as `Fraction` itself sets them, without a second
-    gcd, which costs as much as the kernel's own on a long coefficient."""
-    f = object.__new__(Fraction)
-    f._numerator, f._denominator = n, d
-    return f
+@dataclass(frozen=True)
+class MultiPoly:
+    """Sparse polynomial with rational coefficients over named variables.
 
+    It holds its variables and its `_Pairs`; `terms` is the sorted tuple of
+    (exponents, `Fraction`) made from them on first read.  The `_Pairs` of a
+    polynomial is shared with the polynomials, matrices and morphism blocks
+    built from it (`transpose` and the block algebra pass entries on), so
+    nothing may mutate it.  Equality and hashing compare (vars, pairs).
+    """
 
-def _poly(vars: tuple[str, ...], p: _Pairs) -> MultiPoly:
-    terms = [(e, _fraction(n, d)) for e, (n, d) in p.items()]
-    terms.sort(key=_term_key, reverse=True)
-    return MultiPoly(vars, tuple(terms))
+    vars: tuple[str, ...]
+    _pairs: _Pairs
 
+    def __hash__(self) -> int:
+        return hash((self.vars, frozenset(self._pairs.items())))
 
-def _pair_rows(rows):
-    """Nested-tuple matrix rows of `MultiPoly` in the kernel's form."""
-    return tuple(tuple([_pairs(p) for p in row]) for row in rows)
+    @cached_property
+    def terms(self) -> tuple[tuple[Exponent, Fraction], ...]:
+        terms = [(e, _fraction(n, d)) for e, (n, d) in self._pairs.items()]
+        terms.sort(key=_term_key, reverse=True)
+        return tuple(terms)
 
+    # -- constructors ------------------------------------------------------
 
-def _poly_rows(vars: tuple[str, ...], rows):
-    """Kernel-form matrix rows as rows of `MultiPoly` over `vars`."""
-    return tuple(tuple([_poly(vars, p) for p in row]) for row in rows)
+    @staticmethod
+    def from_dict(
+        vars: Sequence[str], data: Mapping[Exponent, Fraction | int | str]
+    ) -> MultiPoly:
+        vt = tuple(vars)
+        pairs = _Pairs()
+        for exps, c in {tuple(e): rat(c) for e, c in data.items()}.items():
+            if c == 0:
+                continue
+            if len(exps) != len(vt):
+                raise ValueError(f"exponent vector {exps} does not match arity {len(vt)}")
+            if any(k < 0 for k in exps):
+                raise ValueError(f"negative exponent in {exps}")
+            pairs[exps] = c.numerator, c.denominator
+        return MultiPoly(vt, pairs)
+
+    @staticmethod
+    def zero(vars: Sequence[str]) -> MultiPoly:
+        return MultiPoly(tuple(vars), _Pairs())
+
+    @staticmethod
+    def const(vars: Sequence[str], value: Fraction | int | str) -> MultiPoly:
+        vt = tuple(vars)
+        return MultiPoly(vt, _constant(len(vt), rat(value)))
+
+    @staticmethod
+    def var(vars: Sequence[str], name: str) -> MultiPoly:
+        vt = tuple(vars)
+        if name not in vt:
+            raise ValueError(f"unknown variable {name!r}; have {vt}")
+        exps = tuple(1 if v == name else 0 for v in vt)
+        return MultiPoly(vt, _Pairs({exps: (1, 1)}))
+
+    # -- helpers -----------------------------------------------------------
+
+    def _check_compatible(self, other: MultiPoly) -> None:
+        if self.vars != other.vars:
+            raise ValueError(
+                f"variable lists differ: {self.vars} vs {other.vars}"
+            )
+
+    def coeff(self, exps: Exponent) -> Fraction:
+        pair = self._pairs.get(tuple(exps))
+        return Fraction(0) if pair is None else _fraction(*pair)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._pairs
+
+    # -- arithmetic --------------------------------------------------------
+
+    def __add__(self, other: MultiPoly) -> MultiPoly:
+        self._check_compatible(other)
+        return MultiPoly(self.vars, self._pairs + other._pairs)
+
+    def __sub__(self, other: MultiPoly) -> MultiPoly:
+        return self + (-other)
+
+    def __neg__(self) -> MultiPoly:
+        return MultiPoly(self.vars, -self._pairs)
+
+    def __mul__(self, other: MultiPoly | Fraction | int) -> MultiPoly:
+        if isinstance(other, (Fraction, int)):
+            return self.scale(other)
+        self._check_compatible(other)
+        return MultiPoly(self.vars, _sum_products(((self._pairs, other._pairs),)))
+
+    def __rmul__(self, other: Fraction | int) -> MultiPoly:
+        return self.scale(other)
+
+    def scale(self, factor: Fraction | int | str) -> MultiPoly:
+        f = _constant(len(self.vars), rat(factor))
+        return MultiPoly(self.vars, _sum_products(((self._pairs, f),)))
+
+    def partial(self, name: str) -> MultiPoly:
+        """Formal partial derivative with respect to one variable."""
+        if name not in self.vars:
+            raise ValueError(f"unknown variable {name!r}; have {self.vars}")
+        idx = self.vars.index(name)
+        # distinct exponents stay distinct, and n k / d needs only gcd(k, d)
+        out = _Pairs()
+        for e, (n, d) in self._pairs.items():
+            k = e[idx]
+            if k:
+                g = gcd(k, d)
+                out[e[:idx] + (k - 1,) + e[idx + 1 :]] = n * (k // g), d // g
+        return MultiPoly(self.vars, out)
+
+    def eval(self, point: Sequence[Fraction | int | str]) -> Fraction:
+        """Evaluate at a rational point given in variable order: one plan entry."""
+        return PolyMatrix(self.vars, ((self,),)).eval_at(point)[0][0]
+
+    def compose(self, images: Sequence[MultiPoly]) -> MultiPoly:
+        """Substitute one polynomial per variable; images share a variable list."""
+        if len(images) != len(self.vars):
+            raise ValueError(
+                f"{len(images)} images for {len(self.vars)} variables"
+            )
+        if not images:
+            # Constant polynomial over no variables keeps its value.
+            return self
+        target = images[0].vars
+        for img in images:
+            if img.vars != target:
+                raise ValueError("images use differing variable lists")
+        # sum over the terms c x^e of c times the product of the images' powers
+        zero = (0,) * len(target)
+        products = []
+        for e, pair in self._pairs.items():
+            term = _Pairs({zero: (1, 1)})
+            for img, k in zip(images, e):
+                for _ in range(k):
+                    term = _sum_products(((term, img._pairs),))
+            products.append((_Pairs({zero: pair}), term))
+        return MultiPoly(target, _sum_products(products))
+
+    def extend(self, vars: Sequence[str]) -> MultiPoly:
+        """Embed into a superset variable list (by name)."""
+        vt = tuple(vars)
+        pos = []
+        for v in self.vars:
+            if v not in vt:
+                raise ValueError(f"variable {v!r} missing from {vt}")
+            pos.append(vt.index(v))
+        out = _Pairs()
+        for e, pair in self._pairs.items():
+            ne = [0] * len(vt)
+            for p, k in zip(pos, e):
+                ne[p] = k
+            out[tuple(ne)] = pair
+        return MultiPoly(vt, out)
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        parts = []
+        for e, c in self.terms:
+            factors = []
+            if c != 1 or not any(e):
+                factors.append(str(c))
+            for name, k in zip(self.vars, e):
+                if k == 1:
+                    factors.append(name)
+                elif k > 1:
+                    factors.append(f"{name}^{k}")
+            parts.append("*".join(factors))
+        return " + ".join(parts).replace("+ -", "- ")
 
 
 def _sum_products(pairs) -> _Pairs:
@@ -474,22 +465,23 @@ class _EvalPlan:
     __slots__ = ("monomials", "powers", "den", "matrices", "last")
 
     def __init__(self, matrices, dim: int):
-        terms = [t for m in matrices for row in m for p in row for t in p.terms]
+        polys = [p._pairs for m in matrices for row in m for p in row]
         index: dict[Exponent, int] = {}
-        for e, _ in terms:
-            index.setdefault(e, len(index))
+        for pairs in polys:
+            for e in pairs:
+                index.setdefault(e, len(index))
         used = [i for i in range(dim) if any(e[i] for e in index)]
         self.monomials = tuple(tuple([e[i] for i in used]) for e in index)
         self.powers = tuple(
             (i, max(ks), tuple(ks))
             for i, ks in ((i, {e[i] for e in index}) for i in used)
         )
-        self.den = den = lcm(*[c.denominator for _, c in terms])
+        self.den = den = lcm(*[d for pairs in polys for _, d in pairs.values()])
 
         def entry(p: MultiPoly):
             return (
-                tuple([index[e] for e, _ in p.terms]),
-                tuple([c.numerator * (den // c.denominator) for _, c in p.terms]),
+                tuple([index[e] for e in p._pairs]),
+                tuple([n * (den // d) for n, d in p._pairs.values()]),
             )
 
         self.matrices = tuple(
@@ -717,9 +709,19 @@ class PolyMatrix:
             self.vars, self.rows, self.cols, lambda i, j: -self.entries[i][j]
         )
 
+    @staticmethod
+    def _of_pairs(vars: tuple[str, ...], rows) -> PolyMatrix:
+        """The matrix whose entries hold the `_Pairs` of `rows` as they are."""
+        return PolyMatrix(vars, tuple(tuple([MultiPoly(vars, p) for p in row]) for row in rows))
+
+    @property
+    def _pairs(self):
+        """The entries' own `_Pairs`, row by row, as the kernel takes them."""
+        return tuple(tuple([p._pairs for p in row]) for row in self.entries)
+
     def __mul__(self, other: PolyMatrix) -> PolyMatrix:
-        product = mat_mul(_pair_rows(self.entries), _pair_rows(other.entries), other.cols)
-        return PolyMatrix(self.vars, _poly_rows(self.vars, product))
+        product = mat_mul(self._pairs, other._pairs, other.cols)
+        return PolyMatrix._of_pairs(self.vars, product)
 
     def scale(self, factor: Fraction | int) -> PolyMatrix:
         return PolyMatrix.build(
@@ -744,8 +746,8 @@ class PolyMatrix:
     def det(self) -> MultiPoly:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        minors = _extend_minors(_unit_table(len(self.vars)), _pair_rows(self.entries))
-        return _poly(self.vars, minors.get((1 << self.rows) - 1, _Pairs()))
+        minors = _extend_minors(_unit_table(len(self.vars)), self._pairs)
+        return MultiPoly(self.vars, minors.get((1 << self.rows) - 1, _Pairs()))
 
     def unimodular_inverse(self) -> PolyMatrix | None:
         """Polynomial inverse when the determinant is a nonzero constant.
@@ -755,8 +757,8 @@ class PolyMatrix:
         """
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        inverse = _unimodular_inverse(_pair_rows(self.entries), len(self.vars))
-        return None if inverse is None else PolyMatrix(self.vars, _poly_rows(self.vars, inverse))
+        inverse = _unimodular_inverse(self._pairs, len(self.vars))
+        return None if inverse is None else PolyMatrix._of_pairs(self.vars, inverse)
 
 
 def _unit_table(nvars: int) -> dict[int, _Pairs]:

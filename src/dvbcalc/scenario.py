@@ -57,7 +57,6 @@ import zlib
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from math import gcd
 
 from .core import Chart, DecomposedDVB, DVBMorphism, VectorBundle
 from .geomech import (
@@ -80,11 +79,9 @@ from .ring import (
     _check_grid,
     _draw,
     _Pairs,
-    _poly,
     _randint,
     _rational_draws,
     _span,
-    _term_key,
 )
 
 
@@ -388,8 +385,7 @@ def parse_poly(obj, vars: tuple[str, ...], where: str) -> MultiPoly:
             except ValueError as exc:
                 raise _term_error(where, pos, f": like terms sum to {exc}") from exc
         acc[key] = coeff
-    terms = sorted([(e, c) for e, c in acc.items() if c], key=_term_key, reverse=True)
-    return MultiPoly(vars, tuple(terms))
+    return MultiPoly(vars, _Pairs({e: (c.numerator, c.denominator) for e, c in acc.items() if c}))
 
 
 # How many lists deep each field shape nests its polynomial literals.
@@ -671,9 +667,8 @@ def random_poly(rng: random.Random, vars, max_degree: int) -> MultiPoly:
         # the draws of `random_rational`, summed in the kernel form
         (p,), (q,) = _rational_draws(rng, 1, 7)
         if p:
-            g = gcd(p, q)
-            acc += _Pairs({tuple(exps): (p // g, q // g)})
-    return _poly(vt, acc)
+            acc += _Pairs({tuple(exps): (p, q)})
+    return MultiPoly(vt, acc)
 
 
 def random_poly_vector(rng, vars, n: int, max_degree: int) -> tuple[MultiPoly, ...]:

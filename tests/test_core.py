@@ -46,7 +46,6 @@ from dvbcalc.duality import left_dual, pair_l, pair_r, right_dual, right_dual_mo
 from dvbcalc.ring import (
     MultiPoly,
     PolyMatrix,
-    _pair_rows,
     _rational_draws,
     random_rational,
     random_tuple,
@@ -336,29 +335,45 @@ def test_invert_roundtrip():
     assert phi.apply(inv.apply(v)) == v
 
 
-def fresh_blocks(phi):
-    """A morphism's blocks converted anew from its MultiPoly rows."""
-    return tuple((_pair_rows(rows), 1) for rows in phi._rows())
-
-
 def symbolic_results(phi):
     return invert_morphism_poly(phi), right_dual_morphism_poly(phi), compose_morphisms(phi, phi)
 
 
+def pair_copies(phi):
+    """Plain copies of a morphism's pairs, block by block."""
+    return [[[dict(p) for p in row] for row in rows] for rows, _ in phi._blocks()]
+
+
+def parsed_morphism(seed):
+    return scenario_from_text(scenario_to_text(gen_random_scenario(seed))).morphism
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_kernel_blocks_are_built_once_and_match_the_rows(seed):
-    """A parsed morphism converts its blocks once; the results of the block
-    algebra keep the blocks that built them, and no operation changes the
-    blocks it reads."""
-    phi = scenario_from_text(scenario_to_text(gen_random_scenario(seed))).morphism
-    blocks = phi._blocks
-    assert blocks == fresh_blocks(phi)
+    """A morphism's kernel blocks are its entries' own pairs, built once with
+    the entries; the results of the block algebra hold the pairs it built,
+    and no operation changes the pairs it reads."""
+    phi = parsed_morphism(seed)
+    before = pair_copies(phi)
     first = symbolic_results(phi)
-    for result in first:
-        assert result._blocks == fresh_blocks(result)
+    for m in (phi, *first):
+        for (rows, den), entries in zip(m._blocks(), m._rows()):
+            assert den == 1
+            assert all(p is q._pairs for row, qs in zip(rows, entries) for p, q in zip(row, qs))
     assert symbolic_results(phi) == first
-    assert phi._blocks is blocks and blocks == fresh_blocks(phi)
+    assert pair_copies(phi) == before
     assert compose_morphisms(first[0], phi) == identity_morphism(phi.source)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_block_algebra_reads_no_terms_view(seed):
+    """The polynomial inverse, right dual and composite run on the pairs:
+    neither the parsed entries nor the results' entries make their sorted
+    `Fraction` terms."""
+    phi = parsed_morphism(seed)
+    for m in (phi, *symbolic_results(phi)):
+        for rows in m._rows():
+            assert not any("terms" in vars(p) for row in rows for p in row)
 
 
 def test_invert_poly_matches_pointwise():
@@ -700,15 +715,16 @@ def test_morphism_apply_checks_the_bundle_before_the_plan():
 
 @pytest.mark.parametrize("bound", [1, 7, 49, 1000])
 def test_kernel_draws_equal_random_tuple(bound):
-    """The pair loop gives the `randint(-b, b)`, `randint(1, b)` pairs and
-    the rng state of the stdlib, and `slots` the same values in lowest
-    terms; 1000 is the cap on a scenario's bound."""
+    """The pair loop gives the `randint(-b, b)`, `randint(1, b)` pairs in
+    lowest terms and the rng state of the stdlib, and `slots` the same values
+    in lowest terms; 1000 is the cap on a scenario's bound."""
     for seed in range(200):
         for n in range(6):
             ours, theirs = random.Random(seed), random.Random(seed)
             pairs = [(theirs.randint(-bound, bound), theirs.randint(1, bound)) for _ in range(n)]
+            lowest = [(p // gcd(p, q), q // gcd(p, q)) for p, q in pairs]
             ps, qs = _rational_draws(ours, n, bound)
-            assert (ps, qs) == ([p for p, _ in pairs], [q for _, q in pairs])
+            assert (ps, qs) == ([p for p, _ in lowest], [q for _, q in lowest])
             assert ours.getstate() == theirs.getstate()
             ours, theirs = random.Random(seed), random.Random(seed)
             slots = _Sampler(ours, None, bound).slots(n)

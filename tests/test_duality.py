@@ -23,6 +23,7 @@ from dvbcalc.core import (
     tangent_prolongation,
 )
 from dvbcalc.duality import (
+    _grid_slots,
     _pair,
     _same,
     ProjectionMismatchError,
@@ -478,6 +479,17 @@ def test_relation_on_exhaustive_grid():
     wrong = good.bundle.element((), (), (good.c[0], good.c[1] - 1), (good.e[0] + 1,))
     assert verify_R_relation(w, good, grid=(0, 1))
     assert not verify_R_relation(w, wrong, grid=(0, 1))
+
+
+def test_grid_slots_cover_the_tuple_exactly():
+    """The grid's cut takes its widths from the ranks; a tuple one entry
+    short (here the (0, 2, 1) bundle's E* slot) raises instead of pairing a
+    short slot."""
+    ranks = DecomposedDVB(Chart.of_dim(0), 0, 2, 1).ranks
+    values = tuple(map(Fraction, (1, 2, 3)))
+    assert _grid_slots(values, ranks) == [((), 1), ((1, 2), 1), ((3,), 1)]
+    with pytest.raises(ValueError, match="2 values for slots of ranks"):
+        _grid_slots(values[:2], ranks)
 
 
 def test_relation_fixes_core_free_points():

@@ -5,6 +5,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,13 +13,14 @@ from hypothesis import strategies as st
 
 from dvbcalc.core import Chart, DecomposedDVB
 from dvbcalc.geomech import (
+    CoreSection,
     bivector_linear_shape,
     is_closed,
     is_degree_zero,
     is_linear_oneform,
     is_symmetric_connection,
 )
-from dvbcalc.ring import MultiPoly, _draw, _randint, _span, random_rational
+from dvbcalc.ring import MultiPoly, _draw, _randint, _span, _term_key, random_rational
 from dvbcalc.scenario import (
     SECTIONS,
     InconsistentScenarioError,
@@ -27,6 +29,7 @@ from dvbcalc.scenario import (
     derive_seed,
     gen_random_scenario,
     parse_number,
+    parse_poly,
     random_bivector,
     random_connection,
     random_metric,
@@ -820,3 +823,51 @@ def test_random_poly_matches_the_fraction_sum_and_its_draws():
                 assert ours.getstate() == theirs.getstate()
                 cancelled += gone
     assert cancelled  # two like terms cancel in some case
+
+
+# -- every construction route gives one polynomial ---------------------------
+
+ROUTE_CHART = Chart.of_dim(2)
+coefficient_maps = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.builds(Fraction, st.integers(-40, 40), st.integers(1, 40)),
+    max_size=6,
+)
+
+
+def literal_route(p):
+    """The polynomial read back from its literal in `scenario_to_text`."""
+    sc = Scenario(DecomposedDVB(ROUTE_CHART, 0, 1, 0), core_section=CoreSection(ROUTE_CHART, (p,)))
+    (literal,) = json.loads(scenario_to_text(sc))["core_section"]["gamma"]
+    return parse_poly(literal, ROUTE_CHART.names, "gamma")
+
+
+def term_sum_route(names, data):
+    """The sum of c x1^i x2^j, each made from a constant and variable products."""
+    total = MultiPoly.zero(names)
+    for exps, c in data.items():
+        term = MultiPoly.const(names, c)
+        for name, k in zip(names, exps):
+            for _ in range(k):
+                term = term * MultiPoly.var(names, name)
+        total = total + term
+    return total
+
+
+@given(coefficient_maps)
+def test_every_construction_route_gives_one_polynomial(data):
+    names = ROUTE_CHART.names
+    p = MultiPoly.from_dict(names, data)
+    routes = (
+        p,
+        literal_route(p),
+        term_sum_route(names, data),
+        p.compose([MultiPoly.var(names, name) for name in names]),
+    )
+    want = sorted(((e, c) for e, c in data.items() if c), key=_term_key, reverse=True)
+    for q in routes:
+        assert q == p and hash(q) == hash(p)
+        assert list(q.terms) == want and str(q) == str(p)
+        for _, c in q.terms:
+            assert type(c) is Fraction and c.denominator > 0
+            assert gcd(c.numerator, c.denominator) == 1

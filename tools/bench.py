@@ -16,7 +16,9 @@ It runs, one after another and never in parallel:
   10 s), each standalone and three times;
 * the number of `Fraction.__new__` calls in one in-process round of
   `run_suite("all", gen_random_scenario(s))` for s = 0-11, with the
-  scenarios built before counting starts;
+  scenarios built before counting starts (`fraction_new.calls`), and apart
+  from them the `Fraction`s that `ring._fraction` builds from lowest-terms
+  pairs without `__new__` (`fraction_new.kernel_fractions`);
 * `dvb check third-dual` on the worst-case file dense8t3, `load_scenario`
   of dense8t12 and `compose_morphisms` of compose-t8r3-outer after
   compose-t8r3-inner (printing the composite's scenario text), all files
@@ -71,26 +73,41 @@ RUN_SECONDS = BENCHMARK["run_seconds"]
 REPEATS = 3
 CRITERION_1 = "tests/test_acceptance.py::test_criterion_1"
 CRITERION_1_GATE_S = 10.0
-# run in a fresh interpreter on the checkout's src/; prints the call count
+# run in a fresh interpreter on the checkout's src/; prints the number of
+# `Fraction.__new__` calls, then the number of `ring._fraction` calls (bound
+# by name in every dvbcalc module that imports it, so each is rebound there)
 FRACTION_ROUND = """
-import fractions
+import fractions, sys
+from dvbcalc import ring
 from dvbcalc.scenario import gen_random_scenario
 from dvbcalc.suites import run_suite
 
 scenarios = [gen_random_scenario(s) for s in range(12)]
 saved = fractions.Fraction.__dict__["__new__"]
-calls = 0
+made = ring._fraction
+calls = kernel = 0
 
 def counting(cls, *args, **kwargs):
     global calls
     calls += 1
     return saved.__func__(cls, *args, **kwargs)
 
+def counting_kernel(n, d):
+    global kernel
+    kernel += 1
+    return made(n, d)
+
+modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "dvbcalc"]
+bound = [m for m in modules if vars(m).get("_fraction") is made]
 fractions.Fraction.__new__ = staticmethod(counting)
+for m in bound:
+    m._fraction = counting_kernel
 for sc in scenarios:
     run_suite("all", sc)
 fractions.Fraction.__new__ = saved
-print(calls)
+for m in bound:
+    m._fraction = made
+print(calls, kernel)
 """
 LOAD_SCENARIO = "import sys\nfrom dvbcalc.scenario import load_scenario\nload_scenario(sys.argv[1])"
 # prints the scenario text of the outer file with its morphism replaced by
@@ -194,9 +211,11 @@ def _tests(root: Path) -> dict:
 
 def _fraction_calls(root: Path) -> dict:
     _, out = _timed(root, [sys.executable, "-c", FRACTION_ROUND])
+    calls, kernel = map(int, out.strip().splitlines()[-1].split())
     return {
         "round": 'run_suite("all", gen_random_scenario(s)) for s = 0-11',
-        "calls": int(out.strip().splitlines()[-1]),
+        "calls": calls,
+        "kernel_fractions": kernel,
     }
 
 

@@ -22,6 +22,8 @@ from pathlib import Path
 
 import pytest
 
+from dvbcalc import core
+from dvbcalc.core import Chart, DecomposedDVB
 from dvbcalc.duality import canonical_R, verify_R_relation
 from dvbcalc.geomech import (
     horizontal_lagrangian_check,
@@ -33,7 +35,7 @@ from dvbcalc.geomech import (
     vf_is_bundle_morphism,
     vf_linearity_on_cotangent,
 )
-from dvbcalc.scenario import gen_random_scenario
+from dvbcalc.scenario import Scenario, gen_random_scenario, scenario_from_obj
 from dvbcalc.suites import run_suite
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dvbcalc"
@@ -121,6 +123,63 @@ CASES = [
 def test_draw_order_is_pinned(name, index, monkeypatch):
     digest = _digest(monkeypatch, lambda: CRITERIA[name](SCENARIOS[index]))
     assert digest == DIGESTS[name, index]
+
+
+def _off_by_one_add(monkeypatch):
+    """The broken kernel add of `tests/test_suites.py`: every axioms property
+    but the interchange law fails, axioms.05 at its first check."""
+    original = core._vec_add
+
+    def off_by_one(a, b):
+        nums, _ = a
+        return original(original(a, b), ((1,) * len(nums), 1))
+
+    monkeypatch.setattr(core, "_vec_add", off_by_one)
+    sc = Scenario(bundle=DecomposedDVB(Chart.of_dim(2), 2, 1, 2), seed=3, samples=9, bound=4)
+    return lambda: run_suite("axioms", sc)
+
+
+def _singular_on_a_hyperplane(monkeypatch):
+    """Phi_r = x1 and Psi = x1 over a chart of dim 2 with coordinate bound 1:
+    about a third of the points lie on x1 = 0, so duality.05 redraws."""
+
+    def lit(exps):
+        return [[[{"coeff": "1", "exps": exps}]]]
+
+    sc = scenario_from_obj({
+        "bundle": {"n": 2, "n_F": 1, "n_C": 1, "n_E": 1},
+        "morphism": {
+            "Phi_l": lit([0, 0]), "Phi_c": lit([0, 0]), "Phi_r": lit([1, 0]), "Psi": [lit([1, 0])]
+        },
+        "plan": {"seed": 2, "samples": 6, "bound": 1},
+    })
+    return lambda: run_suite("duality", sc)
+
+
+# failing and redrawn runs; the verdict is each property's id, pass and detail
+RUNS = {"axioms_under_broken_add": _off_by_one_add, "duality_redrawn": _singular_on_a_hyperplane}
+
+# recorded from the code before the sampler's draws moved into one kernel
+RUN_DIGESTS = {
+    "axioms_under_broken_add": "64f123c746fa301811c3aea2f8638e87facdc61cfad4865bf6bf0ffd4646e6b2",
+    "duality_redrawn": "6547a2a92c9c2cdd80bdc02b0771feaaf8f643c76066f020cb4d5cdf5ea95afb",
+}
+
+
+def _verdicts(report):
+    return [(r.prop_id, r.passed, r.detail) for r in report.results]
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_failing_and_redrawn_draw_orders_are_pinned(name, monkeypatch):
+    run = RUNS[name](monkeypatch)
+    verdicts = _verdicts(run())
+    if name == "duality_redrawn":
+        assert any("singular points redrawn" in detail for _, _, detail in verdicts)
+    else:
+        failed = [prop[7:9] for prop, passed, _ in verdicts if not passed]
+        assert failed == ["01", "02", "04", "05", "06", "07"]
+    assert _digest(monkeypatch, lambda: _verdicts(run())) == RUN_DIGESTS[name]
 
 
 DRAWS = {"random_tuple", "random_rational", "_rational_draws", "_random_slots"}

@@ -27,10 +27,10 @@ routines directly.  `_apply_blocks` reads a morphism's blocks as integer
 matrices over one denominator per block.
 
 Every sampled check, in the suites, `geomech` and `duality`, draws through
-one `_Sampler` (an rng, a bundle and a coordinate bound), whose `slots` and
-`element` turn the lowest-terms pairs (p, q) of `ring._rational_draws`, in
-the order of `random_tuple`, into slot vectors without a `Fraction` or a
-vector gcd.
+one `_Sampler` (an rng, a bundle and a coordinate bound), each of whose
+draws is one call of `ring._draw_sample`, the library's one pair loop: a
+chart point and then slot vectors in lowest terms, without a `Fraction` per
+slot entry or a vector gcd.
 
 Morphisms between decomposed bundles over the same chart are block maps over
 the identity of the base,
@@ -76,10 +76,13 @@ from .ring import (
     SingularMatrixError,
     _check_grid,
     _adjugate,
+    _draw,
+    _draw_sample,
     _EvalPlan,
     _frac_rows,
+    _fraction,
     _randint,
-    _rational_draws,
+    _span,
     _unimodular_inverse,
     mat_mul,
     random_rational,
@@ -288,6 +291,12 @@ def _slots_of(values: Sequence[Fraction]) -> _Slots:
     return _reduced([a.numerator * (den // a.denominator) for a in values], den)
 
 
+def _scalar(slots: _Slots) -> Fraction:
+    """A slot vector of length 1 as its `Fraction`; it is in lowest terms."""
+    (n,), d = slots
+    return _fraction(n, d)
+
+
 def _fractions(slots: _Slots) -> tuple[Fraction, ...]:
     nums, den = slots
     return tuple([Fraction(n, den) for n in nums])
@@ -449,9 +458,13 @@ def _apply_blocks(source, target, int_blocks_at, v: DVBElement) -> DVBElement:
 class _Sampler:
     """The draws of one sampled check: its rng, a bundle and the coordinate bound.
 
-    Every draw comes from the one rng in call order, so a check replays
-    from its seed.  `point` reads the bundle's chart, which a vector bundle
-    also has; `element` needs a decomposed bundle.
+    Every draw comes from the one rng in call order, so a check replays from
+    its seed, and each method is one call of `ring._draw_sample`.  `sample`
+    draws a point of the bundle's chart (a vector bundle has one too) and
+    one slot vector per length; `element` needs a decomposed bundle.  A
+    checker takes what it draws before anything that can raise, redraw or
+    return in one `sample` or `draw` (a scalar is a slot vector of length 1,
+    `_scalar`); a draw after such a point is a call of its own.
     """
 
     __slots__ = ("rng", "bundle", "bound")
@@ -465,6 +478,14 @@ class _Sampler:
         """The same draws over another bundle, such as a dual or a shell."""
         return _Sampler(self.rng, bundle, self.bound)
 
+    def sample(self, *lengths: int) -> list:
+        """A point of the chart, then one slot vector per length."""
+        return _draw_sample(self.rng, self.bound, self.bundle.chart.dim, lengths)
+
+    def draw(self, *lengths: int) -> list[_Slots]:
+        """One slot vector per length."""
+        return _draw_sample(self.rng, self.bound, 0, lengths)[1:]
+
     def rational(self) -> Fraction:
         return random_rational(self.rng, self.bound)
 
@@ -476,28 +497,21 @@ class _Sampler:
 
     def positives(self, n: int) -> list[int]:
         """n integers from [1, bound]."""
-        return [_randint(self.rng, 1, self.bound) for _ in range(n)]
+        return _draw(self.rng, (_span(1, self.bound),) * n)
 
     def slots(self, n: int) -> _Slots:
-        """`rationals(n)` as a slot vector, from the same draws.  Each p/q is
-        in lowest terms, so the vector over the lcm of the q is too: for each
-        prime of the lcm, the q holding its full power has a numerator
-        p (lcm / q) that the prime does not divide."""
-        ps, qs = _rational_draws(self.rng, n, self.bound)
-        den = lcm(*qs)
-        return tuple([p * (den // q) for p, q in zip(ps, qs)]), den
+        return _draw_sample(self.rng, self.bound, 0, (n,))[1]
 
     def element(self, x=None, f=None, c=None, e=None) -> DVBElement:
-        """An element of the bundle; the slots not given are drawn in order,
-        and the slots given are slot vectors."""
-        b = self.bundle
-        return DVBElement._of_slots(
-            b,
-            self.point() if x is None else x,
-            self.slots(b.n_F) if f is None else f,
-            self.slots(b.n_C) if c is None else c,
-            self.slots(b.n_E) if e is None else e,
-        )
+        """An element of the bundle from one draw of the slots not given, in
+        order, after its point unless x is given; given slots are slot vectors."""
+        b, given = self.bundle, (f, c, e)
+        lengths = [n for n, slot in zip(b.ranks, given) if slot is None]
+        dim = b.chart.dim if x is None else 0
+        point, *drawn = _draw_sample(self.rng, self.bound, dim, lengths)
+        drawn = iter(drawn)
+        slots = [next(drawn) if slot is None else slot for slot in given]
+        return DVBElement._of_slots(b, point if x is None else x, *slots)
 
     def seed(self) -> int:
         """A seed for a sampled criterion that keeps its own sampler."""

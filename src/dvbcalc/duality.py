@@ -245,7 +245,7 @@ def verify_R_relation(
         )
     else:
         s = _Sampler(random.Random(seed), bundle)
-        pool = ([s.slots(n) for n in bundle.ranks] for _ in range(samples))
+        pool = (s.draw(*bundle.ranks) for _ in range(samples))
 
     _, x, _, _, e = v._key
     phi_f = phi._f

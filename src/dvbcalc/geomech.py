@@ -49,6 +49,7 @@ from .core import (
     _pairing,
     _reduced,
     _Sampler,
+    _scalar,
     _signed_identity,
     _slot,
     _slots_of,
@@ -126,9 +127,9 @@ def _fiber_linear(coeffs: Sequence[MultiPoly], vars: tuple[str, ...]) -> MultiPo
 def _respects_both_structures(shell: DecomposedDVB, image, samples: int, seed: int) -> bool:
     """Sampled test that `image`, a map into a shell, respects both structures.
 
-    Each sample draws x, e, e2, f, f2, c, c2, r in that order and builds
-    u = (x | f | c | e), v = (x | f2 | c2 | e) sharing e with u, and
-    w = (x | f | c2 | e2) sharing f with u, on slot vectors.  The image must
+    Each sample draws x, e, e2, f, f2, c, c2, r in that order, in one call,
+    and builds u = (x | f | c | e), v = (x | f2 | c2 | e) sharing e with u,
+    and w = (x | f | c2 | e2) sharing f with u, on slot vectors.  The image must
     turn the right sum and scaling of (u, v) and the left sum and scaling of
     (u, w) into the same sum and scaling of the images; a double-linear
     function is checked as a map into the core line (`_into_line`).
@@ -137,9 +138,8 @@ def _respects_both_structures(shell: DecomposedDVB, image, samples: int, seed: i
     n_f, n_c, n_e = shell.ranks
     element = DVBElement._of_slots
     for _ in range(samples):
-        x = s.point()
-        e, e2, f, f2, c, c2 = (s.slots(n) for n in (n_e, n_e, n_f, n_f, n_c, n_c))
-        r = s.rational()
+        x, e, e2, f, f2, c, c2, r = s.sample(n_e, n_e, n_f, n_f, n_c, n_c, 1)
+        r = _scalar(r)
         u = element(shell, x, f, c, e)
         at_u = image(u)
         try:
@@ -177,9 +177,8 @@ def _section_is_bundle_morphism(bundle: VectorBundle, image, samples: int, seed:
     """
     s = _Sampler(random.Random(seed), bundle)
     for _ in range(samples):
-        x = s.point()
-        e1, e2 = s.slots(bundle.rank), s.slots(bundle.rank)
-        r = s.rational()
+        x, e1, e2, r = s.sample(bundle.rank, bundle.rank, 1)
+        r = _scalar(r)
         v1, v2 = image(x, e1), image(x, e2)
         if v1._f != v2._f:
             return False

@@ -78,11 +78,12 @@ eliminating them unreduced made `dvb check third-dual` 30x slower.
 
 Every random integer the library draws follows the stdlib's `randrange`
 rule, so it gives the values and leaves the rng state of `randint`.  Two
-loops read `rng.getrandbits` by it: `_draw`, over any spans, and the pair
-loop `_rational_draws`, which returns n rationals p/q as the lists (ps, qs),
-each pair divided by its gcd as it is drawn, and feeds `random_rational`/
-`random_tuple` (the scenario generators, which build their `Fraction`s with
-`_fraction`) and the one sampler of every sampled check, `core._Sampler`.
+loops read `rng.getrandbits` by it: `_draw`, over integer spans, and the one
+pair loop `_draw_sample`, which draws a whole sample of rationals p/q in one
+call, a chart point of `Fraction`s and then one slot vector per length, and
+places each pair, divided by its gcd, on its vector's running lcm as it is
+drawn.  `random_rational`, `random_tuple`, the scenario generators and the
+one sampler of every sampled check, `core._Sampler`, are wrappers over it.
 """
 
 from __future__ import annotations
@@ -146,27 +147,6 @@ def _randint(rng: random.Random, lo: int, hi: int) -> int:
     return _draw(rng, (_span(lo, hi),))[0]
 
 
-def _rational_draws(rng: random.Random, n: int, bound: int) -> tuple[list[int], list[int]]:
-    """n rationals p/q as the lists (ps, qs), each p drawn from [-bound, bound]
-    and then q from [1, bound], by `_draw`'s rule in one loop, and the pair
-    divided by gcd(p, q) as it is drawn: in lowest terms, with 0 as 0/1."""
-    getrandbits, width = rng.getrandbits, 2 * bound + 1
-    kp, kq = width.bit_length(), bound.bit_length()
-    ps, qs = [], []
-    for _ in range(n):
-        r = getrandbits(kp)
-        while r >= width:
-            r = getrandbits(kp)
-        p = r - bound
-        r = getrandbits(kq)
-        while r >= bound:
-            r = getrandbits(kq)
-        g = gcd(p, r + 1)
-        ps.append(p // g)
-        qs.append((r + 1) // g)
-    return ps, qs
-
-
 def _fraction(n: int, d: int) -> Fraction:
     """n/d as a `Fraction`, for n and d already in lowest terms with d > 0:
     its two slots are set as `Fraction` itself sets them, without a second
@@ -176,14 +156,52 @@ def _fraction(n: int, d: int) -> Fraction:
     return f
 
 
+def _draw_sample(rng: random.Random, bound: int, dim: int, lengths) -> list:
+    """A chart point of `dim` rationals p/q as `Fraction`s, then one slot
+    vector per length.  Each p is drawn from [-bound, bound] and then its q
+    from [1, bound] by `_draw`'s rule, and the pair is divided by its gcd.  A
+    slot vector (nums, den) places each pair on the running lcm den of its
+    denominators, so it ends in lowest terms, a zero vector over 1: for each
+    prime of den, the q holding its full power has a numerator p (den / q)
+    that the prime does not divide."""
+    getrandbits, width = rng.getrandbits, 2 * bound + 1
+    kp, kq = width.bit_length(), bound.bit_length()
+    # an empty `out` marks the point, the first vector; a point chart has ()
+    out = [] if dim else [()]
+    for n in (dim, *lengths) if dim else lengths:
+        vec, den = [], 1
+        for _ in range(n):
+            r = getrandbits(kp)
+            while r >= width:
+                r = getrandbits(kp)
+            p = r - bound
+            q = getrandbits(kq) + 1
+            while q > bound:
+                q = getrandbits(kq) + 1
+            g = gcd(p, q)
+            p, q = p // g, q // g
+            if not out:
+                vec.append(_fraction(p, q))
+            elif not vec:
+                vec, den = [p], q
+            else:
+                if den % q:
+                    m = q // gcd(den, q)
+                    for i in range(len(vec)):
+                        vec[i] *= m
+                    den *= m
+                vec.append(p * (den // q))
+        out.append((tuple(vec), den) if out else tuple(vec))
+    return out
+
+
 def random_rational(rng: random.Random, bound: int = 7) -> Fraction:
     """p/q with p drawn from [-bound, bound], then q from [1, bound]."""
-    (p,), (q,) = _rational_draws(rng, 1, bound)
-    return _fraction(p, q)
+    return _draw_sample(rng, bound, 1, ())[0][0]
 
 
 def random_tuple(rng: random.Random, n: int, bound: int = 7) -> tuple[Fraction, ...]:
-    return tuple(map(_fraction, *_rational_draws(rng, n, bound)))
+    return _draw_sample(rng, bound, n, ())[0]
 
 
 def _term_key(item: tuple[Exponent, Fraction]) -> tuple[int, Exponent]:

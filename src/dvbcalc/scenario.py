@@ -78,9 +78,9 @@ from .ring import (
     _bareiss,
     _check_grid,
     _draw,
+    _draw_sample,
     _Pairs,
     _randint,
-    _rational_draws,
     _span,
 )
 
@@ -665,7 +665,7 @@ def random_poly(rng: random.Random, vars, max_degree: int) -> MultiPoly:
             for i in _draw(rng, (_span(0, len(vt) - 1),) * degree):
                 exps[i] += 1
         # the draws of `random_rational`, summed in the kernel form
-        (p,), (q,) = _rational_draws(rng, 1, 7)
+        _, ((p,), q) = _draw_sample(rng, 7, 0, (1,))
         if p:
             acc += _Pairs({tuple(exps): (p, q)})
     return MultiPoly(vt, acc)

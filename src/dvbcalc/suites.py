@@ -53,6 +53,7 @@ from .core import (
     _left_scale,
     _right_add,
     _right_scale,
+    _scalar,
     _split,
     _zero_slots,
     compose_morphisms,
@@ -222,15 +223,19 @@ def _structure_laws(s: _Sampler, side: str, samples: int):
     right = side == "right"
     add, scale = (_right_add, _right_scale) if right else (_left_add, _left_scale)
     zero_f, zero_c, zero_e = (_zero_slots(n) for n in b.ranks)
+    # the shared outer slot, the two free slots of u, v and w, then r and s
+    free = (b.n_F, b.n_C) if right else (b.n_C, b.n_E)
+    lengths = (b.n_E if right else b.n_F, *free * 3, 1, 1)
     for _ in range(samples):
-        x = s.point()
-        shared = s.slots(b.n_E if right else b.n_F)
-        outer = {"e": shared} if right else {"f": shared}
-        u, v, w = (s.element(x, **outer) for _ in range(3))
+        x, shared, *drawn, r, r2 = s.sample(*lengths)
+        u, v, w = (
+            DVBElement._of_slots(b, x, *((a, c, shared) if right else (shared, a, c)))
+            for a, c in zip(drawn[::2], drawn[1::2])
+        )
         zero = DVBElement._of_slots(
             b, x, *((zero_f, zero_c, shared) if right else (shared, zero_c, zero_e))
         )
-        r, r2 = s.rational(), s.rational()
+        r, r2 = _scalar(r), _scalar(r2)
         uv, ru = add(u, v), scale(r, u)
         laws = (
             uv == add(v, u),
@@ -250,15 +255,11 @@ def _structure_laws(s: _Sampler, side: str, samples: int):
 
 
 def _interchange(s: _Sampler, samples: int):
-    b = s.bundle
+    b, element = s.bundle, DVBElement._of_slots
     for _ in range(samples):
-        x = s.point()
-        f1, f2 = s.slots(b.n_F), s.slots(b.n_F)
-        e1, e2 = s.slots(b.n_E), s.slots(b.n_E)
-        u = s.element(x, f=f1, e=e1)
-        v = s.element(x, f=f2, e=e1)
-        w = s.element(x, f=f1, e=e2)
-        z = s.element(x, f=f2, e=e2)
+        x, f1, f2, e1, e2, c1, c2, c3, c4 = s.sample(b.n_F, b.n_F, b.n_E, b.n_E, *(b.n_C,) * 4)
+        u, v = element(b, x, f1, c1, e1), element(b, x, f2, c2, e1)
+        w, z = element(b, x, f1, c3, e2), element(b, x, f2, c4, e2)
         lhs = _left_add(_right_add(u, v), _right_add(w, z))
         rhs = _right_add(_left_add(u, w), _left_add(v, z))
         if lhs != rhs:
@@ -269,12 +270,12 @@ def _interchange(s: _Sampler, samples: int):
 
 
 def _core_agreement(s: _Sampler, samples: int):
-    zf, ze = _zero_slots(s.bundle.n_F), _zero_slots(s.bundle.n_E)
+    b = s.bundle
+    zf, ze = _zero_slots(b.n_F), _zero_slots(b.n_E)
     for _ in range(samples):
-        x = s.point()
-        u = s.element(x, f=zf, e=ze)
-        v = s.element(x, f=zf, e=ze)
-        r = s.rational()
+        x, c1, c2, r = s.sample(b.n_C, b.n_C, 1)
+        u, v = DVBElement._of_slots(b, x, zf, c1, ze), DVBElement._of_slots(b, x, zf, c2, ze)
+        r = _scalar(r)
         right_sum = _right_add(u, v)
         ok = (
             right_sum == _left_add(u, v)
@@ -293,8 +294,9 @@ def _kernel_split(s: _Sampler, samples: int):
     b = s.bundle
     zf, zc, ze = (_zero_slots(n) for n in b.ranks)
     for _ in range(samples):
-        x = s.point()
-        v = s.element(x, e=ze)
+        # the draws of w and of the element outside follow a check each
+        x, f, c = s.sample(b.n_F, b.n_C)
+        v = DVBElement._of_slots(b, x, f, c, ze)
         side, core = _split(v)
         zero = DVBElement._of_slots(b, x, zf, zc, ze)
         ok = (
@@ -325,11 +327,8 @@ def _core_difference(s: _Sampler, samples: int):
     b = s.bundle
     zf, ze = _zero_slots(b.n_F), _zero_slots(b.n_E)
     for _ in range(samples):
-        x = s.point()
-        f = s.slots(b.n_F)
-        e = s.slots(b.n_E)
-        u = s.element(x, f=f, e=e)
-        v = s.element(x, f=f, e=e)
+        x, f, e, c1, c2 = s.sample(b.n_F, b.n_E, b.n_C, b.n_C)
+        u, v = DVBElement._of_slots(b, x, f, c1, e), DVBElement._of_slots(b, x, f, c2, e)
         k = _difference(u, v)
         over_e = DVBElement._of_slots(b, x, zf, k, e)
         over_f = DVBElement._of_slots(b, x, f, k, ze)
@@ -350,25 +349,24 @@ def _core_difference(s: _Sampler, samples: int):
 
 def _morphism_respects(sc: Scenario, s: _Sampler):
     b = sc.bundle
-    phi = sc.section("morphism")
+    n_f, n_c, n_e = b.ranks
+    apply, element = sc.section("morphism").apply, DVBElement._of_slots
+
+    def respects(add, scale, u, v, r):
+        at_u = apply(u)
+        return apply(add(u, v)) == add(at_u, apply(v)) and apply(scale(r, u)) == scale(r, at_u)
+
     for _ in range(sc.samples):
-        x = s.point()
-        apply = phi.apply
-        shared_e = s.slots(b.n_E)
-        shared_f = s.slots(b.n_F)
-        r = s.rational()
-        sides = (
-            ("right", {"e": shared_e}, "uv", _right_add, _right_scale),
-            ("left", {"f": shared_f}, "pq", _left_add, _left_scale),
-        )
-        for side, outer, names, add, scale in sides:
-            u = s.element(x, **outer)
-            v = s.element(x, **outer)
-            at_u = apply(u)
-            if apply(add(u, v)) != add(at_u, apply(v)) or apply(scale(r, u)) != scale(r, at_u):
-                return False, f"morphism breaks the {side} structure", {
-                    names[0]: u, names[1]: v, "r": r
-                }
+        # the right side's draws; the left side's follow its check
+        x, shared_e, shared_f, r, uf, uc, vf, vc = s.sample(n_e, n_f, 1, n_f, n_c, n_f, n_c)
+        r = _scalar(r)
+        u, v = element(b, x, uf, uc, shared_e), element(b, x, vf, vc, shared_e)
+        if not respects(_right_add, _right_scale, u, v, r):
+            return False, "morphism breaks the right structure", {"u": u, "v": v, "r": r}
+        pc, pe, qc, qe = s.draw(n_c, n_e, n_c, n_e)
+        p, q = element(b, x, shared_f, pc, pe), element(b, x, shared_f, qc, qe)
+        if not respects(_left_add, _left_scale, p, q, r):
+            return False, "morphism breaks the left structure", {"p": p, "q": q, "r": r}
     return True, f"block morphism respects both structures on {sc.samples} samples", None
 
 
@@ -390,33 +388,27 @@ _AXIOMS = (
 
 def _pairing_bilinear(sc: Scenario, s: _Sampler):
     b = sc.bundle
-    d = s.over(right_dual(b))
+    n_f, n_c, n_e = b.ranks
+    db, element = right_dual(b), DVBElement._of_slots
     for _ in range(sc.samples):
-        x = s.point()
-        f = s.slots(b.n_F)
-        q = s.slots(b.n_C)
-        v = s.element(x=x, f=f)
-        vp = s.element(x=x, f=f)
-        a = d.element(x=x, f=v._e, e=q)
-        bb = d.element(x=x, f=vp._e, e=q)
+        x, f, q, vc, ve, wc, we, ac, bc = s.sample(n_f, n_c, n_c, n_e, n_c, n_e, n_f, n_f)
+        v, vp = element(b, x, f, vc, ve), element(b, x, f, wc, we)
+        a, bb = element(db, x, ve, ac, q), element(db, x, we, bc, q)
         lhs = _pair(fiber_add("left", v, vp), fiber_add("right", a, bb))
         if not _same(lhs, _pair(v, a), _pair(vp, bb)):
             return False, "pairing is not bi-additive", {"v": v, "v2": vp, "a": a, "b": bb}
-        zero_cov = DVBElement._of_slots(
-            d.bundle, x, v._e, _zero_slots(b.n_F), _zero_slots(b.n_C)
-        )
+        zero_cov = element(db, x, ve, _zero_slots(n_f), _zero_slots(n_c))
         if _pair(v, zero_cov)[0] != 0:
             return False, "zero covector pairs to a nonzero value", {"v": v}
     return True, f"pairing additivity in both slots on {sc.samples} samples", None
 
 
 def _pairing_sign_rules(sc: Scenario, s: _Sampler):
-    d = s.over(right_dual(sc.bundle))
+    b = sc.bundle
+    db, element = right_dual(b), DVBElement._of_slots
     for _ in range(sc.samples):
-        x = s.point()
-        v = s.element(x=x)
-        a = d.element(x=x, f=v._e)
-        r = s.rational()
+        x, vf, vc, ve, ac, ae, r = s.sample(*b.ranks, b.n_F, b.n_C, 1)
+        v, a, r = element(b, x, vf, vc, ve), element(db, x, ve, ac, ae), _scalar(r)
         base = _pair(v, a)
         scaled = r.numerator * base[0], r.denominator * base[1]
         if not _same(_pair(fiber_scale("right", r, v), a), scaled) or not _same(
@@ -430,22 +422,21 @@ def _pairing_sign_rules(sc: Scenario, s: _Sampler):
 
 def _kernel_pairings(sc: Scenario, s: _Sampler):
     b = sc.bundle
-    d = s.over(right_dual(b))
+    db, element = right_dual(b), DVBElement._of_slots
     for _ in range(sc.samples):
-        x = s.point()
-        v = s.element(x=x)
-        p = s.slots(b.n_F)
-        q = s.slots(b.n_C)
+        # the draw of a_shift follows the first check
+        x, vf, vc, ve, p, q, shift_c = s.sample(*b.ranks, b.n_F, b.n_C, b.n_C)
+        v = element(b, x, vf, vc, ve)
         # covector with zero core dual slot sees only the F projection
-        a0 = DVBElement._of_slots(d.bundle, x, v._e, p, _zero_slots(b.n_C))
-        v_shift = s.element(x=x, f=v._f, e=v._e)
+        a0 = element(db, x, ve, p, _zero_slots(b.n_C))
+        v_shift = element(b, x, vf, shift_c, ve)
         value = _pair(v, a0)
         if not _same(value, _dot(p, v._f)) or not _same(value, _pair(v_shift, a0)):
             return False, "kernel covector pairing depends on more than F", {"v": v, "a": a0}
         # kernel element with zero F slot sees only the C* dual slot
-        k = DVBElement._of_slots(b, x, _zero_slots(b.n_F), v._c, v._e)
-        a = DVBElement._of_slots(d.bundle, x, v._e, p, q)
-        a_shift = d.element(x=x, f=v._e, e=q)
+        k = element(b, x, _zero_slots(b.n_F), vc, ve)
+        a = element(db, x, ve, p, q)
+        a_shift = element(db, x, ve, s.slots(b.n_F), q)
         value = _pair(k, a)
         if not _same(value, _dot(q, v._c)) or not _same(value, _pair(k, a_shift)):
             return False, "kernel element pairing depends on more than C*", {"k": k, "a": a}
@@ -474,8 +465,8 @@ def _adjoint_loop(s: _Sampler, phi, dual, count: int, fails: str, passes: str):
     on_source, on_dual = s.over(phi.source), s.over(right_dual(phi.target))
 
     def sample():
-        x = s.point()
-        v = on_source.element(x=x)
+        v = on_source.element()
+        x = v.x
         image = phi.apply(v)
         a = on_dual.element(x=x, f=image._e)
         if not _same(_pair(image, a), _pair(v, dual.at(x).apply(a))):
@@ -517,15 +508,12 @@ def _left_dual_transport(sc: Scenario, s: _Sampler):
         return False, "left dual ranks are wrong", {"ranks": ld.ranks}
     if left_dual(right_dual(b)).ranks != b.ranks:
         return False, "left dual does not undo the right dual on ranks", None
-    cov_of = s.over(ld)
+    n_f, n_c, n_e = b.ranks
+    element = DVBElement._of_slots
     for _ in range(sc.samples):
-        x = s.point()
-        e = s.slots(b.n_E)
-        phi_slot = s.slots(b.n_C)
-        v = s.element(x=x, e=e)
-        vp = s.element(x=x, e=e)
-        cov = cov_of.element(x=x, f=phi_slot, e=v._f)
-        cov2 = cov_of.element(x=x, f=phi_slot, e=vp._f)
+        x, e, phi_slot, vf, vc, wf, wc, cc, cc2 = s.sample(n_e, n_c, n_f, n_c, n_f, n_c, n_e, n_e)
+        v, vp = element(b, x, vf, vc, e), element(b, x, wf, wc, e)
+        cov, cov2 = element(ld, x, phi_slot, cc, vf), element(ld, x, phi_slot, cc2, wf)
         lhs = _pair(fiber_add("right", v, vp), fiber_add("left", cov, cov2), False)
         if not _same(lhs, _pair(v, cov, False), _pair(vp, cov2, False)):
             return False, "left pairing additivity fails", {

@@ -46,7 +46,7 @@ from dvbcalc.duality import left_dual, pair_l, pair_r, right_dual, right_dual_mo
 from dvbcalc.ring import (
     MultiPoly,
     PolyMatrix,
-    _rational_draws,
+    _draw_sample,
     random_rational,
     random_tuple,
     rat,
@@ -723,8 +723,8 @@ def test_kernel_draws_equal_random_tuple(bound):
             ours, theirs = random.Random(seed), random.Random(seed)
             pairs = [(theirs.randint(-bound, bound), theirs.randint(1, bound)) for _ in range(n)]
             lowest = [(p // gcd(p, q), q // gcd(p, q)) for p, q in pairs]
-            ps, qs = _rational_draws(ours, n, bound)
-            assert (ps, qs) == ([p for p, _ in lowest], [q for _, q in lowest])
+            (point,) = _draw_sample(ours, bound, n, ())
+            assert [(a.numerator, a.denominator) for a in point] == lowest
             assert ours.getstate() == theirs.getstate()
             ours, theirs = random.Random(seed), random.Random(seed)
             slots = _Sampler(ours, None, bound).slots(n)
@@ -736,6 +736,27 @@ def test_kernel_draws_equal_random_tuple(bound):
         assert _fractions(sampler.slots(1)) == (random_rational(theirs, bound),)
         assert sampler.rational() == random_rational(theirs, bound)
         assert sampler.rationals(3) == random_tuple(theirs, 3, bound)
+        assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("bound", [1, 7, 1000])
+def test_sampler_calls_draw_what_the_public_draws_draw(bound):
+    """`sample`, `draw`, `element` and `positives` each make the draws of the
+    public calls they replace, in their order: `random_tuple` for the point,
+    `slots` per length, and `randint(1, bound)` per positive."""
+    b = DecomposedDVB(Chart.of_dim(2), 3, 0, 2)
+    for seed in range(60):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        s, t = _Sampler(ours, b, bound), _Sampler(theirs, b, bound)
+        assert s.sample(2, 0, 1) == [t.point(), t.slots(2), t.slots(0), t.slots(1)]
+        assert s.sample() == [t.point()]
+        assert s.draw(3, 1) == [t.slots(3), t.slots(1)] and s.draw() == []
+        x, f = t.point(), t.slots(3)
+        assert s.element() == DVBElement._of_slots(b, x, f, t.slots(0), t.slots(2))
+        e = ((1, 0), 1)
+        assert s.element(x, e=e) == DVBElement._of_slots(b, x, t.slots(3), t.slots(0), e)
+        assert s.positives(5) == [theirs.randint(1, bound) for _ in range(5)]
+        assert s.positives(0) == []
         assert ours.getstate() == theirs.getstate()
 
 

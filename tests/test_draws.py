@@ -3,15 +3,17 @@
 The draw-order guard wraps `random.Random.getrandbits`, which every draw of
 the library reaches (`ring._draw` reads it, and so do the stdlib's own
 `randint` and `choice`), and records each call of one sampled criterion on
-fixed records and seeds, and of one `run_suite("all")` round.  The sha256
-of the calls and the verdict must equal the recorded digest, so a change
-that moves, adds or drops a draw fails here even when the verdicts and the
-report bodies still read the same.
+fixed records and seeds, of one `run_suite("all")` round, and of two runs
+that do not simply pass: an axioms run that fails under a broken kernel add
+and a duality run that redraws singular points.  The sha256 of the calls
+and the verdict must equal the recorded digest, so a change that moves,
+adds or drops a draw fails here even when the verdicts and the report
+bodies still read the same.
 
 The single-path guard reads the source: the rational draws
-(`random_tuple`, `random_rational`, `_rational_draws`) and the retired
-`_random_slots` may be named only in `ring`, in `core._Sampler` and in the
-generators of `scenario`.
+(`random_tuple`, `random_rational` and the pair loop `_draw_sample`) and the
+retired `_rational_draws` and `_random_slots` may be named only in `ring`, in
+`core._Sampler` and in the generators of `scenario`.
 """
 
 import ast
@@ -182,7 +184,7 @@ def test_failing_and_redrawn_draw_orders_are_pinned(name, monkeypatch):
     assert _digest(monkeypatch, lambda: _verdicts(run())) == RUN_DIGESTS[name]
 
 
-DRAWS = {"random_tuple", "random_rational", "_rational_draws", "_random_slots"}
+DRAWS = {"random_tuple", "random_rational", "_draw_sample", "_rational_draws", "_random_slots"}
 
 
 def _allowed(module: str, scope: tuple[str, ...]) -> bool:

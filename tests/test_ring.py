@@ -342,7 +342,7 @@ def test_eval_over_no_variables():
 
 
 def test_draws_match_stdlib_randint_and_state():
-    """`_draw` and the pair loop `_rational_draws` keep the stdlib's
+    """`_draw` and the pair loop `_draw_sample` keep the stdlib's
     rejection rule: the same values as `randint`/`randrange` (the pairs in
     lowest terms), and the same rng state afterwards."""
     for seed in range(200):
@@ -352,15 +352,43 @@ def test_draws_match_stdlib_randint_and_state():
             ours, theirs = random.Random(seed), random.Random(seed)
             for n in range(6) if b in (1, 7, 49, 1000) else (3,):
                 pairs = [(theirs.randint(-b, b), theirs.randint(1, b)) for _ in range(n)]
-                pairs = [(p // gcd(p, q), q // gcd(p, q)) for p, q in pairs]
-                want = ([p for p, _ in pairs], [q for _, q in pairs])
-                assert ring._rational_draws(ours, n, b) == want
+                want = [(p // gcd(p, q), q // gcd(p, q)) for p, q in pairs]
+                (point,) = ring._draw_sample(ours, b, n, ())
+                assert [(a.numerator, a.denominator) for a in point] == want
             assert ours.getstate() == theirs.getstate()
             assert ring._randint(ours, -b, 2 * b) == theirs.randint(-b, 2 * b)
             assert ring._randint(ours, 0, b - 1) == theirs.randrange(b)
             assert ring._randint(ours, 0, (1 << 30) - 1) == theirs.randrange(1 << 30)
             assert random_rational(ours, b) == Fraction(theirs.randint(-b, b), theirs.randint(1, b))
             assert ours.random() == theirs.random()
+
+
+@pytest.mark.parametrize("bound", [1, 2, 7, 1000])
+def test_draw_sample_matches_stdlib_fraction_pairs(bound):
+    """The one pair loop against the stdlib: the point and each slot vector
+    are the `Fraction(randint(-b, b), randint(1, b))` values in draw order,
+    the rng state afterwards is the stdlib's, and every slot vector is in
+    lowest terms with den > 0, a zero vector over 1.  The lengths are random
+    lists that include 0, and dim 0 is a point chart."""
+    shapes = random.Random(bound)
+    for seed in range(150):
+        dim = shapes.randint(0, 3)
+        lengths = [shapes.choice((0, 0, 1, 2, 3, 4, 6)) for _ in range(shapes.randint(0, 9))]
+        ours, theirs = random.Random(seed), random.Random(seed)
+        point, *slots = ring._draw_sample(ours, bound, dim, lengths)
+
+        def values(n):
+            pairs = [(theirs.randint(-bound, bound), theirs.randint(1, bound)) for _ in range(n)]
+            return [Fraction(p, q) for p, q in pairs]
+
+        assert type(point) is tuple and list(point) == values(dim)
+        assert all(type(a) is Fraction for a in point)
+        assert len(slots) == len(lengths)
+        for (nums, den), n in zip(slots, lengths):
+            assert type(nums) is tuple and [Fraction(a, den) for a in nums] == values(n)
+            assert den > 0 and gcd(den, *nums) == 1
+            assert any(nums) or den == 1
+        assert ours.getstate() == theirs.getstate()
 
 
 @given(polys(), points)

@@ -19,6 +19,10 @@ It runs, one after another and never in parallel:
   scenarios built before counting starts (`fraction_new.calls`), and apart
   from them the `Fraction`s that `ring._fraction` builds from lowest-terms
   pairs without `__new__` (`fraction_new.kernel_fractions`);
+* the draws of one in-process round of `run_suite("axioms", ...)` and one
+  of `run_suite("all", ...)` on the same scenarios (`draws`): the calls of
+  the one pair loop `ring._draw_sample`, the pairs they draw and the
+  `core._Sampler.sample` calls among them, deterministic counts, not times;
 * `dvb check third-dual` on the worst-case file dense8t3, `load_scenario`
   of dense8t12 and `compose_morphisms` of compose-t8r3-outer after
   compose-t8r3-inner (printing the composite's scenario text), all files
@@ -108,6 +112,39 @@ fractions.Fraction.__new__ = saved
 for m in bound:
     m._fraction = made
 print(calls, kernel)
+"""
+# run in a fresh interpreter on the checkout's src/; prints, per round, the
+# `ring._draw_sample` calls (rebound in every dvbcalc module that imports the
+# name), the pairs they draw and the `_Sampler.sample` calls
+DRAW_ROUND = """
+import sys
+from dvbcalc import core, ring
+from dvbcalc.scenario import gen_random_scenario
+from dvbcalc.suites import run_suite
+
+scenarios = [gen_random_scenario(s) for s in range(12)]
+kernel, sample = ring._draw_sample, core._Sampler.sample
+counts = [0, 0, 0]
+
+def counting_kernel(rng, bound, dim, lengths):
+    counts[0] += 1
+    counts[1] += dim + sum(lengths)
+    return kernel(rng, bound, dim, lengths)
+
+def counting_sample(self, *lengths):
+    counts[2] += 1
+    return sample(self, *lengths)
+
+modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "dvbcalc"]
+for m in modules:
+    if vars(m).get("_draw_sample") is kernel:
+        m._draw_sample = counting_kernel
+core._Sampler.sample = counting_sample
+for suite in ("axioms", "all"):
+    counts[:] = [0, 0, 0]
+    for sc in scenarios:
+        run_suite(suite, sc)
+    print(suite, *counts)
 """
 LOAD_SCENARIO = "import sys\nfrom dvbcalc.scenario import load_scenario\nload_scenario(sys.argv[1])"
 # prints the scenario text of the outer file with its morphism replaced by
@@ -219,6 +256,15 @@ def _fraction_calls(root: Path) -> dict:
     }
 
 
+def _draw_counts(root: Path) -> dict:
+    _, out = _timed(root, [sys.executable, "-c", DRAW_ROUND])
+    rounds = {}
+    for line in out.strip().splitlines()[-2:]:
+        suite, calls, pairs, samples = line.split()
+        rounds[suite] = {"kernel_calls": int(calls), "pairs": int(pairs), "samples": int(samples)}
+    return {"round": "run_suite(suite, gen_random_scenario(s)) for s = 0-11", **rounds}
+
+
 def _worst_case(root: Path) -> dict:
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -292,6 +338,7 @@ def main(argv=None) -> int:
         "end_to_end": end_to_end,
         "traced": traced,
         "fraction_new": _fraction_calls(root),
+        "draws": _draw_counts(root),
         "worst_case": _worst_case(root),
         **_tests(root),
         "mutants": mutants.run(),

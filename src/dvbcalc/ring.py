@@ -12,7 +12,8 @@ mathematically equal exactly when their variables and pairs are equal,
 which makes equality and hashing canonical.  `MultiPoly.terms` is the
 `Fraction` view, made on first read: the sorted tuple of (exponent vector,
 coefficient) pairs in descending graded-lexicographic order (total degree
-first, then the exponent vector), which `str` and the scenario writer read.
+first, then the exponent vector), which `str` reads; the scenario writer
+reads the pairs in that order.
 
 Polynomial matrices are nested tuples of `MultiPoly`, which `PolyMatrix`
 wraps; `mat_mul` multiplies their entries' pairs, and it and `transpose`

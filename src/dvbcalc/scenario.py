@@ -20,10 +20,19 @@ indent=2, sort_keys=True)` without building the polynomial literals of that
 object.  A recursive emitter, `_emit`, writes the header and the keys: the
 shapes a JSON object has (dicts with str keys, lists, str, int, bool, None),
 strings through `json.encoder.encode_basestring_ascii`; any other type
-raises TypeError.  Each field's literals are written straight from
-`MultiPoly.terms` by `_write_literals`, with the indentation strings built
-once per depth.  The stdlib encoder runs in pure Python whenever it indents,
+raises TypeError.  Each field's literals are written straight from each
+polynomial's (n, d) pairs by `_write_literals`, as `n`, or `n/d` when d is
+not 1 (the text `str` gives the `Fraction`), with the indentation strings
+built once per depth, so writing builds no `MultiPoly.terms` view and no
+`Fraction`.  The stdlib encoder runs in pure Python whenever it indents,
 and pays for generality a scenario does not need.
+
+A coefficient is read into a reduced pair by one reader, `_read_pair`:
+the writer's own form, `-?digits` or `-?digits/digits` in ASCII with runs of
+at most _MAX_DIGITS digits, is read with `int` and one gcd; every other
+text (whitespace, `+`, `_`, decimals, exponents, other digits, a zero
+denominator, a longer run) goes through `Fraction` as before, with the same
+caps and error texts.  `parse_number` is its `Fraction` wrapper.
 
 Every number a file gives is capped: ranks, exponents, terms per literal,
 the digits of each coefficient (_MAX_DIGITS, shared with the command line's
@@ -57,6 +66,7 @@ import zlib
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import gcd
 
 from .core import Chart, DecomposedDVB, DVBMorphism, VectorBundle
 from .geomech import (
@@ -79,9 +89,11 @@ from .ring import (
     _check_grid,
     _draw,
     _draw_sample,
+    _fraction,
     _Pairs,
     _randint,
     _span,
+    _term_key,
 )
 
 
@@ -112,6 +124,10 @@ _MAX_DEGREE = 8
 # O(k) bits, so an unbounded exponent would stall the suites.
 _MAX_EXPONENT = 2 * _MAX_DEGREE
 _MAX_TERMS = 256
+# Two `issuperset` calls check an exponent list: its types are int alone
+# (bool, which equals 0 or 1, stays out) and its values are in range.
+_INT = frozenset((int,))
+_EXPONENTS = frozenset(range(_MAX_EXPONENT + 1))
 
 # A number read from outside, a coefficient or a --point/--outer coordinate,
 # has at most _MAX_DIGITS decimal digits in its numerator and in its
@@ -122,6 +138,10 @@ _MAX_TERMS = 256
 # int-to-text conversion; the count grows with the cap.
 _MAX_DIGITS = 32
 _DIGIT_BOUND = 10**_MAX_DIGITS
+_TOO_LONG = f"more than {_MAX_DIGITS} digits in the numerator or denominator"
+# The form the writer gives a coefficient, `n` or `n/d`: its runs are below
+# the digit cap, so a match needs no cap check.
+_PLAIN_NUMBER = re.compile(f"(-?[0-9]{{1,{_MAX_DIGITS}}})(?:/([0-9]{{1,{_MAX_DIGITS}}}))?")
 # The exponent at the end of a number text, in the grammar `Fraction` reads.
 _EXPONENT_TEXT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
@@ -320,11 +340,12 @@ def _term_error(where: str, pos: int, detail: str) -> ScenarioParseError:
 _TERM_KEYS = {"coeff", "exps"}
 
 
-def parse_number(raw: int | str | Fraction) -> Fraction:
-    """The exact value of a rational, an integer or a string that `Fraction`
-    reads ('p/q', a decimal, an exponent form).
+def _read_pair(raw: int | str | Fraction) -> tuple[int, int]:
+    """The reduced pair (n, d), d > 0, of the number `parse_number` reads.
 
-    Raises ValueError (ZeroDivisionError for a zero denominator) when the
+    The writer's form, an int or `n`/`n/d` text under the cap, is read with
+    `int` and one gcd; anything else takes the `Fraction` route, which
+    raises ValueError (ZeroDivisionError for a zero denominator) when the
     text is malformed or the reduced numerator or denominator has more than
     _MAX_DIGITS digits.  An exponent is checked before its power of ten is
     built: the value M * 10^(k - f) of a mantissa M with at most m digits,
@@ -332,6 +353,18 @@ def parse_number(raw: int | str | Fraction) -> Fraction:
     numerator or denominator once |k| exceeds _MAX_DIGITS + m, and m is
     at most the length of the text.
     """
+    if type(raw) is str:
+        match = _PLAIN_NUMBER.fullmatch(raw)
+        if match:
+            num, den = match.groups()
+            if den is None:
+                return int(num), 1
+            n, d = int(num), int(den)
+            if d:
+                g = gcd(n, d)
+                return n // g, d // g
+    elif type(raw) is int and -_DIGIT_BOUND < raw < _DIGIT_BOUND:
+        return raw, 1
     # the membership test spares most texts the regex search
     exponent = (
         isinstance(raw, str) and ("e" in raw or "E" in raw) and _EXPONENT_TEXT.search(raw)
@@ -339,13 +372,20 @@ def parse_number(raw: int | str | Fraction) -> Fraction:
     if not (exponent and abs(int(exponent[1])) > _MAX_DIGITS + len(raw)):
         value = Fraction(raw)
         if abs(value.numerator) < _DIGIT_BOUND and value.denominator < _DIGIT_BOUND:
-            return value
-    raise ValueError(f"more than {_MAX_DIGITS} digits in the numerator or denominator")
+            return value.numerator, value.denominator
+    raise ValueError(_TOO_LONG)
+
+
+def parse_number(raw: int | str | Fraction) -> Fraction:
+    """The exact value of a rational, an integer or a string that `Fraction`
+    reads ('p/q', a decimal, an exponent form), under the digit cap;
+    `_read_pair` says what it raises."""
+    return _fraction(*_read_pair(raw))
 
 
 def parse_poly(obj, vars: tuple[str, ...], where: str) -> MultiPoly:
     """One polynomial literal against a declared variable list."""
-    acc: dict[tuple[int, ...], Fraction] = {}
+    acc: dict[tuple[int, ...], tuple[int, int]] = {}
     terms = _need_list(obj, where)
     if len(terms) > _MAX_TERMS:
         raise ScenarioParseError(f"{where} has {len(terms)} terms, more than {_MAX_TERMS}")
@@ -361,7 +401,7 @@ def parse_poly(obj, vars: tuple[str, ...], where: str) -> MultiPoly:
                 where, pos, ": coefficient must be an integer or a 'p/q' string"
             )
         try:
-            coeff = parse_number(raw)
+            coeff = _read_pair(raw)
         except (ValueError, ZeroDivisionError) as exc:
             raise _term_error(where, pos, f": bad coefficient {raw!r}: {exc}") from exc
         if not isinstance(exps, list):
@@ -370,22 +410,28 @@ def parse_poly(obj, vars: tuple[str, ...], where: str) -> MultiPoly:
             raise _term_error(
                 where, pos, f": {len(exps)} exponents for {len(vars)} variables"
             )
-        for k in exps:
-            # bool is an int subclass and must not slip through
-            if not isinstance(k, int) or isinstance(k, bool):
-                raise _term_error(where, pos, ", exponent must be an integer")
-            if k < 0:
-                raise _term_error(where, pos, ": negative exponent")
-            if k > _MAX_EXPONENT:
-                raise _term_error(where, pos, f": exponent {k} is above {_MAX_EXPONENT}")
+        if not (_INT.issuperset(map(type, exps)) and _EXPONENTS.issuperset(exps)):
+            # only a bad exponent gets here; this loop words its error
+            for k in exps:
+                # bool is an int subclass and must not slip through
+                if not isinstance(k, int) or isinstance(k, bool):
+                    raise _term_error(where, pos, ", exponent must be an integer")
+                if k < 0:
+                    raise _term_error(where, pos, ": negative exponent")
+                if k > _MAX_EXPONENT:
+                    raise _term_error(where, pos, f": exponent {k} is above {_MAX_EXPONENT}")
         key = tuple(exps)
-        if key in acc:
-            try:
-                coeff = parse_number(acc[key] + coeff)
-            except ValueError as exc:
-                raise _term_error(where, pos, f": like terms sum to {exc}") from exc
+        prev = acc.get(key)
+        if prev is not None:
+            (pn, pd), (n, d) = prev, coeff
+            n, d = pn * d + n * pd, pd * d
+            g = gcd(n, d)
+            n, d = n // g, d // g
+            if not (-_DIGIT_BOUND < n < _DIGIT_BOUND and d < _DIGIT_BOUND):
+                raise _term_error(where, pos, f": like terms sum to {_TOO_LONG}")
+            coeff = n, d
         acc[key] = coeff
-    return MultiPoly(vars, _Pairs({e: (c.numerator, c.denominator) for e, c in acc.items() if c}))
+    return MultiPoly(vars, _Pairs({e: c for e, c in acc.items() if c[0]}))
 
 
 # How many lists deep each field shape nests its polynomial literals.
@@ -533,23 +579,25 @@ class _Literals:
 
 def _write_literals(field: _Literals, pad: str, out: list[str]) -> None:
     """Append the text json.dumps(_nested_obj(value, depth), indent=2) gives
-    at the indentation `pad`, written from each `MultiPoly.terms`."""
+    at the indentation `pad`, written from each polynomial's pairs in the
+    order of `MultiPoly.terms`."""
     # nl[i]: a line break and the indentation i levels below `pad`
     nl = ["\n" + pad + "  " * i for i in range(field.depth + 4)]
 
     def write(value, depth: int, i: int) -> None:
         inner = nl[i + 1]
         if not depth:
-            if not value.terms:
+            if not value._pairs:
                 out.append("[]")
                 return
             coeff, exps = inner + "{" + nl[i + 2] + '"coeff": "', '",' + nl[i + 2] + '"exps": '
             close, sep = inner + "}", "," + nl[i + 3]
             terms = [
-                f"{coeff}{c}{exps}[{nl[i + 3]}{sep.join(map(str, e))}{nl[i + 2]}]{close}"
+                f"{coeff}{n if d == 1 else f'{n}/{d}'}{exps}"
+                f"[{nl[i + 3]}{sep.join(map(str, e))}{nl[i + 2]}]{close}"
                 if e
-                else f"{coeff}{c}{exps}[]{close}"
-                for e, c in value.terms
+                else f"{coeff}{n if d == 1 else f'{n}/{d}'}{exps}[]{close}"
+                for e, (n, d) in sorted(value._pairs.items(), key=_term_key, reverse=True)
             ]
             out.append("[" + ",".join(terms) + nl[i] + "]")
             return

@@ -806,6 +806,12 @@ def _flat_map_blocks(sc: Scenario, s: _Sampler):
     return True, "insertion map blocks satisfy the transpose identity", None
 
 
+def _three_tuples(s: _Sampler, a: int, b: int, c: int) -> tuple[tuple, tuple, tuple]:
+    """Rational tuples of lengths a, b and c, cut from one draw of a + b + c."""
+    values = s.rationals(a + b + c)
+    return values[:a], values[a : a + b], values[a + b :]
+
+
 def _section_orthogonality(sc: Scenario, s: _Sampler):
     bundle, chart = sc.bundle, sc.chart
     section = LinearSection(
@@ -816,9 +822,7 @@ def _section_orthogonality(sc: Scenario, s: _Sampler):
     )
     co = dual_linear_section(section)
     for _ in range(sc.samples):
-        x = s.point()
-        fval = s.rationals(bundle.n_F)
-        qval = s.rationals(bundle.n_C)
+        x, fval, qval = _three_tuples(s, chart.dim, bundle.n_F, bundle.n_C)
         if _pair(section.at(x, fval), co.at(x, qval))[0] != 0:
             return False, "dual section does not annihilate the section", {
                 "x": x, "f": fval, "q": qval
@@ -861,9 +865,7 @@ def _lift_correspondence(sc: Scenario, s: _Sampler):
             }
         up_sect = linear_vf_as_section(up)
         for _ in range(max(1, sc.samples // 10)):
-            x = s.rationals(base_chart.dim)
-            fval = s.rationals(base_chart.dim)
-            qval = s.rationals(base_chart.dim)
+            x, fval, qval = _three_tuples(s, *(base_chart.dim,) * 3)
             if _pair(up_sect.at(x, fval), dual_sect.at(x, qval))[0] != 0:
                 return False, "lift sections are not orthogonal", {"x": x}
     return True, "cotangent lift is the dual section of the tangent lift", None
@@ -954,9 +956,7 @@ def _vertical_lift_kernel(sc: Scenario, s: _Sampler):
     section = sc.section("core_section")
     rounds = max(1, sc.samples // 5)
     for _ in range(rounds):
-        x = s.point()
-        e = s.rationals(bundle.n_E)
-        f = s.rationals(bundle.n_F)
+        x, e, f = _three_tuples(s, bundle.chart.dim, bundle.n_E, bundle.n_F)
         lifted_r = vertical_lift(bundle, "right", section, x, e)
         lifted_l = vertical_lift(bundle, "left", section, x, f)
         want = section.value(x)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import re
 import time
 from fractions import Fraction
 from math import gcd
@@ -20,7 +21,7 @@ from dvbcalc.geomech import (
     is_linear_oneform,
     is_symmetric_connection,
 )
-from dvbcalc.ring import MultiPoly, _draw, _randint, _span, _term_key, random_rational
+from dvbcalc.ring import MultiPoly, PolyMatrix, _draw, _randint, _span, _term_key, random_rational
 from dvbcalc.scenario import (
     SECTIONS,
     InconsistentScenarioError,
@@ -263,6 +264,38 @@ def test_roundtrip_is_byte_identical(seed):
     text = scenario_to_text(sc)
     again = scenario_from_text(text)
     assert scenario_to_text(again) == text
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("seed", range(40))
+def test_roundtrip_at_the_rank_and_degree_caps_is_byte_identical(seed, symmetric):
+    # the perfbench goldens stop at rank 6
+    sc = gen_random_scenario(seed, max_rank=8, max_degree=8, symmetric=symmetric)
+    text = scenario_to_text(sc)
+    assert scenario_to_text(scenario_from_text(text)) == text
+
+
+def _polys(value):
+    if isinstance(value, MultiPoly):
+        yield value
+    elif isinstance(value, PolyMatrix):
+        yield from _polys(value.entries)
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _polys(item)
+
+
+def test_writing_builds_no_terms_view():
+    sc = scenario_from_text(scenario_to_text(gen_random_scenario(5)))
+    scenario_to_text(sc)
+    polys = [
+        p
+        for key, _, _, fields in SECTIONS
+        for _, attr, _, _ in fields
+        for p in _polys(getattr(getattr(sc, key), attr))
+    ]
+    assert any(not p.is_zero for p in polys)
+    assert all("terms" not in vars(p) for p in polys)
 
 
 def test_roundtrip_preserves_sections():
@@ -577,6 +610,107 @@ def test_term_parse_error_texts(term, message):
 )
 def test_coefficients_at_the_digit_cap_are_read(raw):
     assert parse_number(raw) == Fraction(raw)
+
+
+# -- the coefficient reader against the `Fraction` route ----------------------
+
+_REFERENCE_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def reference_number(raw):
+    """The `Fraction` route with the digit cap, as every coefficient once took it."""
+    exponent = isinstance(raw, str) and _REFERENCE_EXPONENT.search(raw)
+    if not (exponent and abs(int(exponent[1])) > 32 + len(raw)):
+        value = Fraction(raw)
+        if abs(value.numerator) < 10**32 and value.denominator < 10**32:
+            return value
+    raise ValueError("more than 32 digits in the numerator or denominator")
+
+
+def reference_poly(terms, where):
+    """`parse_poly` of one-variable terms, summed in `Fraction`s under the cap."""
+    acc = {}
+    for pos, (raw, k) in enumerate(terms):
+        if isinstance(raw, bool) or not isinstance(raw, (int, str)):
+            raise ScenarioParseError(
+                f"{where}, term {pos}: coefficient must be an integer or a 'p/q' string"
+            )
+        try:
+            coeff = reference_number(raw)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ScenarioParseError(f"{where}, term {pos}: bad coefficient {raw!r}: {exc}")
+        if k in acc:
+            try:
+                coeff = reference_number(acc[k] + coeff)
+            except ValueError as exc:
+                raise ScenarioParseError(f"{where}, term {pos}: like terms sum to {exc}")
+        acc[k] = coeff
+    return MultiPoly.from_dict(("x1",), {(k,): c for k, c in acc.items()})
+
+
+def outcome(f, *args):
+    """The value of f(*args), or the type and text of what it raises."""
+    try:
+        return f(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+_digit_runs = st.integers(0, 36).flatmap(
+    lambda n: st.text(alphabet="0123456789", min_size=n, max_size=n)
+)
+number_texts = st.one_of(
+    st.text(alphabet="0123456789/-+ _.eE\u0663\uff17", max_size=12),
+    st.tuples(
+        st.sampled_from(["", "-", "+", " ", "-0", "00"]),
+        _digit_runs,
+        st.sampled_from(["", "/", "/0", "/00", " /", "/-", ".", "e", "_1", " "]),
+        _digit_runs,
+    ).map("".join),
+)
+cap_texts = [
+    "-0", "3/0", "3/00", "0/0", "-0/7", "007/010", "1" * 32, "1" * 33, "1" * 34,
+    "-" + "9" * 32, "-" + "9" * 33, "1/" + "9" * 32, "1/" + "9" * 33, "0" + "9" * 32,
+    "2" + "0" * 32 + "/2", "2" + "0" * 31 + "/2", "4" * 33 + "/" + "4" * 33,
+]
+
+
+def test_reader_matches_the_fraction_route_at_the_caps():
+    for raw in cap_texts + [10**32 - 1, 10**32, -(10**32), True, Fraction(6, 4)]:
+        got, want = outcome(parse_number, raw), outcome(reference_number, raw)
+        assert got == want and type(got) is type(want), raw
+        if isinstance(got, Fraction):
+            assert type(got.numerator) is int, raw
+
+
+@settings(max_examples=400, deadline=None)
+@given(number_texts)
+def test_reader_matches_the_fraction_route(text):
+    got, want = outcome(parse_number, text), outcome(reference_number, text)
+    assert got == want and type(got) is type(want)
+
+
+coefficient_values = st.one_of(
+    number_texts,
+    st.sampled_from(cap_texts),
+    st.integers(-(10**33), 10**33),
+    st.sampled_from([10**32 - 1, 10**32, -(10**32), 0, True, False, 1.0, None]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(coefficient_values, st.integers(0, 1)), max_size=4))
+@example([("9" * 32, 1), ("1", 1)])
+@example([(f"1/{10**31 + 1}", 0), (f"1/{10**31 + 3}", 0)])
+@example([("2/3", 0), ("-4/6", 0), ("1", 0)])
+@example([(True, 0)])
+def test_literal_reader_matches_the_fraction_route(terms):
+    literal = [{"coeff": raw, "exps": [k]} for raw, k in terms]
+    got = outcome(parse_poly, literal, ("x1",), "gamma")
+    want = outcome(reference_poly, terms, "gamma")
+    assert got == want
+    if isinstance(got, MultiPoly):
+        assert str(got) == str(want)
 
 
 def test_huge_exponent_is_rejected_before_its_power_is_built():

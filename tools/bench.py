@@ -23,16 +23,22 @@ It runs, one after another and never in parallel:
   of `run_suite("all", ...)` on the same scenarios (`draws`): the calls of
   the one pair loop `ring._draw_sample`, the pairs they draw and the
   `core._Sampler.sample` calls among them, deterministic counts, not times;
+* the scenario text round trip in one fresh interpreter (`text`): over the
+  texts of the first `picks` pool seeds of each `symbolic` menu shape in
+  `perfbench/golden.json` (32 texts), the median over 15 passes of the
+  time of one `scenario_from_text` pass and of one `scenario_to_text` pass
+  over the scenarios just parsed, whose text must be the one read;
 * `dvb check third-dual` on the worst-case file dense8t3, `load_scenario`
-  of dense8t12 and `compose_morphisms` of compose-t8r3-outer after
-  compose-t8r3-inner (printing the composite's scenario text), all files
-  written by `tools/worst_case.py` into a temporary directory, each in
-  three fresh processes (`worst_case`: median and quartiles of the wall
-  time, every exit code, and the sha256 of each distinct output with the
-  report's `elapsed:` line taken out); perfbench draws only small generator
-  coefficients, so these are the numbers that see coefficient height, and
-  the composition is the one that sees the product kernel on 32-digit
-  coefficients;
+  of dense8t12 (printing the loaded scenario's text, so its digest pins the
+  parse of 32-digit coefficients) and `compose_morphisms` of
+  compose-t8r3-outer after compose-t8r3-inner (printing the composite's
+  scenario text), all files written by `tools/worst_case.py` into a
+  temporary directory, each in three fresh processes (`worst_case`:
+  median and quartiles of the wall time, every exit code, and the sha256 of
+  each distinct output with the report's `elapsed:` line taken out);
+  perfbench draws only small generator coefficients, so these are the
+  numbers that see coefficient height, and the composition is the one that
+  sees the product kernel on 32-digit coefficients;
 * `tools/mutants.py`, the mutation run of the suites and tier-1 over `core`,
   `duality`, `ring` and `geomech` (`mutants`: the sites per module, the
   stage-1 outcome counts, the stage-2 kills with the test that killed each,
@@ -146,7 +152,36 @@ for suite in ("axioms", "all"):
         run_suite(suite, sc)
     print(suite, *counts)
 """
-LOAD_SCENARIO = "import sys\nfrom dvbcalc.scenario import load_scenario\nload_scenario(sys.argv[1])"
+# prints the scenario text of the loaded file, so the digest pins the parse
+LOAD_SCENARIO = """
+import sys
+from dvbcalc.scenario import load_scenario, scenario_to_text
+
+print(scenario_to_text(load_scenario(sys.argv[1])), end="")
+"""
+# run in a fresh interpreter on the checkout's src/; prints the number of
+# texts, then the median seconds of one `scenario_from_text` pass over them
+# and of one `scenario_to_text` pass over the scenarios that pass made
+TEXT_ROUND = """
+import json, statistics, time
+from dvbcalc.scenario import gen_random_scenario, scenario_from_text, scenario_to_text
+
+with open("perfbench/golden.json", encoding="utf-8") as handle:
+    golden = json.load(handle)["symbolic"]
+seeds = [e["seed"] for key in golden["menu"] for e in golden["pool"][key][: golden["picks"]]]
+texts = [scenario_to_text(gen_random_scenario(s, max_rank=golden["max_rank"])) for s in seeds]
+reads, writes = [], []
+for _ in range(%d):
+    start = time.perf_counter()
+    scenarios = [scenario_from_text(text) for text in texts]
+    middle = time.perf_counter()
+    again = [scenario_to_text(sc) for sc in scenarios]
+    reads.append(middle - start)
+    writes.append(time.perf_counter() - middle)
+    assert again == texts
+print(len(texts), statistics.median(reads), statistics.median(writes))
+"""
+TEXT_PASSES = 15
 # prints the scenario text of the outer file with its morphism replaced by
 # the composite outer . inner
 COMPOSE = """
@@ -265,6 +300,17 @@ def _draw_counts(root: Path) -> dict:
     return {"round": "run_suite(suite, gen_random_scenario(s)) for s = 0-11", **rounds}
 
 
+def _text_round(root: Path) -> dict:
+    _, out = _timed(root, [sys.executable, "-c", TEXT_ROUND % TEXT_PASSES])
+    count, read, write = out.strip().splitlines()[-1].split()
+    return {
+        "texts": int(count),
+        "passes": TEXT_PASSES,
+        "scenario_from_text_ms": round(float(read) * 1e3, 2),
+        "scenario_to_text_ms": round(float(write) * 1e3, 2),
+    }
+
+
 def _worst_case(root: Path) -> dict:
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -339,6 +385,7 @@ def main(argv=None) -> int:
         "traced": traced,
         "fraction_new": _fraction_calls(root),
         "draws": _draw_counts(root),
+        "text": _text_round(root),
         "worst_case": _worst_case(root),
         **_tests(root),
         "mutants": mutants.run(),

@@ -152,7 +152,8 @@ for suite in ("axioms", "all"):
         run_suite(suite, sc)
     print(suite, *counts)
 """
-# prints the scenario text of the loaded file, so the digest pins the parse
+# prints the scenario text of the loaded file, so the digest pins the parse;
+# the record's wall time covers the load and that write
 LOAD_SCENARIO = """
 import sys
 from dvbcalc.scenario import load_scenario, scenario_to_text

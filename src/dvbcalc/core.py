@@ -85,7 +85,6 @@ from .ring import (
     _span,
     _unimodular_inverse,
     mat_mul,
-    random_rational,
     random_tuple,
     rat,
     transpose,
@@ -485,9 +484,6 @@ class _Sampler:
     def draw(self, *lengths: int) -> list[_Slots]:
         """One slot vector per length."""
         return _draw_sample(self.rng, self.bound, 0, lengths)[1:]
-
-    def rational(self) -> Fraction:
-        return random_rational(self.rng, self.bound)
 
     def rationals(self, n: int) -> tuple[Fraction, ...]:
         return random_tuple(self.rng, n, self.bound)

@@ -16,16 +16,14 @@ reader and written by one recursive writer, keyed by how many lists deep
 the shape nests its polynomial literals.
 
 `scenario_to_text` gives the bytes of `json.dumps(scenario_to_obj(sc),
-indent=2, sort_keys=True)` without building the polynomial literals of that
-object.  A recursive emitter, `_emit`, writes the header and the keys: the
-shapes a JSON object has (dicts with str keys, lists, str, int, bool, None),
-strings through `json.encoder.encode_basestring_ascii`; any other type
-raises TypeError.  Each field's literals are written straight from each
-polynomial's (n, d) pairs by `_write_literals`, as `n`, or `n/d` when d is
-not 1 (the text `str` gives the `Fraction`), with the indentation strings
-built once per depth, so writing builds no `MultiPoly.terms` view and no
-`Fraction`.  The stdlib encoder runs in pure Python whenever it indents,
-and pays for generality a scenario does not need.
+indent=2, sort_keys=True)` in the one shape a scenario has: the `bundle`
+block (labels through `json.encoder.encode_basestring_ascii`, then the
+ranks), the `plan` block and one block per section present, keys sorted.
+`_write_literals` writes a field's literals straight from each polynomial's
+(n, d) pairs, as `n`, or `n/d` when d is not 1 (the text `str` gives the
+`Fraction`), so writing builds no `MultiPoly.terms` view and no `Fraction`.
+`Scenario` holds only what this writes: plan values and ranks that are
+ints and not bools, and three str labels.
 
 A coefficient is read into a reduced pair by one reader, `_read_pair`:
 the writer's own form, `-?digits` or `-?digits/digits` in ASCII with runs of
@@ -249,8 +247,11 @@ class Scenario:
         return VectorBundle(self.chart, self.bundle.n_E, self.bundle.labels[2])
 
     def __post_init__(self) -> None:
+        for key in ("n_F", "n_C", "n_E"):
+            _need_int(getattr(self.bundle, key), f"bundle.{key}")
+        _need_labels(self.bundle.labels)
         for key, (low, high, shown) in PLAN_RANGES.items():
-            value = getattr(self, key)
+            value = _need_int(getattr(self, key), f"plan.{key}")
             if not low <= value <= high:
                 raise ScenarioParseError(f"plan.{key} {value} is outside {shown}")
         if self.morphism is not None and (
@@ -316,6 +317,13 @@ def _need_int(obj, where: str) -> int:
     if not isinstance(obj, int) or isinstance(obj, bool):
         raise ScenarioParseError(f"{where} must be an integer")
     return obj
+
+
+def _need_labels(labels) -> tuple[str, str, str]:
+    strings = isinstance(labels, tuple) and all(isinstance(s, str) for s in labels)
+    if not strings or len(labels) != 3:
+        raise ScenarioParseError("bundle.labels must be three strings")
+    return labels
 
 
 def _check_keys(obj: dict, required: tuple[str, ...], optional: tuple[str, ...], where: str) -> None:
@@ -489,10 +497,7 @@ def scenario_from_obj(obj) -> Scenario:
             raise ScenarioParseError(f"bundle.{key} {value} is outside [0, {_MAX_RANK}]")
     labels = ("F", "C", "E")
     if "labels" in shape:
-        raw = _need_list(shape["labels"], "bundle.labels")
-        if len(raw) != 3 or any(not isinstance(s, str) for s in raw):
-            raise ScenarioParseError("bundle.labels must be three strings")
-        labels = tuple(raw)
+        labels = _need_labels(tuple(_need_list(shape["labels"], "bundle.labels")))
     chart = Chart.of_dim(dims["n"])
     bundle = _build(
         "bundle", DecomposedDVB, chart, dims["n_F"], dims["n_C"], dims["n_E"], labels
@@ -559,22 +564,39 @@ def _nested_obj(value, depth: int) -> list:
     return [_nested_obj(item, depth - 1) for item in value]
 
 
-class _Literals:
-    """A field's polynomial literals, `depth` lists deep, which `_emit`
-    hands to `_write_literals`."""
+def _sections(sc: Scenario):
+    """Each section `sc` holds: its key and, per field, the field's name, its
+    polynomials as nested tuples and how many lists deep they nest."""
+    for key, _, _, fields in SECTIONS:
+        record = getattr(sc, key)
+        if record is not None:
+            values = [(name, getattr(record, attr), shape) for name, attr, shape, _ in fields]
+            yield key, [
+                (name, value.entries if shape == "matrix" else value, _DEPTH[shape])
+                for name, value, shape in values
+            ]
 
-    __slots__ = ("value", "depth")
 
-    def __init__(self, value, depth: int):
-        self.value, self.depth = value, depth
+def scenario_to_obj(sc: Scenario) -> dict:
+    """The JSON object of a scenario, its literals built from `MultiPoly.terms`."""
+    b = sc.bundle
+    ranks = {"n": b.chart.dim, "n_F": b.n_F, "n_C": b.n_C, "n_E": b.n_E}
+    out = {
+        "bundle": {**ranks, "labels": list(b.labels)},
+        "plan": {key: getattr(sc, key) for key in PLAN_RANGES},
+    }
+    for key, fields in _sections(sc):
+        out[key] = {name: _nested_obj(value, depth) for name, value, depth in fields}
+    return out
 
 
-def _write_literals(field: _Literals, pad: str, out: list[str]) -> None:
-    """Append the text json.dumps(_nested_obj(value, depth), indent=2) gives
-    at the indentation `pad`, written from each polynomial's pairs in the
-    order of `MultiPoly.terms`."""
-    # nl[i]: a line break and the indentation i levels below `pad`
-    nl = ["\n" + pad + "  " * i for i in range(field.depth + 4)]
+def _write_literals(value, depth: int) -> str:
+    """The text json.dumps(_nested_obj(value, depth), indent=2) gives at the
+    field indentation, written from each polynomial's pairs in the order of
+    `MultiPoly.terms`."""
+    out: list[str] = []
+    # nl[i]: a line break and the indentation i levels below the field's
+    nl = ["\n    " + "  " * i for i in range(depth + 4)]
 
     def write(value, depth: int, i: int) -> None:
         inner = nl[i + 1]
@@ -600,93 +622,31 @@ def _write_literals(field: _Literals, pad: str, out: list[str]) -> None:
             write(item, depth - 1, i + 1)
         out.append(nl[i] + "]")
 
-    write(field.value, field.depth, 0)
+    write(value, depth, 0)
+    return "".join(out)
 
 
-def _scenario_obj(sc: Scenario, field) -> dict:
-    """The JSON object of a scenario, with `field(value, depth)` in place of
-    each field's polynomial literals."""
-    b = sc.bundle
-    out: dict = {
-        "bundle": {
-            "n": b.chart.dim,
-            "n_F": b.n_F,
-            "n_C": b.n_C,
-            "n_E": b.n_E,
-            "labels": list(b.labels),
-        },
-        "plan": {"seed": sc.seed, "samples": sc.samples, "bound": sc.bound},
-    }
-    for key, _, _, fields in SECTIONS:
-        record = getattr(sc, key)
-        if record is not None:
-            out[key] = {}
-            for name, attr, shape, _ in fields:
-                value = getattr(record, attr)
-                if shape == "matrix":
-                    value = value.entries
-                out[key][name] = field(value, _DEPTH[shape])
-    return out
-
-
-def scenario_to_obj(sc: Scenario) -> dict:
-    return _scenario_obj(sc, _nested_obj)
-
-
-def _emit(obj, pad: str, out: list[str]) -> None:
-    """Append the text json.dumps(obj, indent=2, sort_keys=True) gives.
-
-    Only the shapes of a scenario object are written: dicts with str keys,
-    lists, str, int, bool and None; the most frequent come first.  A
-    `_Literals` field stands for its polynomial literals, which
-    `_write_literals` writes.  Any other type raises TypeError.
-    """
-    if isinstance(obj, int) and not isinstance(obj, bool):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = pad + "  "
-        sep = ",\n" + inner
-        out.append("{\n" + inner)
-        for i, key in enumerate(sorted(obj)):
-            if not isinstance(key, str):
-                raise TypeError(f"a scenario object key is a {type(key).__name__}")
-            if i:
-                out.append(sep)
-            out.append(encode_basestring_ascii(key) + ": ")
-            _emit(obj[key], inner, out)
-        out.append("\n" + pad + "}")
-    elif isinstance(obj, list):
-        if not obj:
-            out.append("[]")
-            return
-        inner = pad + "  "
-        sep = ",\n" + inner
-        out.append("[\n" + inner)
-        for i, item in enumerate(obj):
-            if i:
-                out.append(sep)
-            _emit(item, inner, out)
-        out.append("\n" + pad + "]")
-    elif isinstance(obj, _Literals):
-        _write_literals(obj, pad, out)
-    elif obj is None:
-        out.append("null")
-    elif obj is True or obj is False:
-        out.append("true" if obj else "false")
-    else:
-        raise TypeError(f"a scenario object holds no {type(obj).__name__}")
+def _block(items: dict, pad: str = "  ") -> str:
+    """A JSON object of written values at the indentation `pad`, its keys
+    sorted; every key is a plain identifier, which JSON writes as it is."""
+    inner = "\n" + pad + "  "
+    lines = [f'{inner}"{key}": {items[key]}' for key in sorted(items)]
+    return "{" + ",".join(lines) + "\n" + pad + "}"
 
 
 def scenario_to_text(sc: Scenario) -> str:
-    out: list[str] = []
-    _emit(_scenario_obj(sc, _Literals), "", out)
-    out.append("\n")
-    return "".join(out)
+    """The text of json.dumps(scenario_to_obj(sc), indent=2, sort_keys=True)
+    and a line break."""
+    b = sc.bundle
+    labels = ",\n      ".join(map(encode_basestring_ascii, b.labels))
+    ranks = {"n": b.chart.dim, "n_F": b.n_F, "n_C": b.n_C, "n_E": b.n_E}
+    blocks = {
+        "bundle": _block({**ranks, "labels": f"[\n      {labels}\n    ]"}),
+        "plan": _block({key: getattr(sc, key) for key in PLAN_RANGES}),
+    }
+    for key, fields in _sections(sc):
+        blocks[key] = _block({name: _write_literals(value, depth) for name, value, depth in fields})
+    return _block(blocks, "") + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -734,7 +694,7 @@ def random_unimodular_matrix(rng, vars, n: int, max_degree: int) -> PolyMatrix:
     def entry(i: int, j: int) -> MultiPoly:
         if i == j:
             return one
-        if (j > i) == upper and i != j:
+        if (j > i) == upper:
             return random_poly(rng, vt, max_degree)
         return zero
 

@@ -15,15 +15,14 @@ the report header all read it.  A field shape is read by one recursive
 reader and written by one recursive writer, keyed by how many lists deep
 the shape nests its polynomial literals.
 
-`scenario_to_text` gives the bytes of `json.dumps(scenario_to_obj(sc),
-indent=2, sort_keys=True)` in the one shape a scenario has: the `bundle`
+`scenario_to_text` writes the one shape a scenario has, the bytes of
+`json.dumps(scenario_to_obj(sc), indent=2, sort_keys=True)`: the `bundle`
 block (labels through `json.encoder.encode_basestring_ascii`, then the
-ranks), the `plan` block and one block per section present, keys sorted.
-`_write_literals` writes a field's literals straight from each polynomial's
-(n, d) pairs, as `n`, or `n/d` when d is not 1 (the text `str` gives the
-`Fraction`), so writing builds no `MultiPoly.terms` view and no `Fraction`.
-`Scenario` holds only what this writes: plan values and ranks that are
-ints and not bools, and three str labels.
+ranks), the `plan` block and one block per section present, keys sorted,
+each field's literals written by `_write_literals` straight from each
+polynomial's (n, d) pairs, as `n`, or `n/d` when d is not 1 (the text `str`
+gives the `Fraction`), with no `MultiPoly.terms` view.  `Scenario` holds
+only what this writes: int, not bool, plan values and ranks; three str labels.
 
 A coefficient is read into a reduced pair by one reader, `_read_pair`:
 the writer's own form, `-?digits` or `-?digits/digits` in ASCII with runs of
@@ -571,18 +570,14 @@ def _sections(sc: Scenario):
         record = getattr(sc, key)
         if record is not None:
             values = [(name, getattr(record, attr), shape) for name, attr, shape, _ in fields]
-            yield key, [
-                (name, value.entries if shape == "matrix" else value, _DEPTH[shape])
-                for name, value, shape in values
-            ]
+            yield key, [(n, v.entries if s == "matrix" else v, _DEPTH[s]) for n, v, s in values]
 
 
 def scenario_to_obj(sc: Scenario) -> dict:
     """The JSON object of a scenario, its literals built from `MultiPoly.terms`."""
     b = sc.bundle
-    ranks = {"n": b.chart.dim, "n_F": b.n_F, "n_C": b.n_C, "n_E": b.n_E}
     out = {
-        "bundle": {**ranks, "labels": list(b.labels)},
+        "bundle": dict(n=b.chart.dim, n_F=b.n_F, n_C=b.n_C, n_E=b.n_E, labels=list(b.labels)),
         "plan": {key: getattr(sc, key) for key in PLAN_RANGES},
     }
     for key, fields in _sections(sc):
@@ -590,20 +585,19 @@ def scenario_to_obj(sc: Scenario) -> dict:
     return out
 
 
-def _write_literals(value, depth: int) -> str:
-    """The text json.dumps(_nested_obj(value, depth), indent=2) gives at the
-    field indentation, written from each polynomial's pairs in the order of
-    `MultiPoly.terms`."""
+def _write_literals(value, depth: int) -> list[str]:
+    """The pieces of the text json.dumps(_nested_obj(value, depth), indent=2)
+    gives at the field indentation, written from each polynomial's pairs in
+    the order of `MultiPoly.terms`."""
     out: list[str] = []
     # nl[i]: a line break and the indentation i levels below the field's
     nl = ["\n    " + "  " * i for i in range(depth + 4)]
 
     def write(value, depth: int, i: int) -> None:
         inner = nl[i + 1]
-        if not depth:
-            if not value._pairs:
-                out.append("[]")
-                return
+        if not (value if depth else value._pairs):
+            out.append("[]")
+        elif not depth:
             coeff, exps = inner + "{" + nl[i + 2] + '"coeff": "', '",' + nl[i + 2] + '"exps": '
             close, sep = inner + "}", "," + nl[i + 3]
             terms = [
@@ -612,41 +606,46 @@ def _write_literals(value, depth: int) -> str:
                 for e, (n, d) in sorted(value._pairs.items(), key=_term_key, reverse=True)
             ]
             out.append("[" + ",".join(terms) + nl[i] + "]")
-            return
-        if not value:
-            out.append("[]")
-            return
-        out.append("[")
-        for k, item in enumerate(value):
-            out.append("," + inner if k else inner)
-            write(item, depth - 1, i + 1)
-        out.append(nl[i] + "]")
+        else:
+            out.append("[")
+            for k, item in enumerate(value):
+                out.append("," + inner if k else inner)
+                write(item, depth - 1, i + 1)
+            out.append(nl[i] + "]")
 
     write(value, depth, 0)
-    return "".join(out)
+    return out
 
 
-def _block(items: dict, pad: str = "  ") -> str:
-    """A JSON object of written values at the indentation `pad`, its keys
-    sorted; every key is a plain identifier, which JSON writes as it is."""
-    inner = "\n" + pad + "  "
-    lines = [f'{inner}"{key}": {items[key]}' for key in sorted(items)]
-    return "{" + ",".join(lines) + "\n" + pad + "}"
+def _block(items: dict[str, list[str]], pad: str = "  ") -> list[str]:
+    """The pieces of a JSON object at the indentation `pad`, keys sorted, from
+    the pieces of its values, so that one join copies the text once; every key
+    is a plain identifier, which JSON writes as it is."""
+    out, sep = [], "{"
+    for key in sorted(items):
+        out.append(f'{sep}\n{pad}  "{key}": ')
+        out += items[key]
+        sep = ","
+    out.append(f"\n{pad}}}")
+    return out
 
 
 def scenario_to_text(sc: Scenario) -> str:
-    """The text of json.dumps(scenario_to_obj(sc), indent=2, sort_keys=True)
-    and a line break."""
+    """json.dumps(scenario_to_obj(sc), indent=2, sort_keys=True) and a line break."""
     b = sc.bundle
     labels = ",\n      ".join(map(encode_basestring_ascii, b.labels))
-    ranks = {"n": b.chart.dim, "n_F": b.n_F, "n_C": b.n_C, "n_E": b.n_E}
     blocks = {
-        "bundle": _block({**ranks, "labels": f"[\n      {labels}\n    ]"}),
-        "plan": _block({key: getattr(sc, key) for key in PLAN_RANGES}),
+        "bundle": [
+            f'{{\n    "labels": [\n      {labels}\n    ],\n    "n": {b.chart.dim},\n'
+            f'    "n_C": {b.n_C},\n    "n_E": {b.n_E},\n    "n_F": {b.n_F}\n  }}'
+        ],
+        "plan": [
+            f'{{\n    "bound": {sc.bound},\n    "samples": {sc.samples},\n    "seed": {sc.seed}\n  }}'
+        ],
     }
     for key, fields in _sections(sc):
         blocks[key] = _block({name: _write_literals(value, depth) for name, value, depth in fields})
-    return _block(blocks, "") + "\n"
+    return "".join([*_block(blocks, ""), "\n"])
 
 
 # ---------------------------------------------------------------------------

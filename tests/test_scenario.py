@@ -196,9 +196,8 @@ def test_plan_seed_must_be_32_bit(seed, accepted):
 BUNDLE = DecomposedDVB(Chart.of_dim(1), 1, 1, 1)
 
 
-# samples=5.0 once failed every axioms property with a TypeError, seed=2.0
-# raised out of run_suite, and seed=True was written as `true`, which the
-# reader rejects
+# a float plan value fails the suites with a TypeError or raises out of
+# run_suite, and a bool one is written as `true`, which the reader rejects
 @pytest.mark.parametrize(
     "key, value", [("samples", 5.0), ("seed", 2.0), ("seed", True), ("bound", False), ("bound", "7")]
 )

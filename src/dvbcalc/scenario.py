@@ -22,14 +22,14 @@ ranks), the `plan` block and one block per section present, keys sorted,
 each field's literals written by `_write_literals` straight from each
 polynomial's (n, d) pairs, as `n`, or `n/d` when d is not 1 (the text `str`
 gives the `Fraction`), with no `MultiPoly.terms` view.  `Scenario` holds
-only what this writes: int, not bool, plan values and ranks; three str labels.
+only what this writes: int, not bool, plan values; a chart x1..xn and ranks
+in [0, _MAX_RANK]; three str labels.
 
-A coefficient is read into a reduced pair by one reader, `_read_pair`:
-the writer's own form, `-?digits` or `-?digits/digits` in ASCII with runs of
-at most _MAX_DIGITS digits, is read with `int` and one gcd; every other
-text (whitespace, `+`, `_`, decimals, exponents, other digits, a zero
-denominator, a longer run) goes through `Fraction` as before, with the same
-caps and error texts.  `parse_number` is its `Fraction` wrapper.
+A coefficient is read into a reduced pair by one reader, `_read_pair`, in
+the writer's grammar only: an int below 10**_MAX_DIGITS in size, or the ASCII
+text `-?D` or `-?D/D`, D a run of 1 to _MAX_DIGITS digits, read with `int`
+and one gcd.  Any other text is rejected; `parse_number` is its `Fraction`
+wrapper.  A literal names each exponent vector at most once.
 
 Every number a file gives is capped: ranks, exponents, terms per literal,
 the digits of each coefficient (_MAX_DIGITS, shared with the command line's
@@ -132,11 +132,12 @@ _MAX_TERMS = 256
 _MAX_DIGITS = 32
 _DIGIT_BOUND = 10**_MAX_DIGITS
 _TOO_LONG = f"more than {_MAX_DIGITS} digits in the numerator or denominator"
+_NOT_A_NUMBER = "not an integer n or a fraction n/d"
 # The form the writer gives a coefficient, `n` or `n/d`: its runs are below
-# the digit cap, so a match needs no cap check.
+# the digit cap, so a match needs no cap check.  The uncapped form only picks
+# the message of a text the capped one misses.
 _PLAIN_NUMBER = re.compile(f"(-?[0-9]{{1,{_MAX_DIGITS}}})(?:/([0-9]{{1,{_MAX_DIGITS}}}))?")
-# The exponent at the end of a number text, in the grammar `Fraction` reads.
-_EXPONENT_TEXT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+_LONG_NUMBER = re.compile("-?[0-9]+(?:/[0-9]+)?")
 
 # The sampling plan: each key's (low, high) range, both ends included, and
 # how a message spells it.  The sample count and the coordinate bound are
@@ -246,8 +247,11 @@ class Scenario:
         return VectorBundle(self.chart, self.bundle.n_E, self.bundle.labels[2])
 
     def __post_init__(self) -> None:
+        # the writer gives only the dimension of the chart
+        if self.chart != Chart.of_dim(_need_rank(self.chart.dim, "n")):
+            raise ScenarioParseError("bundle chart must have the coordinates x1..xn")
         for key in ("n_F", "n_C", "n_E"):
-            _need_int(getattr(self.bundle, key), f"bundle.{key}")
+            _need_rank(getattr(self.bundle, key), key)
         _need_labels(self.bundle.labels)
         for key, (low, high, shown) in PLAN_RANGES.items():
             value = _need_int(getattr(self, key), f"plan.{key}")
@@ -318,6 +322,13 @@ def _need_int(obj, where: str) -> int:
     return obj
 
 
+def _need_rank(value, key: str) -> int:
+    value = _need_int(value, f"bundle.{key}")
+    if not 0 <= value <= _MAX_RANK:
+        raise ScenarioParseError(f"bundle.{key} {value} is outside [0, {_MAX_RANK}]")
+    return value
+
+
 def _need_labels(labels) -> tuple[str, str, str]:
     strings = isinstance(labels, tuple) and all(isinstance(s, str) for s in labels)
     if not strings or len(labels) != 3:
@@ -343,44 +354,33 @@ def _term_error(where: str, pos: int, detail: str) -> ScenarioParseError:
 _TERM_KEYS = {"coeff", "exps"}
 
 
-def _read_pair(raw: int | str | Fraction) -> tuple[int, int]:
+def _read_pair(raw: int | str) -> tuple[int, int]:
     """The reduced pair (n, d), d > 0, of the number `parse_number` reads.
 
-    The writer's form, `n` or `n/d` text under the cap, is read with `int`
-    and one gcd; anything else takes the `Fraction` route, which
-    raises ValueError (ZeroDivisionError for a zero denominator) when the
-    text is malformed or the reduced numerator or denominator has more than
-    _MAX_DIGITS digits.  An exponent is checked before its power of ten is
-    built: the value M * 10^(k - f) of a mantissa M with at most m digits,
-    f of them after the point, has more than _MAX_DIGITS digits in its
-    numerator or denominator once |k| exceeds _MAX_DIGITS + m, and m is
-    at most the length of the text.
+    Raises ValueError when `raw` is not in the writer's grammar or has more
+    than _MAX_DIGITS digits in a run, and ZeroDivisionError for a zero
+    denominator.
     """
     if type(raw) is str:
         match = _PLAIN_NUMBER.fullmatch(raw)
-        if match:
-            num, den = match.groups()
-            if den is None:
-                return int(num), 1
-            n, d = int(num), int(den)
-            if d:
-                g = gcd(n, d)
-                return n // g, d // g
-    # the membership test spares most texts the regex search
-    exponent = (
-        isinstance(raw, str) and ("e" in raw or "E" in raw) and _EXPONENT_TEXT.search(raw)
-    )
-    if not (exponent and abs(int(exponent[1])) > _MAX_DIGITS + len(raw)):
-        value = Fraction(raw)
-        if abs(value.numerator) < _DIGIT_BOUND and value.denominator < _DIGIT_BOUND:
-            return value.numerator, value.denominator
-    raise ValueError(_TOO_LONG)
+        if not match:
+            raise ValueError(_TOO_LONG if _LONG_NUMBER.fullmatch(raw) else _NOT_A_NUMBER)
+        num, den = match.groups()
+        if den is None:
+            return int(num), 1
+        n, d = int(num), int(den)
+        if not d:
+            raise ZeroDivisionError(f"Fraction({n}, 0)")
+        g = gcd(n, d)
+        return n // g, d // g
+    if type(raw) is int and -_DIGIT_BOUND < raw < _DIGIT_BOUND:
+        return raw, 1
+    raise ValueError(_TOO_LONG if type(raw) is int else _NOT_A_NUMBER)
 
 
-def parse_number(raw: int | str | Fraction) -> Fraction:
-    """The exact value of a rational, an integer or a string that `Fraction`
-    reads ('p/q', a decimal, an exponent form), under the digit cap;
-    `_read_pair` says what it raises."""
+def parse_number(raw: int | str) -> Fraction:
+    """The exact value of an integer, or of the text `n` or `n/d`, under the
+    digit cap; `_read_pair` says what it raises."""
     return _fraction(*_read_pair(raw))
 
 
@@ -420,15 +420,8 @@ def parse_poly(obj, vars: tuple[str, ...], where: str) -> MultiPoly:
             if k > _MAX_EXPONENT:
                 raise _term_error(where, pos, f": exponent {k} is above {_MAX_EXPONENT}")
         key = tuple(exps)
-        prev = acc.get(key)
-        if prev is not None:
-            (pn, pd), (n, d) = prev, coeff
-            n, d = pn * d + n * pd, pd * d
-            g = gcd(n, d)
-            n, d = n // g, d // g
-            if not (-_DIGIT_BOUND < n < _DIGIT_BOUND and d < _DIGIT_BOUND):
-                raise _term_error(where, pos, f": like terms sum to {_TOO_LONG}")
-            coeff = n, d
+        if key in acc:
+            raise _term_error(where, pos, f": exponents {exps} repeat an earlier term")
         acc[key] = coeff
     return MultiPoly(vars, _Pairs({e: c for e, c in acc.items() if c[0]}))
 
@@ -490,10 +483,7 @@ def scenario_from_obj(obj) -> Scenario:
 
     shape = _need_dict(top["bundle"], "bundle")
     _check_keys(shape, ("n", "n_F", "n_C", "n_E"), ("labels",), "bundle")
-    dims = {key: _need_int(shape[key], f"bundle.{key}") for key in ("n", "n_F", "n_C", "n_E")}
-    for key, value in dims.items():
-        if not 0 <= value <= _MAX_RANK:
-            raise ScenarioParseError(f"bundle.{key} {value} is outside [0, {_MAX_RANK}]")
+    dims = {key: _need_rank(shape[key], key) for key in ("n", "n_F", "n_C", "n_E")}
     labels = ("F", "C", "E")
     if "labels" in shape:
         labels = _need_labels(tuple(_need_list(shape["labels"], "bundle.labels")))

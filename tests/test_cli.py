@@ -539,10 +539,7 @@ def test_huge_point_coordinate_is_parse_error(point, tmp_path, capsys):
     # interpreter's 4300-digit limit; 10^2000000 took 57 s to get there
     path = _gen_file(tmp_path, capsys, "--seed", "1", "--max-rank", "3", "--max-degree", "8")
     err = _parse_error_at_once(capsys, "dualize", "--scenario", path, "--point", point)
-    assert err == (
-        "PARSE_ERROR: bad point coordinate: "
-        "more than 32 digits in the numerator or denominator\n"
-    )
+    assert err == "PARSE_ERROR: bad point coordinate: not an integer n or a fraction n/d\n"
 
 
 def test_huge_outer_coordinate_is_parse_error(scenario_file, capsys):
@@ -561,9 +558,7 @@ def test_huge_connection_coefficient_is_parse_error(tmp_path, capsys):
     )
     err = _parse_error_at_once(capsys, "connection", "check", "symmetric", "--scenario", path)
     assert err.startswith("PARSE_ERROR: connection.gamma[")
-    assert err.endswith(
-        "bad coefficient '1e5000': more than 32 digits in the numerator or denominator\n"
-    )
+    assert err.endswith("bad coefficient '1e5000': not an integer n or a fraction n/d\n")
 
 
 def test_huge_core_section_coefficient_is_parse_error(tmp_path, capsys):

@@ -4,10 +4,11 @@ Each case takes the `dvb gen` text of one seed, applies one operator from a
 fixed list, and runs the command line in-process on the result: `dvb check
 all`, and on a file drawn with `--symmetric` the commands that print exact
 values, `dualize --point`, `lift vertical` and `connection check
-symmetric`, once more with a huge `--point`.  Whatever the mutation, the
-run ends in a report or a printout (exit 0 or 1) or in a one-line
-`PARSE_ERROR:`/`INCONSISTENT_SCENARIO:`/usage error (exit 2), never in an
-uncaught exception, and it ends quickly.  Runs sample one tuple per
+symmetric`, once more with a huge `--point` and with a decimal one.
+Whatever the mutation, the run ends in a report or a printout (exit 0 or 1)
+or in a one-line `PARSE_ERROR:`/`INCONSISTENT_SCENARIO:`/usage error (exit
+2), never in an uncaught exception, and it ends quickly; a form outside the
+writer's grammar ends in `PARSE_ERROR:`.  Runs sample one tuple per
 property (`--samples 1`) so that the mutations that stay valid stay cheap;
 the file's own plan is still read and checked.
 """
@@ -116,6 +117,20 @@ OPERATORS = {
     "coefficient-1e10000000": _set_coefficients("1e10000000"),
 }
 
+# Forms outside the writer's grammar, each a parse error whatever the command:
+# coefficients `Fraction` would read and a repeated exponent vector.
+REJECTED = {
+    "coefficient-decimal": _set_coefficients("0.5"),
+    "coefficient-1e3": _set_coefficients("1e3"),
+    "coefficient-plus": _set_coefficients("+1"),
+    "coefficient-space": _set_coefficients(" 1"),
+    "coefficient-underscore": _set_coefficients("1_0"),
+    "coefficient-arabic-digit": _set_coefficients("\u0663"),
+    "coefficient-33-digits": _set_coefficients("1" * 33),
+    "repeated-exponents": _set(("morphism", "Phi_l", 0, 0), lambda p: p[:1] * 2),
+}
+OPERATORS |= REJECTED
+
 
 @lru_cache(maxsize=None)
 def _generated(seed: int, symmetric: bool) -> str:
@@ -132,7 +147,8 @@ def _mutated(seed: int, name: str, symmetric: bool = False) -> str:
     return json.dumps(obj)
 
 
-def _ends_cleanly(argv, capsys):
+def _ends_cleanly(argv, capsys, rejected=False):
+    """`rejected`: the run must end in a parse error."""
     start = time.perf_counter()
     code = main(argv)
     elapsed = time.perf_counter() - start
@@ -141,6 +157,8 @@ def _ends_cleanly(argv, capsys):
     assert "Traceback" not in out + err
     if code == 2:
         assert err.startswith(("PARSE_ERROR: ", "INCONSISTENT_SCENARIO: ", "usage: "))
+    if rejected:
+        assert code == 2 and err.startswith("PARSE_ERROR: "), err
     assert elapsed < WALL_BOUND_S
 
 
@@ -149,7 +167,8 @@ def _ends_cleanly(argv, capsys):
 def test_mutated_scenario_ends_cleanly(seed, name, tmp_path, capsys):
     path = tmp_path / "mutated.json"
     path.write_text(_mutated(seed, name))
-    _ends_cleanly(["check", "all", "--scenario", str(path), "--samples", "1"], capsys)
+    argv = ["check", "all", "--scenario", str(path), "--samples", "1"]
+    _ends_cleanly(argv, capsys, rejected=name in REJECTED)
 
 
 def _commands(seed: int) -> dict:
@@ -165,14 +184,24 @@ def _commands(seed: int) -> dict:
         ],
         "connection-symmetric": ["connection", "check", "symmetric", "--samples", "1"],
         "dualize-huge-point": ["dualize", "--point", ",".join(["1e2000"] * bundle["n"])],
+        "dualize-decimal-point": ["dualize", "--point", ",".join(["0.5"] * bundle["n"])],
     }
 
 
-# one seed keeps the four commands times every operator within about 2 s
+# one seed keeps the five commands times every operator within about 2 s
 @pytest.mark.parametrize("command", sorted(_commands(0)))
 @pytest.mark.parametrize("name", sorted(OPERATORS))
 @pytest.mark.parametrize("seed", SEEDS[:1])
 def test_mutated_scenario_prints_cleanly(seed, name, command, tmp_path, capsys):
     path = tmp_path / "mutated.json"
     path.write_text(_mutated(seed, name, symmetric=True))
-    _ends_cleanly(_commands(seed)[command] + ["--scenario", str(path)], capsys)
+    argv = _commands(seed)[command] + ["--scenario", str(path)]
+    _ends_cleanly(argv, capsys, rejected=name in REJECTED)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_decimal_point_is_a_parse_error(seed, tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(_generated(seed, True))
+    argv = _commands(seed)["dualize-decimal-point"] + ["--scenario", str(path)]
+    _ends_cleanly(argv, capsys, rejected=True)

@@ -14,6 +14,16 @@ prints each round's summed task times, the median over the rounds of the
 ratio B/A and in how many rounds B was faster.  A failed output check on
 either side stops the comparison.  Only the standard library is used.
 
+Each timed run starts after a full `gc.collect()`, outside the timer.
+Without it, a run paid for collecting the cycles the run before it left,
+which is the other side's run of the same task whenever it runs second; on
+the fixed seeds the heavy tasks fall more often on one order than on the
+other, so two copies of one tree read a `symbolic` ratio of about 0.99
+(median 0.995 over 13 runs of 20 rounds), and about 1.01 with the first
+side's turns swapped.  With it, 8 such runs, 4 in each order, read
+0.996-1.008, median 1.002 (2-core host, Python 3.11.7): one run still
+cannot resolve a change under about 1%.
+
 One fresh process per side cannot resolve a few-percent change on a host
 whose speed drifts within seconds; back-to-back tasks in one process can.
 """
@@ -21,6 +31,7 @@ whose speed drifts within seconds; back-to-back tasks in one process can.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import statistics
 import sys
@@ -58,6 +69,7 @@ class Side:
     def run(self, task) -> float:
         """Run one task with this side's modules installed; its wall time."""
         sys.modules.update(self.modules)
+        gc.collect()
         start = time.perf_counter()
         out = self.workload.run(task)
         elapsed = time.perf_counter() - start

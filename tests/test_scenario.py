@@ -718,7 +718,7 @@ def test_coefficients_at_the_digit_cap_are_read(raw):
     assert parse_number(raw) == Fraction(raw)
 
 
-# -- the coefficient reader against a plain reader of the grammar -------------
+# -- the coefficient reader against a `Fraction` reading of the grammar --------
 
 NOT_A_NUMBER = "not an integer n or a fraction n/d"
 TOO_LONG = "more than 32 digits in the numerator or denominator"
@@ -803,6 +803,23 @@ coefficient_values = st.one_of(
 )
 
 
+def test_reader_matches_the_fraction_route_at_the_caps():
+    for raw in cap_texts + [10**32 - 1, 10**32, -(10**32), True, Fraction(6, 4)]:
+        got, want = outcome(parse_number, raw), outcome(reference_number, raw)
+        assert got == want and type(got) is type(want), raw
+        if isinstance(got, Fraction):
+            assert type(got.numerator) is int, raw
+
+
+@settings(max_examples=400, deadline=None)
+@given(coefficient_values)
+def test_reader_matches_the_fraction_route(raw):
+    got, want = outcome(parse_number, raw), outcome(reference_number, raw)
+    assert got == want and type(got) is type(want)
+    if isinstance(got, Fraction):
+        assert type(got.numerator) is int
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.lists(st.tuples(coefficient_values, st.integers(0, 1)), max_size=4))
 @example([(raw, 0) for raw in cap_texts + [10**32 - 1, 10**32, -(10**32), Fraction(6, 4)]])
@@ -810,12 +827,7 @@ coefficient_values = st.one_of(
 @example([("9" * 32, 1), ("1", 0)])
 @example([("2/3", 0), ("-4/6", 0)])
 @example([(True, 0)])
-def test_reader_matches_the_grammar(terms):
-    for raw, _ in terms:
-        got, want = outcome(parse_number, raw), outcome(reference_number, raw)
-        assert got == want and type(got) is type(want), raw
-        if isinstance(got, Fraction):
-            assert type(got.numerator) is int, raw
+def test_literal_reader_matches_the_fraction_route(terms):
     literal = [{"coeff": raw, "exps": [k]} for raw, k in terms]
     got = outcome(parse_poly, literal, ("x1",), "gamma")
     want = outcome(reference_poly, terms, "gamma")

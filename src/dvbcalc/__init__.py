@@ -37,7 +37,6 @@ from .core import (
     VectorBundle,
     compose_morphisms,
     core_difference,
-    core_embed,
     fiber_add,
     fiber_scale,
     fiber_sub,
@@ -87,7 +86,6 @@ from .geomech import (
     complete_cotangent_lift,
     complete_tangent_lift,
     connection_splitting,
-    covector_vector_pairing,
     dual_connection,
     dual_linear_section,
     fiber_var_names,
@@ -112,10 +110,8 @@ from .geomech import (
     tangent_metric_morphism,
     total_space_vars,
     vertical_lift,
-    vf_evaluation_on_cotangent,
     vf_is_bundle_morphism,
     vf_linearity_on_cotangent,
-    zero_connection,
 )
 from .scenario import (
     InconsistentScenarioError,
@@ -126,7 +122,6 @@ from .scenario import (
     load_scenario,
     scenario_from_obj,
     scenario_from_text,
-    scenario_to_obj,
     scenario_to_text,
 )
 from .suites import (

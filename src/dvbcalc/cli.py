@@ -23,8 +23,9 @@ prints before it prints any.  Every
 ``--samples`` and ``--bound`` lie in [1, 1000], ``--max-rank`` in [1, 8]
 and ``--max-degree`` in [0, 8].  The plan flags share their ranges with a
 scenario file's ``plan``, from ``scenario.PLAN_RANGES``.  A ``--point`` or
-``--outer`` coordinate is read by ``scenario.parse_number``, under the digit
-cap of a scenario coefficient; its first coordinate may be negative.
+``--outer`` coordinate is read by ``ring.parse_number``, the reader of a
+scenario coefficient and of text given to ``ring.rat``, in its grammar and
+under its digit cap; its first coordinate may be negative.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .geomech import (
     complete_tangent_lift,
     vertical_lift,
 )
-from .ring import SingularMatrixError
+from .ring import SingularMatrixError, parse_number
 from .scenario import (
     _MAX_DEGREE,
     _MAX_RANK,
@@ -50,7 +51,6 @@ from .scenario import (
     ScenarioParseError,
     gen_random_scenario,
     load_scenario,
-    parse_number,
     scenario_to_text,
 )
 from .suites import _CONNECTION_CHECKS, SUITE_NAMES, _fmt, run_connection_check, run_suite

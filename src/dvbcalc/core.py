@@ -571,11 +571,6 @@ def kernel_split(v: DVBElement) -> tuple[DVBElement, DVBElement]:
     return _split(v)
 
 
-def core_embed(bundle: DecomposedDVB, x, c) -> DVBElement:
-    """A core tuple as an element with both outer slots zero."""
-    return bundle.element(x, (0,) * bundle.n_F, c, (0,) * bundle.n_E)
-
-
 def core_difference(u: DVBElement, v: DVBElement) -> tuple[Fraction, ...]:
     """Core shift between two elements with equal projections on both sides.
 

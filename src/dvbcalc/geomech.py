@@ -66,7 +66,6 @@ from .core import (
 )
 from .duality import (
     dual_label,
-    pair_r,
     right_dual,
     right_dual_morphism,
     right_dual_morphism_poly,
@@ -249,16 +248,6 @@ def is_degree_zero(field: GeneralVectorField) -> bool:
     return _of_fiber_degree(field.base, n, 0) and _of_fiber_degree(field.vert, n, 1)
 
 
-def vf_evaluation_on_cotangent(field: GeneralVectorField, w: DVBElement) -> Fraction:
-    """Value of the field's momentum function at a cotangent shell point.
-
-    For w = (x | phi | p | e) the value is p.base(x, e) + phi.vert(x, e).
-    """
-    if w.bundle != cotangent_prolongation(field.bundle):
-        raise ValueError("argument must live on the cotangent shell of the bundle")
-    return Fraction(*field._momentum(w._key))
-
-
 def vf_is_bundle_morphism(field: GeneralVectorField, samples: int = 40, seed: int = 0) -> bool:
     """Sampled test that the field is a bundle morphism into the tangent shell.
 
@@ -341,13 +330,6 @@ def is_linear_oneform(form: GeneralOneForm) -> bool:
         _of_fiber_degree(form.de_coeffs, n, 0)
         and _of_fiber_degree(form.dx_coeffs, n, 1)
     )
-
-
-def oneform_evaluation_on_tangent(form: GeneralOneForm, w: DVBElement) -> Fraction:
-    """Value of the form's velocity function at a tangent shell point."""
-    if w.bundle != tangent_prolongation(form.bundle):
-        raise ValueError("argument must live on the tangent shell of the bundle")
-    return Fraction(*form._velocity(w._key))
 
 
 def oneform_is_bundle_morphism(form: GeneralOneForm, samples: int = 40, seed: int = 0) -> bool:
@@ -746,21 +728,6 @@ def complete_cotangent_lift(chart: Chart, base: Sequence[MultiPoly]) -> LinearVe
     )
 
 
-def covector_vector_pairing(cot: DVBElement, tan: DVBElement) -> Fraction:
-    """Canonical pairing of cotangent and tangent shell points over one fiber point.
-
-    For (x | phi | p | e) against (x | xdot | edot | e) the value is
-    p.xdot + phi.edot; computed through the right dual pairing.
-    """
-    vb = VectorBundle(tan.bundle.chart, tan.bundle.n_E, tan.bundle.labels[2])
-    if tan.bundle != tangent_prolongation(vb) or cot.bundle != cotangent_prolongation(
-        vb
-    ):
-        raise ValueError("arguments are not matching cotangent and tangent points")
-    rehomed = DVBElement._of_slots(right_dual(tan.bundle), cot.x, cot._e, cot._c, cot._f)
-    return pair_r(tan, rehomed)
-
-
 # ---------------------------------------------------------------------------
 # Linear connections
 
@@ -776,11 +743,6 @@ class LinearConnection:
         _check_grid("gamma", self.gamma, (k, n, k), self.bundle.chart.names)
 
     _plan = cached_property(lambda self: _EvalPlan(self.gamma, self.bundle.chart.dim))
-
-
-def zero_connection(bundle: VectorBundle) -> LinearConnection:
-    k = bundle.rank
-    return LinearConnection(bundle, psi_zero(bundle.chart.names, k, bundle.chart.dim, k))
 
 
 def connection_splitting(conn: LinearConnection) -> DVBMorphism:

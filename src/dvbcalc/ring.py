@@ -83,19 +83,33 @@ loops read `rng.getrandbits` by it: `_draw`, over integer spans, and the one
 pair loop `_draw_sample`, which draws a whole sample of rationals p/q in one
 call, a chart point of `Fraction`s and then one slot vector per length, and
 places each pair, divided by its gcd, on its vector's running lcm as it is
-drawn.  `random_rational`, `random_tuple`, the scenario generators and the
-one sampler of every sampled check, `core._Sampler`, are wrappers over it.
+drawn.  `random_tuple`, the scenario generators and the one sampler of
+every sampled check, `core._Sampler`, are wrappers over it.
+
+Every number the library reads from text comes through one reader,
+`_read_pair`, in the scenario writer's grammar only: an int below
+10**_MAX_DIGITS in size, or the ASCII text `-?D` or `-?D/D`, D a run of 1 to
+_MAX_DIGITS digits, read with `int` and one gcd.  Any other text (a decimal,
+an exponent form, `+`, `_`, whitespace, non-ASCII digits) raises
+ValueError, and so does a longer run, before any integer is built from it.
+The scenario parser reads coefficients with it, and `parse_number`, its
+`Fraction` wrapper, reads the command line's coordinates.  `rat` reads a
+string with it, under the same cap, so text given to `Chart.point`, element
+slots, `fiber_scale`, `MultiPoly.const` and `scale` or the forms is read as
+a scenario coefficient is; it takes ints and `Fraction`s as they are, and
+raises TypeError for a bool, as for a float.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
 from operator import add, getitem, mul
-from typing import Mapping, Sequence
+from typing import Sequence
 
 Exponent = tuple[int, ...]
 Point = tuple[Fraction, ...]
@@ -106,14 +120,65 @@ class SingularMatrixError(ArithmeticError):
     """Raised when a linear solve or inversion meets a singular matrix."""
 
 
+# A number read from text, a scenario coefficient, a --point/--outer
+# coordinate or a string given to `rat`, has at most _MAX_DIGITS decimal
+# digits in its numerator and in its denominator.  `dvb gen` wrote at most 7
+# over 480 sampled files.  At 32, the longest integer that `dvb dualize
+# --point` prints for the largest rank-8 file `dvb gen` draws, with every
+# coefficient and coordinate at the cap, has about 2700 digits, below the
+# interpreter's 4300-digit limit on int-to-text conversion; the count grows
+# with the cap.
+_MAX_DIGITS = 32
+_DIGIT_BOUND = 10**_MAX_DIGITS
+_TOO_LONG = f"more than {_MAX_DIGITS} digits in the numerator or denominator"
+_NOT_A_NUMBER = "not an integer n or a fraction n/d"
+# The form the writer gives a coefficient, `n` or `n/d`: its runs are below
+# the digit cap, so a match needs no cap check.  The uncapped form only picks
+# the message of a text the capped one misses.
+_PLAIN_NUMBER = re.compile(f"(-?[0-9]{{1,{_MAX_DIGITS}}})(?:/([0-9]{{1,{_MAX_DIGITS}}}))?")
+_LONG_NUMBER = re.compile("-?[0-9]+(?:/[0-9]+)?")
+
+
+def _read_pair(raw: int | str) -> tuple[int, int]:
+    """The reduced pair (n, d), d > 0, of the number `parse_number` reads.
+
+    Raises ValueError when `raw` is not in the writer's grammar or has more
+    than _MAX_DIGITS digits in a run, and ZeroDivisionError for a zero
+    denominator.
+    """
+    if type(raw) is str:
+        match = _PLAIN_NUMBER.fullmatch(raw)
+        if not match:
+            raise ValueError(_TOO_LONG if _LONG_NUMBER.fullmatch(raw) else _NOT_A_NUMBER)
+        num, den = match.groups()
+        if den is None:
+            return int(num), 1
+        n, d = int(num), int(den)
+        if not d:
+            raise ZeroDivisionError(f"Fraction({n}, 0)")
+        g = gcd(n, d)
+        return n // g, d // g
+    if type(raw) is int and -_DIGIT_BOUND < raw < _DIGIT_BOUND:
+        return raw, 1
+    raise ValueError(_TOO_LONG if type(raw) is int else _NOT_A_NUMBER)
+
+
+def parse_number(raw: int | str) -> Fraction:
+    """The exact value of an integer, or of the text `n` or `n/d`, under the
+    digit cap; `_read_pair` says what it raises."""
+    return _fraction(*_read_pair(raw))
+
+
 def rat(value: int | str | Fraction) -> Fraction:
-    """Coerce an int, Fraction, or 'p/q' string to an exact rational."""
+    """An int or a `Fraction` as an exact rational, and text as
+    `parse_number` reads it; a bool, a float or any other value raises
+    TypeError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and type(value) is not bool:
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        return parse_number(value)
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
@@ -196,11 +261,6 @@ def _draw_sample(rng: random.Random, bound: int, dim: int, lengths) -> list:
     return out
 
 
-def random_rational(rng: random.Random, bound: int = 7) -> Fraction:
-    """p/q with p drawn from [-bound, bound], then q from [1, bound]."""
-    return _draw_sample(rng, bound, 1, ())[0][0]
-
-
 def random_tuple(rng: random.Random, n: int, bound: int = 7) -> tuple[Fraction, ...]:
     return _draw_sample(rng, bound, n, ())[0]
 
@@ -269,22 +329,6 @@ class MultiPoly:
         return tuple(terms)
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def from_dict(
-        vars: Sequence[str], data: Mapping[Exponent, Fraction | int | str]
-    ) -> MultiPoly:
-        vt = tuple(vars)
-        pairs = _Pairs()
-        for exps, c in {tuple(e): rat(c) for e, c in data.items()}.items():
-            if c == 0:
-                continue
-            if len(exps) != len(vt):
-                raise ValueError(f"exponent vector {exps} does not match arity {len(vt)}")
-            if any(k < 0 for k in exps):
-                raise ValueError(f"negative exponent in {exps}")
-            pairs[exps] = c.numerator, c.denominator
-        return MultiPoly(vt, pairs)
 
     @staticmethod
     def zero(vars: Sequence[str]) -> MultiPoly:

@@ -15,26 +15,28 @@ the report header all read it.  A field shape is read by one recursive
 reader and written by one recursive writer, keyed by how many lists deep
 the shape nests its polynomial literals.
 
-`scenario_to_text` writes the one shape a scenario has, the bytes of
-`json.dumps(scenario_to_obj(sc), indent=2, sort_keys=True)`: the `bundle`
-block (labels through `json.encoder.encode_basestring_ascii`, then the
-ranks), the `plan` block and one block per section present, keys sorted,
-each field's literals written by `_write_literals` straight from each
-polynomial's (n, d) pairs, as `n`, or `n/d` when d is not 1 (the text `str`
-gives the `Fraction`), with no `MultiPoly.terms` view.  `Scenario` holds
+`scenario_to_text` writes the one shape a scenario has, the bytes that
+`json.dumps(obj, indent=2, sort_keys=True)` gives for the scenario's JSON
+object: the `bundle` block (labels through
+`json.encoder.encode_basestring_ascii`, then the ranks), the `plan` block
+and one block per section present, keys sorted, each field's literals
+written by `_write_literals` straight from each polynomial's (n, d) pairs,
+as `n`, or `n/d` when d is not 1 (the text `str` gives the `Fraction`),
+with no `MultiPoly.terms` view.  `Scenario` holds
 only what this writes: int, not bool, plan values; a chart x1..xn and ranks
 in [0, _MAX_RANK]; three str labels.
 
-A coefficient is read into a reduced pair by one reader, `_read_pair`, in
-the writer's grammar only: an int below 10**_MAX_DIGITS in size, or the ASCII
-text `-?D` or `-?D/D`, D a run of 1 to _MAX_DIGITS digits, read with `int`
-and one gcd.  Any other text is rejected; `parse_number` is its `Fraction`
-wrapper.  A literal names each exponent vector at most once.
+A coefficient is read into a reduced pair by the library's one number
+reader, `ring._read_pair`, in the writer's grammar only: an int below
+10**32 in size, or the ASCII text `-?D` or `-?D/D`, D a run of 1 to 32
+digits.  Any other text is rejected.  The command line's coordinates and
+text given to `ring.rat` are read by the same reader.  A literal names each
+exponent vector at most once.
 
 Every number a file gives is capped: ranks, exponents, terms per literal,
-the digits of each coefficient (_MAX_DIGITS, shared with the command line's
-coordinates) and the sampling plan (PLAN_RANGES, shared with the command
-line's flags).
+the digits of each coefficient (the reader's cap, shared with the command
+line's coordinates and the API's text) and the sampling plan (PLAN_RANGES,
+shared with the command line's flags).
 Records and morphisms built through the API keep any degree.
 
 Two error channels: ScenarioParseError for structural problems (bad JSON,
@@ -58,12 +60,10 @@ from __future__ import annotations
 
 import json
 import random
-import re
 import zlib
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from math import gcd
 
 from .core import Chart, DecomposedDVB, DVBMorphism, VectorBundle
 from .geomech import (
@@ -86,9 +86,9 @@ from .ring import (
     _check_grid,
     _draw,
     _draw_sample,
-    _fraction,
     _Pairs,
     _randint,
+    _read_pair,
     _span,
     _term_key,
 )
@@ -121,23 +121,6 @@ _MAX_DEGREE = 8
 # O(k) bits, so an unbounded exponent would stall the suites.
 _MAX_EXPONENT = 2 * _MAX_DEGREE
 _MAX_TERMS = 256
-
-# A number read from outside, a coefficient or a --point/--outer coordinate,
-# has at most _MAX_DIGITS decimal digits in its numerator and in its
-# denominator.  `dvb gen` wrote at most 7 over 480 sampled files.  At 32,
-# the longest integer that `dvb dualize --point` prints for the largest
-# rank-8 file `dvb gen` draws, with every coefficient and coordinate at the
-# cap, has about 2700 digits, below the interpreter's 4300-digit limit on
-# int-to-text conversion; the count grows with the cap.
-_MAX_DIGITS = 32
-_DIGIT_BOUND = 10**_MAX_DIGITS
-_TOO_LONG = f"more than {_MAX_DIGITS} digits in the numerator or denominator"
-_NOT_A_NUMBER = "not an integer n or a fraction n/d"
-# The form the writer gives a coefficient, `n` or `n/d`: its runs are below
-# the digit cap, so a match needs no cap check.  The uncapped form only picks
-# the message of a text the capped one misses.
-_PLAIN_NUMBER = re.compile(f"(-?[0-9]{{1,{_MAX_DIGITS}}})(?:/([0-9]{{1,{_MAX_DIGITS}}}))?")
-_LONG_NUMBER = re.compile("-?[0-9]+(?:/[0-9]+)?")
 
 # The sampling plan: each key's (low, high) range, both ends included, and
 # how a message spells it.  The sample count and the coordinate bound are
@@ -354,36 +337,6 @@ def _term_error(where: str, pos: int, detail: str) -> ScenarioParseError:
 _TERM_KEYS = {"coeff", "exps"}
 
 
-def _read_pair(raw: int | str) -> tuple[int, int]:
-    """The reduced pair (n, d), d > 0, of the number `parse_number` reads.
-
-    Raises ValueError when `raw` is not in the writer's grammar or has more
-    than _MAX_DIGITS digits in a run, and ZeroDivisionError for a zero
-    denominator.
-    """
-    if type(raw) is str:
-        match = _PLAIN_NUMBER.fullmatch(raw)
-        if not match:
-            raise ValueError(_TOO_LONG if _LONG_NUMBER.fullmatch(raw) else _NOT_A_NUMBER)
-        num, den = match.groups()
-        if den is None:
-            return int(num), 1
-        n, d = int(num), int(den)
-        if not d:
-            raise ZeroDivisionError(f"Fraction({n}, 0)")
-        g = gcd(n, d)
-        return n // g, d // g
-    if type(raw) is int and -_DIGIT_BOUND < raw < _DIGIT_BOUND:
-        return raw, 1
-    raise ValueError(_TOO_LONG if type(raw) is int else _NOT_A_NUMBER)
-
-
-def parse_number(raw: int | str) -> Fraction:
-    """The exact value of an integer, or of the text `n` or `n/d`, under the
-    digit cap; `_read_pair` says what it raises."""
-    return _fraction(*_read_pair(raw))
-
-
 def parse_poly(obj, vars: tuple[str, ...], where: str) -> MultiPoly:
     """One polynomial literal against a declared variable list."""
     acc: dict[tuple[int, ...], tuple[int, int]] = {}
@@ -546,13 +499,6 @@ def load_scenario(path: str) -> Scenario:
 # ---------------------------------------------------------------------------
 # Serialization
 
-def _nested_obj(value, depth: int) -> list:
-    """JSON lists of polynomial literals, `depth` lists deep."""
-    if depth == 0:
-        return [{"coeff": str(c), "exps": list(e)} for e, c in value.terms]
-    return [_nested_obj(item, depth - 1) for item in value]
-
-
 def _sections(sc: Scenario):
     """Each section `sc` holds: its key and, per field, the field's name, its
     polynomials as nested tuples and how many lists deep they nest."""
@@ -563,22 +509,11 @@ def _sections(sc: Scenario):
             yield key, [(n, v.entries if s == "matrix" else v, _DEPTH[s]) for n, v, s in values]
 
 
-def scenario_to_obj(sc: Scenario) -> dict:
-    """The JSON object of a scenario, its literals built from `MultiPoly.terms`."""
-    b = sc.bundle
-    out = {
-        "bundle": dict(n=b.chart.dim, n_F=b.n_F, n_C=b.n_C, n_E=b.n_E, labels=list(b.labels)),
-        "plan": {key: getattr(sc, key) for key in PLAN_RANGES},
-    }
-    for key, fields in _sections(sc):
-        out[key] = {name: _nested_obj(value, depth) for name, value, depth in fields}
-    return out
-
-
 def _write_literals(value, depth: int) -> list[str]:
-    """The pieces of the text json.dumps(_nested_obj(value, depth), indent=2)
-    gives at the field indentation, written from each polynomial's pairs in
-    the order of `MultiPoly.terms`."""
+    """The pieces of the text json.dumps(..., indent=2) gives at the field
+    indentation for `value`'s literals, `depth` lists deep, each term
+    {"coeff": str(c), "exps": e}, written from each polynomial's pairs in the
+    order of `MultiPoly.terms`."""
     out: list[str] = []
     # nl[i]: a line break and the indentation i levels below the field's
     nl = ["\n    " + "  " * i for i in range(depth + 4)]
@@ -621,7 +556,8 @@ def _block(items: dict[str, list[str]], pad: str = "  ") -> list[str]:
 
 
 def scenario_to_text(sc: Scenario) -> str:
-    """json.dumps(scenario_to_obj(sc), indent=2, sort_keys=True) and a line break."""
+    """The scenario's JSON object as json.dumps(..., indent=2, sort_keys=True)
+    writes it, and a line break."""
     b = sc.bundle
     labels = ",\n      ".join(map(encode_basestring_ascii, b.labels))
     blocks = {
@@ -651,7 +587,7 @@ def random_poly(rng: random.Random, vars, max_degree: int) -> MultiPoly:
             degree = _randint(rng, 0, max_degree)
             for i in _draw(rng, (_span(0, len(vt) - 1),) * degree):
                 exps[i] += 1
-        # the draws of `random_rational`, summed in the kernel form
+        # one rational p/q, p in [-7, 7] and then q in [1, 7], as a slot pair
         _, ((p,), q) = _draw_sample(rng, 7, 0, (1,))
         if p:
             acc += _Pairs({tuple(exps): (p, q)})

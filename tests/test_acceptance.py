@@ -55,7 +55,7 @@ from dvbcalc import (
     vf_is_bundle_morphism,
     vf_linearity_on_cotangent,
 )
-from dvbcalc.ring import random_rational, random_tuple
+from dvbcalc.ring import random_tuple
 from dvbcalc.scenario import (
     Scenario,
     derive_seed,
@@ -78,7 +78,7 @@ def _announce(capsys, number: int, ok: bool, detail: str) -> None:
 
 
 def _point(rng, dim, bound=7):
-    return tuple(random_rational(rng, bound) for _ in range(dim))
+    return random_tuple(rng, dim, bound)
 
 
 # --- criterion 1: structure axioms over random bundles ----------------------

@@ -18,7 +18,6 @@ from dvbcalc.core import (
     VectorBundle,
     compose_morphisms,
     core_difference,
-    core_embed,
     cotangent_prolongation,
     fiber_add,
     fiber_scale,
@@ -47,7 +46,6 @@ from dvbcalc.ring import (
     MultiPoly,
     PolyMatrix,
     _draw_sample,
-    random_rational,
     random_tuple,
     rat,
 )
@@ -71,6 +69,11 @@ def rand_rat(rng):
 
 def rand_tuple(rng, n):
     return tuple(rand_rat(rng) for _ in range(n))
+
+
+def core_embed(b, x, c):
+    """The core tuple c over x as an element with both outer slots zero."""
+    return b.element(x, (0,) * b.n_F, c, (0,) * b.n_E)
 
 
 def scalar_morphism(l, c, r, psi):
@@ -733,8 +736,8 @@ def test_kernel_draws_equal_random_tuple(bound):
             assert_lowest_slots(slots)
         ours, theirs = random.Random(seed), random.Random(seed)
         sampler = _Sampler(ours, None, bound)
-        assert _fractions(sampler.slots(1)) == (random_rational(theirs, bound),)
-        assert sampler.rationals(1) == (random_rational(theirs, bound),)
+        assert _fractions(sampler.slots(1)) == random_tuple(theirs, 1, bound)
+        assert sampler.rationals(1) == random_tuple(theirs, 1, bound)
         assert sampler.rationals(3) == random_tuple(theirs, 3, bound)
         assert ours.getstate() == theirs.getstate()
 
@@ -956,13 +959,26 @@ def test_at_checks_point_arity_for_every_rank(ranks):
         (((), (1,), (2,), (3,)), ValueError, "^point arity 0 vs chart dim 1$"),
         (((0,), (1.5,), (2,), (3,)), TypeError, "^cannot interpret 1.5 as a rational$"),
         (((0.5,), (1,), (2,), (3,)), TypeError, "^cannot interpret 0.5 as a rational$"),
+        (((0,), (True,), (2,), (3,)), TypeError, "^cannot interpret True as a rational$"),
+        (((0,), (1,), ("1e3",), (3,)), ValueError, "^not an integer n or a fraction n/d$"),
     ],
-    ids=["long-F", "short-C", "long-E", "long-point", "short-point", "float-slot", "float-point"],
+    ids=[
+        "long-F", "short-C", "long-E", "long-point", "short-point", "float-slot", "float-point",
+        "bool-slot", "exponent-text-slot",
+    ],
 )
 def test_element_checks_its_shape_and_values(args, error, message):
     for build in (lambda *a: DVBElement(B, *a), B.element):
         with pytest.raises(error, match=message):
             build(*args)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_fiber_scale_rejects_a_bool(side):
+    u = B.element((1,), (2,), (3,), (4,))
+    with pytest.raises(TypeError, match="^cannot interpret True as a rational$"):
+        fiber_scale(side, True, u)
+    assert fiber_scale(side, "1", u) == fiber_scale(side, 1, u) == u
 
 
 exact = st.one_of(

@@ -11,9 +11,9 @@ adds or drops a draw fails here even when the verdicts and the report
 bodies still read the same.
 
 The single-path guard reads the source: the rational draws
-(`random_tuple`, `random_rational` and the pair loop `_draw_sample`) and the
-retired `_rational_draws` and `_random_slots` may be named only in `ring`, in
-`core._Sampler` and in the generators of `scenario`.
+(`random_tuple` and the pair loop `_draw_sample`) and the retired
+`random_rational`, `_rational_draws` and `_random_slots` may be named only
+in `ring`, in `core._Sampler` and in the generators of `scenario`.
 """
 
 import ast

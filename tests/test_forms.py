@@ -6,6 +6,7 @@ import pytest
 
 from dvbcalc.forms import DifferentialForm, d, make_form
 from dvbcalc.ring import MultiPoly, rat
+from polys import poly_from_dict
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -13,7 +14,7 @@ XYZ = ("x", "y", "z")
 
 def poly(vars, text_terms):
     """Terms as {exps: coeff} over vars."""
-    return MultiPoly.from_dict(vars, {e: rat(c) for e, c in text_terms.items()})
+    return poly_from_dict(vars, {e: rat(c) for e, c in text_terms.items()})
 
 
 def rand_poly(rng, vars, max_degree=2):
@@ -21,7 +22,7 @@ def rand_poly(rng, vars, max_degree=2):
     for _ in range(rng.randint(1, 4)):
         exps = tuple(rng.randint(0, max_degree) for _ in vars)
         terms[exps] = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
-    return MultiPoly.from_dict(vars, terms)
+    return poly_from_dict(vars, terms)
 
 
 def test_d_of_function():

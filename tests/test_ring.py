@@ -1,10 +1,11 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd, isqrt, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dvbcalc import ring, scenario
@@ -31,10 +32,8 @@ from dvbcalc.geomech import (
     Metric,
     check_jacobi,
     lambda_sharp,
-    oneform_evaluation_on_tangent,
     total_space_vars,
     vertical_lift,
-    vf_evaluation_on_cotangent,
 )
 from dvbcalc.ring import (
     MultiPoly,
@@ -43,17 +42,17 @@ from dvbcalc.ring import (
     det_frac,
     mat_inverse_frac,
     mat_mul,
-    random_rational,
     random_tuple,
     rat,
     solve_fraction_free,
 )
+from polys import poly_from_dict
 
 XY = ("x", "y")
 
 
 def poly(data, vars=XY):
-    return MultiPoly.from_dict(vars, data)
+    return poly_from_dict(vars, data)
 
 
 X = MultiPoly.var(XY, "x")
@@ -200,7 +199,7 @@ def test_corner_values_reject_a_nonconstant_determinant_before_any_minor_table(m
     assert calls
     calls.clear()
     # det = 1 everywhere, with 32-digit coefficients off the diagonal
-    big = MultiPoly.from_dict(XY, {(1, 2): Fraction(10**31 + 7, 10**31 + 9)})
+    big = poly_from_dict(XY, {(1, 2): Fraction(10**31 + 7, 10**31 + 9)})
     unimodular = PolyMatrix(XY, ((one, big), (zero, one)))
     assert unimodular * unimodular.unimodular_inverse() == PolyMatrix.identity(XY, 2)
     assert calls
@@ -226,7 +225,7 @@ def polys(draw, vars=XY, max_terms=4, max_degree=3):
             draw(st.integers(0, max_degree)) for _ in range(len(vars))
         )
         data[exps] = draw(fractions)
-    return MultiPoly.from_dict(vars, data)
+    return poly_from_dict(vars, data)
 
 
 points = st.tuples(fractions, fractions)
@@ -341,6 +340,68 @@ def test_eval_over_no_variables():
     assert MultiPoly.zero(()).eval(()) == 0
 
 
+# -- rat: ints and Fractions as they are, text by the scenario reader -------
+
+NOT_A_NUMBER = "not an integer n or a fraction n/d"
+TOO_LONG = "more than 32 digits in the numerator or denominator"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # the coefficient texts tests/test_fuzz.py's REJECTED writes into a file
+        *[(t, NOT_A_NUMBER) for t in ("0.5", "1e3", "+1", " 1", "1_0", "\u0663")],
+        ("1" * 33, TOO_LONG),
+        ("1e100000", NOT_A_NUMBER),
+        ("1/" + "2" * 33, TOO_LONG),
+        (" 1/2 ", NOT_A_NUMBER),
+    ],
+)
+def test_rat_reads_text_in_the_scenario_grammar_only(text, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        rat(text)
+    with pytest.raises(scenario.ScenarioParseError, match=f": {message}$"):
+        scenario.parse_poly([{"coeff": text, "exps": []}], (), "p")
+
+
+def test_rat_rejects_an_exponent_form_before_building_its_power():
+    # Fraction("1e10000000") alone takes about 15 s
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^{NOT_A_NUMBER}$"):
+        rat("1e10000000")
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize(
+    "text", ["3/6", "-0", "007/010", "-" + "9" * 32, "1/" + "9" * 32, "1/0", "-4/0"]
+)
+def test_rat_reads_text_as_the_scenario_reader_does(text):
+    def outcome(f):
+        try:
+            return f(text)
+        except ZeroDivisionError as exc:
+            return str(exc)
+
+    assert outcome(rat) == outcome(ring.parse_number) == outcome(Fraction)
+
+
+@given(st.one_of(st.integers(), st.fractions()))
+@example(10**40)
+@example(-(10**32))
+def test_rat_keeps_ints_and_fractions(value):
+    got = rat(value)
+    assert type(got) is Fraction and got == value
+    if type(value) is Fraction:
+        assert got is value
+
+
+def test_const_and_scale_reject_a_bool():
+    for build in (lambda v: MultiPoly.const(XY, v), X.scale):
+        with pytest.raises(TypeError, match="^cannot interpret True as a rational$"):
+            build(True)
+        assert build(1) == build("1")
+
+
 def test_draws_match_stdlib_randint_and_state():
     """`_draw` and the pair loop `_draw_sample` keep the stdlib's
     rejection rule: the same values as `randint`/`randrange` (the pairs in
@@ -359,7 +420,7 @@ def test_draws_match_stdlib_randint_and_state():
             assert ring._randint(ours, -b, 2 * b) == theirs.randint(-b, 2 * b)
             assert ring._randint(ours, 0, b - 1) == theirs.randrange(b)
             assert ring._randint(ours, 0, (1 << 30) - 1) == theirs.randrange(1 << 30)
-            assert random_rational(ours, b) == Fraction(theirs.randint(-b, b), theirs.randint(1, b))
+            assert random_tuple(ours, 1, b)[0] == Fraction(theirs.randint(-b, b), theirs.randint(1, b))
             assert ours.random() == theirs.random()
 
 
@@ -894,13 +955,13 @@ def frac_matrix(seed):
     n, kind = seed % 7, seed // 7 % 3
 
     def entry():
-        return Fraction(0) if rng.random() < 0.25 else random_rational(rng)
+        return Fraction(0) if rng.random() < 0.25 else random_tuple(rng, 1)[0]
 
     if kind == 0:
         return [[entry() for _ in range(n)] for _ in range(n)]
     if kind == 1 and n:
         rows = [[entry() for _ in range(n)] for _ in range(n - 1)]
-        weights = [random_rational(rng) for _ in rows]
+        weights = [random_tuple(rng, 1)[0] for _ in rows]
         last = [fraction_dot(weights, col) for col in zip(*rows)] if rows else [Fraction(0)]
         return rows + [last]
 
@@ -1090,7 +1151,7 @@ def plan_polys(draw, vars, exponents=st.integers(0, 4)):
     data = {}
     for _ in range(draw(st.integers(1, 3))):
         data[tuple(draw(exponents) for _ in vars)] = draw(plan_coefficients)
-    return MultiPoly.from_dict(vars, data)
+    return poly_from_dict(vars, data)
 
 
 def plan_vector(draw, vars, n, **kw):
@@ -1200,10 +1261,10 @@ def test_vector_field_and_one_form_plans_match_per_entry_eval(case, rng):
     assert image == cot.element(x, de, dx, e)
     n, k = vb.chart.dim, vb.rank
     p, phi, xdot, edot = (random_tuple(rng, m, 49) for m in (n, k, n, k))
-    value = vf_evaluation_on_cotangent(field, cot.element(x, phi, p, e))
-    assert type(value) is Fraction and value == fraction_dot(p, base) + fraction_dot(phi, vert)
-    value = oneform_evaluation_on_tangent(form, tan.element(x, xdot, edot, e))
-    assert type(value) is Fraction and value == fraction_dot(dx, xdot) + fraction_dot(de, edot)
+    value = Fraction(*field._momentum(cot.element(x, phi, p, e)._key))
+    assert value == fraction_dot(p, base) + fraction_dot(phi, vert)
+    value = Fraction(*form._velocity(tan.element(x, xdot, edot, e)._key))
+    assert value == fraction_dot(dx, xdot) + fraction_dot(de, edot)
 
 
 @st.composite

@@ -20,15 +20,25 @@ from dvbcalc.geomech import (
     is_linear_oneform,
     is_symmetric_connection,
 )
-from dvbcalc.ring import MultiPoly, PolyMatrix, _draw, _randint, _span, _term_key, random_rational
+from dvbcalc.ring import (
+    MultiPoly,
+    PolyMatrix,
+    _draw,
+    _randint,
+    _span,
+    _term_key,
+    parse_number,
+    random_tuple,
+)
 from dvbcalc.scenario import (
+    _DEPTH,
+    PLAN_RANGES,
     SECTIONS,
     InconsistentScenarioError,
     Scenario,
     ScenarioParseError,
     derive_seed,
     gen_random_scenario,
-    parse_number,
     parse_poly,
     random_bivector,
     random_connection,
@@ -41,9 +51,9 @@ from dvbcalc.scenario import (
     random_vector_field,
     scenario_from_obj,
     scenario_from_text,
-    scenario_to_obj,
     scenario_to_text,
 )
+from polys import poly_from_dict
 
 
 def poly_lit(coeff, exps):
@@ -357,6 +367,34 @@ def test_roundtrip_preserves_sections():
     assert again.core_section == sc.core_section
 
 
+def _nested_obj(value, depth: int) -> list:
+    """JSON lists of polynomial literals, `depth` lists deep."""
+    if depth == 0:
+        return [{"coeff": str(c), "exps": list(e)} for e, c in value.terms]
+    return [_nested_obj(item, depth - 1) for item in value]
+
+
+def scenario_to_obj(sc: Scenario) -> dict:
+    """The writer's oracle: the JSON object of a scenario, its literals built
+    from `MultiPoly.terms`, whose `json.dumps` the writer's text must be."""
+    b = sc.bundle
+    out = {
+        "bundle": dict(n=b.chart.dim, n_F=b.n_F, n_C=b.n_C, n_E=b.n_E, labels=list(b.labels)),
+        "plan": {key: getattr(sc, key) for key in PLAN_RANGES},
+    }
+    for key, _, _, fields in SECTIONS:
+        record = getattr(sc, key)
+        if record is not None:
+            out[key] = {
+                name: _nested_obj(
+                    getattr(record, attr).entries if shape == "matrix" else getattr(record, attr),
+                    _DEPTH[shape],
+                )
+                for name, attr, shape, _ in fields
+            }
+    return out
+
+
 def assert_written_as_json(sc):
     text = scenario_to_text(sc)
     assert text == json.dumps(scenario_to_obj(sc), indent=2, sort_keys=True) + "\n"
@@ -382,8 +420,8 @@ def _wide_coefficients():
     top = 10**32 - 1
     names = Chart.of_dim(2).names
     gamma = (
-        MultiPoly.from_dict(names, {(1, 0): Fraction(top), (0, 2): Fraction(-top, top - 2)}),
-        MultiPoly.from_dict(names, {(0, 0): Fraction(-top), (1, 1): Fraction(1, top)}),
+        poly_from_dict(names, {(1, 0): Fraction(top), (0, 2): Fraction(-top, top - 2)}),
+        poly_from_dict(names, {(0, 0): Fraction(-top), (1, 1): Fraction(1, top)}),
     )
     return Scenario(
         bundle=DecomposedDVB(Chart.of_dim(2), 0, 2, 0),
@@ -767,7 +805,7 @@ def reference_poly(terms, where):
         if k in acc:
             raise ScenarioParseError(f"{where}, term {pos}: exponents [{k}] repeat an earlier term")
         acc[k] = coeff
-    return MultiPoly.from_dict(("x1",), {(k,): c for k, c in acc.items()})
+    return poly_from_dict(("x1",), {(k,): c for k, c in acc.items()})
 
 
 def outcome(f, *args):
@@ -1014,9 +1052,9 @@ def reference_random_poly(rng, vars, max_degree):
                 exps[i] += 1
         key = tuple(exps)
         had = acc.get(key, Fraction(0))
-        acc[key] = had + random_rational(rng)
+        acc[key] = had + random_tuple(rng, 1)[0]
         cancelled = had != 0 and acc[key] == 0
-    return MultiPoly.from_dict(vt, acc), cancelled
+    return poly_from_dict(vt, acc), cancelled
 
 
 def test_random_poly_matches_the_fraction_sum_and_its_draws():
@@ -1066,7 +1104,7 @@ def term_sum_route(names, data):
 @given(coefficient_maps)
 def test_every_construction_route_gives_one_polynomial(data):
     names = ROUTE_CHART.names
-    p = MultiPoly.from_dict(names, data)
+    p = poly_from_dict(names, data)
     routes = (
         p,
         literal_route(p),

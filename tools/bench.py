@@ -30,9 +30,10 @@ It runs, one after another and never in parallel:
   over the scenarios just parsed, whose text must be the one read;
 * `dvb check third-dual` on the worst-case file dense8t3, `load_scenario`
   of dense8t12 (printing the loaded scenario's text, so its digest pins the
-  parse of 32-digit coefficients) and `compose_morphisms` of
-  compose-t8r3-outer after compose-t8r3-inner (printing the composite's
-  scenario text), all files written by `tools/worst_case.py` into a
+  parse of 32-digit coefficients), `load_scenario` of vanish6 (whose
+  parse-time certificate falls back to the symbolic determinant) and
+  `compose_morphisms` of compose-t8r3-outer after compose-t8r3-inner
+  (printing the composite's scenario text), all files written by `tools/worst_case.py` into a
   temporary directory, each in three fresh processes (`worst_case`:
   median and quartiles of the wall time, every exit code, and the sha256 of
   each distinct output with the report's `elapsed:` line taken out);
@@ -203,6 +204,7 @@ WORST_CASE = (
         ["-m", "dvbcalc.cli", "check", "third-dual", "--scenario"],
     ),
     ("load_scenario dense8t12", ("dense8t12",), ["-c", LOAD_SCENARIO]),
+    ("load_scenario vanish6", ("vanish6",), ["-c", LOAD_SCENARIO]),
     (
         "compose_morphisms compose-t8r3",
         ("compose-t8r3-outer", "compose-t8r3-inner"),

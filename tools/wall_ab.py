@@ -10,8 +10,11 @@ checks that side's outputs; nothing under `perfbench/` is edited.  Round i
 builds one menu round of tasks from seed 1100+i on each side and runs every
 task on both sides back to back, the side that runs first alternating from
 task to task, so a drift of the host's speed falls on both sides alike.  It
-prints each round's summed task times, the median over the rounds of the
-ratio B/A and in how many rounds B was faster.  A failed output check on
+runs the round's task list again, in the same way, until side A's task times
+sum to at least perfbench's `NOMINAL_SECONDS`, the length of a perfbench
+run, so a round of a light workload is not a fraction of a second.  It
+prints each round's repeat count and summed task times, the median over
+the rounds of the ratio B/A and in how many rounds B was faster.  A failed output check on
 either side stops the comparison.  Only the standard library is used.
 
 Each timed run starts after a full `gc.collect()`, outside the timer.
@@ -96,13 +99,16 @@ def main(argv=None) -> int:
         tasks = [side.workload.tasks(seed, side.nominal) for side in sides]
         if len(tasks[0]) != len(tasks[1]):
             raise SystemExit(f"error: seed {seed}: the two sides build different task counts")
-        total = [0.0, 0.0]
-        for j, pair in enumerate(zip(*tasks)):
-            for k in ((0, 1) if (i + j) % 2 == 0 else (1, 0)):
-                total[k] += sides[k].run(pair[k])
+        total, turn, repeats = [0.0, 0.0], i, 0
+        while total[0] < sides[0].nominal:
+            repeats += 1
+            for pair in zip(*tasks):
+                for k in ((0, 1) if turn % 2 == 0 else (1, 0)):
+                    total[k] += sides[k].run(pair[k])
+                turn += 1
         sums.append((total[0], total[1]))
         print(
-            f"round {i + 1} seed {seed}: {len(tasks[0])} tasks, A {total[0]:.3f} s,"
+            f"round {i + 1} seed {seed}: {len(tasks[0])} tasks x {repeats}, A {total[0]:.3f} s,"
             f" B {total[1]:.3f} s, B/A {total[1] / total[0]:.3f}",
             flush=True,
         )

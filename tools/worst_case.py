@@ -25,6 +25,13 @@ own seeded `random.Random`.  Only the standard library is used.
   bundle (3, 3, 3, 3), every entry of every block, Psi included, with 3
   terms; `compose_morphisms(outer, inner)` is the dense composition.
 * compose-t8r3-outer, compose-t8r3-inner: the same with 8 terms per entry.
+* vanish6, vanish8: bundle (3, R, R, R) for R = 6 and 8 with only a
+  morphism section.  Phi_l and Phi_c are identities, Psi is zero, and every
+  entry of Phi_r has 3 terms with exponents in 0-9 and coefficients in
+  +-{1, 2, 3} (`random.Random(R)`); row 0 is then multiplied by 7*x1 - 3.
+  The determinant of Phi_r is not the zero polynomial, but it vanishes at
+  the parser's witness point (x1 = 3/7), so `load_scenario` falls back to
+  the symbolic determinant, which is the whole cost of loading these files.
 """
 
 from __future__ import annotations
@@ -98,8 +105,42 @@ def fully_dense(terms: int, rank: int, side: str) -> dict:
     return scenario((rank, rank, rank), blocks)
 
 
+def vanishing_literal(rng: random.Random, factor: bool) -> list[dict]:
+    """3 terms, exponents in 0-9 and coefficients in +-{1, 2, 3}, times
+    7*x1 - 3 when `factor` is set."""
+    terms: dict[tuple[int, ...], int] = {}
+    while len(terms) < 3:
+        e = tuple(rng.randint(0, 9) for _ in range(DIM))
+        if e not in terms:
+            terms[e] = rng.choice((1, 2, 3)) * rng.choice((1, -1))
+    if factor:
+        product: dict[tuple[int, ...], int] = {}
+        for e, c in terms.items():
+            for shifted, k in (((e[0] + 1, *e[1:]), 7 * c), (e, -3 * c)):
+                product[shifted] = product.get(shifted, 0) + k
+        terms = {e: c for e, c in product.items() if c}
+    return [{"coeff": c, "exps": list(e)} for e, c in sorted(terms.items(), reverse=True)]
+
+
+def vanish(rank: int) -> dict:
+    """Rank `rank` with identity side and core blocks, zero Psi and a Phi_r
+    whose determinant vanishes at the parser's witness point."""
+    rng = random.Random(rank)
+    phi_r = [[vanishing_literal(rng, i == 0) for _ in range(rank)] for i in range(rank)]
+    return scenario(
+        (rank, rank, rank),
+        {
+            "Phi_l": identity(rank),
+            "Phi_c": identity(rank),
+            "Phi_r": phi_r,
+            "Psi": [[[[] for _ in range(rank)] for _ in range(rank)] for _ in range(rank)],
+        },
+    )
+
+
 def cases() -> dict[str, dict]:
     out = {"dense8t3": dense8(3, random.Random(1)), "dense8t12": dense8(12, random.Random(12))}
+    out.update((f"vanish{rank}", vanish(rank)) for rank in (6, 8))
     for terms, rank in ((3, 3), (8, 3)):
         for side in ("outer", "inner"):
             out[f"compose-t{terms}r{rank}-{side}"] = fully_dense(terms, rank, side)

@@ -194,9 +194,10 @@ class DVBElement:
     It holds the key (bundle, x, f, c, e), with x a tuple of `Fraction`s and
     f, c, e slot vectors (`_f`, `_c`, `_e`); `f`, `c` and `e` read them as
     tuples of `Fraction`s, made on first read.  Like `bundle.element`, the
-    constructor takes exact values (ints, `Fraction`s, 'p/q' strings) and
-    raises `ValueError` for a point arity or slot length that does not fit
-    the bundle and `TypeError` for an inexact value; `_of_slots`, which the
+    constructor takes exact values (ints, `Fraction`s, strings `n` or `n/d`
+    as `rat` reads them) and raises `ValueError` for a point arity or slot
+    length that does not fit the bundle or a string outside that grammar,
+    and `TypeError` for a bool or an inexact value; `_of_slots`, which the
     structure maps use, checks nothing, because they keep every shape.
     Equality and hashing compare the keys.  Instances are immutable.
     """

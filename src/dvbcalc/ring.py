@@ -501,7 +501,7 @@ def _sum_products(pairs) -> _Pairs:
 
 
 def _coords(point: Sequence[Fraction | int | str], n: int) -> Point:
-    """A point of n exact coordinates (ints, Fractions, 'p/q' strings)."""
+    """A point of n exact coordinates (ints, Fractions, text `rat` reads)."""
     if len(point) != n:
         raise ValueError(f"point arity {len(point)} does not match {n} variables")
     return tuple(map(rat, point))

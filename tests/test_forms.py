@@ -14,7 +14,7 @@ XYZ = ("x", "y", "z")
 
 def poly(vars, text_terms):
     """Terms as {exps: coeff} over vars."""
-    return poly_from_dict(vars, {e: rat(c) for e, c in text_terms.items()})
+    return poly_from_dict(vars, text_terms)
 
 
 def rand_poly(rng, vars, max_degree=2):

@@ -70,7 +70,7 @@ from dvbcalc.geomech import (
     vf_is_bundle_morphism,
     vf_linearity_on_cotangent,
 )
-from dvbcalc.ring import MultiPoly, PolyMatrix, rat
+from dvbcalc.ring import MultiPoly, PolyMatrix
 from dvbcalc.scenario import Scenario, random_connection, random_metric, random_poly
 from polys import poly_from_dict
 
@@ -81,7 +81,7 @@ VB22 = VectorBundle(CHART2, 2)
 
 
 def poly(vars, data):
-    return poly_from_dict(tuple(vars), {tuple(k): rat(v) for k, v in data.items()})
+    return poly_from_dict(vars, data)
 
 
 def rand_rat(rng):

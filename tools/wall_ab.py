@@ -24,8 +24,11 @@ the fixed seeds the heavy tasks fall more often on one order than on the
 other, so two copies of one tree read a `symbolic` ratio of about 0.99
 (median 0.995 over 13 runs of 20 rounds), and about 1.01 with the first
 side's turns swapped.  With it, 8 such runs, 4 in each order, read
-0.996-1.008, median 1.002 (2-core host, Python 3.11.7): one run still
-cannot resolve a change under about 1%.
+0.996-1.008, median 1.002 (2-core host, Python 3.11.7), when a round ran
+its menu once, 0.5-0.8 s a side on `symbolic`.  With rounds of at least
+`NOMINAL_SECONDS` a side, one 10-round `symbolic` run of two trees whose
+timed code differs only in which module holds the number reader read
+rounds of 0.994-1.009, median 1.000.
 
 One fresh process per side cannot resolve a few-percent change on a host
 whose speed drifts within seconds; back-to-back tasks in one process can.

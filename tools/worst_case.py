@@ -78,17 +78,23 @@ def scenario(ranks: tuple[int, int, int], morphism: dict) -> dict:
     return {"bundle": {"n": DIM, "n_F": n_f, "n_C": n_c, "n_E": n_e}, "morphism": morphism}
 
 
-def dense8(terms: int, rng: random.Random) -> dict:
-    """Rank 8 with identity side and core blocks, zero Psi and a dense Phi_r."""
+def right_block_only(phi_r: list) -> dict:
+    """Identity side and core blocks, zero Psi and the given Phi_r."""
+    rank = len(phi_r)
     return scenario(
-        (8, 8, 8),
+        (rank, rank, rank),
         {
-            "Phi_l": identity(8),
-            "Phi_c": identity(8),
-            "Phi_r": dense(rng, terms, 8, 8),
-            "Psi": [[[[] for _ in range(8)] for _ in range(8)] for _ in range(8)],
+            "Phi_l": identity(rank),
+            "Phi_c": identity(rank),
+            "Phi_r": phi_r,
+            "Psi": [[[[] for _ in range(rank)] for _ in range(rank)] for _ in range(rank)],
         },
     )
+
+
+def dense8(terms: int, rng: random.Random) -> dict:
+    """Rank 8 with a dense Phi_r."""
+    return right_block_only(dense(rng, terms, 8, 8))
 
 
 def fully_dense(terms: int, rank: int, side: str) -> dict:
@@ -123,18 +129,11 @@ def vanishing_literal(rng: random.Random, factor: bool) -> list[dict]:
 
 
 def vanish(rank: int) -> dict:
-    """Rank `rank` with identity side and core blocks, zero Psi and a Phi_r
-    whose determinant vanishes at the parser's witness point."""
+    """Rank `rank` with a Phi_r whose determinant vanishes at the parser's
+    witness point."""
     rng = random.Random(rank)
-    phi_r = [[vanishing_literal(rng, i == 0) for _ in range(rank)] for i in range(rank)]
-    return scenario(
-        (rank, rank, rank),
-        {
-            "Phi_l": identity(rank),
-            "Phi_c": identity(rank),
-            "Phi_r": phi_r,
-            "Psi": [[[[] for _ in range(rank)] for _ in range(rank)] for _ in range(rank)],
-        },
+    return right_block_only(
+        [[vanishing_literal(rng, i == 0) for _ in range(rank)] for i in range(rank)]
     )
 
 

@@ -40,7 +40,6 @@ from .core import (
     fiber_add,
     fiber_scale,
     fiber_sub,
-    flip,
     identity_morphism,
     invert_morphism,
     invert_morphism_poly,

@@ -22,7 +22,13 @@ prints before it prints any.  Every
 ``--seed`` must lie in [0, 2**32), the range ``derive_seed`` uses;
 ``--samples`` and ``--bound`` lie in [1, 1000], ``--max-rank`` in [1, 8]
 and ``--max-degree`` in [0, 8].  The plan flags share their ranges with a
-scenario file's ``plan``, from ``scenario.PLAN_RANGES``.  A ``--point`` or
+scenario file's ``plan``, from ``scenario.PLAN_RANGES``.  ``connection
+check`` takes only ``--seed`` of them: its checks draw fixed counts at
+bound 7.  A flag that would change nothing is a usage error (exit 2):
+``--max-rank``, ``--max-degree`` or ``--symmetric`` with ``--scenario``,
+since they shape only ``--random`` generation, and
+``--naive-identification`` with a suite other than ``third-dual`` and
+``all``, the two it adds a row to.  A ``--point`` or
 ``--outer`` coordinate is read by ``ring.parse_number``, the reader of a
 scenario coefficient and of text given to ``ring.rat``, in its grammar and
 under its digit cap; its first coordinate may be negative.
@@ -108,51 +114,55 @@ def _matrix_lines(name: str, rows) -> list[str]:
     return [f"{name}:"] + ["  [" + "  ".join(map(_text, row)) + "]" for row in rows]
 
 
-def _add_plan_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=_seed, default=None, help="sampling seed override")
-    p.add_argument("--samples", type=_samples, default=None, help="tuples per property")
-    p.add_argument("--bound", type=_bound, default=None, help="coordinate magnitude bound")
-
-
 def _add_source_flags(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--scenario", metavar="FILE", help="scenario JSON file")
     group.add_argument(
         "--random", action="store_true", help="generate a scenario from --seed"
     )
+    p.add_argument("--seed", type=_seed, default=None, help="sampling seed override")
+    # the shape flags are left unset unless given, so that a file source can
+    # reject them and generation keeps gen_random_scenario's defaults
     p.add_argument(
-        "--max-rank", type=_max_rank, default=3, help="random generation rank bound, 1-8"
+        "--max-rank",
+        type=_max_rank,
+        default=argparse.SUPPRESS,
+        help="random generation rank bound, 1-8 (default 3)",
     )
     p.add_argument(
         "--max-degree",
         type=_max_degree,
-        default=2,
-        help="random generation degree bound, 0-8",
+        default=argparse.SUPPRESS,
+        help="random generation degree bound, 0-8 (default 2)",
     )
     p.add_argument(
         "--symmetric",
         action="store_true",
+        default=argparse.SUPPRESS,
         help="random generation: symmetric connection with side rank = chart dim",
     )
 
 
-def _scenario_from_args(args) -> Scenario:
+def _scenario_from_args(args, samples=None, bound=None) -> Scenario:
+    shape = {k: v for k, v in vars(args).items() if k in ("max_rank", "max_degree", "symmetric")}
     if args.scenario is not None:
+        if shape:
+            given = ", ".join("--" + key.replace("_", "-") for key in shape)
+            raise argparse.ArgumentError(None, f"only --random generation reads {given}")
         sc = load_scenario(args.scenario)
     else:
-        sc = gen_random_scenario(
-            args.seed if args.seed is not None else 0,
-            max_rank=args.max_rank,
-            max_degree=args.max_degree,
-            symmetric=args.symmetric,
-        )
-    if args.seed is not None or args.samples is not None or args.bound is not None:
-        sc = sc.with_plan(seed=args.seed, samples=args.samples, bound=args.bound)
+        sc = gen_random_scenario(0 if args.seed is None else args.seed, **shape)
+    if args.seed is not None or samples is not None or bound is not None:
+        sc = sc.with_plan(seed=args.seed, samples=samples, bound=bound)
     return sc
 
 
 def _cmd_check(args) -> int:
-    sc = _scenario_from_args(args)
+    if args.naive_identification and args.suite not in ("third-dual", "all"):
+        raise argparse.ArgumentError(
+            None, "--naive-identification adds a row only to third-dual and all"
+        )
+    sc = _scenario_from_args(args, args.samples, args.bound)
     report = run_suite(args.suite, sc, naive_identification=args.naive_identification)
     if args.json:
         print(json.dumps(report.to_obj(), indent=2, sort_keys=True))
@@ -260,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run a property suite")
     p_check.add_argument("suite", choices=SUITE_NAMES)
     _add_source_flags(p_check)
-    _add_plan_flags(p_check)
+    p_check.add_argument("--samples", type=_samples, default=None, help="tuples per property")
+    p_check.add_argument("--bound", type=_bound, default=None, help="coordinate magnitude bound")
     p_check.add_argument(
         "--naive-identification",
         action="store_true",
@@ -303,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cc = conn_sub.add_parser("check", help="evaluate one connection predicate")
     p_cc.add_argument("kind", choices=tuple(_CONNECTION_CHECKS))
     _add_source_flags(p_cc)
-    _add_plan_flags(p_cc)
     p_cc.set_defaults(func=_cmd_connection_check)
 
     return parser
@@ -328,6 +338,9 @@ def main(argv=None) -> int:
         return 2
     except (InconsistentScenarioError, SingularMatrixError) as exc:
         print(f"INCONSISTENT_SCENARIO: {exc}", file=sys.stderr)
+        return 2
+    except argparse.ArgumentError as exc:
+        print(f"dvb: error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -581,11 +581,6 @@ def core_difference(u: DVBElement, v: DVBElement) -> tuple[Fraction, ...]:
     return _fractions(_difference(u, v))
 
 
-def flip(obj):
-    """Flip a bundle, element, or morphism to the opposite structure."""
-    return obj.flip()
-
-
 def tangent_prolongation(vb: VectorBundle) -> DecomposedDVB:
     """Shell of the tangent of a vector bundle: sides TM and E, core E.
 
@@ -877,10 +872,6 @@ class FiberMorphism:
         blocks = _inverse_blocks(psi, inverses, self.source, self.target, _int_mul)
         return FiberMorphism._of_blocks(self.target, self.source, self.x, blocks)
 
-    def flip(self) -> FiberMorphism:
-        blocks = _flip_blocks(self._int_blocks, self.source)
-        return FiberMorphism._of_blocks(self.source.flip(), self.target.flip(), self.x, blocks)
-
 
 @dataclass(frozen=True)
 class PointwiseMorphism:
@@ -895,9 +886,6 @@ class PointwiseMorphism:
         if fm.source != self.source or fm.target != self.target:
             raise ValueError("pointwise blocks disagree with declared bundles")
         return fm
-
-    def apply(self, v: DVBElement) -> DVBElement:
-        return self.at(v.x).apply(v)
 
 
 def _check_square_ranks(phi) -> None:

@@ -249,10 +249,6 @@ def _differential(poly: MultiPoly) -> DifferentialForm:
     return _collect(poly.vars, 1, terms)
 
 
-def d(form: DifferentialForm) -> DifferentialForm:
-    return form.d()
-
-
 def make_form(
     vars: Sequence[str], degree: int, components: Mapping[Sequence[int], MultiPoly]
 ) -> DifferentialForm:

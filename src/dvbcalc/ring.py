@@ -20,8 +20,8 @@ wraps; `mat_mul` multiplies their entries' pairs, and it and `transpose`
 take the column count, because a matrix with no rows stores none.  A
 rational matrix is integer rows over one denominator.  `Fraction`
 matrices appear only at the boundary: `det_frac`, `solve_fraction_free` and
-`mat_inverse_frac` take them (or ints), and `mat_inverse_frac` and
-`PolyMatrix.eval_at` return them.
+`mat_inverse_frac` take them (or ints), and `mat_inverse_frac` returns
+them.
 The morphisms of `core` and the records of `geomech` check each field with
 one grid check, `_check_grid`: the field is nested tuples (or a
 `PolyMatrix`) with the lengths its ranks fix, and every entry is over the
@@ -51,8 +51,8 @@ Every polynomial value at a rational point comes from one evaluator,
 `_EvalPlan`, which gives a list of polynomial matrices at a point as integer
 rows over one shared denominator.  `PolyMatrix`, the morphisms of `core` and
 the records of `geomech` and `forms` each cache one plan, built on first
-use, and hand its rows on without making a `Fraction`; `MultiPoly.eval` and
-`PolyMatrix.eval_at` make `Fraction`s from them.  A plan's integers grow
+use, and hand its rows on without making a `Fraction`; `MultiPoly.eval`
+makes a `Fraction` from them.  A plan's integers grow
 with the highest exponent of each coordinate.  Polynomials here take any
 degree; it is the scenario parser that caps the exponents of outside input.
 
@@ -355,10 +355,6 @@ class MultiPoly:
                 f"variable lists differ: {self.vars} vs {other.vars}"
             )
 
-    def coeff(self, exps: Exponent) -> Fraction:
-        pair = self._pairs.get(tuple(exps))
-        return Fraction(0) if pair is None else _fraction(*pair)
-
     @property
     def is_zero(self) -> bool:
         return not self._pairs
@@ -404,7 +400,7 @@ class MultiPoly:
 
     def eval(self, point: Sequence[Fraction | int | str]) -> Fraction:
         """Evaluate at a rational point given in variable order: one plan entry."""
-        return PolyMatrix(self.vars, ((self,),)).eval_at(point)[0][0]
+        return _frac_rows(PolyMatrix(self.vars, ((self,),)).eval_ints(point))[0][0]
 
     def compose(self, images: Sequence[MultiPoly]) -> MultiPoly:
         """Substitute one polynomial per variable; images share a variable list."""
@@ -802,9 +798,6 @@ class PolyMatrix:
     def eval_ints(self, point: Sequence[Fraction | int | str]):
         """The entries at a point, as integer rows over one denominator."""
         return self._plan.at(_coords(point, len(self.vars)))[0]
-
-    def eval_at(self, point: Sequence[Fraction | int | str]) -> FracMatrix:
-        return _frac_rows(self.eval_ints(point))
 
     def det(self) -> MultiPoly:
         if self.rows != self.cols:

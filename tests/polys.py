@@ -1,4 +1,5 @@
-"""A polynomial from a dict {exponents: coefficient}, for building test data."""
+"""Polynomial test data: a polynomial from a dict {exponents: coefficient},
+and a polynomial matrix's values at a point."""
 
 from dvbcalc.ring import MultiPoly, _Pairs, rat
 
@@ -12,3 +13,8 @@ def poly_from_dict(vars, data) -> MultiPoly:
         if c:
             pairs[tuple(e)] = c.numerator, c.denominator
     return MultiPoly(tuple(vars), pairs)
+
+
+def values_at(m, point):
+    """The entries of a `PolyMatrix` at a point, each by `MultiPoly.eval`."""
+    return tuple(tuple(p.eval(point) for p in row) for row in m.entries)

@@ -317,10 +317,9 @@ def test_singular_sample_points_are_redrawn_not_failed(tmp_path, capsys):
     }
     path = tmp_path / "singular_at_0.json"
     path.write_text(json.dumps(obj))
-    for suite in ("duality", "third-dual"):
+    for suite, naive in (("duality", ()), ("third-dual", ("--naive-identification",))):
         code, out, _ = run_cli(
-            capsys, "check", suite, "--scenario", str(path), "--samples", "5",
-            "--naive-identification",
+            capsys, "check", suite, "--scenario", str(path), "--samples", "5", *naive
         )
         assert code == 0
         assert "[FAIL]" not in out
@@ -340,22 +339,58 @@ def test_out_of_range_plan_seed_is_parse_error(tmp_path, capsys):
 @pytest.mark.parametrize("flag", ["--samples", "--bound"])
 @pytest.mark.parametrize("value", ["0", "1001"])
 def test_out_of_range_plan_flag_is_usage_error(flag, value, capsys):
-    for argv in (
-        ("check", "axioms", "--random", flag, value),
-        ("connection", "check", "metric", "--random", flag, value),
-    ):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert f"{flag[2:]} {value} is outside [1, 1000]" in err
-        assert "Traceback" not in err
+    code, out, err = run_cli(capsys, "check", "axioms", "--random", flag, value)
+    assert code == 2
+    assert out == ""
+    assert f"{flag[2:]} {value} is outside [1, 1000]" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("flag", ["--samples", "--bound"])
 def test_plan_flag_cap_accepted(flag):
-    for argv in (["check", "axioms"], ["connection", "check", "metric"]):
-        args = build_parser().parse_args([*argv, "--random", flag, "1000"])
-        assert getattr(args, flag[2:]) == 1000
+    args = build_parser().parse_args(["check", "axioms", "--random", flag, "1000"])
+    assert getattr(args, flag[2:]) == 1000
+
+
+# the connection checks draw fixed counts at bound 7, so these flags would
+# change only the header's plan line
+@pytest.mark.parametrize("flag", ["--samples", "--bound"])
+@pytest.mark.parametrize("value", ["1", "100", "1000"])
+@pytest.mark.parametrize("kind", ["metric", "symmetric", "lagrangian"])
+def test_connection_check_takes_no_samples_or_bound(kind, flag, value, capsys):
+    code, out, err = run_cli(
+        capsys, "connection", "check", kind, "--random", "--seed", "5", "--symmetric",
+        flag, value,
+    )
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {flag} {value}" in err
+
+
+@pytest.mark.parametrize("command", [("check", "axioms"), ("connection", "check", "metric")])
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (("--max-rank", "1"), "--max-rank"),
+        (("--max-degree", "0"), "--max-degree"),
+        (("--symmetric",), "--symmetric"),
+        (("--max-rank", "1", "--max-degree", "0", "--symmetric"),
+         "--max-rank, --max-degree, --symmetric"),
+    ],
+)
+def test_shape_flag_with_a_file_is_usage_error(command, flags, named, scenario_file, capsys):
+    code, out, err = run_cli(capsys, *command, "--scenario", scenario_file, *flags)
+    assert (code, out) == (2, "")
+    assert err == f"dvb: error: only --random generation reads {named}\n"
+
+
+@pytest.mark.parametrize("suite", ["axioms", "duality", "geometry"])
+def test_naive_identification_outside_third_dual_is_usage_error(suite, capsys):
+    code, out, err = run_cli(
+        capsys, "check", suite, "--random", "--seed", "4", "--naive-identification"
+    )
+    assert (code, out) == (2, "")
+    assert err == "dvb: error: --naive-identification adds a row only to third-dual and all\n"
 
 
 @pytest.mark.parametrize("key", ["samples", "bound"])

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from dvbcalc.forms import DifferentialForm, d, make_form
+from dvbcalc.forms import DifferentialForm, make_form
 from dvbcalc.ring import MultiPoly, rat
 from polys import poly_from_dict
 
@@ -27,7 +27,7 @@ def rand_poly(rng, vars, max_degree=2):
 
 def test_d_of_function():
     f = poly(XY, {(2, 0): 1})  # x^2
-    df = d(make_form(XY, 0, {(): f}))
+    df = make_form(XY, 0, {(): f}).d()
     assert df.coeff((0,)) == poly(XY, {(1, 0): 2})
     assert df.coeff((1,)).is_zero
 
@@ -35,7 +35,7 @@ def test_d_of_function():
 def test_d_of_one_form():
     # d(x dy) = dx^dy
     form = make_form(XY, 1, {(1,): poly(XY, {(1, 0): 1})})
-    two = d(form)
+    two = form.d()
     assert two.coeff((0, 1)) == MultiPoly.const(XY, 1)
 
 
@@ -45,7 +45,7 @@ def test_d_squared_is_zero():
         form = make_form(
             XYZ, 1, {(i,): rand_poly(rng, XYZ) for i in range(3)}
         )
-        assert d(d(form)).is_zero
+        assert form.d().d().is_zero
 
 
 def test_wedge_antisymmetry_and_square():
@@ -172,14 +172,14 @@ def test_lifted_canonical_two_form():
     # theta = p dx on (x, p); the lift of d(theta) is dp^dx_dot + dp_dot^dx
     vars = ("x", "p")
     theta = make_form(vars, 1, {(0,): MultiPoly.var(vars, "p")})
-    omega = d(theta)  # dp^dx = -(dx^dp)
+    omega = theta.d()  # dp^dx = -(dx^dp)
     assert omega.coeff((0, 1)) == MultiPoly.const(vars, -1)
     lifted = omega.tangent_lift()
     big = lifted.vars  # (x, p, x_dot, p_dot)
     one = MultiPoly.const(big, 1)
     assert lifted.coeff((1, 2)) == one  # dp^dx_dot
     assert lifted.coeff((0, 3)) == -one  # dx^dp_dot with the lifted sign
-    assert lifted == d(theta.tangent_lift())
+    assert lifted == theta.tangent_lift().d()
 
 
 @pytest.fixture(scope="module")

@@ -182,7 +182,7 @@ def _commands(seed: int) -> dict:
             "lift", "vertical", "--side", "left", "--point", point,
             "--outer", ",".join(["3"] * bundle["n_F"]),
         ],
-        "connection-symmetric": ["connection", "check", "symmetric", "--samples", "1"],
+        "connection-symmetric": ["connection", "check", "symmetric"],
         "dualize-huge-point": ["dualize", "--point", ",".join(["1e2000"] * bundle["n"])],
         "dualize-decimal-point": ["dualize", "--point", ",".join(["0.5"] * bundle["n"])],
     }

@@ -1129,7 +1129,7 @@ def test_dual_exchange_blocks_and_action():
     # tangent-of-dual point (x | xdot | pdot | p) lands on the covector of
     # the tangent space that reads (p, pdot, xdot) after the flip
     w = alpha.source.element(x, (3,), (5,), (7,))
-    out = alpha.apply(w)
+    out = alpha.at(x).apply(w)
     assert (out.f, out.c, out.e) == ((3,), (5,), (7,))
     flipped = out.flip()
     assert (flipped.f, flipped.c, flipped.e) == ((7,), (5,), (3,))
@@ -1147,7 +1147,7 @@ def test_dual_exchange_is_adjoint_to_exchange():
         )
         image = exchange.apply(v)
         a = DVBElement(dual_target, v.x, image.e, rand_tuple(rng, 2), rand_tuple(rng, 2))
-        assert pair_r(image, a) == pair_r(v, alpha.apply(a))
+        assert pair_r(image, a) == pair_r(v, alpha.at(a.x).apply(a))
 
 
 # ---------------------------------------------------------------------------

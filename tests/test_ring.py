@@ -46,7 +46,7 @@ from dvbcalc.ring import (
     rat,
     solve_fraction_free,
 )
-from polys import poly_from_dict
+from polys import poly_from_dict, values_at
 
 XY = ("x", "y")
 
@@ -138,31 +138,31 @@ def test_canonical_order_graded_lex():
 
 def test_solve_scalar():
     m = PolyMatrix.constant(("x",), [[2]])
-    assert solve_fraction_free(m.eval_at((rat(0),)), (rat(6),)) == (3,)
+    assert solve_fraction_free(values_at(m, (rat(0),)), (rat(6),)) == (3,)
 
 
 def test_solve_identity():
     m = PolyMatrix.identity(("x",), 2)
-    assert solve_fraction_free(m.eval_at((rat(1),)), (rat("4/3"), rat(-2))) == (rat("4/3"), -2)
+    assert solve_fraction_free(values_at(m, (rat(1),)), (rat("4/3"), rat(-2))) == (rat("4/3"), -2)
 
 
 def test_solve_upper_triangular():
     m = PolyMatrix.constant(("x",), [[1, 1], [0, 2]])
-    assert solve_fraction_free(m.eval_at((rat(0),)), (rat(3), rat(4))) == (1, 2)
+    assert solve_fraction_free(values_at(m, (rat(0),)), (rat(3), rat(4))) == (1, 2)
 
 
 def test_solve_singular_raises():
     m = PolyMatrix.constant(("x",), [[1, 2], [2, 4]])
     with pytest.raises(SingularMatrixError):
-        solve_fraction_free(m.eval_at((rat(0),)), (rat(1), rat(1)))
+        solve_fraction_free(values_at(m, (rat(0),)), (rat(1), rat(1)))
 
 
 def test_solve_polynomial_entries_at_point():
     x = MultiPoly.var(("x",), "x")
     m = PolyMatrix(("x",), ((x, MultiPoly.zero(("x",))), (MultiPoly.zero(("x",)), x)))
-    assert solve_fraction_free(m.eval_at((rat(2),)), (rat(4), rat(6))) == (2, 3)
+    assert solve_fraction_free(values_at(m, (rat(2),)), (rat(4), rat(6))) == (2, 3)
     with pytest.raises(SingularMatrixError):
-        solve_fraction_free(m.eval_at((rat(0),)), (rat(1), rat(1)))
+        solve_fraction_free(values_at(m, (rat(0),)), (rat(1), rat(1)))
 
 
 def test_unimodular_inverse():
@@ -604,7 +604,7 @@ def test_unimodular_inverse_matches_laplace(seed):
     assert m * inv == PolyMatrix.identity(XY, n)
     assert inv * m == PolyMatrix.identity(XY, n)
     if n <= 5:
-        assert inv == laplace_inverse(m, d.coeff((0, 0)))
+        assert inv == laplace_inverse(m, dict(d.terms)[(0, 0)])
 
 
 @pytest.mark.parametrize("seed", [s for s in range(14) if 0 < s % 7 <= 4])
@@ -1222,7 +1222,7 @@ def test_at_matches_per_entry_eval(case, rng):
         assert (fm.x, (fm.l, fm.c, fm.r, fm.psi)) == (x, want)
         reference = FiberMorphism(phi.source, phi.target, x, *want)
         assert fm == reference and hash(fm) == hash(reference)
-        assert phi.phi_l.eval_at(raw) == want[0]
+        assert values_at(phi.phi_l, raw) == want[0]
         for p in (row[0] for row in phi.phi_c.entries if row):
             assert p.eval(raw) == fraction_eval(p, x)
         b = phi.source
@@ -1342,7 +1342,7 @@ def test_connection_metric_and_form_plans_match_per_entry_eval(case):
         assert tuple(tuple(Fraction(v, den) for v in row) for row in rows) == tuple(
             values(row, pt) for row in plane
         )
-    assert det_frac(metric.g.eval_at(x)) == fraction_eval(metric.g.det(), pt)
+    assert det_frac(values_at(metric.g, x)) == fraction_eval(metric.g.det(), pt)
     vecs = [tuple(map(rat, v)) for v in vectors]
     want = sum(
         (
@@ -1407,7 +1407,7 @@ def test_bivector_plans_match_per_entry_eval(case, rng):
     for raw in points:
         point = tuple(map(rat, raw))
         full = tuple(values(row, point) for row in biv.full_matrix().entries)
-        assert biv.full_matrix().eval_at(raw) == full
+        assert values_at(biv.full_matrix(), raw) == full
         p, phi = random_tuple(rng, n, 49), random_tuple(rng, k, 49)
         out = mat_vec(full, p + phi)
         got = sharp(cot.element(point[:n], phi, p, point[n:]))

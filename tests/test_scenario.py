@@ -325,9 +325,16 @@ def test_roundtrip_is_byte_identical(seed):
 
 
 @pytest.mark.parametrize("symmetric", [False, True])
-@pytest.mark.parametrize("seed", range(40))
-def test_roundtrip_at_the_rank_and_degree_caps_is_byte_identical(seed, symmetric):
-    # the perfbench goldens stop at rank 6
+@pytest.mark.parametrize("seed", range(200))
+def test_roundtrip_at_the_rank_and_degree_caps_is_byte_identical(seed, symmetric, monkeypatch):
+    # the perfbench goldens stop at rank 6.  The reader certifies each square
+    # block nonsingular by its value at one witness point, and falls back to
+    # the symbolic determinant, which has no cost bound, only where that
+    # value is singular: no file `dvb gen` writes may need the fallback
+    def fallback(self):
+        raise AssertionError(f"symbolic determinant of a {self.rows}x{self.cols} block")
+
+    monkeypatch.setattr(PolyMatrix, "det", fallback)
     sc = gen_random_scenario(seed, max_rank=8, max_degree=8, symmetric=symmetric)
     text = scenario_to_text(sc)
     assert scenario_to_text(scenario_from_text(text)) == text

@@ -8,14 +8,19 @@ Pair i runs `perfbench/run.py --trace 0 --seed 1100+i` in DIR_A and in
 DIR_B, one after the other and never in parallel, for the run length of
 this repository's `BENCHMARK.json` (through `bench._perfbench`); the side
 that runs first alternates from pair to pair, so a drift of the host's
-speed falls on both sides alike.  Each side reads and writes bytecode only
-in a fresh cache of its own (`PYTHONPYCACHEPREFIX`, a temporary directory
-per side, written even where `PYTHONDONTWRITEBYTECODE` is set), so both
-start from the same cache state whatever `__pycache__` directories the
-checkouts hold.  For every end-to-end metric of that `BENCHMARK.json` it
-prints the median on each side, the median over the pairs of the ratio
-B/A, and in how many pairs B was better (lower or higher, as the metric
-says).  A run with a failed task stops the comparison.  Only the standard
+speed falls on both sides alike.  Every run is made as on a fresh
+checkout, the benchmark's own regime: no bytecode is written and none of
+the checkout's is read, so both checkouts must be clean copies with no
+`__pycache__` under `src/` or `perfbench/` (`git clone` or `git archive`).
+
+For every end-to-end metric of that `BENCHMARK.json` it prints each side's
+quartiles, the median over the pairs of the ratio B/A and in how many
+pairs B was better (lower or higher, as the metric says), and two
+verdicts.  `gain` is yes when B was better in at least 9 of every 10
+pairs and B's median beats A's by more than A's interquartile range, the
+rule a claimed gain must meet.  `past bound` is YES when B's median is
+worse than A's by more than the metric's `bound`, the most a change may
+lose.  A run with a failed task stops the comparison.  Only the standard
 library is used.
 """
 
@@ -23,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import statistics
-import tempfile
 from pathlib import Path
 
 import bench
@@ -31,8 +35,8 @@ import bench
 SEED_BASE = 1100
 
 
-def _run(root: Path, workload: str, seed: int, pycache: str) -> dict[str, float]:
-    run = bench._perfbench(root, workload, seed, 0, pycache)
+def _run(root: Path, workload: str, seed: int) -> dict[str, float]:
+    run = bench._perfbench(root, workload, seed, 0)
     if run["failed"]:
         raise SystemExit(f"error: {root}: {run['failed']} of {run['attempted']} tasks failed")
     return run["metrics"]
@@ -51,28 +55,35 @@ def main(argv=None) -> int:
     metrics = bench.BENCHMARK["end_to_end"]
 
     runs: tuple[list[dict], list[dict]] = ([], [])
-    with tempfile.TemporaryDirectory() as cache_a, tempfile.TemporaryDirectory() as cache_b:
-        caches = cache_a, cache_b
-        for i in range(args.pairs):
-            seed = SEED_BASE + i
-            order = (0, 1) if i % 2 == 0 else (1, 0)
-            for side in order:
-                runs[side].append(_run(roots[side], args.workload, seed, caches[side]))
-            a, b = runs[0][-1], runs[1][-1]
-            line = "  ".join(f"{m['name']} {a[m['name']]:.4g}/{b[m['name']]:.4g}" for m in metrics)
-            print(f"pair {i + 1} seed {seed}: {line}", flush=True)
+    for i in range(args.pairs):
+        seed = SEED_BASE + i
+        for side in (0, 1) if i % 2 == 0 else (1, 0):
+            runs[side].append(_run(roots[side], args.workload, seed))
+        a, b = runs[0][-1], runs[1][-1]
+        line = "  ".join(f"{m['name']} {a[m['name']]:.4g}/{b[m['name']]:.4g}" for m in metrics)
+        print(f"pair {i + 1} seed {seed}: {line}", flush=True)
 
     print(f"\n{args.workload}, {args.pairs} pairs: A = {roots[0]}, B = {roots[1]}")
-    print(f"{'metric':<16} {'median A':>12} {'median B':>12} {'ratio B/A':>10} {'B better':>9}")
+    print(
+        f"{'metric':<13} {'A q1 / median / q3':>26} {'B q1 / median / q3':>26}"
+        f" {'B/A':>6} {'B better':>8} {'gain':>5} {'past bound':>10}"
+    )
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         a = [r[name] for r in runs[0]]
         b = [r[name] for r in runs[1]]
+        qa, qb = bench._spread(a), bench._spread(b)
         ratio = statistics.median(y / x for x, y in zip(a, b))
         better = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
+        # B's lead over A at the medians, in the metric's own direction
+        lead = (qa["median"] - qb["median"]) * (1 if lower else -1)
+        gain = better * 10 >= 9 * args.pairs and lead > qa["q3"] - qa["q1"]
+        past = -lead > m["bound"] * abs(qa["median"])
+        quartiles = lambda q: f"{q['q1']:.4g} / {q['median']:.4g} / {q['q3']:.4g}"
         print(
-            f"{name:<16} {statistics.median(a):>12.4g} {statistics.median(b):>12.4g}"
-            f" {ratio:>10.3f} {better:>5}/{args.pairs}"
+            f"{name:<13} {quartiles(qa):>26} {quartiles(qb):>26} {ratio:>6.3f}"
+            f" {better:>4}/{args.pairs:<3} {'yes' if gain else 'no':>5}"
+            f" {'YES' if past else 'no':>10}"
         )
     return 0
 

@@ -26,9 +26,7 @@ scenario file's ``plan``, from ``scenario.PLAN_RANGES``.  ``connection
 check`` takes only ``--seed`` of them: its checks draw fixed counts at
 bound 7.  A flag that would change nothing is a usage error (exit 2):
 ``--max-rank``, ``--max-degree`` or ``--symmetric`` with ``--scenario``,
-since they shape only ``--random`` generation, and
-``--naive-identification`` with a suite other than ``third-dual`` and
-``all``, the two it adds a row to.  A ``--point`` or
+since they shape only ``--random`` generation.  A ``--point`` or
 ``--outer`` coordinate is read by ``ring.parse_number``, the reader of a
 scenario coefficient and of text given to ``ring.rat``, in its grammar and
 under its digit cap; its first coordinate may be negative.
@@ -158,12 +156,8 @@ def _scenario_from_args(args, samples=None, bound=None) -> Scenario:
 
 
 def _cmd_check(args) -> int:
-    if args.naive_identification and args.suite not in ("third-dual", "all"):
-        raise argparse.ArgumentError(
-            None, "--naive-identification adds a row only to third-dual and all"
-        )
     sc = _scenario_from_args(args, args.samples, args.bound)
-    report = run_suite(args.suite, sc, naive_identification=args.naive_identification)
+    report = run_suite(args.suite, sc)
     if args.json:
         print(json.dumps(report.to_obj(), indent=2, sort_keys=True))
     else:
@@ -272,11 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_flags(p_check)
     p_check.add_argument("--samples", type=_samples, default=None, help="tuples per property")
     p_check.add_argument("--bound", type=_bound, default=None, help="coordinate magnitude bound")
-    p_check.add_argument(
-        "--naive-identification",
-        action="store_true",
-        help="also check that the naive third-dual identification diverges",
-    )
     p_check.add_argument("--json", action="store_true", help="machine output only")
     p_check.set_defaults(func=_cmd_check)
 

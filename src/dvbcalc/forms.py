@@ -125,9 +125,6 @@ class DifferentialForm:
     def __neg__(self) -> DifferentialForm:
         return self * Fraction(-1)
 
-    def __sub__(self, other: DifferentialForm) -> DifferentialForm:
-        return self + (-other)
-
     def __mul__(self, factor) -> DifferentialForm:
         if not isinstance(factor, MultiPoly):
             factor = MultiPoly.const(self.vars, rat(factor))
@@ -234,15 +231,6 @@ class DifferentialForm:
                 total += value * det_frac(tuple(tuple(vec[j] for j in idx) for vec in vecs))
         return total / den
 
-    def __str__(self) -> str:
-        if not self.comps:
-            return "0"
-        pieces = []
-        for idx, poly in self.comps:
-            basis = "^".join(f"d{self.vars[j]}" for j in idx)
-            pieces.append(f"({poly}) {basis}".strip())
-        return " + ".join(pieces)
-
 
 def _differential(poly: MultiPoly) -> DifferentialForm:
     terms = (((u,), poly.partial(name)) for u, name in enumerate(poly.vars))
@@ -253,11 +241,5 @@ def make_form(
     vars: Sequence[str], degree: int, components: Mapping[Sequence[int], MultiPoly]
 ) -> DifferentialForm:
     """Build a form from components in any index order, antisymmetrizing."""
-    vars = tuple(vars)
-    terms = []
-    for idx, poly in components.items():
-        if not isinstance(poly, MultiPoly):
-            poly = MultiPoly.const(vars, rat(poly))
-        terms.append((idx, poly))
-    return _collect(vars, degree, terms)
+    return _collect(tuple(vars), degree, components.items())
 

@@ -4,9 +4,11 @@ Four suites: `axioms` exercises the two additions, their interchange, kernel
 splittings and core differences on the scenario bundle; `duality` the right
 pairing, kernel pairings, dual-bundle axioms and the adjoint contract of
 dualized morphisms; `third-dual` the canonical maps onto the third right
-dual, their defining relation, and the conjugated transport identity;
-`geometry` the fiberwise-linear object characterizations, lifts, sections,
-and connection criteria.  `all` concatenates them.
+dual, their defining relation, and the conjugated transport identity,
+beside which the naive slot identification gives the inverse exactly where
+the bilinear block vanishes; `geometry` the fiberwise-linear object
+characterizations, lifts, sections, and connection criteria.  `all`
+concatenates them.  Every suite is a fixed table of properties.
 
 A property is one row `(prop_id, fn)` of its suite's table.  `fn(sc, s)`
 gets the scenario and the library's one sampler, `core._Sampler`, over the
@@ -645,38 +647,28 @@ def _canonical_maps_involutive(sc: Scenario, s: _Sampler):
 def _conjugated_transport_inverts(sc: Scenario, s: _Sampler):
     phi = sc.section("morphism")
     transport = third_dual_transport(phi)
-    inverse = invert_morphism(phi)
-    points = max(1, min(sc.samples, 10))
-
-    def sample():
-        x = s.point()
-        if transport.at(x) != inverse.at(x):
-            return False, "conjugated triple dual differs from the inverse", {"x": x}
-
-    return s.regular_points(points, sample, (
-        True, f"conjugated triple dual equals the inverse at {points} points", None
-    ))
-
-
-def _naive_identification_diverges(sc: Scenario, s: _Sampler):
-    phi = sc.section("morphism")
-    if all(p.is_zero for plane in phi.psi for row in plane for p in row):
-        return True, "bilinear block vanishes, so the naive route coincides; vacuous", None
     naive = naive_third_dual_transport(phi)
     inverse = invert_morphism(phi)
     points = max(1, min(sc.samples, 10))
+    contrasted = False
 
     def sample():
+        nonlocal contrasted
         x = s.point()
-        if naive.at(x) != inverse.at(x):
-            return (
-                True,
-                "naive slot identification diverges from the inverse as predicted",
-                None,
-            )
+        expected = inverse.at(x)
+        if transport.at(x) != expected:
+            return False, "conjugated triple dual differs from the inverse", {"x": x}
+        if not contrasted:
+            # without the canonical maps the triple dual inverts phi exactly
+            # where Psi vanishes; the first regular point alone checks this,
+            # as the naive route costs three more eliminations a point
+            contrasted = True
+            psi_vanishes = not any(p for plane in phi.at(x).psi for row in plane for p in row)
+            if (naive.at(x) == expected) != psi_vanishes:
+                return False, "naive identification disagrees with the bilinear block", {"x": x}
 
     return s.regular_points(points, sample, (
-        False, "naive identification unexpectedly matched the inverse", {"points": points},
+        True, f"conjugated triple dual equals the inverse at {points} points", None
     ))
 
 
@@ -686,11 +678,6 @@ _THIRD_DUAL = (
     ("third-dual.03.variant-identities", _variant_identities),
     ("third-dual.04.canonical-maps-involutive", _canonical_maps_involutive),
     ("third-dual.05.conjugated-transport-inverts", _conjugated_transport_inverts),
-)
-
-# The one conditional row: run only under `naive_identification`.
-_NAIVE_IDENTIFICATION = (
-    "third-dual.06.naive-identification-diverges", _naive_identification_diverges
 )
 
 
@@ -1037,15 +1024,11 @@ def _report(suite: str, sc: Scenario, rows) -> Report:
     return Report(suite, _scenario_header(sc, suite), tuple(results), elapsed)
 
 
-def run_suite(
-    name: str, scenario: Scenario, naive_identification: bool = False
-) -> Report:
+def run_suite(name: str, scenario: Scenario) -> Report:
     """Execute one named suite (or all of them) and assemble the report."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
     rows = [row for suite, table in _SUITES.items() if name in (suite, "all") for row in table]
-    if naive_identification and name in ("third-dual", "all"):
-        rows.append(_NAIVE_IDENTIFICATION)
     return _report(name, scenario, rows)
 
 

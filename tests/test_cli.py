@@ -6,7 +6,8 @@ import time
 import pytest
 
 from dvbcalc.cli import build_parser, main
-from dvbcalc.scenario import SECTIONS
+from dvbcalc.core import Chart, DecomposedDVB, identity_morphism
+from dvbcalc.scenario import SECTIONS, Scenario, scenario_to_text
 
 
 def run_cli(capsys, *argv):
@@ -42,8 +43,7 @@ def test_check_scenario_file(scenario_file, capsys):
 
 
 def test_check_all_deterministic_modulo_elapsed(capsys):
-    args = ("check", "all", "--random", "--seed", "11", "--samples", "10",
-            "--naive-identification")
+    args = ("check", "all", "--random", "--seed", "11", "--samples", "10")
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     strip = lambda text: [l for l in text.splitlines() if not l.startswith("elapsed")]
@@ -284,6 +284,22 @@ def test_dualize_at_singular_point_exits_2(tmp_path, capsys):
     assert "dual morphism blocks" not in out
 
 
+def test_dualize_at_point_prints_empty_blocks(tmp_path, capsys):
+    # n_F = 0: the F* blocks of the right dual have no rows
+    b = DecomposedDVB(Chart.of_dim(1), 0, 1, 1)
+    path = tmp_path / "no_f.json"
+    path.write_text(scenario_to_text(Scenario(bundle=b, morphism=identity_morphism(b))))
+    code, out, err = run_cli(capsys, "dualize", "--scenario", str(path), "--point", "x=2")
+    assert (code, err) == (0, "")
+    assert out.endswith(
+        "dual morphism blocks at x = (2):\n"
+        "l:\n  [1]\n"
+        "c:\n  (empty)\n"
+        "r:\n  [1]\n"
+        "psi: 0\n"
+    ), out
+
+
 @pytest.mark.parametrize("seed", ["-1", "4294967303"])
 def test_out_of_range_seed_is_usage_error(seed, capsys):
     assert run_cli(capsys, "gen", "--seed", seed)[0] == 2
@@ -317,10 +333,8 @@ def test_singular_sample_points_are_redrawn_not_failed(tmp_path, capsys):
     }
     path = tmp_path / "singular_at_0.json"
     path.write_text(json.dumps(obj))
-    for suite, naive in (("duality", ()), ("third-dual", ("--naive-identification",))):
-        code, out, _ = run_cli(
-            capsys, "check", suite, "--scenario", str(path), "--samples", "5", *naive
-        )
+    for suite in ("duality", "third-dual"):
+        code, out, _ = run_cli(capsys, "check", suite, "--scenario", str(path), "--samples", "5")
         assert code == 0
         assert "[FAIL]" not in out
         assert "singular points redrawn" in out
@@ -384,13 +398,14 @@ def test_shape_flag_with_a_file_is_usage_error(command, flags, named, scenario_f
     assert err == f"dvb: error: only --random generation reads {named}\n"
 
 
-@pytest.mark.parametrize("suite", ["axioms", "duality", "geometry"])
-def test_naive_identification_outside_third_dual_is_usage_error(suite, capsys):
+# third-dual.05 checks the naive identification on every run, so no flag adds it
+@pytest.mark.parametrize("suite", ["axioms", "duality", "third-dual", "geometry", "all"])
+def test_naive_identification_flag_is_unrecognized(suite, capsys):
     code, out, err = run_cli(
-        capsys, "check", suite, "--random", "--seed", "4", "--naive-identification"
+        capsys, "check", suite, "--random", "--seed", "11", "--naive-identification"
     )
     assert (code, out) == (2, "")
-    assert err == "dvb: error: --naive-identification adds a row only to third-dual and all\n"
+    assert "unrecognized arguments: --naive-identification" in err
 
 
 @pytest.mark.parametrize("key", ["samples", "bound"])

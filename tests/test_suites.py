@@ -8,9 +8,10 @@ import sys
 
 import pytest
 
-from dvbcalc import core, geomech
-from dvbcalc.core import Chart, DecomposedDVB, DVBMorphism, psi_zero
-from dvbcalc.ring import PolyMatrix, _EvalPlan, random_tuple
+from dvbcalc import core, geomech, suites
+from dvbcalc.core import Chart, DecomposedDVB, DVBMorphism, invert_morphism, psi_zero
+from dvbcalc.duality import third_dual_transport
+from dvbcalc.ring import MultiPoly, PolyMatrix, _EvalPlan, random_tuple
 from dvbcalc.scenario import (
     InconsistentScenarioError,
     Scenario,
@@ -18,7 +19,13 @@ from dvbcalc.scenario import (
     scenario_from_obj,
     scenario_to_text,
 )
-from dvbcalc.suites import _scalar_worked_example, run_connection_check, run_suite
+from dvbcalc.suites import (
+    _conjugated_transport_inverts,
+    _run_property,
+    _scalar_worked_example,
+    run_connection_check,
+    run_suite,
+)
 
 # The public structure maps on DVBElement; the axioms suite calls the private
 # routines behind them.
@@ -39,10 +46,10 @@ def test_each_suite_passes_on_generated_scenarios(suite, seed):
 
 def test_all_concatenates_and_sorts():
     sc = gen_random_scenario(6).with_plan(samples=10)
-    report = run_suite("all", sc, naive_identification=True)
+    report = run_suite("all", sc)
     ids = [r.prop_id for r in report.results]
     assert ids == sorted(ids)
-    assert len(ids) == sum(SUITE_SIZES.values()) + 1  # + naive property
+    assert len(ids) == sum(SUITE_SIZES.values())
     assert len(set(ids)) == len(ids)
     numbers: dict[str, list[int]] = {}
     for prop_id in ids:
@@ -61,11 +68,11 @@ GOLDEN_SUITE_BODIES = {
     "seed 1": "6ae99737c57dd830f02187b3b080a3ef0dfd6dcf8cdec6210a0c8a2dabeb8826",
     "seed 2": "380459412bdcff81440f1fd9ba5c9de61df1197caddc9698783ef4521d90ab14",
     "seed 4": "3dc8e8fd6f2dccf652339ba358b194032c3270653cf31e5f8a338daa7d031065",
-    "seed 6 naive": "c20d4e9b0c231203d2e00f370af7e02b837b79c9025b6c8def4be6dc184d6719",
-    "seed 7 naive": "611de6eb40ac3f20a19e8c89a2ca32a051f7d1ba55f0ce29adb27c4de7ecb526",
-    "seed 5 symmetric": "912b057cf9d29b7b27bf1db8d2853b6b5605a4604a539dc479766ac9a3158a2c",
-    "point chart": "78c54c07871208f6c7887301677e19bb9f4d69b134985e5bb6a17cdb37db2c74",
-    "seed 3 bundle only": "b2152748b12e55ef645f9a6b27d123d74d66c145d04c7293776188e6c030ccef",
+    "seed 6": "f7aeac6b4462da7a8ba61f7346fc324183ac7f265166a2746901eb09921c802c",
+    "seed 7": "13e93cec514fc2a2e77bad70e7d6e6e26f563644054c6d9b83002c2e6e2db6ca",
+    "seed 5 symmetric": "89dfe91ecc3ee0ce7effe51a6b56d92ae791500fd561a25c780dc05cdbb11a64",
+    "point chart": "0b47783d0f84dc7e2f910da70635b37c7db13c71a163c9fc4391a30484fa17a2",
+    "seed 3 bundle only": "51209c2b6626b7579e3fa342992538f0de6ca71dee861601d27c6f5f1e892884",
 }
 
 GOLDEN_CONNECTION_BODIES = {
@@ -89,21 +96,18 @@ def _bundle_only(seed: int) -> Scenario:
 
 def test_report_bodies_match_golden_digests():
     cases = {
-        "seed 1": (gen_random_scenario(1), False),
-        "seed 2": (gen_random_scenario(2), False),
-        "seed 4": (gen_random_scenario(4), False),
-        "seed 6 naive": (gen_random_scenario(6), True),
-        "seed 7 naive": (gen_random_scenario(7), True),
-        "seed 5 symmetric": (gen_random_scenario(5, max_rank=2, symmetric=True), True),
-        "point chart": (
-            Scenario(bundle=DecomposedDVB(Chart.of_dim(0), 1, 1, 1), seed=5, bound=3),
-            True,
-        ),
-        "seed 3 bundle only": (_bundle_only(3), True),
+        "seed 1": gen_random_scenario(1),
+        "seed 2": gen_random_scenario(2),
+        "seed 4": gen_random_scenario(4),
+        "seed 6": gen_random_scenario(6),
+        "seed 7": gen_random_scenario(7),
+        "seed 5 symmetric": gen_random_scenario(5, max_rank=2, symmetric=True),
+        "point chart": Scenario(bundle=DecomposedDVB(Chart.of_dim(0), 1, 1, 1), seed=5, bound=3),
+        "seed 3 bundle only": _bundle_only(3),
     }
     got = {
-        name: _sha256(run_suite("all", sc.with_plan(samples=8), naive).body())
-        for name, (sc, naive) in cases.items()
+        name: _sha256(run_suite("all", sc.with_plan(samples=8)).body())
+        for name, sc in cases.items()
     }
     assert got == GOLDEN_SUITE_BODIES
 
@@ -166,27 +170,44 @@ def _zero_psi_scenario(seed=5):
     return Scenario(bundle=b, morphism=phi, seed=sc.seed, samples=10, bound=sc.bound)
 
 
-def test_naive_identification_flag_adds_property():
-    sc = gen_random_scenario(5).with_plan(samples=10)
-    without = run_suite("third-dual", sc)
-    with_flag = run_suite("third-dual", sc, naive_identification=True)
-    ids = {r.prop_id for r in with_flag.results}
-    assert "third-dual.06.naive-identification-diverges" in ids
-    assert len(with_flag.results) == len(without.results) + 1
-    prop = next(
-        r for r in with_flag.results
-        if r.prop_id == "third-dual.06.naive-identification-diverges"
-    )
-    assert prop.passed and "diverges" in prop.detail
+TRANSPORT = "third-dual.05.conjugated-transport-inverts"
 
 
-def test_naive_identification_vacuous_without_bilinear_block():
-    report = run_suite("third-dual", _zero_psi_scenario(), naive_identification=True)
-    prop = next(
-        r for r in report.results
-        if r.prop_id == "third-dual.06.naive-identification-diverges"
-    )
-    assert prop.passed and "vacuous" in prop.detail
+def _transport_result(report):
+    return next(r for r in report.results if r.prop_id == TRANSPORT)
+
+
+def test_transport_passes_where_the_naive_route_coincides():
+    result = _transport_result(run_suite("third-dual", _zero_psi_scenario()))
+    assert result.passed, result
+
+
+def _psi_x1_scenario(seed: int, samples: int) -> Scenario:
+    """Phi_l = Phi_c = Phi_r = 1 and Psi = x1 over one coordinate: the naive
+    route inverts phi at x1 = 0 only."""
+    b = DecomposedDVB(Chart.of_dim(1), 1, 1, 1)
+    one = PolyMatrix.identity(b.chart.names, 1)
+    phi = DVBMorphism(b, b, one, one, one, (((MultiPoly.var(b.chart.names, "x1"),),),))
+    return Scenario(bundle=b, morphism=phi, seed=seed, samples=samples)
+
+
+@pytest.mark.parametrize("samples", [1, 2])
+def test_naive_contrast_holds_on_and_off_the_zero_of_psi(samples):
+    # the first point is x1 = 0 for 15 of these seeds, where the naive route
+    # matches the inverse, and it differs from the inverse at the rest
+    for seed in range(200):
+        sc = _psi_x1_scenario(seed, samples)
+        result = _run_property(TRANSPORT, sc, _conjugated_transport_inverts)
+        assert result.passed, (seed, result)
+
+
+@pytest.mark.parametrize("route", [invert_morphism, third_dual_transport])
+def test_naive_route_that_ignores_psi_fails_transport(route, monkeypatch):
+    monkeypatch.setattr(suites, "naive_third_dual_transport", route)
+    result = _transport_result(run_suite("third-dual", gen_random_scenario(4)))
+    assert not result.passed
+    assert result.detail == "naive identification disagrees with the bilinear block"
+    assert set(result.counterexample) == {"x"}
 
 
 def test_geometry_symmetry_vacuous_when_ranks_differ():
@@ -204,9 +225,28 @@ def test_geometry_symmetry_vacuous_when_ranks_differ():
 def test_suites_run_over_a_point_chart():
     b = DecomposedDVB(Chart.of_dim(0), 1, 1, 1)
     sc = Scenario(bundle=b, seed=5, samples=10, bound=3)
-    report = run_suite("all", sc, naive_identification=True)
+    report = run_suite("all", sc)
     failed = [(r.prop_id, r.detail) for r in report.results if not r.passed]
     assert report.passed, failed
+
+
+@pytest.mark.parametrize("ranks", [(0, 0, 0), (2, 0, 0), (0, 0, 2), (0, 2, 1)])
+@pytest.mark.parametrize("dim", [0, 1, 2])
+def test_suites_pass_at_zero_ranks(dim, ranks):
+    sc = Scenario(bundle=DecomposedDVB(Chart.of_dim(dim), *ranks), seed=dim, samples=8)
+    report = run_suite("all", sc)
+    failed = [(r.prop_id, r.detail) for r in report.results if not r.passed]
+    assert report.passed, failed
+    details = {r.prop_id: r.detail for r in report.results}
+    # every rank tuple here has n_F = 0 or n_C = 0
+    assert details["geometry.07.section-duality-orthogonality"] == (
+        "orthogonality holds; uniqueness vacuous at these ranks"
+    )
+    perturbation = details["third-dual.02.relation-rejects-perturbation"]
+    if ranks == (0, 0, 0):
+        assert perturbation == "no slot to perturb at these ranks; vacuous"
+    else:
+        assert perturbation == "a perturbed candidate is rejected by the relation"
 
 
 def test_singular_user_metric_is_redrawn_not_failed():

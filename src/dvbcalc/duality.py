@@ -25,7 +25,6 @@ polynomial route exists when that block is unimodular.
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -43,10 +42,9 @@ from .core import (
     _right_dual_blocks,
     _Sampler,
     _signed_identity,
-    _slots_of,
     _vec_scale,
 )
-from .ring import Point, _adjugate, _unimodular_inverse, rat
+from .ring import Point, _adjugate, _unimodular_inverse
 
 
 class ProjectionMismatchError(ValueError):
@@ -213,7 +211,6 @@ def verify_R_relation(
     samples: int = 60,
     seed: int = 0,
     variant: str = "R",
-    grid=None,
 ) -> bool:
     """Check the evaluation relation that characterizes the canonical maps.
 
@@ -225,10 +222,17 @@ def verify_R_relation(
         <a, alpha> = s1 <v, a> + s2 <alpha, phi>
 
     with (s1, s2) = (s_F, s_E), the F and E slot signs of the variant.  The
-    free slots are the F* and C* covectors of a and the E* covector of alpha;
-    they are drawn at random, or enumerated exhaustively over `grid` values
-    when given.
+    free slots are the F* and C* covectors of a and the E* covector of alpha,
+    drawn at random.
     """
+    s = _Sampler(random.Random(seed), v.bundle)
+    return _relation_holds(v, phi, variant, (s.draw(*v.bundle.ranks) for _ in range(samples)))
+
+
+def _relation_holds(v: DVBElement, phi: DVBElement, variant: str, pool) -> bool:
+    """Whether the relation of `verify_R_relation` holds at every (p, q, eps)
+    triple of F*, C* and E* slots in `pool`, an iterable read one triple at
+    a time after the checks of v and phi."""
     s1, s2 = _relation_signs(variant)
     bundle = v.bundle
     if phi.bundle != triple_right_dual(bundle):
@@ -237,16 +241,6 @@ def verify_R_relation(
         raise ProjectionMismatchError("candidate sits over a different base point")
     d1 = right_dual(bundle)
     d2 = right_dual(d1)
-    if grid is not None:
-        values = [rat(g) for g in grid]
-        pool = (
-            _grid_slots(t, bundle.ranks)
-            for t in itertools.product(values, repeat=sum(bundle.ranks))
-        )
-    else:
-        s = _Sampler(random.Random(seed), bundle)
-        pool = (s.draw(*bundle.ranks) for _ in range(samples))
-
     _, x, _, _, e = v._key
     phi_f = phi._f
     for p, q, eps in pool:
@@ -256,15 +250,6 @@ def verify_R_relation(
         if not _same(_pair(a, alpha), (s1 * vn, vd), (s2 * pn, pd)):
             return False
     return True
-
-
-def _grid_slots(values: tuple[Fraction, ...], ranks: tuple[int, ...]):
-    """`values` cut into consecutive slot vectors of the given ranks, which
-    must cover it exactly: the F*, C* and E* slots of one grid tuple."""
-    if len(values) != sum(ranks):
-        raise ValueError(f"{len(values)} values for slots of ranks {ranks}")
-    cuts = list(itertools.accumulate(ranks, initial=0))
-    return [_slots_of(values[i:j]) for i, j in zip(cuts, cuts[1:])]
 
 
 def _triple_fiber_dual(fm: FiberMorphism) -> FiberMorphism:

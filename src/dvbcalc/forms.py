@@ -72,7 +72,7 @@ def _canonical(
             raise ValueError(f"index {idx} does not match degree {degree}")
         if any(i < 0 or i >= len(vars) for i in idx):
             raise ValueError(f"index {idx} out of range for {len(vars)} variables")
-        poly = data[idx]
+        poly: MultiPoly = data[idx]
         if poly.vars != vars:
             raise ValueError("component variables must match the form")
         if not poly.is_zero:

@@ -44,9 +44,11 @@ malformed literals, ragged grids, values outside a cap), and
 InconsistentScenarioError for well formed
 data whose ranks or shape constraints do not fit together (for example a
 bivector block that is not antisymmetric, or a metric or square morphism
-block whose determinant is the zero polynomial; a one-point certificate,
-`_identically_singular`, proves the determinant nonzero without expanding
-it).
+block whose determinant vanishes at each of the few fixed `_WITNESSES`; a
+nonzero value at one of them proves the determinant nonzero without
+expanding it, so the certificate, `_identically_singular`, costs at most
+four exact eliminations and refuses a nonzero determinant that happens to
+vanish at all four points).
 
 Random generation is deterministic for a fixed seed and flag set.  Blocks
 that must be invertible are built as identity plus a strictly triangular
@@ -193,13 +195,15 @@ SECTIONS = (
 # singular everywhere has no regular point to sample.
 _NONSINGULAR = {"morphism": ("Phi_l", "Phi_c", "Phi_r"), "metric": ("g",)}
 
-# The witness point of the determinant certificate: distinct non-integer
-# rationals, x_i the i-th entry, one per chart coordinate (a chart has at
-# most _MAX_RANK of them).
+# The witness points of the determinant certificate, each cut to the chart
+# dimension (a chart has at most _MAX_RANK coordinates): _WITNESS, distinct
+# non-integer rationals with x_i the i-th entry, then its rotations by one
+# to three places, so no two witnesses share a value at any coordinate.
 _WITNESS = (
     Fraction(3, 7), Fraction(-5, 11), Fraction(7, 13), Fraction(-11, 17),
     Fraction(13, 19), Fraction(-17, 23), Fraction(19, 29), Fraction(-23, 31),
 )
+_WITNESSES = tuple(_WITNESS[k:] + _WITNESS[:k] for k in range(4))
 
 
 # ---------------------------------------------------------------------------
@@ -403,20 +407,20 @@ def _parse_field(obj, vars, where: str, shape: str):
 
 
 def _identically_singular(m: PolyMatrix) -> bool:
-    """Whether the determinant of a square polynomial matrix is the zero polynomial.
+    """Whether the determinant of a square polynomial matrix vanishes at
+    every point of _WITNESSES.
 
     A nonzero value at one rational point proves that the determinant is not
     the zero polynomial: this is the Schwartz-Zippel argument used as a
-    one-sided certificate, and it costs one Bareiss elimination, on primitive
-    rows, of the values at the fixed point _WITNESS, read from the plan of a
-    copy so that the block keeps no plan.  A nonzero determinant vanishes
-    only on a hypersurface, which may pass through the witness, so a zero
-    value there falls back to the symbolic determinant.
+    one-sided certificate.  Each witness costs one Bareiss elimination, on
+    primitive rows, of the block's values there, read from the one plan of a
+    copy so that the block keeps no plan, and the first nonzero value ends
+    the search.  A nonzero determinant vanishes only on a hypersurface, which
+    may pass through all the witnesses, so True does not prove it zero; no
+    symbolic determinant is computed either way.
     """
-    values = PolyMatrix(m.vars, m.entries).eval_ints(_WITNESS[: len(m.vars)])[0]
-    if _bareiss(values, ())[0] != 0:
-        return False
-    return m.det().is_zero
+    copy, dim = PolyMatrix(m.vars, m.entries), len(m.vars)
+    return not any(_bareiss(copy.eval_ints(w[:dim])[0], ())[0] for w in _WITNESSES)
 
 
 def _build(section: str, ctor, *args):
@@ -470,7 +474,8 @@ def scenario_from_obj(obj) -> Scenario:
                 # a section with one field is named by its key alone
                 block = f"{name} " if len(fields) > 1 else ""
                 raise InconsistentScenarioError(
-                    f"{key}: {block}determinant vanishes identically"
+                    f"{key}: {block}determinant vanishes at all "
+                    f"{len(_WITNESSES)} witness points"
                 )
         sections[key] = record
 

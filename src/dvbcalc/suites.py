@@ -238,15 +238,15 @@ def _structure_laws(s: _Sampler, side: str, samples: int):
             b, x, *((zero_f, zero_c, shared) if right else (shared, zero_c, zero_e))
         )
         r, r2 = _scalar(r), _scalar(r2)
-        uv, ru = add(u, v), scale(r, u)
+        uv, ru, r2u = add(u, v), scale(r, u), scale(r2, u)
         laws = (
             uv == add(v, u),
             add(uv, w) == add(u, add(v, w)),
             add(u, zero) == u,
             add(u, scale(-1, u)) == zero,
             scale(r, uv) == add(ru, scale(r, v)),
-            scale(r + r2, u) == add(ru, scale(r2, u)),
-            scale(r, scale(r2, u)) == scale(r * r2, u),
+            scale(r + r2, u) == add(ru, r2u),
+            scale(r, r2u) == scale(r * r2, u),
             scale(1, u) == u,
         )
         if not all(laws):

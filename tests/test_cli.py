@@ -9,6 +9,8 @@ from dvbcalc.cli import build_parser, main
 from dvbcalc.core import Chart, DecomposedDVB, identity_morphism
 from dvbcalc.scenario import SECTIONS, Scenario, scenario_to_text
 
+from polys import witness_root_literal
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -125,8 +127,22 @@ def test_identically_singular_morphism_block_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == (
-        "INCONSISTENT_SCENARIO: morphism: Phi_c determinant vanishes identically\n"
+        "INCONSISTENT_SCENARIO: morphism: Phi_c determinant vanishes at all 4 witness points\n"
     )
+
+
+def test_metric_singular_at_every_witness_exits_2(tmp_path, capsys):
+    # a nonzero determinant the bounded certificate cannot tell from zero
+    obj = {
+        "bundle": {"n": 1, "n_F": 1, "n_C": 1, "n_E": 1},
+        "metric": {"g": [[witness_root_literal()]]},
+    }
+    path = tmp_path / "witness_roots.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "check", "axioms", "--scenario", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "INCONSISTENT_SCENARIO: metric: determinant vanishes at all 4 witness points\n"
 
 
 def test_dualize_prints_duals(scenario_file, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from operator import mul
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from dvbcalc.core import (
     _Sampler,
+    _slots_of,
     BaseMismatchError,
     Chart,
     DecomposedDVB,
@@ -23,8 +25,8 @@ from dvbcalc.core import (
     tangent_prolongation,
 )
 from dvbcalc.duality import (
-    _grid_slots,
     _pair,
+    _relation_holds,
     _same,
     ProjectionMismatchError,
     R_VARIANTS,
@@ -465,20 +467,38 @@ def test_each_variant_relation_picks_out_its_own_map():
             assert verify_R_relation(v, canonical_R(w, v), variant=u) == (u == w), (u, w)
 
 
+def _grid_slots(values: tuple[Fraction, ...], ranks: tuple[int, ...]):
+    """`values` cut into consecutive slot vectors of the given ranks, which
+    must cover it exactly: the F*, C* and E* slots of one grid tuple."""
+    if len(values) != sum(ranks):
+        raise ValueError(f"{len(values)} values for slots of ranks {ranks}")
+    cuts = list(itertools.accumulate(ranks, initial=0))
+    return [_slots_of(values[i:j]) for i, j in zip(cuts, cuts[1:])]
+
+
+def relation_on_grid(v, phi, grid) -> bool:
+    """The relation of `verify_R_relation` for the map R at every choice of
+    the free covector values from `grid`, enumerated exhaustively."""
+    values = [rat(g) for g in grid]
+    ranks = v.bundle.ranks
+    pool = (_grid_slots(t, ranks) for t in itertools.product(values, repeat=sum(ranks)))
+    return _relation_holds(v, phi, "R", pool)
+
+
 def test_relation_on_exhaustive_grid():
     v = B.element(("1/2",), (2,), (-1,), ("2/3",))
     phi = canonical_R("R", v)
-    assert verify_R_relation(v, phi, grid=range(-2, 3))
+    assert relation_on_grid(v, phi, range(-2, 3))
     shifted = B.element(v.x, phi.f, (phi.c[0] + 1,), phi.e)
-    assert not verify_R_relation(v, shifted, grid=range(-2, 3))
+    assert not relation_on_grid(v, shifted, range(-2, 3))
     # the grid varies every free covector value on its own: this candidate's
     # errors cancel wherever the last C* value equals the E* value
     b = DecomposedDVB(Chart.of_dim(0), 0, 2, 1)
     w = b.element((), (), (1, 2), (3,))
     good = canonical_R("R", w)
     wrong = good.bundle.element((), (), (good.c[0], good.c[1] - 1), (good.e[0] + 1,))
-    assert verify_R_relation(w, good, grid=(0, 1))
-    assert not verify_R_relation(w, wrong, grid=(0, 1))
+    assert relation_on_grid(w, good, (0, 1))
+    assert not relation_on_grid(w, wrong, (0, 1))
 
 
 def test_grid_slots_cover_the_tuple_exactly():

@@ -32,6 +32,7 @@ KEPT = {
     "duality.pair_l": "perfbench traces it (duality.pair)",
     "duality.pair_r": "perfbench traces it (duality.pair)",
     "ring.MultiPoly.eval": "perfbench traces it (ring.MultiPoly.eval)",
+    "ring.PolyMatrix.det": "perfbench traces it (ring.PolyMatrix.det)",
     "ring.mat_inverse_frac": "perfbench traces it (ring.frac_linalg)",
     "ring.solve_fraction_free": "perfbench traces it (ring.frac_linalg)",
 }

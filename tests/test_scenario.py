@@ -1,11 +1,13 @@
 """Scenario parsing, serialization, and seeded generation."""
 
 import dataclasses
+import importlib.util
 import json
 import random
 import time
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -53,7 +55,7 @@ from dvbcalc.scenario import (
     scenario_from_text,
     scenario_to_text,
 )
-from polys import poly_from_dict
+from polys import poly_from_dict, witness_root_literal
 
 
 def poly_lit(coeff, exps):
@@ -328,9 +330,9 @@ def test_roundtrip_is_byte_identical(seed):
 @pytest.mark.parametrize("seed", range(200))
 def test_roundtrip_at_the_rank_and_degree_caps_is_byte_identical(seed, symmetric, monkeypatch):
     # the perfbench goldens stop at rank 6.  The reader certifies each square
-    # block nonsingular by its value at one witness point, and falls back to
-    # the symbolic determinant, which has no cost bound, only where that
-    # value is singular: no file `dvb gen` writes may need the fallback
+    # block nonsingular by its values at a few witness points, and no parse
+    # calls the symbolic determinant, which has no cost bound: this guards
+    # that no file `dvb gen` writes reaches it
     def fallback(self):
         raise AssertionError(f"symbolic determinant of a {self.rows}x{self.cols} block")
 
@@ -927,19 +929,57 @@ def _count_minor_tables(monkeypatch):
     return calls
 
 
-def test_metric_singular_at_the_witness_parses_through_the_fallback(monkeypatch):
-    from dvbcalc.scenario import _WITNESS
+def test_metric_singular_at_the_first_witness_is_certified_at_the_second(monkeypatch):
+    from dvbcalc.scenario import _WITNESSES
 
     calls = _count_minor_tables(monkeypatch)
     obj = minimal_obj()
-    witness = _WITNESS[0]
-    # x1 - x1(witness): zero at the witness point only
+    witness = _WITNESSES[0][0]
+    # x1 - x1(witness): zero at the first witness point only
     obj["metric"] = {
         "g": [[[{"coeff": "1", "exps": [1]}, {"coeff": str(-witness), "exps": [0]}]]]
     }
-    det = scenario_from_obj(obj).metric.g.det()
-    assert det.eval((witness,)) == 0 and not det.is_zero
-    assert calls
+    g = scenario_from_obj(obj).metric.g
+    assert not calls
+    det = g.det()
+    assert det.eval((witness,)) == 0 and det.eval(_WITNESSES[1][:1]) != 0
+
+
+def test_metric_singular_at_every_witness_is_refused():
+    obj = minimal_obj()
+    obj["metric"] = {"g": [[witness_root_literal()]]}
+    with pytest.raises(InconsistentScenarioError) as info:
+        scenario_from_obj(obj)
+    assert str(info.value) == "metric: determinant vanishes at all 4 witness points"
+
+
+def _worst_case_files():
+    path = Path(__file__).resolve().parent.parent / "tools" / "worst_case.py"
+    spec = importlib.util.spec_from_file_location("worst_case", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.cases()
+
+
+@pytest.mark.parametrize("name", ["vanish6", "vanish8", "vanish8all"])
+def test_worst_case_certificates_build_no_symbolic_determinant(monkeypatch, name):
+    # each Phi_r determinant is a nonzero polynomial that vanishes at the
+    # first witness point, or at all of them (vanish8all); either way the
+    # parse stays bounded
+    from dvbcalc import ring
+
+    def refuse(*args):
+        raise AssertionError("symbolic determinant in a parse")
+
+    text = json.dumps(_worst_case_files()[name])
+    monkeypatch.setattr(PolyMatrix, "det", refuse)
+    monkeypatch.setattr(ring, "_extend_minors", refuse)
+    if name != "vanish8all":
+        assert scenario_from_text(text).morphism.phi_r.rows == int(name[len("vanish"):])
+        return
+    with pytest.raises(InconsistentScenarioError) as info:
+        scenario_from_text(text)
+    assert str(info.value) == "morphism: Phi_r determinant vanishes at all 4 witness points"
 
 
 def test_identically_singular_rank_2_metric_text():
@@ -948,7 +988,7 @@ def test_identically_singular_rank_2_metric_text():
     obj["metric"] = {"g": [[x1, x1], [x1, x1]]}
     with pytest.raises(InconsistentScenarioError) as info:
         scenario_from_obj(obj)
-    assert str(info.value) == "metric: determinant vanishes identically"
+    assert str(info.value) == "metric: determinant vanishes at all 4 witness points"
 
 
 def test_high_degree_matrix_is_rejected():
@@ -1024,7 +1064,7 @@ def test_identically_singular_morphism_block_rejected(block):
     obj["morphism"][block] = [[poly_lit("0", [0])]]
     with pytest.raises(InconsistentScenarioError) as info:
         scenario_from_obj(obj)
-    assert str(info.value) == f"morphism: {block} determinant vanishes identically"
+    assert str(info.value) == f"morphism: {block} determinant vanishes at all 4 witness points"
 
 
 def test_morphism_block_singular_only_at_some_points_parses():

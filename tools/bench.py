@@ -31,9 +31,10 @@ It runs, one after another and never in parallel:
 * `dvb check third-dual` on the worst-case file dense8t3, `load_scenario`
   of dense8t12 (printing the loaded scenario's text, so its digest pins the
   parse of 32-digit coefficients), `load_scenario` of vanish6 and of
-  vanish8 (whose parse-time certificates fall back to the symbolic
-  determinant; vanish8's parse takes about 28 s, so its three runs add about
-  1.5 minutes) and
+  vanish8 (whose `Phi_r` determinants vanish at the parser's first witness
+  point, so their certificates take a second one), `dvb check axioms` on
+  vanish8all (whose `Phi_r` determinant vanishes at every witness point, so
+  the parser refuses it with exit 2) and
   `compose_morphisms` of compose-t8r3-outer after compose-t8r3-inner
   (printing the composite's scenario text), all files written by `tools/worst_case.py` into a
   temporary directory, each in three fresh processes (`worst_case`:
@@ -215,6 +216,11 @@ WORST_CASE = (
     ("load_scenario dense8t12", ("dense8t12",), ["-c", LOAD_SCENARIO]),
     ("load_scenario vanish6", ("vanish6",), ["-c", LOAD_SCENARIO]),
     ("load_scenario vanish8", ("vanish8",), ["-c", LOAD_SCENARIO]),
+    (
+        "check axioms vanish8all",
+        ("vanish8all",),
+        ["-m", "dvbcalc.cli", "check", "axioms", "--scenario"],
+    ),
     (
         "compose_morphisms compose-t8r3",
         ("compose-t8r3-outer", "compose-t8r3-inner"),

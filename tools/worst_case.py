@@ -30,8 +30,13 @@ own seeded `random.Random`.  Only the standard library is used.
   entry of Phi_r has 3 terms with exponents in 0-9 and coefficients in
   +-{1, 2, 3} (`random.Random(R)`); row 0 is then multiplied by 7*x1 - 3.
   The determinant of Phi_r is not the zero polynomial, but it vanishes at
-  the parser's witness point (x1 = 3/7), so `load_scenario` falls back to
-  the symbolic determinant, which is the whole cost of loading these files.
+  the parser's first witness point (x1 = 3/7), so `load_scenario`
+  certifies Phi_r at the second witness: two eliminations of rank-R values.
+* vanish8all: vanish8 with row 0 multiplied instead by (7*x1 - 3)(11*x1 + 5)
+  (13*x1 - 7)(17*x1 + 11), exponents up to 13.  Its determinant is not the
+  zero polynomial, but it vanishes at all four witness points, so the
+  parser refuses the file with exit 2 (`INCONSISTENT_SCENARIO`), an honest
+  input that the bounded certificate cannot accept.
 """
 
 from __future__ import annotations
@@ -111,35 +116,40 @@ def fully_dense(terms: int, rank: int, side: str) -> dict:
     return scenario((rank, rank, rank), blocks)
 
 
-def vanishing_literal(rng: random.Random, factor: bool) -> list[dict]:
+# x1 = 3/7, -5/11, 7/13 and -11/17 are the first coordinates of the parser's
+# four witness points; each factor a*x1 + b below vanishes at one of them
+WITNESS_FACTORS = ((7, -3), (11, 5), (13, -7), (17, 11))
+
+
+def vanishing_literal(rng: random.Random, factors) -> list[dict]:
     """3 terms, exponents in 0-9 and coefficients in +-{1, 2, 3}, times
-    7*x1 - 3 when `factor` is set."""
+    a*x1 + b for each (a, b) in `factors`."""
     terms: dict[tuple[int, ...], int] = {}
     while len(terms) < 3:
         e = tuple(rng.randint(0, 9) for _ in range(DIM))
         if e not in terms:
             terms[e] = rng.choice((1, 2, 3)) * rng.choice((1, -1))
-    if factor:
+    for a, b in factors:
         product: dict[tuple[int, ...], int] = {}
         for e, c in terms.items():
-            for shifted, k in (((e[0] + 1, *e[1:]), 7 * c), (e, -3 * c)):
+            for shifted, k in (((e[0] + 1, *e[1:]), a * c), (e, b * c)):
                 product[shifted] = product.get(shifted, 0) + k
         terms = {e: c for e, c in product.items() if c}
     return [{"coeff": c, "exps": list(e)} for e, c in sorted(terms.items(), reverse=True)]
 
 
-def vanish(rank: int) -> dict:
-    """Rank `rank` with a Phi_r whose determinant vanishes at the parser's
-    witness point."""
+def vanish(rank: int, factors) -> dict:
+    """Rank `rank` with a Phi_r whose row 0 is multiplied by `factors`."""
     rng = random.Random(rank)
-    return right_block_only(
-        [[vanishing_literal(rng, i == 0) for _ in range(rank)] for i in range(rank)]
-    )
+    rows = [[vanishing_literal(rng, factors if i == 0 else ()) for _ in range(rank)]
+            for i in range(rank)]
+    return right_block_only(rows)
 
 
 def cases() -> dict[str, dict]:
     out = {"dense8t3": dense8(3, random.Random(1)), "dense8t12": dense8(12, random.Random(12))}
-    out.update((f"vanish{rank}", vanish(rank)) for rank in (6, 8))
+    out.update((f"vanish{rank}", vanish(rank, WITNESS_FACTORS[:1])) for rank in (6, 8))
+    out["vanish8all"] = vanish(8, WITNESS_FACTORS)
     for terms, rank in ((3, 3), (8, 3)):
         for side in ("outer", "inner"):
             out[f"compose-t{terms}r{rank}-{side}"] = fully_dense(terms, rank, side)

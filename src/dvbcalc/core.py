@@ -125,6 +125,13 @@ class Chart:
         return tuple(rat(c) for c in coords)
 
 
+def _check_rank(rank) -> None:
+    if type(rank) is not int:
+        raise TypeError(f"fiber rank must be an int, got {rank!r}")
+    if rank < 0:
+        raise ValueError("fiber ranks must be nonnegative")
+
+
 @dataclass(frozen=True)
 class VectorBundle:
     """Plain vector bundle data: a chart, a rank, and a display label."""
@@ -132,6 +139,9 @@ class VectorBundle:
     chart: Chart
     rank: int
     label: str = "E"
+
+    def __post_init__(self) -> None:
+        _check_rank(self.rank)
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,8 +156,8 @@ class DecomposedDVB:
     _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if min(self.n_F, self.n_C, self.n_E) < 0:
-            raise ValueError("fiber ranks must be nonnegative")
+        for rank in (self.n_F, self.n_C, self.n_E):
+            _check_rank(rank)
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -405,13 +415,6 @@ def _difference(u: DVBElement, v: DVBElement) -> _Slots:
     return _vec_add(uk[3], _vec_scale(-1, 1, vk[3]))
 
 
-def _int_matrix(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Rational matrix rows as integer rows over one common denominator."""
-    den = lcm(*[a.denominator for row in rows for a in row])
-    ints = tuple(tuple([a.numerator * (den // a.denominator) for a in row]) for row in rows)
-    return ints, den
-
-
 def _lowest(m):
     """An integer matrix (rows, den), den > 0, in lowest terms."""
     rows, den = m
@@ -495,9 +498,6 @@ class _Sampler:
     def positives(self, n: int) -> list[int]:
         """n integers from [1, bound]."""
         return _draw(self.rng, (_span(1, self.bound),) * n)
-
-    def slots(self, n: int) -> _Slots:
-        return _draw_sample(self.rng, self.bound, 0, (n,))[1]
 
     def element(self, x=None, f=None, c=None, e=None) -> DVBElement:
         """An element of the bundle from one draw of the slots not given, in
@@ -822,8 +822,9 @@ class FiberMorphism:
 
     The blocks are integer rows over one positive denominator each, in
     lowest terms, so equal blocks are equal tuples; `l`, `c`, `r` and `psi`
-    are their `Fraction` views, made on first read.  The constructor takes
-    `Fraction` blocks, `_of_blocks` integer ones.
+    are their `Fraction` views, made on first read.  Only `_of_blocks`
+    builds one, for `DVBMorphism.at`, `PointwiseMorphism.at` and the block
+    algebra (`after`, `inverse`, `duality.fiber_right_dual`).
     """
 
     source: DecomposedDVB
@@ -831,9 +832,8 @@ class FiberMorphism:
     x: Point
     _int_blocks: tuple
 
-    def __init__(self, source, target, x, l, c, r, psi):
-        blocks = tuple(_int_matrix(m) for m in (l, c, r, _flat(psi)))
-        vars(self).update(source=source, target=target, x=x, _int_blocks=blocks)
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a FiberMorphism comes from .at(x) or from the block algebra")
 
     @staticmethod
     def _of_blocks(source, target, x, blocks) -> FiberMorphism:

@@ -175,10 +175,9 @@ R_VARIANTS = tuple(_VARIANT_SIGNS)
 
 
 def _relation_signs(variant: str) -> tuple[int, int]:
-    name = variant.replace("±", "+-").replace("∓", "-+")
-    if name not in _VARIANT_SIGNS:
+    if variant not in _VARIANT_SIGNS:
         raise ValueError(f"unknown canonical map variant {variant!r}")
-    return _VARIANT_SIGNS[name]
+    return _VARIANT_SIGNS[variant]
 
 
 def _slot_signs(variant: str) -> tuple[int, int, int]:

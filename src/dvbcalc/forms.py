@@ -122,20 +122,6 @@ class DifferentialForm:
             raise ValueError("cannot add forms of different degrees")
         return _collect(self.vars, self.degree, self.comps + other.comps)
 
-    def __neg__(self) -> DifferentialForm:
-        return self * Fraction(-1)
-
-    def __mul__(self, factor) -> DifferentialForm:
-        if not isinstance(factor, MultiPoly):
-            factor = MultiPoly.const(self.vars, rat(factor))
-        return DifferentialForm(
-            self.vars,
-            self.degree,
-            tuple((idx, poly * factor) for idx, poly in self.comps),
-        )
-
-    __rmul__ = __mul__
-
     def wedge(self, other: DifferentialForm) -> DifferentialForm:
         self._check_compatible(other)
         return _collect(

@@ -16,9 +16,10 @@ One sampled checker, `_respects_both_structures`, decides "respects both
 structures" for maps into a shell: the contraction of a bivector, and a
 double-linear function (a momentum or velocity function) as the map
 w -> (x | () | value(w) | ()) into the core line L = (0 | Q | 0), whose
-two structures both add and scale its core slot; one more,
-`_section_is_bundle_morphism`, decides whether a field or form is a bundle
-morphism into its shell.
+two structures both add and scale its core slot; per structure it asks
+`_respects`, which the `axioms` suite asks of its morphism with its own
+draws.  One more, `_section_is_bundle_morphism`, decides whether a field or
+form is a bundle morphism into its shell.
 
 Connection conventions: the splitting sends (x | xdot | edot | e) to
 (x | xdot | edot + Gamma(xdot, e) | e) with a plus sign, and the dual
@@ -45,9 +46,13 @@ from .core import (
     VectorBundle,
     _fractions,
     _is_right,
+    _left_add,
+    _left_scale,
     _mat_vec,
     _pairing,
     _reduced,
+    _right_add,
+    _right_scale,
     _Sampler,
     _scalar,
     _signed_identity,
@@ -58,8 +63,6 @@ from .core import (
     _zero_slots,
     compose_morphisms,
     cotangent_prolongation,
-    fiber_add,
-    fiber_scale,
     invert_morphism_poly,
     psi_zero,
     tangent_prolongation,
@@ -123,15 +126,24 @@ def _fiber_linear(coeffs: Sequence[MultiPoly], vars: tuple[str, ...]) -> MultiPo
     return MultiPoly(vars, pairs)
 
 
+def _respects(image, add, scale, u: DVBElement, at_u: DVBElement, v: DVBElement, r) -> bool:
+    """image(u + v) = image(u) + image(v) and image(r u) = r image(u) for one
+    structure's `add` and `scale`, given at_u = image(u).  Images that the
+    structure cannot add (their shared legs differ) do not respect it."""
+    try:
+        return image(add(u, v)) == add(at_u, image(v)) and image(scale(r, u)) == scale(r, at_u)
+    except FiberMismatchError:
+        return False
+
+
 def _respects_both_structures(shell: DecomposedDVB, image, samples: int, seed: int) -> bool:
     """Sampled test that `image`, a map into a shell, respects both structures.
 
     Each sample draws x, e, e2, f, f2, c, c2, r in that order, in one call,
     and builds u = (x | f | c | e), v = (x | f2 | c2 | e) sharing e with u,
-    and w = (x | f | c2 | e2) sharing f with u, on slot vectors.  The image must
-    turn the right sum and scaling of (u, v) and the left sum and scaling of
-    (u, w) into the same sum and scaling of the images; a double-linear
-    function is checked as a map into the core line (`_into_line`).
+    and w = (x | f | c2 | e2) sharing f with u, on slot vectors, and asks
+    `_respects` of the right structure on (u, v), then of the left on (u, w);
+    a double-linear function is checked as a map into the core line (`_into_line`).
     """
     s = _Sampler(random.Random(seed), shell)
     n_f, n_c, n_e = shell.ranks
@@ -141,16 +153,10 @@ def _respects_both_structures(shell: DecomposedDVB, image, samples: int, seed: i
         r = _scalar(r)
         u = element(shell, x, f, c, e)
         at_u = image(u)
-        try:
-            for side, other in (
-                ("right", element(shell, x, f2, c2, e)),
-                ("left", element(shell, x, f, c2, e2)),
-            ):
-                if image(fiber_add(side, u, other)) != fiber_add(side, at_u, image(other)):
-                    return False
-                if image(fiber_scale(side, r, u)) != fiber_scale(side, r, at_u):
-                    return False
-        except FiberMismatchError:
+        if not (
+            _respects(image, _right_add, _right_scale, u, at_u, element(shell, x, f2, c2, e), r)
+            and _respects(image, _left_add, _left_scale, u, at_u, element(shell, x, f, c2, e2), r)
+        ):
             return False
     return True
 
@@ -181,9 +187,9 @@ def _section_is_bundle_morphism(bundle: VectorBundle, image, samples: int, seed:
         v1, v2 = image(x, e1), image(x, e2)
         if v1._f != v2._f:
             return False
-        if image(x, _vec_add(e1, e2)) != fiber_add("left", v1, v2):
+        if image(x, _vec_add(e1, e2)) != _left_add(v1, v2):
             return False
-        if image(x, _vec_scale(r.numerator, r.denominator, e1)) != fiber_scale("left", r, v1):
+        if image(x, _vec_scale(r.numerator, r.denominator, e1)) != _left_scale(r, v1):
             return False
     return True
 
@@ -258,10 +264,8 @@ def vf_is_bundle_morphism(field: GeneralVectorField, samples: int = 40, seed: in
     return _section_is_bundle_morphism(field.bundle, field._tangent_image, samples, seed)
 
 
-def vf_linearity_on_cotangent(field, samples: int = 40, seed: int = 0) -> bool:
+def vf_linearity_on_cotangent(field: GeneralVectorField, samples: int = 40, seed: int = 0) -> bool:
     """Sampled linearity of the momentum function under both shell structures."""
-    if isinstance(field, LinearVectorField):
-        field = field.as_general()
     cot = cotangent_prolongation(field.bundle)
     return _respects_both_structures(cot, _into_line(cot, field._momentum), samples, seed)
 
@@ -337,10 +341,8 @@ def oneform_is_bundle_morphism(form: GeneralOneForm, samples: int = 40, seed: in
     return _section_is_bundle_morphism(form.bundle, form._cotangent_image, samples, seed)
 
 
-def oneform_linearity_on_tangent(form, samples: int = 40, seed: int = 0) -> bool:
+def oneform_linearity_on_tangent(form: GeneralOneForm, samples: int = 40, seed: int = 0) -> bool:
     """Sampled linearity of the velocity function under both shell structures."""
-    if isinstance(form, LinearOneForm):
-        form = form.as_general()
     tan = tangent_prolongation(form.bundle)
     return _respects_both_structures(tan, _into_line(tan, form._velocity), samples, seed)
 

@@ -371,14 +371,12 @@ class MultiPoly:
     def __neg__(self) -> MultiPoly:
         return MultiPoly(self.vars, -self._pairs)
 
-    def __mul__(self, other: MultiPoly | Fraction | int) -> MultiPoly:
-        if isinstance(other, (Fraction, int)):
-            return self.scale(other)
+    def __mul__(self, other: MultiPoly) -> MultiPoly:
+        """The product of two polynomials; a scalar goes through `scale`."""
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
         self._check_compatible(other)
         return MultiPoly(self.vars, _sum_products(((self._pairs, other._pairs),)))
-
-    def __rmul__(self, other: Fraction | int) -> MultiPoly:
-        return self.scale(other)
 
     def scale(self, factor: Fraction | int | str) -> MultiPoly:
         f = _constant(len(self.vars), rat(factor))
@@ -753,16 +751,6 @@ class PolyMatrix:
             vt, tuple(tuple(MultiPoly.const(vt, x) for x in row) for row in rows)
         )
 
-    def __add__(self, other: PolyMatrix) -> PolyMatrix:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("matrix shape mismatch in sum")
-        return PolyMatrix.build(
-            self.vars,
-            self.rows,
-            self.cols,
-            lambda i, j: self.entries[i][j] + other.entries[i][j],
-        )
-
     def __neg__(self) -> PolyMatrix:
         return PolyMatrix.build(
             self.vars, self.rows, self.cols, lambda i, j: -self.entries[i][j]
@@ -783,9 +771,11 @@ class PolyMatrix:
         return PolyMatrix._of_pairs(self.vars, product)
 
     def scale(self, factor: Fraction | int) -> PolyMatrix:
-        return PolyMatrix.build(
-            self.vars, self.rows, self.cols, lambda i, j: self.entries[i][j].scale(factor)
-        )
+        def entry(i: int, j: int) -> MultiPoly:
+            p: MultiPoly = self.entries[i][j]
+            return p.scale(factor)
+
+        return PolyMatrix.build(self.vars, self.rows, self.cols, entry)
 
     def transpose(self) -> PolyMatrix:
         return PolyMatrix(self.vars, transpose(self.entries, self.cols))

@@ -24,7 +24,9 @@ structure laws (the `axioms` checkers, which the dual-bundle property
 reuses) call `core`'s private structure maps.  `axioms.07` applies the
 morphism with `DVBMorphism.apply`, which reads the integer plan at each
 element's point (see `core`); the plan keeps its values at the last point,
-so each sample point is evaluated once.
+so each sample point is evaluated once.  It asks `geomech._respects`, as
+`geomech`'s sampled checker does, with its own draws; the properties whose
+channels decide one quality compare and word them with `_agreement`.
 
 Every property draws its samples from a seed derived from the scenario seed
 and the property id, so results are independent of execution order and any
@@ -82,6 +84,7 @@ from .duality import (
 from .geomech import (
     _first_asymmetry,
     _metric_defect,
+    _respects,
     Bivector,
     LinearConnection,
     LinearSection,
@@ -353,21 +356,16 @@ def _morphism_respects(sc: Scenario, s: _Sampler):
     b = sc.bundle
     n_f, n_c, n_e = b.ranks
     apply, element = sc.section("morphism").apply, DVBElement._of_slots
-
-    def respects(add, scale, u, v, r):
-        at_u = apply(u)
-        return apply(add(u, v)) == add(at_u, apply(v)) and apply(scale(r, u)) == scale(r, at_u)
-
     for _ in range(sc.samples):
         # the right side's draws; the left side's follow its check
         x, shared_e, shared_f, r, uf, uc, vf, vc = s.sample(n_e, n_f, 1, n_f, n_c, n_f, n_c)
         r = _scalar(r)
         u, v = element(b, x, uf, uc, shared_e), element(b, x, vf, vc, shared_e)
-        if not respects(_right_add, _right_scale, u, v, r):
+        if not _respects(apply, _right_add, _right_scale, u, apply(u), v, r):
             return False, "morphism breaks the right structure", {"u": u, "v": v, "r": r}
         pc, pe, qc, qe = s.draw(n_c, n_e, n_c, n_e)
         p, q = element(b, x, shared_f, pc, pe), element(b, x, shared_f, qc, qe)
-        if not respects(_left_add, _left_scale, p, q, r):
+        if not _respects(apply, _left_add, _left_scale, p, apply(p), q, r):
             return False, "morphism breaks the left structure", {"p": p, "q": q, "r": r}
     return True, f"block morphism respects both structures on {sc.samples} samples", None
 
@@ -438,7 +436,7 @@ def _kernel_pairings(sc: Scenario, s: _Sampler):
         # kernel element with zero F slot sees only the C* dual slot
         k = element(b, x, _zero_slots(b.n_F), vc, ve)
         a = element(db, x, ve, p, q)
-        a_shift = element(db, x, ve, s.slots(b.n_F), q)
+        a_shift = element(db, x, ve, *s.draw(b.n_F), q)
         value = _pair(k, a)
         if not _same(value, _dot(q, v._c)) or not _same(value, _pair(k, a_shift)):
             return False, "kernel element pairing depends on more than C*", {"k": k, "a": a}
@@ -684,38 +682,43 @@ _THIRD_DUAL = (
 # ---------------------------------------------------------------------------
 # The geometry suite
 
-def _three_channels(
-    sc: Scenario, s: _Sampler, key, shape_of, morphism_of, linearity_of, names
-):
-    """The shape, bundle-morphism and linearity channels agree on section `key`.
+def _agreement(channels: dict, disagree: str, agree: str, quality: str):
+    """The result triple of channels that decide one quality; `channels` maps
+    each channel's counterexample key to its verdict.  Differing verdicts fail
+    with "<disagree> channels disagree" and the verdicts as the counterexample;
+    equal ones pass with "<agree> <quality>", or "<agree> not <quality>"."""
+    first, *rest = channels.values()
+    if any(verdict != first for verdict in rest):
+        return False, f"{disagree} channels disagree", channels
+    return True, f"{agree} {quality}" if first else f"{agree} not {quality}", None
 
-    `names` is (what disagrees, the counterexample key of the linearity
-    channel, the noun, the quality).
-    """
-    disagree, linearity_key, noun, quality = names
-    record = sc.section(key)
-    shape = shape_of(record)
+
+def _vector_field_channels(sc: Scenario, s: _Sampler):
+    field = sc.section("vector_field")
     seed1, seed2 = s.seed(), s.seed()
-    as_morphism = morphism_of(record, samples=sc.samples, seed=seed1)
-    linear = linearity_of(record, samples=sc.samples, seed=seed2)
-    if not (shape == as_morphism == linear):
-        return False, f"{disagree} channels disagree", {
-            "shape": shape, "bundle_morphism": as_morphism, linearity_key: linear
-        }
-    verdict = quality if shape else f"not {quality}"
-    return True, f"three characterizations agree: {noun} is {verdict}", None
+    return _agreement({
+        "shape": is_degree_zero(field),
+        "bundle_morphism": vf_is_bundle_morphism(field, sc.samples, seed1),
+        "momentum_linearity": vf_linearity_on_cotangent(field, sc.samples, seed2),
+    }, "degree-zero", "three characterizations agree: field is", "degree zero")
+
+
+def _one_form_channels(sc: Scenario, s: _Sampler):
+    form = sc.section("one_form")
+    seed1, seed2 = s.seed(), s.seed()
+    return _agreement({
+        "shape": is_linear_oneform(form),
+        "bundle_morphism": oneform_is_bundle_morphism(form, sc.samples, seed1),
+        "velocity_linearity": oneform_linearity_on_tangent(form, sc.samples, seed2),
+    }, "linear one-form", "three characterizations agree: form is", "linear")
 
 
 def _bivector_channels(sc: Scenario, s: _Sampler):
     biv = sc.section("bivector")
-    shape = bivector_linear_shape(biv)
-    sampled = is_linear_poisson(biv, samples=sc.samples, seed=s.seed())
-    if shape != sampled:
-        return False, "linear bivector channels disagree", {
-            "shape": shape, "contraction_morphism": sampled
-        }
-    verdict = "fiberwise linear" if shape else "not fiberwise linear"
-    return True, f"shape and contraction sampling agree: {verdict}", None
+    return _agreement({
+        "shape": bivector_linear_shape(biv),
+        "contraction_morphism": is_linear_poisson(biv, samples=sc.samples, seed=s.seed()),
+    }, "linear bivector", "shape and contraction sampling agree:", "fiberwise linear")
 
 
 def _lie_poisson_fixtures(sc: Scenario, s: _Sampler):
@@ -761,20 +764,14 @@ def _lie_poisson_fixtures(sc: Scenario, s: _Sampler):
 
 def _closedness_channels(sc: Scenario, s: _Sampler):
     form = sc.section("two_form")
-    exact = is_closed(form)
-    formal = closedness_via_exterior(form)
-    pulled = omega_c_pullback(form)
-    reproduces = pulled == form
-    if not (exact == formal == reproduces):
-        return False, "closedness channels disagree", {
-            "coefficient_identity": exact,
-            "exterior_derivative": formal,
-            "pullback_reproduces": reproduces,
-        }
-    if not is_closed(pulled):
+    result = _agreement({
+        "coefficient_identity": is_closed(form),
+        "exterior_derivative": closedness_via_exterior(form),
+        "pullback_reproduces": (pulled := omega_c_pullback(form)) == form,
+    }, "closedness", "three closedness channels agree:", "closed")
+    if result[0] and not is_closed(pulled):
         return False, "pullback of the base form is not closed", None
-    verdict = "closed" if exact else "not closed"
-    return True, f"three closedness channels agree: {verdict}", None
+    return result
 
 
 def _flat_map_blocks(sc: Scenario, s: _Sampler):
@@ -863,18 +860,15 @@ def _metric_channels(sc: Scenario, s: _Sampler):
     conn = sc.section("connection")
     metric = sc.section("metric")
     exact = metric_identity(conn, metric)
+    words = ("metric compatibility", "diagram and coefficient identity agree:", "compatible")
 
     def sample():
         sampled = is_metric_connection(conn, metric, samples=8, seed=s.seed())
-        if exact != sampled:
-            return False, "metric compatibility channels disagree", {
-                "coefficient_identity": exact, "diagram_sampling": sampled
-            }
+        result = _agreement({"coefficient_identity": exact, "diagram_sampling": sampled}, *words)
+        return None if result[0] else result
 
-    verdict = "compatible" if exact else "not compatible"
-    result = s.regular_points(1, sample, (
-        True, f"diagram and coefficient identity agree: {verdict}", None
-    ))
+    # a sample that passes agrees with the exact channel, so its verdict is exact's
+    result = s.regular_points(1, sample, _agreement({"coefficient_identity": exact}, *words))
     if not result[0]:
         return result
     # a compatible pair built from a unimodular square root must pass
@@ -908,15 +902,13 @@ def _symmetry_channels(sc: Scenario, s: _Sampler):
     if side.rank != chart.dim:
         return True, "side rank differs from the chart dimension; vacuous", None
     conn = sc.section("connection")
-    exact = _first_asymmetry(conn) is None
-    diagram = is_symmetric_connection(conn, samples=20, seed=s.seed())
-    lagrangian = horizontal_lagrangian_check(conn, samples=5, seed=s.seed())
-    if not (exact == diagram == lagrangian):
-        return False, "connection symmetry channels disagree", {
-            "coordinate_symmetry": exact,
-            "side_exchange_diagram": diagram,
-            "horizontal_isotropy": lagrangian,
-        }
+    result = _agreement({
+        "coordinate_symmetry": _first_asymmetry(conn) is None,
+        "side_exchange_diagram": is_symmetric_connection(conn, samples=20, seed=s.seed()),
+        "horizontal_isotropy": horizontal_lagrangian_check(conn, samples=5, seed=s.seed()),
+    }, "connection symmetry", "three symmetry channels agree:", "symmetric")
+    if not result[0]:
+        return result
     if chart.dim >= 2:
         sym = random_connection(random.Random(s.seed()), side, 1, symmetric=True)
         if not is_symmetric_connection(sym, samples=10, seed=s.seed()):
@@ -934,8 +926,7 @@ def _symmetry_channels(sc: Scenario, s: _Sampler):
             return False, "asymmetric fixture passes the diagram channel", None
         if horizontal_lagrangian_check(bumped, samples=4, seed=s.seed()):
             return False, "asymmetric fixture passes the isotropy channel", None
-    verdict = "symmetric" if exact else "not symmetric"
-    return True, f"three symmetry channels agree: {verdict}", None
+    return result
 
 
 def _vertical_lift_kernel(sc: Scenario, s: _Sampler):
@@ -968,15 +959,8 @@ def _side_exchange_adjoint(sc: Scenario, s: _Sampler):
 
 
 _GEOMETRY = (
-    # the rows look the geomech checkers up when they run
-    ("geometry.01.vector-field-channels", lambda sc, s: _three_channels(
-        sc, s, "vector_field", is_degree_zero, vf_is_bundle_morphism,
-        vf_linearity_on_cotangent, ("degree-zero", "momentum_linearity", "field", "degree zero"),
-    )),
-    ("geometry.02.one-form-channels", lambda sc, s: _three_channels(
-        sc, s, "one_form", is_linear_oneform, oneform_is_bundle_morphism,
-        oneform_linearity_on_tangent, ("linear one-form", "velocity_linearity", "form", "linear"),
-    )),
+    ("geometry.01.vector-field-channels", _vector_field_channels),
+    ("geometry.02.one-form-channels", _one_form_channels),
     ("geometry.03.bivector-channels", _bivector_channels),
     ("geometry.04.lie-poisson-fixtures", _lie_poisson_fixtures),
     ("geometry.05.two-form-closedness-channels", _closedness_channels),

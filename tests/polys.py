@@ -1,10 +1,12 @@
 """Polynomial test data: a polynomial from a dict {exponents: coefficient},
-a polynomial matrix's values at a point, and a polynomial literal that
-vanishes at every witness point of the parser's determinant certificate."""
+a polynomial matrix's values at a point, a block morphism with constant
+blocks, and a polynomial literal that vanishes at every witness point of the
+parser's determinant certificate."""
 
 from fractions import Fraction
 
-from dvbcalc.ring import MultiPoly, _Pairs, rat
+from dvbcalc.core import DVBMorphism
+from dvbcalc.ring import MultiPoly, PolyMatrix, _Pairs, rat
 from dvbcalc.scenario import _WITNESSES
 
 
@@ -22,6 +24,20 @@ def poly_from_dict(vars, data) -> MultiPoly:
 def values_at(m, point):
     """The entries of a `PolyMatrix` at a point, each by `MultiPoly.eval`."""
     return tuple(tuple(p.eval(point) for p in row) for row in m.entries)
+
+
+def constant_morphism(source, target, l, c, r, psi) -> DVBMorphism:
+    """The morphism source -> target whose blocks are the constants l, c, r
+    (rows of values) and psi (planes psi[g][a][i]); its `.at(x)` is the
+    fiber morphism of those values at any point x of the chart."""
+    vars = source.chart.names
+
+    def rows(values):
+        return tuple(tuple(MultiPoly.const(vars, v) for v in row) for row in values)
+
+    return DVBMorphism(
+        source, target, *(PolyMatrix(vars, rows(m)) for m in (l, c, r)), tuple(map(rows, psi))
+    )
 
 
 def witness_root_literal():

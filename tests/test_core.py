@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -56,7 +57,7 @@ from dvbcalc.scenario import (
     scenario_from_text,
     scenario_to_text,
 )
-from polys import values_at
+from polys import constant_morphism, values_at
 
 CHART = Chart.of_dim(1)
 B = DecomposedDVB(CHART, 1, 1, 1)
@@ -645,8 +646,9 @@ def test_kernel_structure_maps_match_fraction_formulas(ranks):
 
 @pytest.mark.parametrize("ranks", KERNEL_RANKS, ids=str)
 def test_kernel_apply_matches_fraction_formula(ranks):
-    """`FiberMorphism.apply` on `Fraction` blocks, and `DVBMorphism.apply`
-    through its evaluation plan, against the block formula at one point."""
+    """`FiberMorphism.apply` on the values of constant blocks, and
+    `DVBMorphism.apply` through its evaluation plan, against the block
+    formula at one point."""
     n_f, n_c, n_e = ranks
     b = DecomposedDVB(Chart.of_dim(1), *ranks)
     rng = random.Random(f"apply {ranks}")
@@ -660,15 +662,14 @@ def test_kernel_apply_matches_fraction_formula(ranks):
         def matrix(rows, cols):
             return tuple(wide_tuple(rng, cols, bound) for _ in range(rows))
 
-        fm = FiberMorphism(
-            b,
-            b,
-            x,
+        values = (
             matrix(n_f, n_f),
             matrix(n_c, n_c),
             matrix(n_e, n_e),
             tuple(matrix(n_e, n_f) for _ in range(n_c)),
         )
+        fm = constant_morphism(b, b, *values).at(x)
+        assert (fm.l, fm.c, fm.r, fm.psi) == values
         phi = random_morphism(rng, b, 2)
         for _ in range(4):
             for blocks, apply in ((fm, fm.apply), (phi.at(x), phi.apply)):
@@ -719,8 +720,8 @@ def test_morphism_apply_checks_the_bundle_before_the_plan():
 @pytest.mark.parametrize("bound", [1, 7, 49, 1000])
 def test_kernel_draws_equal_random_tuple(bound):
     """The pair loop gives the `randint(-b, b)`, `randint(1, b)` pairs in
-    lowest terms and the rng state of the stdlib, and `slots` the same values
-    in lowest terms; 1000 is the cap on a scenario's bound."""
+    lowest terms and the rng state of the stdlib, and a sampler's `draw` the
+    same values in lowest terms; 1000 is the cap on a scenario's bound."""
     for seed in range(200):
         for n in range(6):
             ours, theirs = random.Random(seed), random.Random(seed)
@@ -730,13 +731,13 @@ def test_kernel_draws_equal_random_tuple(bound):
             assert [(a.numerator, a.denominator) for a in point] == lowest
             assert ours.getstate() == theirs.getstate()
             ours, theirs = random.Random(seed), random.Random(seed)
-            slots = _Sampler(ours, None, bound).slots(n)
+            (slots,) = _Sampler(ours, None, bound).draw(n)
             assert _fractions(slots) == random_tuple(theirs, n, bound)
             assert ours.getstate() == theirs.getstate()
             assert_lowest_slots(slots)
         ours, theirs = random.Random(seed), random.Random(seed)
         sampler = _Sampler(ours, None, bound)
-        assert _fractions(sampler.slots(1)) == random_tuple(theirs, 1, bound)
+        assert _fractions(*sampler.draw(1)) == random_tuple(theirs, 1, bound)
         assert sampler.rationals(1) == random_tuple(theirs, 1, bound)
         assert sampler.rationals(3) == random_tuple(theirs, 3, bound)
         assert ours.getstate() == theirs.getstate()
@@ -745,19 +746,20 @@ def test_kernel_draws_equal_random_tuple(bound):
 @pytest.mark.parametrize("bound", [1, 7, 1000])
 def test_sampler_calls_draw_what_the_public_draws_draw(bound):
     """`sample`, `draw`, `element` and `positives` each make the draws of the
-    public calls they replace, in their order: `random_tuple` for the point,
-    `slots` per length, and `randint(1, bound)` per positive."""
+    calls they replace, in their order: `random_tuple` for the point, one
+    `draw` of a single length per length, and `randint(1, bound)` per
+    positive."""
     b = DecomposedDVB(Chart.of_dim(2), 3, 0, 2)
     for seed in range(60):
         ours, theirs = random.Random(seed), random.Random(seed)
         s, t = _Sampler(ours, b, bound), _Sampler(theirs, b, bound)
-        assert s.sample(2, 0, 1) == [t.point(), t.slots(2), t.slots(0), t.slots(1)]
+        assert s.sample(2, 0, 1) == [t.point(), *t.draw(2), *t.draw(0), *t.draw(1)]
         assert s.sample() == [t.point()]
-        assert s.draw(3, 1) == [t.slots(3), t.slots(1)] and s.draw() == []
-        x, f = t.point(), t.slots(3)
-        assert s.element() == DVBElement._of_slots(b, x, f, t.slots(0), t.slots(2))
+        assert s.draw(3, 1) == [*t.draw(3), *t.draw(1)] and s.draw() == []
+        x, f = t.point(), *t.draw(3)
+        assert s.element() == DVBElement._of_slots(b, x, f, *t.draw(0), *t.draw(2))
         e = ((1, 0), 1)
-        assert s.element(x, e=e) == DVBElement._of_slots(b, x, t.slots(3), t.slots(0), e)
+        assert s.element(x, e=e) == DVBElement._of_slots(b, x, *t.draw(3), *t.draw(0), e)
         assert s.positives(5) == [theirs.randint(1, bound) for _ in range(5)]
         assert s.positives(0) == []
         assert ours.getstate() == theirs.getstate()
@@ -848,9 +850,43 @@ def test_bundle_hash_is_the_field_tuple_hash():
         assert not hasattr(b, "__dict__")
 
 
+@pytest.mark.parametrize("rank", [1.5, True, "1", Fraction(1), None, -2], ids=repr)
+def test_bundles_take_nonnegative_int_ranks(rank):
+    """A rank that is not an int (a bool is not) raises TypeError, and a
+    negative one ValueError, when the bundle is built, not when a shell or
+    an element of it is."""
+    builds = (
+        lambda r: DecomposedDVB(CHART, r, 1, 1),
+        lambda r: DecomposedDVB(CHART, 1, r, 1),
+        lambda r: DecomposedDVB(CHART, 1, 1, r),
+        lambda r: VectorBundle(CHART, r),
+    )
+    if rank == -2:
+        error, message = ValueError, "^fiber ranks must be nonnegative$"
+    else:
+        error, message = TypeError, f"^fiber rank must be an int, got {re.escape(repr(rank))}$"
+    for build in builds:
+        with pytest.raises(error, match=message):
+            build(rank)
+
+
+def test_fiber_morphism_has_no_public_constructor():
+    """A fiber morphism comes only from `.at(x)` and the block algebra.  The
+    constructor checked nothing: it took a 2 x 1 L block on a rank-2 F fiber,
+    whose `apply` mapped f = (5, 7) to (5, 5), and a 3-coordinate point over
+    a 1-dim chart."""
+    b = DecomposedDVB(CHART, 2, 0, 0)
+    message = "^a FiberMorphism comes from .at\\(x\\) or from the block algebra$"
+    for x, l in (((Fraction(1),), ((1,), (1,))), ((1, 2, 3), ((1, 0), (0, 1)))):
+        with pytest.raises(TypeError, match=message):
+            FiberMorphism(b, b, x, l, (), (), ())
+    with pytest.raises(TypeError, match=message):
+        FiberMorphism()
+
+
 def test_fiber_morphism_is_immutable():
     fm = scalar_morphism(2, 3, 5, 7).at((1,))
-    built = FiberMorphism(fm.source, fm.target, fm.x, fm.l, fm.c, fm.r, fm.psi)
+    built = fm.after(identity_morphism(B).at((1,)))
     for m in (fm, built):
         with pytest.raises(AttributeError, match="^cannot assign to field 'l'"):
             m.l = ((Fraction(1),),)
@@ -875,8 +911,8 @@ CANONICAL_RANKS = [
 @pytest.mark.parametrize("ranks", CANONICAL_RANKS, ids=str)
 def test_fiber_morphism_has_one_canonical_form(ranks):
     """One pointwise morphism reached four ways holds one key: from
-    `DVBMorphism.at`, from `Fraction` blocks through the constructor, as
-    `after` an identity on either side and, on equal ranks, as
+    `DVBMorphism.at`, as the `.at(x)` of the constant morphism of its values,
+    as `after` an identity on either side and, on equal ranks, as
     `inverse().inverse()`.  Every block is integer rows over a positive
     denominator in lowest terms, although the plan's values share factors
     with its denominator."""
@@ -916,7 +952,7 @@ def test_fiber_morphism_has_one_canonical_form(ranks):
     )
     fm = phi.at(x)
     routes = [
-        FiberMorphism(source, target, x, *values),
+        constant_morphism(source, target, *values).at(x),
         fm.after(identity_morphism(source).at(x)),
         identity_morphism(target).at(x).after(fm),
     ]
@@ -1055,7 +1091,8 @@ def test_single_representation_matches_fraction_formulas(case):
     assert fields(core_part) == (b, x, zeros[0], c, zeros[2])
     assert fields(u.flip()) == (b.flip(), x, e, c, f)
     # a fiber morphism: (L f, C c + Psi(f, e), R e)
-    fm = FiberMorphism(b, b, x, l, cm, rm, psi)
+    fm = constant_morphism(b, b, l, cm, rm, psi).at(x)
+    assert (fm.l, fm.c, fm.r, fm.psi) == (l, cm, rm, psi)
     bilinear = tuple(
         fraction_dot([a for row in plane for a in row], [p * q for p in e for q in f])
         for plane in psi

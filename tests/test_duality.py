@@ -406,12 +406,12 @@ def test_canonical_map_literal_values():
     assert canonical_R("R=", v) == B.element((0,), (-1,), (-2,), (-3,))
 
 
-def test_canonical_map_unicode_aliases():
+def test_canonical_map_rejects_unknown_variants():
+    # the variants are spelled as R_VARIANTS spells them, in ASCII only
     v = B.element((0,), (1,), (2,), (3,))
-    assert canonical_R("R±", v) == canonical_R("R+-", v)
-    assert canonical_R("R∓", v) == canonical_R("R-+", v)
-    with pytest.raises(ValueError):
-        canonical_R("Q", v)
+    for variant in ("Q", "R±", "R∓", "r"):
+        with pytest.raises(ValueError, match=f"^unknown canonical map variant '{variant}'$"):
+            canonical_R(variant, v)
 
 
 def test_canonical_morphism_matches_elementwise_map():

@@ -16,12 +16,21 @@ assigned from one of these), and resolves through that class and its bases.
 An attribute read whose receiver has no known class reaches a method only
 when no other class member of the library has its spelling, so a
 same-spelled method of another class, or a local variable, is never a caller.
+
+The scan cannot type the operands of an operator, so the arithmetic dunders
+that the benchmark's tracer wraps are checked by a run instead: on the
+polynomial, matrix and form classes, each must be called by the library in a
+few `run_suite("all")` rounds and in `dvb lift complete`, or be in KEPT.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
-from test_bench_names import function_scopes
+from dvbcalc import cli
+from dvbcalc.scenario import gen_random_scenario, scenario_to_text
+from dvbcalc.suites import run_suite
+from test_bench_names import function_scopes, tracer
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dvbcalc"
 
@@ -322,6 +331,36 @@ def test_every_kept_name_is_public_unused_and_traced():
     for key in KEPT:
         assert key in names and key in unused, key
         assert key in traced, key
+
+
+ARITHMETIC = ("ring.MultiPoly", "ring.PolyMatrix", "forms.DifferentialForm")
+
+
+def _counted(method, calls: dict, key: str):
+    def counted(*args):
+        calls[key] += 1
+        return method(*args)
+
+    return counted
+
+
+def test_every_arithmetic_dunder_has_a_caller_in_the_library(monkeypatch, tmp_path, capsys):
+    calls = {}
+    for owner in ARITHMETIC:
+        module, name = owner.split(".")
+        cls = getattr(importlib.import_module(f"dvbcalc.{module}"), name)
+        for dunder in set(tracer.WRAPPED_DUNDERS) & set(vars(cls)):
+            key = f"{owner}.{dunder}"
+            calls[key] = 0
+            monkeypatch.setattr(cls, dunder, _counted(vars(cls)[dunder], calls, key))
+    for seed in range(3):
+        run_suite("all", gen_random_scenario(seed))
+    path = tmp_path / "scenario.json"
+    path.write_text(scenario_to_text(gen_random_scenario(0)), encoding="utf-8")
+    for kind in ("tangent", "cotangent"):
+        assert cli.main(["lift", "complete", "--scenario", str(path), "--kind", kind]) == 0
+    assert "ring.MultiPoly.__mul__" in calls
+    assert sorted(key for key, count in calls.items() if not count and key not in KEPT) == []
 
 
 PACKAGE = {

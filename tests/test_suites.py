@@ -493,3 +493,36 @@ def test_symmetry_diagram_defect_is_reported_with_every_verdict(monkeypatch):
     assert check.counterexample == {
         "coordinate_symmetry": "True", "side_exchange_diagram": "False"
     }
+
+
+# each property whose channels decide one quality: one channel to flip, its
+# counterexample key, the failing detail and every counterexample key
+FLIPPED_CHANNELS = [
+    ("geometry.01.vector-field-channels", "vf_linearity_on_cotangent", "momentum_linearity",
+     "degree-zero channels disagree", {"shape", "bundle_morphism"}),
+    ("geometry.02.one-form-channels", "oneform_linearity_on_tangent", "velocity_linearity",
+     "linear one-form channels disagree", {"shape", "bundle_morphism"}),
+    ("geometry.03.bivector-channels", "is_linear_poisson", "contraction_morphism",
+     "linear bivector channels disagree", {"shape"}),
+    ("geometry.05.two-form-closedness-channels", "closedness_via_exterior", "exterior_derivative",
+     "closedness channels disagree", {"coefficient_identity", "pullback_reproduces"}),
+    ("geometry.09.metric-compatibility-channels", "is_metric_connection", "diagram_sampling",
+     "metric compatibility channels disagree", {"coefficient_identity"}),
+    ("geometry.10.connection-symmetry-channels", "horizontal_lagrangian_check",
+     "horizontal_isotropy", "connection symmetry channels disagree",
+     {"coordinate_symmetry", "side_exchange_diagram"}),
+]
+
+
+@pytest.mark.parametrize("prop_id, channel, key, detail, others", FLIPPED_CHANNELS)
+def test_a_flipped_channel_is_reported_with_every_verdict(
+    monkeypatch, prop_id, channel, key, detail, others
+):
+    real = getattr(suites, channel)
+    monkeypatch.setattr(suites, channel, lambda *args, **kwargs: not real(*args, **kwargs))
+    sc = gen_random_scenario(0, symmetric=True)
+    row = next(r for r in run_suite("geometry", sc).results if r.prop_id == prop_id)
+    assert not row.passed and row.detail == detail
+    verdict = {value for name, value in row.counterexample.items() if name != key}
+    assert set(row.counterexample) == others | {key} and len(verdict) == 1
+    assert {row.counterexample[key]} | verdict == {"True", "False"}

@@ -77,7 +77,6 @@ from .geomech import (
     LinearTwoForm,
     LinearVectorField,
     Metric,
-    SingularMetricError,
     alpha_M,
     bivector_linear_shape,
     check_jacobi,

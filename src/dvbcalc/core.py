@@ -257,7 +257,11 @@ class DVBElement:
         )
 
     def __str__(self) -> str:
-        return f"(x={self.x} | f={self.f} | c={self.c} | e={self.e})"
+        """The report text, `(x=(1/2) | f=(3) | c=(-2/3) | e=(1))`."""
+        x, f, c, e = (
+            "(" + ", ".join(map(str, slot)) + ")" for slot in (self.x, self.f, self.c, self.e)
+        )
+        return f"(x={x} | f={f} | c={c} | e={e})"
 
     def flip(self) -> DVBElement:
         """The same point viewed in the flipped bundle."""
@@ -517,10 +521,9 @@ class _Sampler:
     def regular_points(self, count: int, sample, finished):
         """Run `sample` until it has passed at `count` points.
 
-        `sample` draws its own point, or the seed of a sampled criterion,
-        and returns a result triple to stop with, or None.  In exact
-        arithmetic a SingularMatrixError (a singular metric is one) is a true
-        singularity of a scenario record at the drawn point, not a defect,
+        `sample` draws its own point and returns a result triple to stop
+        with, or None.  In exact arithmetic a SingularMatrixError is a true
+        singularity of a morphism at the drawn point, not a defect,
         so that sample is drawn again; after `count` such redraws the
         property passes vacuously.  Once `count` samples pass, `finished`
         is the result.

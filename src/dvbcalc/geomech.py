@@ -78,16 +78,10 @@ from .ring import (
     MultiPoly,
     Point,
     PolyMatrix,
-    SingularMatrixError,
     _check_grid,
-    _bareiss,
     _EvalPlan,
     _Pairs,
 )
-
-
-class SingularMetricError(SingularMatrixError):
-    """The metric block is singular at a point where it must be inverted."""
 
 
 def fiber_var_names(rank: int) -> tuple[str, ...]:
@@ -858,8 +852,8 @@ def is_metric_connection(
     """Sampled commutation of the splitting with the metric shell maps.
 
     Compares (pairing map after splitting) with (dual splitting after
-    tangent metric map) on sampled tangent shell elements; the metric must
-    be nonsingular at every sampled base point.
+    tangent metric map) on sampled tangent shell elements.  Both composites
+    are polynomial and neither inverts g, so every sampled point counts.
     """
     if conn.bundle != metric.bundle:
         raise ValueError("connection and metric live on different bundles")
@@ -869,10 +863,7 @@ def is_metric_connection(
     )
     s = _Sampler(random.Random(seed), tangent_prolongation(conn.bundle))
     for _ in range(samples):
-        x = s.point()
-        if _bareiss(metric.g.eval_ints(x)[0], ())[0] == 0:  # integer determinant
-            raise SingularMetricError(f"metric is singular at {x}")
-        v = s.element(x)
+        v = s.element()
         if lhs.apply(v) != rhs.apply(v):
             return False
     return True

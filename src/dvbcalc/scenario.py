@@ -191,8 +191,9 @@ SECTIONS = (
 )
 
 # The square fields, by section, whose determinant must not vanish
-# identically: the suites invert them at sample points, and one that is
-# singular everywhere has no regular point to sample.
+# identically.  The suites invert the morphism blocks at sample points, and
+# a block singular everywhere has no regular point to sample.  No check
+# inverts g; it is certified because a metric is nondegenerate.
 _NONSINGULAR = {"morphism": ("Phi_l", "Phi_c", "Phi_r"), "metric": ("g",)}
 
 # The witness points of the determinant certificate, each cut to the chart
@@ -427,8 +428,6 @@ def _build(section: str, ctor, *args):
     """Constructor ValueErrors become scenario inconsistencies."""
     try:
         return ctor(*args)
-    except InconsistentScenarioError:
-        raise
     except ValueError as exc:
         raise InconsistentScenarioError(f"{section}: {exc}") from exc
 

@@ -88,7 +88,6 @@ from .geomech import (
     Bivector,
     LinearConnection,
     LinearSection,
-    SingularMetricError,
     bivector_linear_shape,
     check_jacobi,
     closedness_via_exterior,
@@ -195,9 +194,6 @@ def _fmt(value) -> str:
     """A counterexample value as report text."""
     if isinstance(value, tuple):
         return "(" + ", ".join(_fmt(v) for v in value) + ")"
-    if isinstance(value, DVBElement):
-        x, f, c, e = (_fmt(slot) for slot in (value.x, value.f, value.c, value.e))
-        return f"(x={x} | f={f} | c={c} | e={e})"
     return str(value)
 
 
@@ -859,16 +855,10 @@ def _metric_channels(sc: Scenario, s: _Sampler):
     side, chart = sc.side_bundle, sc.chart
     conn = sc.section("connection")
     metric = sc.section("metric")
-    exact = metric_identity(conn, metric)
-    words = ("metric compatibility", "diagram and coefficient identity agree:", "compatible")
-
-    def sample():
-        sampled = is_metric_connection(conn, metric, samples=8, seed=s.seed())
-        result = _agreement({"coefficient_identity": exact, "diagram_sampling": sampled}, *words)
-        return None if result[0] else result
-
-    # a sample that passes agrees with the exact channel, so its verdict is exact's
-    result = s.regular_points(1, sample, _agreement({"coefficient_identity": exact}, *words))
+    result = _agreement({
+        "coefficient_identity": metric_identity(conn, metric),
+        "diagram_sampling": is_metric_connection(conn, metric, samples=8, seed=s.seed()),
+    }, "metric compatibility", "diagram and coefficient identity agree:", "compatible")
     if not result[0]:
         return result
     # a compatible pair built from a unimodular square root must pass
@@ -1035,10 +1025,7 @@ def _metric_check(sc: Scenario, s: _Sampler):
     metric = sc.section("metric")
     defect = _metric_defect(conn, metric)
     exact = defect is None
-    try:
-        sampled = is_metric_connection(conn, metric, samples=8, seed=s.seed())
-    except SingularMetricError as exc:
-        return False, f"metric singular at a sampled point: {exc}", None
+    sampled = is_metric_connection(conn, metric, samples=8, seed=s.seed())
     if exact != sampled:
         return False, "diagram and coefficient channels disagree", {
             "coefficient_identity": exact, "diagram_sampling": sampled

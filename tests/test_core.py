@@ -1157,3 +1157,12 @@ def test_element_is_immutable():
             with pytest.raises(AttributeError, match=f"^cannot delete field {name!r}"):
                 delattr(v, name)
         assert v.f == (Fraction(2),) and v._f == ((2,), 1) and v == u
+
+
+def test_element_str_is_the_report_text():
+    u = B.element(["1/2"], [3], ["-2/3"], [1])
+    assert str(u) == "(x=(1/2) | f=(3) | c=(-2/3) | e=(1))"
+    # an element the structure maps build prints alike, and so does a zero rank
+    assert str(fiber_scale("right", 1, u)) == str(u)
+    w = DecomposedDVB(Chart.of_dim(2), 2, 0, 1).element((0, "5/4"), ("-1", 2), (), (7,))
+    assert str(w) == "(x=(0, 5/4) | f=(-1, 2) | c=() | e=(7))"

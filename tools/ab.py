@@ -20,8 +20,10 @@ verdicts.  `gain` is yes when B was better in at least 9 of every 10
 pairs and B's median beats A's by more than A's interquartile range, the
 rule a claimed gain must meet.  `past bound` is YES when B's median is
 worse than A's by more than the metric's `bound`, the most a change may
-lose.  A run with a failed task stops the comparison.  Only the standard
-library is used.
+lose.  `unresolved` is YES when A's own spread, q3 - q1, is wider than
+`bound` times A's median, so these runs cannot tell a loss of the bound
+from noise, unless every run of B beats every run of A.  A run with a
+failed task stops the comparison.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ def main(argv=None) -> int:
     print(f"\n{args.workload}, {args.pairs} pairs: A = {roots[0]}, B = {roots[1]}")
     print(
         f"{'metric':<13} {'A q1 / median / q3':>26} {'B q1 / median / q3':>26}"
-        f" {'B/A':>6} {'B better':>8} {'gain':>5} {'past bound':>10}"
+        f" {'B/A':>6} {'B better':>8} {'gain':>5} {'past bound':>10} {'unresolved':>10}"
     )
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
@@ -79,11 +81,13 @@ def main(argv=None) -> int:
         lead = (qa["median"] - qb["median"]) * (1 if lower else -1)
         gain = better * 10 >= 9 * args.pairs and lead > qa["q3"] - qa["q1"]
         past = -lead > m["bound"] * abs(qa["median"])
+        b_beats_all = max(b) < min(a) if lower else min(b) > max(a)
+        unresolved = qa["q3"] - qa["q1"] > m["bound"] * abs(qa["median"]) and not b_beats_all
         quartiles = lambda q: f"{q['q1']:.4g} / {q['median']:.4g} / {q['q3']:.4g}"
         print(
             f"{name:<13} {quartiles(qa):>26} {quartiles(qb):>26} {ratio:>6.3f}"
             f" {better:>4}/{args.pairs:<3} {'yes' if gain else 'no':>5}"
-            f" {'YES' if past else 'no':>10}"
+            f" {'YES' if past else 'no':>10} {'YES' if unresolved else 'no':>10}"
         )
     return 0
 

@@ -19,6 +19,7 @@ from dvbcalc.core import (
     identity_morphism,
     psi_zero,
     tangent_prolongation,
+    _Sampler,
     _slots_of,
 )
 from dvbcalc.duality import ProjectionMismatchError, pair_r, right_dual
@@ -1074,6 +1075,7 @@ def test_metric_check_takes_no_symbolic_determinant(monkeypatch):
     metric = Metric(VB11, PolyMatrix(CHART1.names, ((x1,),)))
     # seed 9 draws x1 = 0 first, where g vanishes: that one sample already
     # shows the incompatibility, as d g = 1 there
+    assert _Sampler(random.Random(9), tangent_prolongation(VB11)).element().x == (0,)
     conn = zero_connection(VB11)
     assert not metric_identity(conn, metric)
     assert not is_metric_connection(conn, metric, samples=1, seed=9)

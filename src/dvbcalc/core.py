@@ -56,7 +56,8 @@ primitive rows, and over the chart `unimodular_inverse` inverts unimodular
 blocks.  Only morphisms with equal source and target ranks can be inverted.
 One builder, `_signed_identity`, makes every morphism whose blocks are
 signed identities and whose Psi is zero: the identity, the side exchange
-and the canonical maps onto the third dual.
+and the canonical maps onto the third dual.  A connection's splitting is
+the tangent shell's identity with another Psi.
 """
 
 from __future__ import annotations
@@ -797,10 +798,11 @@ def _signed_identity(
     """The morphism (f, c, e) -> (s_F f, s_C c, s_E e) between bundles of
     equal ranks: signed identity blocks, one sign per slot, and zero Psi."""
     vars = source.chart.names
+    ones = (PolyMatrix.identity(vars, n) for n in source.ranks)
     return DVBMorphism(
         source,
         target,
-        *(PolyMatrix.identity(vars, n).scale(s) for n, s in zip(source.ranks, signs)),
+        *(one if s > 0 else -one for one, s in zip(ones, signs)),
         psi_zero(vars, source.n_C, source.n_E, source.n_F),
     )
 

@@ -5,7 +5,8 @@ of a bundle with sides (F, E) and core C has sides (E, C*) and core F*.  An
 element of the dual is stored as (x | e | p | q) with p a covector on F and
 q a covector on C; the evaluation against (x | f | c | e) is p.f + q.c and
 both bundles must sit over the same E point.  The left dual is never written
-by hand: it is flip, then right dual, then flip.
+by hand: it is flip, then right dual, then flip, and the left pairing is the
+right pairing of the two flipped elements.
 
 Applying the right dual three times returns the original bundle object, but
 the identification hides a sign: the canonical map to the third dual negates
@@ -81,25 +82,20 @@ def triple_right_dual(b: DecomposedDVB) -> DecomposedDVB:
     return right_dual(right_dual(right_dual(b)))
 
 
-def _pair(v: DVBElement, a: DVBElement, right: bool = True) -> tuple[int, int]:
-    """p.s + q.c for v = (x | f | c | e) and a covector a: in the right dual
-    over v's E point a = (x | e | p | q) and s = f, in the left dual over
-    v's F point a = (x | q | p | f) and s = e.  The value is the unreduced
-    integer ratio of `core._pairing`."""
+def _pair(v: DVBElement, a: DVBElement) -> tuple[int, int]:
+    """p.f + q.c for v = (x | f | c | e) and a = (x | e | p | q) in the right
+    dual, over v's E point.  The value is the unreduced integer ratio of
+    `core._pairing`."""
     b, x, f, c, e = v._key
     ab, ax, af, p, ae = a._key
-    dual = right_dual(b) if right else left_dual(b)
+    dual = right_dual(b)
     if ab is not dual and ab != dual:
         raise BaseMismatchError("second argument does not live in the dual bundle")
     if x != ax:
         raise BaseMismatchError(f"base points differ: {x} vs {ax}")
-    if right:
-        if e != af:
-            raise ProjectionMismatchError("elements project to different E points")
-        return _pairing(p, f, ae, c)
-    if f != ae:
-        raise ProjectionMismatchError("elements project to different F points")
-    return _pairing(p, e, af, c)
+    if e != af:
+        raise ProjectionMismatchError("elements project to different points")
+    return _pairing(p, f, ae, c)
 
 
 def _same(p: tuple[int, int], *terms: tuple[int, int]) -> bool:
@@ -122,10 +118,11 @@ def pair_r(v: DVBElement, a: DVBElement) -> Fraction:
 def pair_l(v: DVBElement, b: DVBElement) -> Fraction:
     """Evaluate a left-dual element on v over a shared left projection.
 
-    With v = (x | f | c | e) and b = (x | q | p | f) the value is p.e + q.c,
-    the right pairing of the flipped pair, computed without flipping either.
+    With v = (x | f | c | e) and b = (x | q | p | f) the value is p.e + q.c:
+    the left dual is flip, right dual, flip, so this is the right pairing of
+    the flipped pair.
     """
-    return Fraction(*_pair(v, b, False))
+    return Fraction(*_pair(v.flip(), b.flip()))
 
 
 # ---------------------------------------------------------------------------

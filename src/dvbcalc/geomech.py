@@ -30,7 +30,7 @@ which lands on the negated transpose of Gamma.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -63,6 +63,7 @@ from .core import (
     _zero_slots,
     compose_morphisms,
     cotangent_prolongation,
+    identity_morphism,
     invert_morphism_poly,
     psi_zero,
     tangent_prolongation,
@@ -75,11 +76,13 @@ from .duality import (
 )
 from .forms import DifferentialForm, make_form
 from .ring import (
+    _WITNESSES,
     MultiPoly,
     Point,
     PolyMatrix,
     _check_grid,
     _EvalPlan,
+    _identically_singular,
     _Pairs,
 )
 
@@ -744,13 +747,10 @@ class LinearConnection:
 def connection_splitting(conn: LinearConnection) -> DVBMorphism:
     """Splitting morphism on the tangent shell with identity induced maps.
 
-    Sends (x | xdot | edot | e) to (x | xdot | edot + Gamma(xdot, e) | e);
-    the bilinear block holds the Christoffel data and every linear block is
-    the identity.
+    Sends (x | xdot | edot | e) to (x | xdot | edot + Gamma(xdot, e) | e):
+    the shell's identity with the Christoffel data as its bilinear block.
     """
     vb = conn.bundle
-    names = vb.chart.names
-    shell = tangent_prolongation(vb)
     psi = tuple(
         tuple(
             tuple(conn.gamma[a][i][b] for i in range(vb.chart.dim))
@@ -758,14 +758,7 @@ def connection_splitting(conn: LinearConnection) -> DVBMorphism:
         )
         for a in range(vb.rank)
     )
-    return DVBMorphism(
-        shell,
-        shell,
-        PolyMatrix.identity(names, vb.chart.dim),
-        PolyMatrix.identity(names, vb.rank),
-        PolyMatrix.identity(names, vb.rank),
-        psi,
-    )
+    return replace(identity_morphism(tangent_prolongation(vb)), psi=psi)
 
 
 def dual_connection(conn: LinearConnection) -> LinearConnection:
@@ -796,7 +789,10 @@ def dual_connection(conn: LinearConnection) -> LinearConnection:
 
 @dataclass(frozen=True)
 class Metric:
-    """Symmetric fiber metric as a polynomial matrix over the chart."""
+    """Symmetric fiber metric as a polynomial matrix over the chart.
+
+    A metric is nondegenerate: g is refused when its determinant vanishes
+    at every point of `ring._WITNESSES` (`ring._identically_singular`)."""
 
     bundle: VectorBundle
     g: PolyMatrix
@@ -808,28 +804,8 @@ class Metric:
         g = self.g.entries
         if any(g[i][j] != g[j][i] for i in range(len(g)) for j in range(i)):
             raise ValueError("metric must be symmetric")
-
-
-def tangent_metric_morphism(metric: Metric) -> DVBMorphism:
-    """Tangent of the metric map: shell morphism with derivative bilinear block."""
-    vb = metric.bundle
-    names = vb.chart.names
-    n, k = vb.chart.dim, vb.rank
-    psi = tuple(
-        tuple(
-            tuple(metric.g.entries[a][b].partial(names[i]) for i in range(n))
-            for b in range(k)
-        )
-        for a in range(k)
-    )
-    return DVBMorphism(
-        tangent_prolongation(vb),
-        tangent_prolongation(VectorBundle(vb.chart, k, dual_label(vb.label))),
-        PolyMatrix.identity(names, n),
-        metric.g,
-        metric.g,
-        psi,
-    )
+        if _identically_singular(self.g):
+            raise ValueError(f"determinant vanishes at all {len(_WITNESSES)} witness points")
 
 
 def metric_pair_morphism(metric: Metric) -> DVBMorphism:
@@ -844,6 +820,21 @@ def metric_pair_morphism(metric: Metric) -> DVBMorphism:
         metric.g,
         psi_zero(names, vb.rank, vb.rank, vb.chart.dim),
     )
+
+
+def tangent_metric_morphism(metric: Metric) -> DVBMorphism:
+    """Tangent of the metric map: `metric_pair_morphism` with the derivative
+    of g as its bilinear block, Psi[a][b][i] = d_i g_ab."""
+    vb = metric.bundle
+    names = vb.chart.names
+    psi = tuple(
+        tuple(
+            tuple(metric.g.entries[a][b].partial(names[i]) for i in range(vb.chart.dim))
+            for b in range(vb.rank)
+        )
+        for a in range(vb.rank)
+    )
+    return replace(metric_pair_morphism(metric), psi=psi)
 
 
 def is_metric_connection(

@@ -68,14 +68,16 @@ values at the origin and at (1, ..., 1) differ is rejected first, by
 `_corner_dets`, which clears each row of those values by one lcm and hands
 the integer rows to `_bareiss`.  Every other determinant, inverse and
 linear solve is done on rationals by that one routine (`det_frac`,
-`solve_fraction_free`, `mat_inverse_frac` and the block inverse `_adjugate`
-read it), and it alone turns their rows into integers: it clears each row's
-denominators, divides the row by its gcd and eliminates these primitive
-rows fraction-free (Bareiss), so the pivots stay within their Hadamard
-bound (von zur Gathen & Gerhard, ch. 5 and 9).  A plan's
-rows share one denominator per record: on `tools/worst_case.py`'s dense8t3
-it has 5,745 digits where no primitive row entry has more than 755, and
-eliminating them unreduced made `dvb check third-dual` 30x slower.
+`solve_fraction_free`, `mat_inverse_frac`, the block inverse `_adjugate`
+and `_identically_singular`, the determinant certificate of the scenario
+reader's morphism blocks and of `geomech.Metric`, read it), and it alone
+turns their rows into integers: it clears each row's denominators, divides
+the row by its gcd and eliminates these primitive rows fraction-free
+(Bareiss), so the pivots stay within their Hadamard bound (von zur Gathen
+& Gerhard, ch. 5 and 9).  A plan's rows share one denominator per record:
+on `tools/worst_case.py`'s dense8t3 it has 5,745 digits where no primitive
+row entry has more than 755, and eliminating them unreduced made `dvb check
+third-dual` 30x slower.
 
 Every random integer the library draws follows the stdlib's `randrange`
 rule, so it gives the values and leaves the rng state of `randint`.  Two
@@ -673,6 +675,37 @@ def det_frac(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     return Fraction(d * contents, scales)
 
 
+# The witness points of the determinant certificate: _WITNESS, distinct
+# non-integer rationals with x_i the i-th entry, then its rotations by one
+# to three places, so no two witnesses share a value at any coordinate.
+# Each is cut to the matrix's variable count; a scenario's chart has at
+# most eight coordinates, and a longer chart built through the API repeats
+# the entries in turn.
+_WITNESS = (
+    Fraction(3, 7), Fraction(-5, 11), Fraction(7, 13), Fraction(-11, 17),
+    Fraction(13, 19), Fraction(-17, 23), Fraction(19, 29), Fraction(-23, 31),
+)
+_WITNESSES = tuple(_WITNESS[k:] + _WITNESS[:k] for k in range(4))
+
+
+def _identically_singular(m: PolyMatrix) -> bool:
+    """Whether the determinant of a square polynomial matrix vanishes at
+    every point of _WITNESSES.
+
+    A nonzero value at one rational point proves that the determinant is not
+    the zero polynomial: this is the Schwartz-Zippel argument used as a
+    one-sided certificate.  Each witness costs one Bareiss elimination, on
+    primitive rows, of the block's values there, read from the one plan of a
+    copy so that the block keeps no plan, and the first nonzero value ends
+    the search.  A nonzero determinant vanishes only on a hypersurface, which
+    may pass through all the witnesses, so True does not prove it zero; no
+    symbolic determinant is computed either way.
+    """
+    copy, dim = PolyMatrix(m.vars, m.entries), len(m.vars)
+    points = (tuple(w[i % len(w)] for i in range(dim)) for w in _WITNESSES)
+    return not any(_bareiss(copy.eval_ints(x)[0], ())[0] for x in points)
+
+
 def solve_fraction_free(
     matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 ) -> tuple[Fraction, ...]:
@@ -769,13 +802,6 @@ class PolyMatrix:
     def __mul__(self, other: PolyMatrix) -> PolyMatrix:
         product = mat_mul(self._pairs, other._pairs, other.cols)
         return PolyMatrix._of_pairs(self.vars, product)
-
-    def scale(self, factor: Fraction | int) -> PolyMatrix:
-        def entry(i: int, j: int) -> MultiPoly:
-            p: MultiPoly = self.entries[i][j]
-            return p.scale(factor)
-
-        return PolyMatrix.build(self.vars, self.rows, self.cols, entry)
 
     def transpose(self) -> PolyMatrix:
         return PolyMatrix(self.vars, transpose(self.entries, self.cols))

@@ -44,11 +44,13 @@ malformed literals, ragged grids, values outside a cap), and
 InconsistentScenarioError for well formed
 data whose ranks or shape constraints do not fit together (for example a
 bivector block that is not antisymmetric, or a metric or square morphism
-block whose determinant vanishes at each of the few fixed `_WITNESSES`; a
-nonzero value at one of them proves the determinant nonzero without
-expanding it, so the certificate, `_identically_singular`, costs at most
-four exact eliminations and refuses a nonzero determinant that happens to
-vanish at all four points).
+block whose determinant vanishes at each of the few fixed
+`ring._WITNESSES`; a nonzero value at one of them proves the determinant
+nonzero without expanding it, so the certificate,
+`ring._identically_singular`, costs at most four exact eliminations and
+refuses a nonzero determinant that happens to vanish at all four points).
+The reader certifies the morphism blocks; `geomech.Metric` certifies g
+itself when it is built, and `_build` names the section in its message.
 
 Random generation is deterministic for a fixed seed and flag set.  Blocks
 that must be invertible are built as identity plus a strictly triangular
@@ -64,7 +66,6 @@ import json
 import random
 import zlib
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .core import Chart, DecomposedDVB, DVBMorphism, VectorBundle
@@ -82,12 +83,13 @@ from .geomech import (
     total_space_vars,
 )
 from .ring import (
+    _WITNESSES,
     MultiPoly,
     PolyMatrix,
-    _bareiss,
     _check_grid,
     _draw,
     _draw_sample,
+    _identically_singular,
     _Pairs,
     _randint,
     _read_pair,
@@ -192,20 +194,9 @@ SECTIONS = (
 
 # The square fields, by section, whose determinant must not vanish
 # identically.  The suites invert the morphism blocks at sample points, and
-# a block singular everywhere has no regular point to sample.  No check
-# inverts g; it is certified because a metric is nondegenerate.
-_NONSINGULAR = {"morphism": ("Phi_l", "Phi_c", "Phi_r"), "metric": ("g",)}
-
-# The witness points of the determinant certificate, each cut to the chart
-# dimension (a chart has at most _MAX_RANK coordinates): _WITNESS, distinct
-# non-integer rationals with x_i the i-th entry, then its rotations by one
-# to three places, so no two witnesses share a value at any coordinate.
-_WITNESS = (
-    Fraction(3, 7), Fraction(-5, 11), Fraction(7, 13), Fraction(-11, 17),
-    Fraction(13, 19), Fraction(-17, 23), Fraction(19, 29), Fraction(-23, 31),
-)
-_WITNESSES = tuple(_WITNESS[k:] + _WITNESS[:k] for k in range(4))
-
+# a block singular everywhere has no regular point to sample.  A metric is
+# nondegenerate, so `Metric` certifies its own g, built from a file or not.
+_NONSINGULAR = {"morphism": ("Phi_l", "Phi_c", "Phi_r")}
 
 # ---------------------------------------------------------------------------
 # The scenario record
@@ -235,11 +226,13 @@ class Scenario:
         return VectorBundle(self.chart, self.bundle.n_E, self.bundle.labels[2])
 
     def __post_init__(self) -> None:
-        # the writer gives only the dimension of the chart
-        if self.chart != Chart.of_dim(_need_rank(self.chart.dim, "n")):
+        # the writer gives only the dimension of the chart; it is a len, and
+        # DecomposedDVB refuses a rank that is not an int, so only the cap
+        # is left to check
+        if self.chart != Chart.of_dim(_capped_rank(self.chart.dim, "n")):
             raise ScenarioParseError("bundle chart must have the coordinates x1..xn")
         for key in ("n_F", "n_C", "n_E"):
-            _need_rank(getattr(self.bundle, key), key)
+            _capped_rank(getattr(self.bundle, key), key)
         _need_labels(self.bundle.labels)
         for key, (low, high, shown) in PLAN_RANGES.items():
             value = _need_int(getattr(self, key), f"plan.{key}")
@@ -311,7 +304,10 @@ def _need_int(obj, where: str) -> int:
 
 
 def _need_rank(value, key: str) -> int:
-    value = _need_int(value, f"bundle.{key}")
+    return _capped_rank(_need_int(value, f"bundle.{key}"), key)
+
+
+def _capped_rank(value: int, key: str) -> int:
     if not 0 <= value <= _MAX_RANK:
         raise ScenarioParseError(f"bundle.{key} {value} is outside [0, {_MAX_RANK}]")
     return value
@@ -407,23 +403,6 @@ def _parse_field(obj, vars, where: str, shape: str):
     return PolyMatrix(tuple(vars), value)
 
 
-def _identically_singular(m: PolyMatrix) -> bool:
-    """Whether the determinant of a square polynomial matrix vanishes at
-    every point of _WITNESSES.
-
-    A nonzero value at one rational point proves that the determinant is not
-    the zero polynomial: this is the Schwartz-Zippel argument used as a
-    one-sided certificate.  Each witness costs one Bareiss elimination, on
-    primitive rows, of the block's values there, read from the one plan of a
-    copy so that the block keeps no plan, and the first nonzero value ends
-    the search.  A nonzero determinant vanishes only on a hypersurface, which
-    may pass through all the witnesses, so True does not prove it zero; no
-    symbolic determinant is computed either way.
-    """
-    copy, dim = PolyMatrix(m.vars, m.entries), len(m.vars)
-    return not any(_bareiss(copy.eval_ints(w[:dim])[0], ())[0] for w in _WITNESSES)
-
-
 def _build(section: str, ctor, *args):
     """Constructor ValueErrors become scenario inconsistencies."""
     try:
@@ -470,10 +449,8 @@ def scenario_from_obj(obj) -> Scenario:
             if name in _NONSINGULAR.get(key, ()) and _identically_singular(
                 getattr(record, attr)
             ):
-                # a section with one field is named by its key alone
-                block = f"{name} " if len(fields) > 1 else ""
                 raise InconsistentScenarioError(
-                    f"{key}: {block}determinant vanishes at all "
+                    f"{key}: {name} determinant vanishes at all "
                     f"{len(_WITNESSES)} witness points"
                 )
         sections[key] = record

@@ -506,14 +506,18 @@ def _left_dual_transport(sc: Scenario, s: _Sampler):
         return False, "left dual does not undo the right dual on ranks", None
     n_f, n_c, n_e = b.ranks
     element = DVBElement._of_slots
+    # v, v2 in b and their covectors in the left dual, built flipped: the
+    # left dual's elements and structures are the right dual's of b.flip()
+    flipped = b.flip()
+    dual = right_dual(flipped)
     for _ in range(sc.samples):
         x, e, phi_slot, vf, vc, wf, wc, cc, cc2 = s.sample(n_e, n_c, n_f, n_c, n_f, n_c, n_e, n_e)
-        v, vp = element(b, x, vf, vc, e), element(b, x, wf, wc, e)
-        cov, cov2 = element(ld, x, phi_slot, cc, vf), element(ld, x, phi_slot, cc2, wf)
-        lhs = _pair(fiber_add("right", v, vp), fiber_add("left", cov, cov2), False)
-        if not _same(lhs, _pair(v, cov, False), _pair(vp, cov2, False)):
+        v, vp = element(flipped, x, e, vc, vf), element(flipped, x, e, wc, wf)
+        cov, cov2 = element(dual, x, vf, cc, phi_slot), element(dual, x, wf, cc2, phi_slot)
+        lhs = _pair(fiber_add("left", v, vp), fiber_add("right", cov, cov2))
+        if not _same(lhs, _pair(v, cov), _pair(vp, cov2)):
             return False, "left pairing additivity fails", {
-                "v": v, "v2": vp, "b": cov, "b2": cov2
+                "v": v.flip(), "v2": vp.flip(), "b": cov.flip(), "b2": cov2.flip()
             }
     return True, "left dual shape and pairing follow from the flip transport", None
 

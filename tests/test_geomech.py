@@ -1012,8 +1012,8 @@ def test_half_inverse_derivative_connection_is_compatible():
             dg = PolyMatrix.build(
                 names, 2, 2, lambda r, s: g.entries[r][s].partial(names[i])
             )
-            gamma_i = (ginv * dg).scale(Fraction(1, 2))
-            planes.append(tuple(gamma_i.entries[c][b] for b in range(2)))
+            gamma_i = (ginv * dg).entries
+            planes.append(tuple(gamma_i[c][b].scale(Fraction(1, 2)) for b in range(2)))
         grid.append(tuple(planes))
     conn = LinearConnection(VectorBundle(CHART2, 2), tuple(grid))
     assert metric_identity(conn, metric)
@@ -1035,14 +1035,21 @@ def test_identity_and_sampled_compatibility_agree_on_randoms():
         assert metric_identity(conn, metric) == is_metric_connection(conn, metric)
 
 
-def test_zero_metric_is_compared_at_every_sampled_point():
-    # singular everywhere, and compatible with any connection: both
-    # composites vanish, so every sampled point agrees
+def test_zero_metric_is_refused():
+    # a metric is nondegenerate, whether a file or the API builds it
     names = CHART1.names
-    metric = Metric(VB11, PolyMatrix(names, ((MultiPoly.zero(names),),)))
-    for conn in (zero_connection(VB11), random_connection(random.Random(3), VB11, 2)):
-        assert metric_identity(conn, metric)
-        assert is_metric_connection(conn, metric)
+    with pytest.raises(ValueError, match="determinant vanishes at all 4 witness points"):
+        Metric(VB11, PolyMatrix(names, ((MultiPoly.zero(names),),)))
+
+
+def test_metric_over_a_chart_past_eight_coordinates_is_certified():
+    # the witness points repeat their entries past the eighth coordinate
+    vb = VectorBundle(Chart.of_dim(10), 1)
+    names = vb.chart.names
+    x10 = MultiPoly.var(names, "x10")
+    assert Metric(vb, PolyMatrix(names, ((x10,),))).g.entries == ((x10,),)
+    with pytest.raises(ValueError, match="determinant vanishes"):
+        Metric(vb, PolyMatrix(names, ((MultiPoly.zero(names),),)))
 
 
 def test_metric_check_takes_no_symbolic_determinant(monkeypatch):

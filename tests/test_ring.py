@@ -28,7 +28,6 @@ from dvbcalc.geomech import (
     GeneralVectorField,
     LinearConnection,
     LinearSection,
-    Metric,
     check_jacobi,
     lambda_sharp,
     total_space_vars,
@@ -547,7 +546,7 @@ def random_unimodular(rng, n, scale=1):
     product = (triangular(True) * triangular(False)).entries
     order = list(range(n))
     rng.shuffle(order)
-    return PolyMatrix(XY, tuple(product[i] for i in order)).scale(scale)
+    return PolyMatrix(XY, tuple(tuple(p.scale(scale) for p in product[i]) for i in order))
 
 
 def sympy_poly(sympy, p):
@@ -1081,7 +1080,6 @@ def test_elimination_pivots_stay_within_the_primitive_row_bound(monkeypatch):
         return out
 
     monkeypatch.setattr(ring, "_bareiss", recording)
-    monkeypatch.setattr(scenario, "_bareiss", recording)
     paths = {
         "FiberMorphism.inverse": fm.inverse,
         "fiber_right_dual": lambda: fiber_right_dual(fm),
@@ -1313,7 +1311,8 @@ def test_section_plans_match_per_entry_eval(case):
 
 @st.composite
 def chart_records(draw):
-    """A connection, a metric and a 2-form over the total space of one bundle."""
+    """A connection, a symmetric g and a 2-form over the total space of one
+    bundle; g stays a matrix, so its draws keep the singular ones."""
     vb = VectorBundle(Chart.of_dim(draw(st.integers(0, 3))), draw(st.integers(0, 3)))
     names, n, k = vb.chart.names, vb.chart.dim, vb.rank
     conn = LinearConnection(vb, tuple(plan_matrix(draw, names, n, k).entries for _ in range(k)))
@@ -1326,13 +1325,13 @@ def chart_records(draw):
     comps = {idx: draw(plan_polys(vars)) for idx in combinations(range(len(vars)), degree)}
     form = make_form(vars, degree, comps)
     vectors = [plan_point(draw, len(vars)) for _ in range(degree)]
-    return conn, Metric(vb, g), form, plan_point(draw, n), plan_point(draw, len(vars)), vectors
+    return conn, g, form, plan_point(draw, n), plan_point(draw, len(vars)), vectors
 
 
 @given(chart_records())
 @settings(max_examples=40, deadline=None)
 def test_connection_metric_and_form_plans_match_per_entry_eval(case):
-    conn, metric, form, x, spot, vectors = case
+    conn, g, form, x, spot, vectors = case
     pt = tuple(map(rat, x))
     planes = conn._plan.at(pt)
     assert len(planes) == len(conn.gamma)
@@ -1341,7 +1340,7 @@ def test_connection_metric_and_form_plans_match_per_entry_eval(case):
         assert tuple(tuple(Fraction(v, den) for v in row) for row in rows) == tuple(
             values(row, pt) for row in plane
         )
-    assert det_frac(values_at(metric.g, x)) == fraction_eval(metric.g.det(), pt)
+    assert det_frac(values_at(g, x)) == fraction_eval(g.det(), pt)
     vecs = [tuple(map(rat, v)) for v in vectors]
     want = sum(
         (

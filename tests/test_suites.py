@@ -72,23 +72,41 @@ def test_all_concatenates_and_sorts():
     assert report.passed
 
 
-def test_conjugating_the_morphism_by_an_automorphism_keeps_the_bodies():
-    # an automorphism A of the bundle only changes coordinates, so the
-    # conjugate A phi A^-1 has phi's verdicts; on generated scenarios the
-    # bodies match too, as det Phi_r, and so every redraw, is unchanged
-    changed = 0
-    for seed in range(12):
-        sc = gen_random_scenario(seed)
+def _unchanged_by_conjugation(seeds, symmetric: bool, samples=None):
+    """Assert that conjugating each generated scenario's morphism by a drawn
+    automorphism keeps its axioms, duality and third-dual bodies; return
+    the seeds whose conjugate equals the morphism."""
+    unchanged = []
+    for seed in seeds:
+        sc = gen_random_scenario(seed, symmetric=symmetric)
+        sc = sc if samples is None else sc.with_plan(samples=samples)
         a = random_morphism(random.Random(derive_seed(seed, "conjugation")), sc.bundle, 1)
         phi = sc.section("morphism")
         conjugate = compose_morphisms(compose_morphisms(a, phi), invert_morphism_poly(a))
-        changed += conjugate != phi
+        if conjugate == phi:
+            unchanged.append(seed)
         moved = replace(sc, morphism=conjugate)
         for suite in ("axioms", "duality", "third-dual"):
-            assert run_suite(suite, moved).body() == run_suite(suite, sc).body(), (seed, suite)
-    # seed 2 has ranks (1, 1, 1), whose unimodular blocks are all [[1]], and
-    # a Psi-only A commutes with such a phi
-    assert changed == 11
+            assert run_suite(suite, moved).body() == run_suite(suite, sc).body(), (
+                seed, symmetric, suite
+            )
+    return unchanged
+
+
+def test_conjugating_the_morphism_by_an_automorphism_keeps_the_bodies():
+    # an automorphism A of the bundle only changes coordinates, so the
+    # conjugate A phi A^-1 has phi's verdicts; on generated scenarios the
+    # bodies match too, as det Phi_r, and so every redraw, is unchanged.
+    # Seed 2 has ranks (1, 1, 1), whose unimodular blocks are all [[1]],
+    # and a Psi-only A commutes with such a phi
+    assert _unchanged_by_conjugation(range(12), False) == [2]
+
+
+@pytest.mark.parametrize("symmetric, unchanged", [(False, [2]), (True, [1])])
+def test_conjugation_keeps_the_bodies_on_forty_seeds_at_golden_samples(symmetric, unchanged):
+    # seeds 0-39 at the 8 plan samples of the golden bodies; the unchanged
+    # seed has ranks (1, 1, 1) in both flag sets
+    assert _unchanged_by_conjugation(range(40), symmetric, samples=8) == unchanged
 
 
 # sha256 of report bodies, recorded before the suites were declared as

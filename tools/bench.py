@@ -28,9 +28,9 @@ It runs, one after another and never in parallel:
   `perfbench/golden.json` (32 texts), the median over 15 passes of the
   time of one `scenario_from_text` pass and of one `scenario_to_text` pass
   over the scenarios just parsed, whose text must be the one read;
-* `dvb check third-dual` on the worst-case file dense8t3, `load_scenario`
-  of dense8t12 (printing the loaded scenario's text, so its digest pins the
-  parse of 32-digit coefficients), `load_scenario` of vanish6 and of
+* `dvb check duality` and `dvb check third-dual` on the worst-case file
+  dense8t3, `load_scenario` of dense8t12 (printing the loaded scenario's
+  text, so its digest pins the parse of 32-digit coefficients), `load_scenario` of vanish6 and of
   vanish8 (whose `Phi_r` determinants vanish at the parser's first witness
   point, so their certificates take a second one), `dvb check axioms` on
   vanish8all (whose `Phi_r` determinant vanishes at every witness point, so
@@ -208,6 +208,11 @@ print(scenario_to_text(dataclasses.replace(outer, morphism=composite)), end="")
 # (record name, files from tools/worst_case.py, interpreter arguments before
 # the files' paths)
 WORST_CASE = (
+    (
+        "check duality dense8t3",
+        ("dense8t3",),
+        ["-m", "dvbcalc.cli", "check", "duality", "--scenario"],
+    ),
     (
         "check third-dual dense8t3",
         ("dense8t3",),

@@ -57,8 +57,8 @@ def dual_label(label: str) -> str:
     return label[:-1] if label.endswith("*") else label + "*"
 
 
-# The pairings and dual morphisms ask for the dual of the same few bundles
-# on every call; a bundle is frozen, so its duals are cached.
+# The pairings and dual morphisms ask for the right dual of the same few
+# bundles on every call; a bundle is frozen, so its right dual is cached.
 @lru_cache(maxsize=128)
 def right_dual(b: DecomposedDVB) -> DecomposedDVB:
     """Dual along the right structure: sides (E, C*), core F*."""
@@ -71,7 +71,6 @@ def right_dual(b: DecomposedDVB) -> DecomposedDVB:
     )
 
 
-@lru_cache(maxsize=128)
 def left_dual(b: DecomposedDVB) -> DecomposedDVB:
     """Dual along the left structure, computed as flip . right_dual . flip."""
     return right_dual(b.flip()).flip()

@@ -8,11 +8,12 @@ maps, the tangent lift onto doubled variables, and evaluation on rational
 vectors.  Degree zero forms are plain polynomials stored under the empty
 index tuple.
 
-`make_form`, `+`, `wedge`, `d` and the tangent lift all produce terms with
-indices in any order and pass them to one collector, `_collect`, which sorts
-each index with its permutation sign and sums the terms per sorted index.
-Evaluation reads every component from one `ring` evaluation plan, cached
-on the form, and the determinant of each minor from `ring.det_frac`.
+Every form is built by the `DifferentialForm` constructor, the one place
+that orders components: `make_form`, `+`, `wedge`, `d`, the pullback and the
+tangent lift hand it terms with indices in any order, and it sorts each
+index with its permutation sign and sums the terms per sorted index.
+Evaluation reads every component from one `ring` evaluation plan, cached on
+the form, and the determinant of each minor from `ring.det_frac`.
 """
 
 from __future__ import annotations
@@ -46,42 +47,19 @@ def _sort_sign(idx: Sequence[int]) -> tuple[Index, int] | None:
     return tuple(items), sign
 
 
-def _collect(vars: tuple[str, ...], degree: int, terms) -> DifferentialForm:
-    """The form sum of (index, polynomial) terms with indices in any order.
-
-    Each index is sorted with its permutation sign; an index that repeats a
-    position contributes nothing, and terms landing on one sorted index add.
-    """
-    data: dict[Index, MultiPoly] = {}
-    for idx, poly in terms:
-        sorted_sign = _sort_sign(idx)
-        if sorted_sign is None:
-            continue
-        key, sign = sorted_sign
-        term = poly if sign > 0 else -poly
-        data[key] = data[key] + term if key in data else term
-    return DifferentialForm(vars, degree, tuple(data.items()))
-
-
-def _canonical(
-    vars: tuple[str, ...], degree: int, data: Mapping[Index, MultiPoly]
-) -> tuple[tuple[Index, MultiPoly], ...]:
-    out = []
-    for idx in sorted(data):
-        if len(idx) != degree:
-            raise ValueError(f"index {idx} does not match degree {degree}")
-        if any(i < 0 or i >= len(vars) for i in idx):
-            raise ValueError(f"index {idx} out of range for {len(vars)} variables")
-        poly: MultiPoly = data[idx]
-        if poly.vars != vars:
-            raise ValueError("component variables must match the form")
-        if not poly.is_zero:
-            out.append((idx, poly))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class DifferentialForm:
+    """A k-form from (index, polynomial) components in any index order.
+
+    The constructor checks each component, then sorts its index with the
+    permutation sign, drops an index that repeats a position, sums the
+    components that land on one sorted index, and keeps the nonzero sums as
+    `comps`, in increasing index order.  So two forms are equal exactly when
+    they are equal as forms.  It raises `ValueError` when the degree is
+    negative, an index's length is not the degree, an index is out of range
+    for the variables, or a component's variables are not the form's.
+    """
+
     vars: tuple[str, ...]
     degree: int
     comps: tuple[tuple[Index, MultiPoly], ...]
@@ -89,13 +67,26 @@ class DifferentialForm:
     def __post_init__(self) -> None:
         if self.degree < 0:
             raise ValueError("form degree must be nonnegative")
-        object.__setattr__(
-            self, "comps", _canonical(self.vars, self.degree, dict(self.comps))
-        )
-
-    @staticmethod
-    def zero(vars: Sequence[str], degree: int) -> DifferentialForm:
-        return DifferentialForm(tuple(vars), degree, ())
+        data: dict[Index, MultiPoly] = {}
+        for idx, term in self.comps:
+            if len(idx) != self.degree:
+                raise ValueError(f"index {idx} does not match degree {self.degree}")
+            if any(i < 0 or i >= len(self.vars) for i in idx):
+                raise ValueError(f"index {idx} out of range for {len(self.vars)} variables")
+            if term.vars != self.vars:
+                raise ValueError("component variables must match the form")
+            sorted_sign = _sort_sign(idx)
+            if sorted_sign is None:
+                continue
+            key, sign = sorted_sign
+            term = term if sign > 0 else -term
+            data[key] = data[key] + term if key in data else term
+        out = []
+        for idx in sorted(data):
+            poly: MultiPoly = data[idx]
+            if not poly.is_zero:
+                out.append((idx, poly))
+        object.__setattr__(self, "comps", tuple(out))
 
     @property
     def is_zero(self) -> bool:
@@ -120,11 +111,11 @@ class DifferentialForm:
         self._check_compatible(other)
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degrees")
-        return _collect(self.vars, self.degree, self.comps + other.comps)
+        return DifferentialForm(self.vars, self.degree, self.comps + other.comps)
 
     def wedge(self, other: DifferentialForm) -> DifferentialForm:
         self._check_compatible(other)
-        return _collect(
+        return DifferentialForm(
             self.vars,
             self.degree + other.degree,
             (
@@ -137,7 +128,7 @@ class DifferentialForm:
 
     def d(self) -> DifferentialForm:
         """Exterior derivative."""
-        return _collect(
+        return DifferentialForm(
             self.vars,
             self.degree + 1,
             (
@@ -164,7 +155,7 @@ class DifferentialForm:
             if img.vars != src:
                 raise ValueError("images must share the source variable list")
         d_images = [_differential(img) for img in images]
-        total = DifferentialForm.zero(src, self.degree)
+        total = DifferentialForm(src, self.degree, ())
         for idx, poly in self.comps:
             term = DifferentialForm(
                 src, 0, (((), poly.compose(tuple(images))),)
@@ -196,7 +187,7 @@ class DifferentialForm:
             terms.append((idx, dotted_coeff))
             for slot in range(len(idx)):
                 terms.append((idx[:slot] + (idx[slot] + n,) + idx[slot + 1 :], lifted))
-        return _collect(big, self.degree, terms)
+        return DifferentialForm(big, self.degree, terms)
 
     _plan = cached_property(
         lambda self: _EvalPlan(((tuple(poly for _, poly in self.comps),),), len(self.vars))
@@ -220,12 +211,12 @@ class DifferentialForm:
 
 def _differential(poly: MultiPoly) -> DifferentialForm:
     terms = (((u,), poly.partial(name)) for u, name in enumerate(poly.vars))
-    return _collect(poly.vars, 1, terms)
+    return DifferentialForm(poly.vars, 1, terms)
 
 
 def make_form(
     vars: Sequence[str], degree: int, components: Mapping[Sequence[int], MultiPoly]
 ) -> DifferentialForm:
-    """Build a form from components in any index order, antisymmetrizing."""
-    return _collect(tuple(vars), degree, components.items())
+    """The constructor's form, with its components given as a mapping."""
+    return DifferentialForm(tuple(vars), degree, components.items())
 

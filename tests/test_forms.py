@@ -221,3 +221,63 @@ def test_d_matches_sympy_partials(sympy, degree):
                 sympy.Integer(0),
             )
             assert derivative.coeff(idx) == from_sympy(expected)
+
+
+# The constructor is the one canonicalizer: every build of a form, the
+# public constructor's included, sorts each index with its sign, drops an
+# index that repeats a position, sums like indices and keeps the nonzero
+# sums in increasing index order.
+
+
+@pytest.mark.parametrize("perm", list(itertools.permutations(range(3))))
+def test_constructor_sorts_each_index_with_its_sign(perm):
+    f = poly(XYZ, {(1, 0, 2): 3, (0, 1, 0): Fraction(-1, 2)})
+    sign = (-1) ** sum(perm[i] > perm[j] for i in range(3) for j in range(i + 1, 3))
+    form = DifferentialForm(XYZ, 3, ((perm, f),))
+    signed = f if sign > 0 else -f
+    assert form == make_form(XYZ, 3, {(0, 1, 2): signed})
+    assert form.coeff((0, 1, 2)) == signed
+    assert form.coeff(perm) == f
+
+
+def test_constructor_drops_an_index_that_repeats_a_position():
+    x = MultiPoly.var(XY, "x")
+    assert DifferentialForm(XY, 2, (((0, 0), x),)).is_zero
+    assert DifferentialForm(XY, 2, (((1, 1), x), ((0, 1), x))) == make_form(XY, 2, {(0, 1): x})
+
+
+def test_constructor_adds_like_indices_and_drops_a_sum_that_cancels():
+    f, g = poly(XY, {(1, 0): 1}), poly(XY, {(0, 2): 3})
+    form = DifferentialForm(XY, 1, (((0,), f), ((1,), g), ((0,), g)))
+    assert form.comps == (((0,), f + g), ((1,), g))
+    assert DifferentialForm(XY, 2, (((0, 1), f), ((1, 0), f))).comps == ()
+    assert DifferentialForm(XY, 1, (((1,), g), ((1,), -g), ((0,), f))).comps == (((0,), f),)
+
+
+def test_comps_hold_strictly_increasing_indices_in_increasing_order():
+    rng = random.Random(23)
+    vars = ("v", "w", "x", "y", "z")
+    for degree in range(1, 5):
+        indices = list(itertools.permutations(range(5), degree))
+        rng.shuffle(indices)
+        terms = tuple((idx, rand_poly(rng, vars, 1)) for idx in indices[:12])
+        form = DifferentialForm(vars, degree, terms)
+        one = make_form(vars, 1, {(i,): rand_poly(rng, vars, 1) for i in range(5)})
+        for built in (form, form.d(), one.wedge(form), form.tangent_lift()):
+            keys = [idx for idx, _ in built.comps]
+            assert keys == sorted(keys)
+            assert all(idx == tuple(sorted(set(idx))) for idx in keys), keys
+
+
+def test_constructor_errors():
+    x = MultiPoly.var(XY, "x")
+    with pytest.raises(ValueError, match="^form degree must be nonnegative$"):
+        DifferentialForm(XY, -1, ())
+    with pytest.raises(ValueError, match=r"^index \(0, 1\) does not match degree 1$"):
+        DifferentialForm(XY, 1, (((0, 1), x),))
+    with pytest.raises(ValueError, match=r"^index \(1, 2\) out of range for 2 variables$"):
+        DifferentialForm(XY, 2, (((1, 2), x),))
+    with pytest.raises(ValueError, match=r"^index \(-1,\) out of range for 2 variables$"):
+        make_form(XY, 1, {(-1,): x})
+    with pytest.raises(ValueError, match="^component variables must match the form$"):
+        DifferentialForm(XY, 1, (((0,), MultiPoly.var(XYZ, "x")),))

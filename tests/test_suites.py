@@ -27,6 +27,7 @@ from dvbcalc.scenario import (
     derive_seed,
     gen_random_scenario,
     random_morphism,
+    random_unimodular_matrix,
     scenario_from_obj,
     scenario_to_text,
 )
@@ -107,6 +108,91 @@ def test_conjugation_keeps_the_bodies_on_forty_seeds_at_golden_samples(symmetric
     # seeds 0-39 at the 8 plan samples of the golden bodies; the unchanged
     # seed has ranks (1, 1, 1) in both flag sets
     assert _unchanged_by_conjugation(range(40), symmetric, samples=8) == unchanged
+
+
+def _sum(polys, vars):
+    return sum(polys, MultiPoly.zero(vars))
+
+
+def _fiber_changed(sc: Scenario, a: PolyMatrix) -> Scenario:
+    """The scenario with its vector field and one-form rewritten in the side
+    leg's fiber coordinates e' = A(x) e.  With B = A^-1, the rules are:
+
+    * vector field: base'(x, e') = base(x, B e') and
+      vert' = A vert(x, B e') + sum_i base'^i (d_i A) B e';
+    * one-form: de'_b = sum_a de_a(x, B e') B^a_b and
+      dx'_i = dx_i(x, B e') + sum_a de_a(x, B e') (d_i B e')^a.
+    """
+    side = sc.side_bundle
+    names, vars = side.chart.names, geomech.total_space_vars(side)
+    k = side.rank
+    b = a.unimodular_inverse()
+
+    def lifted(m: PolyMatrix, name=None):
+        """m, or its partial along a chart variable, over the total space."""
+        return [[(p if name is None else p.partial(name)).extend(vars) for p in row]
+                for row in m.entries]
+
+    def times(m, v):
+        return [_sum([m[i][j] * v[j] for j in range(k)], vars) for i in range(k)]
+
+    e = [MultiPoly.var(vars, name) for name in vars[len(names):]]
+    a_big, b_big = lifted(a), lifted(b)
+    be = times(b_big, e)
+    images = tuple(MultiPoly.var(vars, name) for name in names) + tuple(be)
+
+    def old(p: MultiPoly) -> MultiPoly:
+        return p.compose(images)
+
+    field = sc.vector_field
+    base = tuple(old(p) for p in field.base)
+    vert = times(a_big, [old(p) for p in field.vert])
+    for bi, name in zip(base, names):
+        vert = [v + bi * w for v, w in zip(vert, times(lifted(a, name), be))]
+
+    form = sc.one_form
+    f = [old(p) for p in form.de_coeffs]
+    de = tuple(_sum([f[i] * b_big[i][j] for i in range(k)], vars) for j in range(k))
+    dx = tuple(
+        old(c) + _sum([fa * w for fa, w in zip(f, times(lifted(b, name), e))], vars)
+        for c, name in zip(form.dx_coeffs, names)
+    )
+    moved_field = geomech.GeneralVectorField(side, base, tuple(vert))
+    moved_form = geomech.GeneralOneForm(side, dx, de)
+
+    # the two rules agree with each other: the form's value on the field is
+    # a function, and reads at (x, e') what it read at (x, B e')
+    def value(form, field):
+        return _sum([c * v for c, v in zip(form.dx_coeffs + form.de_coeffs,
+                                           field.base + field.vert)], vars)
+
+    assert value(moved_form, moved_field) == old(value(form, field))
+    return replace(sc, vector_field=moved_field, one_form=moved_form)
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_a_fiber_change_keeps_the_vector_field_and_one_form_verdicts(symmetric):
+    # a fiber change e' = A(x) e of the side leg only changes coordinates, so
+    # geometry.01 and .02 decide the same quality of the rewritten records
+    rows = dict(suites._GEOMETRY)
+    changed = 0
+    for seed in range(40):
+        sc = gen_random_scenario(seed, symmetric=symmetric)
+        side = sc.side_bundle
+        a = random_unimodular_matrix(
+            random.Random(derive_seed(seed, "fiber change")), side.chart.names, side.rank, 1
+        )
+        moved = _fiber_changed(sc, a)
+        changed += moved.vector_field != sc.vector_field
+        for prop_id in ("geometry.01.vector-field-channels", "geometry.02.one-form-channels"):
+            before = _run_property(prop_id, sc, rows[prop_id])
+            after = _run_property(prop_id, moved, rows[prop_id])
+            assert (after.passed, after.detail) == (before.passed, before.detail), (
+                seed, prop_id
+            )
+    # A is [[1]] on the scenarios of side rank 1 (10 plain, 13 symmetric);
+    # over both flag sets it is constant on 25 others and x-dependent on 32
+    assert changed == {False: 30, True: 27}[symmetric]
 
 
 # sha256 of report bodies, recorded before the suites were declared as

@@ -44,10 +44,11 @@ It runs, one after another and never in parallel:
   numbers that see coefficient height, and the composition is the one that
   sees the product kernel on 32-digit coefficients;
 * `tools/mutants.py`, the mutation run of the suites and tier-1 over `core`,
-  `duality`, `ring` and `geomech` (`mutants`: the sites per module, the
-  stage-1 outcome counts, the stage-2 kills with the test that killed each,
-  the survivors by `file:line:column-line:column` and the run's wall time);
-  it runs two mutants at a time on a 2-core host and adds 12 to 16 minutes;
+  `duality`, `ring`, `geomech` and `forms` (`mutants`: the sites per
+  module, the stage-1 outcome counts, the stage-2 kills with the test that
+  killed each, the survivors by `file:line:column-line:column` and the
+  run's wall time); it runs two mutants at a time on a 2-core host and adds
+  12 to 16 minutes;
 
 and records the git sha, whether tracked files had uncommitted edits, the
 sha256 of `git diff HEAD` (which names the measured tree when they had),

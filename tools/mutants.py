@@ -1,11 +1,11 @@
-"""Mutation run of the suites and the tier-1 tests over four library modules.
+"""Mutation run of the suites and the tier-1 tests over five library modules.
 
 Run from anywhere; it has no options:
 
     python3 tools/mutants.py
 
 The mutant list is fixed.  It holds one mutant for every `BinOp` and every
-single-operator `Compare` of `src/dvbcalc/{core,duality,ring,geomech}.py`
+single-operator `Compare` of `src/dvbcalc/{core,duality,ring,geomech,forms}.py`
 whose operator is in one of the swap `FAMILIES` (`+`/`-`,
 `*`/`//`, `==`/`!=`, `<`/`>`, `<=`/`>=`, `is`/`is not`), in file and
 position order.  A mutant swaps that one operator: the mutated expression
@@ -54,7 +54,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dvbcalc"
-MODULES = ("core", "duality", "ring", "geomech")
+MODULES = ("core", "duality", "ring", "geomech", "forms")
 FAMILIES = (
     (ast.Add, ast.Sub), (ast.Mult, ast.FloorDiv), (ast.Eq, ast.NotEq),
     (ast.Lt, ast.Gt), (ast.LtE, ast.GtE), (ast.Is, ast.IsNot),

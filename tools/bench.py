@@ -48,7 +48,7 @@ It runs, one after another and never in parallel:
   module, the stage-1 outcome counts, the stage-2 kills with the test that
   killed each, the survivors by `file:line:column-line:column` and the
   run's wall time); it runs two mutants at a time on a 2-core host and adds
-  12 to 16 minutes;
+  about 11 minutes;
 
 and records the git sha, whether tracked files had uncommitted edits, the
 sha256 of `git diff HEAD` (which names the measured tree when they had),

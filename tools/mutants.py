@@ -31,8 +31,8 @@ The unmutated copy runs through both stages first and must survive them.
 `run()` prints one line per mutant as it finishes, then the counts, the
 stage-2 kills with the first test that failed, the survivors by
 `file:line:column-line:column` and the wall time, and returns them as a dict
-(`tools/bench.py` records it).  On a 2-core host the full list takes 12 to
-16 minutes.  Only the standard library is used; the tier-1 tests need
+(`tools/bench.py` records it).  On a 2-core host the full list takes about
+11 minutes.  Only the standard library is used; the tier-1 tests need
 pytest and hypothesis, as they always do.
 """
 

@@ -12,8 +12,8 @@ submodules group it by subject:
 * ``duality``: right and left duals, the fiberwise pairings, dualized
   morphisms, the canonical maps onto the third dual.
 * ``forms``: exterior calculus over the polynomial ring.
-* ``geomech``: linear vector fields, one-forms, bivectors and two-forms on
-  a vector bundle, lifts, sections, connections and metrics.
+* ``geomech``: tangent and cotangent shells, fields, one- and two-forms and
+  bivectors on a vector bundle, lifts, sections, connections and metrics.
 * ``scenario`` / ``suites`` / ``cli``: the JSON scenario format, the
   property suites, and the ``dvb`` command line tool.
 """
@@ -45,8 +45,6 @@ from .core import (
     invert_morphism_poly,
     kernel_split,
     psi_zero,
-    tangent_prolongation,
-    cotangent_prolongation,
 )
 from .duality import (
     ProjectionMismatchError,
@@ -84,6 +82,7 @@ from .geomech import (
     complete_cotangent_lift,
     complete_tangent_lift,
     connection_splitting,
+    cotangent_prolongation,
     dual_connection,
     dual_linear_section,
     fiber_var_names,
@@ -106,6 +105,7 @@ from .geomech import (
     oneform_is_bundle_morphism,
     oneform_linearity_on_tangent,
     tangent_metric_morphism,
+    tangent_prolongation,
     total_space_vars,
     vertical_lift,
     vf_is_bundle_morphism,

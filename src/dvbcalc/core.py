@@ -585,38 +585,6 @@ def core_difference(u: DVBElement, v: DVBElement) -> tuple[Fraction, ...]:
     return _fractions(_difference(u, v))
 
 
-def tangent_prolongation(vb: VectorBundle) -> DecomposedDVB:
-    """Shell of the tangent of a vector bundle: sides TM and E, core E.
-
-    _Slots read (f, c, e) = (base velocity, fiber velocity, fiber point); the
-    right structure is tangent-vector addition at a fixed fiber point, the
-    left structure is the derivative of the addition in E.
-    """
-    return DecomposedDVB(
-        vb.chart,
-        vb.chart.dim,
-        vb.rank,
-        vb.rank,
-        ("TM", vb.label, vb.label),
-    )
-
-
-def cotangent_prolongation(vb: VectorBundle) -> DecomposedDVB:
-    """Shell of the cotangent of a vector bundle: sides E* and E, core T*M.
-
-    _Slots read (f, c, e) = (fiber momentum, base momentum, fiber point); a
-    covector (x | phi | p | e) pairs with a tangent element (x | xdot | edot
-    | e) over the same fiber point as p.xdot + phi.edot.
-    """
-    return DecomposedDVB(
-        vb.chart,
-        vb.rank,
-        vb.chart.dim,
-        vb.rank,
-        (vb.label + "*", "T*M", vb.label),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Block algebra
 #

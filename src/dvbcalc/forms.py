@@ -55,9 +55,11 @@ class DifferentialForm:
     permutation sign, drops an index that repeats a position, sums the
     components that land on one sorted index, and keeps the nonzero sums as
     `comps`, in increasing index order.  So two forms are equal exactly when
-    they are equal as forms.  It raises `ValueError` when the degree is
-    negative, an index's length is not the degree, an index is out of range
-    for the variables, or a component's variables are not the form's.
+    they are equal as forms.  It raises `TypeError` for a degree that is not
+    an int or variables that are not a tuple of str, and `ValueError` when
+    the degree is negative, an index's length is not the degree, an index is
+    out of range for the variables, or a component's variables are not the
+    form's.
     """
 
     vars: tuple[str, ...]
@@ -65,6 +67,10 @@ class DifferentialForm:
     comps: tuple[tuple[Index, MultiPoly], ...]
 
     def __post_init__(self) -> None:
+        if type(self.degree) is not int:
+            raise TypeError(f"form degree must be an int, got {self.degree!r}")
+        if type(self.vars) is not tuple or any(type(v) is not str for v in self.vars):
+            raise TypeError(f"form variables must be a tuple of str, got {self.vars!r}")
         if self.degree < 0:
             raise ValueError("form degree must be nonnegative")
         data: dict[Index, MultiPoly] = {}

@@ -8,7 +8,7 @@ symmetry characterizations.
 
 The recurring theme is that fiberwise-linear objects on E are exactly the
 ones whose associated maps between the tangent shell K(TM, E, E) and the
-cotangent shell K(E*, T*M, E) respect both bundle structures.  Shape
+cotangent shell K(E*, TM*, E) respect both bundle structures.  Shape
 predicates are decided exactly on polynomial degrees; structure predicates
 are sampled at rational points and checked exactly: each draws through a
 `core._Sampler` over its seed, and keeps fiber values as slot vectors.
@@ -62,11 +62,9 @@ from .core import (
     _vec_scale,
     _zero_slots,
     compose_morphisms,
-    cotangent_prolongation,
     identity_morphism,
     invert_morphism_poly,
     psi_zero,
-    tangent_prolongation,
 )
 from .duality import (
     dual_label,
@@ -98,6 +96,26 @@ def total_space_vars(vb: VectorBundle) -> tuple[str, ...]:
     if clash:
         raise ValueError(f"chart names collide with fiber names: {sorted(clash)}")
     return vb.chart.names + fiber
+
+
+def tangent_prolongation(vb: VectorBundle) -> DecomposedDVB:
+    """Shell of the tangent of a vector bundle: sides TM and E, core E.
+
+    Slots read (f, c, e) = (base velocity, fiber velocity, fiber point); the
+    right structure is tangent-vector addition at a fixed fiber point, the
+    left structure is the derivative of the addition in E.
+    """
+    return DecomposedDVB(vb.chart, vb.chart.dim, vb.rank, vb.rank, ("TM", vb.label, vb.label))
+
+
+def cotangent_prolongation(vb: VectorBundle) -> DecomposedDVB:
+    """Shell of the cotangent of a vector bundle: sides E* and E, core TM*.
+
+    It is the tangent shell's right dual, flipped, with slots (f, c, e) =
+    (fiber momentum, base momentum, fiber point); so `pair_r` pairs the flip
+    of (x | phi | p | e) with (x | xdot | edot | e) as p.xdot + phi.edot.
+    """
+    return right_dual(tangent_prolongation(vb)).flip()
 
 
 def _fiber_degrees(poly: MultiPoly, n_base: int) -> set[int]:
@@ -219,7 +237,8 @@ class GeneralVectorField:
         )
 
     def _momentum(self, key) -> tuple[int, int]:
-        """The momentum function at a cotangent shell key, as `_pairing`'s ratio."""
+        """The momentum function at a cotangent shell key, as `_pairing`'s ratio:
+        the right pairing of the field's tangent image with the flipped key."""
         _, x, phi, p, e = key
         (xdot, edot), den = self._plan.at(x, e)[0]
         return _pairing(p, (xdot, den), phi, (edot, den))
@@ -297,7 +316,8 @@ class GeneralOneForm:
         )
 
     def _velocity(self, key) -> tuple[int, int]:
-        """The velocity function at a tangent shell key, as `_pairing`'s ratio."""
+        """The velocity function at a tangent shell key, as `_pairing`'s ratio:
+        the right pairing of the key with the flipped cotangent image."""
         _, x, xdot, edot, e = key
         (p, phi), den = self._plan.at(x, e)[0]
         return _pairing((p, den), xdot, (phi, den), edot)

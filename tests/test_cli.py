@@ -330,6 +330,14 @@ def test_out_of_range_seed_is_usage_error(seed, capsys):
     )[0] == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--seed", "abc"), ("--samples", "x"), ("--bound", "x")])
+def test_non_integer_plan_flag_is_usage_error(flag, value, capsys):
+    code, out, err = run_cli(capsys, "check", "axioms", "--random", flag, value)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == f"dvb check: error: argument {flag}: invalid int value: '{value}'"
+
+
 def test_largest_seed_accepted(capsys):
     code, out, _ = run_cli(capsys, "gen", "--seed", str(2**32 - 1))
     assert code == 0

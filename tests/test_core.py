@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -16,10 +17,10 @@ from dvbcalc.core import (
     FiberMismatchError,
     FiberMorphism,
     NotInKernelError,
+    PointwiseMorphism,
     VectorBundle,
     compose_morphisms,
     core_difference,
-    cotangent_prolongation,
     fiber_add,
     fiber_scale,
     fiber_sub,
@@ -28,7 +29,6 @@ from dvbcalc.core import (
     invert_morphism_poly,
     kernel_split,
     psi_zero,
-    tangent_prolongation,
     _difference,
     _fractions,
     _left_add,
@@ -42,6 +42,7 @@ from dvbcalc.core import (
     _vec_scale,
 )
 from dvbcalc.duality import left_dual, pair_l, pair_r, right_dual, right_dual_morphism_poly
+from dvbcalc.geomech import cotangent_prolongation, tangent_prolongation
 from dvbcalc.ring import (
     MultiPoly,
     PolyMatrix,
@@ -229,7 +230,7 @@ def test_cotangent_prolongation_shell():
     vb = VectorBundle(Chart.of_dim(2), 3, "E")
     shell = cotangent_prolongation(vb)
     assert shell.ranks == (3, 2, 3)
-    assert shell.labels == ("E*", "T*M", "E")
+    assert shell.labels == ("E*", "TM*", "E")
 
 
 # -- morphisms ------------------------------------------------------------------
@@ -1166,3 +1167,56 @@ def test_element_str_is_the_report_text():
     assert str(fiber_scale("right", 1, u)) == str(u)
     w = DecomposedDVB(Chart.of_dim(2), 2, 0, 1).element((0, "5/4"), ("-1", 2), (), (7,))
     assert str(w) == "(x=(0, 5/4) | f=(-1, 2) | c=() | e=(7))"
+
+
+# -- guards -----------------------------------------------------------------------
+
+
+def _point_morphism_onto_another_bundle():
+    wrong = identity_morphism(B222)
+    return PointwiseMorphism(B, B, wrong.at).at((0, 0))
+
+
+CORE_GUARDS = {
+    "chart dimension": (
+        lambda: Chart.of_dim(-1), ValueError, "chart dimension must be nonnegative",
+    ),
+    "morphism chart": (
+        lambda: replace(identity_morphism(B), target=B222),
+        BaseMismatchError,
+        "morphism requires a shared chart",
+    ),
+    "composition": (
+        lambda: compose_morphisms(identity_morphism(B), identity_morphism(B222)),
+        ValueError,
+        "composition needs inner target equal to outer source",
+    ),
+    "fiber composition point": (
+        lambda: identity_morphism(B).at((0,)).after(identity_morphism(B).at((1,))),
+        ValueError,
+        "fiber composition needs matching middle bundle and point",
+    ),
+    "fiber composition bundle": (
+        lambda: identity_morphism(B).at((0,)).after(identity_morphism(B222).at((0, 0))),
+        ValueError,
+        "fiber composition needs matching middle bundle and point",
+    ),
+    "pointwise blocks": (
+        _point_morphism_onto_another_bundle,
+        ValueError,
+        "pointwise blocks disagree with declared bundles",
+    ),
+}
+
+
+@pytest.mark.parametrize("guard", CORE_GUARDS)
+def test_core_guard(guard):
+    call, exc, message = CORE_GUARDS[guard]
+    with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_element_equality_with_another_type_is_not_implemented():
+    v = B.element((0,), (1,), (2,), (3,))
+    assert v.__eq__((0, 1, 2, 3)) is NotImplemented
+    assert v != (0, 1, 2, 3)

@@ -16,13 +16,11 @@ from dvbcalc.core import (
     DVBMorphism,
     VectorBundle,
     compose_morphisms,
-    cotangent_prolongation,
     fiber_add,
     fiber_scale,
     identity_morphism,
     invert_morphism,
     psi_zero,
-    tangent_prolongation,
 )
 from dvbcalc.duality import (
     _pair,
@@ -45,6 +43,7 @@ from dvbcalc.duality import (
     triple_right_dual,
     verify_R_relation,
 )
+from dvbcalc.geomech import cotangent_prolongation, tangent_prolongation
 from dvbcalc.ring import MultiPoly, PolyMatrix, rat
 from dvbcalc.scenario import random_poly_matrix, random_poly_vector, random_unimodular_matrix
 
@@ -150,8 +149,15 @@ def test_left_dual_of_right_dual_is_original():
 def test_tangent_shell_dualizes_to_cotangent_shape():
     vb = VectorBundle(Chart.of_dim(2), 3, "E")
     d = right_dual(tangent_prolongation(vb))
-    assert d.ranks == cotangent_prolongation(vb).ranks
+    assert d == cotangent_prolongation(vb).flip()
     assert d.labels == ("E", "TM*", "E*")
+
+
+@pytest.mark.parametrize("dim,rank,label", [(0, 1, "E"), (1, 0, "E"), (2, 3, "V*"), (3, 2, "TM")])
+def test_cotangent_shell_is_the_flipped_right_dual_of_the_tangent_shell(dim, rank, label):
+    vb = VectorBundle(Chart.of_dim(dim), rank, label)
+    assert cotangent_prolongation(vb) == right_dual(tangent_prolongation(vb)).flip()
+    assert cotangent_prolongation(vb).labels == (dual_label(label), "TM*", label)
 
 
 # -- pairings -----------------------------------------------------------------
@@ -614,3 +620,9 @@ def test_adjoint_contract_on_mixed_ranks(seed):
         want = pair_r(image, a)
         assert pair_r(v, fiber_right_dual(phi.at(x)).apply(a)) == want
         assert pair_r(v, right_dual_morphism_poly(phi).at(x).apply(a)) == want
+
+
+def test_relation_candidate_in_another_bundle_is_refused():
+    v = B234.element((0, 0), (1, 2), (3, 4, 5), (6, 7, 8, 9))
+    with pytest.raises(ProjectionMismatchError, match="^candidate lives in the wrong bundle$"):
+        verify_R_relation(v, B.element((0,), (1,), (2,), (3,)))

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -281,3 +282,33 @@ def test_constructor_errors():
         make_form(XY, 1, {(-1,): x})
     with pytest.raises(ValueError, match="^component variables must match the form$"):
         DifferentialForm(XY, 1, (((0,), MultiPoly.var(XYZ, "x")),))
+
+
+@pytest.mark.parametrize("degree", [1.5, True, False, Fraction(1), "1", None])
+def test_constructor_refuses_a_degree_that_is_not_an_int(degree):
+    with pytest.raises(TypeError, match=f"^form degree must be an int, got {re.escape(repr(degree))}$"):
+        DifferentialForm(XY, degree, ())
+
+
+@pytest.mark.parametrize("vars", [["x", "y"], "xy", ("x", 1), ("x", b"y"), None])
+def test_constructor_refuses_variables_that_are_not_a_tuple_of_str(vars):
+    with pytest.raises(
+        TypeError, match=f"^form variables must be a tuple of str, got {re.escape(repr(vars))}$"
+    ):
+        DifferentialForm(vars, 1, ())
+
+
+def test_operation_guards():
+    x = MultiPoly.var(XY, "x")
+    one_xy, one_xyz = make_form(XY, 1, {(0,): x}), make_form(XYZ, 1, {(0,): MultiPoly.var(XYZ, "x")})
+    for op in (one_xy.__add__, one_xy.wedge):
+        with pytest.raises(ValueError, match="^forms live over different variable lists$"):
+            op(one_xyz)
+    with pytest.raises(ValueError, match="^cannot add forms of different degrees$"):
+        one_xy + make_form(XY, 0, {(): x})
+    with pytest.raises(ValueError, match="^need one image per variable$"):
+        one_xy.pullback(XY, (x,))
+    with pytest.raises(ValueError, match="^images must share the source variable list$"):
+        one_xy.pullback(XY, (x, MultiPoly.var(XYZ, "y")))
+    with pytest.raises(ValueError, match="^vector arity does not match the variables$"):
+        one_xy.evaluate((1, 2), ((1, 2, 3),))

@@ -1,6 +1,7 @@
 """Geometry layer: lifts, bivectors, linear forms, connections, symmetry."""
 
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from operator import mul
@@ -13,12 +14,10 @@ from dvbcalc.core import (
     DVBElement,
     VectorBundle,
     compose_morphisms,
-    cotangent_prolongation,
     fiber_add,
     fiber_scale,
     identity_morphism,
     psi_zero,
-    tangent_prolongation,
     _Sampler,
     _slots_of,
 )
@@ -43,6 +42,7 @@ from dvbcalc.geomech import (
     complete_cotangent_lift,
     complete_tangent_lift,
     connection_splitting,
+    cotangent_prolongation,
     dual_connection,
     dual_linear_section,
     fiber_var_names,
@@ -65,6 +65,7 @@ from dvbcalc.geomech import (
     omega_c_pullback,
     omega_flat,
     tangent_metric_morphism,
+    tangent_prolongation,
     total_space_vars,
     vertical_lift,
     vf_is_bundle_morphism,
@@ -816,9 +817,8 @@ def test_section_view_matches_field_through_the_flip():
 
 def covector_vector_pairing(cot, tan):
     """p.xdot + phi.edot of (x | phi | p | e) against (x | xdot | edot | e):
-    the cotangent point re-homed on the right dual of the tangent shell."""
-    rehomed = DVBElement._of_slots(right_dual(tan.bundle), cot.x, cot._e, cot._c, cot._f)
-    return pair_r(tan, rehomed)
+    the flipped cotangent point lives in the right dual of the tangent shell."""
+    return pair_r(tan, cot.flip())
 
 
 def test_covector_vector_pairing_value_and_errors():
@@ -1350,3 +1350,56 @@ def test_linear_section_and_vertical_lift_share_the_side_check():
         replace(section, side="up")
     with pytest.raises(ValueError, match=message):
         vertical_lift(section.bundle, "up", records["CoreSection"], (1, 2), (3, 4))
+
+
+# ---------------------------------------------------------------------------
+# guards
+
+def _zero_bivector(vb):
+    vars = total_space_vars(vb)
+    n, k = vb.chart.dim, vb.rank
+    return Bivector(vb, PolyMatrix.zero(vars, n, n), PolyMatrix.zero(vars, n, k), PolyMatrix.zero(vars, k, k))
+
+
+GEOMECH_GUARDS = {
+    "fiber name clash": (
+        lambda: total_space_vars(VectorBundle(Chart(("e1", "x")), 1)),
+        "chart names collide with fiber names: ['e1']",
+    ),
+    "contraction argument": (
+        lambda: lambda_sharp(_zero_bivector(VB11))(
+            tangent_prolongation(VB11).element((0,), (1,), (2,), (3,))
+        ),
+        "argument must live on the cotangent shell",
+    ),
+    "vertical lift chart": (
+        lambda: vertical_lift(
+            DecomposedDVB(CHART1, 1, 1, 1), "right",
+            CoreSection(CHART2, (MultiPoly.zero(CHART2.names),)), (0,), (1,),
+        ),
+        "section chart differs from the bundle chart",
+    ),
+    "complete lift components": (
+        lambda: complete_tangent_lift(CHART2, (MultiPoly.var(CHART2.names, "x1"),)),
+        "need one component per chart coordinate",
+    ),
+    "metric connection bundles": (
+        lambda: is_metric_connection(
+            _connection(VB11, {}), Metric(VB22, PolyMatrix.identity(CHART2.names, 2))
+        ),
+        "connection and metric live on different bundles",
+    ),
+    "metric identity bundles": (
+        lambda: metric_identity(
+            _connection(VB11, {}), Metric(VB22, PolyMatrix.identity(CHART2.names, 2))
+        ),
+        "connection and metric live on different bundles",
+    ),
+}
+
+
+@pytest.mark.parametrize("guard", GEOMECH_GUARDS)
+def test_geomech_guard(guard):
+    call, message = GEOMECH_GUARDS[guard]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -15,8 +16,6 @@ from dvbcalc.core import (
     DVBElement,
     DVBMorphism,
     VectorBundle,
-    cotangent_prolongation,
-    tangent_prolongation,
     _slots_of,
 )
 from dvbcalc.duality import fiber_right_dual
@@ -29,7 +28,9 @@ from dvbcalc.geomech import (
     LinearConnection,
     LinearSection,
     check_jacobi,
+    cotangent_prolongation,
     lambda_sharp,
+    tangent_prolongation,
     total_space_vars,
     vertical_lift,
 )
@@ -1412,3 +1413,43 @@ def test_bivector_plans_match_per_entry_eval(case, rng):
         assert_lowest_terms(got)
         assert got == tan.element(point[:n], out[:n], out[n:], point[n:])
         assert check_jacobi(biv, [raw]) == jacobi_reference(biv, point)
+
+
+# -- guards ---------------------------------------------------------------------
+
+X1, XY_VARS = ("x1",), ("x", "y")
+
+RING_GUARDS = {
+    "scalar product": (
+        lambda: MultiPoly.var(X1, "x1") * 2,
+        TypeError, "unsupported operand type(s) for *: 'MultiPoly' and 'int'",
+    ),
+    "compose variable lists": (
+        lambda: MultiPoly.var(XY_VARS, "x").compose((MultiPoly.var(X1, "x1"), MultiPoly.var(XY_VARS, "y"))),
+        ValueError, "images use differing variable lists",
+    ),
+    "extend missing variable": (
+        lambda: MultiPoly.var(XY_VARS, "y").extend(("x", "z")),
+        ValueError, "variable 'y' missing from ('x', 'z')",
+    ),
+    "ragged matrix": (
+        lambda: PolyMatrix(X1, ((MultiPoly.zero(X1),), ())),
+        ValueError, "ragged polynomial matrix",
+    ),
+    "matrix entry variables": (
+        lambda: PolyMatrix(X1, ((MultiPoly.zero(XY_VARS),),)),
+        ValueError, "entry variables ('x', 'y') differ from matrix ('x1',)",
+    ),
+}
+
+
+@pytest.mark.parametrize("guard", RING_GUARDS)
+def test_ring_guard(guard):
+    call, exc, message = RING_GUARDS[guard]
+    with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_composing_a_polynomial_over_no_variables_keeps_it():
+    p = MultiPoly.const((), rat("-3/4"))
+    assert p.compose(()) is p

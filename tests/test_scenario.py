@@ -1165,3 +1165,23 @@ def test_every_construction_route_gives_one_polynomial(data):
         for _, c in q.terms:
             assert type(c) is Fraction and c.denominator > 0
             assert gcd(c.numerator, c.denominator) == 1
+
+
+def test_core_section_over_another_chart_is_refused():
+    section = CoreSection(Chart.of_dim(1), (MultiPoly.zero(("x1",)),))
+    with pytest.raises(InconsistentScenarioError, match="^core section chart differs$"):
+        Scenario(bundle=DecomposedDVB(Chart.of_dim(2), 1, 1, 1), core_section=section)
+
+
+def test_stand_in_bivector_of_side_rank_1_over_a_point_chart_is_zero_on_both_draws():
+    # with no mixed block and no fiber pair, the draw that would break one
+    # block has nothing to break, so both outcomes give the zero bivector
+    b = DecomposedDVB(Chart.of_dim(0), 1, 1, 1)
+    zero = PolyMatrix.zero(("e1",), 1, 1)
+    breaks = set()
+    for seed in range(8):
+        breaks.add(_randint(random.Random(derive_seed(seed, "gen.bivector")), 0, 1))
+        biv = Scenario(bundle=b, seed=seed).section("bivector")
+        assert (biv.l_ij.entries, biv.l_ia.entries, biv.l_ab) == ((), (), zero)
+        assert bivector_linear_shape(biv)
+    assert breaks == {0, 1}

@@ -32,6 +32,7 @@ from dvbcalc.scenario import (
     scenario_to_text,
 )
 from dvbcalc.suites import (
+    PropertyResult,
     _conjugated_transport_inverts,
     _run_property,
     _scalar_worked_example,
@@ -648,6 +649,36 @@ FLIPPED_CHANNELS = [
      "horizontal_isotropy", "connection symmetry channels disagree",
      {"coordinate_symmetry", "side_exchange_diagram"}),
 ]
+
+
+def test_an_uncaught_exception_fails_its_own_row_only(monkeypatch):
+    sc = gen_random_scenario(0)
+    before = run_suite("geometry", sc)
+    prop_id = "geometry.05.two-form-closedness-channels"
+
+    def broken(form):
+        raise ZeroDivisionError("closedness blew up")
+
+    monkeypatch.setattr(suites, "closedness_via_exterior", broken)
+    after = run_suite("geometry", sc)
+    seed = derive_seed(sc.seed, prop_id)
+    assert after.results == tuple(
+        PropertyResult(
+            prop_id, False, "uncaught ZeroDivisionError: closedness blew up", seed,
+            {"error": "closedness blew up"},
+        )
+        if r.prop_id == prop_id else r
+        for r in before.results
+    )
+    assert before.passed and not after.passed
+    text = before.body().split("--- machine readable ---")[0].splitlines()
+    row = text.index(f"[PASS] {prop_id}  three closedness channels agree: closed")
+    text[row : row + 1] = [
+        f"[FAIL] {prop_id}  uncaught ZeroDivisionError: closedness blew up  (replay seed {seed})",
+        "      error = closedness blew up",
+    ]
+    text[-1] = "result: FAIL (11/12 properties)"
+    assert after.body().split("--- machine readable ---")[0].splitlines() == text
 
 
 @pytest.mark.parametrize("prop_id, channel, key, detail, others", FLIPPED_CHANNELS)

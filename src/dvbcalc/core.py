@@ -53,8 +53,10 @@ Psi contraction over the core index is one product with the Psi planes
 flattened to rows.  Inverses and duals divide by block determinants: at a
 point `ring._adjugate` inverts a block as stored, in one elimination on its
 primitive rows, and over the chart `unimodular_inverse` inverts unimodular
-blocks.  Only morphisms with equal source and target ranks can be inverted.
-One builder, `_signed_identity`, makes every morphism whose blocks are
+blocks.  A dual that is only applied at a point (`duality`) solves against
+its block instead and builds its inverted blocks only when they are read.
+Only morphisms with equal source and target ranks can be inverted.  One
+builder, `_signed_identity`, makes every morphism whose blocks are
 signed identities and whose Psi is zero: the identity, the side exchange
 and the canonical maps onto the third dual.  A connection's splitting is
 the tangent shell's identity with another Psi.
@@ -152,9 +154,14 @@ class DecomposedDVB:
     n_C: int
     n_E: int
     labels: tuple[str, str, str] = ("F", "C", "E")
-    # the dataclass hash of the fields above, made on first use: the dual
-    # bundle caches look a bundle up on every pairing
+    # Made on first use and kept, outside equality and repr: the dataclass
+    # hash of the fields above, the right dual (`duality.right_dual` fills
+    # it) and the flip, whose flip is this bundle.  So the pairings, the dual
+    # morphisms and the flipped elements of one bundle all meet one dual and
+    # one flip object, and compare them by identity.
     _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    _right_dual: DecomposedDVB | None = field(default=None, init=False, repr=False, compare=False)
+    _flip: DecomposedDVB | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for rank in (self.n_F, self.n_C, self.n_E):
@@ -171,13 +178,14 @@ class DecomposedDVB:
         return (self.n_F, self.n_C, self.n_E)
 
     def flip(self) -> DecomposedDVB:
-        return DecomposedDVB(
-            self.chart,
-            self.n_E,
-            self.n_C,
-            self.n_F,
-            (self.labels[2], self.labels[1], self.labels[0]),
-        )
+        if self._flip is None:
+            labels = self.labels
+            flipped = DecomposedDVB(
+                self.chart, self.n_E, self.n_C, self.n_F, (labels[2], labels[1], labels[0])
+            )
+            object.__setattr__(flipped, "_flip", self)
+            object.__setattr__(self, "_flip", flipped)
+        return self._flip
 
     def element(
         self,
@@ -789,7 +797,7 @@ def compose_morphisms(outer: DVBMorphism, inner: DVBMorphism) -> DVBMorphism:
     return DVBMorphism._from_blocks(inner.source, outer.target, blocks)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class FiberMorphism:
     """Morphism blocks evaluated at one base point: exact rational data.
 
@@ -797,7 +805,11 @@ class FiberMorphism:
     lowest terms, so equal blocks are equal tuples; `l`, `c`, `r` and `psi`
     are their `Fraction` views, made on first read.  Only `_of_blocks`
     builds one, for `DVBMorphism.at`, `PointwiseMorphism.at` and the block
-    algebra (`after`, `inverse`, `duality.fiber_right_dual`).
+    algebra (`after`, `inverse`, `duality.fiber_right_dual`); the right
+    dual of a morphism at a point (`duality.right_dual_morphism`) is a
+    subclass that builds its blocks on first read.  Two fiber morphisms
+    are equal when their bundles, points and blocks are, whichever class
+    made them.
     """
 
     source: DecomposedDVB
@@ -820,6 +832,17 @@ class FiberMorphism:
     psi = cached_property(
         lambda self: _planes(_frac_rows(self._int_blocks[3]), self.source.n_E, self.source.n_F)
     )
+
+    def _key(self):
+        return self.source, self.target, self.x, self._int_blocks
+
+    def __eq__(self, other):
+        if not isinstance(other, FiberMorphism):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def _int_blocks_at(self, x: Point):
         if x != self.x:
@@ -856,7 +879,10 @@ class PointwiseMorphism:
 
     def at(self, x: Point) -> FiberMorphism:
         fm = self.blocks_at(tuple(rat(v) for v in x))
-        if fm.source != self.source or fm.target != self.target:
+        source, target = self.source, self.target
+        if (fm.source is not source and fm.source != source) or (
+            fm.target is not target and fm.target != target
+        ):
             raise ValueError("pointwise blocks disagree with declared bundles")
         return fm
 

@@ -20,15 +20,22 @@ Transporting a dualized morphism back through the canonical maps recovers
 its inverse, while transporting through the plain slot identification does
 not once the bilinear block is nonzero.
 
-Dual morphisms divide by the right block, so they are pointwise objects; a
-polynomial route exists when that block is unimodular.
+Dual morphisms divide by the right block R, so they are pointwise objects; a
+polynomial route exists when that block is unimodular.  At a point the dual
+of phi holds phi's own integer blocks there and applies itself by solving
+R y = e for the one E point of the element, with one fraction-free
+elimination and a single right-hand side (solving rather than inverting:
+Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 14.1).
+Its own blocks, with R inverted whole, are built only when they are read,
+by equality, composition, inversion or the `Fraction` views.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
+from operator import mul
 
 from .core import (
     BaseMismatchError,
@@ -38,14 +45,16 @@ from .core import (
     FiberMorphism,
     PointwiseMorphism,
     _int_mul,
+    _lowest,
     _pairing,
     _poly_mul,
+    _reduced,
     _right_dual_blocks,
     _Sampler,
     _signed_identity,
     _vec_scale,
 )
-from .ring import Point, _adjugate, _unimodular_inverse
+from .ring import Point, _adjugate, _bareiss, _unimodular_inverse, transpose
 
 
 class ProjectionMismatchError(ValueError):
@@ -58,17 +67,17 @@ def dual_label(label: str) -> str:
 
 
 # The pairings and dual morphisms ask for the right dual of the same few
-# bundles on every call; a bundle is frozen, so its right dual is cached.
-@lru_cache(maxsize=128)
+# bundles on every call; it is made once per bundle object and kept in the
+# bundle's own slot, so every caller meets that one object.
 def right_dual(b: DecomposedDVB) -> DecomposedDVB:
     """Dual along the right structure: sides (E, C*), core F*."""
-    return DecomposedDVB(
-        b.chart,
-        b.n_E,
-        b.n_F,
-        b.n_C,
-        (b.labels[2], dual_label(b.labels[0]), dual_label(b.labels[1])),
-    )
+    if b._right_dual is None:
+        labels = b.labels
+        dual = DecomposedDVB(
+            b.chart, b.n_E, b.n_F, b.n_C, (labels[2], dual_label(labels[0]), dual_label(labels[1]))
+        )
+        object.__setattr__(b, "_right_dual", dual)
+    return b._right_dual
 
 
 def left_dual(b: DecomposedDVB) -> DecomposedDVB:
@@ -127,15 +136,83 @@ def pair_l(v: DVBElement, b: DVBElement) -> Fraction:
 # ---------------------------------------------------------------------------
 # Dual morphisms
 
+def _dual_blocks(blocks, source, target):
+    """The integer blocks of the right dual at a point, from the integer
+    `blocks` there of a morphism source -> target: R is inverted whole, in
+    one elimination of [R | den I]."""
+    return _right_dual_blocks(blocks, _adjugate(blocks[2]), source, target, _int_mul)
+
+
 def fiber_right_dual(fm: FiberMorphism) -> FiberMorphism:
     """Right dual of one fiber of an isomorphism; reverses the direction.
 
     The new left block is the inverse of the old right block, and the new
     core and right blocks are the transposes of the old left and core blocks.
     """
-    rinv = _adjugate(fm._int_blocks[2])
-    blocks = _right_dual_blocks(fm._int_blocks, rinv, fm.source, fm.target, _int_mul)
+    blocks = _dual_blocks(fm._int_blocks, fm.source, fm.target)
     return FiberMorphism._of_blocks(right_dual(fm.target), right_dual(fm.source), fm.x, blocks)
+
+
+class _DualFiber(FiberMorphism):
+    """The right dual of a morphism phi at one point, which holds phi's
+    integer blocks there (`_of`: the blocks, phi's source and target).
+
+    `apply` solves against R once.  The blocks, which equality, `after`,
+    `inverse` and the views read, are `fiber_right_dual`'s, built on first
+    read, so the object equals `fiber_right_dual(phi.at(x))`.  Both routes
+    raise SingularMatrixError where R is singular.
+    """
+
+    @staticmethod
+    def _of_phi(source, target, x, of) -> _DualFiber:
+        fm = object.__new__(_DualFiber)
+        vars(fm).update(source=source, target=target, x=x, _of=of)
+        return fm
+
+    @cached_property
+    def _int_blocks(self):
+        return tuple(map(_lowest, _dual_blocks(*self._of)))
+
+    def apply(self, a: DVBElement) -> DVBElement:
+        """(e | p | q) -> (y | L^T p + sum_g q_g Psi[g]^T y | C^T q) with
+        y = R^-1 e, from one elimination of [R | den e], where R is phi's
+        right block, rows over den, and Psi[g] the E x F plane of core row g."""
+        b, x, (en, ed), (pn, pd), (qn, qd) = a._key
+        if b is not self.source and b != self.source:
+            raise BaseMismatchError("element bundle differs from morphism source")
+        if x != self.x:
+            raise BaseMismatchError("element base point differs from block point")
+        (l, c, (rn, r_den), psi), source, _ = self._of
+        # a plan's blocks share one denominator: L, C and Psi are put in
+        # lowest terms first, while the elimination reduces each row of R
+        (ln, l_den), (cn, c_den), (psi, psi_den) = map(_lowest, (l, c, psi))
+        d, _, _, (y,) = _bareiss(rn, ([r_den * v for v in en],))
+        # R (y / d) = e numerators, so R^-1 e = y / (d ed)
+        if d < 0:
+            d, y = -d, [-v for v in y]
+        y_den, n_f = d * ed, source.n_F
+        q_psi = [sum(map(mul, qn, column)) for column in transpose(psi, source.n_E * n_f)]
+        left, right = qd * psi_den * y_den, l_den * pd
+        core = [
+            sum(map(mul, column, pn)) * left + sum(map(mul, q_psi[big_a::n_f], y)) * right
+            for big_a, column in enumerate(transpose(ln, n_f))
+        ]
+        return DVBElement._of_slots(
+            self.target,
+            x,
+            _reduced(y, y_den),
+            _reduced(core, left * l_den * pd),
+            _reduced([sum(map(mul, column, qn)) for column in transpose(cn, source.n_C)], c_den * qd),
+        )
+
+
+def _blocks_at(phi, x: Point):
+    """phi's integer blocks at x: a block morphism's from its plan, which
+    keeps the last point it evaluated (phi.apply's, in the adjoint checks),
+    and another morphism's from phi.at(x)."""
+    if isinstance(phi, DVBMorphism):
+        return phi._plan.at(phi.source.chart.point(x))
+    return phi.at(x)._int_blocks
 
 
 def right_dual_morphism(phi) -> PointwiseMorphism:
@@ -143,12 +220,14 @@ def right_dual_morphism(phi) -> PointwiseMorphism:
 
     Accepts a block morphism or another pointwise morphism.  The adjoint
     contract pins the convention: pairing phi(v) against a equals pairing v
-    against the dual image of a, whenever the projections match.
+    against the dual image of a, whenever the projections match.  At x it
+    gives a `_DualFiber`, which holds phi's blocks there.
     """
+    source, target = right_dual(phi.target), right_dual(phi.source)
     return PointwiseMorphism(
-        right_dual(phi.target),
-        right_dual(phi.source),
-        lambda x: fiber_right_dual(phi.at(x)),
+        source,
+        target,
+        lambda x: _DualFiber._of_phi(source, target, x, (_blocks_at(phi, x), phi.source, phi.target)),
     )
 
 

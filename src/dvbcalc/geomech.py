@@ -229,12 +229,12 @@ class GeneralVectorField:
     _plan = cached_property(
         lambda self: _EvalPlan(((self.base, self.vert),), len(self.base) + len(self.vert))
     )
+    # the shell every image lives in, built once per field
+    _shell = cached_property(lambda self: tangent_prolongation(self.bundle))
 
     def _tangent_image(self, x, e) -> DVBElement:  # e a slot vector
         (xdot, edot), den = self._plan.at(x, e)[0]
-        return DVBElement._of_slots(
-            tangent_prolongation(self.bundle), x, _reduced(xdot, den), _reduced(edot, den), e
-        )
+        return DVBElement._of_slots(self._shell, x, _reduced(xdot, den), _reduced(edot, den), e)
 
     def _momentum(self, key) -> tuple[int, int]:
         """The momentum function at a cotangent shell key, as `_pairing`'s ratio:
@@ -309,11 +309,12 @@ class GeneralOneForm:
         )
     )
 
+    # the shell every image lives in, built once per form
+    _shell = cached_property(lambda self: cotangent_prolongation(self.bundle))
+
     def _cotangent_image(self, x, e) -> DVBElement:  # e a slot vector
         (p, phi), den = self._plan.at(x, e)[0]
-        return DVBElement._of_slots(
-            cotangent_prolongation(self.bundle), x, _reduced(phi, den), _reduced(p, den), e
-        )
+        return DVBElement._of_slots(self._shell, x, _reduced(phi, den), _reduced(p, den), e)
 
     def _velocity(self, key) -> tuple[int, int]:
         """The velocity function at a tangent shell key, as `_pairing`'s ratio:

@@ -68,8 +68,9 @@ values at the origin and at (1, ..., 1) differ is rejected first, by
 `_corner_dets`, which clears each row of those values by one lcm and hands
 the integer rows to `_bareiss`.  Every other determinant, inverse and
 linear solve is done on rationals by that one routine (`det_frac`,
-`solve_fraction_free`, `mat_inverse_frac`, the block inverse `_adjugate`
-and `_identically_singular`, the determinant certificate of the scenario
+`solve_fraction_free`, `mat_inverse_frac`, the block inverse `_adjugate`,
+the one-column solve of `duality`'s dual apply at a point, and
+`_identically_singular`, the determinant certificate of the scenario
 reader's morphism blocks and of `geomech.Metric`, read it), and it alone
 turns their rows into integers: it clears each row's denominators, divides
 the row by its gcd and eliminates these primitive rows fraction-free
@@ -620,24 +621,26 @@ def _bareiss(matrix, columns):
     Each augmented row of ints or `Fraction`s is scaled by the lcm of its
     denominators and divided by its gcd, so every division is exact.
     Returns (d, c, s, solutions): d is the last pivot with the sign of each
-    row swap, det(matrix) = d c / s with c and s the products of the gcds
-    and of the scales, and for each column the integers y with matrix
-    (y / d) = column (by Cramer's rule each is an integer).  A singular
+    row swap, c and s the lists of the rows' gcds and scales, so that
+    det(matrix) = d prod(c) / prod(s) (only a determinant needs the
+    products, which grow with the rows' own size), and for each column the
+    integers y with matrix (y / d) = column (by Cramer's rule each is an
+    integer).  A singular
     matrix has d = 0; with a column to solve for it raises SingularMatrixError.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix) or any(len(col) != n for col in columns):
         raise ValueError("solve requires a square matrix and matching rhs")
     rows: list[list[int]] = []
-    contents = scales = 1
+    contents, scales = [], []
     for i, row in enumerate(matrix):
         entries = [*row, *[col[i] for col in columns]]
         scale = lcm(*[x.denominator for x in entries])
         ints = [x.numerator * (scale // x.denominator) for x in entries]
         content = gcd(*ints) or 1
         rows.append([v // content for v in ints])
-        contents *= content
-        scales *= scale
+        contents.append(content)
+        scales.append(scale)
 
     width = n + len(columns)
     sign, prev = 1, 1
@@ -672,7 +675,7 @@ def det_frac(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     if any(len(row) != len(matrix) for row in matrix):
         raise ValueError("determinant of a non-square matrix")
     d, contents, scales, _ = _bareiss(matrix, ())
-    return Fraction(d * contents, scales)
+    return Fraction(d * prod(contents), prod(scales))
 
 
 # The witness points of the determinant certificate: _WITNESS, distinct
@@ -885,7 +888,7 @@ def _corner_dets(rows, zero: Exponent) -> tuple[int, int]:
         origin.append([n * (scale // d) for n, d in (p.get(zero, (0, 1)) for p in row)])
         ones.append([sum([n * (scale // d) for n, d in p.values()]) for p in row])
     (d0, c0, _, _), (d1, c1, _, _) = _bareiss(origin, ()), _bareiss(ones, ())
-    return d0 * c0, d1 * c1
+    return d0 * prod(c0), d1 * prod(c1)
 
 
 def _extend_minors(minors: dict[int, _Pairs], rows) -> dict[int, _Pairs]:

@@ -203,6 +203,22 @@ def test_flip_bundle_and_element():
     assert v.flip().flip() == v
 
 
+def test_flip_is_made_once_and_its_flip_is_the_bundle():
+    """A bundle keeps its flip, whose flip is the bundle object itself; an
+    equal but distinct bundle keeps its own, equal flip, and a replaced one
+    starts with no flip."""
+    bundle = DecomposedDVB(CHART, 2, 1, 3, ("A", "B", "C"))
+    twin = DecomposedDVB(CHART, 2, 1, 3, ("A", "B", "C"))
+    flipped = bundle.flip()
+    assert bundle.flip() is flipped and flipped.flip() is bundle
+    assert flipped.labels == ("C", "B", "A")
+    assert twin.flip() is not flipped and twin.flip() == flipped and twin.flip().flip() is twin
+    v = bundle.element((0,), (1, 2), (3,), (4, 5, 6))
+    assert v.flip().bundle is flipped and v.flip().flip().bundle is bundle
+    assert replace(bundle)._flip is None and replace(bundle).flip() == flipped
+    assert repr(bundle) == repr(twin) and hash(bundle) == hash(twin)
+
+
 def test_flip_exchanges_additions():
     rng = random.Random(17)
     for _ in range(50):
@@ -1172,9 +1188,9 @@ def test_element_str_is_the_report_text():
 # -- guards -----------------------------------------------------------------------
 
 
-def _point_morphism_onto_another_bundle():
+def _point_morphism_onto_another_bundle(source=B, target=B):
     wrong = identity_morphism(B222)
-    return PointwiseMorphism(B, B, wrong.at).at((0, 0))
+    return PointwiseMorphism(source, target, wrong.at).at((0, 0))
 
 
 CORE_GUARDS = {
@@ -1203,6 +1219,17 @@ CORE_GUARDS = {
     ),
     "pointwise blocks": (
         _point_morphism_onto_another_bundle,
+        ValueError,
+        "pointwise blocks disagree with declared bundles",
+    ),
+    # one declared bundle matches, so each half of the check is seen alone
+    "pointwise blocks source": (
+        lambda: _point_morphism_onto_another_bundle(target=B222),
+        ValueError,
+        "pointwise blocks disagree with declared bundles",
+    ),
+    "pointwise blocks target": (
+        lambda: _point_morphism_onto_another_bundle(source=B222),
         ValueError,
         "pointwise blocks disagree with declared bundles",
     ),

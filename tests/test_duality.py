@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 from operator import mul
 
@@ -14,6 +15,7 @@ from dvbcalc.core import (
     Chart,
     DecomposedDVB,
     DVBMorphism,
+    FiberMorphism,
     VectorBundle,
     compose_morphisms,
     fiber_add,
@@ -44,7 +46,7 @@ from dvbcalc.duality import (
     verify_R_relation,
 )
 from dvbcalc.geomech import cotangent_prolongation, tangent_prolongation
-from dvbcalc.ring import MultiPoly, PolyMatrix, rat
+from dvbcalc.ring import MultiPoly, PolyMatrix, SingularMatrixError, rat
 from dvbcalc.scenario import random_poly_matrix, random_poly_vector, random_unimodular_matrix
 
 CHART = Chart.of_dim(1)
@@ -144,6 +146,40 @@ def test_left_dual_ranks_and_labels():
 
 def test_left_dual_of_right_dual_is_original():
     assert left_dual(right_dual(B234)) == B234
+
+
+def test_right_dual_is_made_once_per_bundle_object():
+    """A bundle keeps its right dual; an equal but distinct bundle keeps its
+    own, equal one; a replaced bundle starts with empty slots."""
+    b = DecomposedDVB(Chart.of_dim(2), 1, 2, 3, ("A", "B*", "C"))
+    twin = DecomposedDVB(Chart.of_dim(2), 1, 2, 3, ("A", "B*", "C"))
+    assert b == twin and b is not twin
+    dual, twin_dual = right_dual(b), right_dual(twin)
+    assert right_dual(b) is dual and right_dual(twin) is twin_dual
+    assert dual is not twin_dual and dual == twin_dual
+    assert triple_right_dual(b) is triple_right_dual(b) and triple_right_dual(b) == b
+    assert left_dual(b) is left_dual(b) and left_dual(b) == left_dual(twin)
+    # the filled slots leave equality, hashing and repr as they were
+    fresh = DecomposedDVB(Chart.of_dim(2), 1, 2, 3, ("A", "B*", "C"))
+    assert b == fresh and hash(b) == hash(fresh) and repr(b) == repr(fresh)
+    assert repr(b) == (
+        "DecomposedDVB(chart=Chart(names=('x1', 'x2')), n_F=1, n_C=2, n_E=3, "
+        "labels=('A', 'B*', 'C'))"
+    )
+    for copy in (replace(b), replace(b, labels=("A", "B", "C"))):
+        assert (copy._hash, copy._right_dual, copy._flip) == (None, None, None)
+        assert right_dual(copy) is not dual
+    assert right_dual(replace(b)) == dual
+
+
+def test_pairings_and_pointwise_duals_meet_one_dual_bundle():
+    phi = scalar_morphism(2, 3, 5, 7)
+    dual = right_dual_morphism(phi)
+    assert dual.source is right_dual(B) and dual.target is right_dual(B)
+    fm = dual.at((1,))
+    assert fm.source is right_dual(B) and fm.target is right_dual(B)
+    v = B.element((1,), (1,), (2,), (3,))
+    assert v.flip().bundle is B.flip() and v.flip().flip().bundle is B
 
 
 def test_tangent_shell_dualizes_to_cotangent_shape():
@@ -331,11 +367,12 @@ def test_pointwise_dual_algebra_makes_no_fraction():
         image = phi.apply(v)
         a = s.over(right_dual(B234)).element(x=x, f=image._e)
         pulled = fiber_right_dual(fm).apply(a)
+        solved = right_dual_morphism(phi).at(x).apply(a)
         adjoint = _same(_pair(image, a), _pair(v, pulled))
         round_trip = fm.inverse().after(fm) == identity.at(x)
     finally:
         Fraction.__new__ = saved
-    assert adjoint and round_trip
+    assert adjoint and round_trip and solved == pulled
     assert made == []
 
 
@@ -365,6 +402,114 @@ def test_dual_is_contravariant():
         lhs = fiber_right_dual(compose_morphisms(phi, psi).at(x))
         rhs = fiber_right_dual(psi.at(x)).after(fiber_right_dual(phi.at(x)))
         assert lhs == rhs
+
+
+def _dual_apply_case(data):
+    """A morphism with random blocks of ranks 0-4 over a chart of dim 0-3, a
+    point x, and whether R is made singular at x: its first row vanishes
+    there (on a point chart it is zero)."""
+    dim = data.draw(st.integers(0, 3), label="dim")
+    chart = Chart.of_dim(dim)
+    n_e = data.draw(st.integers(0, 4), label="n_E")
+    ranks = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    (f, c), (tf, tc) = data.draw(ranks, label="source F, C"), data.draw(ranks, label="target F, C")
+    source, target = DecomposedDVB(chart, f, c, n_e), DecomposedDVB(chart, tf, tc, n_e)
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    vars = chart.names
+    x = rand_tuple(rng, dim)
+    r = random_poly_matrix(rng, vars, n_e, n_e, 1).entries
+    if n_e and data.draw(st.booleans(), label="singular at x"):
+        vanish = MultiPoly.const(vars, 0)
+        if dim:
+            vanish = MultiPoly.var(vars, "x1") - MultiPoly.const(vars, x[0])
+        r = (tuple(vanish * p for p in r[0]), *r[1:])
+    phi = DVBMorphism(
+        source,
+        target,
+        random_poly_matrix(rng, vars, tf, f, 1),
+        random_poly_matrix(rng, vars, tc, c, 1),
+        PolyMatrix(vars, r),
+        tuple(
+            tuple(random_poly_vector(rng, vars, f, 1) for _ in range(n_e)) for _ in range(tc)
+        ),
+    )
+    return phi, x, rng
+
+
+def _check_dual_apply(phi, x, rng):
+    """The solve route of `right_dual_morphism(phi).at(x)` against the
+    adjugate route of `fiber_right_dual(phi.at(x))`."""
+    lazy = right_dual_morphism(phi).at(x)
+    assert isinstance(lazy, FiberMorphism)
+    a = _Sampler(rng, right_dual(phi.target)).element(x=x)
+    try:
+        eager = fiber_right_dual(phi.at(x))
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            lazy.apply(a)
+        with pytest.raises(SingularMatrixError):
+            lazy.l
+        return False
+    assert lazy.apply(a) == eager.apply(a)
+    assert lazy == eager and eager == lazy and hash(lazy) == hash(eager)
+    assert (lazy.l, lazy.c, lazy.r, lazy.psi) == (eager.l, eager.c, eager.r, eager.psi)
+    assert lazy._int_blocks == eager._int_blocks
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_dual_apply_solves_as_the_adjugate_blocks_apply(data):
+    """The image of a covector under the dual at a point, by one solve
+    against R, equals its image under the dual's adjugate blocks, or both
+    raise SingularMatrixError; the lazy dual equals the adjugate one.  phi's
+    plan may hold x already (as after `phi.apply` there), another point, or
+    nothing."""
+    phi, x, rng = _dual_apply_case(data)
+    warm = data.draw(st.sampled_from(("none", "x", "elsewhere")), label="plan holds")
+    if warm != "none":
+        point = x if warm == "x" else tuple(v + 1 for v in x)
+        phi.apply(_Sampler(rng, phi.source).element(x=point))
+    _check_dual_apply(phi, x, rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_dual_apply_of_a_pointwise_morphism(data):
+    """The same equality for the dual of a pointwise inverse, whose blocks
+    at x come from its own `at`."""
+    phi, x, rng = _dual_apply_case(data)
+    b, vars = phi.source, phi.source.chart.names
+    square = DVBMorphism(
+        b,
+        b,
+        random_unimodular_matrix(rng, vars, b.n_F, 1),
+        random_unimodular_matrix(rng, vars, b.n_C, 1),
+        phi.phi_r,
+        tuple(tuple(random_poly_vector(rng, vars, b.n_F, 1) for _ in range(b.n_E)) for _ in range(b.n_C)),
+    )
+    inverse = invert_morphism(square)
+    try:
+        inverse.at(x)
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            right_dual_morphism(inverse).at(x)
+        return
+    assert _check_dual_apply(inverse, x, rng)
+
+
+def test_dual_apply_checks_its_element():
+    dual = right_dual_morphism(scalar_morphism(2, 3, 5, 7))
+    fm = dual.at((1,))
+    with pytest.raises(BaseMismatchError, match="^element bundle differs from morphism source$"):
+        fm.apply(B.element((1,), (1,), (2,), (3,)))
+    with pytest.raises(BaseMismatchError, match="^element base point differs from block point$"):
+        fm.apply(right_dual(B).element((2,), (1,), (2,), (3,)))
+    # (e | p | q) = (5 | 1 | 1) goes to (e/5 | 2 p + 7 q e/5 | 3 q) = (1 | 9 | 3)
+    image = fm.apply(right_dual(B).element((1,), (5,), (1,), (1,)))
+    assert (image.f, image.c, image.e) == ((1,), (9,), (3,))
+    with pytest.raises(ValueError, match="^point arity 2 vs chart dim 1$"):
+        dual.at((1, 2))
 
 
 def test_polynomial_dual_matches_pointwise():

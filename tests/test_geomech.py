@@ -72,7 +72,14 @@ from dvbcalc.geomech import (
     vf_linearity_on_cotangent,
 )
 from dvbcalc.ring import MultiPoly, PolyMatrix
-from dvbcalc.scenario import Scenario, random_connection, random_metric, random_poly
+from dvbcalc.scenario import (
+    Scenario,
+    random_connection,
+    random_metric,
+    random_one_form,
+    random_poly,
+    random_vector_field,
+)
 from polys import poly_from_dict
 
 CHART1 = Chart.of_dim(1)
@@ -810,6 +817,23 @@ def test_section_view_matches_field_through_the_flip():
     section = linear_vf_as_section(field)
     x, e = (Fraction(2),), (Fraction(3),)
     assert section.at(x, e).flip() == field.as_general()._tangent_image(x, _slots_of(e))
+
+
+def test_each_record_builds_its_shell_once():
+    """Every tangent image of a field, and every cotangent image of a form,
+    lives in one shell bundle object, built once per record."""
+    rng = random.Random(5)
+    vb = VectorBundle(Chart.of_dim(2), 2, "E")
+    field, form = random_vector_field(rng, vb, 2), random_one_form(rng, vb, 2)
+    s = _Sampler(rng, tangent_prolongation(vb))
+    images = []
+    for _ in range(3):
+        x, e = s.sample(vb.rank)
+        images.append((field._tangent_image(x, e), form._cotangent_image(x, e)))
+    (tan, cot), *rest = images
+    assert tan.bundle == tangent_prolongation(vb) and cot.bundle == cotangent_prolongation(vb)
+    for t, c in rest:
+        assert t.bundle is tan.bundle and c.bundle is cot.bundle
 
 
 # ---------------------------------------------------------------------------

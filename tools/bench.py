@@ -29,7 +29,10 @@ It runs, one after another and never in parallel:
   time of one `scenario_from_text` pass and of one `scenario_to_text` pass
   over the scenarios just parsed, whose text must be the one read;
 * `dvb check duality` and `dvb check third-dual` on the worst-case file
-  dense8t3, `load_scenario` of dense8t12 (printing the loaded scenario's
+  dense8t3, the duality suite's adjoint contract (duality.05) alone on
+  dense8t3 in one interpreter, whose record adds the property's own
+  in-process seconds (`in_process_s`, read from the script's stderr) to the
+  process wall time, `load_scenario` of dense8t12 (printing the loaded scenario's
   text, so its digest pins the parse of 32-digit coefficients), `load_scenario` of vanish6 and of
   vanish8 (whose `Phi_r` determinants vanish at the parser's first witness
   point, so their certificates take a second one), `dvb check axioms` on
@@ -206,6 +209,21 @@ outer, inner = map(load_scenario, sys.argv[1:])
 composite = compose_morphisms(outer.morphism, inner.morphism)
 print(scenario_to_text(dataclasses.replace(outer, morphism=composite)), end="")
 """
+# prints the report body of duality.05 run alone on the loaded scenario, and
+# on stderr the seconds the property took in this process
+DUALITY_05 = """
+import sys, time
+from dvbcalc import suites
+from dvbcalc.scenario import load_scenario
+
+scenario = load_scenario(sys.argv[1])
+rows = [row for row in suites._DUALITY if row[0] == "duality.05.adjoint-contract"]
+start = time.perf_counter()
+report = suites._report("duality", scenario, rows)
+print(f"in-process: {time.perf_counter() - start} s", file=sys.stderr)
+print(report.body(), end="")
+"""
+IN_PROCESS = re.compile(r"^in-process: (\S+) s$", re.M)
 # (record name, files from tools/worst_case.py, interpreter arguments before
 # the files' paths)
 WORST_CASE = (
@@ -214,6 +232,7 @@ WORST_CASE = (
         ("dense8t3",),
         ["-m", "dvbcalc.cli", "check", "duality", "--scenario"],
     ),
+    ("duality.05 dense8t3", ("dense8t3",), ["-c", DUALITY_05]),
     (
         "check third-dual dense8t3",
         ("dense8t3",),
@@ -347,16 +366,19 @@ def _worst_case(root: Path) -> dict:
         _timed(root, [sys.executable, "tools/worst_case.py", tmp])
         for name, stems, args in WORST_CASE:
             cmd = [sys.executable, *args, *[str(Path(tmp) / f"{stem}.json") for stem in stems]]
-            walls, codes, digests = [], [], set()
+            walls, inside, codes, digests = [], [], [], set()
             for _ in range(REPEATS):
                 wall, done = _run_src(root, cmd)
                 walls.append(wall)
+                inside += [float(s) for s in IN_PROCESS.findall(done.stderr)]
                 codes.append(done.returncode)
                 body = re.sub(r"^elapsed: \d+ ms\n", "", done.stdout, flags=re.M)
                 digests.add(hashlib.sha256(body.encode()).hexdigest())
             out[name] = {
                 "wall_s": _spread(walls), "exit_codes": codes, "body_sha256": sorted(digests),
             }
+            if inside:
+                out[name]["in_process_s"] = _spread(inside)
             print(f"{name}: median {out[name]['wall_s']['median']:.2f} s", flush=True)
     return out
 

@@ -625,8 +625,8 @@ def _bareiss(matrix, columns):
     det(matrix) = d prod(c) / prod(s) (only a determinant needs the
     products, which grow with the rows' own size), and for each column the
     integers y with matrix (y / d) = column (by Cramer's rule each is an
-    integer).  A singular
-    matrix has d = 0; with a column to solve for it raises SingularMatrixError.
+    integer).  A singular matrix has d = 0; with a column to solve for it
+    raises SingularMatrixError.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix) or any(len(col) != n for col in columns):

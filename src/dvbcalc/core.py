@@ -53,10 +53,9 @@ Psi contraction over the core index is one product with the Psi planes
 flattened to rows.  Inverses and duals divide by block determinants: at a
 point `ring._adjugate` inverts a block as stored, in one elimination on its
 primitive rows, and over the chart `unimodular_inverse` inverts unimodular
-blocks.  A dual that is only applied at a point (`duality`) solves against
-its block instead and builds its inverted blocks only when they are read.
-Only morphisms with equal source and target ranks can be inverted.  One
-builder, `_signed_identity`, makes every morphism whose blocks are
+blocks.  A dual morphism's `apply` (`duality`) solves against its block
+instead.  Only morphisms with equal source and target ranks can be
+inverted.  One builder, `_signed_identity`, makes every morphism whose blocks are
 signed identities and whose Psi is zero: the identity, the side exchange
 and the canonical maps onto the third dual.  A connection's splitting is
 the tangent shell's identity with another Psi.
@@ -154,24 +153,17 @@ class DecomposedDVB:
     n_C: int
     n_E: int
     labels: tuple[str, str, str] = ("F", "C", "E")
-    # Made on first use and kept, outside equality and repr: the dataclass
-    # hash of the fields above, the right dual (`duality.right_dual` fills
-    # it) and the flip, whose flip is this bundle.  So the pairings, the dual
-    # morphisms and the flipped elements of one bundle all meet one dual and
-    # one flip object, and compare them by identity.
-    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    # Made on first use and kept, outside equality, hash and repr: the right
+    # dual (`duality.right_dual` fills it) and the flip, whose flip is this
+    # bundle.  So the pairings, the dual morphisms and the flipped elements
+    # of one bundle all meet one dual and one flip object, and compare them
+    # by identity.
     _right_dual: DecomposedDVB | None = field(default=None, init=False, repr=False, compare=False)
     _flip: DecomposedDVB | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for rank in (self.n_F, self.n_C, self.n_E):
             _check_rank(rank)
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            key = (self.chart, self.n_F, self.n_C, self.n_E, self.labels)
-            object.__setattr__(self, "_hash", hash(key))
-        return self._hash
 
     @property
     def ranks(self) -> tuple[int, int, int]:
@@ -797,7 +789,7 @@ def compose_morphisms(outer: DVBMorphism, inner: DVBMorphism) -> DVBMorphism:
     return DVBMorphism._from_blocks(inner.source, outer.target, blocks)
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, init=False)
 class FiberMorphism:
     """Morphism blocks evaluated at one base point: exact rational data.
 
@@ -805,11 +797,7 @@ class FiberMorphism:
     lowest terms, so equal blocks are equal tuples; `l`, `c`, `r` and `psi`
     are their `Fraction` views, made on first read.  Only `_of_blocks`
     builds one, for `DVBMorphism.at`, `PointwiseMorphism.at` and the block
-    algebra (`after`, `inverse`, `duality.fiber_right_dual`); the right
-    dual of a morphism at a point (`duality.right_dual_morphism`) is a
-    subclass that builds its blocks on first read.  Two fiber morphisms
-    are equal when their bundles, points and blocks are, whichever class
-    made them.
+    algebra (`after`, `inverse`, `duality.fiber_right_dual`).
     """
 
     source: DecomposedDVB
@@ -832,17 +820,6 @@ class FiberMorphism:
     psi = cached_property(
         lambda self: _planes(_frac_rows(self._int_blocks[3]), self.source.n_E, self.source.n_F)
     )
-
-    def _key(self):
-        return self.source, self.target, self.x, self._int_blocks
-
-    def __eq__(self, other):
-        if not isinstance(other, FiberMorphism):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def _int_blocks_at(self, x: Point):
         if x != self.x:

@@ -20,21 +20,21 @@ Transporting a dualized morphism back through the canonical maps recovers
 its inverse, while transporting through the plain slot identification does
 not once the bilinear block is nonzero.
 
-Dual morphisms divide by the right block R, so they are pointwise objects; a
-polynomial route exists when that block is unimodular.  At a point the dual
-of phi holds phi's own integer blocks there and applies itself by solving
-R y = e for the one E point of the element, with one fraction-free
-elimination and a single right-hand side (solving rather than inverting:
-Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 14.1).
-Its own blocks, with R inverted whole, are built only when they are read,
-by equality, composition, inversion or the `Fraction` views.
+Dual morphisms divide by the right block R, so they are pointwise objects
+and exist only for a square R; a polynomial route exists when that block is
+unimodular.  The dual of phi keeps phi: its blocks at a point invert R
+whole, while its `apply` reads phi's own integer blocks at the element's
+point and solves R y = e for the one E point of the element, with one
+fraction-free elimination and a single right-hand side (solving rather than
+inverting: Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+ed., 14.1).
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from operator import mul
 
 from .core import (
@@ -136,11 +136,11 @@ def pair_l(v: DVBElement, b: DVBElement) -> Fraction:
 # ---------------------------------------------------------------------------
 # Dual morphisms
 
-def _dual_blocks(blocks, source, target):
-    """The integer blocks of the right dual at a point, from the integer
-    `blocks` there of a morphism source -> target: R is inverted whole, in
-    one elimination of [R | den I]."""
-    return _right_dual_blocks(blocks, _adjugate(blocks[2]), source, target, _int_mul)
+def _check_square_right(phi) -> None:
+    """Refuse a morphism whose R block is not square: its right dual would
+    divide by a block with no inverse."""
+    if phi.source.n_E != phi.target.n_E:
+        raise ValueError("only morphisms with equal source and target E ranks have a right dual")
 
 
 def fiber_right_dual(fm: FiberMorphism) -> FiberMorphism:
@@ -148,30 +148,31 @@ def fiber_right_dual(fm: FiberMorphism) -> FiberMorphism:
 
     The new left block is the inverse of the old right block, and the new
     core and right blocks are the transposes of the old left and core blocks.
+    R is inverted whole, in one elimination of [R | den I].
     """
-    blocks = _dual_blocks(fm._int_blocks, fm.source, fm.target)
+    _check_square_right(fm)
+    blocks = fm._int_blocks
+    blocks = _right_dual_blocks(blocks, _adjugate(blocks[2]), fm.source, fm.target, _int_mul)
     return FiberMorphism._of_blocks(right_dual(fm.target), right_dual(fm.source), fm.x, blocks)
 
 
-class _DualFiber(FiberMorphism):
-    """The right dual of a morphism phi at one point, which holds phi's
-    integer blocks there (`_of`: the blocks, phi's source and target).
+def _blocks_at(phi, x: Point):
+    """phi's integer blocks at x: a block morphism's from its plan, which
+    keeps the last point it evaluated (phi.apply's, in the adjoint checks),
+    and another morphism's from phi.at(x)."""
+    if isinstance(phi, DVBMorphism):
+        return phi._plan.at(phi.source.chart.point(x))
+    return phi.at(x)._int_blocks
 
-    `apply` solves against R once.  The blocks, which equality, `after`,
-    `inverse` and the views read, are `fiber_right_dual`'s, built on first
-    read, so the object equals `fiber_right_dual(phi.at(x))`.  Both routes
-    raise SingularMatrixError where R is singular.
-    """
 
-    @staticmethod
-    def _of_phi(source, target, x, of) -> _DualFiber:
-        fm = object.__new__(_DualFiber)
-        vars(fm).update(source=source, target=target, x=x, _of=of)
-        return fm
+@dataclass(frozen=True)
+class _RightDual(PointwiseMorphism):
+    """The right dual of phi.  At x it is `fiber_right_dual(phi.at(x))`;
+    `apply` solves against phi's R at the element's point once instead, so
+    an image never inverts R.  Both raise SingularMatrixError where R is
+    singular."""
 
-    @cached_property
-    def _int_blocks(self):
-        return tuple(map(_lowest, _dual_blocks(*self._of)))
+    phi: DVBMorphism | PointwiseMorphism
 
     def apply(self, a: DVBElement) -> DVBElement:
         """(e | p | q) -> (y | L^T p + sum_g q_g Psi[g]^T y | C^T q) with
@@ -180,9 +181,7 @@ class _DualFiber(FiberMorphism):
         b, x, (en, ed), (pn, pd), (qn, qd) = a._key
         if b is not self.source and b != self.source:
             raise BaseMismatchError("element bundle differs from morphism source")
-        if x != self.x:
-            raise BaseMismatchError("element base point differs from block point")
-        (l, c, (rn, r_den), psi), source, _ = self._of
+        l, c, (rn, r_den), psi = _blocks_at(self.phi, x)
         # a plan's blocks share one denominator: L, C and Psi are put in
         # lowest terms first, while the elimination reduces each row of R
         (ln, l_den), (cn, c_den), (psi, psi_den) = map(_lowest, (l, c, psi))
@@ -190,6 +189,7 @@ class _DualFiber(FiberMorphism):
         # R (y / d) = e numerators, so R^-1 e = y / (d ed)
         if d < 0:
             d, y = -d, [-v for v in y]
+        source = self.phi.source
         y_den, n_f = d * ed, source.n_F
         q_psi = [sum(map(mul, qn, column)) for column in transpose(psi, source.n_E * n_f)]
         left, right = qd * psi_den * y_den, l_den * pd
@@ -206,33 +206,23 @@ class _DualFiber(FiberMorphism):
         )
 
 
-def _blocks_at(phi, x: Point):
-    """phi's integer blocks at x: a block morphism's from its plan, which
-    keeps the last point it evaluated (phi.apply's, in the adjoint checks),
-    and another morphism's from phi.at(x)."""
-    if isinstance(phi, DVBMorphism):
-        return phi._plan.at(phi.source.chart.point(x))
-    return phi.at(x)._int_blocks
-
-
 def right_dual_morphism(phi) -> PointwiseMorphism:
     """Right dual of an isomorphism as a pointwise morphism.
 
-    Accepts a block morphism or another pointwise morphism.  The adjoint
-    contract pins the convention: pairing phi(v) against a equals pairing v
-    against the dual image of a, whenever the projections match.  At x it
-    gives a `_DualFiber`, which holds phi's blocks there.
+    Accepts a block morphism or another pointwise morphism, and keeps it as
+    `phi`.  The adjoint contract pins the convention: pairing phi(v) against
+    a equals pairing v against the dual image of a, whenever the projections
+    match.
     """
-    source, target = right_dual(phi.target), right_dual(phi.source)
-    return PointwiseMorphism(
-        source,
-        target,
-        lambda x: _DualFiber._of_phi(source, target, x, (_blocks_at(phi, x), phi.source, phi.target)),
+    _check_square_right(phi)
+    return _RightDual(
+        right_dual(phi.target), right_dual(phi.source), lambda x: fiber_right_dual(phi.at(x)), phi
     )
 
 
 def right_dual_morphism_poly(phi: DVBMorphism) -> DVBMorphism:
     """Polynomial right dual, available when the right block is unimodular."""
+    _check_square_right(phi)
     blocks = phi._blocks()
     rinv = _unimodular_inverse(blocks[2][0], phi.source.chart.dim)
     if rinv is None:

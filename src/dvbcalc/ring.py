@@ -69,7 +69,7 @@ values at the origin and at (1, ..., 1) differ is rejected first, by
 the integer rows to `_bareiss`.  Every other determinant, inverse and
 linear solve is done on rationals by that one routine (`det_frac`,
 `solve_fraction_free`, `mat_inverse_frac`, the block inverse `_adjugate`,
-the one-column solve of `duality`'s dual apply at a point, and
+the one-column solve of `duality`'s dual morphism `apply`, and
 `_identically_singular`, the determinant certificate of the scenario
 reader's morphism blocks and of `geomech.Metric`, read it), and it alone
 turns their rows into integers: it clears each row's denominators, divides
@@ -844,11 +844,9 @@ def _unit_table(nvars: int) -> dict[int, _Pairs]:
 def _unimodular_inverse(rows, nvars: int):
     """The inverse of a square kernel-form matrix over `nvars` variables whose
     determinant is a nonzero constant, as its adjugate over that constant; None
-    for any other determinant or a matrix that is not square."""
+    for any other determinant.  Every caller checks that the matrix is square."""
     n = len(rows)
     zero = (0,) * nvars
-    if any(len(row) != n for row in rows):
-        return None
     # A constant determinant takes one value everywhere, so one that differs
     # between the origin and (1, ..., 1) is rejected before any minor table.
     at_origin, at_ones = _corner_dets(rows, zero)

@@ -101,7 +101,6 @@ from .geomech import (
     is_linear_poisson,
     is_metric_connection,
     is_symmetric_connection,
-    kappa_M,
     alpha_M,
     linear_vf_as_section,
     metric_identity,
@@ -455,9 +454,11 @@ def _dual_bundle_axioms(sc: Scenario, s: _Sampler):
     return True, "the right dual satisfies the double bundle axioms", None
 
 
-def _adjoint_loop(s: _Sampler, phi, dual, count: int, fails: str, passes: str):
-    """<phi(v), a> = <v, dual(a)> at `count` regular points, drawing x, then v
-    over phi's source, then a over the dual of phi's target above phi(v)."""
+def _adjoint_loop(s: _Sampler, dual, count: int, fails: str, passes: str):
+    """<phi(v), a> = <v, dual(a)> at `count` regular points for the right dual
+    `dual` of phi, drawing x, then v over phi's source, then a over the dual
+    of phi's target above phi(v)."""
+    phi = dual.phi
     on_source, on_dual = s.over(phi.source), s.over(right_dual(phi.target))
 
     def sample():
@@ -465,16 +466,15 @@ def _adjoint_loop(s: _Sampler, phi, dual, count: int, fails: str, passes: str):
         x = v.x
         image = phi.apply(v)
         a = on_dual.element(x=x, f=image._e)
-        if not _same(_pair(image, a), _pair(v, dual.at(x).apply(a))):
+        if not _same(_pair(image, a), _pair(v, dual.apply(a))):
             return False, fails, {"x": x, "v": v, "a": a}
 
     return s.regular_points(count, sample, (True, passes, None))
 
 
 def _adjoint_contract(sc: Scenario, s: _Sampler):
-    phi = sc.section("morphism")
     return _adjoint_loop(
-        s, phi, right_dual_morphism(phi), sc.samples, "adjoint contract fails",
+        s, right_dual_morphism(sc.section("morphism")), sc.samples, "adjoint contract fails",
         f"pairing against the dual image matches on {sc.samples} samples",
     )
 
@@ -947,7 +947,7 @@ def _side_exchange_adjoint(sc: Scenario, s: _Sampler):
         return True, "point chart; vacuous", None
     rounds = max(1, sc.samples // 5)
     return _adjoint_loop(
-        s, kappa_M(sc.chart), alpha_M(sc.chart), rounds, "side exchange adjoint contract fails",
+        s, alpha_M(sc.chart), rounds, "side exchange adjoint contract fails",
         f"double tangent exchange is adjoint to its dual on {rounds} samples",
     )
 

@@ -24,6 +24,7 @@ from dvbcalc.core import (
     invert_morphism,
     psi_zero,
 )
+from dvbcalc import duality
 from dvbcalc.duality import (
     _pair,
     _relation_holds,
@@ -167,7 +168,7 @@ def test_right_dual_is_made_once_per_bundle_object():
         "labels=('A', 'B*', 'C'))"
     )
     for copy in (replace(b), replace(b, labels=("A", "B", "C"))):
-        assert (copy._hash, copy._right_dual, copy._flip) == (None, None, None)
+        assert (copy._right_dual, copy._flip) == (None, None)
         assert right_dual(copy) is not dual
     assert right_dual(replace(b)) == dual
 
@@ -367,7 +368,7 @@ def test_pointwise_dual_algebra_makes_no_fraction():
         image = phi.apply(v)
         a = s.over(right_dual(B234)).element(x=x, f=image._e)
         pulled = fiber_right_dual(fm).apply(a)
-        solved = right_dual_morphism(phi).at(x).apply(a)
+        solved = right_dual_morphism(phi).apply(a)
         adjoint = _same(_pair(image, a), _pair(v, pulled))
         round_trip = fm.inverse().after(fm) == identity.at(x)
     finally:
@@ -437,23 +438,24 @@ def _dual_apply_case(data):
 
 
 def _check_dual_apply(phi, x, rng):
-    """The solve route of `right_dual_morphism(phi).at(x)` against the
-    adjugate route of `fiber_right_dual(phi.at(x))`."""
-    lazy = right_dual_morphism(phi).at(x)
-    assert isinstance(lazy, FiberMorphism)
+    """The solve route of `right_dual_morphism(phi).apply` against the
+    adjugate route of `fiber_right_dual(phi.at(x))`, which is the dual's
+    own `at(x)`.  The solve runs first, so it meets phi's plan as the
+    caller left it."""
+    dual = right_dual_morphism(phi)
     a = _Sampler(rng, right_dual(phi.target)).element(x=x)
     try:
-        eager = fiber_right_dual(phi.at(x))
+        solved = dual.apply(a)
     except SingularMatrixError:
         with pytest.raises(SingularMatrixError):
-            lazy.apply(a)
+            fiber_right_dual(phi.at(x))
         with pytest.raises(SingularMatrixError):
-            lazy.l
+            dual.at(x)
         return False
-    assert lazy.apply(a) == eager.apply(a)
-    assert lazy == eager and eager == lazy and hash(lazy) == hash(eager)
-    assert (lazy.l, lazy.c, lazy.r, lazy.psi) == (eager.l, eager.c, eager.r, eager.psi)
-    assert lazy._int_blocks == eager._int_blocks
+    eager = fiber_right_dual(phi.at(x))
+    assert solved == eager.apply(a)
+    fm = dual.at(x)
+    assert type(fm) is FiberMorphism and fm == eager and hash(fm) == hash(eager)
     return True
 
 
@@ -501,13 +503,16 @@ def test_dual_apply_of_a_pointwise_morphism(data):
 def test_dual_apply_checks_its_element():
     dual = right_dual_morphism(scalar_morphism(2, 3, 5, 7))
     fm = dual.at((1,))
-    with pytest.raises(BaseMismatchError, match="^element bundle differs from morphism source$"):
-        fm.apply(B.element((1,), (1,), (2,), (3,)))
+    for route in (dual, fm):
+        with pytest.raises(BaseMismatchError, match="^element bundle differs from morphism source$"):
+            route.apply(B.element((1,), (1,), (2,), (3,)))
     with pytest.raises(BaseMismatchError, match="^element base point differs from block point$"):
         fm.apply(right_dual(B).element((2,), (1,), (2,), (3,)))
     # (e | p | q) = (5 | 1 | 1) goes to (e/5 | 2 p + 7 q e/5 | 3 q) = (1 | 9 | 3)
-    image = fm.apply(right_dual(B).element((1,), (5,), (1,), (1,)))
+    a = right_dual(B).element((1,), (5,), (1,), (1,))
+    image = dual.apply(a)
     assert (image.f, image.c, image.e) == ((1,), (9,), (3,))
+    assert fm.apply(a) == image
     with pytest.raises(ValueError, match="^point arity 2 vs chart dim 1$"):
         dual.at((1, 2))
 
@@ -542,8 +547,45 @@ def test_polynomial_dual_needs_unimodular_right_block():
         PolyMatrix(vars, ((one, one),)),
         psi_zero(vars, 1, 2, 1),
     )
-    with pytest.raises(ValueError, match="right block is not unimodular"):
+    with pytest.raises(ValueError, match="^only morphisms with equal source and target E ranks"):
         right_dual_morphism_poly(wide)
+
+
+def test_dual_needs_equal_e_ranks():
+    """phi from (1, 1, 2) to (1, 1, 0) over a point chart has an R with no
+    rows: every dual route refuses it, rather than give an element with an
+    empty F slot."""
+    point = Chart.of_dim(0)
+    source, target = DecomposedDVB(point, 1, 1, 2), DecomposedDVB(point, 1, 1, 0)
+    vars = point.names
+    one = PolyMatrix.identity(vars, 1)
+    phi = DVBMorphism(
+        source, target, one, one, PolyMatrix(vars, ()), psi_zero(vars, 1, 2, 1)
+    )
+    fm = phi.at(())
+    message = "^only morphisms with equal source and target E ranks have a right dual$"
+    for route in (fiber_right_dual, right_dual_morphism, right_dual_morphism_poly):
+        with pytest.raises(ValueError, match=message):
+            route(fm if route is fiber_right_dual else phi)
+
+
+def test_dual_apply_inverts_no_block(monkeypatch):
+    """The dual's `apply` solves against R; only its `at` inverts R."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return adjugate(*args)
+
+    adjugate = duality._adjugate
+    monkeypatch.setattr(duality, "_adjugate", counting)
+    phi = random_iso(random.Random(89), B234)
+    dual = right_dual_morphism(phi)
+    x = (rat("1/2"), rat(-3))
+    a = right_dual(B234).element(x, (1, 2, 3, 4), (5, 6), (7, 8, 9))
+    image = dual.apply(a)
+    assert calls == []
+    assert dual.at(x).apply(a) == image and len(calls) == 1
 
 
 # -- canonical maps to the third dual ----------------------------------------

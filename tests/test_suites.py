@@ -606,6 +606,24 @@ def test_scalar_worked_example_evaluates_once_and_pulls_back_once_per_covector(m
     assert counts == {"at": 1, "apply": 250}
 
 
+def test_side_exchange_adjoint_builds_one_exchange_per_run(monkeypatch):
+    """geometry.12 builds `kappa_M` once, inside `alpha_M`, and takes phi
+    back from the dual."""
+    counts = _count_calls(monkeypatch, [(geomech, "kappa_M")])
+    runs = 0
+    for seed in range(6):
+        sc = gen_random_scenario(seed)
+        if sc.chart.dim == 0:
+            continue
+        result = _run_property(
+            "geometry.12.side-exchange-adjoint", sc, suites._side_exchange_adjoint
+        )
+        assert result.passed, result.detail
+        runs += 1
+        assert counts["kappa_M"] == runs
+    assert runs > 0
+
+
 def _exchange_negating_the_core(bundle):
     # a defect in the side-exchange diagram only: the coordinate and
     # isotropy channels never read the exchange

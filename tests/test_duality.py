@@ -462,10 +462,10 @@ def _check_dual_apply(phi, x, rng):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_dual_apply_solves_as_the_adjugate_blocks_apply(data):
-    """The image of a covector under the dual at a point, by one solve
-    against R, equals its image under the dual's adjugate blocks, or both
-    raise SingularMatrixError; the lazy dual equals the adjugate one.  phi's
-    plan may hold x already (as after `phi.apply` there), another point, or
+    """The image of a covector under the dual morphism, by one solve
+    against R, equals its image under the dual's adjugate blocks at the
+    covector's point, or both raise SingularMatrixError.  phi's plan may
+    hold x already (as after `phi.apply` there), another point, or
     nothing."""
     phi, x, rng = _dual_apply_case(data)
     warm = data.draw(st.sampled_from(("none", "x", "elsewhere")), label="plan holds")

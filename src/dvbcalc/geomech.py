@@ -12,14 +12,14 @@ cotangent shell K(E*, TM*, E) respect both bundle structures.  Shape
 predicates are decided exactly on polynomial degrees; structure predicates
 are sampled at rational points and checked exactly: each draws through a
 `core._Sampler` over its seed, and keeps fiber values as slot vectors.
-One sampled checker, `_respects_both_structures`, decides "respects both
-structures" for maps into a shell: the contraction of a bivector, and a
-double-linear function (a momentum or velocity function) as the map
-w -> (x | () | value(w) | ()) into the core line L = (0 | Q | 0), whose
-two structures both add and scale its core slot; per structure it asks
-`_respects`, which the `axioms` suite asks of its morphism with its own
-draws.  One more, `_section_is_bundle_morphism`, decides whether a field or
-form is a bundle morphism into its shell.
+A vector field and a one-form are both sections of a shell (`_ShellSection`),
+tested as bundle morphisms into it and by their double-linear function on
+the other shell.  One sampled checker, `_respects_both_structures`, decides
+"respects both structures" for maps into a shell: the contraction of a
+bivector, and a double-linear function as a map into the core line
+L = (0 | Q | 0), whose two structures both add and scale its core slot; per
+structure it asks `_respects`, which the `axioms` suite asks of its morphism
+with its own draws.
 
 Connection conventions: the splitting sends (x | xdot | edot | e) to
 (x | xdot | edot + Gamma(xdot, e) | e) with a plus sign, and the dual
@@ -157,8 +157,7 @@ def _respects_both_structures(shell: DecomposedDVB, image, samples: int, seed: i
     Each sample draws x, e, e2, f, f2, c, c2, r in that order, in one call,
     and builds u = (x | f | c | e), v = (x | f2 | c2 | e) sharing e with u,
     and w = (x | f | c2 | e2) sharing f with u, on slot vectors, and asks
-    `_respects` of the right structure on (u, v), then of the left on (u, w);
-    a double-linear function is checked as a map into the core line (`_into_line`).
+    `_respects` of the right structure on (u, v), then of the left on (u, w).
     """
     s = _Sampler(random.Random(seed), shell)
     n_f, n_c, n_e = shell.ranks
@@ -176,44 +175,69 @@ def _respects_both_structures(shell: DecomposedDVB, image, samples: int, seed: i
     return True
 
 
-def _into_line(shell: DecomposedDVB, value):
-    """w -> (x | () | value(w) | ()) from `shell` into the core line over its
-    chart, where `value` maps w's key to an unreduced ratio like `_pairing`'s."""
-    line, none = DecomposedDVB(shell.chart, 0, 1, 0), _zero_slots(0)
+class _ShellSection:
+    """A section e -> (x | f | c | e) of one shell, rows (f, c) over (x, e).
 
-    def image(w: DVBElement) -> DVBElement:
-        num, den = value(w._key)
-        return DVBElement._of_slots(line, w._key[1], none, _reduced((num,), den), none)
-
-    return image
-
-
-def _section_is_bundle_morphism(bundle: VectorBundle, image, samples: int, seed: int) -> bool:
-    """Sampled test that e -> image(x, e) is a morphism for the left structure.
-
-    `image` takes a fiber slot vector.  The images of two fiber points over
-    one base point must share their left leg, and the image must turn fiber
-    sums and scalings into left sums and scalings of the target shell.
+    A vector field has (f, c) = (base, vert) in the tangent shell, a one-form
+    (de, dx) in the cotangent shell, its right dual flipped; so each has a
+    double-linear function w -> f.c(w) + c.f(w) on the other shell (a
+    momentum or a velocity).  `_shells` builds its own and the other shell.
     """
-    s = _Sampler(random.Random(seed), bundle)
-    for _ in range(samples):
-        x, e1, e2, r = s.sample(bundle.rank, bundle.rank, 1)
-        r = _scalar(r)
-        v1, v2 = image(x, e1), image(x, e2)
-        if v1._f != v2._f:
-            return False
-        if image(x, _vec_add(e1, e2)) != _left_add(v1, v2):
-            return False
-        if image(x, _vec_scale(r.numerator, r.denominator, e1)) != _left_scale(r, v1):
-            return False
-    return True
+
+    _plan = cached_property(lambda self: _EvalPlan((self._rows,), sum(map(len, self._rows))))
+    # the shell every image lives in, built once per record
+    _shell = cached_property(lambda self: self._shells[0](self.bundle))
+
+    def _image(self, x, e) -> DVBElement:  # e a slot vector
+        (f, c), den = self._plan.at(x, e)[0]
+        return DVBElement._of_slots(self._shell, x, _reduced(f, den), _reduced(c, den), e)
+
+    def _value(self, key) -> tuple[int, int]:
+        """The double-linear function at a key of the other shell, as `_pairing`'s ratio."""
+        _, x, key_f, key_c, e = key
+        (f, c), den = self._plan.at(x, e)[0]
+        return _pairing((f, den), key_c, (c, den), key_f)
+
+    def _linear_shape(self) -> bool:
+        """Exact shape test: f e-free, c homogeneous of e-degree 1."""
+        n, (f, c) = self.bundle.chart.dim, self._rows
+        return _of_fiber_degree(f, n, 0) and _of_fiber_degree(c, n, 1)
+
+    def _is_bundle_morphism(self, samples: int, seed: int) -> bool:
+        """Sampled test that e -> image(x, e) is a morphism for the left structure:
+        images over one base point share their left leg, and fiber sums and
+        scalings go to left sums and scalings of the shell."""
+        image, s = self._image, _Sampler(random.Random(seed), self.bundle)
+        for _ in range(samples):
+            x, e1, e2, r = s.sample(self.bundle.rank, self.bundle.rank, 1)
+            r = _scalar(r)
+            v1, v2 = image(x, e1), image(x, e2)
+            if v1._f != v2._f:
+                return False
+            if image(x, _vec_add(e1, e2)) != _left_add(v1, v2):
+                return False
+            if image(x, _vec_scale(r.numerator, r.denominator, e1)) != _left_scale(r, v1):
+                return False
+        return True
+
+    def _linearity(self, samples: int, seed: int) -> bool:
+        """Sampled test that w -> (x | () | value(w) | ()), from the other shell into
+        the core line over its chart, respects both structures of the other shell."""
+        other = self._shells[1](self.bundle)
+        line, none = DecomposedDVB(other.chart, 0, 1, 0), _zero_slots(0)
+
+        def image(w: DVBElement) -> DVBElement:
+            num, den = self._value(w._key)
+            return DVBElement._of_slots(line, w._key[1], none, _reduced((num,), den), none)
+
+        return _respects_both_structures(other, image, samples, seed)
 
 
 # ---------------------------------------------------------------------------
 # Vector fields on the total space
 
 @dataclass(frozen=True)
-class GeneralVectorField:
+class GeneralVectorField(_ShellSection):
     """Vector field on the total space: base and fiber components in (x, e)."""
 
     bundle: VectorBundle
@@ -225,23 +249,8 @@ class GeneralVectorField:
         _check_grid("base", self.base, (self.bundle.chart.dim,), vars)
         _check_grid("vert", self.vert, (self.bundle.rank,), vars)
 
-    # one plan for both rows, over the total space (x, e)
-    _plan = cached_property(
-        lambda self: _EvalPlan(((self.base, self.vert),), len(self.base) + len(self.vert))
-    )
-    # the shell every image lives in, built once per field
-    _shell = cached_property(lambda self: tangent_prolongation(self.bundle))
-
-    def _tangent_image(self, x, e) -> DVBElement:  # e a slot vector
-        (xdot, edot), den = self._plan.at(x, e)[0]
-        return DVBElement._of_slots(self._shell, x, _reduced(xdot, den), _reduced(edot, den), e)
-
-    def _momentum(self, key) -> tuple[int, int]:
-        """The momentum function at a cotangent shell key, as `_pairing`'s ratio:
-        the right pairing of the field's tangent image with the flipped key."""
-        _, x, phi, p, e = key
-        (xdot, edot), den = self._plan.at(x, e)[0]
-        return _pairing(p, (xdot, den), phi, (edot, den))
+    _rows = property(lambda self: (self.base, self.vert))
+    _shells = (tangent_prolongation, cotangent_prolongation)
 
 
 @dataclass(frozen=True)
@@ -266,8 +275,7 @@ class LinearVectorField:
 
 def is_degree_zero(field: GeneralVectorField) -> bool:
     """Exact shape test: base e-free, vertical part homogeneous of e-degree 1."""
-    n = field.bundle.chart.dim
-    return _of_fiber_degree(field.base, n, 0) and _of_fiber_degree(field.vert, n, 1)
+    return field._linear_shape()
 
 
 def vf_is_bundle_morphism(field: GeneralVectorField, samples: int = 40, seed: int = 0) -> bool:
@@ -277,20 +285,19 @@ def vf_is_bundle_morphism(field: GeneralVectorField, samples: int = 40, seed: in
     (base components independent of e) and be additive and homogeneous in e
     with respect to the left structure of the tangent shell.
     """
-    return _section_is_bundle_morphism(field.bundle, field._tangent_image, samples, seed)
+    return field._is_bundle_morphism(samples, seed)
 
 
 def vf_linearity_on_cotangent(field: GeneralVectorField, samples: int = 40, seed: int = 0) -> bool:
     """Sampled linearity of the momentum function under both shell structures."""
-    cot = cotangent_prolongation(field.bundle)
-    return _respects_both_structures(cot, _into_line(cot, field._momentum), samples, seed)
+    return field._linearity(samples, seed)
 
 
 # ---------------------------------------------------------------------------
 # One-forms on the total space
 
 @dataclass(frozen=True)
-class GeneralOneForm:
+class GeneralOneForm(_ShellSection):
     """One-form on the total space: dx and de coefficients in (x, e)."""
 
     bundle: VectorBundle
@@ -302,26 +309,8 @@ class GeneralOneForm:
         _check_grid("dx", self.dx_coeffs, (self.bundle.chart.dim,), vars)
         _check_grid("de", self.de_coeffs, (self.bundle.rank,), vars)
 
-    # one plan for both rows, over the total space (x, e)
-    _plan = cached_property(
-        lambda self: _EvalPlan(
-            ((self.dx_coeffs, self.de_coeffs),), len(self.dx_coeffs + self.de_coeffs)
-        )
-    )
-
-    # the shell every image lives in, built once per form
-    _shell = cached_property(lambda self: cotangent_prolongation(self.bundle))
-
-    def _cotangent_image(self, x, e) -> DVBElement:  # e a slot vector
-        (p, phi), den = self._plan.at(x, e)[0]
-        return DVBElement._of_slots(self._shell, x, _reduced(phi, den), _reduced(p, den), e)
-
-    def _velocity(self, key) -> tuple[int, int]:
-        """The velocity function at a tangent shell key, as `_pairing`'s ratio:
-        the right pairing of the key with the flipped cotangent image."""
-        _, x, xdot, edot, e = key
-        (p, phi), den = self._plan.at(x, e)[0]
-        return _pairing((p, den), xdot, (phi, den), edot)
+    _rows = property(lambda self: (self.de_coeffs, self.dx_coeffs))
+    _shells = (cotangent_prolongation, tangent_prolongation)
 
 
 @dataclass(frozen=True)
@@ -347,22 +336,17 @@ class LinearOneForm:
 
 def is_linear_oneform(form: GeneralOneForm) -> bool:
     """Exact shape test: de coefficients e-free, dx coefficients e-degree 1."""
-    n = form.bundle.chart.dim
-    return (
-        _of_fiber_degree(form.de_coeffs, n, 0)
-        and _of_fiber_degree(form.dx_coeffs, n, 1)
-    )
+    return form._linear_shape()
 
 
 def oneform_is_bundle_morphism(form: GeneralOneForm, samples: int = 40, seed: int = 0) -> bool:
     """Sampled test that e -> form(x, e) is a morphism into the cotangent shell."""
-    return _section_is_bundle_morphism(form.bundle, form._cotangent_image, samples, seed)
+    return form._is_bundle_morphism(samples, seed)
 
 
 def oneform_linearity_on_tangent(form: GeneralOneForm, samples: int = 40, seed: int = 0) -> bool:
     """Sampled linearity of the velocity function under both shell structures."""
-    tan = tangent_prolongation(form.bundle)
-    return _respects_both_structures(tan, _into_line(tan, form._velocity), samples, seed)
+    return form._linearity(samples, seed)
 
 
 # ---------------------------------------------------------------------------

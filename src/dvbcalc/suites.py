@@ -661,7 +661,7 @@ def _conjugated_transport_inverts(sc: Scenario, s: _Sampler):
             # where Psi vanishes; the first regular point alone checks this,
             # as the naive route costs three more eliminations a point
             contrasted = True
-            psi_vanishes = not any(p for plane in phi.at(x).psi for row in plane for p in row)
+            psi_vanishes = not any(p for row in phi.at(x)._int_blocks[3][0] for p in row)
             if (naive.at(x) == expected) != psi_vanishes:
                 return False, "naive identification disagrees with the bilinear block", {"x": x}
 

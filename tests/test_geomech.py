@@ -21,7 +21,7 @@ from dvbcalc.core import (
     _Sampler,
     _slots_of,
 )
-from dvbcalc.duality import ProjectionMismatchError, pair_r, right_dual
+from dvbcalc.duality import ProjectionMismatchError, _pair, _same, pair_r, right_dual
 from dvbcalc.forms import make_form
 from dvbcalc.geomech import (
     Bivector,
@@ -74,6 +74,7 @@ from dvbcalc.geomech import (
 from dvbcalc.ring import MultiPoly, PolyMatrix
 from dvbcalc.scenario import (
     Scenario,
+    gen_random_scenario,
     random_connection,
     random_metric,
     random_one_form,
@@ -317,7 +318,7 @@ def test_momentum_function_value():
     shell = cotangent_prolongation(VB11)
     w = shell.element((2,), (5,), (3,), (7,))
     # p * base + phi * vert with base = e = 7
-    assert Fraction(*field._momentum(w._key)) == 21
+    assert Fraction(*field._value(w._key)) == 21
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +338,7 @@ def test_linear_oneform_positive():
     # velocity function of e dx at (x | xdot | edot | e)
     shell = tangent_prolongation(VB11)
     w = shell.element((1,), (4,), (9,), (3,))
-    assert Fraction(*gen._velocity(w._key)) == 12
+    assert Fraction(*gen._value(w._key)) == 12
 
 
 def test_quadratic_dx_coefficient_fails_all_three():
@@ -816,7 +817,7 @@ def test_section_view_matches_field_through_the_flip():
     field = complete_tangent_lift(CHART1, (x1 * x1,))
     section = linear_vf_as_section(field)
     x, e = (Fraction(2),), (Fraction(3),)
-    assert section.at(x, e).flip() == field.as_general()._tangent_image(x, _slots_of(e))
+    assert section.at(x, e).flip() == field.as_general()._image(x, _slots_of(e))
 
 
 def test_each_record_builds_its_shell_once():
@@ -829,11 +830,32 @@ def test_each_record_builds_its_shell_once():
     images = []
     for _ in range(3):
         x, e = s.sample(vb.rank)
-        images.append((field._tangent_image(x, e), form._cotangent_image(x, e)))
+        images.append((field._image(x, e), form._image(x, e)))
     (tan, cot), *rest = images
     assert tan.bundle == tangent_prolongation(vb) and cot.bundle == cotangent_prolongation(vb)
     for t, c in rest:
         assert t.bundle is tan.bundle and c.bundle is cot.bundle
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_value_is_the_pairing_of_the_image_with_the_other_shell(symmetric):
+    """A field's `_value` at w in the cotangent shell is the right pairing of
+    its image with w flipped; a form's at w in the tangent shell is that of w
+    with its image flipped.  Generated records, bent draws included."""
+    bent = {"field": 0, "form": 0}
+    for seed in range(40):
+        sc = gen_random_scenario(seed, symmetric=symmetric)
+        field, form = sc.vector_field, sc.one_form
+        bent["field"] += not is_degree_zero(field)
+        bent["form"] += not is_linear_oneform(form)
+        s = _Sampler(random.Random(seed), tangent_prolongation(field.bundle))
+        for _ in range(5):
+            x, e = s.sample(field.bundle.rank)
+            w = s.over(cotangent_prolongation(field.bundle)).element(x=x, e=e)
+            assert _same(field._value(w._key), _pair(field._image(x, e), w.flip()))
+            w = s.over(tangent_prolongation(form.bundle)).element(x=x, e=e)
+            assert _same(form._value(w._key), _pair(w, form._image(x, e).flip()))
+    assert bent["field"] and bent["form"]
 
 
 # ---------------------------------------------------------------------------

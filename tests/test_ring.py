@@ -1250,18 +1250,18 @@ def test_vector_field_and_one_form_plans_match_per_entry_eval(case, rng):
     point = tuple(map(rat, x + e))
     base, vert = values(field.base, point), values(field.vert, point)
     x, e_slots = tuple(map(rat, x)), _slots_of(tuple(map(rat, e)))
-    image = field._tangent_image(x, e_slots)
+    image = field._image(x, e_slots)
     assert_lowest_terms(image)
     assert image == tan.element(x, base, vert, e)
     dx, de = values(form.dx_coeffs, point), values(form.de_coeffs, point)
-    image = form._cotangent_image(x, e_slots)
+    image = form._image(x, e_slots)
     assert_lowest_terms(image)
     assert image == cot.element(x, de, dx, e)
     n, k = vb.chart.dim, vb.rank
     p, phi, xdot, edot = (random_tuple(rng, m, 49) for m in (n, k, n, k))
-    value = Fraction(*field._momentum(cot.element(x, phi, p, e)._key))
+    value = Fraction(*field._value(cot.element(x, phi, p, e)._key))
     assert value == fraction_dot(p, base) + fraction_dot(phi, vert)
-    value = Fraction(*form._velocity(tan.element(x, xdot, edot, e)._key))
+    value = Fraction(*form._value(tan.element(x, xdot, edot, e)._key))
     assert value == fraction_dot(dx, xdot) + fraction_dot(de, edot)
 
 

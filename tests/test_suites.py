@@ -6,6 +6,7 @@ import random
 import re
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -334,6 +335,28 @@ def test_naive_contrast_holds_on_and_off_the_zero_of_psi(samples):
         sc = _psi_x1_scenario(seed, samples)
         result = _run_property(TRANSPORT, sc, _conjugated_transport_inverts)
         assert result.passed, (seed, result)
+
+
+def test_transport_reads_psi_on_integers():
+    """third-dual.05 decides whether Psi vanishes from the integer blocks of
+    phi.at(x): alone over generated seeds 0-11 it makes at most 72 `Fraction`s,
+    where reading the `Fraction` view `psi` made 157."""
+    scenarios = [gen_random_scenario(s) for s in range(12)]
+    saved = Fraction.__dict__["__new__"]
+    made = 0
+
+    def counting(cls, *args, **kwargs):
+        nonlocal made
+        made += 1
+        return saved.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting)
+    try:
+        results = [_run_property(TRANSPORT, sc, _conjugated_transport_inverts) for sc in scenarios]
+    finally:
+        Fraction.__new__ = saved
+    assert all(r.passed for r in results)
+    assert made <= 72
 
 
 @pytest.mark.parametrize("route", [invert_morphism, third_dual_transport])

@@ -46,6 +46,10 @@ It runs, one after another and never in parallel:
   perfbench draws only small generator coefficients, so these are the
   numbers that see coefficient height, and the composition is the one that
   sees the product kernel on 32-digit coefficients;
+* `tools/census.py`, the line census of `src/dvbcalc` under the library
+  traffic and tier-1 (`census`: per module its `lines`, the `tier1_only`
+  lines that only tier-1 reaches and the `unreached` lines that neither
+  reaches); it adds several minutes;
 * `tools/mutants.py`, the mutation run of the suites and tier-1 over `core`,
   `duality`, `ring`, `geomech` and `forms` (`mutants`: the sites per
   module, the stage-1 outcome counts, the stage-2 kills with the test that
@@ -87,6 +91,7 @@ import tempfile
 import time
 from pathlib import Path
 
+import census
 import mutants
 
 WORKLOADS = ("axioms-sweep", "check-all", "symbolic")
@@ -439,6 +444,7 @@ def main(argv=None) -> int:
         "text": _text_round(root),
         "worst_case": _worst_case(root),
         **_tests(root),
+        "census": census.run(root),
         "mutants": mutants.run(),
     }
     out = root / f"BENCH_{args.pr}.json"

@@ -22,10 +22,11 @@ A line counts when it is inside a function, lambda or comprehension of
 line event of the trace lands on it.  Lines that a test reaches only in a
 subprocess of its own are not seen.  For each module the census prints the
 lines that tier-1 reaches but the traffic does not, and the lines that
-neither reaches, as line ranges.  Tracing makes both runs several times
-slower than untraced ones: several minutes in all on a 2-core host.  Only
-the standard library is used; the tier-1 run needs pytest and hypothesis,
-as it always does.
+neither reaches, as line ranges; `run(root)` prints the same and returns
+their counts per module, which `tools/bench.py` records.  Tracing makes
+both runs several times slower than untraced ones: several minutes in all
+on a 2-core host.  Only the standard library is used; the tier-1 run needs
+pytest and hypothesis, as it always does.
 """
 
 from __future__ import annotations
@@ -175,11 +176,10 @@ def _ranges(lines) -> str:
     return " ".join(spans)
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("root", nargs="?", type=Path, default=TOOLS.parent)
-    root = ap.parse_args().root.resolve()
-    reached = {}
+def run(root: Path) -> dict[str, dict[str, int]]:
+    """Trace both runs on the checkout `root`, print the census and return,
+    per module file name, its `lines`, `tier1_only` and `unreached` counts."""
+    reached, counts = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for which, out, child in _trace(root, Path(tmp)):
             if child.wait() != 0:
@@ -197,7 +197,15 @@ def main() -> None:
         print(f"{path.name:<14}{len(lines):>7}{len(only):>13}{len(neither):>9}")
         details += [f"{path.name} tier-1 only: {_ranges(only)}"] if only else []
         details += [f"{path.name} neither: {_ranges(neither)}"] if neither else []
+        counts[path.name] = {"lines": len(lines), "tier1_only": len(only), "unreached": len(neither)}
     print(*details, sep="\n")
+    return counts
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("root", nargs="?", type=Path, default=TOOLS.parent)
+    run(ap.parse_args().root.resolve())
 
 
 if __name__ == "__main__":
